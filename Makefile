@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check chaos lint cover bench bench-smoke telemetry-smoke recovery-smoke contention-smoke freshness-smoke fuzz experiments shapes examples clean
+.PHONY: all build vet test race check chaos lint bench-module cover bench bench-smoke telemetry-smoke recovery-smoke contention-smoke freshness-smoke fuzz experiments shapes examples clean
 
 all: check
 
@@ -29,11 +29,17 @@ chaos:
 lint:
 	$(GO) run ./cmd/repllint ./...
 
+# The repo benchmark (BENCHMARK.json) is a Go module of its own under
+# benchmark/, so the root `./...` patterns never compile it; vet and test
+# it here so an internal/ API change cannot silently break it.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 # The pre-merge gate: compile, static checks, full test suite, the race
-# detector, the chaos suite, the protocol-invariant lint, the
-# crash-recovery, contention- and freshness-observatory smokes, and the
-# benchmark smoke gate.
-check: build vet test race chaos lint recovery-smoke contention-smoke freshness-smoke bench-smoke
+# detector, the chaos suite, the protocol-invariant lint, the nested
+# benchmark module, the crash-recovery, contention- and
+# freshness-observatory smokes, and the benchmark smoke gate.
+check: build vet test race chaos lint bench-module recovery-smoke contention-smoke freshness-smoke bench-smoke
 
 cover:
 	$(GO) test -cover ./...

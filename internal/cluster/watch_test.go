@@ -204,10 +204,10 @@ func TestWatchBackEdgePendingHang(t *testing.T) {
 		return ok && a.Site == 0 && a.TID.Site == 2
 	}, "PendingTwoPC{site 0, txn of site 2}")
 
-	// The raise produced a flight-recorder dump.
-	if dumps := w.Dumps(); len(dumps) == 0 {
-		t.Error("no flight-recorder dump on alert")
-	}
+	// The raise produced a flight-recorder dump. The watchdog publishes
+	// the alert before it writes the file, so wait for the path.
+	pollFor(t, 5*time.Second, func() bool { return len(w.Dumps()) > 0 },
+		"flight-recorder dump on alert")
 
 	// Heal: the reliable sublayer retransmits the decision, the
 	// participant finishes, and the alert clears.

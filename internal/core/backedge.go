@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/trace"
+	"repro/internal/ts"
 	"repro/internal/twopc"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -18,10 +19,13 @@ import (
 )
 
 // backedgeEngine implements the BackEdge protocol (§4.1), the hybrid that
-// makes arbitrary (cyclic) copy graphs serializable. It behaves exactly
-// like DAG(WT) for transactions whose updates stay inside the DAG; a
-// transaction that must propagate along backedges — i.e. to replica sites
-// that are its tree *ancestors* — runs the eager arm:
+// makes arbitrary (cyclic) copy graphs serializable, as the paper defines
+// it: DAG(WT) plus an eager edge set. It embeds the DAG(WT) engine and so
+// behaves exactly like it for transactions whose updates stay inside the
+// DAG — the queue, the applier, the lazy apply and the fan-out are all
+// inherited. This file adds only the eager arm, run by a transaction that
+// must propagate along backedges, i.e. to replica sites that are its tree
+// *ancestors*:
 //
 //  1. keep the primary's locks; send a backedge subtransaction directly to
 //     the farthest ancestor replica site si1;
@@ -39,9 +43,7 @@ import (
 // for its special to come home; after PrepareTimeout the origin aborts,
 // notifying the backedge sites so they release their locks.
 type backedgeEngine struct {
-	base
-	queue chan queuedMsg
-	prog  *watch.Progress
+	*dagwtEngine
 
 	table *twopc.Table
 	// decisions is this site's coordinator-side stable decision record:
@@ -86,14 +88,13 @@ type originState struct {
 
 func newBackEdge(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *backedgeEngine {
 	e := &backedgeEngine{
-		base:      newBase(cfg, BackEdge, id, tr),
-		queue:     make(chan queuedMsg, 1<<16),
-		prog:      cfg.Watch.Queue(id, "fifo"),
-		table:     twopc.NewTable(),
-		decisions: twopc.NewDecisionLog(),
-		prepared:  make(map[model.TxnID]*pendingBE),
-		waiters:   make(map[model.TxnID]*originState),
+		dagwtEngine: buildDAGWT(cfg, BackEdge, id, tr),
+		table:       twopc.NewTable(),
+		decisions:   twopc.NewDecisionLog(),
+		prepared:    make(map[model.TxnID]*pendingBE),
+		waiters:     make(map[model.TxnID]*originState),
 	}
+	e.special, e.enqueue = e.onSpecial, e.dispatch
 	e.recover()
 	// The watchdog's pending-2PC probe: how many executed backedge
 	// subtransactions sit holding locks awaiting a decision, and the
@@ -119,7 +120,8 @@ func newBackEdge(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *backedg
 // inheriting their pending obligations), then eager dispatches (an
 // undecided one is presumed aborted — made durable so participant
 // inquiries find it; a decided-commit one whose local apply is missing
-// is redone), then unmarked forwards, then unconsumed receipts.
+// is redone), then the kernel's replay — unmarked forwards, then
+// unconsumed receipts through dispatch.
 //
 //lint:allow guardedby recovery runs inside newBackEdge before Start; no dispatcher or inquiry sweeper shares the prepared map yet
 func (e *backedgeEngine) recover() {
@@ -167,29 +169,7 @@ func (e *backedgeEngine) recover() {
 			e.redoEager(tid, ee)
 		}
 	}
-	for _, f := range rec.Forwards {
-		forwardTree(&e.base, f.Span, f.Writes)
-	}
-	for _, r := range rec.Receipts {
-		switch r.MsgKind {
-		case kindSecondary:
-			e.obs.fifoDepth.Inc()
-			e.prog.Push()
-			e.queue <- queuedMsg{msg: comm.Message{
-				From: r.From, To: e.id, Kind: kindSecondary, Span: r.Span,
-				Payload: secondaryPayload{TID: r.TID, Writes: r.Writes},
-			}}
-		case kindSpecial:
-			e.obs.fifoDepth.Inc()
-			e.prog.Push()
-			e.queue <- queuedMsg{msg: comm.Message{
-				From: r.From, To: e.id, Kind: kindSpecial, Span: r.Span,
-				Payload: specialPayload{TID: r.TID, Origin: r.Origin, Writes: r.Writes},
-			}}
-		case kindBackedgeExec:
-			go e.execBackedge(specialPayload{TID: r.TID, Origin: r.Origin, Writes: r.Writes}, r.Span)
-		}
-	}
+	e.replay()
 }
 
 // redoEager re-runs a decided-commit eager origin commit whose local
@@ -215,15 +195,13 @@ func (e *backedgeEngine) redoEager(tid model.TxnID, ee wal.EagerEntry) {
 		}
 		e.cfg.Recorder.Write(e.id, w.Item, ver.Num, tid)
 	}
-	forwardTree(&e.base, ee.Span, ee.Writes)
+	e.propagate(ee.Span, ts.Timestamp{}, ee.Writes)
 }
 
 func (e *backedgeEngine) Start() {
-	go e.applier()
+	e.dagwtEngine.Start()
 	go e.inquirer()
 }
-
-func (e *backedgeEngine) Stop() { e.halt() }
 
 // backedgeTargets returns the replica sites of the written items that are
 // tree ancestors of this site — the sites si1..sij of §4.1 — ordered
@@ -243,40 +221,22 @@ func (e *backedgeEngine) backedgeTargets(writes []model.WriteOp) []model.SiteID 
 	return out
 }
 
+// Execute runs a primary subtransaction through the kernel's prologue and
+// commit; a transaction with backedge targets runs the eager arm between
+// the two, holding its locks.
 func (e *backedgeEngine) Execute(ops []model.Op) error {
-	//lint:allow nodeterminism commit-latency stamp for metrics; never branches protocol logic
-	start := time.Now()
-	tid := e.newTxnID()
-	octx := model.SpanContext{TID: tid}
-	e.traceCtx(trace.TxnBegin, model.NoSite, octx)
-	t := e.tm.Begin(tid)
-	if err := e.runLocalOps(t, ops); err != nil {
-		e.recAbort(tid, contend.Classify(err))
+	octx, start := e.beginOrigin()
+	t := e.tm.Begin(octx.TID)
+	if err := e.runOrigin(t, ops); err != nil {
 		return err
 	}
+	tid := octx.TID
 	writes := t.Writes()
 	targets := e.backedgeTargets(writes)
 	if len(targets) == 0 {
 		// Pure DAG(WT) path (§4.1: such transactions execute exactly as
 		// they would under DAG(WT)).
-		e.commitMu.Lock()
-		e.armDurable(t, wal.Record{
-			Kind: wal.KindApply, TID: tid, Role: wal.RoleOrigin,
-			Writes: writes, Forwards: len(writes) > 0, Span: octx,
-		})
-		err := t.Commit()
-		if err == nil {
-			e.traceCtx(trace.TxnCommit, model.NoSite, octx)
-			e.noteCommitted(writes)
-			e.forward(octx, writes)
-		}
-		e.commitMu.Unlock()
-		if err != nil {
-			e.recAbort(tid, contend.Classify(err))
-			return err
-		}
-		e.recCommit(tid, start)
-		return nil
+		return e.finish(t, octx, start, writes)
 	}
 
 	// Eager arm. The dispatch must be durable before the execute message
@@ -313,13 +273,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 		}
 	})
 
-	e.pendAdd(1)
-	e.obs.forwarded.Inc()
-	e.traceCtx(trace.SecondaryForwarded, targets[0], octx)
-	e.send(comm.Message{
-		From: e.id, To: targets[0], Kind: kindBackedgeExec, Span: octx.Fork(e.id),
-		Payload: specialPayload{TID: tid, Origin: e.id, Writes: writes},
-	})
+	e.ship(targets[0], kindBackedgeExec, octx, specialPayload{TID: tid, Origin: e.id, Writes: writes})
 
 	abortEager := func(why string, reason contend.AbortReason) error {
 		e.locks.ClearVulnerable(tid)
@@ -398,24 +352,9 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 	}
 	e.obs.beCommits.Inc()
 	e.traceCtx(trace.BackedgeCommit, targets[0], octx)
-	e.commitMu.Lock()
-	e.armDurable(t, wal.Record{
-		Kind: wal.KindApply, TID: tid, Role: wal.RoleOrigin,
-		Writes: writes, Forwards: len(writes) > 0, Span: octx,
-	})
-	err := t.Commit()
-	if err == nil {
-		e.traceCtx(trace.TxnCommit, model.NoSite, octx)
-		e.noteCommitted(writes)
-		e.forward(octx, writes)
-	}
-	e.commitMu.Unlock()
-	if err != nil {
-		e.recAbort(tid, contend.Classify(err))
-		return err
-	}
-	e.recCommit(tid, start)
-	return nil
+	// The kernel's commit: only now do the remaining (descendant) replicas
+	// receive normal lazy DAG(WT) secondaries.
+	return e.finish(t, octx, start, writes)
 }
 
 // abortBackedges tombstones the transaction at every backedge site so
@@ -431,12 +370,6 @@ func (e *backedgeEngine) abortBackedges(sc model.SpanContext, targets []model.Si
 	}
 }
 
-// forward is the DAG(WT) lazy fan-out to relevant tree children; the
-// caller holds commitMu.
-func (e *backedgeEngine) forward(sc model.SpanContext, writes []model.WriteOp) {
-	forwardTree(&e.base, sc, writes)
-}
-
 func (e *backedgeEngine) Handle(msg comm.Message) {
 	if msg.IsResp {
 		e.rpc.HandleResponse(msg)
@@ -444,22 +377,14 @@ func (e *backedgeEngine) Handle(msg comm.Message) {
 	}
 	switch msg.Kind {
 	case kindSecondary, kindSpecial:
-		if !e.logReceipt(msg) {
-			return // fenced mid-crash: dropped unacknowledged, retransmitted
-		}
-		e.traceCtx(trace.SecondaryEnqueued, msg.From, msg.Span)
-		e.recTransport(msg, msg.Span.TID)
-		e.obs.fifoDepth.Inc()
-		e.prog.Push()
-		e.queue <- queuedMsg{msg: msg, at: e.phaseClock()}
+		// Specials queue behind every earlier secondary (§4.1 step 2).
+		e.admit(msg)
 	case kindBackedgeExec:
-		// Executed immediately and concurrently (§4.1 step 1: sent
-		// "directly ... to be executed"), not through the FIFO queue.
 		if !e.logReceipt(msg) {
 			return // fenced mid-crash: dropped unacknowledged, retransmitted
 		}
 		e.recTransport(msg, msg.Span.TID)
-		go e.execBackedge(msg.Payload.(specialPayload), msg.Span)
+		e.dispatch(queuedMsg{msg: msg})
 	case kindBackedgeAbort:
 		go e.handleAbort(msg.Payload.(abortPayload).TID)
 	case kindPrepare:
@@ -483,6 +408,18 @@ func (e *backedgeEngine) Handle(msg comm.Message) {
 	default:
 		panic("core: BackEdge received unexpected message kind")
 	}
+}
+
+// dispatch is BackEdge's ordering of a durably received message, fresh or
+// replayed. A backedge execution runs immediately and concurrently (§4.1
+// step 1: sent "directly ... to be executed"), on a goroutine of its own;
+// secondaries and specials take the inherited FIFO queue.
+func (e *backedgeEngine) dispatch(q queuedMsg) {
+	if q.msg.Kind == kindBackedgeExec {
+		go e.execBackedge(q.msg.Payload.(specialPayload), q.msg.Span)
+		return
+	}
+	e.push(q)
 }
 
 // beExec classifies the outcome of executing a backedge/special
@@ -563,8 +500,7 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 			}
 		}
 		if !ok {
-			e.cfg.Metrics.Retry()
-			e.retryBackoff()
+			e.retry()
 			continue
 		}
 		// Locks held, writes buffered. Register as a live participant —
@@ -614,10 +550,7 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 func (e *backedgeEngine) relaySpecial(p specialPayload, sc model.SpanContext) {
 	next := e.cfg.Tree.NextHopDown(e.id, p.Origin)
 	e.commitMu.Lock()
-	e.pendAdd(1)
-	e.obs.forwarded.Inc()
-	e.traceCtx(trace.SecondaryForwarded, next, sc)
-	e.send(comm.Message{From: e.id, To: next, Kind: kindSpecial, Span: sc.Fork(e.id), Payload: p})
+	e.ship(next, kindSpecial, sc, p)
 	e.commitMu.Unlock()
 }
 
@@ -761,36 +694,17 @@ func (e *backedgeEngine) inquireStuck() {
 	}
 }
 
-// applier drains the FIFO queue of normal and special secondaries.
-func (e *backedgeEngine) applier() {
-	for {
-		var msg comm.Message
-		select {
-		case q := <-e.queue:
-			e.obs.fifoDepth.Dec()
-			e.prog.Pop()
-			msg = q.msg
-			e.phaseSince(metrics.PhaseQueueWait, msg.From, msg.Span.TID, q.at)
-		case <-e.stop:
-			return
-		}
-		switch msg.Kind {
-		case kindSecondary:
-			p := msg.Payload.(secondaryPayload)
-			if !e.applySecondary(p, msg.Span) {
-				return
-			}
-			e.pendDone()
-		case kindSpecial:
-			p := msg.Payload.(specialPayload)
-			if p.Origin == e.id {
-				e.specialHome(p)
-			} else {
-				// Intermediate (possibly backedge) site: execute holding
-				// locks if we replicate any written item, then relay.
-				e.execBackedge(p, msg.Span)
-			}
-		}
+// onSpecial is the inherited applier's dispatch hook: a special
+// subtransaction has reached the head of the FIFO queue, behind every
+// earlier secondary.
+func (e *backedgeEngine) onSpecial(msg comm.Message) {
+	p := msg.Payload.(specialPayload)
+	if p.Origin == e.id {
+		e.specialHome(p)
+	} else {
+		// Intermediate (possibly backedge) site: execute holding locks if
+		// we replicate any written item, then relay.
+		e.execBackedge(p, msg.Span)
 	}
 }
 
@@ -804,10 +718,9 @@ func (e *backedgeEngine) specialHome(p specialPayload) {
 	// the special must not close(arrived) twice.
 	delete(e.waiters, p.TID)
 	e.mu.Unlock()
-	if !e.consumeOnly(p.TID) {
+	if !e.consumeAndDone(p.TID) {
 		return // fenced: receipt unconsumed, recovery inherits the obligation
 	}
-	e.pendDone()
 	if st == nil {
 		return // origin already aborted (PrepareTimeout), or duplicate
 	}
@@ -815,58 +728,5 @@ func (e *backedgeEngine) specialHome(p specialPayload) {
 	select {
 	case <-st.done:
 	case <-e.stop:
-	}
-}
-
-// applySecondary is the DAG(WT) lazy application with resubmission.
-func (e *backedgeEngine) applySecondary(p secondaryPayload, sc model.SpanContext) bool {
-	for {
-		if e.stopping() {
-			return false
-		}
-		if e.wasApplied(p.TID) {
-			// A crash-recovery re-forward duplicated this delivery:
-			// consume its receipt without re-applying (exactly-once).
-			return e.consumeOnly(p.TID)
-		}
-		t := e.tm.BeginSecondary(p.TID)
-		ok := true
-		for _, w := range p.Writes {
-			if !e.store.Has(w.Item) {
-				continue
-			}
-			e.simulateOp()
-			if err := t.Write(w.Item, w.Value); err != nil {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			e.recRetry()
-			e.retryBackoff()
-			continue
-		}
-		e.commitMu.Lock()
-		e.armDurable(t, wal.Record{
-			Kind: wal.KindApply, TID: p.TID, Role: wal.RoleSecondary,
-			Consumes: true, Forwards: len(p.Writes) > 0,
-			Writes: p.Writes, Span: sc,
-		})
-		err := t.Commit()
-		if err == nil {
-			e.forward(sc, p.Writes)
-		}
-		e.commitMu.Unlock()
-		if err != nil {
-			// A fenced redo log (crash in progress): loop back to the
-			// stopping() check. Otherwise unreachable — writes target local
-			// copies only.
-			e.recRetry()
-			e.retryBackoff()
-			continue
-		}
-		e.noteApplied(p.Writes)
-		e.recApplied(sc)
-		return true
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -111,6 +112,43 @@ func TestBackEdgeGlobalDeadlockAborts(t *testing.T) {
 	}
 	if got := s.value(t, 0, 0); got != 10 {
 		t.Errorf("recovery write not propagated: %d", got)
+	}
+}
+
+// TestBackEdgeSubtransactionRetriesAreCounted: a backedge subtransaction
+// blocked behind a local lock resubmits like any secondary (§2), and every
+// resubmission reaches both retry surfaces — the run report and the live
+// repl_secondary_retries_total counter — which therefore agree.
+func TestBackEdgeSubtransactionRetriesAreCounted(t *testing.T) {
+	p := placement(t, 2, []model.SiteID{1}, [][]model.SiteID{{0}})
+	params := testParams()
+	s := buildSystem(t, BackEdge, p, params, 0)
+
+	// Park a shared lock on item 0's replica at the backedge site s0 for a
+	// few lock timeouts, well inside the origin's PrepareTimeout.
+	e0 := s.engines[0].(*backedgeEngine)
+	blocker := e0.tm.Begin(e0.newTxnID())
+	if _, err := blocker.Read(0); err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(3*params.LockTimeout, blocker.Abort)
+
+	if err := s.engines[1].Execute([]model.Op{w(0, 9)}); err != nil {
+		t.Fatalf("eager transaction: %v", err)
+	}
+	s.quiesce(t)
+	if got := s.value(t, 0, 0); got != 9 {
+		t.Errorf("backedge replica = %d, want 9", got)
+	}
+	report := s.collector.Snapshot(2).Retries
+	var live uint64
+	for name, v := range s.registry.Snapshot() {
+		if strings.HasPrefix(name, "repl_secondary_retries_total") {
+			live += uint64(v)
+		}
+	}
+	if report == 0 || live != report {
+		t.Errorf("retries: report=%d, repl_secondary_retries_total=%d; want equal and nonzero", report, live)
 	}
 }
 

@@ -129,6 +129,13 @@ func (b *base) halt() {
 	})
 }
 
+// Stop terminates the site's background workers; engines with sleepers
+// to wake (DAG(T)'s scheduler) extend it.
+func (b *base) Stop() { b.halt() }
+
+// lockStats returns the lock manager's cumulative counters.
+func (b *base) lockStats() lock.Stats { return b.locks.Stats() }
+
 // LockHeat returns the site's per-item lock contention accounting, for
 // the cluster-wide heat table (internal/contend).
 func (b *base) LockHeat() []lock.ItemStats { return b.locks.ItemStats() }
@@ -179,6 +186,18 @@ func (b *base) logReceipt(msg comm.Message) bool {
 	return b.walAppendSync(rec) == nil
 }
 
+// receiptMsg rebuilds the message a logged receipt acknowledged — the
+// inverse of logReceipt, for recovery to re-admit it.
+func receiptMsg(to model.SiteID, r wal.Receipt) comm.Message {
+	msg := comm.Message{From: r.From, To: to, Kind: r.MsgKind, Span: r.Span}
+	if r.MsgKind == kindSecondary {
+		msg.Payload = secondaryPayload{TID: r.TID, TS: r.TS, Writes: r.Writes}
+	} else {
+		msg.Payload = specialPayload{TID: r.TID, Origin: r.Origin, Writes: r.Writes}
+	}
+	return msg
+}
+
 // wasApplied reports whether a subtransaction of tid already durably
 // committed here — the exactly-once dedup check for deliveries
 // duplicated by crash-recovery re-forwards.
@@ -186,24 +205,19 @@ func (b *base) wasApplied(tid model.TxnID) bool {
 	return b.wal != nil && b.wal.WasApplied(tid)
 }
 
-// consumeOnly durably marks one receipt of tid consumed without an
-// apply (a deduplicated duplicate, a failed execution). It reports
-// whether the marker is durable; on false the receipt stays unconsumed
-// and recovery re-processes it, so the caller must NOT release the
-// pending obligation.
-func (b *base) consumeOnly(tid model.TxnID) bool {
-	return b.walAppendSync(wal.Record{Kind: wal.KindConsumed, TID: tid}) == nil
-}
-
-// consumeAndDone writes the durable consumption marker for one receipt
-// of tid and then releases its pending obligation. pendDone strictly
-// follows durability: if the marker is lost to a fence, the obligation
-// is deliberately left outstanding and inherited by recovery, which
-// re-processes the receipt and releases it then.
-func (b *base) consumeAndDone(tid model.TxnID) {
-	if b.consumeOnly(tid) {
-		b.pendDone()
+// consumeAndDone durably marks one receipt of tid consumed without an
+// apply (a deduplicated duplicate, a failed execution, a special come
+// home) and then releases its pending obligation. pendDone strictly
+// follows durability: on false the marker was lost to a fence, the
+// receipt stays unconsumed, and the obligation is deliberately left
+// outstanding for recovery, which re-processes the receipt and releases
+// it then.
+func (b *base) consumeAndDone(tid model.TxnID) bool {
+	if b.walAppendSync(wal.Record{Kind: wal.KindConsumed, TID: tid}) != nil {
+		return false
 	}
+	b.pendDone()
+	return true
 }
 
 // walForwarded marks an apply's propagation obligation discharged.
@@ -236,6 +250,19 @@ func (b *base) simulateOp() {
 	}
 }
 
+// beginOrigin is the prologue of every primary subtransaction: stamp the
+// start, mint the tid, and record TxnBegin on the root span. The caller
+// opens the local transaction itself (tm.Begin(octx.TID)): returned from
+// here the Txn would escape its caller's frame, one heap allocation per
+// transaction.
+func (b *base) beginOrigin() (model.SpanContext, time.Time) {
+	//lint:allow nodeterminism commit-latency stamp for metrics; never branches protocol logic
+	start := time.Now()
+	octx := model.SpanContext{TID: b.newTxnID()}
+	b.traceCtx(trace.TxnBegin, model.NoSite, octx)
+	return octx, start
+}
+
 // runLocalOps executes a transaction program against local copies under
 // strict 2PL. On any failure the transaction has been aborted.
 func (b *base) runLocalOps(t *txn.Txn, ops []model.Op) error {
@@ -266,41 +293,6 @@ func (b *base) runLocalOps(t *txn.Txn, ops []model.Op) error {
 		}
 	}
 	return nil
-}
-
-// forwardTree schedules secondary subtransactions at the relevant tree
-// children (§2): a child is relevant iff it or one of its tree
-// descendants holds a copy of an updated item, and it receives exactly
-// the writes its subtree can use. The caller holds commitMu so the
-// forwarding order matches the site's commit order. in is the causal
-// context the forwarding work runs under (the zero-parent origin
-// context at the primary, the received message's context at a relay);
-// outgoing messages carry its fork, making each hop a child span.
-func forwardTree(b *base, in model.SpanContext, writes []model.WriteOp) {
-	if len(writes) == 0 {
-		return
-	}
-	out := in.Fork(b.id)
-	for _, c := range b.cfg.Tree.Children(b.id) {
-		sub := b.cfg.SubtreeItems[c]
-		var local []model.WriteOp
-		for _, w := range writes {
-			if sub[w.Item] {
-				local = append(local, w)
-			}
-		}
-		if len(local) == 0 {
-			continue
-		}
-		b.pendAdd(1)
-		b.obs.forwarded.Inc()
-		b.traceCtx(trace.SecondaryForwarded, c, in)
-		b.send(comm.Message{
-			From: b.id, To: c, Kind: kindSecondary, Span: out,
-			Payload: secondaryPayload{TID: in.TID, Writes: local},
-		})
-	}
-	b.walForwarded(in.TID)
 }
 
 // send transmits a message and counts it. One-way protocol traffic is
@@ -345,10 +337,11 @@ func (b *base) stopping() bool {
 	}
 }
 
-// retryBackoff sleeps briefly between secondary-subtransaction
-// resubmissions so a retry storm does not starve the lock holders it
-// waits for.
-func (b *base) retryBackoff() {
+// retry is the resubmission step of every subtransaction that must run
+// to completion (§2): count it, then sleep briefly so a retry storm does
+// not starve the lock holders it waits for.
+func (b *base) retry() {
+	b.recRetry()
 	d := b.cfg.Params.LockTimeout / 10
 	if d < 100*time.Microsecond {
 		d = 100 * time.Microsecond

@@ -222,8 +222,10 @@ type Engine interface {
 	Handle(msg comm.Message)
 	// Start launches background workers (appliers, tickers).
 	Start()
-	// Stop terminates background workers. Pending queue contents are
-	// dropped.
+	// Stop terminates background workers. Queued secondaries die with the
+	// heap, but not with the site: over a WAL every acknowledged receipt
+	// was logged before it was queued, and the next engine built on that
+	// log re-admits the unconsumed ones. Without a WAL they are dropped.
 	Stop()
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/contend"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -14,21 +13,20 @@ import (
 	"repro/internal/watch"
 )
 
-// dagtEngine implements the DAG(T) protocol (§3). Updates travel directly
-// along copy-graph edges; each site keeps one incoming queue per
-// copy-graph parent and executes the secondary subtransaction with the
-// minimum timestamp among the queue heads, but only once every queue is
-// non-empty. Epoch numbers advanced by the sources, plus dummy
-// subtransactions on idle edges, guarantee progress (§3.3).
+// dagtEngine implements the DAG(T) protocol (§3) as a policy over the lazy
+// kernel. Routing: updates travel directly along copy-graph edges, to the
+// children replicating an updated item, and are not relayed. Ordering:
+// each site keeps one incoming queue per copy-graph parent and executes
+// the secondary subtransaction with the minimum timestamp among the queue
+// heads, but only once every queue is non-empty; the kernel's commit
+// critical section stamps primaries with the site timestamp and advances
+// it past each committed secondary. Epoch numbers advanced by the sources,
+// plus dummy subtransactions on idle edges, guarantee progress (§3.3).
 type dagtEngine struct {
-	base
+	lazyEngine
 
 	parents  []model.SiteID
 	children []model.SiteID
-	// childItems[c] is the set of items whose primary is here with a
-	// replica at child c; a child is relevant for a transaction iff it
-	// replicates one of the updated items (§3.2.2 step 3).
-	childItems map[model.SiteID]map[model.ItemID]bool
 
 	// tsMu guards the site timestamp state; it is the §3.2.2 critical
 	// section together with commitMu.
@@ -56,28 +54,21 @@ type tsItem struct {
 //lint:allow guardedby construction is single-threaded; the scheduler, tickers, and watchdog callback that share these fields only start in Start, after newDAGT returns
 func newDAGT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagtEngine {
 	e := &dagtEngine{
-		base:       newBase(cfg, DAGT, id, tr),
+		lazyEngine: newLazy(cfg, DAGT, id, tr),
 		parents:    cfg.Graph.Parents(id),
 		children:   cfg.Graph.Children(id),
-		childItems: make(map[model.SiteID]map[model.ItemID]bool),
 		siteTS:     ts.New(id),
 		lastSent:   make(map[model.SiteID]time.Time),
 		queues:     make(map[model.SiteID][]tsItem),
 	}
 	e.prog = cfg.Watch.Queue(id, "ts")
 	e.qCond = sync.NewCond(&e.qMu)
+	// A child is relevant for a transaction iff it replicates one of the
+	// updated items (§3.2.2 step 3).
+	e.routes, e.enqueue = replicaRoutes(cfg.Placement, id, e.children), e.hold
+	e.stamp, e.sent, e.advance = e.stampTS, e.noteSent, e.advanceTS
 	for _, c := range e.children {
-		e.childItems[c] = make(map[model.ItemID]bool)
-		//lint:allow nodeterminism lastSent feeds the wall-clock dummy ticker, not protocol ordering
-		e.lastSent[c] = time.Now()
-	}
-	p := cfg.Placement
-	for _, item := range p.PrimariesAt(id) {
-		for _, r := range p.ReplicaSites(item) {
-			if set, ok := e.childItems[r]; ok {
-				set[item] = true
-			}
-		}
+		e.noteSent(c)
 	}
 	for _, par := range e.parents {
 		e.queues[par] = nil
@@ -125,8 +116,8 @@ func (e *dagtEngine) Start() {
 }
 
 // recoverWAL rebuilds the timestamp state from the last durable apply,
-// re-sends unmarked forwards, and re-enqueues unconsumed receipts (in
-// log order, which is per-parent arrival order).
+// then lets the kernel re-send unmarked forwards (each with its logged
+// timestamp) and re-admit unconsumed receipts to their parents' queues.
 //
 //lint:allow guardedby recovery runs inside newDAGT before any goroutine that shares the timestamp or queue state exists
 func (e *dagtEngine) recoverWAL() {
@@ -163,16 +154,7 @@ func (e *dagtEngine) recoverWAL() {
 	// their timestamp, and source epoch ticks append KindEpoch before
 	// publishing — so MaxEpoch is a tight, safe resume point.
 	e.siteTS.Epoch = rec.MaxEpoch
-	for _, f := range rec.Forwards {
-		e.schedule(f.Span, f.TS, f.Writes)
-	}
-	for _, r := range rec.Receipts {
-		e.obs.tsDepth.Inc()
-		e.prog.Push()
-		e.queues[r.From] = append(e.queues[r.From], tsItem{
-			p: secondaryPayload{TID: r.TID, TS: r.TS, Writes: r.Writes}, sc: r.Span,
-		})
-	}
+	e.replay()
 }
 
 func (e *dagtEngine) Stop() {
@@ -180,77 +162,29 @@ func (e *dagtEngine) Stop() {
 	e.qCond.Broadcast()
 }
 
-// Execute runs a primary subtransaction. At commit, inside the critical
-// section, the site's local timestamp counter is incremented, the
-// transaction takes the site timestamp, and secondary subtransactions are
-// scheduled at the relevant children (§3.2.2).
-func (e *dagtEngine) Execute(ops []model.Op) error {
-	//lint:allow nodeterminism commit-latency stamp for metrics; never branches protocol logic
-	start := time.Now()
-	tid := e.newTxnID()
-	octx := model.SpanContext{TID: tid}
-	e.traceCtx(trace.TxnBegin, model.NoSite, octx)
-	t := e.tm.Begin(tid)
-	if err := e.runLocalOps(t, ops); err != nil {
-		e.recAbort(tid, contend.Classify(err))
-		return err
-	}
-	writes := t.Writes()
-	e.commitMu.Lock()
+// stampTS is the timestamp assignment of §3.2.2, run by the kernel inside
+// the commit critical section just before the redo record is armed. A
+// primary subtransaction increments the site's local timestamp counter
+// and takes the site timestamp; a secondary keeps the one it arrived
+// with. Either way the record carries the current LTSi.
+func (e *dagtEngine) stampTS(in ts.Timestamp, primary bool) (ts.Timestamp, uint64) {
 	e.tsMu.Lock()
-	e.ltsi++
-	e.siteTS.Tuples[len(e.siteTS.Tuples)-1].LTS = e.ltsi
-	tsT := e.siteTS.Clone()
-	ltsi := e.ltsi
-	e.tsMu.Unlock()
-	e.armDurable(t, wal.Record{
-		Kind: wal.KindApply, TID: tid, Role: wal.RoleOrigin,
-		Writes: writes, Forwards: len(writes) > 0,
-		TS: tsT, LTSI: ltsi, Span: octx,
-	})
-	err := t.Commit()
-	if err == nil {
-		e.traceCtx(trace.TxnCommit, model.NoSite, octx)
-		e.noteCommitted(writes)
-		e.schedule(octx, tsT, writes)
+	defer e.tsMu.Unlock()
+	if primary {
+		e.ltsi++
+		e.siteTS.Tuples[len(e.siteTS.Tuples)-1].LTS = e.ltsi
+		in = e.siteTS.Clone()
 	}
-	e.commitMu.Unlock()
-	if err != nil {
-		e.recAbort(tid, contend.Classify(err))
-		return err
-	}
-	e.recCommit(tid, start)
-	return nil
+	return in, e.ltsi
 }
 
-// schedule appends the transaction's writes to the incoming queues of the
-// relevant children. The caller holds commitMu.
-func (e *dagtEngine) schedule(sc model.SpanContext, tsT ts.Timestamp, writes []model.WriteOp) {
-	out := sc.Fork(e.id)
-	for _, c := range e.children {
-		var local []model.WriteOp
-		items := e.childItems[c]
-		for _, w := range writes {
-			if items[w.Item] {
-				local = append(local, w)
-			}
-		}
-		if len(local) == 0 {
-			continue
-		}
-		e.tsMu.Lock()
-		//lint:allow nodeterminism lastSent feeds the wall-clock dummy ticker, not protocol ordering
-		e.lastSent[c] = time.Now()
-		e.tsMu.Unlock()
-		e.pendAdd(1)
-		e.obs.forwarded.Inc()
-		e.traceCtx(trace.SecondaryForwarded, c, sc)
-		e.send(comm.Message{
-			From: e.id, To: c, Kind: kindSecondary, Span: out,
-			Payload: secondaryPayload{TID: sc.TID, TS: tsT, Writes: local},
-		})
-	}
-	e.walForwarded(sc.TID)
+// noteSent restarts child c's silence clock: a real secondary is about to
+// go down the edge, so no dummy is due there for another DummyPeriod.
+func (e *dagtEngine) noteSent(c model.SiteID) {
+	e.tsMu.Lock()
+	//lint:allow nodeterminism lastSent feeds the wall-clock dummy ticker, not protocol ordering
+	e.lastSent[c] = time.Now()
+	e.tsMu.Unlock()
 }
 
 // dummyTicker sends a dummy secondary subtransaction down any copy-graph
@@ -267,7 +201,7 @@ func (e *dagtEngine) dummyTicker() {
 		}
 		//lint:allow nodeterminism dummy generation is wall-clock-driven by design (timeout t_w, SS3.2.2)
 		now := time.Now()
-		// commitMu makes the stamp-and-send atomic against Execute's
+		// commitMu makes the stamp-and-send atomic against the kernel's
 		// stamp → durable-commit → send sequence. Without it a dummy
 		// stamped after a primary subtransaction can reach the wire before
 		// it, inverting the edge's timestamp order — a race whose window
@@ -282,16 +216,14 @@ func (e *dagtEngine) dummyTicker() {
 				e.lastSent[c] = now
 			}
 		}
+		e.tsMu.Unlock()
 		var tsD ts.Timestamp
 		if len(idle) > 0 {
 			// A dummy is a primary subtransaction with no updates: it bumps
 			// LTSi so every timestamp sent down an edge is strictly larger
 			// than its predecessors.
-			e.ltsi++
-			e.siteTS.Tuples[len(e.siteTS.Tuples)-1].LTS = e.ltsi
-			tsD = e.siteTS.Clone()
+			tsD, _ = e.stampTS(tsD, true)
 		}
-		e.tsMu.Unlock()
 		for _, c := range idle {
 			e.cfg.Metrics.Dummy()
 			e.obs.dummies.Inc()
@@ -340,31 +272,24 @@ func (e *dagtEngine) epochTicker() {
 }
 
 func (e *dagtEngine) Handle(msg comm.Message) {
-	if msg.IsResp {
-		e.rpc.HandleResponse(msg)
+	if p, ok := msg.Payload.(secondaryPayload); ok && p.Dummy {
+		// Dummies are heartbeats — losing one to a crash costs nothing, so
+		// they skip the kernel's durable admission.
+		e.hold(queuedMsg{msg: msg})
 		return
 	}
-	switch msg.Kind {
-	case kindSecondary:
-		p := msg.Payload.(secondaryPayload)
-		if !p.Dummy {
-			// Dummies are heartbeats — losing one to a crash costs nothing,
-			// so only real secondaries are made durable before the ack.
-			if !e.logReceipt(msg) {
-				return // fenced mid-crash: dropped unacknowledged, retransmitted
-			}
-			e.traceCtx(trace.SecondaryEnqueued, msg.From, msg.Span)
-			e.recTransport(msg, msg.Span.TID)
-		}
-		e.obs.tsDepth.Inc()
-		e.prog.Push()
-		e.qMu.Lock()
-		e.queues[msg.From] = append(e.queues[msg.From], tsItem{p: p, sc: msg.Span, at: e.phaseClock()})
-		e.qCond.Broadcast()
-		e.qMu.Unlock()
-	default:
-		panic("core: DAG(T) received unexpected message kind")
-	}
+	e.lazyEngine.Handle(msg)
+}
+
+// hold appends an admitted secondary (or a dummy) to its parent's queue.
+func (e *dagtEngine) hold(q queuedMsg) {
+	e.obs.tsDepth.Inc()
+	e.prog.Push()
+	e.qMu.Lock()
+	e.queues[q.msg.From] = append(e.queues[q.msg.From],
+		tsItem{p: q.msg.Payload.(secondaryPayload), sc: q.msg.Span, at: q.at})
+	e.qCond.Broadcast()
+	e.qMu.Unlock()
 }
 
 // nextSecondary blocks until every parent queue is non-empty (or the
@@ -417,10 +342,9 @@ func (e *dagtEngine) scheduler() {
 			e.advanceTS(it.p.TS)
 			continue
 		}
-		if !e.applySecondary(it.p, it.sc) {
+		if !e.apply(it.p, it.sc) {
 			return
 		}
-		e.pendDone()
 	}
 }
 
@@ -439,59 +363,4 @@ func (e *dagtEngine) advanceTS(tsT ts.Timestamp) {
 	}
 	e.siteTS = nt
 	e.tsMu.Unlock()
-}
-
-func (e *dagtEngine) applySecondary(p secondaryPayload, sc model.SpanContext) bool {
-	for {
-		if e.stopping() {
-			return false
-		}
-		if e.wasApplied(p.TID) {
-			// A crash-recovery re-forward duplicated this delivery:
-			// consume its receipt without re-applying (exactly-once).
-			return e.consumeOnly(p.TID)
-		}
-		t := e.tm.BeginSecondary(p.TID)
-		ok := true
-		for _, w := range p.Writes {
-			if !e.store.Has(w.Item) {
-				continue
-			}
-			e.simulateOp()
-			if err := t.Write(w.Item, w.Value); err != nil {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			e.recRetry()
-			e.retryBackoff()
-			continue
-		}
-		e.commitMu.Lock()
-		// Arm unconditionally: armDurable is a no-op without a log, and
-		// guarding it here would leave Commit undominated by the redo
-		// append on the guarded path (waldiscipline).
-		e.tsMu.Lock()
-		ltsi := e.ltsi
-		e.tsMu.Unlock()
-		e.armDurable(t, wal.Record{
-			Kind: wal.KindApply, TID: p.TID, Role: wal.RoleSecondary,
-			Consumes: true, Writes: p.Writes,
-			TS: p.TS, LTSI: ltsi, Span: sc,
-		})
-		err := t.Commit()
-		if err == nil {
-			e.advanceTS(p.TS)
-		}
-		e.commitMu.Unlock()
-		if err != nil {
-			e.recRetry()
-			e.retryBackoff()
-			continue
-		}
-		e.noteApplied(p.Writes)
-		e.recApplied(sc)
-		return true
-	}
 }

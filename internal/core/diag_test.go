@@ -74,19 +74,7 @@ func TestDiagAbortSources(t *testing.T) {
 }
 
 func lockStats(e Engine) lock.Stats {
-	switch v := e.(type) {
-	case *dagwtEngine:
-		return v.locks.Stats()
-	case *dagtEngine:
-		return v.locks.Stats()
-	case *backedgeEngine:
-		return v.locks.Stats()
-	case *pslEngine:
-		return v.locks.Stats()
-	case *naiveEngine:
-		return v.locks.Stats()
-	}
-	return lock.Stats{}
+	return e.(interface{ lockStats() lock.Stats }).lockStats()
 }
 
 func containsStr(s, sub string) bool {

@@ -93,18 +93,14 @@ type world struct {
 }
 
 // applyCaptured synchronously applies one captured secondary at its
-// destination engine (DAG(WT) or NaiveLazy).
+// destination engine, through the one kernel apply every lazy engine
+// shares.
 func (w *world) applyCaptured(msg comm.Message) {
-	p := msg.Payload.(secondaryPayload)
-	switch e := w.engines[msg.To].(type) {
-	case *dagwtEngine:
-		if !e.applySecondary(p, msg.Span) {
-			panic("explorer: apply refused")
-		}
-	case *naiveEngine:
-		e.applySecondary(p, msg.Span)
-	default:
-		panic("explorer: unsupported engine type")
+	e := w.engines[msg.To].(interface {
+		apply(secondaryPayload, model.SpanContext) bool
+	})
+	if !e.apply(msg.Payload.(secondaryPayload), msg.Span) {
+		panic("explorer: apply refused")
 	}
 }
 
@@ -274,4 +270,43 @@ func TestExhaustiveExample11NaiveLazy(t *testing.T) {
 		t.Fatalf("every schedule was non-serializable; the explorer is broken")
 	}
 	t.Logf("NaiveLazy: %d schedules, %d serializable, %d anomalous", n, good, bad)
+}
+
+// TestExhaustiveBackEdgeWithoutBackedgesIsDAGWT makes §4.1's "such
+// transactions execute exactly as they would under DAG(WT)" checkable: on
+// an acyclic placement (an empty backedge set) the two protocols must
+// admit exactly the same schedules and, under each, leave exactly the
+// same version history at every copy.
+func TestExhaustiveBackEdgeWithoutBackedgesIsDAGWT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive exploration")
+	}
+	p := example11Placement(t)
+	histories := func(proto Protocol) map[string]string {
+		out := make(map[string]string)
+		explore(t, example11World(proto), func(schedule []step, w *world) {
+			var h []string
+			for site := model.SiteID(0); int(site) < p.NumSites; site++ {
+				for _, item := range p.CopiesAt(site) {
+					h = append(h, fmt.Sprintf("s%d/x%d=%v", site, item, w.recorder.WriteHistory(site, item)))
+				}
+			}
+			out[fmt.Sprint(schedule)] = fmt.Sprint(h)
+		})
+		return out
+	}
+	want, got := histories(DAGWT), histories(BackEdge)
+	if len(want) < 30 {
+		t.Fatalf("only %d schedules explored; the scenario should branch more", len(want))
+	}
+	if len(got) != len(want) {
+		t.Errorf("BackEdge explored %d schedules, DAG(WT) %d", len(got), len(want))
+	}
+	for schedule, h := range want {
+		if g, ok := got[schedule]; !ok {
+			t.Errorf("schedule %s exists under DAG(WT) but not under BackEdge", schedule)
+		} else if g != h {
+			t.Errorf("schedule %s:\n DAG(WT)  %s\n BackEdge %s", schedule, h, g)
+		}
+	}
 }

@@ -137,7 +137,7 @@ func (b *base) AbortReasons() map[string]uint64 {
 // values ARE the deltas; reading Stats per grant would put a second mutex
 // acquisition on the lock hot path for numbers nobody scrapes mid-run.
 func (b *base) flushLockStats() {
-	s := b.locks.Stats()
+	s := b.lockStats()
 	b.obs.lockGrants.Add(s.Acquired)
 	b.obs.lockWaits.Add(s.Waited)
 	b.obs.lockWounds.Add(s.Wounds)
@@ -201,7 +201,7 @@ func (b *base) recApplied(sc model.SpanContext) {
 	b.traceCtx(trace.SecondaryApplied, model.NoSite, sc)
 }
 
-// recRetry folds the bookkeeping for a secondary resubmission.
+// recRetry folds the bookkeeping for a subtransaction resubmission.
 func (b *base) recRetry() {
 	b.cfg.Metrics.Retry()
 	b.obs.retries.Inc()

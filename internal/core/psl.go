@@ -81,8 +81,6 @@ func (e *pslEngine) recover() {
 
 func (e *pslEngine) Start() { go e.readServer() }
 
-func (e *pslEngine) Stop() { e.halt() }
-
 func (e *pslEngine) readServer() {
 	for {
 		select {
@@ -97,11 +95,8 @@ func (e *pslEngine) readServer() {
 }
 
 func (e *pslEngine) Execute(ops []model.Op) error {
-	//lint:allow nodeterminism commit-latency stamp for metrics; never branches protocol logic
-	start := time.Now()
-	tid := e.newTxnID()
-	octx := model.SpanContext{TID: tid}
-	e.traceCtx(trace.TxnBegin, model.NoSite, octx)
+	octx, start := e.beginOrigin()
+	tid := octx.TID
 	t := e.tm.Begin(tid)
 	remotes := make(map[model.SiteID]bool)
 

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check chaos lint bench-module cover bench bench-smoke telemetry-smoke recovery-smoke contention-smoke freshness-smoke fuzz experiments shapes examples clean
+.PHONY: all build vet test race check chaos lint bench-module cover bench telemetry-smoke recovery-smoke contention-smoke freshness-smoke fuzz experiments shapes examples clean
 
 all: check
 
@@ -37,9 +37,10 @@ bench-module:
 
 # The pre-merge gate: compile, static checks, full test suite, the race
 # detector, the chaos suite, the protocol-invariant lint, the nested
-# benchmark module, the crash-recovery, contention- and
-# freshness-observatory smokes, and the benchmark smoke gate.
-check: build vet test race chaos lint bench-module recovery-smoke contention-smoke freshness-smoke bench-smoke
+# benchmark module (the benchmark gate: its smoke test runs all six
+# workloads), and the crash-recovery, contention- and
+# freshness-observatory smokes.
+check: build vet test race chaos lint bench-module recovery-smoke contention-smoke freshness-smoke
 
 cover:
 	$(GO) test -cover ./...
@@ -47,19 +48,6 @@ cover:
 # One benchmark iteration per paper artifact plus the micro-benchmarks.
 bench:
 	$(GO) test -run NONE -bench . -benchmem -benchtime 1x ./...
-
-# Benchmark observatory (docs/BENCHMARKING.md): run the smoke suite with
-# pprof capture into $(BENCH_DIR), then gate the fresh snapshot against
-# the committed BENCH_smoke.json baseline. Thresholds here are wide —
-# CI runners and loaded laptops are noisy; the tool's defaults are for
-# deliberate same-machine before/after comparisons.
-BENCH_DIR ?= bench-artifacts
-bench-smoke:
-	mkdir -p $(BENCH_DIR)
-	$(GO) run ./cmd/replbench -suite smoke -telemetry -wal -benchjson $(BENCH_DIR)/BENCH_smoke.json -pprofdir $(BENCH_DIR)/pprof
-	$(GO) run ./cmd/replbench -compare BENCH_smoke.json \
-		-threshold 50 -latthreshold 400 -allocthreshold 100 -abortthreshold 25 -stalethreshold 25 \
-		$(BENCH_DIR)/BENCH_smoke.json
 
 # Cluster telemetry plane smoke (docs/OBSERVABILITY.md): two replnode
 # processes stream telemetry over TCP to one repltop aggregator, whose

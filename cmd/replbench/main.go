@@ -9,15 +9,12 @@
 //	replbench -exp fig3a -scale full -csv > fig3a.csv
 //	replbench -exp all -scale quick
 //	replbench -trace run.jsonl -traceproto dagt -watch -spans run.perfetto.json
-//	replbench -suite smoke -benchjson BENCH_smoke.json -pprofdir bench-profiles
-//	replbench -compare BENCH_baseline.json BENCH_new.json
 //
 // Scales: quick (seconds per point), medium (default), full (the paper's
 // 1000 transactions per thread — expect a long run).
 //
-// The -suite runner emits a versioned BenchSnapshot (docs/BENCHMARKING.md)
-// and -compare is the regression gate: it exits nonzero when the new
-// snapshot regressed past the thresholds.
+// The repo benchmark, against which performance claims are judged, is
+// the separate benchmark/ module (docs/BENCHMARKING.md).
 package main
 
 import (
@@ -31,7 +28,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/contend"
 	"repro/internal/core"
@@ -71,7 +67,7 @@ func main() {
 		reliable   = flag.Bool("reliable", false, "with -trace: wrap the network in the reliable-delivery sublayer (required when faults drop messages)")
 		chaosSched = flag.Bool("chaossched", false, "with -trace: play a seeded partition-and-heal plus crash-and-restart schedule during the run (implies -reliable semantics; see docs/FAULTS.md)")
 
-		walOn    = flag.Bool("wal", false, "with -trace or -suite: run every site over a per-site write-ahead redo log (docs/DURABILITY.md); with -chaossched the scheduled crash is honest — the site loses its heap and restarts from its log")
+		walOn    = flag.Bool("wal", false, "with -trace: run every site over a per-site write-ahead redo log (docs/DURABILITY.md); with -chaossched the scheduled crash is honest — the site loses its heap and restarts from its log")
 		walDir   = flag.String("waldir", "", "with -trace: like -wal, but keep the per-site redo logs under this directory (implies -wal)")
 		walFlush = flag.Duration("walflush", time.Millisecond, "with -wal: group-commit flush window (0 = fsync inline on every commit)")
 
@@ -85,40 +81,8 @@ func main() {
 
 		freshOn  = flag.Bool("fresh", false, "with -trace: report the freshness observatory — propagation waterfalls, replica staleness distributions, read-freshness certificates (a 'freshness' block under -json; see docs/OBSERVABILITY.md)")
 		freshSum = flag.String("freshsummary", "", "with -fresh: write the canonical (same-seed byte-stable) freshness summary to this file (implies -fresh)")
-
-		suite     = flag.String("suite", "", "run a benchmark suite (smoke|medium|full) and print/emit a BenchSnapshot")
-		benchJSON = flag.String("benchjson", "", "with -suite: write the BenchSnapshot to this file (conventionally BENCH_<label>.json)")
-		label     = flag.String("label", "", "with -suite: snapshot label (default: the suite name)")
-		pprofDir  = flag.String("pprofdir", "", "with -suite: directory receiving cpu/heap/mutex/block pprof profiles of the run")
-		telemOn   = flag.Bool("telemetry", false, "with -suite: run every point with the telemetry plane attached (recorder, publisher, in-process aggregator), so the gate prices its overhead")
-		compare   = flag.String("compare", "", "regression gate: compare this baseline BenchSnapshot against the new one given as the positional argument; exits 1 on regression")
-		thrPct    = flag.Float64("threshold", 10, "with -compare: max tolerated throughput drop, percent")
-		latPct    = flag.Float64("latthreshold", 30, "with -compare: max tolerated latency growth (p50/p95/p99 response, p95 prop), percent")
-		allocPct  = flag.Float64("allocthreshold", 50, "with -compare: max tolerated allocs/bytes-per-txn growth, percent")
-		abortPts  = flag.Float64("abortthreshold", 5, "with -compare: max tolerated abort-rate growth, absolute percentage points")
-		stalePts  = flag.Float64("stalethreshold", 5, "with -compare: max tolerated stale-read-rate growth, absolute percentage points (freshness block, schema v3)")
 	)
 	flag.Parse()
-
-	if *compare != "" {
-		if flag.NArg() != 1 {
-			fatal(fmt.Errorf("-compare needs the new snapshot as the positional argument: replbench -compare old.json new.json"))
-		}
-		runCompare(*compare, flag.Arg(0), bench.Thresholds{
-			ThroughputPct: *thrPct, LatencyPct: *latPct, AllocPct: *allocPct,
-			AbortPts: *abortPts, StalePts: *stalePts,
-		})
-		return
-	}
-	if *suite != "" {
-		if err := runSuite(*suite, *label, *benchJSON, *pprofDir, *telemOn, *walOn); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchJSON != "" || *pprofDir != "" || *label != "" {
-		fatal(fmt.Errorf("-benchjson/-pprofdir/-label only apply to a -suite run"))
-	}
 
 	if *stats {
 		printStats(*seed)
@@ -254,62 +218,6 @@ func main() {
 		}
 		fmt.Println(string(b))
 	}
-}
-
-// runSuite executes a benchmark suite and emits its BenchSnapshot: to
-// stdout, and to -benchjson when given; -pprofdir adds profile capture.
-func runSuite(name, label, outPath, profileDir string, telemetry, withWAL bool) error {
-	cfg, err := bench.Suite(name)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	snap, err := bench.RunSuite(cfg, bench.RunOptions{
-		Label:      label,
-		ProfileDir: profileDir,
-		Telemetry:  telemetry,
-		WAL:        withWAL,
-		Progress: func(line string) {
-			fmt.Fprintf(os.Stderr, "replbench: %s\n", line)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "replbench: suite %s done in %s\n", name, time.Since(start).Round(time.Second))
-	if outPath != "" {
-		if err := snap.WriteFile(outPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "replbench: wrote %s\n", outPath)
-		if profileDir != "" {
-			fmt.Fprintf(os.Stderr, "replbench: wrote pprof profiles to %s\n", profileDir)
-		}
-		return nil
-	}
-	return snap.WriteJSON(os.Stdout)
-}
-
-// runCompare is the regression gate: diff new against the old baseline
-// and exit 1 when any metric regressed past its threshold.
-func runCompare(oldPath, newPath string, th bench.Thresholds) {
-	oldSnap, err := bench.ReadSnapshotFile(oldPath)
-	if err != nil {
-		fatal(err)
-	}
-	newSnap, err := bench.ReadSnapshotFile(newPath)
-	if err != nil {
-		fatal(err)
-	}
-	deltas, regressions := bench.Compare(oldSnap, newSnap, th)
-	fmt.Printf("comparing %s (%s) -> %s (%s)\n\n", oldPath, oldSnap.Label, newPath, newSnap.Label)
-	bench.WriteDiff(os.Stdout, deltas, false)
-	if regressions > 0 {
-		fmt.Printf("\n%d regression(s) past thresholds (throughput -%.0f%%, latency +%.0f%%, allocs +%.0f%%, aborts +%.1f pts, stale reads +%.1f pts)\n",
-			regressions, th.ThroughputPct, th.LatencyPct, th.AllocPct, th.AbortPts, th.StalePts)
-		os.Exit(1)
-	}
-	fmt.Println("\nno regressions past thresholds")
 }
 
 // faultOptions carries the -fault*/-reliable/-chaossched flags into the
@@ -513,10 +421,21 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 			fmt.Fprintf(os.Stderr, "replbench: wrote wait-for snapshot to %s\n", co.WaitFor)
 		}
 	}
-	var freshness *bench.Freshness
+	var (
+		freshness *fresh.Summary
+		reads     uint64
+		coverage  float64
+	)
 	if fr.Enable {
-		reads := countReads(registry)
-		freshness = bench.FreshnessFromSummary(c.FreshSummary(), reads)
+		// The report carries cluster totals only: a per-site row for the
+		// tree root, which reads nothing but primaries, would always show
+		// zero stale reads.
+		if freshness = c.FreshSummary(); freshness != nil {
+			freshness.Sites = nil
+		}
+		if reads = countReads(registry); reads > 0 {
+			coverage = 100 * float64(freshness.Reads()) / float64(reads)
+		}
 		if fr.Summary != "" {
 			// The canonical document deliberately excludes every count and
 			// timing: abort outcomes (and so read/apply tallies) depend on
@@ -524,10 +443,6 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 			// certificate coverage are schedule-stable — two same-seed runs
 			// must produce byte-identical files (the freshness smoke cmps
 			// them).
-			var coverage float64
-			if s := c.FreshSummary(); s != nil && reads > 0 {
-				coverage = 100 * float64(s.Reads()) / float64(reads)
-			}
 			canon := fresh.NewCanonical(protocol.String(), wl.Seed, wl.Sites,
 				!protocol.Propagates(), c.PropEdges(), coverage)
 			cf, err := os.Create(fr.Summary)
@@ -567,7 +482,7 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 				Counters   map[string]int64 `json:"counters"`
 				Watch      *watch.Summary   `json:"watch,omitempty"`
 				Contention *contend.Report  `json:"contention,omitempty"`
-				Freshness  *bench.Freshness `json:"freshness,omitempty"`
+				Freshness  *fresh.Summary   `json:"freshness,omitempty"`
 			}{report, counters, ws, contention, freshness}, "", "  ")
 		} else {
 			b, err = report.JSON()
@@ -609,9 +524,9 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 		}
 		if freshness != nil {
 			fmt.Printf("freshness: reads=%d fresh=%d stale=%d (%.1f%% stale, %.1f%% certified)  p95_read_lag=%dus  p95_apply_lag=%dus\n",
-				freshness.Reads, freshness.ReadsFresh, freshness.ReadsStale,
-				freshness.StaleReadPct, freshness.CoveragePct,
-				uint64(freshness.P95ReadLagUS), uint64(freshness.P95ApplyLagUS))
+				reads, freshness.ReadsFresh, freshness.ReadsStale,
+				freshness.StaleReadPct(), coverage,
+				freshness.ReadTimeLagUS.P95, freshness.TimeLagUS.P95)
 			wfs := fresh.BuildWaterfalls(rec.Snapshot())
 			if len(wfs) > 0 {
 				fmt.Println("propagation waterfalls:")

@@ -1,13 +1,10 @@
 // Command replplot renders replbench output as ASCII charts without
-// external tooling. It reads either a replbench CSV (one chart per
-// experiment, the paper's figure shapes) or one or more BENCH_*.json
-// snapshots (the repo's perf trajectory: throughput and p95 response per
-// protocol across snapshots, in argument order):
+// external tooling. It reads a replbench CSV and draws one chart per
+// experiment, the paper's figure shapes:
 //
 //	replbench -exp all -scale medium -csv > results.csv
 //	replplot results.csv
 //	replplot -exp fig2a -width 72 results.csv
-//	replplot BENCH_baseline.json BENCH_new.json
 package main
 
 import (
@@ -17,10 +14,7 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
-	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -33,19 +27,8 @@ func main() {
 		height = flag.Int("height", 16, "chart height in rows")
 	)
 	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: replplot [-exp name] <results.csv>  (use '-' for stdin)")
-		fmt.Fprintln(os.Stderr, "       replplot <BENCH_a.json> [BENCH_b.json ...]")
-		os.Exit(2)
-	}
-	if isSnapshotArgs(flag.Args()) {
-		if err := plotTrajectory(flag.Args(), *width, *height); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "replplot: multiple inputs are only supported for BENCH_*.json snapshots")
+		fmt.Fprintln(os.Stderr, "usage: replplot [-exp name] <results.csv>  (use '-' for stdin)")
 		os.Exit(2)
 	}
 	in := os.Stdin
@@ -113,98 +96,6 @@ func parse(in io.Reader) (map[string]*harness.Result, []string, error) {
 		return nil, nil, fmt.Errorf("replplot: no data rows found")
 	}
 	return results, order, nil
-}
-
-// isSnapshotArgs reports whether the arguments look like BenchSnapshot
-// files (any .json suffix selects trajectory mode; a stale CSV named
-// .json fails loudly in ReadSnapshotFile rather than silently mis-plotting).
-func isSnapshotArgs(args []string) bool {
-	for _, a := range args {
-		if strings.HasSuffix(a, ".json") {
-			return true
-		}
-	}
-	return false
-}
-
-// plotTrajectory charts throughput and p95 response per protocol across
-// the given snapshots, x = snapshot position in argument order. When the
-// snapshots carry a freshness block (schema v3), it adds the
-// staleness-vs-throughput frontier; schema v2 files still plot the perf
-// charts and skip the frontier with a note.
-func plotTrajectory(paths []string, width, height int) error {
-	var snaps []*bench.Snapshot
-	for _, p := range paths {
-		s, err := bench.ReadSnapshotFile(p)
-		if err != nil {
-			return err
-		}
-		snaps = append(snaps, s)
-	}
-	if len(snaps) == 0 {
-		fmt.Println("(no snapshots)")
-		return nil
-	}
-	res := harness.Result{
-		Name:   "trajectory",
-		Title:  "perf trajectory",
-		XLabel: "snapshot",
-	}
-	// The frontier plots each (snapshot, protocol) point at its measured
-	// throughput instead of its argument position, so the chart answers
-	// the protocol-design question directly: what staleness does each
-	// engine pay for its throughput?
-	frontier := harness.Result{
-		Name:   "freshness-frontier",
-		Title:  "staleness-vs-throughput frontier",
-		XLabel: "throughput/site",
-	}
-	staleBy := map[core.Protocol]map[float64]float64{}
-	fmt.Println("snapshots:")
-	for i, s := range snaps {
-		fmt.Printf("  %d: %s (suite=%s seed=%d %s)\n", i, s.Label, s.Suite, s.Seed, s.CreatedAt)
-		for _, pr := range s.Protocols {
-			proto, err := core.ParseProtocol(pr.Protocol)
-			if err != nil {
-				continue // unknown engine in a newer snapshot; skip its series
-			}
-			res.Points = append(res.Points, harness.Point{
-				X:        float64(i),
-				Protocol: proto,
-				Report: metrics.Report{
-					ThroughputPerSite: pr.ThroughputPerSite,
-					P95Response:       time.Duration(pr.P95ResponseUS * float64(time.Microsecond)),
-				},
-			})
-			if pr.Freshness != nil {
-				frontier.Points = append(frontier.Points, harness.Point{
-					X:        pr.ThroughputPerSite,
-					Protocol: proto,
-					Report:   metrics.Report{ThroughputPerSite: pr.ThroughputPerSite},
-				})
-				if staleBy[proto] == nil {
-					staleBy[proto] = map[float64]float64{}
-				}
-				staleBy[proto][pr.ThroughputPerSite] = pr.Freshness.StaleReadPct
-			}
-		}
-	}
-	if len(snaps) == 1 {
-		fmt.Println("  (single snapshot: trajectory charts collapse to one column; pass two or more to see movement)")
-	}
-	fmt.Println()
-	res.PlotASCII(os.Stdout, width, height)
-	fmt.Println()
-	res.PlotSeriesASCII(os.Stdout, width, height, "p95 response (µs)",
-		func(p harness.Point) float64 { return float64(p.Report.P95Response) / float64(time.Microsecond) })
-	fmt.Println()
-	if len(frontier.Points) == 0 {
-		fmt.Println("(no freshness blocks in these snapshots — schema v2 or older; staleness frontier skipped)")
-		return nil
-	}
-	frontier.PlotSeriesASCII(os.Stdout, width, height, "stale reads (%)",
-		func(p harness.Point) float64 { return staleBy[p.Protocol][p.X] })
-	return nil
 }
 
 func fatal(err error) {

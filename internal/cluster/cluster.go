@@ -309,7 +309,7 @@ func New(cfg Config) (*Cluster, error) {
 	// The freshness observatory is always on (docs/OBSERVABILITY.md):
 	// unlike the opt-in trace/obs planes its state is bounded by
 	// items×replicas and its hot-path cost is one sharded-lock sample, so
-	// every run — including bench suite runs — gets staleness
+	// every run — including benchmark/ workloads — gets staleness
 	// distributions and read certificates without extra configuration.
 	c.fresh = fresh.New(m)
 

@@ -30,8 +30,8 @@ func familySum(snap map[string]int64, family string) int64 {
 
 // TestTracedBackEdgeCrossCheck is the end-to-end acceptance run: a 9-site
 // BackEdge cluster traced from commit to every replica application. The
-// trace must survive a JSONL round trip, PathOf must reconstruct each
-// committed transaction's complete propagation tree, the trace-derived
+// trace must survive a JSONL round trip, BuildSpanTrees must reconstruct
+// each committed transaction's complete span tree, the trace-derived
 // p95 propagation delay must agree with the metrics collector's, and the
 // live registry's counters must match the report exactly.
 func TestTracedBackEdgeCrossCheck(t *testing.T) {
@@ -82,42 +82,43 @@ func TestTracedBackEdgeCrossCheck(t *testing.T) {
 		t.Fatalf("round trip lost events: wrote %d, read %d", rec.Len(), len(events))
 	}
 
-	// Every committed transaction's propagation tree must be complete:
-	// each site that applied it appears in the reconstructed tree.
+	// Every committed transaction's span tree must be complete and
+	// causally intact: each site that applied it appears in the tree.
+	if problems := trace.VerifySpans(events); len(problems) != 0 {
+		t.Fatalf("span integrity: %d problems, first: %s", len(problems), problems[0])
+	}
+	trees := trace.BuildSpanTrees(events)
 	committed := make(map[model.TxnID]bool)
 	applies := make(map[model.TxnID][]model.SiteID)
-	forwards := make(map[model.TxnID]int)
 	for _, ev := range events {
 		switch ev.Kind {
 		case trace.TxnCommit:
 			committed[ev.TID] = true
 		case trace.SecondaryApplied:
 			applies[ev.TID] = append(applies[ev.TID], ev.Site)
-		case trace.SecondaryForwarded:
-			forwards[ev.TID]++
 		}
 	}
 	var propagated int
 	for tid := range committed {
-		if forwards[tid] == 0 {
+		if len(applies[tid]) == 0 {
 			continue
 		}
-		root, err := trace.PathOf(events, tid)
-		if err != nil {
-			t.Fatalf("PathOf(%v): %v", tid, err)
+		tr := trees[tid]
+		if tr == nil || tr.Root == nil {
+			t.Fatalf("txn %v committed and applied but has no rooted span tree", tid)
 		}
 		inTree := make(map[model.SiteID]bool)
-		for _, s := range root.Sites() {
-			inTree[s] = true
+		for _, n := range tr.Nodes {
+			if n.Has(trace.SecondaryApplied) {
+				inTree[n.Site] = true
+			}
 		}
 		for _, s := range applies[tid] {
 			if !inTree[s] {
-				t.Fatalf("PathOf(%v) tree %v misses applying site s%d\n%s", tid, root.Sites(), s, root)
+				t.Fatalf("txn %v span tree misses applying site s%d\n%s", tid, s, tr.Structure())
 			}
 		}
-		if len(applies[tid]) > 0 {
-			propagated++
-		}
+		propagated++
 	}
 	if propagated == 0 {
 		t.Fatal("no committed transaction propagated to any replica; workload too small to exercise tracing")
@@ -217,6 +218,20 @@ func TestObservedProtocolsRace(t *testing.T) {
 			}
 			if familySum(reg.Snapshot(), "repl_txn_committed_total") != int64(rep.Committed) {
 				t.Error("registry disagrees with report on commits")
+			}
+			// Phase attribution: every engine commits through the txn
+			// manager, propagating engines time transport, and only the
+			// 2PC protocol has vote legs.
+			for _, phase := range []string{"lock_wait", "apply"} {
+				if rep.Phases[phase].Count == 0 {
+					t.Errorf("phase %s has no samples", phase)
+				}
+			}
+			if pc.proto.Propagates() && rep.Phases["transport"].Count == 0 {
+				t.Error("propagating protocol recorded no transport samples")
+			}
+			if _, vote := rep.Phases["2pc_vote"]; vote != (pc.proto == core.BackEdge) {
+				t.Errorf("2pc_vote present=%v, want %v", vote, pc.proto == core.BackEdge)
 			}
 		})
 	}

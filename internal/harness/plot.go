@@ -16,15 +16,6 @@ import (
 // coarse — the point is eyeballing the shapes (who wins, where curves
 // cross) straight from a terminal.
 func (r Result) PlotASCII(w io.Writer, width, height int) {
-	r.PlotSeriesASCII(w, width, height, "throughput/site",
-		func(p Point) float64 { return p.Report.ThroughputPerSite })
-}
-
-// PlotSeriesASCII is PlotASCII generalized over the y axis: yLabel names
-// the charted quantity and y extracts it from each point. The perf
-// trajectory charts (replplot over BENCH_*.json snapshots) use it to plot
-// p95 latency with the same renderer as throughput.
-func (r Result) PlotSeriesASCII(w io.Writer, width, height int, yLabel string, y func(Point) float64) {
 	if len(r.Points) == 0 {
 		fmt.Fprintln(w, "(no data)")
 		return
@@ -55,7 +46,7 @@ func (r Result) PlotSeriesASCII(w io.Writer, width, height int, yLabel string, y
 	for _, p := range r.Points {
 		minX = math.Min(minX, p.X)
 		maxX = math.Max(maxX, p.X)
-		maxY = math.Max(maxY, y(p))
+		maxY = math.Max(maxY, p.Report.ThroughputPerSite)
 	}
 	if maxY == 0 {
 		maxY = 1
@@ -92,11 +83,11 @@ func (r Result) PlotSeriesASCII(w io.Writer, width, height int, yLabel string, y
 		sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
 		g := glyph(proto)
 		for _, p := range pts {
-			plot(p.X, y(p), g)
+			plot(p.X, p.Report.ThroughputPerSite, g)
 		}
 	}
 
-	fmt.Fprintf(w, "%s — %s vs %s\n", r.Title, yLabel, r.XLabel)
+	fmt.Fprintf(w, "%s — throughput/site vs %s\n", r.Title, r.XLabel)
 	for i, row := range grid {
 		label := "        "
 		switch i {

@@ -69,11 +69,11 @@ func Load(dir string, patterns ...string) (*Program, error) {
 
 // LoadTests is Load with each package's in-package _test.go files
 // type-checked alongside its production files, so analyzers also see
-// test harness code (the chaos and bench suites lean on timing and
-// randomness, where the determinism discipline matters most). External
-// test packages (package foo_test) are not loaded: they are separate
-// packages whose import graph would need test-variant export data, and
-// this repository keeps its tests in-package.
+// test harness code (the chaos suite and the experiment harness lean on
+// timing and randomness, where the determinism discipline matters most).
+// External test packages (package foo_test) are not loaded: they are
+// separate packages whose import graph would need test-variant export
+// data, and this repository keeps its tests in-package.
 func LoadTests(dir string, patterns ...string) (*Program, error) {
 	return load(dir, patterns, true)
 }

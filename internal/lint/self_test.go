@@ -41,7 +41,7 @@ func TestDefaultSuiteHasFlowAnalyzers(t *testing.T) {
 	}
 }
 
-// TestHarnessTestsAreDeterministic loads the chaos and benchmark harness
+// TestHarnessTestsAreDeterministic loads the chaos and experiment harness
 // packages with their in-package test files included and holds them to
 // the nodeterminism discipline: the harness drives seeded, replayable
 // schedules, so stray wall-clock reads or global rand draws in test code
@@ -51,12 +51,12 @@ func TestHarnessTestsAreDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-package load and type-check is not short")
 	}
-	prog, err := LoadTests("../..", "./internal/harness/...", "./internal/bench/...", "./internal/cluster/...")
+	prog, err := LoadTests("../..", "./internal/harness/...", "./internal/cluster/...")
 	if err != nil {
 		t.Fatal(err)
 	}
 	diags, err := prog.Run([]*Analyzer{
-		NewNodeterminism("internal/harness", "internal/bench", "internal/cluster"),
+		NewNodeterminism("internal/harness", "internal/cluster"),
 	})
 	if err != nil {
 		t.Fatal(err)

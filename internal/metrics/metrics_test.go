@@ -214,8 +214,8 @@ func TestReportJSON(t *testing.T) {
 	}
 }
 
-// TestReportJSONFieldNamesFrozen pins the Report JSON schema: BENCH_*.json
-// snapshots, the replwatch HTTP export, and downstream tooling all parse
+// TestReportJSONFieldNamesFrozen pins the Report JSON schema: replbench
+// -json, the replwatch HTTP export, and downstream tooling all parse
 // these keys, so removing or renaming one is a breaking change. New fields
 // may be appended; add them to the frozen list here when they land.
 func TestReportJSONFieldNamesFrozen(t *testing.T) {

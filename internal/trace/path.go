@@ -1,158 +1,11 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/model"
 )
-
-// PathNode is one site in a transaction's propagation tree. At is the
-// event time at the site (the primary commit for the root, the secondary
-// application — or, for a pure relay site, the onward forward — below it);
-// Hop is the latency from the parent's forward to this site's event.
-type PathNode struct {
-	Site model.SiteID
-	// At is nanoseconds since trace start.
-	At time.Duration
-	// Hop is the per-hop propagation latency; zero at the root.
-	Hop time.Duration
-	// Applied reports whether a secondary subtransaction committed here
-	// (false for the root and for relay-only sites).
-	Applied  bool
-	Children []*PathNode
-}
-
-// PathOf reconstructs the complete propagation tree of one committed
-// transaction from an event stream: the root is the origin site's primary
-// commit, edges are SecondaryForwarded events, and each reached site is
-// stamped with its SecondaryApplied time. Events from multiple protocols
-// may share TIDs across runs; filter by Event.Proto first if the stream
-// mixes runs.
-//
-// Deprecated: PathOf infers edges heuristically from event timing and is
-// kept only for traces recorded without span context. New traces carry
-// exact causal attribution on every event; use BuildSpanTrees instead.
-func PathOf(events []Event, tid model.TxnID) (*PathNode, error) {
-	if tid.Zero() {
-		return nil, fmt.Errorf("trace: cannot reconstruct the path of the zero TxnID")
-	}
-	type hop struct {
-		to model.SiteID
-		t  int64
-	}
-	var (
-		commitT  int64 = -1
-		origin   model.SiteID
-		forwards = make(map[model.SiteID][]hop)
-		applies  = make(map[model.SiteID]int64)
-	)
-	for _, ev := range events {
-		if ev.TID != tid {
-			continue
-		}
-		switch ev.Kind {
-		case TxnCommit:
-			if commitT < 0 {
-				commitT, origin = ev.T, ev.Site
-			}
-		case SecondaryForwarded:
-			forwards[ev.Site] = append(forwards[ev.Site], hop{to: ev.Peer, t: ev.T})
-		case SecondaryApplied:
-			if _, ok := applies[ev.Site]; !ok {
-				applies[ev.Site] = ev.T
-			}
-		}
-	}
-	if commitT < 0 {
-		return nil, fmt.Errorf("trace: no TxnCommit event for %v", tid)
-	}
-
-	visited := map[model.SiteID]bool{origin: true}
-	var build func(site model.SiteID, at int64) *PathNode
-	build = func(site model.SiteID, at int64) *PathNode {
-		n := &PathNode{Site: site, At: time.Duration(at)}
-		for _, h := range forwards[site] {
-			if visited[h.to] {
-				continue
-			}
-			visited[h.to] = true
-			childAt, applied := applies[h.to]
-			if !applied {
-				// Relay-only site: its first onward forward stands in for
-				// the (nonexistent) application time.
-				childAt = h.t
-				if fs := forwards[h.to]; len(fs) > 0 {
-					childAt = fs[0].t
-				}
-			}
-			c := build(h.to, childAt)
-			c.Hop = time.Duration(childAt - h.t)
-			c.Applied = applied
-			n.Children = append(n.Children, c)
-		}
-		sort.Slice(n.Children, func(i, j int) bool { return n.Children[i].Site < n.Children[j].Site })
-		return n
-	}
-	root := build(origin, commitT)
-
-	// Applications not reachable through forward edges (possible only if
-	// the forwarding site's events were lost) hang off the root so the
-	// tree still accounts for every replica that applied the transaction.
-	var orphans []model.SiteID
-	for s := range applies {
-		if !visited[s] {
-			orphans = append(orphans, s)
-		}
-	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
-	for _, s := range orphans {
-		root.Children = append(root.Children, &PathNode{
-			Site: s, At: time.Duration(applies[s]),
-			Hop: time.Duration(applies[s] - commitT), Applied: true,
-		})
-	}
-	return root, nil
-}
-
-// Sites returns every site in the tree, root first (preorder).
-func (n *PathNode) Sites() []model.SiteID {
-	if n == nil {
-		return nil
-	}
-	out := []model.SiteID{n.Site}
-	for _, c := range n.Children {
-		out = append(out, c.Sites()...)
-	}
-	return out
-}
-
-// String renders the tree one site per line, indented by depth, with
-// per-hop latencies — the worked-example format of docs/OBSERVABILITY.md.
-func (n *PathNode) String() string {
-	var b strings.Builder
-	n.render(&b, 0)
-	return b.String()
-}
-
-func (n *PathNode) render(b *strings.Builder, depth int) {
-	for i := 0; i < depth; i++ {
-		b.WriteString("  ")
-	}
-	switch {
-	case depth == 0:
-		fmt.Fprintf(b, "s%d commit @ %v\n", n.Site, n.At.Round(time.Microsecond))
-	case n.Applied:
-		fmt.Fprintf(b, "└─ s%d applied @ %v (+%v)\n", n.Site, n.At.Round(time.Microsecond), n.Hop.Round(time.Microsecond))
-	default:
-		fmt.Fprintf(b, "└─ s%d relayed @ %v (+%v)\n", n.Site, n.At.Round(time.Microsecond), n.Hop.Round(time.Microsecond))
-	}
-	for _, c := range n.Children {
-		c.render(b, depth+1)
-	}
-}
 
 // PropDelays extracts the commit-to-replica propagation-delay samples
 // from an event stream, grouped by protocol: every SecondaryApplied

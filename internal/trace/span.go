@@ -10,8 +10,8 @@ import (
 
 // Span-tree reconstruction (docs/OBSERVABILITY.md). Every span-carrying
 // event names its span and its causal parent, so rebuilding the tree of
-// one transaction is exact bookkeeping — unlike the heuristic PathOf,
-// which infers edges from event timing and site adjacency.
+// one transaction is exact bookkeeping, not inference from event timing
+// and site adjacency.
 
 // SpanNode is one node of a reconstructed span tree: one site's work on
 // behalf of one transaction, plus any auxiliary spans (retransmissions,

@@ -5,8 +5,8 @@
 // reads. Each event is tagged with the site, the logical transaction id,
 // the protocol, and a monotonic timestamp, so a run's full propagation
 // behaviour — the subject of the paper's Figures 5–9 — can be replayed
-// offline: see PathOf for per-transaction propagation trees and PropDelays
-// for commit-to-replica delay distributions.
+// offline: see BuildSpanTrees for per-transaction propagation trees and
+// PropDelays for commit-to-replica delay distributions.
 //
 // The recorder is lock-sharded by site so concurrent engines rarely
 // contend, and a nil *Recorder is a true no-op: disabled tracing costs the

@@ -116,74 +116,6 @@ func TestReadJSONLSkipsBlankLinesAndRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Synthetic three-hop chain: s0 commits, forwards to s1; s1 applies and
-// forwards to s2; s2 applies. PathOf must rebuild the chain with the
-// per-hop latencies.
-func TestPathOfChain(t *testing.T) {
-	id := tid(0, 1)
-	events := []Event{
-		{T: 100, Kind: TxnCommit, Site: 0, Peer: model.NoSite, TID: id},
-		{T: 110, Kind: SecondaryForwarded, Site: 0, Peer: 1, TID: id},
-		{T: 150, Kind: SecondaryEnqueued, Site: 1, Peer: 0, TID: id},
-		{T: 200, Kind: SecondaryApplied, Site: 1, Peer: model.NoSite, TID: id},
-		{T: 210, Kind: SecondaryForwarded, Site: 1, Peer: 2, TID: id},
-		{T: 400, Kind: SecondaryApplied, Site: 2, Peer: model.NoSite, TID: id},
-	}
-	root, err := PathOf(events, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.Site != 0 || root.At != 100 || len(root.Children) != 1 {
-		t.Fatalf("root = %+v", root)
-	}
-	c1 := root.Children[0]
-	if c1.Site != 1 || !c1.Applied || c1.Hop != 90*time.Nanosecond {
-		t.Fatalf("hop1 = %+v", c1)
-	}
-	if len(c1.Children) != 1 || c1.Children[0].Site != 2 || c1.Children[0].Hop != 190*time.Nanosecond {
-		t.Fatalf("hop2 = %+v", c1.Children)
-	}
-	sites := root.Sites()
-	if len(sites) != 3 || sites[0] != 0 || sites[1] != 1 || sites[2] != 2 {
-		t.Fatalf("Sites = %v", sites)
-	}
-	if s := root.String(); !strings.Contains(s, "s2 applied") {
-		t.Fatalf("render:\n%s", s)
-	}
-}
-
-// A relay site that forwards without applying must still appear in the
-// tree, marked not-applied.
-func TestPathOfRelaySite(t *testing.T) {
-	id := tid(3, 4)
-	events := []Event{
-		{T: 0, Kind: TxnCommit, Site: 3, TID: id},
-		{T: 10, Kind: SecondaryForwarded, Site: 3, Peer: 1, TID: id},
-		{T: 50, Kind: SecondaryForwarded, Site: 1, Peer: 0, TID: id}, // relay, no apply at s1
-		{T: 90, Kind: SecondaryApplied, Site: 0, TID: id},
-	}
-	root, err := PathOf(events, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(root.Children) != 1 || root.Children[0].Site != 1 || root.Children[0].Applied {
-		t.Fatalf("relay child = %+v", root.Children)
-	}
-	leaf := root.Children[0].Children
-	if len(leaf) != 1 || leaf[0].Site != 0 || !leaf[0].Applied || leaf[0].Hop != 40*time.Nanosecond {
-		t.Fatalf("leaf = %+v", leaf)
-	}
-}
-
-func TestPathOfErrors(t *testing.T) {
-	if _, err := PathOf(nil, model.TxnID{}); err == nil {
-		t.Fatal("zero TID accepted")
-	}
-	if _, err := PathOf(nil, tid(0, 1)); err == nil {
-		t.Fatal("missing commit accepted")
-	}
-}
-
 func TestPropDelaysAndQuantile(t *testing.T) {
 	id1, id2 := tid(0, 1), tid(1, 1)
 	events := []Event{

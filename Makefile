@@ -38,9 +38,9 @@ bench-module:
 # The pre-merge gate: compile, static checks, full test suite, the race
 # detector, the chaos suite, the protocol-invariant lint, the nested
 # benchmark module (the benchmark gate: its smoke test runs all six
-# workloads), and the crash-recovery, contention- and
+# workloads), and the telemetry-plane, crash-recovery, contention- and
 # freshness-observatory smokes.
-check: build vet test race chaos lint bench-module recovery-smoke contention-smoke freshness-smoke
+check: build vet test race chaos lint bench-module telemetry-smoke recovery-smoke contention-smoke freshness-smoke
 
 cover:
 	$(GO) test -cover ./...
@@ -51,7 +51,9 @@ bench:
 
 # Cluster telemetry plane smoke (docs/OBSERVABILITY.md): two replnode
 # processes stream telemetry over TCP to one repltop aggregator, whose
-# -once -json snapshot must name both processes and their sites.
+# -once -json snapshot must name both processes and their sites, carry
+# phases and hot items, report no frame gaps, and show no replica behind
+# once both nodes have drained.
 telemetry-smoke:
 	./scripts/telemetry_smoke.sh
 

@@ -584,9 +584,9 @@ func summarizeTrace(path string) error {
 			ds := delays[uint8(p)]
 			fmt.Printf("%-10s %8d %12s %12s %12s\n",
 				core.Protocol(p), len(ds),
-				trace.Quantile(ds, 0.50).Round(time.Microsecond),
-				trace.Quantile(ds, 0.95).Round(time.Microsecond),
-				trace.Quantile(ds, 1).Round(time.Microsecond))
+				metrics.Percentile(ds, 0.50).Round(time.Microsecond),
+				metrics.Percentile(ds, 0.95).Round(time.Microsecond),
+				metrics.Percentile(ds, 1).Round(time.Microsecond))
 		}
 	}
 	summarizePhases(events)
@@ -645,8 +645,8 @@ func summarizeFreshness(events []trace.Event) {
 		t := byProto[uint8(p)]
 		fmt.Printf("%-10s %8d %8d %8d %12s %12s\n",
 			core.Protocol(p), t.fresh+t.stale, t.fresh, t.stale,
-			trace.Quantile(t.behind, 0.95).Round(time.Microsecond),
-			trace.Quantile(t.behind, 1).Round(time.Microsecond))
+			metrics.Percentile(t.behind, 0.95).Round(time.Microsecond),
+			metrics.Percentile(t.behind, 1).Round(time.Microsecond))
 	}
 }
 
@@ -698,9 +698,9 @@ func summarizePhases(events []trace.Event) {
 		ds := byPhase[n]
 		fmt.Printf("%-14s %8d %12s %12s %12s\n",
 			n, len(ds),
-			trace.Quantile(ds, 0.50).Round(time.Microsecond),
-			trace.Quantile(ds, 0.95).Round(time.Microsecond),
-			trace.Quantile(ds, 1).Round(time.Microsecond))
+			metrics.Percentile(ds, 0.50).Round(time.Microsecond),
+			metrics.Percentile(ds, 0.95).Round(time.Microsecond),
+			metrics.Percentile(ds, 1).Round(time.Microsecond))
 	}
 }
 

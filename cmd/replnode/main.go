@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/contend"
 	"repro/internal/core"
@@ -92,23 +93,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	g := graph.FromPlacement(placement)
-	order := make([]model.SiteID, wl.Sites)
-	for i := range order {
-		order[i] = model.SiteID(i)
-	}
-	backs := graph.OrderBackedges(g, order)
-	gdag := g.Without(backs)
-	switch protocol {
-	case core.DAGWT, core.DAGT:
-		if len(backs) > 0 {
-			fatal(fmt.Errorf("%v needs a DAG copy graph; this placement has %d backedges (set -b 0)", protocol, len(backs)))
-		}
-	}
-	tree := graph.BuildChain(order)
-	backSet := make(map[graph.Edge]bool)
-	for _, e := range backs {
-		backSet[e] = true
+	top, err := cluster.DeriveTopology(graph.FromPlacement(placement), cluster.Config{Protocol: protocol})
+	if err != nil {
+		fatal(err) // DAG(WT)/DAG(T) over a cyclic placement: set -b 0
 	}
 
 	core.RegisterPayloads()
@@ -187,33 +174,51 @@ func main() {
 	}
 
 	// The telemetry publisher ships this node's registry deltas, span
-	// events, phase latencies and watchdog alerts to a cluster
-	// aggregator (cmd/repltop), which re-federates what the per-node
-	// watchdog above cannot see: cross-process staleness and span trees.
+	// events, phase latencies, watchdog alerts and contention state to a
+	// cluster aggregator (cmd/repltop), which re-federates what the
+	// per-node watchdog above cannot see: cross-process staleness and
+	// span trees. Its contention probes read engine, built below; they
+	// first run after publisher.Start.
+	self := model.SiteID(*site)
+	var engine core.Engine
+	type contender interface {
+		LockHeat() []lock.ItemStats
+		LockWaitGraph() []lock.WaitEdge
+		AbortReasons() map[string]uint64
+	}
 	var publisher *telemetry.Publisher
 	if *telAddr != "" {
 		proc := *telProc
 		if proc == "" {
 			proc = fmt.Sprintf("site%d", *site)
 		}
-		publisher, err = telemetry.NewPublisher(telemetry.Options{Proc: proc, Addr: *telAddr})
+		publisher, err = telemetry.NewPublisher(telemetry.Options{
+			Proc:     proc,
+			Addr:     *telAddr,
+			Protocol: protocol.String(),
+			Sites:    []model.SiteID{self},
+			Obs:      registry,
+			Watch:    watchdog,
+			Report:   func() metrics.Report { return collector.Snapshot(1) },
+			Heat: func() []contend.HeatEntry {
+				sh := []contend.SiteHeat{{Site: self, Items: engine.(contender).LockHeat()}}
+				return contend.BuildHeat(sh, heatK)
+			},
+			Aborts: func() map[string]uint64 { return engine.(contender).AbortReasons() },
+		})
 		if err != nil {
 			fatal(err)
 		}
-		publisher.SetObs(registry)
-		publisher.SetWatch(watchdog)
-		publisher.SetReport(func() metrics.Report { return collector.Snapshot(1) })
-		publisher.Announce(protocol.String(), []model.SiteID{model.SiteID(*site)})
 		rec.AddSink(publisher.Ingest)
 	}
 
 	shared := &core.SharedConfig{
 		Placement:    placement,
-		Graph:        gdag,
-		Order:        order,
-		Tree:         tree,
-		SubtreeItems: graph.SubtreeCopyItems(tree, placement),
-		Backedges:    backSet,
+		Graph:        top.DAG,
+		Order:        top.Order,
+		Tree:         top.Tree,
+		SubtreeItems: graph.SubtreeCopyItems(top.Tree, placement),
+		Backedges:    top.BackSet,
 		Params:       params,
 		Metrics:      collector,
 		Obs:          registry,
@@ -242,33 +247,18 @@ func main() {
 		fmt.Printf("replnode: site %d redo log in %s (incarnation %d)\n",
 			*site, *walDir, lg.Incarnation())
 	}
-	engine, err := core.New(protocol, shared, model.SiteID(*site), tr)
+	engine, err = core.New(protocol, shared, self, tr)
 	if err != nil {
 		fatal(err)
 	}
 	// Contention observatory wiring (docs/OBSERVABILITY.md): a node sees
-	// one site, so it ships that site's heat table and abort breakdown
-	// each publish cycle (the aggregator merges across processes) and
-	// dumps its local wait-for snapshot when a contention alert fires.
-	type contender interface {
-		LockHeat() []lock.ItemStats
-		LockWaitGraph() []lock.WaitEdge
-		AbortReasons() map[string]uint64
-	}
-	ce := engine.(contender)
+	// one site, so it dumps its local wait-for snapshot when a contention
+	// alert fires (and ships that site's heat table and abort breakdown
+	// through the publisher; the aggregator merges across processes).
 	if watchdog != nil {
 		watchdog.RegisterWaitGraphs(func() []contend.SiteWaitGraph {
-			return []contend.SiteWaitGraph{{Site: model.SiteID(*site), Edges: ce.LockWaitGraph()}}
+			return []contend.SiteWaitGraph{{Site: self, Edges: engine.(contender).LockWaitGraph()}}
 		})
-	}
-	if publisher != nil {
-		publisher.SetContention(
-			func() []contend.HeatEntry {
-				sh := []contend.SiteHeat{{Site: model.SiteID(*site), Items: ce.LockHeat()}}
-				return contend.BuildHeat(sh, 32)
-			},
-			ce.AbortReasons,
-		)
 	}
 	engine.Start()
 	defer engine.Stop()
@@ -278,7 +268,7 @@ func main() {
 	defer publisher.Stop()
 
 	fmt.Printf("replnode: site %d of %d listening on %s (%v, %d backedges in graph)\n",
-		*site, wl.Sites, tcp.Addr(), protocol, len(backs))
+		*site, wl.Sites, tcp.Addr(), protocol, len(top.Backedges))
 	waitForPeers(addrs, model.SiteID(*site))
 
 	collector.Begin()
@@ -304,6 +294,11 @@ func main() {
 			*site, s.AlertsRaised, s.ActiveAlerts, len(s.FlightDumps))
 	}
 }
+
+// heatK bounds the heat table each publish cycle ships. Wider than the
+// 10 rows repltop shows: the aggregator merges tables across processes,
+// and a too-narrow per-process cut would bias the merge.
+const heatK = 32
 
 func parsePeers(spec string) (map[model.SiteID]string, error) {
 	if spec == "" {

@@ -116,15 +116,17 @@ func runAggregate(opts options, w io.Writer) error {
 	}
 }
 
-// runScrape polls /metrics pages and synthesizes telemetry frames from
-// them, so the one renderer serves both transports. Scraped state has
-// no span events or watchdog alerts — those only travel the push path.
+// runScrape polls /metrics pages and synthesizes one telemetry frame per
+// page and cycle, so the one renderer serves both transports. Scraped
+// state has no span events or watchdog alerts — those only travel the
+// push path.
 func runScrape(opts options, w io.Writer) error {
 	urls := strings.Split(opts.scrape, ",")
 	agg := telemetry.NewAggregator()
 	client := &http.Client{Timeout: 5 * time.Second}
 	seq := uint64(0)
 	cycle := func() error {
+		seq++ // one cycle per seq, so a failed scrape shows as a gap
 		for _, url := range urls {
 			snap, err := scrapeOne(client, url)
 			if err != nil {
@@ -133,10 +135,9 @@ func runScrape(opts options, w io.Writer) error {
 				}
 				continue // a down node renders as a stale proc, not a dead console
 			}
-			seq++
-			agg.Ingest(telemetry.Frame{Proc: url, Seq: seq, Kind: telemetry.FrameHello, Hello: helloFromMetrics(url, snap)})
-			seq++
-			agg.Ingest(telemetry.Frame{Proc: url, Seq: seq, Kind: telemetry.FrameMetrics, Metrics: snap})
+			f := frameFromMetrics(snap)
+			f.Proc, f.Seq = url, seq
+			agg.Ingest(f)
 		}
 		return nil
 	}
@@ -177,18 +178,18 @@ func scrapeOne(client *http.Client, url string) (map[string]int64, error) {
 	return snap, nil
 }
 
-// helloFromMetrics reconstructs the hello a publisher would have sent
-// from what a metrics page exposes: the protocol-info series and the
-// site labels in play.
-func helloFromMetrics(url string, snap map[string]int64) *telemetry.Hello {
-	h := &telemetry.Hello{Proc: url}
+// frameFromMetrics reconstructs what a publisher would have sent from
+// what a metrics page exposes: the series themselves, the protocol-info
+// series, and the site labels in play.
+func frameFromMetrics(snap map[string]int64) telemetry.Frame {
+	f := telemetry.Frame{Metrics: snap}
 	siteSet := map[model.SiteID]bool{}
 	for key := range snap {
 		if strings.HasPrefix(key, "repl_protocol_info{") {
 			if open := strings.Index(key, `protocol="`); open >= 0 {
 				rest := key[open+len(`protocol="`):]
 				if end := strings.IndexByte(rest, '"'); end >= 0 {
-					h.Protocol = rest[:end]
+					f.Protocol = rest[:end]
 				}
 			}
 		}
@@ -203,10 +204,10 @@ func helloFromMetrics(url string, snap map[string]int64) *telemetry.Hello {
 		}
 	}
 	for s := range siteSet {
-		h.Sites = append(h.Sites, s)
+		f.Sites = append(f.Sites, s)
 	}
-	sort.Slice(h.Sites, func(i, j int) bool { return h.Sites[i] < h.Sites[j] })
-	return h
+	sort.Slice(f.Sites, func(i, j int) bool { return f.Sites[i] < f.Sites[j] })
+	return f
 }
 
 func render(snap telemetry.ClusterSnapshot, jsonOut bool, w io.Writer) error {

@@ -31,13 +31,13 @@ func TestOnceJSONAggregation(t *testing.T) {
 	}()
 	addr := <-addrCh
 
-	pub, err := telemetry.NewPublisher(telemetry.Options{Proc: "nodeA", Addr: addr, Interval: time.Hour})
+	reg := obs.NewRegistry()
+	pub, err := telemetry.NewPublisher(telemetry.Options{
+		Proc: "nodeA", Addr: addr, Protocol: "backedge", Sites: []model.SiteID{0, 1}, Obs: reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	pub.SetObs(reg)
-	pub.Announce("backedge", []model.SiteID{0, 1})
 	reg.Counter("repl_txn_committed_total", obs.Label{Key: "site", Value: "0"}).Add(3)
 	tid := model.TxnID{Site: 0, Seq: 1}
 	pub.Ingest(trace.Event{Kind: trace.TxnCommit, Site: 0, Peer: model.NoSite, TID: tid, Span: model.RootSpan(tid)})

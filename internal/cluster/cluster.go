@@ -24,7 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -87,13 +86,6 @@ type Config struct {
 	// in Obs plus optional flight-recorder dumps. Requires Trace (the
 	// watchdog observes the event stream); New rejects Watch without it.
 	Watch *watch.Options
-	// Telemetry, when non-nil, runs a telemetry publisher streaming this
-	// cluster's registry deltas, span events, phase quantiles, and
-	// watchdog alerts to an aggregator (internal/telemetry): the cluster
-	// fills in the Obs/Watch/report wiring and hosted-site announcement.
-	// Requires Trace (span events ride the live sink); New rejects
-	// Telemetry without it.
-	Telemetry *telemetry.Options
 	// WALDir, when non-empty, gives every site a per-site write-ahead
 	// redo log under WALDir/site-NN (internal/wal): commits become
 	// log-then-mutate, and — when Fault is also set — site crashes tear
@@ -119,11 +111,10 @@ type Cluster struct {
 	Metrics   *metrics.Collector
 
 	transport *comm.MemTransport
-	fresh     *fresh.Tracker       // always non-nil: bounded state, one sharded-lock sample per commit/apply/read
-	faultTr   *fault.Transport     // non-nil iff Cfg.Fault was set
-	top       comm.Transport       // the layer engines actually send through
-	watchdog  *watch.Watchdog      // non-nil iff Cfg.Watch was set
-	publisher *telemetry.Publisher // non-nil iff Cfg.Telemetry was set
+	fresh     *fresh.Tracker   // always non-nil: bounded state, one sharded-lock sample per commit/apply/read
+	faultTr   *fault.Transport // non-nil iff Cfg.Fault was set
+	top       comm.Transport   // the layer engines actually send through
+	watchdog  *watch.Watchdog  // non-nil iff Cfg.Watch was set
 	shared    *core.SharedConfig
 	pending   sync.WaitGroup
 
@@ -167,70 +158,20 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	g := graph.FromPlacement(placement)
 	m := placement.NumSites
-
-	// The total order over sites is the ID order (the workload generator
-	// lays data out with respect to it); edges pointing backwards in it
-	// form the backedge set B, and removing them yields the DAG. With
-	// MinimizeBackedges, B instead comes from the §4.2 weighted
-	// feedback-arc-set heuristic, which cuts fewer (and lighter) edges.
-	order := make([]model.SiteID, m)
-	for i := range order {
-		order[i] = model.SiteID(i)
-	}
-	var backs []graph.Edge
 	if cfg.MinimizeBackedges {
 		cfg.GeneralTree = true // the chain is meaningful only for ID order
-		backs = graph.MinWeightBackedges(g)
-	} else {
-		backs = graph.OrderBackedges(g, order)
 	}
-	gdag := g.Without(backs)
-	if !gdag.IsDAG() {
-		return nil, fmt.Errorf("cluster: internal error: graph minus backedges is not a DAG")
-	}
-	switch cfg.Protocol {
-	case core.DAGWT, core.DAGT:
-		if len(backs) > 0 {
-			return nil, fmt.Errorf("cluster: %v requires an acyclic copy graph but the placement induces %d backedges; use BackEdge or set BackedgeProb=0",
-				cfg.Protocol, len(backs))
-		}
-	}
-
-	var tree *graph.Tree
-	if cfg.GeneralTree {
-		var err error
-		tree, err = graph.BuildTree(gdag)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		tree = graph.BuildChain(order)
-	}
-	if e := graph.CheckAncestorProperty(gdag, tree); e != nil {
-		return nil, fmt.Errorf("cluster: propagation tree violates the ancestor property on edge %v", *e)
-	}
-	// BackEdge routing additionally requires every backedge target to be a
-	// tree ancestor of the origin (guaranteed for minimal backedge sets,
-	// §4.1; always true for the chain).
-	if cfg.Protocol == core.BackEdge {
-		for _, e := range backs {
-			if !tree.IsAncestor(e.To, e.From) {
-				return nil, fmt.Errorf("cluster: backedge %v target is not a tree ancestor of its origin", e)
-			}
-		}
-	}
-
-	backSet := make(map[graph.Edge]bool, len(backs))
-	for _, e := range backs {
-		backSet[e] = true
+	top, err := DeriveTopology(g, cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	c := &Cluster{
 		Cfg:       cfg,
 		Placement: placement,
 		Graph:     g,
-		Backedges: backs,
-		Tree:      tree,
+		Backedges: top.Backedges,
+		Tree:      top.Tree,
 		Metrics:   metrics.NewCollector(cfg.TrackPropagation),
 		transport: comm.NewMemTransport(cfg.Latency),
 		downSince: make(map[model.SiteID]time.Time),
@@ -286,26 +227,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Trace.AddSink(c.watchdog.Ingest)
 	}
 
-	if cfg.Telemetry != nil {
-		if cfg.Trace == nil {
-			return nil, fmt.Errorf("cluster: Telemetry requires Trace (span events ride the live sink)")
-		}
-		pub, err := telemetry.NewPublisher(*cfg.Telemetry)
-		if err != nil {
-			return nil, err
-		}
-		pub.SetObs(cfg.Obs)
-		pub.SetWatch(c.watchdog)
-		pub.SetReport(func() metrics.Report { return c.Metrics.Snapshot(m) })
-		sites := make([]model.SiteID, m)
-		for s := range sites {
-			sites[s] = model.SiteID(s)
-		}
-		pub.Announce(cfg.Protocol.String(), sites)
-		cfg.Trace.AddSink(pub.Ingest)
-		c.publisher = pub
-	}
-
 	// The freshness observatory is always on (docs/OBSERVABILITY.md):
 	// unlike the opt-in trace/obs planes its state is bounded by
 	// items×replicas and its hot-path cost is one sharded-lock sample, so
@@ -315,11 +236,11 @@ func New(cfg Config) (*Cluster, error) {
 
 	shared := &core.SharedConfig{
 		Placement:    placement,
-		Graph:        gdag, // engines see the DAG; backedges are handled eagerly
-		Order:        order,
-		Tree:         tree,
-		SubtreeItems: graph.SubtreeCopyItems(tree, placement),
-		Backedges:    backSet,
+		Graph:        top.DAG, // engines see the DAG; backedges are handled eagerly
+		Order:        top.Order,
+		Tree:         top.Tree,
+		SubtreeItems: graph.SubtreeCopyItems(top.Tree, placement),
+		Backedges:    top.BackSet,
 		Params:       cfg.Params,
 		Recorder:     c.Recorder,
 		Metrics:      c.Metrics,
@@ -371,26 +292,83 @@ func New(cfg Config) (*Cluster, error) {
 
 	// Contention observatory wiring (docs/OBSERVABILITY.md): the watchdog
 	// dumps a wait-for snapshot alongside its flight recording when a
-	// Contention alert fires, and the publisher ships the heat table and
-	// abort breakdown every cycle. Both probes fetch engines lazily, so
-	// they keep working across crash-restart swaps.
+	// Contention alert fires. The probe fetches engines lazily, so it
+	// keeps working across crash-restart swaps.
 	if c.watchdog != nil {
 		c.watchdog.RegisterWaitGraphs(c.WaitGraphs)
-	}
-	if c.publisher != nil {
-		c.publisher.SetContention(
-			func() []contend.HeatEntry { return c.Heat(procHeatK) },
-			c.AbortReasons,
-		)
-		c.publisher.SetFresh(c.FreshSummary)
 	}
 	return c, nil
 }
 
-// procHeatK bounds the heat table each publish cycle ships. Wider than
-// the 10 rows repltop shows: the aggregator merges tables across
-// processes, and a too-narrow per-process cut would bias the merge.
-const procHeatK = 32
+// Topology is the propagation structure a copy graph implies for one
+// protocol (§3–§4): the total order over sites, the backedge set B, the
+// DAG that remains without B, and the propagation tree over it.
+type Topology struct {
+	Order     []model.SiteID
+	Backedges []graph.Edge
+	BackSet   map[graph.Edge]bool
+	DAG       *graph.CopyGraph
+	Tree      *graph.Tree
+}
+
+// DeriveTopology derives cfg.Protocol's topology over g, honouring
+// cfg.GeneralTree and cfg.MinimizeBackedges, and checks what the
+// protocols assume of it. Every deployment — the in-process cluster and
+// one replnode per site — derives it here, so all sites agree.
+func DeriveTopology(g *graph.CopyGraph, cfg Config) (Topology, error) {
+	// The total order over sites is the ID order (the workload generator
+	// lays data out with respect to it); edges pointing backwards in it
+	// form the backedge set B, and removing them yields the DAG. With
+	// MinimizeBackedges, B instead comes from the §4.2 weighted
+	// feedback-arc-set heuristic, which cuts fewer (and lighter) edges.
+	t := Topology{Order: make([]model.SiteID, g.N)}
+	for i := range t.Order {
+		t.Order[i] = model.SiteID(i)
+	}
+	if cfg.MinimizeBackedges {
+		t.Backedges = graph.MinWeightBackedges(g)
+	} else {
+		t.Backedges = graph.OrderBackedges(g, t.Order)
+	}
+	t.DAG = g.Without(t.Backedges)
+	if !t.DAG.IsDAG() {
+		return t, fmt.Errorf("cluster: internal error: graph minus backedges is not a DAG")
+	}
+	switch cfg.Protocol {
+	case core.DAGWT, core.DAGT:
+		if len(t.Backedges) > 0 {
+			return t, fmt.Errorf("cluster: %v needs a DAG copy graph but the placement induces %d backedges; use BackEdge or a backedge probability of 0",
+				cfg.Protocol, len(t.Backedges))
+		}
+	}
+
+	if cfg.GeneralTree || cfg.MinimizeBackedges {
+		var err error
+		if t.Tree, err = graph.BuildTree(t.DAG); err != nil {
+			return t, err
+		}
+	} else {
+		t.Tree = graph.BuildChain(t.Order)
+	}
+	if e := graph.CheckAncestorProperty(t.DAG, t.Tree); e != nil {
+		return t, fmt.Errorf("cluster: propagation tree violates the ancestor property on edge %v", *e)
+	}
+	// BackEdge routing additionally requires every backedge target to be a
+	// tree ancestor of the origin (guaranteed for minimal backedge sets,
+	// §4.1; always true for the chain).
+	if cfg.Protocol == core.BackEdge {
+		for _, e := range t.Backedges {
+			if !t.Tree.IsAncestor(e.To, e.From) {
+				return t, fmt.Errorf("cluster: backedge %v target is not a tree ancestor of its origin", e)
+			}
+		}
+	}
+	t.BackSet = make(map[graph.Edge]bool, len(t.Backedges))
+	for _, e := range t.Backedges {
+		t.BackSet[e] = true
+	}
+	return t, nil
+}
 
 // openWAL opens (or re-opens, after a crash) site s's redo log.
 func (c *Cluster) openWAL(s model.SiteID) (*wal.SiteLog, error) {
@@ -497,10 +475,6 @@ func (c *Cluster) Fault() *fault.Transport { return c.faultTr }
 // Config.Watch was not set.
 func (c *Cluster) Watch() *watch.Watchdog { return c.watchdog }
 
-// Publisher returns the telemetry publisher, or nil when
-// Config.Telemetry was not set.
-func (c *Cluster) Publisher() *telemetry.Publisher { return c.publisher }
-
 // Fresh returns the freshness tracker (always non-nil).
 func (c *Cluster) Fresh() *fresh.Tracker { return c.fresh }
 
@@ -525,8 +499,7 @@ func (c *Cluster) PropEdges() []fresh.Edge {
 	return out
 }
 
-// Start launches every engine's background workers, the watchdog, and
-// the telemetry publisher.
+// Start launches every engine's background workers and the watchdog.
 func (c *Cluster) Start() {
 	c.engMu.RLock()
 	for _, e := range c.engines {
@@ -535,10 +508,9 @@ func (c *Cluster) Start() {
 	c.engMu.RUnlock()
 	c.fresh.StartProbe(0)
 	c.watchdog.Start()
-	c.publisher.Start()
 }
 
-// Stop shuts engines, watchdog, telemetry and transport down (closing
+// Stop shuts engines, watchdog and transport down (closing
 // the top of the transport stack closes every layer beneath it), then
 // closes the redo logs (a fenced log closes as a no-op).
 func (c *Cluster) Stop() {
@@ -549,7 +521,6 @@ func (c *Cluster) Stop() {
 	c.engMu.RUnlock()
 	c.fresh.StopProbe()
 	c.watchdog.Stop()
-	c.publisher.Stop()
 	_ = c.top.Close()
 	c.lcMu.Lock()
 	for _, lg := range c.wals {
@@ -676,7 +647,6 @@ func (c *Cluster) CheckConvergence() error {
 type contender interface {
 	LockHeat() []lock.ItemStats
 	LockWaitGraph() []lock.WaitEdge
-	AbortReasons() map[string]uint64
 }
 
 // SiteHeat returns every site's per-item lock contention accounting,
@@ -710,22 +680,6 @@ func (c *Cluster) WaitGraphs() []contend.SiteWaitGraph {
 	for s := 0; s < n; s++ {
 		eng := c.engine(model.SiteID(s)).(contender)
 		out = append(out, contend.SiteWaitGraph{Site: model.SiteID(s), Edges: eng.LockWaitGraph()})
-	}
-	return out
-}
-
-// AbortReasons sums every site's abort root-cause breakdown, reason
-// name → count. Empty without Config.Obs (the per-reason counters live
-// in the registry).
-func (c *Cluster) AbortReasons() map[string]uint64 {
-	c.engMu.RLock()
-	n := len(c.engines)
-	c.engMu.RUnlock()
-	out := make(map[string]uint64)
-	for s := 0; s < n; s++ {
-		for reason, cnt := range c.engine(model.SiteID(s)).(contender).AbortReasons() {
-			out[reason] += cnt
-		}
 	}
 	return out
 }

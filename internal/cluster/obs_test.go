@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -131,7 +132,7 @@ func TestTracedBackEdgeCrossCheck(t *testing.T) {
 	if len(delays) < 20 {
 		t.Fatalf("only %d propagation samples in trace", len(delays))
 	}
-	traceP95 := trace.Quantile(delays, 0.95)
+	traceP95 := metrics.Percentile(delays, 0.95)
 	repP95 := rep.P95PropDelay
 	hi := traceP95
 	if repP95 > hi {

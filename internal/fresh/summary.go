@@ -121,8 +121,8 @@ type SiteFreshness struct {
 
 // Summary is a point-in-time rollup of a Tracker: per-site rows plus
 // cluster totals. It is the freshness document every surface shares —
-// replbench -json, the bench snapshot's per-protocol block, and the
-// FrameFresh telemetry frame.
+// replbench -json (cluster totals) and the repo benchmark's
+// fresh_read_pct.
 type Summary struct {
 	Sites []SiteFreshness `json:"sites"`
 

@@ -51,12 +51,7 @@ type obsUpdate struct {
 //     a package named "metrics") must be used by at least one package
 //     outside metrics — a phase registered in the breakdown schema that
 //     no engine ever records leaves a silent hole in every Report's
-//     phase attribution;
-//   - every exported telemetry frame kind (constant of type FrameKind in
-//     a package named "telemetry") must be used somewhere beyond its
-//     declaration — a frame kind in the wire schema that no publisher
-//     ever sends and no aggregator ever switches on is a dead wire-format
-//     entry that readers will wrongly assume can arrive.
+//     phase attribution.
 //
 // Intentional exceptions carry `//lint:allow obscomplete <reason>` on
 // the constant or field declaration.
@@ -69,8 +64,6 @@ func NewObsComplete() *Analyzer {
 	usedOutside := make(map[string]bool) // kind const name -> used outside trace
 	var phases []kindConst
 	phaseUsed := make(map[string]bool) // phase const name -> used outside metrics
-	var frameKinds []kindConst
-	frameKindUsed := make(map[string]bool) // frame kind const name -> used anywhere beyond its declaration
 	fields := make(map[string]*obsField)
 	updates := make(map[string]*obsUpdate)
 	var fieldOrder []string
@@ -92,7 +85,6 @@ func NewObsComplete() *Analyzer {
 		info := pass.Pkg.Info
 		inTrace := pass.Pkg.Types.Name() == "trace"
 		inMetrics := pass.Pkg.Types.Name() == "metrics"
-		inTelemetry := pass.Pkg.Types.Name() == "telemetry"
 		for _, f := range pass.Pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -111,14 +103,6 @@ func NewObsComplete() *Analyzer {
 					if inMetrics {
 						if c, ok := info.Defs[n].(*types.Const); ok && isMetricsPhaseConst(c) && c.Exported() {
 							phases = append(phases, kindConst{name: c.Name(), pos: n.Pos()})
-						}
-					}
-					if c, ok := info.Uses[n].(*types.Const); ok && isTelemetryFrameKindConst(c) {
-						frameKindUsed[c.Name()] = true
-					}
-					if inTelemetry {
-						if c, ok := info.Defs[n].(*types.Const); ok && isTelemetryFrameKindConst(c) && c.Exported() {
-							frameKinds = append(frameKinds, kindConst{name: c.Name(), pos: n.Pos()})
 						}
 					}
 					if v, ok := info.Defs[n].(*types.Var); ok && v.IsField() {
@@ -149,11 +133,6 @@ func NewObsComplete() *Analyzer {
 				report(p.pos, fmt.Sprintf("latency phase %s is registered but never recorded by any engine: every Report's phase breakdown silently lacks that segment", p.name))
 			}
 		}
-		for _, k := range frameKinds {
-			if !frameKindUsed[k.name] {
-				report(k.pos, fmt.Sprintf("telemetry frame kind %s is declared but never sent or handled: a dead wire-format entry that readers will wrongly assume can arrive", k.name))
-			}
-		}
 		sort.Strings(fieldOrder)
 		for _, key := range fieldOrder {
 			f := fields[key]
@@ -182,10 +161,6 @@ func isTraceKindConst(c *types.Const) bool {
 
 func isMetricsPhaseConst(c *types.Const) bool {
 	return c.Pkg() != nil && c.Pkg().Name() == "metrics" && typeFrom(c.Type(), "metrics", "Phase")
-}
-
-func isTelemetryFrameKindConst(c *types.Const) bool {
-	return c.Pkg() != nil && c.Pkg().Name() == "telemetry" && typeFrom(c.Type(), "telemetry", "FrameKind")
 }
 
 // obsHandleKind classifies a field type as a pointer to an obs handle or

@@ -22,7 +22,7 @@ import (
 //   - (*comm.RPC).Call and CallRetry;
 //   - twopc.Run, whose error is the 2PC decision-delivery failure;
 //   - SendFrame methods taking a telemetry.Frame and returning error
-//     (the telemetry plane's sinks): a silently dropped frame error
+//     (the telemetry plane's connection): a silently dropped frame error
 //     makes the cluster console lie — the publisher must count the
 //     failure and schedule the resync;
 //   - (*wal.SiteLog).Append and Sync, the write-ahead log's durability

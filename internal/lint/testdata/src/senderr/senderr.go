@@ -48,16 +48,16 @@ func allowedDrop(t *comm.Transport, m comm.Message) {
 	_ = t.Send(m)
 }
 
-func dropsFrame(s *telemetry.Sink, f telemetry.Frame) {
-	s.SendFrame(f)     // want "error from Sink.SendFrame discarded"
-	_ = s.SendFrame(f) // want "error from Sink.SendFrame assigned to _"
+func dropsFrame(s *telemetry.Conn, f telemetry.Frame) {
+	s.SendFrame(f)     // want "error from Conn.SendFrame discarded"
+	_ = s.SendFrame(f) // want "error from Conn.SendFrame assigned to _"
 }
 
-func checkedFrame(s *telemetry.Sink, f telemetry.Frame) error {
+func checkedFrame(s *telemetry.Conn, f telemetry.Frame) error {
 	return s.SendFrame(f)
 }
 
-func allowedFrameDrop(s *telemetry.Sink, f telemetry.Frame) {
+func allowedFrameDrop(s *telemetry.Conn, f telemetry.Frame) {
 	//lint:allow senderr best-effort final flush on shutdown
 	_ = s.SendFrame(f)
 }

@@ -1,32 +1,12 @@
 // Package telemetry is a miniature of the repository's telemetry plane,
-// just enough surface for the senderr analyzer's type matching. It keeps
-// every frame kind in use so it stays quiet under obscomplete; the
-// frame-kind negatives live in the telemetrykinds fixture.
+// just enough surface for the senderr analyzer's type matching.
 package telemetry
 
-// FrameKind identifies one wire frame type.
-type FrameKind uint8
-
-const (
-	FrameHello FrameKind = iota + 1
-	FrameMetrics
-)
-
 // Frame is one telemetry wire frame.
-type Frame struct {
-	Kind FrameKind
-	Seq  uint64
-}
+type Frame struct{ Seq uint64 }
 
-// Sink consumes frames; its SendFrame signature is what senderr watches.
-type Sink struct{}
+// Conn is the wire connection; its SendFrame signature is what senderr
+// watches.
+type Conn struct{}
 
-func (s *Sink) SendFrame(f Frame) error { return nil }
-
-// Emit exercises both kinds and checks its own errors.
-func Emit(s *Sink) error {
-	if err := s.SendFrame(Frame{Kind: FrameHello}); err != nil {
-		return err
-	}
-	return s.SendFrame(Frame{Kind: FrameMetrics})
-}
+func (c *Conn) SendFrame(f Frame) error { return nil }

@@ -122,19 +122,24 @@ func (d *durStats) mean() time.Duration {
 	return time.Duration(int64(d.sum) / int64(d.count))
 }
 
-// percentile returns the p-quantile (nearest-rank) of the reservoir.
-// Edge cases are pinned down explicitly: no samples yields zero (there is
-// no meaningful percentile of an empty run), a single sample IS every
-// percentile, and p outside (0, 1] clamps to the extremes rather than
-// indexing out of range.
-func (d *durStats) percentile(p float64) time.Duration {
-	switch len(d.samples) {
+// percentile returns the p-quantile of the reservoir (see Percentile).
+func (d *durStats) percentile(p float64) time.Duration { return Percentile(d.samples, p) }
+
+// Percentile returns the nearest-rank p-quantile of ds: the smallest
+// sample with at least p of the samples at or below it. It is the one
+// percentile rule of the repository's reports. Edge cases are pinned
+// down explicitly: no samples yields zero (there is no meaningful
+// percentile of an empty run), a single sample IS every percentile, and
+// p outside (0, 1] clamps to the extremes rather than indexing out of
+// range. ds is not modified.
+func Percentile(ds []time.Duration, p float64) time.Duration {
+	switch len(ds) {
 	case 0:
 		return 0
 	case 1:
-		return d.samples[0]
+		return ds[0]
 	}
-	s := append([]time.Duration(nil), d.samples...)
+	s := append([]time.Duration(nil), ds...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	idx := int(math.Ceil(p*float64(len(s)))) - 1
 	if idx < 0 {

@@ -178,6 +178,19 @@ func TestPercentileEdgeCases(t *testing.T) {
 	if got := d.percentile(0.5); got != 3*time.Millisecond {
 		t.Errorf("percentile(0.5) = %v, want the median", got)
 	}
+
+	// Nearest rank, not a rounded rank: over 1..12 ms, p95 is the 12th
+	// sample (ceil(11.4) = 12), where rounding the rank would give 11 ms.
+	twelve := make([]time.Duration, 12)
+	for i := range twelve {
+		twelve[i] = time.Duration(12-i) * time.Millisecond
+	}
+	if got := Percentile(twelve, 0.95); got != 12*time.Millisecond {
+		t.Errorf("Percentile(1..12ms, 0.95) = %v, want 12ms", got)
+	}
+	if twelve[0] != 12*time.Millisecond {
+		t.Error("Percentile reordered its input")
+	}
 }
 
 func TestSnapshotSingleSample(t *testing.T) {

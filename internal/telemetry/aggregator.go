@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/contend"
-	"repro/internal/fresh"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/watch"
@@ -19,10 +18,6 @@ const (
 	// events are dropped (span trees of long-gone transactions decay
 	// first, since the store is arrival-ordered).
 	maxEvents = 1 << 18
-	// maxTombstones caps the out-of-order bookkeeping of the federated
-	// staleness view; overflow clears the sets (worst case: a transient
-	// phantom in-flight entry, never unbounded memory).
-	maxTombstones = 1 << 16
 	// maxRecentTIDs caps how many distinct transactions are remembered
 	// for span-trace display, newest last.
 	maxRecentTIDs = 64
@@ -31,7 +26,8 @@ const (
 // procState is everything the aggregator knows about one publishing
 // process.
 type procState struct {
-	hello    Hello
+	protocol string
+	sites    []model.SiteID
 	seq      uint64 // highest frame sequence seen
 	frames   uint64 // frames received
 	gaps     uint64 // sequence discontinuities (lost frames or restarts)
@@ -39,51 +35,31 @@ type procState struct {
 	metrics  map[string]int64
 	phases   map[string]PhaseQuantiles
 	alerts   []watch.Alert
-	summary  watch.Summary
 	heat     []contend.HeatEntry
 	aborts   map[string]uint64
-	fresh    *fresh.Summary
 	lastSeen time.Time
-}
-
-// edgeKey identifies one copy-graph propagation edge.
-type edgeKey struct {
-	From, To model.SiteID
-}
-
-// siteTID identifies one secondary subtransaction's arrival at a site.
-type siteTID struct {
-	Site model.SiteID
-	TID  model.TxnID
 }
 
 // Aggregator merges telemetry streams from N processes into one cluster
 // view: per-proc metrics re-keyed by site, a single merged span-event
 // stream (deterministic span lineage makes cross-process trees stitch
 // themselves — see trace.BuildSpanTrees), and a federated staleness
-// view replaying each process's forwarded/applied events, which no
-// single in-process watchdog can compute once the copy graph spans
-// processes.
-//
-// It is also a Sink (SendFrame ingests locally), so a single-process
-// deployment can wire Publisher→Aggregator→repltop with no sockets.
+// view folding every process's forwarded/applied events into one
+// watch.Inflight, which no single in-process watchdog can compute once
+// the copy graph spans processes.
 type Aggregator struct {
 	mu    sync.Mutex
 	procs map[string]*procState // repl:guardedby(mu)
 
 	events   []trace.Event        // repl:guardedby(mu)
-	evDrop   uint64               // events dropped by the maxEvents cap // repl:guardedby(mu)
 	recent   []model.TxnID        // repl:guardedby(mu)
 	recentIn map[model.TxnID]bool // repl:guardedby(mu)
 
 	// Federated staleness: outstanding forwarded-but-unapplied
 	// subtransactions per edge, stamped with aggregator receipt time.
-	// Frames from different connections interleave arbitrarily, so an
-	// apply may be ingested before its forward: tombstones remember
-	// applies (and aborts) that arrived early.
-	inflight    map[edgeKey]map[model.TxnID]time.Time // repl:guardedby(mu)
-	appliedTomb map[siteTID]struct{}                  // repl:guardedby(mu)
-	abortedTomb map[model.TxnID]struct{}              // repl:guardedby(mu)
+	// Frames from different connections interleave arbitrarily; the fold
+	// tolerates an apply ingested before its forward.
+	inflight *watch.Inflight // repl:guardedby(mu)
 
 	// Rate bookkeeping for Snapshot.
 	lastSnapAt    time.Time        // repl:guardedby(mu)
@@ -101,12 +77,10 @@ type Aggregator struct {
 // NewAggregator returns an empty aggregator.
 func NewAggregator() *Aggregator {
 	return &Aggregator{
-		procs:       make(map[string]*procState),
-		recentIn:    make(map[model.TxnID]bool),
-		inflight:    make(map[edgeKey]map[model.TxnID]time.Time),
-		appliedTomb: make(map[siteTID]struct{}),
-		abortedTomb: make(map[model.TxnID]struct{}),
-		start:       time.Now(),
+		procs:    make(map[string]*procState),
+		recentIn: make(map[model.TxnID]bool),
+		inflight: watch.NewInflight(),
+		start:    time.Now(),
 	}
 }
 
@@ -186,13 +160,6 @@ func (a *Aggregator) ConnCounts() (active, total int) {
 	return a.activeConns, a.totalConns
 }
 
-// SendFrame implements Sink for in-process wiring: the frame is
-// ingested directly, no wire involved.
-func (a *Aggregator) SendFrame(f Frame) error {
-	a.Ingest(f)
-	return nil
-}
-
 // Close stops the listener and drops all connections. Ingested state
 // remains readable.
 func (a *Aggregator) Close() error {
@@ -229,7 +196,7 @@ func (a *Aggregator) Ingest(f Frame) {
 		a.procs[f.Proc] = ps
 	}
 	ps.frames++
-	if f.Seq != ps.seq+1 && ps.seq != 0 && f.Seq > ps.seq+1 {
+	if ps.seq != 0 && f.Seq > ps.seq+1 {
 		ps.gaps++
 	}
 	if f.Seq > ps.seq {
@@ -237,38 +204,18 @@ func (a *Aggregator) Ingest(f Frame) {
 	}
 	ps.lastSeen = now
 
-	switch f.Kind {
-	case FrameHello:
-		if f.Hello != nil {
-			ps.hello = *f.Hello
-		}
-	case FrameMetrics:
-		for k, v := range f.Metrics {
-			ps.metrics[k] = v // absolute values: replay-safe
-		}
-	case FrameSpans:
-		if f.Dropped > ps.dropped {
-			ps.dropped = f.Dropped
-		}
-		a.ingestEvents(f.Events, now)
-	case FramePhases:
-		ps.phases = f.Phases
-	case FrameAlerts:
-		if f.Alerts != nil {
-			ps.alerts = f.Alerts.Active
-			ps.summary = f.Alerts.Summary
-		}
-	case FrameHeat:
-		ps.heat = f.Heat // absolute table: replay-safe
-	case FrameAborts:
-		ps.aborts = f.Aborts // absolute counts: replay-safe
-	case FrameFresh:
-		ps.fresh = f.Fresh // absolute summary: replay-safe
+	for k, v := range f.Metrics {
+		ps.metrics[k] = v // absolute values: replay-safe
 	}
+	ps.dropped = max(ps.dropped, f.Dropped)
+	a.ingestEvents(f.Events, now)
+	// The rest is the process's whole current state: replay-safe.
+	ps.protocol, ps.sites = f.Protocol, f.Sites
+	ps.phases, ps.alerts, ps.heat, ps.aborts = f.Phases, f.Alerts, f.Heat, f.Aborts
 }
 
-// ingestEvents appends span events to the merged stream and replays
-// them into the federated staleness view. Caller holds a.mu.
+// ingestEvents appends span events to the merged stream and folds them
+// into the federated staleness view. Caller holds a.mu.
 func (a *Aggregator) ingestEvents(events []trace.Event, now time.Time) {
 	for _, ev := range events {
 		a.events = append(a.events, ev)
@@ -280,70 +227,10 @@ func (a *Aggregator) ingestEvents(events []trace.Event, now time.Time) {
 				a.recent = a.recent[1:]
 			}
 		}
-		a.federate(ev, now)
+		a.inflight.Observe(ev, now)
 	}
 	if len(a.events) > maxEvents {
-		over := len(a.events) - maxEvents
-		a.evDrop += uint64(over)
-		a.events = append([]trace.Event(nil), a.events[over:]...)
-	}
-}
-
-// federate mirrors watch.Watchdog.Ingest's outstanding bookkeeping, but
-// per edge, across processes, and tolerant of cross-connection
-// reordering (an apply can be ingested before its forward). Caller
-// holds a.mu.
-func (a *Aggregator) federate(ev trace.Event, now time.Time) {
-	switch ev.Kind {
-	case trace.SecondaryForwarded:
-		if ev.TID.Zero() {
-			return
-		}
-		if _, aborted := a.abortedTomb[ev.TID]; aborted {
-			return
-		}
-		key := siteTID{Site: ev.Peer, TID: ev.TID}
-		if _, done := a.appliedTomb[key]; done {
-			delete(a.appliedTomb, key)
-			return
-		}
-		e := edgeKey{From: ev.Site, To: ev.Peer}
-		m := a.inflight[e]
-		if m == nil {
-			m = make(map[model.TxnID]time.Time)
-			a.inflight[e] = m
-		}
-		m[ev.TID] = now
-	case trace.SecondaryApplied, trace.BackedgeCommit:
-		if ev.TID.Zero() {
-			return
-		}
-		found := false
-		for e, m := range a.inflight {
-			if e.To == ev.Site {
-				if _, ok := m[ev.TID]; ok {
-					delete(m, ev.TID)
-					found = true
-				}
-			}
-		}
-		if !found {
-			a.appliedTomb[siteTID{Site: ev.Site, TID: ev.TID}] = struct{}{}
-			if len(a.appliedTomb) > maxTombstones {
-				a.appliedTomb = make(map[siteTID]struct{})
-			}
-		}
-	case trace.TxnAbort:
-		if ev.TID.Zero() {
-			return
-		}
-		for _, m := range a.inflight {
-			delete(m, ev.TID)
-		}
-		a.abortedTomb[ev.TID] = struct{}{}
-		if len(a.abortedTomb) > maxTombstones {
-			a.abortedTomb = make(map[model.TxnID]struct{})
-		}
+		a.events = append([]trace.Event(nil), a.events[len(a.events)-maxEvents:]...)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"repro/internal/comm"
 )
 
-// Conn is the wire Sink: one TCP connection from a publisher to an
-// aggregator, carrying telemetry envelopes in the comm message framing.
+// Conn is one TCP connection from a publisher to an aggregator,
+// carrying telemetry envelopes in the comm message framing.
 // It is deliberately dumb — no buffering, no retry. A failed send means
 // the connection is dead; the Publisher closes it and redials on its
 // next cycle, resending full (non-delta) state.
@@ -20,19 +20,17 @@ type Conn struct {
 	w  *comm.MsgWriter
 }
 
-// Dial connects to an aggregator. proc is the publishing process's name,
-// stamped (via ChannelSpan) on every envelope this connection sends.
-func Dial(addr, proc string) (*Conn, error) {
+// Dial connects to an aggregator.
+func Dial(addr string) (*Conn, error) {
 	RegisterPayloads()
 	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: dial %s: %w", addr, err)
 	}
-	_ = proc // the name rides in each Frame; kept in the signature for future handshakes
 	return &Conn{c: c, w: comm.NewMsgWriter(c)}, nil
 }
 
-// SendFrame implements Sink: it writes one envelope to the wire.
+// SendFrame writes one envelope to the wire.
 func (c *Conn) SendFrame(f Frame) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -41,12 +39,12 @@ func (c *Conn) SendFrame(f Frame) error {
 	}
 	_ = c.c.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	if _, err := c.w.WriteMsg(envelope(f)); err != nil {
-		return fmt.Errorf("telemetry: send %s frame: %w", f.Kind, err)
+		return fmt.Errorf("telemetry: send frame %d: %w", f.Seq, err)
 	}
 	return nil
 }
 
-// Close implements Sink.
+// Close closes the connection; closing twice is harmless.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -91,16 +92,10 @@ func TestCrossProcessFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.FromPlacement(placement)
-	order := make([]model.SiteID, nSites)
-	for i := range order {
-		order[i] = model.SiteID(i)
+	top, err := cluster.DeriveTopology(graph.FromPlacement(placement), cluster.Config{Protocol: core.DAGWT})
+	if err != nil {
+		t.Fatal(err)
 	}
-	backs := graph.OrderBackedges(g, order)
-	if len(backs) > 0 {
-		t.Fatalf("placement has %d backedges; want a DAG (BackedgeProb 0)", len(backs))
-	}
-	tree := graph.BuildChain(order)
 
 	agg := telemetry.NewAggregator()
 	aggAddr, err := agg.Listen("127.0.0.1:0")
@@ -133,28 +128,27 @@ func TestCrossProcessFederation(t *testing.T) {
 
 		collector := metrics.NewCollector(false)
 		pub, err := telemetry.NewPublisher(telemetry.Options{
-			Proc:       p.name,
-			Addr:       aggAddr,
-			Interval:   50 * time.Millisecond,
-			SpanBuffer: 65536,
+			Proc:     p.name,
+			Addr:     aggAddr,
+			Protocol: core.DAGWT.String(),
+			Sites:    sites,
+			Obs:      p.reg,
+			Watch:    p.wd,
+			Report:   func() metrics.Report { return collector.Snapshot(1) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub.SetObs(p.reg)
-		pub.SetWatch(p.wd)
-		pub.SetReport(func() metrics.Report { return collector.Snapshot(1) })
-		pub.Announce(core.DAGWT.String(), sites)
 		p.rec.AddSink(pub.Ingest)
 		p.pub = pub
 
 		shared := &core.SharedConfig{
 			Placement:    placement,
-			Graph:        g,
-			Order:        order,
-			Tree:         tree,
-			SubtreeItems: graph.SubtreeCopyItems(tree, placement),
-			Backedges:    map[graph.Edge]bool{},
+			Graph:        top.DAG,
+			Order:        top.Order,
+			Tree:         top.Tree,
+			SubtreeItems: graph.SubtreeCopyItems(top.Tree, placement),
+			Backedges:    top.BackSet,
 			Params:       core.DefaultParams(),
 			Metrics:      collector,
 			Trace:        p.rec,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/contend"
-	"repro/internal/fresh"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -14,36 +13,44 @@ import (
 	"repro/internal/watch"
 )
 
-// Options configures a Publisher. Exactly one of Addr and Sink selects
-// the destination.
-type Options struct {
-	// Proc is this process's stable name; it keys every aggregator-side
-	// series, so each publisher in a cluster needs a distinct one.
-	Proc string
-	// Addr, when set, is the aggregator's TCP address. The publisher
-	// owns the connection: it dials lazily, and after a send failure it
-	// redials on the next cycle and resends a full (non-delta) state.
-	Addr string
-	// Sink, when Addr is empty, receives frames directly — the in-proc
-	// path (an *Aggregator is itself a Sink). The publisher does not
-	// close a provided sink.
-	Sink Sink
-	// Interval is the publish period (default 250ms).
-	Interval time.Duration
-	// SpanBuffer caps the span-event ring between cycles (default 8192,
-	// negative disables event shipping). Overflow drops the oldest
-	// events and counts them, so a stalled aggregator degrades span
-	// federation, never the publishing process.
-	SpanBuffer int
-}
+const (
+	// interval is the publish period.
+	interval = 250 * time.Millisecond
+	// spanBuffer caps the span-event ring between cycles. Overflow drops
+	// the oldest events and counts them, so a stalled aggregator degrades
+	// span federation, never the publishing process.
+	spanBuffer = 8192
+)
 
-// Sink consumes frames. Implementations: *Conn (wire) and *Aggregator
-// (in-proc).
-type Sink interface {
-	// SendFrame delivers one frame; its error means the frame (and, on
-	// the wire, possibly the connection) was lost.
-	SendFrame(f Frame) error
-	Close() error
+// Options configures a Publisher: where it sends, and the sources each
+// cycle's Frame is read from. Every source is optional; an absent one
+// leaves its Frame field nil. Probes run on the publish goroutine and
+// must return absolute state (frames carry state, not deltas, so replay
+// is harmless).
+type Options struct {
+	// Proc is this process's stable name (Frame.Proc); each publisher in
+	// a cluster needs a distinct one.
+	Proc string
+	// Addr is the aggregator's TCP address. The publisher owns the
+	// connection: it dials lazily, and after a send failure it redials on
+	// the next cycle and resends a full (non-delta) state.
+	Addr string
+	// Protocol and Sites are announced in every frame.
+	Protocol string
+	Sites    []model.SiteID
+	// Obs is the registry whose snapshots are delta-shipped; the
+	// publisher registers its own repl_telemetry_* series into it.
+	Obs *obs.Registry
+	// Watch is the watchdog whose active alerts are shipped.
+	Watch *watch.Watchdog
+	// Report supplies the process's metrics.Report, from which the
+	// phase-latency quantiles are taken.
+	Report func() metrics.Report
+	// Heat supplies the process's merged per-item heat table
+	// (contend.BuildHeat over its sites); Aborts its cumulative
+	// abort-reason breakdown.
+	Heat   func() []contend.HeatEntry
+	Aborts func() map[string]uint64
 }
 
 // pubObs holds the publisher's own health series, registered into the
@@ -55,41 +62,30 @@ type pubObs struct {
 	drops  *obs.Counter // repl_telemetry_events_dropped_total
 }
 
-// Publisher streams one process's observability state: delta-encoded
-// registry snapshots, span-carrying trace events (install Ingest with
-// trace.Recorder.AddSink), phase-latency quantiles, and watchdog alerts.
-// Wire it with the Set* methods before Start; all methods are safe for
-// concurrent use.
+// Publisher streams one process's observability state, one Frame per
+// cycle. Install Ingest with trace.Recorder.AddSink so span-carrying
+// events reach it, then Start. All methods are safe for concurrent use.
 type Publisher struct {
 	opts Options
+	po   pubObs
 
-	// pubMu serializes publish cycles (ticker vs. explicit Flush); mu
-	// guards the event ring and delta state and is never held across a
-	// send or a snapshot of another subsystem.
+	// pubMu serializes publish cycles (ticker vs. explicit Flush) and
+	// guards the connection and delta state; mu guards the event ring and
+	// is never held across a send or a probe of another subsystem.
 	pubMu sync.Mutex
 	mu    sync.Mutex
 
-	reg    *obs.Registry              // repl:guardedby(mu)
-	po     pubObs                     // repl:guardedby(mu)
-	wd     *watch.Watchdog            // repl:guardedby(mu)
-	report func() metrics.Report      // repl:guardedby(mu)
-	heat   func() []contend.HeatEntry // repl:guardedby(mu)
-	aborts func() map[string]uint64   // repl:guardedby(mu)
-	freshp func() *fresh.Summary      // repl:guardedby(mu)
-	hello  Hello                      // repl:guardedby(mu)
+	conn *Conn            // repl:guardedby(pubMu)
+	last map[string]int64 // registry as of the last delivered cycle // repl:guardedby(pubMu)
+	seq  uint64           // repl:guardedby(pubMu)
+	// send, when set, replaces the wire: in-package tests deliver frames
+	// straight into an aggregator.
+	send func(Frame) error
 
-	buf      []trace.Event    // repl:guardedby(mu)
-	bufStart int              // repl:guardedby(mu)
-	bufN     int              // repl:guardedby(mu)
-	dropped  uint64           // repl:guardedby(mu)
-	last     map[string]int64 // repl:guardedby(mu)
-	seq      uint64           // repl:guardedby(mu)
-
-	// The connection is owned by the publish cycle, which pubMu
-	// serializes; mu is additionally held on the mutating accesses so
-	// readers inside a cycle see a consistent (sink, owned) pair.
-	sink  Sink // active destination; owned (closable) iff dialed from Addr // repl:guardedby(pubMu)
-	owned bool // repl:guardedby(pubMu)
+	buf      []trace.Event // repl:guardedby(mu)
+	bufStart int           // repl:guardedby(mu)
+	bufN     int           // repl:guardedby(mu)
+	dropped  uint64        // repl:guardedby(mu)
 
 	stop chan struct{}
 	done chan struct{}
@@ -102,120 +98,38 @@ func NewPublisher(o Options) (*Publisher, error) {
 	if o.Proc == "" {
 		return nil, fmt.Errorf("telemetry: Options.Proc is required")
 	}
-	if o.Addr == "" && o.Sink == nil {
-		return nil, fmt.Errorf("telemetry: one of Options.Addr or Options.Sink is required")
-	}
-	if o.Interval <= 0 {
-		o.Interval = 250 * time.Millisecond
-	}
-	if o.SpanBuffer == 0 {
-		o.SpanBuffer = 8192
-	}
-	p := &Publisher{opts: o, hello: Hello{Proc: o.Proc}}
-	if o.SpanBuffer > 0 {
-		p.buf = make([]trace.Event, o.SpanBuffer)
-	}
 	if o.Addr == "" {
-		p.sink = o.Sink
+		return nil, fmt.Errorf("telemetry: Options.Addr is required")
 	}
-	return p, nil
-}
-
-// SetObs installs the registry whose snapshots are delta-shipped; the
-// publisher registers its own repl_telemetry_* series into it.
-func (p *Publisher) SetObs(r *obs.Registry) {
-	if p == nil || r == nil {
-		return
-	}
-	p.mu.Lock()
-	p.reg = r
-	p.po = pubObs{
-		frames: r.Counter("repl_telemetry_frames_total"),
-		errs:   r.Counter("repl_telemetry_send_errors_total"),
-		drops:  r.Counter("repl_telemetry_events_dropped_total"),
-	}
-	p.mu.Unlock()
-}
-
-// SetWatch installs the watchdog whose alerts are shipped.
-func (p *Publisher) SetWatch(w *watch.Watchdog) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.wd = w
-	p.mu.Unlock()
-}
-
-// SetReport installs the probe supplying the process's metrics.Report,
-// from which the phase-latency quantiles are taken.
-func (p *Publisher) SetReport(fn func() metrics.Report) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.report = fn
-	p.mu.Unlock()
-}
-
-// SetContention installs the contention probes: heat supplies the
-// process's merged per-item heat table (contend.BuildHeat over its
-// sites) and aborts its cumulative abort-reason breakdown. Either may be
-// nil; both must return absolute values (frames carry state, not
-// deltas, so replay is harmless).
-func (p *Publisher) SetContention(heat func() []contend.HeatEntry, aborts func() map[string]uint64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.heat = heat
-	p.aborts = aborts
-	p.mu.Unlock()
-}
-
-// SetFresh installs the freshness probe supplying the process's current
-// fresh.Summary (cluster.FreshSummary). Like the contention probes it
-// must return absolute state, so replayed frames are harmless.
-func (p *Publisher) SetFresh(fn func() *fresh.Summary) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.freshp = fn
-	p.mu.Unlock()
-}
-
-// Announce sets the protocol and hosted sites carried in every hello
-// frame.
-func (p *Publisher) Announce(protocol string, sites []model.SiteID) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.hello.Protocol = protocol
-	p.hello.Sites = append([]model.SiteID(nil), sites...)
-	p.mu.Unlock()
+	o.Sites = append([]model.SiteID(nil), o.Sites...)
+	return &Publisher{
+		opts: o,
+		po: pubObs{
+			frames: o.Obs.Counter("repl_telemetry_frames_total"),
+			errs:   o.Obs.Counter("repl_telemetry_send_errors_total"),
+			drops:  o.Obs.Counter("repl_telemetry_events_dropped_total"),
+		},
+		buf: make([]trace.Event, spanBuffer),
+	}, nil
 }
 
 // Ingest buffers one span-carrying trace event for the next cycle.
 // Install it with rec.AddSink(p.Ingest) — alongside, not instead of, the
 // watchdog's sink. Span-less events (phase latencies, watchdog alerts)
-// are skipped: phases ship as quantiles and alerts as alert frames.
+// are skipped: phases ship as quantiles and alerts as Frame.Alerts.
 func (p *Publisher) Ingest(ev trace.Event) {
 	if p == nil || ev.Span == 0 {
 		return
 	}
 	p.mu.Lock()
-	if p.buf != nil {
-		if p.bufN == len(p.buf) {
-			p.bufStart = (p.bufStart + 1) % len(p.buf)
-			p.bufN--
-			p.dropped++
-			p.po.drops.Inc()
-		}
-		p.buf[(p.bufStart+p.bufN)%len(p.buf)] = ev
-		p.bufN++
+	if p.bufN == len(p.buf) {
+		p.bufStart = (p.bufStart + 1) % len(p.buf)
+		p.bufN--
+		p.dropped++
+		p.po.drops.Inc()
 	}
+	p.buf[(p.bufStart+p.bufN)%len(p.buf)] = ev
+	p.bufN++
 	p.mu.Unlock()
 }
 
@@ -230,7 +144,7 @@ func (p *Publisher) Start() {
 }
 
 // Stop ends the loop, publishes one final cycle (so the last deltas and
-// span events reach the aggregator), and closes an owned connection.
+// span events reach the aggregator), and closes the connection.
 func (p *Publisher) Stop() {
 	if p == nil {
 		return
@@ -243,16 +157,16 @@ func (p *Publisher) Stop() {
 	//lint:allow senderr final flush on shutdown: the error is already counted in repl_telemetry_send_errors_total
 	_ = p.Flush()
 	p.pubMu.Lock()
-	if p.owned && p.sink != nil {
-		p.sink.Close()
-		p.sink = nil
+	if p.conn != nil {
+		p.conn.Close()
+		p.conn = nil
 	}
 	p.pubMu.Unlock()
 }
 
 func (p *Publisher) loop() {
 	defer close(p.done)
-	t := time.NewTicker(p.opts.Interval)
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
@@ -265,172 +179,103 @@ func (p *Publisher) loop() {
 	}
 }
 
-// Flush runs one publish cycle synchronously: hello, metrics delta, span
-// batch, phase quantiles, alerts. On a send failure the cycle stops, the
-// owned connection is discarded (the next cycle redials), undelivered
-// state is retained, and the error is returned after being counted.
+// Flush runs one publish cycle synchronously. On a send failure the
+// connection is discarded (the next cycle redials), the cycle's span
+// events go back into the ring, the metrics delta stays measured
+// against the last delivered cycle, and the error is returned after
+// being counted.
 func (p *Publisher) Flush() error {
 	if p == nil {
 		return nil
 	}
 	p.pubMu.Lock()
 	defer p.pubMu.Unlock()
+	if p.send == nil && p.conn == nil {
+		c, err := Dial(p.opts.Addr)
+		if err != nil {
+			p.po.errs.Inc()
+			return err
+		}
+		// A fresh connection means a possibly fresh aggregator: resend the
+		// whole registry, not a delta against state the old one saw.
+		p.conn, p.last = c, nil
+	}
 
-	// Gather subsystem state outside p.mu (the registry and watchdog
-	// have their own locks).
-	p.mu.Lock()
-	reg, wd, report := p.reg, p.wd, p.report
-	heatFn, abortsFn, freshFn := p.heat, p.aborts, p.freshp
-	hello := p.hello
-	hello.Sites = append([]model.SiteID(nil), p.hello.Sites...)
-	p.mu.Unlock()
+	f, cur := p.frame()
+	var err error
+	if p.send != nil {
+		err = p.send(f)
+	} else {
+		err = p.conn.SendFrame(f)
+	}
+	if err != nil {
+		p.po.errs.Inc()
+		if p.conn != nil {
+			p.conn.Close()
+			p.conn = nil
+		}
+		// Newest events survive if the ring overflows meanwhile.
+		for _, ev := range f.Events {
+			p.Ingest(ev)
+		}
+		return err
+	}
+	p.po.frames.Inc()
+	p.last = cur
+	return nil
+}
 
+// frame assembles one cycle's Frame from the sources, draining the event
+// ring, and returns it with the full registry snapshot its delta was
+// taken against. Sources are read outside p.mu: the registry and
+// watchdog have their own locks. Caller holds p.pubMu.
+func (p *Publisher) frame() (Frame, map[string]int64) {
+	o := p.opts
+	p.seq++
+	f := Frame{Proc: o.Proc, Seq: p.seq, Protocol: o.Protocol, Sites: o.Sites}
 	var cur map[string]int64
-	if reg != nil {
-		cur = reg.Snapshot()
-	}
-	var rep *metrics.Report
-	if report != nil {
-		r := report()
-		rep = &r
-	}
-	var alerts *AlertFrame
-	if wd != nil {
-		alerts = &AlertFrame{Active: wd.Active(), Summary: wd.Summarize()}
-	}
-	var heat []contend.HeatEntry
-	if heatFn != nil {
-		heat = heatFn()
-	}
-	var aborts map[string]uint64
-	if abortsFn != nil {
-		aborts = abortsFn()
-	}
-	var freshSum *fresh.Summary
-	if freshFn != nil {
-		freshSum = freshFn()
-	}
-
-	// Assemble the cycle's frames under p.mu.
-	p.mu.Lock()
-	frames := []Frame{{Kind: FrameHello, Hello: &hello}}
-	var delta map[string]int64
-	if cur != nil {
-		delta = make(map[string]int64, 8)
+	if o.Obs != nil {
+		cur = o.Obs.Snapshot()
 		for k, v := range cur {
 			if old, ok := p.last[k]; !ok || old != v {
-				delta[k] = v
+				if f.Metrics == nil {
+					f.Metrics = make(map[string]int64)
+				}
+				f.Metrics[k] = v
 			}
 		}
-		if len(delta) > 0 {
-			frames = append(frames, Frame{Kind: FrameMetrics, Metrics: delta})
-		}
 	}
-	var events []trace.Event
-	if p.bufN > 0 {
-		events = make([]trace.Event, 0, p.bufN)
-		for i := 0; i < p.bufN; i++ {
-			events = append(events, p.buf[(p.bufStart+i)%len(p.buf)])
-		}
-		p.bufN = 0
-		p.bufStart = 0
-		frames = append(frames, Frame{Kind: FrameSpans, Events: events, Dropped: p.dropped})
-	}
-	if rep != nil && len(rep.Phases) > 0 {
-		q := make(map[string]PhaseQuantiles, len(rep.Phases))
-		for name, ps := range rep.Phases {
-			q[name] = PhaseQuantiles{
+	if o.Report != nil {
+		for name, ps := range o.Report().Phases {
+			if f.Phases == nil {
+				f.Phases = make(map[string]PhaseQuantiles)
+			}
+			f.Phases[name] = PhaseQuantiles{
 				Count:  ps.Count,
 				MeanUS: us(ps.Mean), P50US: us(ps.P50), P95US: us(ps.P95),
 				P99US: us(ps.P99), MaxUS: us(ps.Max),
 			}
 		}
-		frames = append(frames, Frame{Kind: FramePhases, Phases: q})
 	}
-	if alerts != nil {
-		frames = append(frames, Frame{Kind: FrameAlerts, Alerts: alerts})
+	f.Alerts = o.Watch.Active()
+	if o.Heat != nil {
+		f.Heat = o.Heat()
 	}
-	if len(heat) > 0 {
-		frames = append(frames, Frame{Kind: FrameHeat, Heat: heat})
-	}
-	if len(aborts) > 0 {
-		frames = append(frames, Frame{Kind: FrameAborts, Aborts: aborts})
-	}
-	if freshSum != nil && len(freshSum.Sites) > 0 {
-		frames = append(frames, Frame{Kind: FrameFresh, Fresh: freshSum})
-	}
-	for i := range frames {
-		p.seq++
-		frames[i].Proc = p.opts.Proc
-		frames[i].Seq = p.seq
-	}
-	po := p.po
-	p.mu.Unlock()
-
-	// Deliver outside both subsystem state and the ring lock.
-	sink, err := p.ensureSink()
-	if err == nil {
-		for _, f := range frames {
-			if err = sink.SendFrame(f); err != nil {
-				break
-			}
-			po.frames.Inc()
-		}
+	if o.Aborts != nil {
+		f.Aborts = o.Aborts()
 	}
 
 	p.mu.Lock()
-	if err == nil {
-		if cur != nil {
-			p.last = cur
+	if p.bufN > 0 {
+		f.Events = make([]trace.Event, 0, p.bufN)
+		for i := 0; i < p.bufN; i++ {
+			f.Events = append(f.Events, p.buf[(p.bufStart+i)%len(p.buf)])
 		}
-	} else {
-		po.errs.Inc()
-		// Re-buffer the undelivered span events (newest survive if the
-		// ring overflows) and force a full metrics resync: p.last stays
-		// as acknowledged, so every since-changed series ships again.
-		p.mu.Unlock()
-		for _, ev := range events {
-			p.Ingest(ev)
-		}
-		p.mu.Lock()
-		p.dropSink()
+		p.bufN, p.bufStart = 0, 0
 	}
+	f.Dropped = p.dropped
 	p.mu.Unlock()
-	return err
-}
-
-// ensureSink returns the active sink, dialing the aggregator in Addr
-// mode when no connection is up.
-func (p *Publisher) ensureSink() (Sink, error) {
-	p.mu.Lock()
-	s := p.sink
-	p.mu.Unlock()
-	if s != nil {
-		return s, nil
-	}
-	c, err := Dial(p.opts.Addr, p.opts.Proc)
-	if err != nil {
-		p.mu.Lock()
-		p.po.errs.Inc()
-		p.mu.Unlock()
-		return nil, err
-	}
-	p.mu.Lock()
-	p.sink, p.owned = c, true
-	// A fresh connection means a possibly fresh aggregator: resend the
-	// whole registry, not a delta against state the old connection saw.
-	p.last = nil
-	p.mu.Unlock()
-	return c, nil
-}
-
-// dropSink discards a broken owned connection; caller holds p.mu.
-func (p *Publisher) dropSink() {
-	if p.owned && p.sink != nil {
-		p.sink.Close()
-		p.sink = nil
-		p.owned = false
-	}
+	return f, cur
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/contend"
@@ -34,20 +35,22 @@ type ProtocolStat struct {
 	CommitPerSec float64 `json:"commit_per_sec"`
 }
 
-// SiteRow is one site's merged view, re-keyed from its hosting
-// process's metrics.
+// SiteRow is one site's merged view: activity re-keyed from its hosting
+// process's metrics, staleness from the aggregator's in-flight fold.
 type SiteRow struct {
-	Site              model.SiteID `json:"site"`
-	Proc              string       `json:"proc"`
-	Protocol          string       `json:"protocol"`
-	Committed         int64        `json:"committed"`
-	Aborted           int64        `json:"aborted"`
-	Applied           int64        `json:"applied"`
-	Forwarded         int64        `json:"forwarded"`
-	RemoteReads       int64        `json:"remote_reads,omitempty"`
-	QueueDepth        int64        `json:"queue_depth"`
-	VersionLag        int64        `json:"version_lag"`
-	OldestUnappliedMS int64        `json:"oldest_unapplied_ms"`
+	Site        model.SiteID `json:"site"`
+	Proc        string       `json:"proc"`
+	Protocol    string       `json:"protocol"`
+	Committed   int64        `json:"committed"`
+	Aborted     int64        `json:"aborted"`
+	Applied     int64        `json:"applied"`
+	Forwarded   int64        `json:"forwarded"`
+	RemoteReads int64        `json:"remote_reads,omitempty"`
+	QueueDepth  int64        `json:"queue_depth"`
+	// VersionLag counts the secondaries forwarded to the site and not yet
+	// applied there; OldestUnappliedMS is the age of the oldest.
+	VersionLag        int64 `json:"version_lag"`
+	OldestUnappliedMS int64 `json:"oldest_unapplied_ms"`
 }
 
 // EdgeRow is one copy-graph edge's federated in-flight state.
@@ -74,39 +77,24 @@ type SpanRender struct {
 // ClusterSnapshot is the aggregator's point-in-time cluster view — the
 // document repltop renders (and emits verbatim with -json).
 type ClusterSnapshot struct {
-	Procs          []ProcInfo                `json:"procs"`
-	Protocols      []ProtocolStat            `json:"protocols"`
-	Sites          []SiteRow                 `json:"sites"`
-	Edges          []EdgeRow                 `json:"edges,omitempty"`
-	Phases         map[string]PhaseQuantiles `json:"phases,omitempty"`
-	Alerts         []ProcAlert               `json:"alerts,omitempty"`
-	MaxStalenessMS int64                     `json:"max_staleness_ms"`
-	SpanTrees      int                       `json:"span_trees"`
-	SpanProblems   int                       `json:"span_problems"`
-	RecentSpans    []SpanRender              `json:"recent_spans,omitempty"`
+	Procs     []ProcInfo                `json:"procs"`
+	Protocols []ProtocolStat            `json:"protocols"`
+	Sites     []SiteRow                 `json:"sites"`
+	Edges     []EdgeRow                 `json:"edges,omitempty"`
+	Phases    map[string]PhaseQuantiles `json:"phases,omitempty"`
+	Alerts    []ProcAlert               `json:"alerts,omitempty"`
+	// MaxStalenessMS is the oldest forwarded-but-unapplied age over
+	// every edge.
+	MaxStalenessMS int64        `json:"max_staleness_ms"`
+	SpanTrees      int          `json:"span_trees"`
+	SpanProblems   int          `json:"span_problems"`
+	RecentSpans    []SpanRender `json:"recent_spans,omitempty"`
 	// HotItems is the cluster-wide contention heat table (per-proc
-	// FrameHeat tables merged, hottest first); AbortReasons the summed
+	// Frame.Heat tables merged, hottest first); AbortReasons the summed
 	// abort root-cause breakdown. Part of the contention observatory
 	// (docs/OBSERVABILITY.md).
 	HotItems     []contend.HeatEntry `json:"hot_items,omitempty"`
 	AbortReasons map[string]uint64   `json:"abort_reasons,omitempty"`
-	// Freshness is the cluster-wide replica-staleness and read-
-	// certificate view (per-proc FrameFresh summaries merged per site:
-	// counts sum, quantiles take the max, same pessimistic discipline as
-	// the phase merge). Part of the freshness observatory
-	// (docs/OBSERVABILITY.md).
-	Freshness []FreshRow `json:"freshness,omitempty"`
-}
-
-// FreshRow is one site's merged freshness view.
-type FreshRow struct {
-	Site          model.SiteID `json:"site"`
-	Applies       uint64       `json:"applies"`
-	VersionLagP95 uint64       `json:"version_lag_p95"`
-	TimeLagP95US  uint64       `json:"time_lag_p95_us"`
-	ReadsFresh    uint64       `json:"reads_fresh"`
-	ReadsStale    uint64       `json:"reads_stale"`
-	ReadLagP95US  uint64       `json:"read_lag_p95_us"`
 }
 
 // hotItemsShown bounds the merged heat table a snapshot carries — the
@@ -123,38 +111,34 @@ func (a *Aggregator) Snapshot() ClusterSnapshot {
 
 	var snap ClusterSnapshot
 
-	// Per-proc rollup plus per-site re-keying of each proc's metrics.
-	// Hello announcements own site attribution: a watchdog observes its
-	// *peers* too (repl_watch_version_lag{site=peer}), so a site-labeled
-	// series alone does not prove the proc hosts the site. Procs are
-	// walked in name order so unannounced sites attribute
-	// deterministically.
+	// Site rows come from announcements, never from site labels alone: a
+	// watchdog gauges its *peers* too (repl_watch_version_lag{site=peer}).
+	// Procs are walked in name order, so a site two procs announce
+	// attributes deterministically, to the first.
 	procNames := make([]string, 0, len(a.procs))
 	for proc := range a.procs {
 		procNames = append(procNames, proc)
 	}
 	sort.Strings(procNames)
-	owner := make(map[model.SiteID]string)
+	sites := make(map[model.SiteID]*SiteRow)
 	for _, proc := range procNames {
-		for _, s := range a.procs[proc].hello.Sites {
-			if _, taken := owner[s]; !taken {
-				owner[s] = proc
+		for _, s := range a.procs[proc].sites {
+			if sites[s] == nil {
+				sites[s] = &SiteRow{Site: s, Proc: proc, Protocol: a.procs[proc].protocol}
 			}
 		}
 	}
 
-	sites := make(map[model.SiteID]*SiteRow)
 	committedByProto := make(map[string]int64)
 	abortedByProto := make(map[string]int64)
 	phases := make(map[string]PhaseQuantiles)
 	var heatTables [][]contend.HeatEntry
-	var freshRows map[model.SiteID]*FreshRow
 	for _, proc := range procNames {
 		ps := a.procs[proc]
 		info := ProcInfo{
 			Proc:     proc,
-			Protocol: ps.hello.Protocol,
-			Sites:    append([]model.SiteID(nil), ps.hello.Sites...),
+			Protocol: ps.protocol,
+			Sites:    append([]model.SiteID(nil), ps.sites...),
 			Frames:   ps.frames,
 			Gaps:     ps.gaps,
 			Dropped:  ps.dropped,
@@ -163,72 +147,29 @@ func (a *Aggregator) Snapshot() ClusterSnapshot {
 		sort.Slice(info.Sites, func(i, j int) bool { return info.Sites[i] < info.Sites[j] })
 		snap.Procs = append(snap.Procs, info)
 
-		row := func(site model.SiteID) *SiteRow {
-			r := sites[site]
-			if r == nil {
-				rowProc, rowProto := proc, ps.hello.Protocol
-				if own, ok := owner[site]; ok {
-					//lint:allow guardedby the row closure only runs inside Snapshot's critical section; the analyzer cannot see through the variable-bound call
-					rowProc, rowProto = own, a.procs[own].hello.Protocol
-				}
-				r = &SiteRow{Site: site, Proc: rowProc, Protocol: rowProto}
-				sites[site] = r
-			}
-			return r
-		}
-		for _, s := range ps.hello.Sites {
-			row(s)
-		}
+		// Only the hosting proc's engine counters fill a row.
 		for key, v := range ps.metrics {
 			family, labels := parseSeries(key)
-			siteLabel, ok := labels["site"]
-			if !ok {
+			n, err := strconv.Atoi(labels["site"])
+			r := sites[model.SiteID(n)]
+			if err != nil || r == nil || r.Proc != proc {
 				continue
 			}
-			n, err := strconv.Atoi(siteLabel)
-			if err != nil {
-				continue
-			}
-			r := row(model.SiteID(n))
-			// Only the hosting proc's engine counters fill a row's
-			// activity columns; the watch gauges merge as max across
-			// observers (a site is as stale as anyone can see it is).
-			hosts := r.Proc == proc
 			switch family {
 			case "repl_txn_committed_total":
-				if hosts {
-					r.Committed = v
-					committedByProto[r.Protocol] += v
-				}
+				r.Committed = v
+				committedByProto[r.Protocol] += v
 			case "repl_txn_aborted_total":
-				if hosts {
-					r.Aborted = v
-					abortedByProto[r.Protocol] += v
-				}
+				r.Aborted = v
+				abortedByProto[r.Protocol] += v
 			case "repl_secondary_applied_total":
-				if hosts {
-					r.Applied = v
-				}
+				r.Applied = v
 			case "repl_secondary_forwarded_total":
-				if hosts {
-					r.Forwarded = v
-				}
+				r.Forwarded = v
 			case "repl_remote_reads_total":
-				if hosts {
-					r.RemoteReads = v
-				}
+				r.RemoteReads = v
 			case "repl_queue_depth":
-				if hosts {
-					r.QueueDepth += v
-				}
-			case "repl_watch_version_lag":
-				if v > r.VersionLag {
-					r.VersionLag = v
-				}
-			case "repl_watch_oldest_unapplied_ms":
-				if v > r.OldestUnappliedMS {
-					r.OldestUnappliedMS = v
-				}
+				r.QueueDepth += v
 			}
 		}
 
@@ -237,18 +178,15 @@ func (a *Aggregator) Snapshot() ClusterSnapshot {
 		for name, q := range ps.phases {
 			m := phases[name]
 			m.Count += q.Count
-			m.MeanUS = maxf(m.MeanUS, q.MeanUS)
-			m.P50US = maxf(m.P50US, q.P50US)
-			m.P95US = maxf(m.P95US, q.P95US)
-			m.P99US = maxf(m.P99US, q.P99US)
-			m.MaxUS = maxf(m.MaxUS, q.MaxUS)
+			m.MeanUS = max(m.MeanUS, q.MeanUS)
+			m.P50US = max(m.P50US, q.P50US)
+			m.P95US = max(m.P95US, q.P95US)
+			m.P99US = max(m.P99US, q.P99US)
+			m.MaxUS = max(m.MaxUS, q.MaxUS)
 			phases[name] = m
 		}
 		for _, al := range ps.alerts {
 			snap.Alerts = append(snap.Alerts, ProcAlert{Proc: proc, Alert: al})
-		}
-		if ps.summary.MaxStalenessMs > snap.MaxStalenessMS {
-			snap.MaxStalenessMS = ps.summary.MaxStalenessMs
 		}
 		if len(ps.heat) > 0 {
 			heatTables = append(heatTables, ps.heat)
@@ -259,29 +197,8 @@ func (a *Aggregator) Snapshot() ClusterSnapshot {
 			}
 			snap.AbortReasons[reason] += n
 		}
-		if ps.fresh != nil {
-			if freshRows == nil {
-				freshRows = make(map[model.SiteID]*FreshRow)
-			}
-			for _, sf := range ps.fresh.Sites {
-				fr := freshRows[sf.Site]
-				if fr == nil {
-					fr = &FreshRow{Site: sf.Site}
-					freshRows[sf.Site] = fr
-				}
-				fr.Applies += sf.Applies
-				fr.ReadsFresh += sf.ReadsFresh
-				fr.ReadsStale += sf.ReadsStale
-				fr.VersionLagP95 = max(fr.VersionLagP95, sf.VersionLag.P95)
-				fr.TimeLagP95US = max(fr.TimeLagP95US, sf.TimeLagUS.P95)
-				fr.ReadLagP95US = max(fr.ReadLagP95US, sf.ReadTimeLagUS.P95)
-			}
-		}
 	}
 	snap.HotItems = contend.MergeHeat(heatTables, hotItemsShown)
-	for _, sid := range sortedSiteIDs(freshRows) {
-		snap.Freshness = append(snap.Freshness, *freshRows[sid])
-	}
 	if len(phases) > 0 {
 		snap.Phases = phases
 	}
@@ -309,21 +226,19 @@ func (a *Aggregator) Snapshot() ClusterSnapshot {
 	}
 	a.lastSnapAt = now
 
-	// Federated edges and the staleness they imply.
-	for e, m := range a.inflight {
-		if len(m) == 0 {
+	// Every staleness column comes from the one in-flight fold.
+	for e, p := range a.inflight.Edges() {
+		if p.N == 0 {
 			continue
 		}
-		row := EdgeRow{From: e.From, To: e.To, InFlight: len(m)}
-		for _, since := range m {
-			if age := now.Sub(since).Milliseconds(); age > row.OldestMS {
-				row.OldestMS = age
-			}
-		}
-		if row.OldestMS > snap.MaxStalenessMS {
-			snap.MaxStalenessMS = row.OldestMS
-		}
+		row := EdgeRow{From: e.From, To: e.To, InFlight: p.N, OldestMS: now.Sub(p.Since).Milliseconds()}
+		snap.MaxStalenessMS = max(snap.MaxStalenessMS, row.OldestMS)
 		snap.Edges = append(snap.Edges, row)
+	}
+	for s, p := range a.inflight.Sites() {
+		if r := sites[s]; r != nil && p.N > 0 {
+			r.VersionLag, r.OldestUnappliedMS = int64(p.N), now.Sub(p.Since).Milliseconds()
+		}
 	}
 
 	events := append([]trace.Event(nil), a.events...)
@@ -333,9 +248,10 @@ func (a *Aggregator) Snapshot() ClusterSnapshot {
 	// Deterministic ordering everywhere a map fed the slice.
 	sort.Slice(snap.Procs, func(i, j int) bool { return snap.Procs[i].Proc < snap.Procs[j].Proc })
 	sort.Slice(snap.Protocols, func(i, j int) bool { return snap.Protocols[i].Protocol < snap.Protocols[j].Protocol })
-	for _, r := range sortedSiteIDs(sites) {
-		snap.Sites = append(snap.Sites, *sites[r])
+	for _, r := range sites {
+		snap.Sites = append(snap.Sites, *r)
 	}
+	sort.Slice(snap.Sites, func(i, j int) bool { return snap.Sites[i].Site < snap.Sites[j].Site })
 	sort.Slice(snap.Edges, func(i, j int) bool {
 		if snap.Edges[i].From != snap.Edges[j].From {
 			return snap.Edges[i].From < snap.Edges[j].From
@@ -453,16 +369,6 @@ func (s *ClusterSnapshot) Render(w io.Writer) {
 		}
 	}
 
-	if len(s.Freshness) > 0 {
-		fmt.Fprintf(w, "\nFRESHNESS\n%-6s %9s %9s %12s %9s %9s %12s\n",
-			"SITE", "APPLIES", "VLAG P95", "TLAG P95", "FRESH", "STALE", "RLAG P95")
-		for _, f := range s.Freshness {
-			fmt.Fprintf(w, "s%-5d %9d %9d %12s %9d %9d %12s\n",
-				f.Site, f.Applies, f.VersionLagP95, usDur(f.TimeLagP95US),
-				f.ReadsFresh, f.ReadsStale, usDur(f.ReadLagP95US))
-		}
-	}
-
 	fmt.Fprintf(w, "\nspans: %d tree(s), %d problem(s)\n", s.SpanTrees, s.SpanProblems)
 	if len(s.Alerts) > 0 {
 		fmt.Fprintf(w, "\nALERTS\n")
@@ -476,7 +382,7 @@ func (s *ClusterSnapshot) Render(w io.Writer) {
 		fmt.Fprintf(w, "\nRECENT SPANS\n")
 		for _, sp := range s.RecentSpans {
 			fmt.Fprintf(w, "  txn %s\n", sp.TID)
-			for _, line := range splitLines(sp.Structure) {
+			for _, line := range strings.Split(strings.TrimSuffix(sp.Structure, "\n"), "\n") {
 				fmt.Fprintf(w, "    %s\n", line)
 			}
 		}
@@ -492,31 +398,4 @@ func siteList(sites []model.SiteID) string {
 		out += "s" + strconv.Itoa(int(s))
 	}
 	return out
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
-}
-
-// usDur renders a µs quantity as a rounded duration string.
-func usDur(us uint64) string {
-	return (time.Duration(us) * time.Microsecond).Round(time.Microsecond).String()
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

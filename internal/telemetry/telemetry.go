@@ -8,14 +8,16 @@
 //
 // The plane has two halves:
 //
-//   - a Publisher embedded in each process, streaming delta-encoded
-//     registry snapshots, span-carrying trace events, phase-latency
-//     quantiles, and watchdog alerts as Frames;
+//   - a Publisher embedded in each process, sending one Frame per
+//     publish cycle: a delta-encoded registry snapshot, span-carrying
+//     trace events, phase-latency quantiles, watchdog alerts, and
+//     contention state;
 //   - an Aggregator merging the streams: it re-keys per-site series,
 //     stitches cross-process span trees back together (deterministic
 //     SpanID lineage means merging the raw event streams suffices —
-//     trace.BuildSpanTrees needs no per-process namespace), and runs a
-//     federated staleness view no single watchdog can compute.
+//     trace.BuildSpanTrees needs no per-process namespace), and folds
+//     the merged stream into one watch.Inflight, the federated staleness
+//     view no single watchdog can compute.
 //
 // Frames travel inside the same gob comm.Message framing the protocol
 // sockets use (comm.MsgWriter/MsgReader), on dedicated connections, with
@@ -24,16 +26,13 @@
 package telemetry
 
 import (
-	"fmt"
 	"hash/fnv"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/contend"
-	"repro/internal/fresh"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/watch"
@@ -61,74 +60,6 @@ func ChannelSpan(proc string) model.SpanContext {
 	return model.SpanContext{Parent: model.AuxSpan(model.SpanID(channelSpanSalt), h.Sum64())}
 }
 
-// FrameKind discriminates the telemetry frame payloads.
-type FrameKind uint8
-
-const (
-	// FrameHello announces the publishing process: its name, protocol,
-	// and hosted sites. Sent first and then re-sent every cycle — it is
-	// idempotent, so an aggregator that joins (or a connection that
-	// re-establishes) mid-run self-heals without a handshake.
-	FrameHello FrameKind = iota + 1
-	// FrameMetrics carries a delta-encoded registry snapshot: only the
-	// series that changed since the last acknowledged-sent frame, each
-	// with its absolute value (not an increment), so a lost or replayed
-	// frame can never corrupt aggregator state.
-	FrameMetrics
-	// FrameSpans batches span-carrying trace events for cross-process
-	// span-tree federation and the aggregator's staleness bookkeeping.
-	FrameSpans
-	// FramePhases carries the per-phase latency quantiles of the
-	// process's metrics.Report.
-	FramePhases
-	// FrameAlerts carries the process watchdog's active alerts and its
-	// running summary.
-	FrameAlerts
-	// FrameHeat carries the process's merged per-item contention heat
-	// table (contend.BuildHeat over its sites), absolute counters — like
-	// FrameMetrics, a replayed frame cannot corrupt aggregator state.
-	FrameHeat
-	// FrameAborts carries the process's abort root-cause breakdown,
-	// reason name → cumulative count, absolute values.
-	FrameAborts
-	// FrameFresh carries the process's freshness summary — per-site
-	// staleness distributions and read-certificate tallies
-	// (fresh.Summary). Absolute like FrameMetrics, so replay is harmless.
-	FrameFresh
-
-	frameKindEnd
-)
-
-var frameKindNames = [frameKindEnd]string{
-	FrameHello:   "hello",
-	FrameMetrics: "metrics",
-	FrameSpans:   "spans",
-	FramePhases:  "phases",
-	FrameAlerts:  "alerts",
-	FrameHeat:    "heat",
-	FrameAborts:  "aborts",
-	FrameFresh:   "fresh",
-}
-
-func (k FrameKind) String() string {
-	if k > 0 && k < frameKindEnd {
-		return frameKindNames[k]
-	}
-	return fmt.Sprintf("FrameKind(%d)", uint8(k))
-}
-
-// Hello identifies a publishing process.
-type Hello struct {
-	// Proc is the process's stable display name (replnode uses
-	// "site<N>"); it keys all aggregator state, so two publishers must
-	// not share one.
-	Proc string
-	// Protocol is the engine protocol the process runs.
-	Protocol string
-	// Sites are the site ids hosted by the process.
-	Sites []model.SiteID
-}
-
 // PhaseQuantiles is one phase's latency summary in microseconds,
 // mirroring metrics.PhaseStats in a wire-friendly flat form.
 type PhaseQuantiles struct {
@@ -140,39 +71,41 @@ type PhaseQuantiles struct {
 	MaxUS  float64 `json:"max_us"`
 }
 
-// AlertFrame is one process's watchdog state.
-type AlertFrame struct {
-	Active  []watch.Alert
-	Summary watch.Summary
-}
-
-// Frame is one telemetry message. Exactly the field selected by Kind is
-// populated; the rest stay zero (gob omits them cheaply).
+// Frame is one publish cycle of one process. Every field but Metrics and
+// Events is the process's absolute state, so a lost or replayed frame
+// cannot corrupt aggregator state; a nil field means the source is
+// absent or had nothing to report.
 type Frame struct {
-	// Proc names the publishing process (matches Hello.Proc).
+	// Proc is the process's stable display name (replnode uses
+	// "site<N>"); it keys all aggregator state, so two publishers must
+	// not share one.
 	Proc string
-	// Seq increments per frame sent by the publisher, so gaps are
-	// observable downstream.
-	Seq  uint64
-	Kind FrameKind
-
-	Hello *Hello // FrameHello
-	// Metrics holds changed series with absolute values (FrameMetrics),
+	// Seq counts the publisher's cycles, so lost frames are observable
+	// downstream as gaps.
+	Seq uint64
+	// Protocol is the engine protocol the process runs; Sites the site
+	// ids it hosts. Re-sent every cycle, so an aggregator that joins (or
+	// a connection that re-establishes) mid-run self-heals without a
+	// handshake.
+	Protocol string
+	Sites    []model.SiteID
+	// Metrics holds the registry series that changed since the last
+	// delivered cycle, each with its absolute value (not an increment),
 	// keyed by the obs.Registry.Snapshot rendering.
 	Metrics map[string]int64
-	// Events are span-carrying trace events (FrameSpans); Dropped is the
-	// cumulative count of events lost to publisher buffer overflow.
+	// Events are the span-carrying trace events since the last cycle;
+	// Dropped is the cumulative count lost to publisher ring overflow.
 	Events  []trace.Event
 	Dropped uint64
-	// Phases maps metrics.Phase names to quantiles (FramePhases).
+	// Phases maps metrics.Phase names to quantiles.
 	Phases map[string]PhaseQuantiles
-	Alerts *AlertFrame // FrameAlerts
-	// Heat is the process's contention heat table (FrameHeat); Aborts its
-	// abort-reason breakdown (FrameAborts). Both absolute, not deltas.
+	// Alerts are the process watchdog's active alerts.
+	Alerts []watch.Alert
+	// Heat is the process's contention heat table (contend.BuildHeat over
+	// its sites); Aborts its abort root-cause breakdown, reason name →
+	// cumulative count.
 	Heat   []contend.HeatEntry
 	Aborts map[string]uint64
-	// Fresh is the process's freshness summary (FrameFresh), absolute.
-	Fresh *fresh.Summary
 }
 
 var registerOnce sync.Once
@@ -222,14 +155,4 @@ func parseSeries(key string) (family string, labels map[string]string) {
 		}
 	}
 	return family, labels
-}
-
-// sortedSiteIDs returns m's keys ascending.
-func sortedSiteIDs[V any](m map[model.SiteID]V) []model.SiteID {
-	out := make([]model.SiteID, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

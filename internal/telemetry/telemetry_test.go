@@ -28,20 +28,6 @@ func TestChannelSpanStableAndDistinct(t *testing.T) {
 	}
 }
 
-func TestFrameKindString(t *testing.T) {
-	for k, want := range map[FrameKind]string{
-		FrameHello: "hello", FrameMetrics: "metrics", FrameSpans: "spans",
-		FramePhases: "phases", FrameAlerts: "alerts",
-	} {
-		if got := k.String(); got != want {
-			t.Errorf("FrameKind(%d).String() = %q, want %q", k, got, want)
-		}
-	}
-	if got := FrameKind(99).String(); !strings.Contains(got, "99") {
-		t.Errorf("unknown kind renders as %q", got)
-	}
-}
-
 func TestParseSeries(t *testing.T) {
 	cases := []struct {
 		key    string
@@ -70,18 +56,30 @@ func TestParseSeries(t *testing.T) {
 	}
 }
 
-// TestPublisherDeltaEncoding drives a publisher into an in-proc
-// aggregator and checks the metrics frames are true deltas with
-// absolute values.
-func TestPublisherDeltaEncoding(t *testing.T) {
-	agg := NewAggregator()
-	p, err := NewPublisher(Options{Proc: "p1", Sink: agg, Interval: time.Hour})
+// inProc returns a publisher delivering straight into agg through the
+// in-package seam, no sockets, plus the frames it delivered.
+func inProc(t *testing.T, agg *Aggregator, o Options) (*Publisher, *[]Frame) {
+	t.Helper()
+	o.Addr = "in-proc"
+	p, err := NewPublisher(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sent []Frame
+	p.send = func(f Frame) error {
+		sent = append(sent, f)
+		agg.Ingest(f)
+		return nil
+	}
+	return p, &sent
+}
+
+// TestPublisherDeltaEncoding checks each cycle is one frame whose
+// metrics are true deltas carrying absolute values.
+func TestPublisherDeltaEncoding(t *testing.T) {
+	agg := NewAggregator()
 	reg := obs.NewRegistry()
-	p.SetObs(reg)
-	p.Announce("dagwt", []model.SiteID{0, 1})
+	p, sent := inProc(t, agg, Options{Proc: "p1", Protocol: "dagwt", Sites: []model.SiteID{0, 1}, Obs: reg})
 
 	c := reg.Counter("repl_txn_committed_total", obs.Label{Key: "site", Value: "0"})
 	c.Inc()
@@ -96,19 +94,21 @@ func TestPublisherDeltaEncoding(t *testing.T) {
 		t.Fatalf("site 0 committed = %d, want 1", snap.Sites[0].Committed)
 	}
 
-	// A quiet cycle must not resend the unchanged series.
-	framesBefore := agg.procs["p1"].frames
+	// A quiet cycle is still one frame (it re-announces the process), but
+	// must not resend the unchanged series: only the publisher's own
+	// counters moved.
 	if err := p.Flush(); err != nil {
 		t.Fatalf("flush 2: %v", err)
 	}
-	// hello always ships; metrics shipped only repl_telemetry_frames_total
-	// (the publisher's own counters moved). The committed series must not
-	// be among the delta.
-	agg.mu.Lock()
-	got := agg.procs["p1"].frames - framesBefore
-	agg.mu.Unlock()
-	if got > 2 {
-		t.Fatalf("quiet cycle sent %d frames, want <=2 (hello + own-counter delta)", got)
+	if len(*sent) != 2 {
+		t.Fatalf("two cycles sent %d frames, want 2", len(*sent))
+	}
+	quiet := (*sent)[1]
+	if _, resent := quiet.Metrics[`repl_txn_committed_total{site="0"}`]; resent {
+		t.Fatalf("quiet cycle resent an unchanged series: %v", quiet.Metrics)
+	}
+	if quiet.Seq != 2 || quiet.Protocol != "dagwt" || len(quiet.Sites) != 2 {
+		t.Fatalf("quiet frame = %+v, want seq 2 announcing dagwt on 2 sites", quiet)
 	}
 
 	c.Add(4)
@@ -118,16 +118,16 @@ func TestPublisherDeltaEncoding(t *testing.T) {
 	if s := agg.Snapshot(); s.Sites[0].Committed != 5 {
 		t.Fatalf("after delta, committed = %d, want 5 (absolute value)", s.Sites[0].Committed)
 	}
+	if s := agg.Snapshot(); s.Procs[0].Gaps != 0 || s.Procs[0].Frames != 3 {
+		t.Fatalf("proc = %+v, want 3 frames and no gaps", s.Procs[0])
+	}
 }
 
 // TestPublisherSpanRing checks overflow drops oldest and counts drops.
 func TestPublisherSpanRing(t *testing.T) {
 	agg := NewAggregator()
-	p, err := NewPublisher(Options{Proc: "p1", Sink: agg, Interval: time.Hour, SpanBuffer: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
+	p, _ := inProc(t, agg, Options{Proc: "p1"})
+	for i := 0; i < spanBuffer+2; i++ {
 		tid := model.TxnID{Site: 0, Seq: uint64(i + 1)}
 		p.Ingest(trace.Event{
 			Kind: trace.TxnCommit, Site: 0, Peer: model.NoSite, TID: tid,
@@ -140,11 +140,11 @@ func TestPublisherSpanRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := agg.Events()
-	if len(evs) != 4 {
-		t.Fatalf("aggregator holds %d events, want 4 (ring size)", len(evs))
+	if len(evs) != spanBuffer {
+		t.Fatalf("aggregator holds %d events, want %d (ring size)", len(evs), spanBuffer)
 	}
-	if evs[0].TID.Seq != 3 || evs[3].TID.Seq != 6 {
-		t.Fatalf("ring kept seqs %d..%d, want newest 3..6", evs[0].TID.Seq, evs[3].TID.Seq)
+	if evs[0].TID.Seq != 3 || evs[len(evs)-1].TID.Seq != spanBuffer+2 {
+		t.Fatalf("ring kept seqs %d..%d, want newest 3..%d", evs[0].TID.Seq, evs[len(evs)-1].TID.Seq, spanBuffer+2)
 	}
 	agg.mu.Lock()
 	dropped := agg.procs["p1"].dropped
@@ -154,44 +154,36 @@ func TestPublisherSpanRing(t *testing.T) {
 	}
 }
 
-// TestFederationReordering checks the aggregator's staleness view
-// tolerates applies arriving before their forwards (cross-connection
-// interleaving) and aborts clearing in-flight state.
-func TestFederationReordering(t *testing.T) {
+// TestSnapshotStalenessFromFold is the cross-process staleness case: proc
+// a forwards to site 1 and its watchdog, which never sees the peer's
+// apply, still gauges site 1 as behind; proc b hosts site 1 and reports
+// the apply. The site row must follow the aggregator's in-flight fold,
+// not the stale gauge.
+func TestSnapshotStalenessFromFold(t *testing.T) {
 	agg := NewAggregator()
 	tid := model.TxnID{Site: 0, Seq: 1}
 	fwd := trace.Event{Kind: trace.SecondaryForwarded, Site: 0, Peer: 1, TID: tid, Span: model.RootSpan(tid)}
-	app := trace.Event{Kind: trace.SecondaryApplied, Site: 1, Peer: 0, TID: tid, Span: model.RootSpan(tid)}
-
-	// In-order: forward then apply leaves nothing in flight.
-	agg.Ingest(Frame{Proc: "a", Seq: 1, Kind: FrameSpans, Events: []trace.Event{fwd}})
-	if s := agg.Snapshot(); len(s.Edges) != 1 || s.Edges[0].InFlight != 1 {
-		t.Fatalf("after forward: edges = %+v, want one edge with 1 in flight", s.Edges)
+	app := trace.Event{Kind: trace.SecondaryApplied, Site: 1, Peer: model.NoSite, TID: tid, Span: model.RootSpan(tid)}
+	agg.Ingest(Frame{Proc: "b", Seq: 1, Protocol: "dagwt", Sites: []model.SiteID{1}})
+	agg.Ingest(Frame{Proc: "a", Seq: 1, Protocol: "dagwt", Sites: []model.SiteID{0},
+		Metrics: map[string]int64{
+			`repl_watch_version_lag{site="1"}`:         2,
+			`repl_watch_oldest_unapplied_ms{site="1"}`: 2000,
+		},
+		Events: []trace.Event{fwd}})
+	if s := agg.Snapshot(); s.Sites[1].VersionLag != 1 || len(s.Edges) != 1 {
+		t.Fatalf("after the forward: sites %+v edges %+v, want site 1 one behind on one edge", s.Sites, s.Edges)
 	}
-	agg.Ingest(Frame{Proc: "b", Seq: 1, Kind: FrameSpans, Events: []trace.Event{app}})
-	if s := agg.Snapshot(); len(s.Edges) != 0 {
-		t.Fatalf("after apply: edges = %+v, want none", s.Edges)
+	agg.Ingest(Frame{Proc: "b", Seq: 2, Protocol: "dagwt", Sites: []model.SiteID{1}, Events: []trace.Event{app}})
+	s := agg.Snapshot()
+	if len(s.Sites) != 2 || s.Sites[1].Proc != "b" {
+		t.Fatalf("sites = %+v, want site 1 hosted by b", s.Sites)
 	}
-
-	// Reordered: apply (from proc b's stream) before forward.
-	tid2 := model.TxnID{Site: 0, Seq: 2}
-	fwd2, app2 := fwd, app
-	fwd2.TID, app2.TID = tid2, tid2
-	fwd2.Span, app2.Span = model.RootSpan(tid2), model.RootSpan(tid2)
-	agg.Ingest(Frame{Proc: "b", Seq: 2, Kind: FrameSpans, Events: []trace.Event{app2}})
-	agg.Ingest(Frame{Proc: "a", Seq: 2, Kind: FrameSpans, Events: []trace.Event{fwd2}})
-	if s := agg.Snapshot(); len(s.Edges) != 0 {
-		t.Fatalf("reordered apply+forward left edges %+v, want none", s.Edges)
+	if r := s.Sites[1]; r.VersionLag != 0 || r.OldestUnappliedMS != 0 {
+		t.Fatalf("site 1 = %+v, want version_lag 0 and oldest_unapplied_ms 0 after the apply", r)
 	}
-
-	// Abort clears everything for the transaction, in either order.
-	tid3 := model.TxnID{Site: 0, Seq: 3}
-	fwd3 := fwd
-	fwd3.TID, fwd3.Span = tid3, model.RootSpan(tid3)
-	abort := trace.Event{Kind: trace.TxnAbort, Site: 0, Peer: model.NoSite, TID: tid3, Span: model.RootSpan(tid3)}
-	agg.Ingest(Frame{Proc: "a", Seq: 3, Kind: FrameSpans, Events: []trace.Event{fwd3, abort}})
-	if s := agg.Snapshot(); len(s.Edges) != 0 {
-		t.Fatalf("abort left edges %+v, want none", s.Edges)
+	if len(s.Edges) != 0 || s.MaxStalenessMS != 0 {
+		t.Fatalf("edges %+v max staleness %d, want none", s.Edges, s.MaxStalenessMS)
 	}
 }
 
@@ -205,13 +197,11 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	defer agg.Close()
 
-	p, err := NewPublisher(Options{Proc: "wire1", Addr: addr, Interval: time.Hour})
+	reg := obs.NewRegistry()
+	p, err := NewPublisher(Options{Proc: "wire1", Addr: addr, Protocol: "psl", Sites: []model.SiteID{2}, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	p.SetObs(reg)
-	p.Announce("psl", []model.SiteID{2})
 	reg.Counter("repl_txn_committed_total", obs.Label{Key: "site", Value: "2"}).Add(7)
 
 	tid := model.TxnID{Site: 2, Seq: 1}
@@ -240,8 +230,7 @@ func TestWireRoundTrip(t *testing.T) {
 // TestSnapshotRender smoke-checks the text console rendering.
 func TestSnapshotRender(t *testing.T) {
 	agg := NewAggregator()
-	agg.Ingest(Frame{Proc: "a", Seq: 1, Kind: FrameHello, Hello: &Hello{Proc: "a", Protocol: "dagt", Sites: []model.SiteID{0}}})
-	agg.Ingest(Frame{Proc: "a", Seq: 2, Kind: FrameMetrics, Metrics: map[string]int64{
+	agg.Ingest(Frame{Proc: "a", Seq: 1, Protocol: "dagt", Sites: []model.SiteID{0}, Metrics: map[string]int64{
 		`repl_txn_committed_total{site="0"}`: 11,
 	}})
 	var sb strings.Builder

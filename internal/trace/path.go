@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/model"
@@ -35,25 +34,4 @@ func PropDelays(events []Event) map[uint8][]time.Duration {
 		}
 	}
 	return out
-}
-
-// Quantile returns the q-quantile (0 < q ≤ 1) of the samples; 0 for an
-// empty set. The single-sample case returns that sample for every q.
-func Quantile(ds []time.Duration, q float64) time.Duration {
-	switch len(ds) {
-	case 0:
-		return 0
-	case 1:
-		return ds[0]
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(float64(len(s))*q+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/model"
 )
 
@@ -137,17 +138,17 @@ func TestPropDelaysAndQuantile(t *testing.T) {
 	if len(d[9]) != 0 {
 		t.Fatalf("cross-protocol contamination: %v", d[9])
 	}
-	if q := Quantile(nil, 0.95); q != 0 {
+	if q := metrics.Percentile(nil, 0.95); q != 0 {
 		t.Fatalf("empty quantile = %v", q)
 	}
-	if q := Quantile([]time.Duration{42}, 0.5); q != 42 {
+	if q := metrics.Percentile([]time.Duration{42}, 0.5); q != 42 {
 		t.Fatalf("single-sample quantile = %v", q)
 	}
 	ds := []time.Duration{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	if q := Quantile(ds, 0.5); q != 50 {
+	if q := metrics.Percentile(ds, 0.5); q != 50 {
 		t.Fatalf("p50 = %v", q)
 	}
-	if q := Quantile(ds, 1.0); q != 100 {
+	if q := metrics.Percentile(ds, 1.0); q != 100 {
 		t.Fatalf("p100 = %v", q)
 	}
 }

@@ -248,12 +248,6 @@ type watchObs struct {
 	dumps  *obs.Counter // repl_watch_flight_dumps_total
 }
 
-// outEntry is one forwarded-but-unapplied secondary subtransaction.
-type outEntry struct {
-	from  model.SiteID
-	since time.Time
-}
-
 // alertKey identifies a condition across ticks so it raises once and
 // clears once.
 type alertKey struct {
@@ -286,9 +280,9 @@ type Watchdog struct {
 	pending  map[model.SiteID]func() PendingStatus  // repl:guardedby(mu)
 	recovery map[model.SiteID]func() RecoveryStatus // repl:guardedby(mu)
 
-	// outstanding[dest][tid] tracks forwarded-but-unapplied secondary
-	// subtransactions, fed from the trace sink.
-	outstanding map[model.SiteID]map[model.TxnID]outEntry // repl:guardedby(mu)
+	// inflight tracks forwarded-but-unapplied secondary subtransactions,
+	// fed from the trace sink.
+	inflight *Inflight // repl:guardedby(mu)
 
 	// flight is the ring of most recent trace events.
 	flight    []trace.Event // repl:guardedby(mu)
@@ -298,11 +292,11 @@ type Watchdog struct {
 	// Contention watch state: a ring of recent lock_wait durations (fed
 	// from PhaseLatency events) and the cumulative commit/abort tally,
 	// compared against LockWaitP99 / AbortRatePct each tick.
-	lockWaits   [lockWaitRing]int64 // repl:guardedby(mu)
-	lockWaitIdx int                 // repl:guardedby(mu)
-	lockWaitN   int                 // repl:guardedby(mu)
-	commits     uint64              // repl:guardedby(mu)
-	aborts      uint64              // repl:guardedby(mu)
+	lockWaits   [lockWaitRing]time.Duration    // repl:guardedby(mu)
+	lockWaitIdx int                            // repl:guardedby(mu)
+	lockWaitN   int                            // repl:guardedby(mu)
+	commits     uint64                         // repl:guardedby(mu)
+	aborts      uint64                         // repl:guardedby(mu)
 	waitGraphs  func() []contend.SiteWaitGraph // repl:guardedby(mu)
 	waitDumps   []string                       // repl:guardedby(mu)
 
@@ -331,7 +325,7 @@ func New(o Options) *Watchdog {
 		epochAt:     make(map[model.SiteID]queueSample),
 		pending:     make(map[model.SiteID]func() PendingStatus),
 		recovery:    make(map[model.SiteID]func() RecoveryStatus),
-		outstanding: make(map[model.SiteID]map[model.TxnID]outEntry),
+		inflight:    NewInflight(),
 		active:      make(map[alertKey]*Alert),
 		raised:      make(map[Kind]int),
 		staleBySite: make(map[model.SiteID]time.Duration),
@@ -445,30 +439,15 @@ func (w *Watchdog) Ingest(ev trace.Event) {
 			w.flightN++
 		}
 	}
+	w.inflight.Observe(ev, now)
 	switch ev.Kind {
-	case trace.SecondaryForwarded:
-		if !ev.TID.Zero() {
-			m := w.outstanding[ev.Peer]
-			if m == nil {
-				m = make(map[model.TxnID]outEntry)
-				w.outstanding[ev.Peer] = m
-			}
-			m[ev.TID] = outEntry{from: ev.Site, since: now}
-		}
-	case trace.SecondaryApplied, trace.BackedgeCommit:
-		delete(w.outstanding[ev.Site], ev.TID)
 	case trace.TxnAbort:
-		// An aborted BackEdge transaction's eagerly-shipped
-		// subtransactions will never apply; drop them everywhere.
-		for _, m := range w.outstanding {
-			delete(m, ev.TID)
-		}
 		w.aborts++
 	case trace.TxnCommit:
 		w.commits++
 	case trace.PhaseLatency:
 		if ev.Phase == lockWaitPhase {
-			w.lockWaits[w.lockWaitIdx] = ev.Dur
+			w.lockWaits[w.lockWaitIdx] = time.Duration(ev.Dur)
 			w.lockWaitIdx = (w.lockWaitIdx + 1) % lockWaitRing
 			if w.lockWaitN < lockWaitRing {
 				w.lockWaitN++
@@ -526,50 +505,38 @@ func (w *Watchdog) tick() {
 	want := make(map[alertKey]*Alert)
 
 	// Staleness: oldest forwarded-but-unapplied secondary per replica.
-	for site, m := range w.outstanding {
-		var oldest outEntry
-		var tid model.TxnID
-		for id, e := range m {
-			if oldest.since.IsZero() || e.since.Before(oldest.since) {
-				oldest, tid = e, id
-			}
+	// A drained replica reports N == 0 and age 0, resetting its gauges.
+	for site, p := range w.inflight.Sites() {
+		var age time.Duration
+		if p.N > 0 {
+			age = now.Sub(p.Since)
 		}
-		if oldest.since.IsZero() {
-			continue
-		}
-		age := now.Sub(oldest.since)
 		if age > w.maxStale {
 			w.maxStale = age
 		}
 		if age > w.staleBySite[site] {
 			w.staleBySite[site] = age
 		}
-		if age > w.opts.StalenessDeadline {
-			k := alertKey{kind: StaleReplica, site: site, peer: oldest.from}
+		if p.N > 0 && age > w.opts.StalenessDeadline {
+			k := alertKey{kind: StaleReplica, site: site, peer: p.From}
 			want[k] = &Alert{
-				Kind: StaleReplica, Site: site, Peer: oldest.from, TID: tid, Age: age,
-				Detail: fmt.Sprintf("%d unapplied, oldest %v", len(m), tid),
+				Kind: StaleReplica, Site: site, Peer: p.From, TID: p.TID, Age: age,
+				Detail: fmt.Sprintf("%d unapplied, oldest %v", p.N, p.TID),
 			}
 		}
 		if w.reg != nil {
 			lag := obs.Label{Key: "site", Value: fmt.Sprint(site)}
-			w.reg.Gauge("repl_watch_version_lag", lag).Set(int64(len(m)))
+			w.reg.Gauge("repl_watch_version_lag", lag).Set(int64(p.N))
 			w.reg.Gauge("repl_watch_oldest_unapplied_ms", lag).Set(age.Milliseconds())
 		}
 	}
 
 	// Per-edge in-flight depth, derived from the same bookkeeping.
 	if w.reg != nil {
-		edges := make(map[[2]model.SiteID]int64)
-		for site, m := range w.outstanding {
-			for _, e := range m {
-				edges[[2]model.SiteID{e.from, site}]++
-			}
-		}
-		for e, n := range edges {
+		for e, p := range w.inflight.Edges() {
 			w.reg.Gauge("repl_watch_edge_inflight",
-				obs.Label{Key: "from", Value: fmt.Sprint(e[0])},
-				obs.Label{Key: "to", Value: fmt.Sprint(e[1])}).Set(n)
+				obs.Label{Key: "from", Value: fmt.Sprint(e.From)},
+				obs.Label{Key: "to", Value: fmt.Sprint(e.To)}).Set(int64(p.N))
 		}
 	}
 
@@ -657,16 +624,13 @@ func (w *Watchdog) tick() {
 	// the cumulative abort rate. Site-less — the thresholds are cluster
 	// conditions; the dump that follows says where the waiting is.
 	if w.opts.LockWaitP99 > 0 && w.lockWaitN >= contentionMinSamples {
-		s := make([]int64, w.lockWaitN)
-		copy(s, w.lockWaits[:w.lockWaitN])
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		p99 := time.Duration(s[(99*len(s)+99)/100-1])
+		p99 := metrics.Percentile(w.lockWaits[:w.lockWaitN], 0.99)
 		if p99 > w.opts.LockWaitP99 {
 			k := alertKey{kind: Contention, site: model.NoSite, peer: model.NoSite, name: "lock_wait_p99"}
 			want[k] = &Alert{
 				Kind: Contention, Site: model.NoSite, Peer: model.NoSite,
 				Detail: fmt.Sprintf("lock_wait p99 %v over %d recent samples (threshold %v)",
-					p99.Round(time.Microsecond), len(s), w.opts.LockWaitP99),
+					p99.Round(time.Microsecond), w.lockWaitN, w.opts.LockWaitP99),
 			}
 		}
 	}

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Telemetry-plane smoke: two replnode processes stream telemetry to one
 # repltop aggregator; repltop -once -json must converge to a snapshot
-# that names both processes and their sites (docs/OBSERVABILITY.md,
-# "Cluster telemetry plane"). Exercises the real wire path — TCP comm
-# framing, delta frames, cross-process federation — not in-proc sinks.
+# that names both processes and their sites, carries the construction-
+# time sources (phases, hot items), lost no frame, and — after the drain
+# — shows no replica behind: every forward one node sent was applied by
+# the other, so cross-process staleness must read zero
+# (docs/OBSERVABILITY.md, "Cluster telemetry plane"). Exercises the real
+# wire path — TCP comm framing, delta frames, cross-process federation.
 #
 # Artifacts (repltop.json, node logs) land in $SMOKE_DIR (default: a
 # temp dir, kept on failure so CI can upload it).
@@ -62,11 +65,21 @@ top_status=$?
 pids=("${pids[@]:1}")
 [ "$top_status" -eq 0 ] || fail "repltop exited with status $top_status"
 
-# The snapshot must be JSON that names both publishers and both sites.
-for needle in '"site0"' '"site1"' '"sites"' '"protocols"'; do
+# The snapshot must be JSON that names both publishers and both sites,
+# and carries the phase and heat sources each publisher was built with.
+for needle in '"site0"' '"site1"' '"sites"' '"protocols"' '"phases"' '"hot_items"'; do
   grep -q -- "$needle" "$SMOKE_DIR/repltop.json" \
     || fail "repltop.json missing $needle"
 done
+# One frame per cycle, numbered per cycle: any gap is a lost frame.
+if grep -q -- '"gaps"' "$SMOKE_DIR/repltop.json"; then
+  fail "repltop.json reports frame gaps"
+fi
+# Both nodes drained before exiting, so the federated in-flight fold
+# must hold nothing: no site behind, no unapplied age.
+if grep -qE -- '"(version_lag|oldest_unapplied_ms)": [1-9]' "$SMOKE_DIR/repltop.json"; then
+  fail "a replica still reads as behind after the drain: $(grep -E '"(version_lag|oldest_unapplied_ms)": [1-9]' "$SMOKE_DIR/repltop.json" | tr -s ' ' | tr '\n' ' ')"
+fi
 
 cleanup
 trap - EXIT

@@ -1,7 +1,7 @@
 package wal
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -9,10 +9,11 @@ import (
 )
 
 // FuzzWALDecode holds ReadRecords to its contract on arbitrary bytes: it
-// never panics, every record it does return round-trips its frame
-// checksum, and decoding stops cleanly at the first torn or corrupt
-// frame — truncating or bit-flipping a valid log yields a prefix of the
-// original record sequence, never garbage records.
+// never panics; every record it returns came from one checksum-valid
+// frame and survives a re-encode/decode round trip unchanged; it returns
+// an error only when it stopped at a checksum-valid frame whose body does
+// not decode; and truncating a log yields a prefix of the original record
+// sequence, never garbage records.
 func FuzzWALDecode(f *testing.F) {
 	// Seed with a realistic log so mutations explore framed space, not
 	// just noise.
@@ -26,35 +27,58 @@ func FuzzWALDecode(f *testing.F) {
 			Writes: []model.WriteOp{{Item: 4, Value: -7}, {Item: 5, Value: 12}}},
 		{Kind: KindDecision, TID: model.TxnID{Site: 0, Seq: 2}, Commit: true},
 		{Kind: KindRLock, TID: model.TxnID{Site: 2, Seq: 1}, Item: 8},
+		{Kind: KindPrepared, TID: model.TxnID{Site: 3, Seq: 300}, Origin: model.NoSite,
+			Span: model.SpanContext{TID: model.TxnID{Site: 3, Seq: 300}, Parent: 1 << 50, Hop: 2},
+			TS:   ts.Timestamp{Epoch: 5, Tuples: []ts.Tuple{{Site: 0, LTS: 4}, {Site: 3, LTS: 1 << 20}}}},
+		{Kind: KindEagerStart, TID: model.TxnID{Site: 4, Seq: 17}, Origin: 4,
+			Writes: []model.WriteOp{{Item: 9, Value: 1 << 40}, {Item: 4, Value: -1}}},
+		{Kind: KindEpoch, TS: ts.Timestamp{Epoch: 6}, LTSI: 70},
 	}
 	for i := range recs {
-		var err error
-		valid, err = encodeFrame(valid, &recs[i])
-		if err != nil {
-			f.Fatal(err)
-		}
+		valid = encodeFrame(valid, &recs[i])
 	}
 	f.Add(valid)
-	for cut := 1; cut < len(valid); cut += 13 {
-		f.Add(valid[:cut]) // torn tails at assorted offsets
+	for cut := 1; cut < len(valid); cut++ {
+		f.Add(valid[:cut]) // torn tails at every offset
 	}
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // implausible length
+	// A checksum-valid frame after the valid prefix that is not a record.
+	f.Add(appendRawFrame(append([]byte(nil), valid...), []byte{0xff}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out := ReadRecords(bytes.NewReader(data)) // must not panic
+		out, err := ReadRecords(data) // must not panic
+		off := 0
 		for i := range out {
-			if _, known := kindNames[out[i].Kind]; !known {
-				t.Fatalf("record %d has unknown kind %d", i, out[i].Kind)
+			body, ok := takeRawFrame(data[off:])
+			if !ok {
+				t.Fatalf("record %d has no checksum-valid frame at byte %d", i, off)
 			}
+			off += frameHeader + len(body)
+			again, aerr := ReadRecords(encodeFrame(nil, &out[i]))
+			if aerr != nil || len(again) != 1 || !reflect.DeepEqual(again[0], out[i]) {
+				t.Fatalf("record %d does not round-trip: %+v -> %+v (%v)", i, out[i], again, aerr)
+			}
+		}
+		// Decoding stopped at byte off: on an error there must be a
+		// checksum-valid frame there that does not decode; otherwise the
+		// frame there is torn, corrupt or absent.
+		body, framed := takeRawFrame(data[off:])
+		if err != nil {
+			var rec Record
+			if !framed || decodeRecord(body, &rec) == nil {
+				t.Fatalf("error %q at byte %d, where no checksum-valid undecodable frame is", err, off)
+			}
+		} else if framed {
+			t.Fatalf("stopped silently at byte %d before a checksum-valid frame", off)
 		}
 		// Truncation yields a prefix: parsing a shortened input can never
 		// produce more records than the full input did.
 		if len(data) > 0 {
-			shorter := ReadRecords(bytes.NewReader(data[:len(data)-1]))
+			shorter, _ := ReadRecords(data[:len(data)-1])
 			if len(shorter) > len(out) {
 				t.Fatalf("truncated input decoded %d records, full input %d", len(shorter), len(out))
 			}

@@ -15,15 +15,19 @@
 // unacknowledged message, an unreleased pending obligation) is redone by
 // the sender's retransmission or by recovery replay — never silently
 // resurrected.
+//
+// Records are encoded by hand, field by field, straight into the log's
+// append buffer (appendRecord: no reflection, no per-record encoder, no
+// allocation), and decoded the same way at replay. Snapshots stay gob. A
+// checksum-valid record that does not decode — a directory written in
+// another format — fails Open instead of recovering as empty.
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"repro/internal/model"
 	"repro/internal/ts"
@@ -124,7 +128,9 @@ const (
 
 // Record is the single schema every log entry shares; which fields are
 // meaningful depends on Kind (see the constants above). One flat struct
-// keeps the codec trivial and the fuzz surface small.
+// keeps the codec a straight-line walk over its fields: appendRecord and
+// decodeRecord below must list them in the same order, and a field added
+// here changes both and the golden frame in testdata/apply3.hex.
 type Record struct {
 	Kind Kind
 	TID  model.TxnID
@@ -163,8 +169,9 @@ type Record struct {
 }
 
 // Frame layout: u32 little-endian body length, u32 IEEE CRC of the body,
-// then the gob-encoded Record. Each frame is independently decodable so
-// a torn tail never poisons the prefix before it.
+// then the body. Each frame is independently decodable so a torn tail
+// never poisons the prefix before it. Log records use the body layout of
+// appendRecord; snapshots carry a gob-encoded State.
 const (
 	frameHeader  = 8
 	maxFrameBody = 16 << 20
@@ -172,11 +179,18 @@ const (
 
 // appendRawFrame appends one length+CRC framed body to dst.
 func appendRawFrame(dst, body []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	return sealFrame(append(dst, body...), start)
+}
+
+// sealFrame fills in the header of the frame starting at dst[start],
+// whose body runs to the end of dst.
+func sealFrame(dst []byte, start int) []byte {
+	body := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(body))
+	return dst
 }
 
 // takeRawFrame extracts the first frame's body from data; ok is false on
@@ -198,78 +212,206 @@ func takeRawFrame(data []byte) ([]byte, bool) {
 }
 
 // encodeFrame appends the framed encoding of rec to dst and returns the
-// extended slice.
-func encodeFrame(dst []byte, rec *Record) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-		return dst, fmt.Errorf("wal: encode %v record: %w", rec.Kind, err)
-	}
-	return appendRawFrame(dst, body.Bytes()), nil
+// extended slice. It allocates only when dst must grow.
+func encodeFrame(dst []byte, rec *Record) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	return sealFrame(appendRecord(dst, rec), start)
 }
 
-// ReadRecords decodes every whole, checksum-valid record from r, stopping
-// cleanly at the first torn or corrupt frame — the bytes past a crash
-// point are garbage by contract, not an error. It never panics on any
-// input (FuzzWALDecode holds it to that).
-func ReadRecords(r io.Reader) []Record {
+// Flag bits of the body's flags byte; any other bit set is corruption.
+const (
+	flagConsumes = 1 << iota
+	flagForwards
+	flagCommit
+	flagsDefined = flagConsumes | flagForwards | flagCommit
+)
+
+// appendRecord appends rec's body: every Record field in declaration
+// order, signed values (site and item ids, which may be model.NoSite = -1,
+// message kinds, write values) as zigzag varints, unsigned counters and
+// slice lengths as uvarints, Span.Hop and Role as one byte each, and the
+// three booleans packed into one flags byte.
+func appendRecord(b []byte, rec *Record) []byte {
+	b = append(b, byte(rec.Kind))
+	b = binary.AppendVarint(b, int64(rec.TID.Site))
+	b = binary.AppendUvarint(b, rec.TID.Seq)
+	b = binary.AppendVarint(b, int64(rec.From))
+	b = binary.AppendVarint(b, int64(rec.MsgKind))
+	b = binary.AppendVarint(b, int64(rec.Origin))
+	b = binary.AppendUvarint(b, uint64(len(rec.Writes)))
+	for _, w := range rec.Writes {
+		b = binary.AppendVarint(b, int64(w.Item))
+		b = binary.AppendVarint(b, w.Value)
+	}
+	b = binary.AppendVarint(b, int64(rec.Span.TID.Site))
+	b = binary.AppendUvarint(b, rec.Span.TID.Seq)
+	b = binary.AppendUvarint(b, uint64(rec.Span.Parent))
+	b = append(b, rec.Span.Hop)
+	b = binary.AppendUvarint(b, rec.TS.Epoch)
+	b = binary.AppendUvarint(b, uint64(len(rec.TS.Tuples)))
+	for _, t := range rec.TS.Tuples {
+		b = binary.AppendVarint(b, int64(t.Site))
+		b = binary.AppendUvarint(b, t.LTS)
+	}
+	b = binary.AppendUvarint(b, rec.LTSI)
+	b = append(b, byte(rec.Role))
+	var flags byte
+	if rec.Consumes {
+		flags |= flagConsumes
+	}
+	if rec.Forwards {
+		flags |= flagForwards
+	}
+	if rec.Commit {
+		flags |= flagCommit
+	}
+	b = append(b, flags)
+	b = binary.AppendVarint(b, int64(rec.Item))
+	return binary.AppendUvarint(b, rec.Incarnation)
+}
+
+var (
+	errTruncated = errors.New("truncated body")
+	errOverflow  = errors.New("varint overflows 64 bits")
+)
+
+// bodyReader walks a record body; the first malformed field latches err
+// and every later read returns zero.
+type bodyReader struct {
+	b   []byte
+	err error
+}
+
+func (r *bodyReader) byte() byte {
+	if r.err != nil || len(r.b) == 0 {
+		r.fail(errTruncated)
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *bodyReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	r.advance(n)
+	return v
+}
+
+func (r *bodyReader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b)
+	r.advance(n)
+	return v
+}
+
+// advance consumes a varint of n bytes, as the binary package reports n:
+// 0 for a short buffer, negative for an overflow (the value is then 0).
+func (r *bodyReader) advance(n int) {
+	switch {
+	case n == 0:
+		r.fail(errTruncated)
+	case n < 0:
+		r.fail(errOverflow)
+	default:
+		r.b = r.b[n:]
+	}
+}
+
+// count reads a slice length. Every element takes at least two bytes, so
+// a count above the bytes left is corruption, caught before it sizes an
+// allocation.
+func (r *bodyReader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail(fmt.Errorf("slice count %d exceeds the %d bytes left", n, len(r.b)))
+		return 0
+	}
+	return int(n)
+}
+
+func (r *bodyReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// decodeRecord parses a body written by appendRecord into rec, rejecting
+// an unknown kind, undefined flag bits, a truncated body, an impossible
+// slice count, and trailing bytes. Empty slices decode as nil.
+func decodeRecord(body []byte, rec *Record) error {
+	r := bodyReader{b: body}
+	*rec = Record{Kind: Kind(r.byte())}
+	if _, known := kindNames[rec.Kind]; !known && r.err == nil {
+		return fmt.Errorf("unknown kind %d", rec.Kind)
+	}
+	rec.TID.Site = model.SiteID(r.varint())
+	rec.TID.Seq = r.uvarint()
+	rec.From = model.SiteID(r.varint())
+	rec.MsgKind = int(r.varint())
+	rec.Origin = model.SiteID(r.varint())
+	if n := r.count(); n > 0 {
+		rec.Writes = make([]model.WriteOp, n)
+		for i := range rec.Writes {
+			rec.Writes[i] = model.WriteOp{Item: model.ItemID(r.varint()), Value: r.varint()}
+		}
+	}
+	rec.Span.TID.Site = model.SiteID(r.varint())
+	rec.Span.TID.Seq = r.uvarint()
+	rec.Span.Parent = model.SpanID(r.uvarint())
+	rec.Span.Hop = r.byte()
+	rec.TS.Epoch = r.uvarint()
+	if n := r.count(); n > 0 {
+		rec.TS.Tuples = make([]ts.Tuple, n)
+		for i := range rec.TS.Tuples {
+			rec.TS.Tuples[i] = ts.Tuple{Site: model.SiteID(r.varint()), LTS: r.uvarint()}
+		}
+	}
+	rec.LTSI = r.uvarint()
+	rec.Role = Role(r.byte())
+	flags := r.byte()
+	if flags&^flagsDefined != 0 {
+		r.fail(fmt.Errorf("undefined flag bits %#x", flags&^flagsDefined))
+	}
+	rec.Consumes = flags&flagConsumes != 0
+	rec.Forwards = flags&flagForwards != 0
+	rec.Commit = flags&flagCommit != 0
+	rec.Item = model.ItemID(r.varint())
+	rec.Incarnation = r.uvarint()
+	if r.err == nil && len(r.b) > 0 {
+		r.fail(fmt.Errorf("%d trailing bytes", len(r.b)))
+	}
+	if r.err != nil {
+		return fmt.Errorf("%v record: %w", rec.Kind, r.err)
+	}
+	return nil
+}
+
+// ReadRecords decodes every whole, checksum-valid record from a segment's
+// bytes. It stops cleanly at the first torn or corrupt frame — the bytes
+// past a crash point are garbage by contract, not an error — and returns
+// an error naming the byte offset when a checksum-valid frame fails to
+// decode: that is never a torn tail but a log in another format or a bug,
+// and recovering past it would silently drop acknowledged work. It never
+// panics on any input (FuzzWALDecode holds it to that).
+func ReadRecords(data []byte) ([]Record, error) {
 	var out []Record
-	br := newByteReader(r)
-	for {
-		hdr, ok := br.take(frameHeader)
+	for off := 0; ; {
+		body, ok := takeRawFrame(data[off:])
 		if !ok {
-			return out
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxFrameBody {
-			return out // implausible length: torn or corrupt header
-		}
-		body, ok := br.take(int(n))
-		if !ok {
-			return out // torn tail
-		}
-		if crc32.ChecksumIEEE(body) != sum {
-			return out // bit rot or a partially written frame
+			return out, nil
 		}
 		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
-			return out // checksummed garbage (e.g. a schema from the future)
-		}
-		if _, known := kindNames[rec.Kind]; !known {
-			return out
+		if err := decodeRecord(body, &rec); err != nil {
+			return out, fmt.Errorf("record at byte %d: %w", off, err)
 		}
 		out = append(out, rec)
+		off += frameHeader + len(body)
 	}
-}
-
-// byteReader accumulates reads so take never over-reads past what it
-// hands out.
-type byteReader struct {
-	r   io.Reader
-	buf []byte
-	off int
-	eof bool
-}
-
-func newByteReader(r io.Reader) *byteReader { return &byteReader{r: r} }
-
-// take returns the next n bytes, reading more as needed; ok is false at
-// a clean or torn end.
-func (b *byteReader) take(n int) ([]byte, bool) {
-	for len(b.buf)-b.off < n && !b.eof {
-		chunk := make([]byte, 64<<10)
-		m, err := b.r.Read(chunk)
-		if m > 0 {
-			b.buf = append(b.buf, chunk[:m]...)
-		}
-		if err != nil {
-			b.eof = true
-		}
-	}
-	if len(b.buf)-b.off < n {
-		return nil, false
-	}
-	out := b.buf[b.off : b.off+n]
-	b.off += n
-	return out, true
 }

@@ -148,7 +148,8 @@ func Open(dir string, opts Options) (*SiteLog, error) {
 }
 
 // replay folds the newest decodable snapshot and every later segment's
-// valid record prefix into a fresh state.
+// valid record prefix into a fresh state. A checksum-valid record that
+// does not decode is an error, never a torn tail.
 func (l *SiteLog) replay(segs, snaps []uint64) (*State, error) {
 	state := newState(l.opts.Items)
 	from := uint64(0)
@@ -167,12 +168,14 @@ func (l *SiteLog) replay(segs, snaps []uint64) (*State, error) {
 		if seg <= from {
 			continue
 		}
-		f, err := os.Open(l.segPath(seg))
+		data, err := os.ReadFile(l.segPath(seg))
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		recs := ReadRecords(f)
-		f.Close()
+		recs, err := ReadRecords(data)
+		if err != nil {
+			return nil, fmt.Errorf("wal: segment %s: %w", l.segPath(seg), err)
+		}
 		for i := range recs {
 			state.apply(&recs[i])
 		}
@@ -208,12 +211,8 @@ func (l *SiteLog) appendLocked(rec Record) error {
 	if l.fenced {
 		return l.fenceErr
 	}
-	var err error
 	n := len(l.buf)
-	l.buf, err = encodeFrame(l.buf, &rec)
-	if err != nil {
-		return err
-	}
+	l.buf = encodeFrame(l.buf, &rec)
 	l.staged = append(l.staged, rec)
 	l.appended++
 	l.appends.Inc()

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
@@ -210,7 +211,10 @@ func TestTornTailStopsCleanly(t *testing.T) {
 	if err := os.WriteFile(seg, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs := ReadRecords(bytes.NewReader(data[:len(data)-3]))
+	recs, err := ReadRecords(data[:len(data)-3])
+	if err != nil {
+		t.Fatalf("torn replay: %v", err)
+	}
 	if len(recs) != 5 { // boot + 4 whole receipts
 		t.Fatalf("torn replay got %d records, want 5", len(recs))
 	}
@@ -251,5 +255,55 @@ func TestRLockReleaseRace(t *testing.T) {
 	}
 	if !st.Released[tid] {
 		t.Fatalf("tombstone lost")
+	}
+}
+
+// TestOpenRefusesUndecodableLog: a checksum-valid frame that does not
+// decode is a log in another format (here the gob records this package
+// wrote before its own codec), never a torn tail. Recovering it as empty
+// would silently drop acknowledged commits, so Open must fail naming the
+// segment and offset.
+func TestOpenRefusesUndecodableLog(t *testing.T) {
+	dir := t.TempDir()
+	var body bytes.Buffer
+	rec := Record{Kind: KindApply, TID: model.TxnID{Site: 0, Seq: 1}, Role: RoleOrigin,
+		Writes: []model.WriteOp{{Item: 1, Value: 5}}}
+	if err := gob.NewEncoder(&body).Encode(&rec); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "wal-00000001.log")
+	if err := os.WriteFile(seg, appendRawFrame(nil, body.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{Items: []model.ItemID{1}})
+	if err == nil {
+		l.Close()
+		t.Fatalf("Open recovered a gob-format log (item 1 = %+v) instead of failing", l.Recovered().Items[1])
+	}
+	if msg := err.Error(); !strings.Contains(msg, seg) || !strings.Contains(msg, "byte 0") {
+		t.Fatalf("Open error %q does not name segment %s and byte offset 0", msg, seg)
+	}
+}
+
+// TestAppendAllocs guards the zero-allocation append path: once the
+// append buffer and staged slice have grown, encoding a record into the
+// log allocates nothing.
+func TestAppendAllocs(t *testing.T) {
+	l := openT(t, t.TempDir(), Options{Items: []model.ItemID{1, 2, 3}})
+	defer l.Close()
+	rec := Record{Kind: KindApply, TID: model.TxnID{Site: 0, Seq: 1}, Role: RoleOrigin,
+		Writes: []model.WriteOp{{Item: 1, Value: 1}, {Item: 2, Value: 1}, {Item: 3, Value: 1}}}
+	for batch := 0; batch < 3; batch++ {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := l.Append(rec); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+		})
+		if batch > 0 && allocs != 0 {
+			t.Fatalf("batch %d: %.1f allocs per Append, want 0", batch, allocs)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
 	}
 }

@@ -67,9 +67,8 @@ func main() {
 		reliable   = flag.Bool("reliable", false, "with -trace: wrap the network in the reliable-delivery sublayer (required when faults drop messages)")
 		chaosSched = flag.Bool("chaossched", false, "with -trace: play a seeded partition-and-heal plus crash-and-restart schedule during the run (implies -reliable semantics; see docs/FAULTS.md)")
 
-		walOn    = flag.Bool("wal", false, "with -trace: run every site over a per-site write-ahead redo log (docs/DURABILITY.md); with -chaossched the scheduled crash is honest — the site loses its heap and restarts from its log")
-		walDir   = flag.String("waldir", "", "with -trace: like -wal, but keep the per-site redo logs under this directory (implies -wal)")
-		walFlush = flag.Duration("walflush", time.Millisecond, "with -wal: group-commit flush window (0 = fsync inline on every commit)")
+		walOn  = flag.Bool("wal", false, "with -trace: run every site over a per-site write-ahead redo log (docs/DURABILITY.md); with -chaossched the scheduled crash is honest — the site loses its heap and restarts from its log")
+		walDir = flag.String("waldir", "", "with -trace: like -wal, but keep the per-site redo logs under this directory (implies -wal)")
 
 		spansOut  = flag.String("spans", "", "with -trace: also write the run as Chrome/Perfetto trace-event JSON to this file (open at ui.perfetto.dev; see docs/OBSERVABILITY.md)")
 		watchOn   = flag.Bool("watch", false, "with -trace: run the staleness/liveness watchdog during the run and report its summary (a 'watch' block under -json)")
@@ -103,7 +102,7 @@ func main() {
 		wo := watchOptions{
 			Enable: *watchOn || *flightDir != "", FlightDir: *flightDir, Spans: *spansOut,
 		}
-		wa := walOptions{Enable: *walOn || *walDir != "", Dir: *walDir, Flush: *walFlush}
+		wa := walOptions{Enable: *walOn || *walDir != "", Dir: *walDir}
 		co := contendOptions{Enable: *contendOn || *waitforOut != "", TopK: *topK, WaitFor: *waitforOut}
 		fr := freshOptions{Enable: *freshOn || *freshSum != "", Summary: *freshSum}
 		if err := runTraced(*traceOut, *traceProto, *seed, *traceSkew, *jsonOut, fo, wo, wa, co, fr); err != nil {
@@ -243,12 +242,11 @@ type watchOptions struct {
 	Spans     string
 }
 
-// walOptions carries the -wal/-waldir/-walflush flags: per-site redo
-// logs under the traced cluster, so a -chaossched crash is honest.
+// walOptions carries the -wal/-waldir flags: per-site redo logs under
+// the traced cluster, so a -chaossched crash is honest.
 type walOptions struct {
 	Enable bool
 	Dir    string
-	Flush  time.Duration
 }
 
 // contendOptions carries the -contend/-topk/-waitfor flags: the
@@ -318,7 +316,6 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 			defer os.RemoveAll(dir)
 		}
 		cfg.WALDir = dir
-		cfg.WALFlushInterval = wa.Flush
 		fmt.Fprintf(os.Stderr, "replbench: per-site redo logs in %s\n", dir)
 	}
 	if fo.active() || fo.Reliable {

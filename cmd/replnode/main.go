@@ -61,7 +61,6 @@ func main() {
 		telAddr  = flag.String("telemetry", "", "stream telemetry (metrics deltas, span events, phase latencies, alerts) to an aggregator at this address (see cmd/repltop -listen)")
 		telProc  = flag.String("telemetry-proc", "", "process name announced to the aggregator (default site<N>)")
 		walDir   = flag.String("waldir", "", "write-ahead redo log directory for this site (docs/DURABILITY.md); restarting the process with the same directory recovers from snapshot + redo replay")
-		walFlush = flag.Duration("walflush", time.Millisecond, "with -waldir: group-commit flush window (0 = fsync inline on every commit)")
 	)
 	flag.Parse()
 
@@ -233,11 +232,10 @@ func main() {
 	// retransmit whatever was never acknowledged when -reliable is on).
 	if *walDir != "" {
 		lg, err := wal.Open(*walDir, wal.Options{
-			Site:          model.SiteID(*site),
-			FlushInterval: *walFlush,
-			Items:         placement.CopiesAt(model.SiteID(*site)),
-			Obs:           registry,
-			Trace:         rec,
+			Site:  model.SiteID(*site),
+			Items: placement.CopiesAt(model.SiteID(*site)),
+			Obs:   registry,
+			Trace: rec,
 		})
 		if err != nil {
 			fatal(err)

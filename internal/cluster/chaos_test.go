@@ -42,16 +42,15 @@ func runChaos(t *testing.T, proto core.Protocol, backedgeProb float64) {
 	wl.BackedgeProb = backedgeProb
 	reg := obs.NewRegistry()
 	c, err := New(Config{
-		Workload:         wl,
-		Protocol:         proto,
-		Params:           fastParams(),
-		Latency:          100 * time.Microsecond,
-		Record:           true,
-		Obs:              reg,
-		Fault:            &fault.Config{Seed: chaosSeed, Faults: chaosFaults()},
-		Reliable:         true,
-		WALDir:           t.TempDir(),
-		WALFlushInterval: 200 * time.Microsecond,
+		Workload: wl,
+		Protocol: proto,
+		Params:   fastParams(),
+		Latency:  100 * time.Microsecond,
+		Record:   true,
+		Obs:      reg,
+		Fault:    &fault.Config{Seed: chaosSeed, Faults: chaosFaults()},
+		Reliable: true,
+		WALDir:   t.TempDir(),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -95,8 +95,8 @@ type Config struct {
 	// legacy in-memory fail-recover mode, where a crashed site's state
 	// survives the outage untouched.
 	WALDir string
-	// WALFlushInterval is the group-commit window (see wal.Options);
-	// zero leaves single-fsync-per-Sync behaviour.
+	// Deprecated: WALFlushInterval is ignored; the log's group commit
+	// needs no window (see wal.SiteLog.Sync).
 	WALFlushInterval time.Duration
 }
 
@@ -373,11 +373,10 @@ func DeriveTopology(g *graph.CopyGraph, cfg Config) (Topology, error) {
 // openWAL opens (or re-opens, after a crash) site s's redo log.
 func (c *Cluster) openWAL(s model.SiteID) (*wal.SiteLog, error) {
 	return wal.Open(filepath.Join(c.Cfg.WALDir, fmt.Sprintf("site-%02d", s)), wal.Options{
-		Site:          s,
-		FlushInterval: c.Cfg.WALFlushInterval,
-		Items:         c.Placement.CopiesAt(s),
-		Obs:           c.Cfg.Obs,
-		Trace:         c.Cfg.Trace,
+		Site:  s,
+		Items: c.Placement.CopiesAt(s),
+		Obs:   c.Cfg.Obs,
+		Trace: c.Cfg.Trace,
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -304,6 +305,52 @@ func TestClusterManualPlacementAdoptsDimensions(t *testing.T) {
 	if c.Cfg.Workload.Sites != 2 || c.Cfg.Workload.Items != 1 {
 		t.Errorf("workload dims not adopted: %d sites, %d items",
 			c.Cfg.Workload.Sites, c.Cfg.Workload.Items)
+	}
+}
+
+// TestReadOnlyCommitSkipsLog: on every engine over a WAL, a read-only
+// primary transaction appends nothing to any site's log, and an update
+// transaction does append.
+func TestReadOnlyCommitSkipsLog(t *testing.T) {
+	p := model.NewPlacement(2, 1)
+	p.Primary[0] = 0
+	p.Replicas[0] = []model.SiteID{1}
+	if err := p.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	params := fastParams()
+	params.EpochPeriod = time.Hour // no DAG(T) epoch records mid-test
+	for _, proto := range []core.Protocol{core.PSL, core.DAGWT, core.DAGT, core.BackEdge, core.NaiveLazy} {
+		t.Run(proto.String(), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			wl := smallWorkload()
+			wl.TxnsPerThread = 0
+			c, err := New(Config{Workload: wl, Protocol: proto, Params: params, Placement: p,
+				Obs: reg, WALDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			defer c.Stop()
+			appends := func() int64 { return familySum(reg.Snapshot(), "repl_wal_appends_total") }
+
+			before := appends()
+			if err := c.Engine(0).Execute([]model.Op{{Kind: model.OpRead, Item: 0}}); err != nil {
+				t.Fatalf("read-only Execute: %v", err)
+			}
+			if got := appends(); got != before {
+				t.Errorf("read-only Execute appended %d WAL records, want 0", got-before)
+			}
+			if err := c.Engine(0).Execute([]model.Op{{Kind: model.OpWrite, Item: 0, Value: 1}}); err != nil {
+				t.Fatalf("update Execute: %v", err)
+			}
+			if appends() == before {
+				t.Error("update Execute appended no WAL record")
+			}
+			if err := c.Quiesce(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -159,12 +159,23 @@ func (b *base) walAppendSync(rec wal.Record) error {
 }
 
 // armDurable installs rec as t's log-then-mutate redo record: Commit
-// appends and group-commits it before any store mutation.
+// appends and group-commits it before any store mutation. A read-only
+// primary owes the log nothing (readOnlyOrigin), so nothing is armed.
 func (b *base) armDurable(t *txn.Txn, rec wal.Record) {
-	if b.wal == nil {
+	if b.wal == nil || readOnlyOrigin(&rec) {
 		return
 	}
 	t.SetDurable(func() error { return b.walAppendSync(rec) })
+}
+
+// readOnlyOrigin reports whether rec commits a primary subtransaction with
+// no writes. Such a commit mutates nothing, forwards nothing and leaves no
+// obligation to recover, and under log-then-mutate every version it read
+// was already durable: it needs no redo record, no flush wait, no commit
+// critical section and no DAG(T) stamp (docs/DURABILITY.md, "The logging
+// discipline").
+func readOnlyOrigin(rec *wal.Record) bool {
+	return rec.Role == wal.RoleOrigin && len(rec.Writes) == 0
 }
 
 // logReceipt makes an incoming propagation message durable before the

@@ -141,18 +141,21 @@ func (k *lazyEngine) commit(t *txn.Txn, rec wal.Record) error {
 	primary := rec.Role == wal.RoleOrigin
 	forwards := primary || k.relay
 	rec.Forwards = forwards && len(rec.Writes) > 0
-	// A secondary with no after-commit step (NaiveLazy's) has nothing to
-	// keep in commit order, so it does not enter the critical section.
-	locked := forwards || k.advance != nil
+	// Neither a secondary with no after-commit step (NaiveLazy's) nor a
+	// read-only primary has anything to keep in commit order, so neither
+	// enters the critical section; the read-only primary is not stamped
+	// either, because LTSi need only increase across stamps that ship.
+	readOnly := readOnlyOrigin(&rec)
+	locked := !readOnly && (forwards || k.advance != nil)
 	if locked {
 		k.commitMu.Lock()
 	}
-	if k.stamp != nil {
+	if k.stamp != nil && !readOnly {
 		rec.TS, rec.LTSI = k.stamp(rec.TS, primary)
 	}
-	// Arm unconditionally: armDurable is a no-op without a log, and
-	// guarding it here would leave Commit undominated by the redo append
-	// on the guarded path (waldiscipline).
+	// Arm unconditionally: armDurable is a no-op without a log or for a
+	// read-only primary, and guarding it here would leave Commit
+	// undominated by the redo append on the guarded path (waldiscipline).
 	k.armDurable(t, rec)
 	err := t.Commit()
 	if err == nil {

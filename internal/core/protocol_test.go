@@ -111,33 +111,40 @@ func TestExecuteRejectsReadsWithoutCopy(t *testing.T) {
 }
 
 // TestLocalDeadlockVictimAborts: two primaries at one site locking two
-// items in opposite orders must resolve via the timeout, with at least
-// one committing eventually on retry by the caller.
+// items in opposite orders deadlock, and the lock timeout aborts them.
+// Both can time out together — symmetric timeouts promise that nobody
+// waits forever, not that somebody wins — so the caller retries each
+// aborted transaction, the second writer backing off longer than a whole
+// transaction takes, and both must commit into a serializable history.
 func TestLocalDeadlockVictimAborts(t *testing.T) {
 	p := placement(t, 1, []model.SiteID{0, 0}, [][]model.SiteID{nil, nil})
 	params := testParams()
 	params.OpCost = 5 * time.Millisecond
 	s := buildSystem(t, DAGWT, p, params, 0)
 
+	const attempts = 5
+	programs := [][]model.Op{{w(0, 1), w(1, 1)}, {w(1, 2), w(0, 2)}}
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		errs[0] = s.engines[0].Execute([]model.Op{w(0, 1), w(1, 1)})
-	}()
-	go func() {
-		defer wg.Done()
-		errs[1] = s.engines[0].Execute([]model.Op{w(1, 2), w(0, 2)})
-	}()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, txn.ErrAborted) {
-			t.Errorf("non-abort failure: %v", err)
-		}
+	errs := make([]error, len(programs))
+	for i, ops := range programs {
+		wg.Add(1)
+		go func(i int, ops []model.Op) {
+			defer wg.Done()
+			backoff := time.Duration(i) * 4 * params.LockTimeout
+			for a := 1; ; a++ {
+				errs[i] = s.engines[0].Execute(ops)
+				if errs[i] == nil || !errors.Is(errs[i], txn.ErrAborted) || a == attempts {
+					return
+				}
+				time.Sleep(time.Duration(a) * backoff)
+			}
+		}(i, ops)
 	}
-	if errs[0] != nil && errs[1] != nil {
-		t.Error("both transactions aborted; timeout resolution should let one win")
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("writer %d did not commit within %d attempts: %v", i, attempts, err)
+		}
 	}
 	if err := s.recorder.CheckSerializable(); err != nil {
 		t.Error(err)

@@ -26,10 +26,8 @@ type Options struct {
 	// Site labels metrics and trace events.
 	Site model.SiteID
 
-	// FlushInterval is the group-commit window: concurrent Sync callers
-	// share the one fsync the background flusher issues per window. Zero
-	// or negative means every Sync flushes inline (still batching every
-	// record appended since the last flush into one fsync).
+	// Deprecated: FlushInterval is ignored. Group commit needs no window:
+	// the Syncs that arrive during one flush share the next (see Sync).
 	FlushInterval time.Duration
 
 	// SnapshotBytes triggers a snapshot + log truncation after this many
@@ -58,16 +56,24 @@ type SiteLog struct {
 	opts Options
 
 	mu   sync.Mutex
-	cond *sync.Cond
-	f    *os.File // repl:guardedby(mu)
-	seg  uint64   // active segment index // repl:guardedby(mu)
+	cond *sync.Cond // broadcast when a flush ends or the log is fenced
+	f    *os.File   // nil once closed // repl:guardedby(mu)
+	seg  uint64     // active segment index // repl:guardedby(mu)
 
-	buf      []byte   // frames appended since the last flush // repl:guardedby(mu)
+	buf      []byte   // frames appended since the last flush began // repl:guardedby(mu)
 	staged   []Record // the records in buf, folded into state on flush // repl:guardedby(mu)
 	appended uint64   // records appended (generation numbers) // repl:guardedby(mu)
 	durable  uint64   // records fsynced // repl:guardedby(mu)
 	fenced   bool     // repl:guardedby(mu)
 	fenceErr error    // repl:guardedby(mu)
+
+	// flushing is set while a leader writes and fsyncs a batch with mu
+	// released. The batch's buffers are the leader's until it re-locks;
+	// spare and spareStaged hold the previous batch's emptied buffers, so
+	// buf and staged ping-pong with them and Append never reallocates.
+	flushing    bool     // repl:guardedby(mu)
+	spare       []byte   // repl:guardedby(mu)
+	spareStaged []Record // repl:guardedby(mu)
 
 	// state advances only at flush: always equals disk replay.
 	state *State // repl:guardedby(mu)
@@ -76,8 +82,9 @@ type SiteLog struct {
 	recovered *State
 	sinceSnap int64 // repl:guardedby(mu)
 
-	done    chan struct{} // stops the flusher
-	flusher sync.WaitGroup
+	// syncFile makes a written batch durable: (*os.File).Sync, replaced
+	// only by tests that hold a flush in flight.
+	syncFile func(*os.File) error
 
 	appends, fsyncs, bytes, replayed, truncations, snapshots *obs.Counter
 }
@@ -88,12 +95,12 @@ type SiteLog struct {
 // incarnation number. The recovered logical state is frozen in
 // Recovered() for the engine to rebuild from.
 //
-//lint:allow guardedby Open constructs the log single-threaded; no other goroutine holds a reference until it returns, and the flusher it starts last takes mu before touching anything
+//lint:allow guardedby Open constructs the log single-threaded; no other goroutine holds a reference until it returns
 func Open(dir string, opts Options) (*SiteLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &SiteLog{dir: dir, opts: opts, done: make(chan struct{})}
+	l := &SiteLog{dir: dir, opts: opts, syncFile: (*os.File).Sync}
 	l.cond = sync.NewCond(&l.mu)
 	if opts.SnapshotBytes == 0 {
 		l.opts.SnapshotBytes = defaultSnapshotBytes
@@ -130,19 +137,13 @@ func Open(dir string, opts Options) (*SiteLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l.mu.Lock()
-	err = l.appendLocked(Record{Kind: KindBoot, Incarnation: l.state.Incarnation + 1})
-	if err == nil {
-		err = l.flushLocked()
-	}
-	l.mu.Unlock()
-	if err != nil {
+	if err := l.Append(Record{Kind: KindBoot, Incarnation: l.state.Incarnation + 1}); err != nil {
 		l.f.Close()
 		return nil, err
 	}
-	if opts.FlushInterval > 0 {
-		l.flusher.Add(1)
-		go l.flushLoop()
+	// A failed boot flush has fenced the log, which closed the segment.
+	if err := l.Sync(); err != nil {
+		return nil, err
 	}
 	return l, nil
 }
@@ -220,61 +221,79 @@ func (l *SiteLog) appendLocked(rec Record) error {
 	return nil
 }
 
-// Sync blocks until every record appended before the call is durable
-// (group commit: one fsync covers every concurrent caller in the flush
-// window) or the log is fenced.
+// Sync blocks until every record appended before the call is durable or
+// the log is fenced. It is leader/follower group commit with no timer: a
+// Sync that finds no flush in flight leads one, and a Sync that finds one
+// in flight waits for it; the first waiter whose records that flush did
+// not cover leads the next. Every Sync that arrives during one fsync
+// therefore shares the next, and the batching window is the fsync's own
+// duration.
 func (l *SiteLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	target := l.appended
-	if l.opts.FlushInterval <= 0 {
-		if l.durable < target && !l.fenced {
-			return l.flushLocked()
-		}
-		if l.fenced && l.durable < target {
+	return l.syncLocked(l.appended)
+}
+
+// syncLocked waits until the first target records are durable, leading
+// flushes as needed; mu is released while it leads or waits. A flush in
+// flight when the log is fenced still completes and its records count as
+// durable, so only records no flush took fail with the fence error.
+func (l *SiteLog) syncLocked(target uint64) error {
+	for l.durable < target {
+		switch {
+		case l.flushing:
+			l.cond.Wait()
+		case l.fenced:
 			return l.fenceErr
+		default:
+			l.flush()
 		}
-		return nil
-	}
-	for l.durable < target && !l.fenced {
-		l.cond.Wait()
-	}
-	if l.durable < target {
-		return l.fenceErr
 	}
 	return nil
 }
 
-// flushLocked writes and fsyncs the append buffer, folds the staged
-// records into the durable-prefix state, wakes group-commit waiters, and
-// triggers a snapshot when due. An I/O error fences the log.
-func (l *SiteLog) flushLocked() error {
-	if l.fenced {
-		return l.fenceErr
+// flush is one leader's turn, entered with mu held, no flush in flight,
+// the log unfenced and records buffered. It swaps the append buffer for
+// the spare, writes and fsyncs the batch with mu released, so appends
+// continue into the other buffer meanwhile, then folds the batch into the
+// durable-prefix state in append order, wakes the waiters, and snapshots
+// when due. An I/O error fences the log.
+func (l *SiteLog) flush() {
+	batch, staged, f := l.buf, l.staged, l.f
+	l.buf, l.staged = l.spare[:0], l.spareStaged[:0]
+	l.flushing = true
+	l.mu.Unlock()
+	err := l.write(f, batch)
+	l.mu.Lock()
+	l.flushing = false
+	if err != nil {
+		l.fenceLocked(err)
+	} else {
+		l.fsyncs.Inc()
+		for i := range staged {
+			l.state.apply(&staged[i])
+		}
+		l.durable += uint64(len(staged))
+		l.sinceSnap += int64(len(batch))
 	}
-	if len(l.buf) == 0 {
-		return nil
-	}
-	n := len(l.buf)
-	if _, err := l.f.Write(l.buf); err != nil {
-		l.fenceLocked(fmt.Errorf("wal: segment write: %w", err))
-		return l.fenceErr
-	}
-	if err := l.f.Sync(); err != nil {
-		l.fenceLocked(fmt.Errorf("wal: fsync: %w", err))
-		return l.fenceErr
-	}
-	l.fsyncs.Inc()
-	for i := range l.staged {
-		l.state.apply(&l.staged[i])
-	}
-	l.durable += uint64(len(l.staged))
-	l.buf = l.buf[:0]
-	l.staged = l.staged[:0]
-	l.sinceSnap += int64(n)
+	l.spare, l.spareStaged = batch[:0], staged[:0]
 	l.cond.Broadcast()
-	if l.opts.SnapshotBytes > 0 && l.sinceSnap >= l.opts.SnapshotBytes {
+	switch {
+	case l.fenced:
+		// A Fence during the flush left closing the segment to us.
+		l.closeFileLocked()
+	case l.opts.SnapshotBytes > 0 && l.sinceSnap >= l.opts.SnapshotBytes:
 		l.snapshotLocked()
+	}
+}
+
+// write appends one batch of frames to the segment and makes it durable.
+func (l *SiteLog) write(f *os.File, batch []byte) error {
+	if _, err := f.Write(batch); err != nil {
+		return fmt.Errorf("wal: segment write: %w", err)
+	}
+	if err := l.syncFile(f); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	return nil
 }
@@ -282,7 +301,8 @@ func (l *SiteLog) flushLocked() error {
 // snapshotLocked serializes the durable-prefix state to a snapshot file
 // covering every segment so far, rotates to a fresh segment, and deletes
 // the covered files. Failures are non-fatal: the log simply keeps its
-// longer tail.
+// longer tail. No flush may be in flight: rotation swaps the segment a
+// leader writes to.
 func (l *SiteLog) snapshotLocked() {
 	data, err := encodeState(l.state)
 	if err != nil {
@@ -333,9 +353,11 @@ func (l *SiteLog) snapshotLocked() {
 func (l *SiteLog) Snapshot() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.flushLocked(); err != nil {
+	if err := l.syncLocked(l.appended); err != nil {
 		return err
 	}
+	// Rotation swaps the segment, so wait out a flush another Sync began.
+	l.idleLocked()
 	if l.fenced {
 		return l.fenceErr
 	}
@@ -360,15 +382,17 @@ func (l *SiteLog) Decision(tid model.TxnID) (commit, known bool) {
 	return commit, known
 }
 
-// Fence simulates (or finalizes) a crash: buffered-but-unsynced records
-// are discarded — honestly lost — and every current and future
-// Append/Sync fails with ErrFenced. The durable on-disk prefix is left
-// exactly as the last fsync made it, ready for the next Open.
+// Fence simulates (or finalizes) a crash: no new flush starts, records no
+// flush has taken are discarded — honestly lost — and every later
+// Append/Sync fails with ErrFenced. A flush already in flight completes
+// first and its records count as durable: its Syncs return nil. The
+// durable on-disk prefix is then left exactly as the last fsync made it,
+// ready for the next Open.
 func (l *SiteLog) Fence() {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.fenceLocked(ErrFenced)
-	l.mu.Unlock()
-	l.flusher.Wait()
+	l.idleLocked()
 }
 
 func (l *SiteLog) fenceLocked(err error) {
@@ -379,49 +403,37 @@ func (l *SiteLog) fenceLocked(err error) {
 	l.fenceErr = err
 	l.buf = nil
 	l.staged = nil
-	l.f.Close()
-	select {
-	case <-l.done:
-	default:
-		close(l.done)
+	if !l.flushing {
+		l.closeFileLocked()
 	}
 	l.cond.Broadcast()
+}
+
+func (l *SiteLog) closeFileLocked() {
+	if l.f != nil {
+		l.f.Close()
+		l.f = nil
+	}
 }
 
 // Close flushes what is buffered and shuts the log down cleanly. A
 // fenced log closes without error: its durable prefix is already final.
 func (l *SiteLog) Close() error {
 	l.mu.Lock()
-	fenced := l.fenced
+	defer l.mu.Unlock()
 	var err error
-	if !fenced {
-		err = l.flushLocked()
+	if !l.fenced {
+		err = l.syncLocked(l.appended)
 		l.fenceLocked(ErrFenced)
 	}
-	l.mu.Unlock()
-	l.flusher.Wait()
-	if fenced {
-		return nil
-	}
+	l.idleLocked()
 	return err
 }
 
-// flushLoop is the group-commit flusher: one fsync per interval while
-// records are buffered.
-func (l *SiteLog) flushLoop() {
-	defer l.flusher.Done()
-	ticker := time.NewTicker(l.opts.FlushInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-ticker.C:
-		}
-		l.mu.Lock()
-		// A flush error fences the log; Sync callers observe it there.
-		_ = l.flushLocked()
-		l.mu.Unlock()
+// idleLocked waits until no flush is in flight.
+func (l *SiteLog) idleLocked() {
+	for l.flushing {
+		l.cond.Wait()
 	}
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,48 +107,225 @@ func TestFenceDiscardsUnsynced(t *testing.T) {
 	}
 }
 
+// flushGate holds a log's flushes in their fsync: each flush reports on
+// entered, and none completes until release is closed.
+type flushGate struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+// gateFlushes installs a flushGate on l. Call it before l is shared.
+func gateFlushes(l *SiteLog) *flushGate {
+	g := &flushGate{entered: make(chan struct{}, 16), release: make(chan struct{})}
+	l.syncFile = func(f *os.File) error {
+		g.entered <- struct{}{}
+		<-g.release
+		return f.Sync()
+	}
+	return g
+}
+
+// syncAsync runs l.Sync on its own goroutine and delivers its result.
+func syncAsync(l *SiteLog) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- l.Sync() }()
+	return done
+}
+
+func counterSum(reg *obs.Registry, family string) int64 {
+	var n int64
+	for k, v := range reg.Snapshot() {
+		if strings.HasPrefix(k, family) {
+			n += v
+		}
+	}
+	return n
+}
+
+func receipt(seq uint64) Record {
+	return Record{Kind: KindReceipt, TID: model.TxnID{Site: 0, Seq: seq}, MsgKind: 1}
+}
+
+// TestGroupCommitBatchesFsyncs: the leader writes and fsyncs with the
+// mutex released, so appends go on during its flush, and every Sync
+// arriving meanwhile shares the one next fsync. The count is exact
+// whatever the timing: all eight records are buffered before the first
+// flush ends, and the next leader takes them all.
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	reg := obs.NewRegistry()
-	dir := t.TempDir()
-	// A wide flush window so every writer's records land in the same
-	// group commit, deterministically.
-	l := openT(t, dir, Options{FlushInterval: 50 * time.Millisecond, Obs: reg})
+	l := openT(t, t.TempDir(), Options{Obs: reg})
 	defer l.Close()
-	const writers, per = 8, 10
+	g := gateFlushes(l)
+	fsyncs0 := counterSum(reg, "repl_wal_fsyncs_total")
+
+	if err := l.Append(receipt(1)); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	leader := syncAsync(l)
+	<-g.entered
+	const followers = 8
+	var wg sync.WaitGroup
+	errs := make([]error, followers)
+	for i := 0; i < followers; i++ {
+		if err := l.Append(receipt(uint64(i + 2))); err != nil {
+			t.Fatalf("Append during the flush: %v", err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = l.Sync()
+		}(i)
+	}
+	select {
+	case err := <-leader:
+		t.Fatalf("leader Sync returned %v before its fsync did", err)
+	default:
+	}
+	close(g.release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader Sync: %v", err)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("follower %d Sync: %v", i, err)
+		}
+	}
+	if got := counterSum(reg, "repl_wal_fsyncs_total") - fsyncs0; got != 2 {
+		t.Fatalf("fsyncs = %d, want 2: the leader's, then one shared by all %d followers", got, followers)
+	}
+	for seq := uint64(1); seq <= followers+1; seq++ {
+		if !hasReceipt(l, seq) {
+			t.Fatalf("receipt %d synced but not folded into the durable state", seq)
+		}
+	}
+}
+
+func hasReceipt(l *SiteLog, seq uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, r := range l.state.Receipts {
+		if r.TID.Seq == seq {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGroupCommitConcurrentWritersRecover drives leaders and followers
+// from several goroutines at once, across snapshot rotations, and checks
+// that every record whose Sync returned nil is recovered, in order.
+func TestGroupCommitConcurrentWritersRecover(t *testing.T) {
+	dir := t.TempDir()
+	items := []model.ItemID{0, 1, 2, 3}
+	l := openT(t, dir, Options{Items: items, SnapshotBytes: 1 << 10})
+	const writers, per = 4, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				tid := model.TxnID{Site: model.SiteID(w), Seq: uint64(i + 1)}
-				if err := l.Append(Record{Kind: KindReceipt, TID: tid, MsgKind: 1}); err != nil {
+			for i := 1; i <= per; i++ {
+				rec := Record{Kind: KindApply, TID: model.TxnID{Site: model.SiteID(w), Seq: uint64(i)},
+					Role: RoleOrigin, Writes: []model.WriteOp{{Item: model.ItemID(w), Value: int64(i)}}}
+				if err := l.Append(rec); err != nil {
 					t.Errorf("Append: %v", err)
 					return
 				}
-			}
-			if err := l.Sync(); err != nil {
-				t.Errorf("Sync: %v", err)
+				if err := l.Sync(); err != nil {
+					t.Errorf("Sync: %v", err)
+					return
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	snap := reg.Snapshot()
-	var appends, fsyncs int64
-	for k, v := range snap {
-		if strings.HasPrefix(k, "repl_wal_appends_total") {
-			appends += v
-		}
-		if strings.HasPrefix(k, "repl_wal_fsyncs_total") {
-			fsyncs += v
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := openT(t, dir, Options{Items: items})
+	defer l2.Close()
+	st := l2.Recovered()
+	for w := 0; w < writers; w++ {
+		// Each writer's records are appended in order, so its item's last
+		// version is its last record.
+		if got := st.Items[model.ItemID(w)]; got.Value != per || got.Num != per {
+			t.Errorf("item %d = %+v, want value and version %d", w, got, per)
 		}
 	}
-	if appends != writers*per+1 { // +1 boot record
-		t.Fatalf("appends = %d, want %d", appends, writers*per+1)
+	if got := len(st.Applied); got != writers*per {
+		t.Errorf("recovered %d applies, want %d", got, writers*per)
 	}
-	// One inline boot flush plus a handful of ticks, not one per record.
-	if fsyncs > 10 {
-		t.Fatalf("group commit did not batch: %d fsyncs for %d appends", fsyncs, appends)
+}
+
+// TestFenceDuringFlush: a fence waits for the flush in flight, whose
+// records are durable and whose Syncs return nil; a record appended during
+// that flush belongs to no flush, so its Sync fails with ErrFenced and it
+// is absent after reopen.
+func TestFenceDuringFlush(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{})
+	g := gateFlushes(l)
+	if err := l.Append(receipt(1)); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	leader := syncAsync(l)
+	<-g.entered
+	if err := l.Append(receipt(2)); err != nil {
+		t.Fatalf("Append during the flush: %v", err)
+	}
+	follower := syncAsync(l)
+	fenced := make(chan struct{})
+	go func() {
+		l.Fence()
+		close(fenced)
+	}()
+	// Release the flush only once the fence is up, so no later leader can
+	// take record 2.
+	waitFenced(t, l)
+	select {
+	case <-fenced:
+		t.Fatal("Fence returned with a flush in flight")
+	default:
+	}
+	if err := l.Append(receipt(3)); !errors.Is(err, ErrFenced) {
+		t.Fatalf("Append after the fence = %v, want ErrFenced", err)
+	}
+	close(g.release)
+	<-fenced
+	if err := <-leader; err != nil {
+		t.Fatalf("Sync of the in-flight batch = %v, want nil", err)
+	}
+	if err := <-follower; !errors.Is(err, ErrFenced) {
+		t.Fatalf("Sync of a record appended during the flush = %v, want ErrFenced", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close of a fenced log: %v", err)
+	}
+
+	l2 := openT(t, dir, Options{})
+	defer l2.Close()
+	got := l2.Recovered().Receipts
+	if len(got) != 1 || got[0].TID.Seq != 1 {
+		t.Fatalf("recovered receipts = %+v, want only seq 1", got)
+	}
+}
+
+// waitFenced polls until l is fenced.
+func waitFenced(t *testing.T, l *SiteLog) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		l.mu.Lock()
+		fenced := l.fenced
+		l.mu.Unlock()
+		if fenced {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("log never fenced")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBackedgeComputation -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -fuzz FuzzReliableReorder -fuzztime $(FUZZTIME) ./internal/comm
 	$(GO) test -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -fuzz FuzzInbox -fuzztime $(FUZZTIME) ./internal/comm
 
 # Regenerate every figure/table of the paper's evaluation (§5).
 experiments:

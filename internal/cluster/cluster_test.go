@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -362,4 +363,41 @@ func TestClusterRunPropagatesWorkloadErrors(t *testing.T) {
 	}
 	var cfgErr error = errors.New("x")
 	_ = cfgErr
+}
+
+// TestIdleClusterHeap pins that a cluster's queues cost what they hold,
+// not their bound: building and starting a 9-site Table 1 cluster that
+// has sent nothing grows the live heap by well under what preallocated
+// 65 536-slot engine queues would take (about 9 MB per site).
+func TestIdleClusterHeap(t *testing.T) {
+	const limit = 16 << 20
+	for _, pc := range []struct {
+		proto    core.Protocol
+		backedge float64
+	}{
+		{core.DAGWT, 0},
+		{core.PSL, 0.2},
+	} {
+		t.Run(pc.proto.String(), func(t *testing.T) {
+			wl := workload.Default()
+			wl.BackedgeProb = pc.backedge
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			c, err := New(Config{Workload: wl, Protocol: pc.proto, Params: core.DefaultParams()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			defer c.Stop()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			grew := int64(after.HeapInuse) - int64(before.HeapInuse)
+			t.Logf("HeapInuse grew %.1f MB", float64(grew)/(1<<20))
+			if grew >= limit {
+				t.Errorf("idle %v cluster grew HeapInuse by %.1f MB, want < %d MB",
+					pc.proto, float64(grew)/(1<<20), limit>>20)
+			}
+		})
+	}
 }

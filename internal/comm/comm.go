@@ -51,8 +51,12 @@ type Handler func(Message)
 // Transport delivers messages reliably and in FIFO order between each
 // ordered pair of sites.
 type Transport interface {
-	// Send enqueues msg for delivery to msg.To. It never blocks on the
-	// receiver.
+	// Send enqueues msg for delivery to msg.To. It does not wait for the
+	// receiver's handler to run, but it may block while the transport has
+	// no room for msg: MemTransport holds at most 4096 undelivered messages
+	// per ordered site pair and blocks the sender beyond that, returning
+	// ErrClosed if the transport closes meanwhile; TCPTransport waits for
+	// the socket write.
 	Send(msg Message) error
 	// Register installs the handler for a site. Must be called for every
 	// site before any Send targets it.
@@ -61,7 +65,8 @@ type Transport interface {
 	Close() error
 }
 
-// ErrClosed is returned by Send after Close.
+// ErrClosed is returned by a Send that starts after Close, or that is still
+// waiting for room when Close runs.
 var ErrClosed = errors.New("comm: transport closed")
 
 // Stats observes transport activity for the live metrics registry.
@@ -108,6 +113,11 @@ func msgWireSize(m Message) int {
 // sleepFloor is the shortest delay worth sleeping for; see deliver.
 const sleepFloor = 500 * time.Microsecond
 
+// edgeBound is how many messages MemTransport holds undelivered on one
+// ordered site pair before Send blocks: the transport's only flow control,
+// so a fast sender runs at most this many messages ahead of a slow handler.
+const edgeBound = 4096
+
 type pair struct{ from, to model.SiteID }
 
 type timedMsg struct {
@@ -117,13 +127,14 @@ type timedMsg struct {
 }
 
 // MemTransport is the in-process transport. Each ordered site pair gets a
-// dedicated delivery goroutine reading a FIFO queue; a message becomes
-// deliverable Latency after it was sent, and deliveries pipeline (latency
-// delays each message but does not serialize throughput).
+// dedicated delivery goroutine reading a FIFO inbox of at most edgeBound
+// messages; a message becomes deliverable Latency after it was sent, and
+// deliveries pipeline (latency delays each message but does not serialize
+// throughput). Send blocks while its pair's inbox is full.
 type MemTransport struct {
 	mu       sync.Mutex
 	handlers map[model.SiteID]Handler
-	chans    map[pair]chan timedMsg
+	edges    map[pair]*Inbox[timedMsg]
 	latency  time.Duration
 	jitter   time.Duration
 	edgeLat  map[pair]time.Duration
@@ -139,7 +150,7 @@ type MemTransport struct {
 func NewMemTransport(latency time.Duration) *MemTransport {
 	return &MemTransport{
 		handlers: make(map[model.SiteID]Handler),
-		chans:    make(map[pair]chan timedMsg),
+		edges:    make(map[pair]*Inbox[timedMsg]),
 		latency:  latency,
 		edgeLat:  make(map[pair]time.Duration),
 		rng:      rand.New(rand.NewSource(1)),
@@ -204,7 +215,9 @@ func (t *MemTransport) Register(site model.SiteID, h Handler) {
 	t.handlers[site] = h
 }
 
-// Send implements Transport.
+// Send implements Transport. It blocks while edgeBound messages from
+// msg.From to msg.To are undelivered, and returns ErrClosed if Close runs
+// first.
 func (t *MemTransport) Send(msg Message) error {
 	t.mu.Lock()
 	if t.closed {
@@ -212,12 +225,12 @@ func (t *MemTransport) Send(msg Message) error {
 		return ErrClosed
 	}
 	p := pair{msg.From, msg.To}
-	ch, ok := t.chans[p]
+	in, ok := t.edges[p]
 	if !ok {
-		ch = make(chan timedMsg, 4096)
-		t.chans[p] = ch
+		in = NewInbox[timedMsg](edgeBound)
+		t.edges[p] = in
 		t.wg.Add(1)
-		go t.deliver(p, ch)
+		go t.deliver(p, in)
 	}
 	lat := t.delayFor(p)
 	stats := t.stats
@@ -226,23 +239,19 @@ func (t *MemTransport) Send(msg Message) error {
 		stats.CommSent(msg.From, msg.To, msgWireSize(msg))
 	}
 	now := time.Now()
-	// Block if the queue is full (reliable delivery, never drop), but give
+	// Block if the inbox is full (reliable delivery, never drop), but give
 	// up if the transport shuts down meanwhile.
-	select {
-	case ch <- timedMsg{msg: msg, sent: now, due: now.Add(lat)}:
-		return nil
-	case <-t.done:
+	if !in.Push(timedMsg{msg: msg, sent: now, due: now.Add(lat)}, t.done) {
 		return ErrClosed
 	}
+	return nil
 }
 
-func (t *MemTransport) deliver(p pair, ch chan timedMsg) {
+func (t *MemTransport) deliver(p pair, in *Inbox[timedMsg]) {
 	defer t.wg.Done()
 	for {
-		var tm timedMsg
-		select {
-		case tm = <-ch:
-		case <-t.done:
+		tm, ok := in.Next(t.done)
+		if !ok {
 			return
 		}
 		// time.Sleep/After have a millisecond-scale floor on many kernels,

@@ -139,6 +139,47 @@ func TestMemTransportSendAfterClose(t *testing.T) {
 	}
 }
 
+// TestMemTransportBackpressure pins the per-pair bound: with the handler
+// stuck on one message, 4096 more queue behind it without blocking, the
+// next Send blocks, and Close releases that Send with ErrClosed.
+func TestMemTransportBackpressure(t *testing.T) {
+	const bound = 4096
+	tr := NewMemTransport(0)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	tr.Register(1, func(Message) {
+		once.Do(func() { close(entered) })
+		<-release
+	})
+	if err := tr.Send(Message{From: 0, To: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	for i := 0; i < bound; i++ {
+		if err := tr.Send(Message{From: 0, To: 1, Kind: i}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	blocked := make(chan error)
+	go func() { blocked <- tr.Send(Message{From: 0, To: 1}) }()
+	select {
+	case err := <-blocked:
+		t.Fatalf("Send past the bound returned %v instead of blocking", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	closedDone := make(chan struct{})
+	go func() {
+		_ = tr.Close()
+		close(closedDone)
+	}()
+	if err := <-blocked; !errors.Is(err, ErrClosed) {
+		t.Errorf("blocked Send after Close: want ErrClosed, got %v", err)
+	}
+	close(release)
+	<-closedDone
+}
+
 func TestRPCCallReply(t *testing.T) {
 	tr := NewMemTransport(0)
 	defer tr.Close()

@@ -325,6 +325,13 @@ type queuedMsg struct {
 	at  time.Time
 }
 
+// inboxBound bounds a site's secondary queue (DAG(WT), BackEdge) and its
+// PSL read queue. Once a queue holds this many messages, Handle blocks the
+// transport's delivery goroutine until the consumer pops one, and senders
+// block in turn once that transport edge fills. The queue's memory follows
+// its content, not this number (comm.Inbox).
+const inboxBound = 1 << 16
+
 // pendAdd/pendDone track in-flight propagation for cluster quiescing.
 func (b *base) pendAdd(n int) {
 	if b.cfg.Pending != nil {

@@ -316,8 +316,10 @@ func (e *dagtEngine) nextSecondary() (tsItem, bool) {
 			}
 		}
 		if ready {
-			it := e.queues[minP][0]
-			e.queues[minP] = e.queues[minP][1:]
+			q := e.queues[minP]
+			it := q[0]
+			q[0] = tsItem{} // the backing array must not pin a popped item
+			e.queues[minP] = q[1:]
 			e.obs.tsDepth.Dec()
 			e.prog.Pop()
 			if !it.p.Dummy {

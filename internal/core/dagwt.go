@@ -17,7 +17,7 @@ import (
 // site always equals its commit order.
 type dagwtEngine struct {
 	lazyEngine
-	queue chan queuedMsg
+	queue *comm.Inbox[queuedMsg] // bounded by inboxBound
 	prog  *watch.Progress
 
 	// special takes the queued messages that are not plain secondaries.
@@ -32,11 +32,8 @@ type dagwtEngine struct {
 func buildDAGWT(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transport) *dagwtEngine {
 	e := &dagwtEngine{
 		lazyEngine: newLazy(cfg, proto, id, tr),
-		// Deep enough that Handle, which runs on the transport's delivery
-		// goroutine, never blocks behind a slow applier in any run this
-		// repository makes; bounded inboxes are ROADMAP 5d.
-		queue: make(chan queuedMsg, 1<<16),
-		prog:  cfg.Watch.Queue(id, "fifo"),
+		queue:      comm.NewInbox[queuedMsg](inboxBound),
+		prog:       cfg.Watch.Queue(id, "fifo"),
 	}
 	e.routes, e.relay, e.enqueue = treeRoutes(cfg, id), true, e.push
 	return e
@@ -50,11 +47,13 @@ func newDAGWT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagwtEngin
 
 func (e *dagwtEngine) Start() { go e.applier() }
 
-// push appends an admitted message to the FIFO queue.
+// push appends an admitted message to the FIFO queue, blocking while the
+// queue is full. If the engine stops first the message is not queued; its
+// receipt and pending obligation pass to recovery, as a queued one's do.
 func (e *dagwtEngine) push(q queuedMsg) {
 	e.obs.fifoDepth.Inc()
 	e.prog.Push()
-	e.queue <- q
+	e.queue.Push(q, e.stop)
 }
 
 // applier consumes the FIFO queue: each secondary subtransaction is
@@ -62,18 +61,17 @@ func (e *dagwtEngine) push(q queuedMsg) {
 // forwarded onward before the next is looked at, preserving receipt order.
 func (e *dagwtEngine) applier() {
 	for {
-		select {
-		case q := <-e.queue:
-			e.obs.fifoDepth.Dec()
-			e.prog.Pop()
-			e.phaseSince(metrics.PhaseQueueWait, q.msg.From, q.msg.Span.TID, q.at)
-			if q.msg.Kind != kindSecondary {
-				e.special(q.msg)
-			} else if !e.apply(q.msg.Payload.(secondaryPayload), q.msg.Span) {
-				return // stopped mid-retry
-			}
-		case <-e.stop:
+		q, ok := e.queue.Next(e.stop)
+		if !ok {
 			return
+		}
+		e.obs.fifoDepth.Dec()
+		e.prog.Pop()
+		e.phaseSince(metrics.PhaseQueueWait, q.msg.From, q.msg.Span.TID, q.at)
+		if q.msg.Kind != kindSecondary {
+			e.special(q.msg)
+		} else if !e.apply(q.msg.Payload.(secondaryPayload), q.msg.Span) {
+			return // stopped mid-retry
 		}
 	}
 }

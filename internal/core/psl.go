@@ -27,11 +27,12 @@ import (
 type pslEngine struct {
 	base
 
-	// reads is the site's remote-read service queue. Like the lazy
-	// protocols' single secondary applier, one server goroutine works it:
-	// a site is one database instance, and remote requests contend for it
-	// the way they did for the prototype's DataBlitz server.
-	reads chan queuedMsg
+	// reads is the site's remote-read service queue, an inbox of at most
+	// inboxBound requests. Like the lazy protocols' single secondary
+	// applier, one server goroutine works it: a site is one database
+	// instance, and remote requests contend for it the way they did for
+	// the prototype's DataBlitz server.
+	reads *comm.Inbox[queuedMsg]
 
 	// released tombstones transactions whose remote locks were already
 	// released, so a lock granted to a late-racing read request is not
@@ -49,7 +50,7 @@ type pslEngine struct {
 func newPSL(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *pslEngine {
 	e := &pslEngine{
 		base:     newBase(cfg, PSL, id, tr),
-		reads:    make(chan queuedMsg, 1<<16),
+		reads:    comm.NewInbox[queuedMsg](inboxBound),
 		released: make(map[model.TxnID]bool),
 		prog:     cfg.Watch.Queue(id, "reads"),
 	}
@@ -83,14 +84,13 @@ func (e *pslEngine) Start() { go e.readServer() }
 
 func (e *pslEngine) readServer() {
 	for {
-		select {
-		case q := <-e.reads:
-			e.obs.readsDepth.Dec()
-			e.prog.Pop()
-			e.serveRead(q.msg, q.at)
-		case <-e.stop:
+		q, ok := e.reads.Next(e.stop)
+		if !ok {
 			return
 		}
+		e.obs.readsDepth.Dec()
+		e.prog.Pop()
+		e.serveRead(q.msg, q.at)
 	}
 }
 
@@ -198,10 +198,11 @@ func (e *pslEngine) Handle(msg comm.Message) {
 	switch msg.Kind {
 	case kindPSLRead:
 		// Lock waits block; serve through the site's read server, off the
-		// transport goroutine.
+		// transport goroutine. A request dropped because the site stopped
+		// is never answered; the reader's RPC times out.
 		e.obs.readsDepth.Inc()
 		e.prog.Push()
-		e.reads <- queuedMsg{msg: msg, at: e.phaseClock()}
+		e.reads.Push(queuedMsg{msg: msg, at: e.phaseClock()}, e.stop)
 	case kindPSLRelease:
 		tid := msg.Payload.(pslReleasePayload).TID
 		e.recTransport(msg, tid)

@@ -10,10 +10,11 @@ import (
 )
 
 // defaultGuardedbyPkgs are the packages whose shared mutable state is
-// annotated: the engines, the redo log, the 2PC layer, the cluster
-// membrane, the telemetry plane and the watchdog.
+// annotated: the engines, the transport's inbox, the redo log, the 2PC
+// layer, the cluster membrane, the telemetry plane and the watchdog.
 var defaultGuardedbyPkgs = []string{
 	"internal/core",
+	"internal/comm",
 	"internal/wal",
 	"internal/twopc",
 	"internal/cluster",

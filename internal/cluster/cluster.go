@@ -430,8 +430,8 @@ func (c *Cluster) restartSite(site model.SiteID) {
 	c.mu.Unlock()
 	//lint:allow nodeterminism the recovery duration is observability payload, not protocol state
 	dur := time.Since(start)
-	c.Cfg.Trace.RecordDur(trace.WALRecover, site, model.NoSite, model.TxnID{},
-		uint8(c.Cfg.Protocol), dur)
+	c.Cfg.Trace.Add(trace.Event{Kind: trace.WALRecover, Site: site, Peer: model.NoSite,
+		Proto: uint8(c.Cfg.Protocol), Dur: int64(dur)})
 }
 
 func (c *Cluster) recoveryStatus(site model.SiteID) watch.RecoveryStatus {

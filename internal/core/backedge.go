@@ -10,7 +10,7 @@ import (
 	"repro/internal/contend"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/ts"
 	"repro/internal/twopc"
 	"repro/internal/txn"
@@ -58,6 +58,10 @@ type backedgeEngine struct {
 	mu       sync.Mutex
 	prepared map[model.TxnID]*pendingBE   // executed backedge subtxns awaiting the decision // repl:guardedby(mu)
 	waiters  map[model.TxnID]*originState // origin-side transactions awaiting their special // repl:guardedby(mu)
+
+	// parked is the depth of the eager queue: origins parked on their
+	// backedge round trip. The watchdog does not watch it.
+	parked *obs.Gauge
 }
 
 // pendingBE is a participant-side executed backedge subtransaction
@@ -95,6 +99,7 @@ func newBackEdge(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *backedg
 		waiters:     make(map[model.TxnID]*originState),
 	}
 	e.special, e.enqueue = e.onSpecial, e.dispatch
+	e.parked = e.queueGauge("eager")
 	e.recover()
 	// The watchdog's pending-2PC probe: how many executed backedge
 	// subtransactions sit holding locks awaiting a decision, and the
@@ -103,10 +108,9 @@ func newBackEdge(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *backedg
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		st := watch.PendingStatus{Count: len(e.prepared)}
-		first := true
 		for tid, p := range e.prepared {
-			if first || p.since.Before(st.OldestSince) {
-				st.Oldest, st.OldestSince, first = tid, p.since, false
+			if st.OldestSince.IsZero() || p.since.Before(st.OldestSince) {
+				st.Oldest, st.OldestSince = tid, p.since
 			}
 		}
 		return st
@@ -247,7 +251,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 		Kind: wal.KindEagerStart, TID: tid, Writes: writes, Span: octx,
 	}); werr != nil {
 		t.Abort()
-		e.recAbort(tid, contend.ReasonWALFence)
+		e.emit(abortSlot(contend.ReasonWALFence), model.NoSite, octx, 0)
 		return fmt.Errorf("core: %v aborted: %w: %w", tid, txn.ErrAborted, werr)
 	}
 
@@ -257,8 +261,15 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 	e.mu.Lock()
 	e.waiters[tid] = st
 	e.mu.Unlock()
-	e.obs.eagerDepth.Inc()
+	e.parked.Inc()
 	defer close(st.done)
+	// unpark ends the round trip, on every path out of it.
+	unpark := func() {
+		e.mu.Lock()
+		delete(e.waiters, tid)
+		e.mu.Unlock()
+		e.parked.Dec()
+	}
 
 	// While parked on the round-trip this transaction is the designated
 	// deadlock victim: if a secondary subtransaction blocks on one of its
@@ -277,10 +288,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 
 	abortEager := func(why string, reason contend.AbortReason) error {
 		e.locks.ClearVulnerable(tid)
-		e.mu.Lock()
-		delete(e.waiters, tid)
-		e.mu.Unlock()
-		e.obs.eagerDepth.Dec()
+		unpark()
 		// Log the unilateral abort first: a backedge site whose abort
 		// notification goes missing will inquire, and must find it. A sink
 		// failure means the site is crashing — recovery then finds the
@@ -288,7 +296,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 		_ = e.decisions.Record(tid, false)
 		t.Abort()
 		e.abortBackedges(octx, targets)
-		e.recAbort(tid, reason)
+		e.emit(abortSlot(reason), model.NoSite, octx, 0)
 		return fmt.Errorf("core: %v aborted %s: %w", tid, why, txn.ErrAborted)
 	}
 
@@ -304,18 +312,18 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 		return abortEager("waiting for backedge round-trip", contend.ReasonDeadlock)
 	case <-e.stop:
 		e.locks.ClearVulnerable(tid)
+		unpark()
 		t.Abort()
 		// The site was stopped (chaos crash or shutdown) with the txn
 		// parked on its round trip — an abort with a cause of its own,
 		// previously invisible to the abort accounting.
-		e.recAbort(tid, contend.ReasonCrash)
+		e.emit(abortSlot(contend.ReasonCrash), model.NoSite, octx, 0)
 		return fmt.Errorf("core: engine stopped: %w", txn.ErrAborted)
 	}
 
 	// The special is home and every earlier secondary has committed.
 	// Commit the primary and all backedge subtransactions atomically.
-	e.obs.bePrepares.Inc()
-	e.traceCtx(trace.BackedgePrepare, targets[0], octx)
+	e.emit(prepares, targets[0], octx, 0)
 	committed, runErr := twopc.Run(tid, targets, twopc.Coordinator{
 		Prepare: func(p model.SiteID, id model.TxnID, sc model.SpanContext) (bool, error) {
 			voteStart := e.phaseClock()
@@ -334,24 +342,20 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 		},
 		Log: e.decisions,
 	}, octx.Fork(e.id))
-	e.mu.Lock()
-	delete(e.waiters, tid)
-	e.mu.Unlock()
-	e.obs.eagerDepth.Dec()
+	unpark()
 	if runErr != nil {
 		// The decision is logged and durable; only its delivery failed.
 		// The participant's inquiry sweep will recover it, but the miss
 		// must be visible: a climbing counter here means decision
 		// deliveries are being lost, not merely delayed.
-		e.obs.beDecisionErrs.Inc()
+		e.bank[undelivered].Inc()
 	}
 	if !committed {
 		t.Abort()
-		e.recAbort(tid, contend.ReasonNoVote)
+		e.emit(abortSlot(contend.ReasonNoVote), model.NoSite, octx, 0)
 		return fmt.Errorf("core: %v aborted by 2PC: %w: %w", tid, twopc.ErrNoVote, txn.ErrAborted)
 	}
-	e.obs.beCommits.Inc()
-	e.traceCtx(trace.BackedgeCommit, targets[0], octx)
+	e.emit(decided, targets[0], octx, 0)
 	// The kernel's commit: only now do the remaining (descendant) replicas
 	// receive normal lazy DAG(WT) secondaries.
 	return e.finish(t, octx, start, writes)
@@ -383,14 +387,13 @@ func (e *backedgeEngine) Handle(msg comm.Message) {
 		if !e.logReceipt(msg) {
 			return // fenced mid-crash: dropped unacknowledged, retransmitted
 		}
-		e.recTransport(msg, msg.Span.TID)
+		e.phaseSince(metrics.PhaseTransport, msg.From, msg.Span.TID, msg.SentAt)
 		e.dispatch(queuedMsg{msg: msg})
 	case kindBackedgeAbort:
 		go e.handleAbort(msg.Payload.(abortPayload).TID)
 	case kindPrepare:
 		p := msg.Payload.(preparePayload)
-		e.obs.bePrepares.Inc()
-		e.traceCtx(trace.BackedgePrepare, msg.From, msg.Span)
+		e.emit(prepares, msg.From, msg.Span, 0)
 		//lint:allow waldiscipline the vote's Prepared record was appended and synced by executeHolding before the special was relayed, so the coordinator can only reach this prepare after the registration is durable
 		e.rpc.Reply(msg, prepareResp{Vote: e.table.Prepare(p.TID)})
 	case kindDecision:
@@ -605,10 +608,9 @@ func (e *backedgeEngine) finishDecision(tid model.TxnID, commit bool, from model
 				// obligation passes to the restored entry.
 				return
 			}
-			e.obs.beCommits.Inc()
-			e.traceCtx(trace.BackedgeCommit, from, p.sc)
+			e.emit(decided, from, p.sc, 0)
 			e.noteApplied(p.writes)
-			e.recApplied(p.sc)
+			e.emit(metrics.Secondaries, model.NoSite, p.sc, 0)
 		} else {
 			p.t.Abort()
 			// Same fence discipline as handleAbort: the resolution must hit
@@ -682,8 +684,7 @@ func (e *backedgeEngine) inquireStuck() {
 		if e.stopping() {
 			return
 		}
-		e.obs.beInquiries.Inc()
-		e.traceCtx(trace.DecisionInquiry, s.origin, s.sc)
+		e.emit(inquiries, s.origin, s.sc, 0)
 		resp, err := e.rpc.CallRetrySpan(s.origin, kindInquiry, inquiryPayload{TID: s.tid}, e.cfg.Params.RPCTimeout, 2, s.sc.Fork(e.id))
 		if err != nil {
 			continue // coordinator unreachable; the next sweep retries

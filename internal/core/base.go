@@ -3,18 +3,21 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/fresh"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/wal"
+	"repro/internal/watch"
 )
 
 // base carries the per-site substrate every protocol engine shares: the
@@ -32,7 +35,12 @@ type base struct {
 	tm    *txn.Manager
 	tr    comm.Transport
 	rpc   *comm.RPC
-	obs   siteObs
+
+	// bank is the site's counter bank, the only home of its counts
+	// (observe.go); behind is the staleness histogram, nil without a live
+	// registry.
+	bank   metrics.Bank
+	behind *obs.Histogram
 
 	seq atomic.Uint64
 	// seqBase offsets newTxnID by the log incarnation (incarnation<<48) so
@@ -51,7 +59,7 @@ type base struct {
 	stopOnce sync.Once
 }
 
-func newBase(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transport) base {
+func newBase(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transport) *base {
 	st := storage.NewStore()
 	for _, item := range cfg.Placement.CopiesAt(id) {
 		if err := st.Create(item, 0); err != nil {
@@ -77,33 +85,33 @@ func newBase(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transpo
 	}
 	lm := lock.NewManager(cfg.Params.DetectDeadlocks)
 	lm.SetWoundGrace(cfg.Params.WoundGrace)
-	so := newSiteObs(cfg.Obs, id)
-	rpc := comm.NewRPC(id, tr)
-	rpc.SetLateHook(func(model.SiteID, int) { so.rpcLate.Inc() })
-	tm := txn.NewManager(id, st, lm, cfg.Params.LockTimeout, cfg.Recorder)
-	tm.SetMetrics(cfg.Metrics)
-	if cfg.Trace != nil {
-		// Per-transaction lock-wait and apply segments for the critical-path
-		// analyzer (internal/contend): the aggregate PhaseSample the manager
-		// already takes cannot say whose latency it was.
-		tm.SetPhaseTrace(func(p metrics.Phase, tid model.TxnID, d time.Duration) {
-			cfg.Trace.RecordPhase(id, model.NoSite, tid, uint8(proto), p.String(), d)
-		})
-	}
-	return base{
+	b := &base{
 		cfg:     cfg,
 		id:      id,
 		proto:   proto,
 		store:   st,
 		locks:   lm,
-		tm:      tm,
+		tm:      txn.NewManager(id, st, lm, cfg.Params.LockTimeout, cfg.Recorder),
 		tr:      tr,
-		rpc:     rpc,
-		obs:     so,
+		rpc:     comm.NewRPC(id, tr),
+		bank:    cfg.Metrics.Bank(id, int(numSlots)),
 		seqBase: seqBase,
 		wal:     lg,
 		stop:    make(chan struct{}),
 	}
+	b.exportBank()
+	// Every site exports all four queue depths, whichever queues its
+	// engine has.
+	for _, q := range []string{"fifo", "ts", "eager", "reads"} {
+		b.queueGauge(q)
+	}
+	b.rpc.SetLateHook(func(model.SiteID, int) { b.bank[lateReplies].Inc() })
+	if cfg.Metrics != nil || cfg.Trace != nil {
+		b.tm.SetPhaseHook(func(p metrics.Phase, tid model.TxnID, start time.Time) {
+			b.phaseSince(p, model.NoSite, tid, start)
+		})
+	}
+	return b
 }
 
 func (b *base) Site() model.SiteID { return b.id }
@@ -124,7 +132,13 @@ func (b *base) newTxnID() model.TxnID {
 // they are both final and still reachable.
 func (b *base) halt() {
 	b.stopOnce.Do(func() {
-		b.flushLockStats()
+		// Added once, so the cumulative values ARE the deltas; reading
+		// Stats per grant would put a second mutex acquisition on the lock
+		// hot path for numbers nobody reads mid-run.
+		s := b.lockStats()
+		for i, n := range [...]uint64{s.Acquired, s.Waited, s.Wounds, s.Timeouts, s.Deadlocks} {
+			b.bank[lockGrants+metrics.Count(i)].Add(n)
+		}
 		close(b.stop)
 	})
 }
@@ -270,7 +284,7 @@ func (b *base) beginOrigin() (model.SpanContext, time.Time) {
 	//lint:allow nodeterminism commit-latency stamp for metrics; never branches protocol logic
 	start := time.Now()
 	octx := model.SpanContext{TID: b.newTxnID()}
-	b.traceCtx(trace.TxnBegin, model.NoSite, octx)
+	b.emit(begun, model.NoSite, octx, 0)
 	return octx, start
 }
 
@@ -306,11 +320,79 @@ func (b *base) runLocalOps(t *txn.Txn, ops []model.Op) error {
 	return nil
 }
 
+// Freshness observatory hooks (docs/OBSERVABILITY.md). They keep every
+// disabled hot path down to one nil check; the wall-clock reads live
+// inside internal/fresh, outside the deterministic core — the engines
+// pass only item ids and version numbers.
+
+// noteCommitted mirrors a committed primary's writes into the freshness
+// tracker. Engines call it inside the commit critical section,
+// immediately after Txn.Commit installed the writes, so the tracker's
+// latest version for each item equals the storage version number this
+// commit minted.
+func (b *base) noteCommitted(writes []model.WriteOp) {
+	if b.cfg.Fresh == nil || len(writes) == 0 {
+		return
+	}
+	for _, w := range writes {
+		b.cfg.Fresh.NoteCommit(w.Item)
+	}
+	b.bank[freshCommits].Add(uint64(len(writes)))
+}
+
+// noteApplied advances the tracker's per-(item, site) applied counters
+// for a propagated update installed at this secondary, sampling the
+// replica's version and time lag. Writes without a local copy are
+// skipped, mirroring the appliers' own store.Has filter, so the applied
+// counter only advances for versions this site actually installed.
+func (b *base) noteApplied(writes []model.WriteOp) {
+	if b.cfg.Fresh == nil {
+		return
+	}
+	for _, w := range writes {
+		if b.store.Has(w.Item) {
+			b.cfg.Fresh.NoteApply(b.id, w.Item)
+			b.bank[freshApplies].Inc()
+		}
+	}
+}
+
+// certifyRead issues the read-freshness certificate for a read that
+// observed the given storage version of item at this site; fromStore is
+// false for a read that observed no stored replica — one served from the
+// transaction's own write buffer, or from the primary copy itself (PSL) —
+// which is fresh by construction. The reads count bumps BEFORE the
+// tracker check, so certificate coverage (certificates ÷ reads) is a
+// measured ratio, not an identity: an engine read path that forgets to
+// certify shows up as coverage < 100%. Certificates are span-less
+// because whether a read catches the latest version races propagation
+// timing.
+func (b *base) certifyRead(tid model.TxnID, item model.ItemID, version uint64, fromStore bool) {
+	b.bank[reads].Inc()
+	f := b.cfg.Fresh
+	if f == nil {
+		return
+	}
+	var c fresh.Cert
+	if fromStore {
+		c = f.CertifyRead(b.id, item, version)
+	} else {
+		c = f.CertifyFresh(b.id)
+	}
+	s := readsFresh
+	if c.Stale() {
+		s = readsStale
+		b.bank[staleVersions].Add(c.Versions)
+		b.behind.Observe(c.Behind)
+	}
+	b.emit(s, model.NoSite, model.SpanContext{TID: tid}, c.Behind)
+}
+
 // send transmits a message and counts it. One-way protocol traffic is
 // stamped so the receiver can attribute the transport phase; the stamp is
 // observation-only and never branches protocol logic.
 func (b *base) send(msg comm.Message) {
-	b.cfg.Metrics.MsgSent(1)
+	b.bank[metrics.Messages].Inc()
 	msg.SentAt = b.phaseClock()
 	if err := b.tr.Send(msg); err != nil {
 		// Shutdown race: the run is over and the transport is closed.
@@ -323,6 +405,36 @@ func (b *base) send(msg comm.Message) {
 type queuedMsg struct {
 	msg comm.Message
 	at  time.Time
+}
+
+// depth is one engine queue's length as its two observers see it: the
+// repl_queue_depth gauge and the watchdog's queue handle. Every enqueue
+// reports to both through push, every dequeue through pop.
+type depth struct {
+	gauge *obs.Gauge
+	prog  *watch.Progress
+}
+
+func (d depth) push() {
+	d.gauge.Inc()
+	d.prog.Push()
+}
+
+func (d depth) pop() {
+	d.gauge.Dec()
+	d.prog.Pop()
+}
+
+// newDepth returns the depth handles of this site's queue q.
+func (b *base) newDepth(q string) depth {
+	return depth{gauge: b.queueGauge(q), prog: b.cfg.Watch.Queue(b.id, q)}
+}
+
+// queueGauge returns the live depth gauge of this site's queue q, nil
+// without a registry.
+func (b *base) queueGauge(q string) *obs.Gauge {
+	return b.cfg.Obs.Gauge("repl_queue_depth",
+		obs.Label{Key: "site", Value: strconv.Itoa(int(b.id))}, obs.Label{Key: "queue", Value: q})
 }
 
 // inboxBound bounds a site's secondary queue (DAG(WT), BackEdge) and its
@@ -359,7 +471,7 @@ func (b *base) stopping() bool {
 // to completion (§2): count it, then sleep briefly so a retry storm does
 // not starve the lock holders it waits for.
 func (b *base) retry() {
-	b.recRetry()
+	b.bank[metrics.Retries].Inc()
 	d := b.cfg.Params.LockTimeout / 10
 	if d < 100*time.Microsecond {
 		d = 100 * time.Microsecond

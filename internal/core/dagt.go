@@ -7,7 +7,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/trace"
 	"repro/internal/ts"
 	"repro/internal/wal"
 	"repro/internal/watch"
@@ -39,8 +38,7 @@ type dagtEngine struct {
 	qMu    sync.Mutex
 	qCond  *sync.Cond
 	queues map[model.SiteID][]tsItem // repl:guardedby(qMu)
-
-	prog *watch.Progress
+	held   depth
 }
 
 // tsItem is one queued secondary subtransaction with the causal context
@@ -61,7 +59,7 @@ func newDAGT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagtEngine 
 		lastSent:   make(map[model.SiteID]time.Time),
 		queues:     make(map[model.SiteID][]tsItem),
 	}
-	e.prog = cfg.Watch.Queue(id, "ts")
+	e.held = e.newDepth("ts")
 	e.qCond = sync.NewCond(&e.qMu)
 	// A child is relevant for a transaction iff it replicates one of the
 	// updated items (§3.2.2 step 3).
@@ -83,21 +81,16 @@ func newDAGT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagtEngine 
 		st := watch.EpochStatus{Epoch: e.siteTS.Epoch}
 		e.tsMu.Unlock()
 		e.qMu.Lock()
-		nonEmpty := false
+		var empty []model.SiteID
 		for _, par := range e.parents {
-			if len(e.queues[par]) > 0 {
-				nonEmpty = true
-				break
-			}
-		}
-		if nonEmpty {
-			for _, par := range e.parents {
-				if len(e.queues[par]) == 0 {
-					st.Blocked = append(st.Blocked, par)
-				}
+			if len(e.queues[par]) == 0 {
+				empty = append(empty, par)
 			}
 		}
 		e.qMu.Unlock()
+		if len(empty) < len(e.parents) {
+			st.Blocked = empty
+		}
 		return st
 	})
 	return e
@@ -225,9 +218,7 @@ func (e *dagtEngine) dummyTicker() {
 			tsD, _ = e.stampTS(tsD, true)
 		}
 		for _, c := range idle {
-			e.cfg.Metrics.Dummy()
-			e.obs.dummies.Inc()
-			e.traceEvent(trace.DummySent, c, model.TxnID{})
+			e.emit(metrics.Dummies, c, model.SpanContext{}, 0)
 			e.send(comm.Message{
 				From: e.id, To: c, Kind: kindSecondary,
 				Payload: secondaryPayload{TS: tsD, Dummy: true},
@@ -266,8 +257,7 @@ func (e *dagtEngine) epochTicker() {
 		e.tsMu.Lock()
 		e.siteTS.Epoch = next
 		e.tsMu.Unlock()
-		e.obs.epochs.Inc()
-		e.traceEvent(trace.EpochAdvance, model.NoSite, model.TxnID{})
+		e.emit(epochs, model.NoSite, model.SpanContext{}, 0)
 	}
 }
 
@@ -283,8 +273,7 @@ func (e *dagtEngine) Handle(msg comm.Message) {
 
 // hold appends an admitted secondary (or a dummy) to its parent's queue.
 func (e *dagtEngine) hold(q queuedMsg) {
-	e.obs.tsDepth.Inc()
-	e.prog.Push()
+	e.held.push()
 	e.qMu.Lock()
 	e.queues[q.msg.From] = append(e.queues[q.msg.From],
 		tsItem{p: q.msg.Payload.(secondaryPayload), sc: q.msg.Span, at: q.at})
@@ -320,8 +309,7 @@ func (e *dagtEngine) nextSecondary() (tsItem, bool) {
 			it := q[0]
 			q[0] = tsItem{} // the backing array must not pin a popped item
 			e.queues[minP] = q[1:]
-			e.obs.tsDepth.Dec()
-			e.prog.Pop()
+			e.held.pop()
 			if !it.p.Dummy {
 				e.phaseSince(metrics.PhaseQueueWait, minP, it.p.TID, it.at)
 			}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/watch"
 )
 
 // dagwtEngine implements the DAG(WT) protocol (§2) as a policy over the
@@ -18,7 +17,7 @@ import (
 type dagwtEngine struct {
 	lazyEngine
 	queue *comm.Inbox[queuedMsg] // bounded by inboxBound
-	prog  *watch.Progress
+	fifo  depth
 
 	// special takes the queued messages that are not plain secondaries.
 	// Nil under DAG(WT), which admits nothing else; BackEdge, which embeds
@@ -33,8 +32,8 @@ func buildDAGWT(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Tran
 	e := &dagwtEngine{
 		lazyEngine: newLazy(cfg, proto, id, tr),
 		queue:      comm.NewInbox[queuedMsg](inboxBound),
-		prog:       cfg.Watch.Queue(id, "fifo"),
 	}
+	e.fifo = e.newDepth("fifo")
 	e.routes, e.relay, e.enqueue = treeRoutes(cfg, id), true, e.push
 	return e
 }
@@ -51,8 +50,7 @@ func (e *dagwtEngine) Start() { go e.applier() }
 // queue is full. If the engine stops first the message is not queued; its
 // receipt and pending obligation pass to recovery, as a queued one's do.
 func (e *dagwtEngine) push(q queuedMsg) {
-	e.obs.fifoDepth.Inc()
-	e.prog.Push()
+	e.fifo.push()
 	e.queue.Push(q, e.stop)
 }
 
@@ -65,8 +63,7 @@ func (e *dagwtEngine) applier() {
 		if !ok {
 			return
 		}
-		e.obs.fifoDepth.Dec()
-		e.prog.Pop()
+		e.fifo.pop()
 		e.phaseSince(metrics.PhaseQueueWait, q.msg.From, q.msg.Span.TID, q.at)
 		if q.msg.Kind != kindSecondary {
 			e.special(q.msg)

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/contend"
+	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/trace"
 	"repro/internal/ts"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -24,7 +24,7 @@ import (
 // differences are the fields below, fixed at construction; everything
 // else lives here once.
 type lazyEngine struct {
-	base
+	*base
 
 	// routes is the protocol's routing: the fan-out destinations in send
 	// order, each with the items it can use.
@@ -109,24 +109,18 @@ func (k *lazyEngine) Execute(ops []model.Op) error {
 func (k *lazyEngine) runOrigin(t *txn.Txn, ops []model.Op) error {
 	err := k.runLocalOps(t, ops)
 	if err != nil {
-		k.recAbort(t.ID, contend.Classify(err))
+		k.emit(abortSlot(contend.Classify(err)), model.NoSite, model.SpanContext{TID: t.ID}, 0)
 	}
 	return err
 }
 
 // finish commits a primary subtransaction whose program has run (writes
-// is t.Writes()) and accounts the outcome.
+// is t.Writes()); commit accounts the outcome.
 func (k *lazyEngine) finish(t *txn.Txn, octx model.SpanContext, start time.Time, writes []model.WriteOp) error {
-	err := k.commit(t, wal.Record{
+	return k.commit(t, wal.Record{
 		Kind: wal.KindApply, TID: octx.TID, Role: wal.RoleOrigin,
 		Writes: writes, Span: octx,
-	})
-	if err != nil {
-		k.recAbort(octx.TID, contend.Classify(err))
-		return err
-	}
-	k.recCommit(octx.TID, start)
-	return nil
+	}, start)
 }
 
 // commit is the critical section of §2 and §3.2.2, the one place a lazy
@@ -137,7 +131,9 @@ func (k *lazyEngine) finish(t *txn.Txn, octx model.SpanContext, start time.Time,
 // before Tj at this site, Ti is stamped and forwarded before Tj. rec.Span
 // is the causal context the work runs under: the zero-parent origin
 // context at the primary, the received message's context at a secondary.
-func (k *lazyEngine) commit(t *txn.Txn, rec wal.Record) error {
+// A primary's outcome, commit or abort, is reported here too; start is its
+// begin stamp, the origin of its response time.
+func (k *lazyEngine) commit(t *txn.Txn, rec wal.Record, start time.Time) error {
 	primary := rec.Role == wal.RoleOrigin
 	forwards := primary || k.relay
 	rec.Forwards = forwards && len(rec.Writes) > 0
@@ -163,7 +159,7 @@ func (k *lazyEngine) commit(t *txn.Txn, rec wal.Record) error {
 			// Inside the critical section, so the event is ordered before
 			// the transaction's forward events, and the freshness tracker's
 			// latest version equals the one this commit minted.
-			k.traceCtx(trace.TxnCommit, model.NoSite, rec.Span)
+			k.emit(metrics.Committed, model.NoSite, rec.Span, elapsed(start))
 			k.noteCommitted(rec.Writes)
 		}
 		if forwards {
@@ -172,6 +168,8 @@ func (k *lazyEngine) commit(t *txn.Txn, rec wal.Record) error {
 		if !primary && k.advance != nil {
 			k.advance(rec.TS)
 		}
+	} else if primary {
+		k.emit(abortSlot(contend.Classify(err)), model.NoSite, rec.Span, 0)
 	}
 	if locked {
 		k.commitMu.Unlock()
@@ -207,13 +205,12 @@ func (k *lazyEngine) propagate(in model.SpanContext, tsT ts.Timestamp, writes []
 }
 
 // ship is the fan-out body: one pending obligation (released by the
-// receiver once the delivery is durably consumed), one counter, one
-// trace event under in, and one message carrying in's fork, which makes
-// the hop a child span.
+// receiver once the delivery is durably consumed), one forwarded step
+// under in, and one message carrying in's fork, which makes the hop a
+// child span.
 func (k *lazyEngine) ship(to model.SiteID, kind int, in model.SpanContext, payload any) {
 	k.pendAdd(1)
-	k.obs.forwarded.Inc()
-	k.traceCtx(trace.SecondaryForwarded, to, in)
+	k.emit(forwarded, to, in, 0)
 	k.send(comm.Message{From: k.id, To: to, Kind: kind, Span: in.Fork(k.id), Payload: payload})
 }
 
@@ -237,8 +234,8 @@ func (k *lazyEngine) admit(msg comm.Message) {
 	if !k.logReceipt(msg) {
 		return // fenced mid-crash: dropped unacknowledged, retransmitted
 	}
-	k.traceCtx(trace.SecondaryEnqueued, msg.From, msg.Span)
-	k.recTransport(msg, msg.Span.TID)
+	k.emit(enqueued, msg.From, msg.Span, 0)
+	k.phaseSince(metrics.PhaseTransport, msg.From, msg.Span.TID, msg.SentAt)
 	k.enqueue(queuedMsg{msg: msg, at: k.phaseClock()})
 }
 
@@ -274,10 +271,10 @@ func (k *lazyEngine) apply(p secondaryPayload, sc model.SpanContext) bool {
 			err := k.commit(t, wal.Record{
 				Kind: wal.KindApply, TID: p.TID, Role: wal.RoleSecondary,
 				Consumes: true, Writes: p.Writes, TS: p.TS, Span: sc,
-			})
+			}, time.Time{})
 			if err == nil {
 				k.noteApplied(p.Writes)
-				k.recApplied(sc)
+				k.emit(metrics.Secondaries, model.NoSite, sc, 0)
 				k.pendDone()
 				return true
 			}

@@ -4,212 +4,155 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/contend"
-	"repro/internal/fresh"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// siteObs holds a site's pre-resolved live-metric handles so the hot
-// paths never touch the registry. With observation disabled every handle
-// is nil, and nil handles are no-ops — the same one-branch discipline as
-// the nil trace recorder and nil metrics collector.
-type siteObs struct {
-	committed   *obs.Counter
-	aborted     *obs.Counter
-	applied     *obs.Counter
-	forwarded   *obs.Counter
-	dummies     *obs.Counter
-	epochs      *obs.Counter
-	remoteReads *obs.Counter
-	retries     *obs.Counter
-	bePrepares  *obs.Counter
-	beCommits   *obs.Counter
-	beInquiries *obs.Counter
-	// beDecisionErrs counts 2PC rounds whose decision was logged but whose
-	// delivery to some participant failed; the participant's inquiry sweep
-	// recovers it, and a climbing series here says deliveries are being
-	// lost rather than merely delayed.
-	beDecisionErrs *obs.Counter
-	rpcLate        *obs.Counter
+// The site counter bank's slots after the seven that Report sums
+// (metrics.Count): one per kind of lifecycle step or count an engine
+// makes.
+const (
+	begun         = metrics.NumCounts + iota // primary subtransactions started
+	enqueued                                 // propagation messages admitted to an ordering
+	forwarded                                // secondary subtransactions shipped
+	epochs                                   // DAG(T) source epoch advances
+	prepares                                 // BackEdge 2PC prepares, at origin and participants
+	decided                                  // BackEdge 2PC commits, at origin and participants
+	inquiries                                // BackEdge 2PC decision inquiries
+	undelivered                              // 2PC rounds whose logged decision failed to reach a participant
+	lateReplies                              // RPC replies that arrived after their call gave up
+	reads                                    // read operations, each owed a certificate
+	readsFresh                               // fresh read certificates
+	readsStale                               // stale read certificates
+	staleVersions                            // versions the stale reads were behind
+	freshCommits                             // writes noted committed in the freshness tracker
+	freshApplies                             // writes noted applied in the freshness tracker
+	lockGrants                               // lock manager counters, in lock.Stats order, added when the site halts
+	lockWaits
+	lockWounds
+	lockTimeouts
+	lockDeadlocks
+	abortedBy // first of one abort slot per contend.AbortReason
 
-	// abortReasons splits the aborted counter by root cause, one counter
-	// per contend.AbortReason, labelled reason=<name>; every recAbort
-	// increments exactly one of them (docs/OBSERVABILITY.md, contention
-	// observatory).
-	abortReasons [contend.NumReasons]*obs.Counter
+	numSlots = abortedBy + metrics.Count(contend.NumReasons)
+)
 
-	// Lock-manager counters (repl_lock_*_total), published from
-	// lock.Manager.Stats by flushLockStats when the site halts.
-	lockGrants    *obs.Counter
-	lockWaits     *obs.Counter
-	lockWounds    *obs.Counter
-	lockTimeouts  *obs.Counter
-	lockDeadlocks *obs.Counter
-
-	// Queue-depth gauges: the DAG(WT)/BackEdge FIFO applier queue, the
-	// DAG(T) timestamp-hold queues, the BackEdge origins parked on their
-	// backedge round-trip, and the PSL remote-read service queue.
-	fifoDepth  *obs.Gauge
-	tsDepth    *obs.Gauge
-	eagerDepth *obs.Gauge
-	readsDepth *obs.Gauge
-
-	// Freshness observatory handles (docs/OBSERVABILITY.md): every read
-	// issues a certificate (reads = readsFresh + readsStale, the coverage
-	// identity the freshness smoke checks), stale ones also accumulate how
-	// many versions behind they were and a time-behind histogram; the
-	// repl_fresh_* pair mirrors the tracker's commit/apply bookkeeping so a
-	// scrape can see propagation progress without the tracker.
-	reads         *obs.Counter
-	readsFresh    *obs.Counter
-	readsStale    *obs.Counter
-	staleVersions *obs.Counter
-	readBehind    *obs.Histogram
-	freshCommits  *obs.Counter
-	freshApplies  *obs.Counter
+// slot says what one bank slot means: the series a registry exports it
+// under, labelled with the site ("" keeps it unexported), and the trace
+// event emit records with it (zero for none). Events that carry a
+// wall-clock payload are span-less, so timing never perturbs span-tree
+// structure; tag fills the event's Phase field.
+type slot struct {
+	series   string
+	kind     trace.Kind
+	spanless bool
+	tag      string
 }
 
-func newSiteObs(r *obs.Registry, id model.SiteID) siteObs {
-	if r == nil {
-		return siteObs{}
+// slots is the one table of the bank's slots.
+var slots = func() [numSlots]slot {
+	t := [numSlots]slot{
+		metrics.Committed:   {series: "repl_txn_committed_total", kind: trace.TxnCommit},
+		metrics.Aborted:     {series: "repl_txn_aborted_total"},
+		metrics.Secondaries: {series: "repl_secondary_applied_total", kind: trace.SecondaryApplied},
+		metrics.RemoteReads: {series: "repl_remote_reads_total", kind: trace.RemoteRead},
+		metrics.Dummies:     {series: "repl_dummy_sent_total", kind: trace.DummySent, spanless: true},
+		metrics.Retries:     {series: "repl_secondary_retries_total"},
+		begun:               {kind: trace.TxnBegin},
+		enqueued:            {kind: trace.SecondaryEnqueued},
+		forwarded:           {series: "repl_secondary_forwarded_total", kind: trace.SecondaryForwarded},
+		epochs:              {series: "repl_epoch_advances_total", kind: trace.EpochAdvance, spanless: true},
+		prepares:            {series: "repl_backedge_prepares_total", kind: trace.BackedgePrepare},
+		decided:             {series: "repl_backedge_commits_total", kind: trace.BackedgeCommit},
+		inquiries:           {series: "repl_backedge_inquiries_total", kind: trace.DecisionInquiry},
+		undelivered:         {series: "repl_backedge_decision_errors_total"},
+		lateReplies:         {series: "repl_rpc_late_responses_total"},
+		reads:               {series: "repl_txn_reads_total"},
+		readsFresh:          {series: "repl_read_staleness_fresh_total", kind: trace.ReadCertificate, spanless: true, tag: "fresh"},
+		readsStale:          {series: "repl_read_staleness_stale_total", kind: trace.ReadCertificate, spanless: true, tag: "stale"},
+		staleVersions:       {series: "repl_read_staleness_versions_total"},
+		freshCommits:        {series: "repl_fresh_commits_total"},
+		freshApplies:        {series: "repl_fresh_applies_total"},
+		lockGrants:          {series: "repl_lock_grants_total"},
+		lockWaits:           {series: "repl_lock_waits_total"},
+		lockWounds:          {series: "repl_lock_wounds_total"},
+		lockTimeouts:        {series: "repl_lock_timeouts_total"},
+		lockDeadlocks:       {series: "repl_lock_deadlocks_total"},
 	}
-	site := obs.Label{Key: "site", Value: strconv.Itoa(int(id))}
-	queue := func(q string) *obs.Gauge {
-		return r.Gauge("repl_queue_depth", site, obs.Label{Key: "queue", Value: q})
+	for _, r := range contend.Reasons() {
+		t[abortSlot(r)] = slot{series: "repl_txn_abort_reason_total", kind: trace.TxnAbort, tag: r.String()}
 	}
-	so := siteObs{
-		committed:      r.Counter("repl_txn_committed_total", site),
-		aborted:        r.Counter("repl_txn_aborted_total", site),
-		applied:        r.Counter("repl_secondary_applied_total", site),
-		forwarded:      r.Counter("repl_secondary_forwarded_total", site),
-		dummies:        r.Counter("repl_dummy_sent_total", site),
-		epochs:         r.Counter("repl_epoch_advances_total", site),
-		remoteReads:    r.Counter("repl_remote_reads_total", site),
-		retries:        r.Counter("repl_secondary_retries_total", site),
-		bePrepares:     r.Counter("repl_backedge_prepares_total", site),
-		beCommits:      r.Counter("repl_backedge_commits_total", site),
-		beInquiries:    r.Counter("repl_backedge_inquiries_total", site),
-		beDecisionErrs: r.Counter("repl_backedge_decision_errors_total", site),
-		rpcLate:        r.Counter("repl_rpc_late_responses_total", site),
-		fifoDepth:      queue("fifo"),
-		tsDepth:        queue("ts"),
-		eagerDepth:     queue("eager"),
-		readsDepth:     queue("reads"),
-		lockGrants:     r.Counter("repl_lock_grants_total", site),
-		lockWaits:      r.Counter("repl_lock_waits_total", site),
-		lockWounds:     r.Counter("repl_lock_wounds_total", site),
-		lockTimeouts:   r.Counter("repl_lock_timeouts_total", site),
-		lockDeadlocks:  r.Counter("repl_lock_deadlocks_total", site),
-		reads:          r.Counter("repl_txn_reads_total", site),
-		readsFresh:     r.Counter("repl_read_staleness_fresh_total", site),
-		readsStale:     r.Counter("repl_read_staleness_stale_total", site),
-		staleVersions:  r.Counter("repl_read_staleness_versions_total", site),
-		readBehind:     r.Histogram("repl_read_staleness_behind", site),
-		freshCommits:   r.Counter("repl_fresh_commits_total", site),
-		freshApplies:   r.Counter("repl_fresh_applies_total", site),
+	return t
+}()
+
+// abortSlot is the bank slot of an abort with root cause r. Emitting it
+// also counts the abort in metrics.Aborted and tags the TxnAbort event
+// with r, so no engine can abort without classifying.
+func abortSlot(r contend.AbortReason) metrics.Count { return abortedBy + metrics.Count(r) }
+
+// exportBank registers the site's bank slots in the live registry under
+// their series — the registry then reads the bank in place — together
+// with the staleness histogram.
+func (b *base) exportBank() {
+	r := b.cfg.Obs // nil-safe: without a registry every call is a no-op
+	site := obs.Label{Key: "site", Value: strconv.Itoa(int(b.id))}
+	for s, row := range slots {
+		switch {
+		case s >= int(abortedBy):
+			r.Export(&b.bank[s], row.series, site, obs.Label{Key: "reason", Value: row.tag})
+		case row.series != "":
+			r.Export(&b.bank[s], row.series, site)
+		}
 	}
-	for _, reason := range contend.Reasons() {
-		so.abortReasons[reason] = r.Counter("repl_txn_abort_reason_total",
-			site, obs.Label{Key: "reason", Value: reason.String()})
+	b.behind = r.Histogram("repl_read_staleness_behind", site)
+}
+
+// emit reports one lifecycle step: it bumps slot s of the site's bank
+// and, when tracing, records the slot's event, under this site's span
+// within sc unless the event is span-less. d is the step's duration: a
+// commit's response time, a certificate's time behind the primary.
+func (b *base) emit(s metrics.Count, peer model.SiteID, sc model.SpanContext, d time.Duration) {
+	b.bank[s].Inc()
+	switch {
+	case s == metrics.Committed:
+		b.cfg.Metrics.TxnCommitted(sc.TID, d)
+	case s == metrics.Secondaries:
+		b.cfg.Metrics.SecondaryApplied(sc.TID)
+	case s >= abortedBy:
+		b.bank[metrics.Aborted].Inc()
 	}
-	return so
+	row := &slots[s]
+	if b.cfg.Trace == nil || row.kind == 0 {
+		return
+	}
+	ev := trace.Event{Kind: row.kind, Site: b.id, Peer: peer, TID: sc.TID, Proto: uint8(b.proto), Phase: row.tag}
+	if row.spanless {
+		ev.Dur = int64(d)
+	} else {
+		ev.Span, ev.Parent = sc.SpanAt(b.id), sc.Parent
+	}
+	b.cfg.Trace.Add(ev)
 }
 
 // AbortReasons returns the site's cumulative abort root-cause breakdown,
-// reason name → count, zero-count reasons omitted. Backed by the
-// per-reason obs counters, so it is empty when observation is disabled.
+// reason name → count, zero-count reasons omitted.
 func (b *base) AbortReasons() map[string]uint64 {
 	out := make(map[string]uint64)
-	for _, reason := range contend.Reasons() {
-		if n := b.obs.abortReasons[reason].Value(); n > 0 {
-			out[reason.String()] = n
+	for _, r := range contend.Reasons() {
+		if n := b.bank[abortSlot(r)].Value(); n > 0 {
+			out[r.String()] = n
 		}
 	}
 	return out
 }
 
-// flushLockStats publishes the lock manager's cumulative counters into the
-// live registry. Called once, when the site halts, so the cumulative
-// values ARE the deltas; reading Stats per grant would put a second mutex
-// acquisition on the lock hot path for numbers nobody scrapes mid-run.
-func (b *base) flushLockStats() {
-	s := b.lockStats()
-	b.obs.lockGrants.Add(s.Acquired)
-	b.obs.lockWaits.Add(s.Waited)
-	b.obs.lockWounds.Add(s.Wounds)
-	b.obs.lockTimeouts.Add(s.Timeouts)
-	b.obs.lockDeadlocks.Add(s.Deadlocks)
-}
-
-// traceEvent records one lifecycle event tagged with this site and
-// protocol; with tracing disabled the call is one branch, no allocation.
-func (b *base) traceEvent(k trace.Kind, peer model.SiteID, tid model.TxnID) {
-	b.cfg.Trace.Record(k, b.id, peer, tid, uint8(b.proto))
-}
-
-// traceCtx records one lifecycle event under this site's span within the
-// causal context sc: the event's span is the local work, its parent the
-// sending site's span (zero at the origin, rooting the tree).
-func (b *base) traceCtx(k trace.Kind, peer model.SiteID, sc model.SpanContext) {
-	if b.cfg.Trace == nil {
-		return
-	}
-	b.cfg.Trace.RecordSpan(k, b.id, peer, sc.TID, uint8(b.proto), sc.SpanAt(b.id), sc.Parent)
-}
-
-// tracing reports whether events are being recorded; call sites that
-// would pay extra work just to build an event (e.g. a payload type
-// assertion) gate on it.
-func (b *base) tracing() bool { return b.cfg.Trace != nil }
-
-// recCommit folds the bookkeeping for a committed primary
-// subtransaction: run collector, live registry. (The TxnCommit trace
-// event is recorded separately, inside the commit critical section, so
-// it is ordered before the transaction's forward events.)
-func (b *base) recCommit(tid model.TxnID, start time.Time) {
-	//lint:allow nodeterminism latency observation only; the measured duration never branches protocol logic
-	b.cfg.Metrics.TxnCommitted(tid, time.Since(start))
-	b.obs.committed.Inc()
-}
-
-// recAbort folds the bookkeeping for an aborted primary subtransaction.
-// Aborts happen at the origin, so the event sits on the root span. Every
-// abort carries its root cause: the reason both tags the TxnAbort trace
-// event and selects the per-reason counter, so no engine can abort
-// without classifying (the compiler enforces what a convention could
-// not).
-func (b *base) recAbort(tid model.TxnID, reason contend.AbortReason) {
-	b.cfg.Metrics.TxnAborted()
-	b.obs.aborted.Inc()
-	b.obs.abortReasons[reason].Inc()
-	if b.cfg.Trace != nil {
-		sc := model.SpanContext{TID: tid}
-		b.cfg.Trace.RecordTag(trace.TxnAbort, b.id, model.NoSite, tid,
-			uint8(b.proto), sc.SpanAt(b.id), sc.Parent, reason.String())
-	}
-}
-
-// recApplied folds the bookkeeping for a committed secondary
-// subtransaction, attributed to this site's span within sc.
-func (b *base) recApplied(sc model.SpanContext) {
-	b.cfg.Metrics.SecondaryApplied(sc.TID)
-	b.obs.applied.Inc()
-	b.traceCtx(trace.SecondaryApplied, model.NoSite, sc)
-}
-
-// recRetry folds the bookkeeping for a subtransaction resubmission.
-func (b *base) recRetry() {
-	b.cfg.Metrics.Retry()
-	b.obs.retries.Inc()
-}
-
-// Phase-level latency attribution (docs/BENCHMARKING.md). All clock reads
-// for it are confined to the three helpers below so the nodeterminism
-// allowances live in one place; engines deal only in opaque stamps.
+// Phase-level latency attribution (docs/BENCHMARKING.md). Every clock
+// read for observation is confined to phaseClock and elapsed, so the
+// nodeterminism allowances live in one place; engines deal only in
+// opaque stamps.
 
 // phaseClock returns the current time when phase attribution has a sink
 // (a metrics collector or a trace recorder), and the zero time otherwise,
@@ -222,122 +165,25 @@ func (b *base) phaseClock() time.Time {
 	return time.Now()
 }
 
-// recPhase attributes a latency segment to phase p: one sample in the run
-// collector plus, when tracing, a PhaseLatency trace event.
-func (b *base) recPhase(p metrics.Phase, peer model.SiteID, tid model.TxnID, d time.Duration) {
-	b.cfg.Metrics.PhaseSample(p, d)
-	b.cfg.Trace.RecordPhase(b.id, peer, tid, uint8(b.proto), p.String(), d)
+// elapsed returns the wall time since stamp t.
+func elapsed(t time.Time) time.Duration {
+	//lint:allow nodeterminism latency observation only; the measured duration never branches protocol logic
+	return time.Since(t)
 }
 
-// phaseSince closes a phase segment opened at a phaseClock stamp; the
-// zero stamp means attribution is off and the call is one branch.
+// phaseSince is emit's phase path: it closes a latency segment of phase p
+// opened at start — a phaseClock stamp, a message's SentAt, a transaction
+// manager's segment start — with one sample in the run collector plus,
+// when tracing, a span-less PhaseLatency event. The zero stamp means
+// attribution is off and the call is one branch.
 func (b *base) phaseSince(p metrics.Phase, peer model.SiteID, tid model.TxnID, start time.Time) {
 	if start.IsZero() {
 		return
 	}
-	//lint:allow nodeterminism latency observation only; the measured duration never branches protocol logic
-	b.recPhase(p, peer, tid, time.Since(start))
-}
-
-// recTransport turns a stamped incoming message into a transport-phase
-// sample (one-way send-to-receipt time); unstamped messages — RPC round
-// trips, which are attributed as whole vote/decision/remote-read phases —
-// are ignored.
-func (b *base) recTransport(msg comm.Message, tid model.TxnID) {
-	b.phaseSince(metrics.PhaseTransport, msg.From, tid, msg.SentAt)
-}
-
-// Freshness observatory hooks (docs/OBSERVABILITY.md). Like the phase
-// helpers, these keep every disabled hot path down to one nil check; the
-// wall-clock reads live inside internal/fresh, outside the deterministic
-// core — the engines pass only item ids and version numbers.
-
-// noteCommitted mirrors a committed primary's writes into the freshness
-// tracker. Engines call it inside the commit critical section,
-// immediately after Txn.Commit installed the writes, so the tracker's
-// latest version for each item equals the storage version number this
-// commit minted.
-func (b *base) noteCommitted(writes []model.WriteOp) {
-	if b.cfg.Fresh == nil || len(writes) == 0 {
-		return
+	d := elapsed(start)
+	b.cfg.Metrics.PhaseSample(p, d)
+	if b.cfg.Trace != nil {
+		b.cfg.Trace.Add(trace.Event{Kind: trace.PhaseLatency, Site: b.id, Peer: peer, TID: tid,
+			Proto: uint8(b.proto), Phase: p.String(), Dur: int64(d)})
 	}
-	for _, w := range writes {
-		b.cfg.Fresh.NoteCommit(w.Item)
-	}
-	b.obs.freshCommits.Add(uint64(len(writes)))
-}
-
-// noteApplied advances the tracker's per-(item, site) applied counters
-// for a propagated update installed at this secondary, sampling the
-// replica's version and time lag. Writes without a local copy are
-// skipped, mirroring the appliers' own store.Has filter, so the applied
-// counter only advances for versions this site actually installed.
-func (b *base) noteApplied(writes []model.WriteOp) {
-	if b.cfg.Fresh == nil || len(writes) == 0 {
-		return
-	}
-	n := uint64(0)
-	for _, w := range writes {
-		if !b.store.Has(w.Item) {
-			continue
-		}
-		b.cfg.Fresh.NoteApply(b.id, w.Item)
-		n++
-	}
-	if n > 0 {
-		b.obs.freshApplies.Add(n)
-	}
-}
-
-// certifyRead records a read-freshness certificate for a read that
-// observed the given storage version of item at this site; fromStore is
-// false for reads served from the transaction's own write buffer, which
-// are certified fresh (the value is newer than anything committed). The
-// reads counter bumps BEFORE the tracker check, so certificate coverage
-// (certificates ÷ reads) is a measured ratio, not an identity: an engine
-// read path that forgets to certify shows up as coverage < 100%.
-func (b *base) certifyRead(tid model.TxnID, item model.ItemID, version uint64, fromStore bool) {
-	b.obs.reads.Inc()
-	f := b.cfg.Fresh
-	if f == nil {
-		return
-	}
-	var c fresh.Cert
-	if fromStore {
-		c = f.CertifyRead(b.id, item, version)
-	} else {
-		c = f.CertifyFresh(b.id)
-	}
-	b.recCert(tid, c)
-}
-
-// certifyPrimaryRead certifies a read that observed the primary copy
-// itself (PSL's local primary reads and remote-read replies): zero
-// staleness by construction, counted so certificate coverage stays
-// total.
-func (b *base) certifyPrimaryRead(tid model.TxnID) {
-	b.obs.reads.Inc()
-	f := b.cfg.Fresh
-	if f == nil {
-		return
-	}
-	b.recCert(tid, f.CertifyFresh(b.id))
-}
-
-// recCert folds one certificate into the live registry and, when
-// tracing, a span-less ReadCertificate event tagged fresh/stale with the
-// time behind as its duration. Span-less because whether a particular
-// read catches the latest version races propagation timing — hanging
-// certificates off spans would make same-seed span trees diverge.
-func (b *base) recCert(tid model.TxnID, c fresh.Cert) {
-	tag := "fresh"
-	if c.Stale() {
-		tag = "stale"
-		b.obs.readsStale.Inc()
-		b.obs.staleVersions.Add(c.Versions)
-		b.obs.readBehind.Observe(c.Behind)
-	} else {
-		b.obs.readsFresh.Inc()
-	}
-	b.cfg.Trace.RecordTagDur(trace.ReadCertificate, b.id, model.NoSite, tid, uint8(b.proto), tag, c.Behind)
 }

@@ -11,10 +11,8 @@ import (
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/wal"
-	"repro/internal/watch"
 )
 
 // pslEngine implements the lazy primary-site-locking baseline of §5.1 (a
@@ -25,7 +23,7 @@ import (
 // site always sees the latest value because it always reads the primary —
 // and all locks (local and remote) are released at commit.
 type pslEngine struct {
-	base
+	*base
 
 	// reads is the site's remote-read service queue, an inbox of at most
 	// inboxBound requests. Like the lazy protocols' single secondary
@@ -44,7 +42,7 @@ type pslEngine struct {
 	relMu    sync.Mutex
 	released map[model.TxnID]bool // repl:guardedby(relMu)
 
-	prog *watch.Progress
+	queued depth // the read queue's
 }
 
 func newPSL(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *pslEngine {
@@ -52,8 +50,8 @@ func newPSL(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *pslEngine {
 		base:     newBase(cfg, PSL, id, tr),
 		reads:    comm.NewInbox[queuedMsg](inboxBound),
 		released: make(map[model.TxnID]bool),
-		prog:     cfg.Watch.Queue(id, "reads"),
 	}
+	e.queued = e.newDepth("reads")
 	e.recover()
 	return e
 }
@@ -88,8 +86,7 @@ func (e *pslEngine) readServer() {
 		if !ok {
 			return
 		}
-		e.obs.readsDepth.Dec()
-		e.prog.Pop()
+		e.queued.pop()
 		e.serveRead(q.msg, q.at)
 	}
 }
@@ -103,7 +100,7 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 	fail := func(err error, reason contend.AbortReason) error {
 		t.Abort()
 		e.releaseRemotes(octx, remotes)
-		e.recAbort(tid, reason)
+		e.emit(abortSlot(reason), model.NoSite, octx, 0)
 		return err
 	}
 
@@ -111,39 +108,31 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 		e.simulateOp()
 		switch op.Kind {
 		case model.OpRead:
-			primary := e.cfg.Placement.Primary[op.Item]
-			if primary == e.id {
+			if primary := e.cfg.Placement.Primary[op.Item]; primary == e.id {
 				if _, err := t.Read(op.Item); err != nil {
-					e.releaseRemotes(octx, remotes)
-					e.recAbort(tid, contend.Classify(err))
-					return err
+					return fail(err, contend.Classify(err))
 				}
-				// Local primary read: the primary copy IS the latest version.
-				e.certifyPrimaryRead(tid)
-				continue
-			}
-			// Replica read: shared lock + value ship from the primary.
-			e.cfg.Metrics.RemoteRead()
-			e.obs.remoteReads.Inc()
-			e.traceCtx(trace.RemoteRead, primary, octx)
-			resp, err := e.rpc.CallSpan(primary, kindPSLRead, pslReadReq{TID: tid, Item: op.Item}, e.cfg.Params.RPCTimeout, octx.Fork(e.id))
-			if err != nil {
-				// The lock may still be granted remotely after our timeout;
-				// the release below cancels or undoes it.
+			} else {
+				// Replica read: shared lock + value ship from the primary.
+				e.emit(metrics.RemoteReads, primary, octx, 0)
+				resp, err := e.rpc.CallSpan(primary, kindPSLRead, pslReadReq{TID: tid, Item: op.Item}, e.cfg.Params.RPCTimeout, octx.Fork(e.id))
+				// Even after a timeout the lock may still be granted
+				// remotely; the release cancels or undoes it.
 				remotes[primary] = true
-				// The remote error crossed an RPC boundary, which flattens
-				// the wrapped chain: a failed remote read IS a lock wait
-				// that outlasted its deadline (the primary's lock timeout
-				// or the RPC timeout bounding it), so classify it here.
-				return fail(fmt.Errorf("%w: remote r[%d] at s%d: %v", txn.ErrAborted, op.Item, primary, err),
-					contend.ReasonLockTimeout)
+				if err != nil {
+					// The remote error crossed an RPC boundary, which
+					// flattens the wrapped chain: a failed remote read IS a
+					// lock wait that outlasted its deadline (the primary's
+					// lock timeout or the RPC timeout bounding it), so
+					// classify it here.
+					return fail(fmt.Errorf("%w: remote r[%d] at s%d: %v", txn.ErrAborted, op.Item, primary, err),
+						contend.ReasonLockTimeout)
+				}
+				t.ObserveRemoteRead(primary, op.Item, resp.(pslReadResp).Version)
 			}
-			remotes[primary] = true
-			rr := resp.(pslReadResp)
-			t.ObserveRemoteRead(primary, op.Item, rr.Version)
-			// The reply shipped the primary copy's current value: fresh by
-			// construction, whatever the local replica's lag.
-			e.certifyPrimaryRead(tid)
+			// Either way the read observed the primary copy, which IS the
+			// latest version, whatever the local replica's lag.
+			e.certifyRead(tid, op.Item, 0, false)
 		case model.OpWrite:
 			if !e.cfg.Placement.IsPrimary(e.id, op.Item) {
 				// Workload misconfiguration, not contention; no reason fits
@@ -152,9 +141,7 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 					contend.ReasonUnknown)
 			}
 			if err := t.Write(op.Item, op.Value); err != nil {
-				e.releaseRemotes(octx, remotes)
-				e.recAbort(tid, contend.Classify(err))
-				return err
+				return fail(err, contend.Classify(err))
 			}
 		}
 	}
@@ -163,13 +150,10 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 		Writes: t.Writes(), Span: octx,
 	})
 	if err := t.Commit(); err != nil {
-		e.releaseRemotes(octx, remotes)
-		e.recAbort(tid, contend.Classify(err))
-		return err
+		return fail(err, contend.Classify(err))
 	}
-	e.traceCtx(trace.TxnCommit, model.NoSite, octx)
+	e.emit(metrics.Committed, model.NoSite, octx, elapsed(start))
 	e.releaseRemotes(octx, remotes)
-	e.recCommit(tid, start)
 	return nil
 }
 
@@ -200,12 +184,11 @@ func (e *pslEngine) Handle(msg comm.Message) {
 		// Lock waits block; serve through the site's read server, off the
 		// transport goroutine. A request dropped because the site stopped
 		// is never answered; the reader's RPC times out.
-		e.obs.readsDepth.Inc()
-		e.prog.Push()
+		e.queued.push()
 		e.reads.Push(queuedMsg{msg: msg, at: e.phaseClock()}, e.stop)
 	case kindPSLRelease:
 		tid := msg.Payload.(pslReleasePayload).TID
-		e.recTransport(msg, tid)
+		e.phaseSince(metrics.PhaseTransport, msg.From, tid, msg.SentAt)
 		// The tombstone must be durable before this delivery is
 		// acknowledged (the handler returning is the ack): a release, once
 		// acked, is never retransmitted, and losing it would leak the

@@ -2,6 +2,8 @@
 // per-site throughput of primary subtransactions, abort rate, response
 // times (§5.3.4), and update-propagation delay (§5.3.4), plus message
 // counters used to explain the PSL-vs-BackEdge communication trade-off.
+// Counts live in one bank per site (Bank); the collector sums them and
+// keeps only durations itself.
 package metrics
 
 import (
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // Phase identifies one segment of a transaction's lifetime for latency
@@ -61,58 +64,86 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
 
-// Phases lists every registered phase in declaration order. The lint
-// analyzer obscomplete cross-references this registry against engine
-// recording sites.
-func Phases() []Phase {
-	out := make([]Phase, numPhases)
-	for i := range out {
-		out[i] = Phase(i)
-	}
-	return out
-}
+// Count names a slot of a site's counter bank (Bank) that Report sums
+// over sites. The engine that owns a bank numbers its further slots from
+// NumCounts on, and names the series every slot is exported under
+// (internal/core's bank table).
+type Count int
 
-// Collector accumulates one run's measurements. All methods are safe for
-// concurrent use; a nil *Collector is a valid no-op sink.
+const (
+	// Committed counts committed primary subtransactions.
+	Committed Count = iota
+	// Aborted counts aborted primary subtransactions.
+	Aborted
+	// Secondaries counts committed secondary subtransactions.
+	Secondaries
+	// Messages counts protocol messages sent.
+	Messages
+	// RemoteReads counts PSL remote reads.
+	RemoteReads
+	// Dummies counts DAG(T) dummy subtransactions sent.
+	Dummies
+	// Retries counts secondary subtransaction resubmissions after a local
+	// deadlock timeout (§2).
+	Retries
+	// NumCounts is the number of slots Report sums; keep last.
+	NumCounts
+)
+
+// Bank is one site's event counts, one lock-free counter per slot. It is
+// the only home of those counts: Report sums it over sites, and a live
+// registry exports its slots in place (obs.Registry.Export).
+type Bank []obs.Counter
+
+// Collector accumulates one run's measurements: the sites' counter banks
+// and the response-time, propagation-delay and phase durations. All
+// methods are safe for concurrent use; a nil *Collector is a valid no-op
+// sink.
 type Collector struct {
 	start atomic.Int64 // unix nanos
 	end   atomic.Int64
 
-	committed atomic.Uint64
-	aborted   atomic.Uint64
-
-	messages    atomic.Uint64
-	remoteReads atomic.Uint64
-	secondaries atomic.Uint64
-	dummies     atomic.Uint64
-	retries     atomic.Uint64 // secondary subtransaction re-submissions
-
-	mu        sync.Mutex
-	resp      durStats
-	prop      durStats
-	phases    [numPhases]durStats
-	commitAt  map[model.TxnID]time.Time
-	keepTimes bool
+	mu       sync.Mutex
+	banks    map[model.SiteID]Bank
+	resp     durStats
+	prop     durStats
+	phases   [numPhases]durStats
+	commitAt map[model.TxnID]time.Time // nil unless tracking propagation
 }
 
 type durStats struct {
 	count   uint64
 	sum     time.Duration
 	max     time.Duration
-	samples []time.Duration // capped reservoir for percentiles
+	samples []time.Duration // reservoir for percentiles, at most maxSamples
 }
 
 const maxSamples = 1 << 16
 
+// add folds v into the series. Once the reservoir is full, the n-th value
+// replaces a uniformly drawn slot with probability maxSamples/n
+// (Algorithm R), so percentiles describe the whole run, not its first
+// maxSamples values. The draw hashes n, which keeps same-input runs
+// identical without a random source per series.
 func (d *durStats) add(v time.Duration) {
 	d.count++
 	d.sum += v
-	if v > d.max {
-		d.max = v
-	}
+	d.max = max(d.max, v)
 	if len(d.samples) < maxSamples {
 		d.samples = append(d.samples, v)
+		return
 	}
+	if j := splitmix64(d.count) % d.count; j < maxSamples {
+		d.samples[j] = v
+	}
+}
+
+// splitmix64 is the SplitMix64 finalizer, a fast well-mixed hash.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 func (d *durStats) mean() time.Duration {
@@ -142,24 +173,35 @@ func Percentile(ds []time.Duration, p float64) time.Duration {
 	s := append([]time.Duration(nil), ds...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	idx := int(math.Ceil(p*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	return s[min(max(idx, 0), len(s)-1)]
 }
 
 // NewCollector returns a collector. If trackPropagation is true it keeps a
 // per-transaction commit-time map so replica applications can be turned
 // into propagation-delay samples (E7).
 func NewCollector(trackPropagation bool) *Collector {
-	c := &Collector{keepTimes: trackPropagation}
+	c := &Collector{banks: make(map[model.SiteID]Bank)}
 	if trackPropagation {
 		c.commitAt = make(map[model.TxnID]time.Time)
 	}
 	return c
+}
+
+// Bank returns site's counter bank of n slots (n >= NumCounts), creating
+// it on first use. Every later call for the site returns the same bank, so
+// the counts of an engine rebuilt after a crash continue those of the one
+// it replaces. A nil collector returns a fresh bank that Report never
+// sees.
+func (c *Collector) Bank(site model.SiteID, n int) Bank {
+	if c == nil {
+		return make(Bank, n)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.banks[site] == nil {
+		c.banks[site] = make(Bank, n)
+	}
+	return c.banks[site]
 }
 
 // Begin marks the start of the measured interval.
@@ -178,38 +220,25 @@ func (c *Collector) End() {
 	c.end.Store(time.Now().UnixNano())
 }
 
-// TxnCommitted records a committed primary subtransaction and its
-// response time.
+// TxnCommitted records a committed primary subtransaction's response
+// time and, when tracking propagation, its commit time.
 func (c *Collector) TxnCommitted(tid model.TxnID, resp time.Duration) {
 	if c == nil {
 		return
 	}
-	c.committed.Add(1)
 	c.mu.Lock()
 	c.resp.add(resp)
-	if c.keepTimes {
+	if c.commitAt != nil {
 		c.commitAt[tid] = time.Now()
 	}
 	c.mu.Unlock()
 }
 
-// TxnAborted records an aborted primary subtransaction.
-func (c *Collector) TxnAborted() {
-	if c == nil {
-		return
-	}
-	c.aborted.Add(1)
-}
-
-// SecondaryApplied records a committed secondary subtransaction; the
-// elapsed time since the primary's commit becomes a propagation-delay
-// sample when tracking is enabled.
+// SecondaryApplied turns a committed secondary subtransaction into a
+// propagation-delay sample — the time since its primary committed — when
+// tracking is enabled.
 func (c *Collector) SecondaryApplied(tid model.TxnID) {
-	if c == nil {
-		return
-	}
-	c.secondaries.Add(1)
-	if !c.keepTimes {
+	if c == nil || c.commitAt == nil {
 		return
 	}
 	c.mu.Lock()
@@ -226,45 +255,9 @@ func (c *Collector) PhaseSample(p Phase, d time.Duration) {
 	if c == nil || p >= numPhases {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
 	c.mu.Lock()
-	c.phases[p].add(d)
+	c.phases[p].add(max(d, 0))
 	c.mu.Unlock()
-}
-
-// MsgSent counts protocol messages.
-func (c *Collector) MsgSent(n int) {
-	if c == nil {
-		return
-	}
-	c.messages.Add(uint64(n))
-}
-
-// RemoteRead counts a PSL remote read.
-func (c *Collector) RemoteRead() {
-	if c == nil {
-		return
-	}
-	c.remoteReads.Add(1)
-}
-
-// Dummy counts a DAG(T) dummy subtransaction.
-func (c *Collector) Dummy() {
-	if c == nil {
-		return
-	}
-	c.dummies.Add(1)
-}
-
-// Retry counts a secondary subtransaction resubmission after a local
-// deadlock timeout (§2).
-func (c *Collector) Retry() {
-	if c == nil {
-		return
-	}
-	c.retries.Add(1)
 }
 
 // PhaseStats summarizes one phase's latency-attribution samples.
@@ -332,12 +325,16 @@ func (c *Collector) Snapshot(m int) Report {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	committed := c.committed.Load()
-	aborted := c.aborted.Load()
+	var n [NumCounts]uint64
+	for _, b := range c.banks {
+		for i := range n {
+			n[i] += b[i].Value()
+		}
+	}
 	r := Report{
 		Elapsed:       elapsed,
-		Committed:     committed,
-		Aborted:       aborted,
+		Committed:     n[Committed],
+		Aborted:       n[Aborted],
 		MeanResponse:  c.resp.mean(),
 		P50Response:   c.resp.percentile(0.50),
 		P95Response:   c.resp.percentile(0.95),
@@ -346,17 +343,17 @@ func (c *Collector) Snapshot(m int) Report {
 		MeanPropDelay: c.prop.mean(),
 		P95PropDelay:  c.prop.percentile(0.95),
 		MaxPropDelay:  c.prop.max,
-		Messages:      c.messages.Load(),
-		RemoteReads:   c.remoteReads.Load(),
-		Secondaries:   c.secondaries.Load(),
-		Dummies:       c.dummies.Load(),
-		Retries:       c.retries.Load(),
+		Messages:      n[Messages],
+		RemoteReads:   n[RemoteReads],
+		Secondaries:   n[Secondaries],
+		Dummies:       n[Dummies],
+		Retries:       n[Retries],
 	}
 	if m > 0 {
-		r.ThroughputPerSite = float64(committed) / elapsed.Seconds() / float64(m)
+		r.ThroughputPerSite = float64(r.Committed) / elapsed.Seconds() / float64(m)
 	}
-	if committed+aborted > 0 {
-		r.AbortRate = 100 * float64(aborted) / float64(committed+aborted)
+	if r.Committed+r.Aborted > 0 {
+		r.AbortRate = 100 * float64(r.Aborted) / float64(r.Committed+r.Aborted)
 	}
 	for i := range c.phases {
 		d := &c.phases[i]

@@ -14,11 +14,10 @@ func txid(n uint64) model.TxnID { return model.TxnID{Site: 0, Seq: n} }
 func TestThroughputAndAbortRate(t *testing.T) {
 	c := NewCollector(false)
 	c.Begin()
-	for i := 0; i < 30; i++ {
-		c.TxnCommitted(txid(uint64(i+1)), time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		c.TxnAborted()
+	for s := model.SiteID(0); s < 3; s++ {
+		b := c.Bank(s, int(NumCounts))
+		b[Committed].Add(10)
+		b[Aborted].Add(uint64(3 + s/2)) // 3, 3, 4
 	}
 	time.Sleep(20 * time.Millisecond)
 	c.End()
@@ -64,8 +63,8 @@ func TestPropagationDelay(t *testing.T) {
 	c.SecondaryApplied(txid(1))
 	c.SecondaryApplied(txid(99)) // unknown primary: no sample
 	r := c.Snapshot(1)
-	if r.Secondaries != 2 {
-		t.Errorf("secondaries = %d", r.Secondaries)
+	if r.MaxPropDelay != r.MeanPropDelay {
+		t.Errorf("prop delay: mean %v, max %v; want one sample", r.MeanPropDelay, r.MaxPropDelay)
 	}
 	if r.MeanPropDelay < 8*time.Millisecond {
 		t.Errorf("prop delay = %v, want ~10ms", r.MeanPropDelay)
@@ -82,17 +81,26 @@ func TestPropagationDisabled(t *testing.T) {
 	}
 }
 
+// TestCounters pins Report's counts as sums over the sites' banks: each
+// Count slot lands in its own field, slots past NumCounts in none, and a
+// site's bank is created once and then shared.
 func TestCounters(t *testing.T) {
 	c := NewCollector(false)
 	c.Begin()
-	c.MsgSent(3)
-	c.MsgSent(2)
-	c.RemoteRead()
-	c.Dummy()
-	c.Retry()
-	r := c.Snapshot(1)
-	if r.Messages != 5 || r.RemoteReads != 1 || r.Dummies != 1 || r.Retries != 1 {
+	b0 := c.Bank(0, int(NumCounts)+2)
+	b0[Messages].Add(3)
+	b0[RemoteReads].Inc()
+	b0[NumCounts].Add(100) // an engine's own slot: not a Report count
+	c.Bank(1, int(NumCounts)+2)[Messages].Add(2)
+	c.Bank(1, int(NumCounts)+2)[Dummies].Inc()
+	c.Bank(0, int(NumCounts)+2)[Retries].Inc()
+	c.Bank(2, int(NumCounts)+2)[Secondaries].Add(4)
+	r := c.Snapshot(3)
+	if r.Messages != 5 || r.RemoteReads != 1 || r.Dummies != 1 || r.Retries != 1 || r.Secondaries != 4 {
 		t.Errorf("counters = %+v", r)
+	}
+	if r.Committed != 0 || r.Aborted != 0 {
+		t.Errorf("engine slot leaked into Report: %+v", r)
 	}
 }
 
@@ -100,12 +108,12 @@ func TestNilCollectorIsNoop(t *testing.T) {
 	var c *Collector
 	c.Begin()
 	c.TxnCommitted(txid(1), time.Second)
-	c.TxnAborted()
 	c.SecondaryApplied(txid(1))
-	c.MsgSent(1)
-	c.RemoteRead()
-	c.Dummy()
-	c.Retry()
+	b := c.Bank(0, int(NumCounts)) // private: counts, but reaches no Report
+	b[Committed].Inc()
+	if b[Committed].Value() != 1 {
+		t.Error("nil collector's bank does not count")
+	}
 	c.End()
 	if r := c.Snapshot(9); r.Committed != 0 {
 		t.Errorf("nil collector recorded: %+v", r)
@@ -133,9 +141,12 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := model.TxnID{Site: model.SiteID(g), Seq: uint64(i + 1)}
+				b := c.Bank(model.SiteID(g%4), int(NumCounts))
 				c.TxnCommitted(id, time.Microsecond)
+				b[Committed].Inc()
 				c.SecondaryApplied(id)
-				c.MsgSent(1)
+				b[Secondaries].Inc()
+				b[Messages].Inc()
 			}
 		}(g)
 	}
@@ -143,6 +154,9 @@ func TestConcurrentRecording(t *testing.T) {
 	r := c.Snapshot(8)
 	if r.Committed != 1600 || r.Messages != 1600 || r.Secondaries != 1600 {
 		t.Errorf("lost updates: %+v", r)
+	}
+	if r.MeanResponse != time.Microsecond || r.P95PropDelay == 0 {
+		t.Errorf("lost durations: %+v", r)
 	}
 }
 
@@ -212,7 +226,9 @@ func TestReportJSON(t *testing.T) {
 	c := NewCollector(false)
 	c.Begin()
 	c.TxnCommitted(txid(1), time.Millisecond)
-	c.TxnAborted()
+	bank := c.Bank(0, int(NumCounts))
+	bank[Committed].Inc()
+	bank[Aborted].Inc()
 	c.End()
 	b, err := c.Snapshot(1).JSON()
 	if err != nil {
@@ -288,9 +304,42 @@ func TestPhaseSample(t *testing.T) {
 	if _, ok := r.Phases[PhaseQueueWait.String()]; ok {
 		t.Errorf("empty phase %s should be omitted from the report", PhaseQueueWait)
 	}
-	for _, p := range Phases() {
+	for p := Phase(0); p < numPhases; p++ {
 		if p.String() == "" {
 			t.Errorf("phase %d has no name", p)
 		}
+	}
+}
+
+// TestReservoirPercentilesCoverWholeRun feeds a run whose first 65 536
+// samples are fast and whose remaining three quarters are slow: a
+// keep-the-first-N buffer reports the warm-up (p50 = 1 ms), a uniform
+// reservoir the run (p50 = 9 ms). Memory stays at the cap, and two
+// identical runs report identical percentiles.
+func TestReservoirPercentilesCoverWholeRun(t *testing.T) {
+	run := func() Report {
+		c := NewCollector(false)
+		c.Begin()
+		for i := 0; i < maxSamples; i++ {
+			c.PhaseSample(PhaseApply, time.Millisecond)
+		}
+		for i := 0; i < 3*maxSamples; i++ {
+			c.PhaseSample(PhaseApply, 9*time.Millisecond)
+		}
+		if n := len(c.phases[PhaseApply].samples); n != maxSamples {
+			t.Fatalf("reservoir holds %d samples, want %d", n, maxSamples)
+		}
+		c.End()
+		return c.Snapshot(1)
+	}
+	a, b := run().Phases[PhaseApply.String()], run().Phases[PhaseApply.String()]
+	if a.P50 != 9*time.Millisecond {
+		t.Errorf("p50 = %v, want 9ms (the run, not its first %d samples)", a.P50, maxSamples)
+	}
+	if a.Count != 4*maxSamples {
+		t.Errorf("count = %d, want %d", a.Count, 4*maxSamples)
+	}
+	if a != b {
+		t.Errorf("same input, different percentiles: %+v vs %+v", a, b)
 	}
 }

@@ -208,6 +208,20 @@ func (r *Registry) Counter(family string, labels ...Label) *Counter {
 	return c
 }
 
+// Export registers c, a counter the caller owns, as the series' counter,
+// replacing any counter registered there before. It lets a count that
+// lives elsewhere (a site's counter bank, internal/metrics) be scraped in
+// place instead of being kept twice.
+func (r *Registry) Export(c *Counter, family string, labels ...Label) {
+	if r == nil {
+		return
+	}
+	s := makeSeries(family, labels)
+	r.mu.Lock()
+	r.counters[s] = c
+	r.mu.Unlock()
+}
+
 // Gauge returns the gauge for the series, creating it if needed.
 func (r *Registry) Gauge(family string, labels ...Label) *Gauge {
 	if r == nil {

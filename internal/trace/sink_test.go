@@ -21,24 +21,6 @@ func TestSinkFanOut(t *testing.T) {
 	}
 }
 
-// TestSetSinkReplaces verifies SetSink's replace-all semantics: it
-// discards sinks added before it, and nil clears the set.
-func TestSetSinkReplaces(t *testing.T) {
-	r := NewRecorder()
-	var a, b atomic.Int64
-	r.AddSink(func(Event) { a.Add(1) })
-	r.SetSink(func(Event) { b.Add(1) })
-	r.Record(TxnCommit, 0, model.NoSite, model.TxnID{Site: 0, Seq: 1}, 0)
-	if a.Load() != 0 || b.Load() != 1 {
-		t.Fatalf("after SetSink: a=%d b=%d, want 0/1", a.Load(), b.Load())
-	}
-	r.SetSink(nil)
-	r.Record(TxnCommit, 0, model.NoSite, model.TxnID{Site: 0, Seq: 2}, 0)
-	if b.Load() != 1 {
-		t.Fatalf("after SetSink(nil): b=%d, want 1", b.Load())
-	}
-}
-
 // TestAddSinkConcurrentWithRecording registers sinks while many
 // goroutines record — the scenario the watchdog-plus-telemetry wiring
 // creates. Run under -race this pins the copy-on-write registration as

@@ -182,6 +182,9 @@ type Event struct {
 	Proto  uint8        `json:"proto"`
 	// Phase and Dur carry latency attribution for PhaseLatency events:
 	// the metrics.Phase name and the segment's duration in nanoseconds.
+	// Phase also tags TxnAbort with its root cause and ReadCertificate
+	// with "fresh"/"stale"; Dur also holds WALRecover's recovery latency
+	// and a certificate's time behind.
 	Phase string `json:"phase,omitempty"`
 	Dur   int64  `json:"dur,omitempty"`
 }
@@ -254,29 +257,11 @@ type Recorder struct {
 // point of every event timestamp.
 func NewRecorder() *Recorder { return &Recorder{start: time.Now()} }
 
-// SetSink installs fn as the only live tap, replacing any sinks added
-// before it (nil clears them all). Taps run synchronously on the
-// recording goroutine, outside the shard lock. Kept for single-consumer
-// callers; anything sharing a recorder (watchdog plus telemetry
-// publisher) registers with AddSink instead.
-func (r *Recorder) SetSink(fn func(Event)) {
-	if r == nil {
-		return
-	}
-	r.sinkMu.Lock()
-	defer r.sinkMu.Unlock()
-	if fn == nil {
-		r.sinks.Store(nil)
-		return
-	}
-	s := []func(Event){fn}
-	r.sinks.Store(&s)
-}
-
-// AddSink registers an additional live tap invoked synchronously (in
-// registration order, after earlier sinks) for every recorded event.
-// Safe to call concurrently with recording: events recorded before the
-// registration completes may or may not reach fn, but none are torn.
+// AddSink registers a live tap invoked synchronously (in registration
+// order, after earlier sinks) for every recorded event, on the recording
+// goroutine and outside the shard lock. Safe to call concurrently with
+// recording: events recorded before the registration completes may or may
+// not reach fn, but none are torn.
 func (r *Recorder) AddSink(fn func(Event)) {
 	if r == nil || fn == nil {
 		return
@@ -291,8 +276,20 @@ func (r *Recorder) AddSink(fn func(Event)) {
 	r.sinks.Store(&next)
 }
 
-// emit fans one event out to every registered sink.
-func (r *Recorder) emit(ev Event) {
+// Add stamps ev.T with the time since the recorder was created, appends
+// the event to its site's shard and hands it to every sink. The caller
+// fills every other field. Events that carry wall-clock payloads (a Dur,
+// a fresh/stale tag) are recorded span-less, so that timing never
+// perturbs span-tree structure. A nil recorder drops the event.
+func (r *Recorder) Add(ev Event) {
+	if r == nil {
+		return
+	}
+	ev.T = int64(time.Since(r.start))
+	s := &r.shards[uint(ev.Site)%shardCount]
+	s.mu.Lock()
+	s.events = append(s.events, ev)
+	s.mu.Unlock()
 	if sinks := r.sinks.Load(); sinks != nil {
 		for _, fn := range *sinks {
 			fn(ev)
@@ -300,104 +297,16 @@ func (r *Recorder) emit(ev Event) {
 	}
 }
 
-// Record appends one event. All arguments are scalars so the disabled
-// (nil-recorder) path performs no interface boxing and no allocation.
+// Record appends one span-less event. All arguments are scalars so the
+// disabled (nil-recorder) path performs no interface boxing and no
+// allocation.
 func (r *Recorder) Record(k Kind, site, peer model.SiteID, tid model.TxnID, proto uint8) {
 	r.RecordSpan(k, site, peer, tid, proto, 0, 0)
 }
 
 // RecordSpan appends one event carrying causal span attribution.
 func (r *Recorder) RecordSpan(k Kind, site, peer model.SiteID, tid model.TxnID, proto uint8, span, parent model.SpanID) {
-	if r == nil {
-		return
-	}
-	ev := Event{
-		T: int64(time.Since(r.start)), Kind: k, Site: site, Peer: peer,
-		TID: tid, Span: span, Parent: parent, Proto: proto,
-	}
-	s := &r.shards[uint(site)%shardCount]
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-	r.emit(ev)
-}
-
-// RecordTag appends one span-attributed event carrying a short string
-// tag in the Phase field — e.g. the abort root cause on TxnAbort events
-// (docs/OBSERVABILITY.md, contention observatory). The tag rides the
-// existing phase wire field, so older readers simply ignore it, and it
-// must be seed-stable (a classification, never a duration or count) so
-// tagged streams stay byte-comparable across same-seed runs.
-func (r *Recorder) RecordTag(k Kind, site, peer model.SiteID, tid model.TxnID, proto uint8, span, parent model.SpanID, tag string) {
-	if r == nil {
-		return
-	}
-	ev := Event{
-		T: int64(time.Since(r.start)), Kind: k, Site: site, Peer: peer,
-		TID: tid, Span: span, Parent: parent, Proto: proto, Phase: tag,
-	}
-	s := &r.shards[uint(site)%shardCount]
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-	r.emit(ev)
-}
-
-// RecordDur appends one event carrying a wall-clock duration (e.g.
-// WALRecover's recovery latency). Span-less like RecordPhase: durations
-// vary between same-seed runs and must not perturb span-tree structure.
-func (r *Recorder) RecordDur(k Kind, site, peer model.SiteID, tid model.TxnID, proto uint8, d time.Duration) {
-	if r == nil {
-		return
-	}
-	ev := Event{
-		T: int64(time.Since(r.start)), Kind: k, Site: site, Peer: peer,
-		TID: tid, Proto: proto, Dur: int64(d),
-	}
-	s := &r.shards[uint(site)%shardCount]
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-	r.emit(ev)
-}
-
-// RecordTagDur appends one span-less event carrying both a short string
-// tag (in the Phase field) and a wall-clock duration — the shape of a
-// read-freshness certificate, whose fresh/stale outcome and lag both
-// depend on propagation timing. Span-less for the same reason RecordPhase
-// is: timing-dependent payloads must never perturb span-tree structure.
-func (r *Recorder) RecordTagDur(k Kind, site, peer model.SiteID, tid model.TxnID, proto uint8, tag string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	ev := Event{
-		T: int64(time.Since(r.start)), Kind: k, Site: site, Peer: peer,
-		TID: tid, Proto: proto, Phase: tag, Dur: int64(d),
-	}
-	s := &r.shards[uint(site)%shardCount]
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-	r.emit(ev)
-}
-
-// RecordPhase appends a PhaseLatency event attributing d of the
-// transaction's latency to the named phase. Deliberately span-less
-// (Span==0): durations are wall-clock and vary between same-seed runs, so
-// keeping them out of the span trees preserves byte-stable Structure.
-func (r *Recorder) RecordPhase(site, peer model.SiteID, tid model.TxnID, proto uint8, phase string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	ev := Event{
-		T: int64(time.Since(r.start)), Kind: PhaseLatency, Site: site, Peer: peer,
-		TID: tid, Proto: proto, Phase: phase, Dur: int64(d),
-	}
-	s := &r.shards[uint(site)%shardCount]
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-	r.emit(ev)
+	r.Add(Event{Kind: k, Site: site, Peer: peer, TID: tid, Span: span, Parent: parent, Proto: proto})
 }
 
 // Len returns the number of recorded events.

@@ -161,7 +161,8 @@ func TestPropDelaysAndQuantile(t *testing.T) {
 func TestRecordPhaseRoundtrip(t *testing.T) {
 	r := NewRecorder()
 	r.RecordSpan(TxnCommit, 2, model.NoSite, tid(2, 9), 3, 1, 0)
-	r.RecordPhase(2, 4, tid(2, 9), 3, "queue_wait", 1500*time.Microsecond)
+	r.Add(Event{Kind: PhaseLatency, Site: 2, Peer: 4, TID: tid(2, 9), Proto: 3,
+		Phase: "queue_wait", Dur: int64(1500 * time.Microsecond)})
 	var buf bytes.Buffer
 	if err := r.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -206,5 +207,5 @@ func TestRecordPhaseRoundtrip(t *testing.T) {
 	}
 
 	var nilR *Recorder
-	nilR.RecordPhase(0, 0, tid(0, 0), 0, "apply", time.Millisecond) // must not panic
+	nilR.Add(Event{Kind: PhaseLatency, Phase: "apply", Dur: int64(time.Millisecond)}) // must not panic
 }

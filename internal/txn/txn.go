@@ -30,8 +30,7 @@ type Manager struct {
 	Timeout  time.Duration     // lock-wait timeout (the paper's 50 ms)
 	Recorder *history.Recorder // nil disables observation recording
 
-	metrics    *metrics.Collector // nil disables phase attribution
-	phaseTrace func(p metrics.Phase, tid model.TxnID, d time.Duration)
+	phase func(p metrics.Phase, tid model.TxnID, start time.Time) // nil disables phase attribution
 }
 
 // NewManager returns a transaction manager over the given store and lock
@@ -40,38 +39,28 @@ func NewManager(site model.SiteID, st *storage.Store, lm *lock.Manager, timeout 
 	return &Manager{Site: site, Store: st, Locks: lm, Timeout: timeout, Recorder: rec}
 }
 
-// SetMetrics installs the collector that receives lock-wait and storage-
-// apply phase samples. Call before transactions run; a nil collector (the
-// default) keeps both hot paths free of clock reads.
-func (m *Manager) SetMetrics(c *metrics.Collector) { m.metrics = c }
-
-// SetPhaseTrace installs fn, invoked with each lock-wait and write-apply
-// segment alongside the aggregate metrics sample, carrying the owning
-// transaction's id. Engines use it to emit per-transaction PhaseLatency
-// trace events at the origin, which the contention observatory's
-// critical-path analyzer needs to attribute commit latency (aggregate
-// phase samples cannot say whose latency it was). A nil hook (the
-// default) adds one branch to the instrumented paths and nothing to the
-// uninstrumented ones.
-func (m *Manager) SetPhaseTrace(fn func(p metrics.Phase, tid model.TxnID, d time.Duration)) {
-	m.phaseTrace = fn
+// SetPhaseHook installs fn, invoked as each lock-wait and write-apply
+// segment ends, with the segment's start and the id of the transaction it
+// belongs to. Engines point it at their phase reporting, which feeds both
+// the run's phase breakdown and the per-transaction PhaseLatency trace
+// events the contention observatory's critical-path analyzer needs. Call
+// before transactions run; a nil hook (the default) keeps both paths free
+// of clock reads.
+func (m *Manager) SetPhaseHook(fn func(p metrics.Phase, tid model.TxnID, start time.Time)) {
+	m.phase = fn
 }
 
 // acquire wraps Locks.AcquireEx with lock-wait phase attribution. The
-// clock is read only when a collector is installed, so the default path
+// clock is read only when a phase hook is installed, so the default path
 // costs one nil check.
 func (t *Txn) acquire(item model.ItemID, mode lock.Mode) error {
 	m := t.m
-	if m.metrics == nil && m.phaseTrace == nil {
+	if m.phase == nil {
 		return m.Locks.AcquireEx(t.ID, item, mode, m.Timeout, t.prio)
 	}
 	start := time.Now()
 	err := m.Locks.AcquireEx(t.ID, item, mode, m.Timeout, t.prio)
-	d := time.Since(start)
-	m.metrics.PhaseSample(metrics.PhaseLockWait, d)
-	if m.phaseTrace != nil {
-		m.phaseTrace(metrics.PhaseLockWait, t.ID, d)
-	}
+	m.phase(metrics.PhaseLockWait, t.ID, start)
 	return err
 }
 
@@ -195,7 +184,7 @@ func (t *Txn) Commit() error {
 		}
 	}
 	var applyStart time.Time
-	if (t.m.metrics != nil || t.m.phaseTrace != nil) && len(t.writeOrder) > 0 {
+	if t.m.phase != nil && len(t.writeOrder) > 0 {
 		applyStart = time.Now()
 	}
 	for _, item := range t.writeOrder {
@@ -208,11 +197,7 @@ func (t *Txn) Commit() error {
 		t.m.Recorder.Write(t.m.Site, item, ver.Num, t.ID)
 	}
 	if !applyStart.IsZero() {
-		d := time.Since(applyStart)
-		t.m.metrics.PhaseSample(metrics.PhaseApply, d)
-		if t.m.phaseTrace != nil {
-			t.m.phaseTrace(metrics.PhaseApply, t.ID, d)
-		}
+		t.m.phase(metrics.PhaseApply, t.ID, applyStart)
 	}
 	for _, ro := range t.readObs {
 		t.m.Recorder.Read(ro.Site, ro.Item, ro.Version, ro.Reader)

@@ -265,7 +265,7 @@ type queueSample struct {
 
 // Watchdog is the monitor. Construct with New, wire with SetObs /
 // SetTrace / the engine-side Register* and Queue calls, feed with
-// Ingest (typically via trace.Recorder.SetSink), then Start.
+// Ingest (typically via trace.Recorder.AddSink), then Start.
 type Watchdog struct {
 	opts Options
 
@@ -425,7 +425,7 @@ func (w *Watchdog) RegisterWaitGraphs(probe func() []contend.SiteWaitGraph) {
 // Ingest consumes one live trace event: it maintains the
 // forwarded-but-unapplied bookkeeping behind the staleness alert and
 // appends to the flight-recorder ring. Install it as the recorder's
-// sink: rec.SetSink(w.Ingest). Safe for concurrent use.
+// sink: rec.AddSink(w.Ingest). Safe for concurrent use.
 func (w *Watchdog) Ingest(ev trace.Event) {
 	if w == nil {
 		return

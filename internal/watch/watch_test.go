@@ -137,7 +137,7 @@ func TestStalenessFromIngestAndFlightDump(t *testing.T) {
 	reg := obs.NewRegistry()
 	w.SetObs(reg)
 	rec := trace.NewRecorder()
-	rec.SetSink(w.Ingest)
+	rec.AddSink(w.Ingest)
 	w.SetTrace(rec)
 
 	tid := model.TxnID{Site: 0, Seq: 1}
@@ -215,7 +215,7 @@ func TestFlightDumpCaps(t *testing.T) {
 	opts.FlightDir = t.TempDir()
 	w := New(opts)
 	rec := trace.NewRecorder()
-	rec.SetSink(w.Ingest)
+	rec.AddSink(w.Ingest)
 	w.SetTrace(rec)
 
 	// Overfill the ring, then trigger two distinct alerts in two ticks.

@@ -21,8 +21,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -56,7 +56,6 @@ func main() {
 
 		traceOut   = flag.String("trace", "", "run one traced cluster and write its propagation events to this JSONL file")
 		traceProto = flag.String("traceproto", "backedge", "protocol for the -trace run: psl|dagwt|dagt|backedge")
-		traceSum   = flag.String("tracesummary", "", "summarize a JSONL trace file: per-protocol p50/p95/max propagation delay")
 		traceSkew  = flag.Float64("skew", 0, "with -trace: Zipf item-access skew (0 = the paper's uniform draw, >1 = Zipf s concentrating traffic on a hot set; pairs with -contend)")
 		jsonOut    = flag.Bool("json", false, "with -trace: print the run's metrics report as JSON; with -exp: print every point as a JSON array instead of tables")
 
@@ -74,11 +73,11 @@ func main() {
 		watchOn   = flag.Bool("watch", false, "with -trace: run the staleness/liveness watchdog during the run and report its summary (a 'watch' block under -json)")
 		flightDir = flag.String("flightdump", "", "with -trace: directory for the watchdog's flight-recorder JSONL dumps on alert (implies -watch)")
 
-		contendOn  = flag.Bool("contend", false, "with -trace: report the contention observatory — top-K item heat, abort root-cause breakdown, final wait-for snapshot, and span critical-path attribution (a 'contention' block under -json; see docs/OBSERVABILITY.md)")
+		contendOn  = flag.Bool("contend", false, "with -trace: report the contention observatory's live state — top-K item heat, abort root-cause breakdown, final wait-for snapshot (a 'contention' block under -json; critical paths: replexplain; see docs/OBSERVABILITY.md)")
 		topK       = flag.Int("topk", 16, "with -contend: heat table size")
 		waitforOut = flag.String("waitfor", "", "with -contend: write the on-demand wait-for graph snapshot as JSONL to this file (readable by replexplain)")
 
-		freshOn  = flag.Bool("fresh", false, "with -trace: report the freshness observatory — propagation waterfalls, replica staleness distributions, read-freshness certificates (a 'freshness' block under -json; see docs/OBSERVABILITY.md)")
+		freshOn  = flag.Bool("fresh", false, "with -trace: report the freshness observatory's live state — replica staleness distributions and read-freshness certificates (a 'freshness' block under -json; waterfalls: replexplain; see docs/OBSERVABILITY.md)")
 		freshSum = flag.String("freshsummary", "", "with -fresh: write the canonical (same-seed byte-stable) freshness summary to this file (implies -fresh)")
 	)
 	flag.Parse()
@@ -88,12 +87,6 @@ func main() {
 		return
 	}
 
-	if *traceSum != "" {
-		if err := summarizeTrace(*traceSum); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *traceOut != "" {
 		fo := faultOptions{
 			Drop: *faultDrop, Dup: *faultDup, Delay: *faultDelay,
@@ -361,28 +354,12 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 	if err := c.Quiesce(time.Minute); err != nil {
 		return err
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(out, rec.WriteJSONL); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "replbench: wrote %d events to %s\n", rec.Len(), out)
 	if wo.Spans != "" {
-		sf, err := os.Create(wo.Spans)
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteChromeTrace(sf, rec.Snapshot()); err != nil {
-			sf.Close()
-			return err
-		}
-		if err := sf.Close(); err != nil {
+		if err := writeFile(wo.Spans, func(w io.Writer) error { return trace.WriteChromeTrace(w, rec.Snapshot()) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "replbench: wrote Perfetto trace to %s (open at ui.perfetto.dev)\n", wo.Spans)
@@ -390,29 +367,11 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 	// Stop before summarizing: Stop runs the watchdog's final tick, so the
 	// summary reflects the whole run.
 	stop()
-	var contention *contend.Report
+	var contention *contentionState
 	if co.Enable {
-		events := rec.Snapshot()
-		paths := contend.AnalyzeCriticalPaths(events)
-		for _, p := range paths {
-			p.Protocol = core.Protocol(p.Proto).String()
-		}
-		contention = &contend.Report{
-			Heat:       c.Heat(co.TopK),
-			WaitGraphs: waitGraphs,
-			Aborts:     contend.AbortBreakdown(events),
-			Paths:      paths,
-		}
+		contention = &contentionState{Heat: c.Heat(co.TopK), WaitGraphs: waitGraphs, Aborts: c.AbortReasons()}
 		if co.WaitFor != "" {
-			wf, err := os.Create(co.WaitFor)
-			if err != nil {
-				return err
-			}
-			if err := contend.WriteWaitGraphs(wf, waitGraphs); err != nil {
-				wf.Close()
-				return err
-			}
-			if err := wf.Close(); err != nil {
+			if err := writeFile(co.WaitFor, func(w io.Writer) error { return contend.WriteWaitGraphs(w, waitGraphs) }); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "replbench: wrote wait-for snapshot to %s\n", co.WaitFor)
@@ -442,15 +401,7 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 			// them).
 			canon := fresh.NewCanonical(protocol.String(), wl.Seed, wl.Sites,
 				!protocol.Propagates(), c.PropEdges(), coverage)
-			cf, err := os.Create(fr.Summary)
-			if err != nil {
-				return err
-			}
-			if err := canon.Encode(cf); err != nil {
-				cf.Close()
-				return err
-			}
-			if err := cf.Close(); err != nil {
+			if err := writeFile(fr.Summary, canon.Encode); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "replbench: wrote canonical freshness summary to %s\n", fr.Summary)
@@ -478,7 +429,7 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 				Report     metrics.Report   `json:"report"`
 				Counters   map[string]int64 `json:"counters"`
 				Watch      *watch.Summary   `json:"watch,omitempty"`
-				Contention *contend.Report  `json:"contention,omitempty"`
+				Contention *contentionState `json:"contention,omitempty"`
 				Freshness  *fresh.Summary   `json:"freshness,omitempty"`
 			}{report, counters, ws, contention, freshness}, "", "  ")
 		} else {
@@ -517,26 +468,62 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 				s.AlertsRaised, s.ActiveAlerts, s.MaxStalenessMs, len(s.FlightDumps))
 		}
 		if contention != nil {
-			fmt.Print(contention.String())
+			contention.print()
 		}
 		if freshness != nil {
 			fmt.Printf("freshness: reads=%d fresh=%d stale=%d (%.1f%% stale, %.1f%% certified)  p95_read_lag=%dus  p95_apply_lag=%dus\n",
 				reads, freshness.ReadsFresh, freshness.ReadsStale,
 				freshness.StaleReadPct(), coverage,
 				freshness.ReadTimeLagUS.P95, freshness.TimeLagUS.P95)
-			wfs := fresh.BuildWaterfalls(rec.Snapshot())
-			if len(wfs) > 0 {
-				fmt.Println("propagation waterfalls:")
-				for _, wf := range wfs {
-					wf.Protocol = core.Protocol(wf.Proto).String()
-				}
-				for _, l := range fresh.FormatWaterfalls(wfs) {
-					fmt.Printf("  %s\n", l)
-				}
-			}
 		}
+		fmt.Printf("trace-derived views (aborts, critical paths, waterfalls, delays, phases, certificates): replexplain %s\n", out)
 	}
 	return nil
+}
+
+// contentionState is the -contend block: the contention observatory's
+// live state, which no trace carries — the lock managers' heat, the
+// end-of-load wait-for snapshot, and the engines' abort counters.
+type contentionState struct {
+	Heat       []contend.HeatEntry     `json:"heat"`
+	WaitGraphs []contend.SiteWaitGraph `json:"wait_for,omitempty"`
+	Aborts     map[string]uint64       `json:"aborts,omitempty"`
+}
+
+func (s *contentionState) print() {
+	fmt.Println("== contention: item heat (top-K) ==")
+	if len(s.Heat) == 0 {
+		fmt.Println("(no contended items)")
+	} else {
+		printLines(contend.FormatHeat(s.Heat))
+	}
+	if len(s.Aborts) > 0 {
+		fmt.Println("== contention: aborts by root cause ==")
+		printLines(contend.FormatAborts(s.Aborts))
+	}
+	if !contend.EmptyWaitGraphs(s.WaitGraphs) {
+		fmt.Println("== contention: final wait-for snapshot ==")
+		printLines(contend.FormatWaitGraphs(s.WaitGraphs))
+	}
+}
+
+func printLines(lines []string) {
+	for _, l := range lines {
+		fmt.Println(l)
+	}
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // countReads sums the repl_txn_reads_total series across sites — the
@@ -552,153 +539,6 @@ func countReads(r *obs.Registry) uint64 {
 		}
 	}
 	return total
-}
-
-// summarizeTrace reads a JSONL trace (possibly the concatenation of
-// several runs) and prints, per protocol, the propagation-delay quantiles
-// over all commit-to-apply spans.
-func summarizeTrace(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	events, err := trace.ReadJSONL(f)
-	if err != nil {
-		return err
-	}
-	delays := trace.PropDelays(events)
-	if len(delays) == 0 {
-		fmt.Println("no commit-to-apply spans in trace")
-	} else {
-		protos := make([]int, 0, len(delays))
-		for p := range delays {
-			protos = append(protos, int(p))
-		}
-		sort.Ints(protos)
-		fmt.Printf("%-10s %8s %12s %12s %12s\n", "protocol", "samples", "p50", "p95", "max")
-		for _, p := range protos {
-			ds := delays[uint8(p)]
-			fmt.Printf("%-10s %8d %12s %12s %12s\n",
-				core.Protocol(p), len(ds),
-				metrics.Percentile(ds, 0.50).Round(time.Microsecond),
-				metrics.Percentile(ds, 0.95).Round(time.Microsecond),
-				metrics.Percentile(ds, 1).Round(time.Microsecond))
-		}
-	}
-	summarizePhases(events)
-	summarizeContention(events)
-	summarizeFreshness(events)
-	return nil
-}
-
-// summarizeFreshness adds the freshness observatory's trace-derived views
-// to -tracesummary: per-(protocol, edge) propagation waterfalls joined
-// from the lifecycle spans and phase events, and the read-freshness
-// certificate tallies (docs/OBSERVABILITY.md).
-func summarizeFreshness(events []trace.Event) {
-	wfs := fresh.BuildWaterfalls(events)
-	if len(wfs) > 0 {
-		for _, wf := range wfs {
-			wf.Protocol = core.Protocol(wf.Proto).String()
-		}
-		fmt.Printf("\npropagation waterfalls:\n")
-		for _, l := range fresh.FormatWaterfalls(wfs) {
-			fmt.Printf("  %s\n", l)
-		}
-	}
-	type tally struct {
-		fresh, stale int
-		behind       []time.Duration
-	}
-	byProto := make(map[uint8]*tally)
-	for _, ev := range events {
-		if ev.Kind != trace.ReadCertificate {
-			continue
-		}
-		t := byProto[ev.Proto]
-		if t == nil {
-			t = &tally{}
-			byProto[ev.Proto] = t
-		}
-		if ev.Phase == "stale" {
-			t.stale++
-			t.behind = append(t.behind, time.Duration(ev.Dur))
-		} else {
-			t.fresh++
-		}
-	}
-	if len(byProto) == 0 {
-		return
-	}
-	protos := make([]int, 0, len(byProto))
-	for p := range byProto {
-		protos = append(protos, int(p))
-	}
-	sort.Ints(protos)
-	fmt.Printf("\nread-freshness certificates:\n")
-	fmt.Printf("%-10s %8s %8s %8s %12s %12s\n", "protocol", "reads", "fresh", "stale", "p95 behind", "max behind")
-	for _, p := range protos {
-		t := byProto[uint8(p)]
-		fmt.Printf("%-10s %8d %8d %8d %12s %12s\n",
-			core.Protocol(p), t.fresh+t.stale, t.fresh, t.stale,
-			metrics.Percentile(t.behind, 0.95).Round(time.Microsecond),
-			metrics.Percentile(t.behind, 1).Round(time.Microsecond))
-	}
-}
-
-// summarizeContention adds the contention observatory's trace-derived
-// views to -tracesummary: the abort root-cause breakdown and the
-// per-protocol critical-path profiles (docs/OBSERVABILITY.md).
-func summarizeContention(events []trace.Event) {
-	if aborts := contend.AbortBreakdown(events); len(aborts) > 0 {
-		fmt.Printf("\naborts by root cause:\n")
-		for _, l := range contend.FormatAborts(aborts) {
-			fmt.Printf("  %s\n", l)
-		}
-	}
-	paths := contend.AnalyzeCriticalPaths(events)
-	if len(paths) == 0 {
-		return
-	}
-	fmt.Printf("\ncommit critical paths:\n")
-	for _, p := range paths {
-		p.Protocol = core.Protocol(p.Proto).String()
-		for _, l := range contend.FormatProfile(p) {
-			fmt.Printf("  %s\n", l)
-		}
-	}
-}
-
-// summarizePhases aggregates the span-less PhaseLatency events that the
-// engines emit alongside their lifecycle spans and prints per-phase
-// latency quantiles, giving traces the same phase-attribution view the
-// in-process metrics Report carries.
-func summarizePhases(events []trace.Event) {
-	byPhase := make(map[string][]time.Duration)
-	for _, ev := range events {
-		if ev.Kind == trace.PhaseLatency && ev.Phase != "" {
-			byPhase[ev.Phase] = append(byPhase[ev.Phase], time.Duration(ev.Dur))
-		}
-	}
-	if len(byPhase) == 0 {
-		return
-	}
-	names := make([]string, 0, len(byPhase))
-	for n := range byPhase {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Printf("\nphase latency attribution:\n")
-	fmt.Printf("%-14s %8s %12s %12s %12s\n", "phase", "samples", "p50", "p95", "max")
-	for _, n := range names {
-		ds := byPhase[n]
-		fmt.Printf("%-14s %8d %12s %12s %12s\n",
-			n, len(ds),
-			metrics.Percentile(ds, 0.50).Round(time.Microsecond),
-			metrics.Percentile(ds, 0.95).Round(time.Microsecond),
-			metrics.Percentile(ds, 1).Round(time.Microsecond))
-	}
 }
 
 // printStats shows how the §5.2 data-distribution scheme behaves at the

@@ -646,19 +646,38 @@ func (c *Cluster) CheckConvergence() error {
 type contender interface {
 	LockHeat() []lock.ItemStats
 	LockWaitGraph() []lock.WaitEdge
+	AbortReasons() map[string]uint64
+}
+
+// contenders visits every site's current engine in site order.
+func (c *Cluster) contenders(visit func(model.SiteID, contender)) {
+	c.engMu.RLock()
+	n := len(c.engines)
+	c.engMu.RUnlock()
+	for s := 0; s < n; s++ {
+		visit(model.SiteID(s), c.engine(model.SiteID(s)).(contender))
+	}
 }
 
 // SiteHeat returns every site's per-item lock contention accounting,
 // site-ordered — the input to contend.BuildHeat.
 func (c *Cluster) SiteHeat() []contend.SiteHeat {
-	c.engMu.RLock()
-	n := len(c.engines)
-	c.engMu.RUnlock()
-	out := make([]contend.SiteHeat, 0, n)
-	for s := 0; s < n; s++ {
-		eng := c.engine(model.SiteID(s)).(contender)
-		out = append(out, contend.SiteHeat{Site: model.SiteID(s), Items: eng.LockHeat()})
-	}
+	var out []contend.SiteHeat
+	c.contenders(func(s model.SiteID, e contender) {
+		out = append(out, contend.SiteHeat{Site: s, Items: e.LockHeat()})
+	})
+	return out
+}
+
+// AbortReasons sums every site's abort root-cause breakdown (reason name
+// → count, zero counts omitted), read from the engines' counter banks.
+func (c *Cluster) AbortReasons() map[string]uint64 {
+	out := make(map[string]uint64)
+	c.contenders(func(_ model.SiteID, e contender) {
+		for r, n := range e.AbortReasons() {
+			out[r] += n
+		}
+	})
 	return out
 }
 
@@ -672,14 +691,10 @@ func (c *Cluster) Heat(k int) []contend.HeatEntry {
 // site-ordered. Sites with no queued waiter contribute an empty edge
 // list.
 func (c *Cluster) WaitGraphs() []contend.SiteWaitGraph {
-	c.engMu.RLock()
-	n := len(c.engines)
-	c.engMu.RUnlock()
-	out := make([]contend.SiteWaitGraph, 0, n)
-	for s := 0; s < n; s++ {
-		eng := c.engine(model.SiteID(s)).(contender)
-		out = append(out, contend.SiteWaitGraph{Site: model.SiteID(s), Edges: eng.LockWaitGraph()})
-	}
+	var out []contend.SiteWaitGraph
+	c.contenders(func(s model.SiteID, e contender) {
+		out = append(out, contend.SiteWaitGraph{Site: s, Edges: e.LockWaitGraph()})
+	})
 	return out
 }
 

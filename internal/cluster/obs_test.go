@@ -128,11 +128,16 @@ func TestTracedBackEdgeCrossCheck(t *testing.T) {
 	// Trace-derived p95 propagation delay must agree with the collector's
 	// (both measure commit-to-apply, on independent clock reads; allow
 	// scheduling noise).
-	delays := trace.PropDelays(events)[uint8(core.BackEdge)]
-	if len(delays) < 20 {
-		t.Fatalf("only %d propagation samples in trace", len(delays))
+	var delays metrics.PhaseStats
+	for _, p := range trace.Explain(events).Protocols {
+		if p.Proto == uint8(core.BackEdge) {
+			delays = p.PropDelay
+		}
 	}
-	traceP95 := metrics.Percentile(delays, 0.95)
+	if delays.Count < 20 {
+		t.Fatalf("only %d propagation samples in trace", delays.Count)
+	}
+	traceP95 := delays.P95
 	repP95 := rep.P95PropDelay
 	hi := traceP95
 	if repP95 > hi {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/lock"
 	"repro/internal/model"
-	"repro/internal/trace"
 	"repro/internal/twopc"
 	"repro/internal/wal"
 )
@@ -179,108 +178,5 @@ func TestWaitGraphDumpDeterministic(t *testing.T) {
 			t.Errorf("waiter %d: %v", i, err)
 		}
 		m.ReleaseAll(model.TxnID{Site: model.SiteID(i + 1), Seq: uint64(i + 2)})
-	}
-}
-
-// synthetic trace events for one committed txn: begin at t0, commit at
-// t0+e2e, with the given (phase, site, dur) samples inside the window.
-func committedTxn(tid model.TxnID, proto uint8, t0, e2e int64, samples ...trace.Event) []trace.Event {
-	evs := []trace.Event{
-		{T: t0, Kind: trace.TxnBegin, Site: tid.Site, Peer: model.NoSite, TID: tid, Proto: proto},
-	}
-	evs = append(evs, samples...)
-	evs = append(evs, trace.Event{T: t0 + e2e, Kind: trace.TxnCommit, Site: tid.Site, Peer: model.NoSite, TID: tid, Proto: proto})
-	return evs
-}
-
-func phaseEv(tid model.TxnID, proto uint8, at int64, phase string, site model.SiteID, dur int64) trace.Event {
-	return trace.Event{T: at, Kind: trace.PhaseLatency, Site: site, Peer: model.NoSite,
-		TID: tid, Proto: proto, Phase: phase, Dur: dur}
-}
-
-func TestAnalyzeCriticalPathsAttribution(t *testing.T) {
-	a := model.TxnID{Site: 0, Seq: 1}
-	b := model.TxnID{Site: 0, Seq: 2}
-	aborted := model.TxnID{Site: 0, Seq: 3}
-	var events []trace.Event
-	// Txn a: 100ns window, 40ns lock_wait at the origin, 60ns residual.
-	events = append(events, committedTxn(a, 1, 0, 100,
-		phaseEv(a, 1, 50, "lock_wait", 0, 40))...)
-	// Txn b: 100ns window, two phases claiming 130ns — 30ns overlap.
-	events = append(events, committedTxn(b, 1, 1000, 100,
-		phaseEv(b, 1, 1050, "lock_wait", 0, 80),
-		phaseEv(b, 1, 1090, "2pc_vote", 1, 50))...)
-	// An aborted txn and an out-of-window phase sample: both ignored.
-	events = append(events,
-		trace.Event{T: 2000, Kind: trace.TxnBegin, Site: 0, TID: aborted, Proto: 1},
-		trace.Event{T: 2010, Kind: trace.TxnAbort, Site: 0, TID: aborted, Proto: 1, Phase: "lock_timeout"},
-		phaseEv(a, 1, 5000, "apply", 2, 999))
-
-	profiles := AnalyzeCriticalPaths(events)
-	if len(profiles) != 1 {
-		t.Fatalf("got %d profiles, want 1", len(profiles))
-	}
-	p := profiles[0]
-	if p.Proto != 1 || p.Committed != 2 {
-		t.Fatalf("profile header wrong: %+v", p)
-	}
-	if p.EndToEndNS != 200 || p.AttributedNS != 200 || p.OverlapNS != 30 {
-		t.Errorf("e2e=%d attributed=%d overlap=%d, want 200/200/30",
-			p.EndToEndNS, p.AttributedNS, p.OverlapNS)
-	}
-	if got := p.CoveragePct(); got != 100 {
-		t.Errorf("CoveragePct = %v, want 100", got)
-	}
-	want := []Segment{
-		{Phase: PhaseExecute, Site: 0, Count: 1, TotalNS: 60},
-		{Phase: "lock_wait", Site: 0, Count: 2, TotalNS: 120},
-		{Phase: "2pc_vote", Site: 1, Count: 1, TotalNS: 50},
-	}
-	if !reflect.DeepEqual(p.Segments, want) {
-		t.Errorf("segments:\ngot  %+v\nwant %+v", p.Segments, want)
-	}
-}
-
-// TestAnalyzeCriticalPathsDeterministic pins the acceptance criterion
-// that the profile structure is identical across same-seed runs: the
-// analyzer must be a pure function of the event multiset, independent of
-// interleaving-dependent event order.
-func TestAnalyzeCriticalPathsDeterministic(t *testing.T) {
-	a := model.TxnID{Site: 0, Seq: 1}
-	b := model.TxnID{Site: 1, Seq: 1}
-	events := append(
-		committedTxn(a, 3, 0, 100, phaseEv(a, 3, 10, "lock_wait", 0, 30)),
-		committedTxn(b, 3, 50, 200, phaseEv(b, 3, 80, "transport", 2, 90))...)
-	reversed := make([]trace.Event, len(events))
-	for i, ev := range events {
-		reversed[len(events)-1-i] = ev
-	}
-	p1 := AnalyzeCriticalPaths(events)
-	p2 := AnalyzeCriticalPaths(reversed)
-	if !reflect.DeepEqual(p1, p2) {
-		t.Errorf("profile depends on event order:\n%+v\n---\n%+v", p1, p2)
-	}
-	if p1[0].StructureString() != p2[0].StructureString() {
-		t.Errorf("structure strings differ: %q vs %q",
-			p1[0].StructureString(), p2[0].StructureString())
-	}
-}
-
-func TestAbortBreakdownAndUnclassified(t *testing.T) {
-	tid := model.TxnID{Site: 0, Seq: 1}
-	events := []trace.Event{
-		{Kind: trace.TxnAbort, Site: 0, TID: tid, Phase: "lock_timeout"},
-		{Kind: trace.TxnAbort, Site: 0, TID: tid, Phase: "lock_timeout"},
-		{Kind: trace.TxnAbort, Site: 1, TID: tid, Phase: "wound"},
-		{Kind: trace.TxnAbort, Site: 1, TID: tid}, // legacy event, no tag
-		{Kind: trace.TxnCommit, Site: 0, TID: tid},
-	}
-	got := AbortBreakdown(events)
-	want := map[string]uint64{"lock_timeout": 2, "wound": 1, "unknown": 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("breakdown = %v, want %v", got, want)
-	}
-	if Unclassified(got) != 1 {
-		t.Errorf("Unclassified = %d, want 1", Unclassified(got))
 	}
 }

@@ -1,14 +1,14 @@
-// Package contend is the contention observatory (docs/OBSERVABILITY.md):
-// it turns the raw signals the locking and commit layers already expose —
-// per-item lock accounting, the wait-for queue state, abort errors, span
-// trees and phase-latency events — into the four instruments the
-// batching/contention work is judged against: a top-K item heat table,
-// wait-for graph snapshots, an abort root-cause taxonomy, and per-protocol
-// critical-path profiles.
+// Package contend is the contention observatory's live half
+// (docs/OBSERVABILITY.md): it turns the raw signals the locking and
+// commit layers already expose — per-item lock accounting, the wait-for
+// queue state, abort errors — into a top-K item heat table, wait-for
+// graph snapshots, and the abort root-cause taxonomy. The trace-derived
+// views (abort breakdowns and critical-path profiles of a recorded run)
+// are fields of trace.Explain.
 //
-// The package sits below the engines: core, watch, telemetry, bench and
-// the CLIs import contend; contend imports only the leaf layers it
-// classifies (lock, txn, twopc, wal, trace, model).
+// The package sits below the engines: core, watch, telemetry and the
+// CLIs import contend; contend imports only the leaf layers it
+// classifies (lock, twopc, wal, model).
 package contend
 
 import (

@@ -1,53 +1,11 @@
-// The observatory's bundled output: what replbench -contend embeds in its
-// JSON, what replexplain prints, and what the contention smoke asserts
-// over.
+// Console renderings of the abort breakdown and the heat table.
 package contend
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
-
-	"repro/internal/trace"
 )
-
-// Report bundles one run's contention observatory output.
-type Report struct {
-	// Heat is the cluster-wide top-K item heat table, hottest first.
-	Heat []HeatEntry `json:"heat"`
-	// WaitGraphs is the final wait-for snapshot (usually empty on a
-	// quiesced cluster; non-empty means the run ended with waiters parked).
-	WaitGraphs []SiteWaitGraph `json:"wait_for,omitempty"`
-	// Aborts counts classified aborts by reason name.
-	Aborts map[string]uint64 `json:"aborts,omitempty"`
-	// Paths is the per-protocol critical-path profile.
-	Paths []*PathProfile `json:"critical_paths,omitempty"`
-}
-
-// AbortBreakdown counts TxnAbort events by their classified reason tag.
-// Events recorded before classification existed (or by an engine with a
-// gap) carry no tag and count as "unknown" — visible, not dropped.
-func AbortBreakdown(events []trace.Event) map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, ev := range events {
-		if ev.Kind != trace.TxnAbort {
-			continue
-		}
-		reason := ev.Phase
-		if reason == "" {
-			reason = ReasonUnknown.String()
-		}
-		out[reason]++
-	}
-	return out
-}
-
-// Unclassified returns the number of aborts in a breakdown that carry no
-// known root cause; zero means the taxonomy covered every abort.
-func Unclassified(aborts map[string]uint64) uint64 {
-	return aborts[ReasonUnknown.String()]
-}
 
 // FormatAborts renders a breakdown one reason per line, descending count
 // then name, e.g. "lock_timeout  42".
@@ -85,78 +43,4 @@ func FormatHeat(heat []HeatEntry) []string {
 			h.Waited, h.Acquired, h.Timeouts, h.Deadlocks, h.Wounds, h.QueuePeak, h.Sites))
 	}
 	return lines
-}
-
-// FormatProfile renders one critical-path profile for consoles: coverage,
-// segments hottest-first, then the chains.
-func FormatProfile(p *PathProfile) []string {
-	name := p.Protocol
-	if name == "" {
-		name = fmt.Sprintf("proto(%d)", p.Proto)
-	}
-	var lines []string
-	lines = append(lines, fmt.Sprintf(
-		"%s: %d committed, end-to-end %s, attributed %.1f%% (overlap %s)",
-		name, p.Committed, time.Duration(p.EndToEndNS).Round(time.Microsecond),
-		p.CoveragePct(), time.Duration(p.OverlapNS).Round(time.Microsecond)))
-	segs := append([]Segment(nil), p.Segments...)
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].TotalNS != segs[j].TotalNS {
-			return segs[i].TotalNS > segs[j].TotalNS
-		}
-		if segs[i].Site != segs[j].Site {
-			return segs[i].Site < segs[j].Site
-		}
-		return segs[i].Phase < segs[j].Phase
-	})
-	for _, s := range segs {
-		pct := 0.0
-		if p.EndToEndNS > 0 {
-			pct = 100 * float64(s.TotalNS) / float64(p.EndToEndNS)
-		}
-		lines = append(lines, fmt.Sprintf("  %-13s s%-3d %10s  %5.1f%%  (%d samples)",
-			s.Phase, s.Site, time.Duration(s.TotalNS).Round(time.Microsecond), pct, s.Count))
-	}
-	for _, c := range p.Chains {
-		lines = append(lines, fmt.Sprintf("  chain %s x%d", c.Path, c.Count))
-	}
-	return lines
-}
-
-// String renders the whole report for consoles.
-func (r *Report) String() string {
-	var b strings.Builder
-	b.WriteString("== contention: item heat (top-K) ==\n")
-	if len(r.Heat) == 0 {
-		b.WriteString("(no contended items)\n")
-	} else {
-		for _, l := range FormatHeat(r.Heat) {
-			b.WriteString(l)
-			b.WriteByte('\n')
-		}
-	}
-	if len(r.Aborts) > 0 {
-		b.WriteString("== contention: aborts by root cause ==\n")
-		for _, l := range FormatAborts(r.Aborts) {
-			b.WriteString(l)
-			b.WriteByte('\n')
-		}
-	}
-	if !EmptyWaitGraphs(r.WaitGraphs) {
-		b.WriteString("== contention: final wait-for snapshot ==\n")
-		for _, l := range FormatWaitGraphs(r.WaitGraphs) {
-			b.WriteString(l)
-			b.WriteByte('\n')
-		}
-	}
-	if len(r.Paths) > 0 {
-		b.WriteString("== contention: critical paths ==\n")
-		for _, p := range r.Paths {
-			for _, l := range FormatProfile(p) {
-				b.WriteString(l)
-				b.WriteByte('\n')
-			}
-		}
-	}
-	return b.String()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func (s *system) abortEvents() []trace.Event {
 
 // assertOneClassifiedAbort checks that exactly one abort was recorded and
 // that every layer agrees on its root cause: the TxnAbort trace tag, the
-// per-reason obs counter, and the engine's AbortReasons breakdown.
+// engine's AbortReasons breakdown, and the trace fold's.
 func assertOneClassifiedAbort(t *testing.T, s *system, site model.SiteID, reason contend.AbortReason) {
 	t.Helper()
 	aborts := s.abortEvents()
@@ -44,8 +45,8 @@ func assertOneClassifiedAbort(t *testing.T, s *system, site model.SiteID, reason
 	if len(breakdown) != 1 || breakdown[reason.String()] != 1 {
 		t.Errorf("AbortReasons = %v, want map[%s:1]", breakdown, reason)
 	}
-	if got := contend.AbortBreakdown(s.tracer.Snapshot()); contend.Unclassified(got) != 0 {
-		t.Errorf("unclassified aborts in breakdown: %v", got)
+	if got := trace.Explain(s.tracer.Snapshot()).Aborts; !reflect.DeepEqual(got, breakdown) {
+		t.Errorf("trace abort breakdown = %v, engine's = %v", got, breakdown)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // Edge is one configured propagation edge.
@@ -44,7 +45,7 @@ func NewCanonical(protocol string, seed int64, sites int, eager bool, edges []Ed
 		Seed:        seed,
 		Sites:       sites,
 		Eager:       eager,
-		Segments:    append([]string(nil), SegmentNames...),
+		Segments:    append([]string(nil), trace.SegmentNames...),
 		CoveragePct: coveragePct,
 	}
 	sorted := append([]Edge(nil), edges...)

@@ -1,7 +1,8 @@
 // Package fresh is the freshness observatory (docs/OBSERVABILITY.md):
 // the measurement layer that turns "how stale are the replicas?" — the
 // paper's whole subject, update propagation — from a single worst-case
-// watchdog alert into distributions. It has three instruments:
+// watchdog alert into distributions. This package holds its live
+// instruments:
 //
 //   - read-freshness certificates: every read is certified with how many
 //     versions (and how long) behind the primary the value it observed
@@ -9,10 +10,10 @@
 //   - continuous staleness distributions: per-replica version lag and
 //     time lag sampled on every secondary apply (Tracker.NoteApply) and
 //     by a low-overhead periodic probe, kept as bounded log2 histograms
-//     rather than a running max;
-//   - propagation waterfalls: per-commit commit→apply delay attributed
-//     to per-hop segments by joining the trace's lifecycle and
-//     phase-latency events offline (BuildWaterfalls, waterfall.go).
+//     rather than a running max.
+//
+// The offline instrument, per-hop propagation waterfalls joined from a
+// recorded trace, is a field of trace.Explain.
 //
 // The Tracker mirrors the primary version counter of every item: each
 // primary commit calls NoteCommit once per written item inside the

@@ -2,12 +2,10 @@ package fresh
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/trace"
 )
 
 func TestNilTrackerIsNoOp(t *testing.T) {
@@ -148,61 +146,6 @@ func TestHistPercentileBounds(t *testing.T) {
 	m.merge(&h)
 	if m.dist() != d {
 		t.Fatal("merge into empty hist changed the distribution")
-	}
-}
-
-func TestBuildWaterfallsJoinsSegments(t *testing.T) {
-	tid := model.TxnID{Site: 0, Seq: 1}
-	us := int64(time.Microsecond)
-	events := []trace.Event{
-		{T: 0, Kind: trace.TxnCommit, Site: 0, TID: tid, Proto: 1},
-		// Origin hop: commit at 0, forwarded at 100µs, enqueued at s1 at 150µs.
-		{T: 100 * us, Kind: trace.SecondaryForwarded, Site: 0, Peer: 1, TID: tid, Proto: 1},
-		{T: 150 * us, Kind: trace.SecondaryEnqueued, Site: 1, Peer: 0, TID: tid, Proto: 1},
-		{Kind: trace.PhaseLatency, Site: 1, TID: tid, Proto: 1, Phase: "queue_wait", Dur: 30 * us},
-		{Kind: trace.PhaseLatency, Site: 1, TID: tid, Proto: 1, Phase: "lock_wait", Dur: 20 * us},
-		{Kind: trace.PhaseLatency, Site: 1, TID: tid, Proto: 1, Phase: "apply", Dur: 10 * us},
-		// Relay hop: s1 forwards at 400µs (enqueue = 400-150 = 250µs),
-		// enqueued at s2 at 500µs (wire 100µs).
-		{T: 400 * us, Kind: trace.SecondaryForwarded, Site: 1, Peer: 2, TID: tid, Proto: 1},
-		{T: 500 * us, Kind: trace.SecondaryEnqueued, Site: 2, Peer: 1, TID: tid, Proto: 1},
-		// A forward whose receipt never arrived must not join.
-		{T: 600 * us, Kind: trace.SecondaryForwarded, Site: 2, Peer: 3, TID: tid, Proto: 1},
-	}
-	wfs := BuildWaterfalls(events)
-	if len(wfs) != 2 {
-		t.Fatalf("%d waterfalls, want 2 (unreceived forward dropped): %+v", len(wfs), wfs)
-	}
-	first := wfs[0]
-	if first.From != 0 || first.To != 1 || first.Count != 1 {
-		t.Fatalf("first edge = s%d->s%d count=%d, want s0->s1 count=1", first.From, first.To, first.Count)
-	}
-	want := map[string]uint64{"enqueue": 100, "wire": 50, "queue_wait": 30, "lock_wait": 20, "apply": 10}
-	for _, seg := range first.Segments {
-		if got := seg.US.Max; got != want[seg.Name] {
-			t.Fatalf("s0->s1 %s = %dµs, want %d", seg.Name, got, want[seg.Name])
-		}
-	}
-	relay := wfs[1]
-	if relay.From != 1 || relay.To != 2 {
-		t.Fatalf("second edge = s%d->s%d, want s1->s2", relay.From, relay.To)
-	}
-	if got := relay.Segments[0].US.Max; got != 250 {
-		t.Fatalf("relay enqueue = %dµs, want 250 (receipt→forward)", got)
-	}
-	if got := relay.Segments[1].US.Max; got != 100 {
-		t.Fatalf("relay wire = %dµs, want 100", got)
-	}
-
-	lines := FormatWaterfalls(wfs)
-	if len(lines) != 3 {
-		t.Fatalf("%d table lines, want header + 2 rows", len(lines))
-	}
-	if !strings.Contains(lines[0], "queue_wait") || !strings.Contains(lines[1], "s0->s1") {
-		t.Fatalf("unexpected table:\n%s", strings.Join(lines, "\n"))
-	}
-	if FormatWaterfalls(nil) != nil {
-		t.Fatal("formatting no waterfalls must yield no lines")
 	}
 }
 

@@ -6,7 +6,8 @@
 // the protocol, and a monotonic timestamp, so a run's full propagation
 // behaviour — the subject of the paper's Figures 5–9 — can be replayed
 // offline: see BuildSpanTrees for per-transaction propagation trees and
-// PropDelays for commit-to-replica delay distributions.
+// Explain for the one fold every offline view (aborts, critical paths,
+// waterfalls, commit-to-replica delays) comes from.
 //
 // The recorder is lock-sharded by site so concurrent engines rarely
 // contend, and a nil *Recorder is a true no-op: disabled tracing costs the

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/model"
 )
 
@@ -114,42 +113,6 @@ func TestReadJSONLSkipsBlankLinesAndRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadJSONL(strings.NewReader(`{"t":1,"kind":"NoSuchKind","site":0,"peer":0,"tsite":0,"tseq":1,"proto":0}` + "\n")); err == nil {
 		t.Fatal("unknown kind accepted")
-	}
-}
-
-func TestPropDelaysAndQuantile(t *testing.T) {
-	id1, id2 := tid(0, 1), tid(1, 1)
-	events := []Event{
-		{T: 100, Kind: TxnCommit, Site: 0, TID: id1, Proto: 1},
-		{T: 300, Kind: SecondaryApplied, Site: 2, TID: id1, Proto: 1},
-		{T: 700, Kind: SecondaryApplied, Site: 3, TID: id1, Proto: 1},
-		{T: 50, Kind: TxnCommit, Site: 1, TID: id2, Proto: 2},
-		{T: 150, Kind: SecondaryApplied, Site: 0, TID: id2, Proto: 2},
-		// Same TID under a different protocol must not match proto 1's commit.
-		{T: 500, Kind: SecondaryApplied, Site: 4, TID: id1, Proto: 9},
-	}
-	d := PropDelays(events)
-	if len(d[1]) != 2 || d[1][0] != 200 || d[1][1] != 600 {
-		t.Fatalf("proto1 delays = %v", d[1])
-	}
-	if len(d[2]) != 1 || d[2][0] != 100 {
-		t.Fatalf("proto2 delays = %v", d[2])
-	}
-	if len(d[9]) != 0 {
-		t.Fatalf("cross-protocol contamination: %v", d[9])
-	}
-	if q := metrics.Percentile(nil, 0.95); q != 0 {
-		t.Fatalf("empty quantile = %v", q)
-	}
-	if q := metrics.Percentile([]time.Duration{42}, 0.5); q != 42 {
-		t.Fatalf("single-sample quantile = %v", q)
-	}
-	ds := []time.Duration{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	if q := metrics.Percentile(ds, 0.5); q != 50 {
-		t.Fatalf("p50 = %v", q)
-	}
-	if q := metrics.Percentile(ds, 1.0); q != 100 {
-		t.Fatalf("p100 = %v", q)
 	}
 }
 

@@ -64,9 +64,9 @@ awk -v c="$coverage" 'BEGIN { exit !(c >= 95) }' \
 cmp -s "$SMOKE_DIR/canon1.json" "$SMOKE_DIR/canon2.json" \
   || fail "canonical freshness summaries differ between same-seed runs"
 
-# Non-empty waterfalls, twice over: the offline join must reconstruct
-# them from the trace alone (replexplain), and the trace summary must
-# render the table.
+# Non-empty waterfalls, twice over: the trace fold must reconstruct
+# them from the trace alone (replexplain -json), and replexplain's text
+# report must render the waterfall, certificate and delay tables.
 "$SMOKE_DIR/replexplain" -json "$SMOKE_DIR/run1.jsonl" \
   >"$SMOKE_DIR/explain1.json" 2>>"$SMOKE_DIR/run1.log" \
   || fail "replexplain exited nonzero"
@@ -74,13 +74,15 @@ grep -q '"waterfalls"' "$SMOKE_DIR/explain1.json" \
   || fail "no waterfalls in explain1.json"
 grep -q '"queue_wait"' "$SMOKE_DIR/explain1.json" \
   || fail "waterfall segments missing queue_wait"
-"$SMOKE_DIR/replbench" -tracesummary "$SMOKE_DIR/run1.jsonl" \
-  >"$SMOKE_DIR/summary1.txt" 2>>"$SMOKE_DIR/run1.log" \
-  || fail "replbench -tracesummary exited nonzero"
-grep -q 'propagation waterfalls:' "$SMOKE_DIR/summary1.txt" \
-  || fail "no waterfall table in -tracesummary output"
-grep -q 'read-freshness certificates:' "$SMOKE_DIR/summary1.txt" \
-  || fail "no certificate table in -tracesummary output"
+"$SMOKE_DIR/replexplain" "$SMOKE_DIR/run1.jsonl" \
+  >"$SMOKE_DIR/explain1.txt" 2>>"$SMOKE_DIR/run1.log" \
+  || fail "replexplain (text) exited nonzero"
+grep -q '== propagation waterfalls' "$SMOKE_DIR/explain1.txt" \
+  || fail "no waterfall table in replexplain output"
+grep -q '== read-freshness certificates ==' "$SMOKE_DIR/explain1.txt" \
+  || fail "no certificate table in replexplain output"
+grep -q '== propagation delay' "$SMOKE_DIR/explain1.txt" \
+  || fail "no propagation-delay table in replexplain output"
 
 edges=$(grep -c -- '->' "$SMOKE_DIR/canon1.json")
 echo "freshness smoke OK (coverage ${coverage}%, $edges propagation edges)"

@@ -7,6 +7,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/contend"
+	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // TestExplainGolden pins the fold against the output of the joins it
@@ -83,11 +88,16 @@ func TestExplainGolden(t *testing.T) {
 		}
 	}
 
+	// A PSL reader that outlived its lease is a classified abort with a
+	// row of its own.
+	events = append(events, trace.Event{T: 9000, Kind: trace.TxnAbort, Site: 2, Peer: -1,
+		TID: model.TxnID{Site: 2, Seq: 99}, Proto: uint8(core.PSL), Phase: contend.ReasonLeaseExpired.String()})
+
 	var text bytes.Buffer
 	r := report{Explanation: explain(events)}
 	r.print(&text, len(events))
 	for _, want := range []string{
-		"(3 total, 1 unclassified)", "== commit critical paths ==", "chain s0 -> s1 -> s2 x2",
+		"(4 total, 1 unclassified)", "\nlease_expired  1\n", "== commit critical paths ==", "chain s0 -> s1 -> s2 x2",
 		"== propagation waterfalls", "== propagation delay", "== phase latency ==", "== read-freshness certificates ==",
 	} {
 		if !strings.Contains(text.String(), want) {

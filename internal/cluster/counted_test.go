@@ -3,13 +3,16 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/contend"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/lock"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -125,8 +128,12 @@ func countedOnce(t *testing.T, proto core.Protocol, backedge float64, observed b
 		}
 	}
 	wg.Wait()
-	c.Metrics.End()
 	<-lifecycle
+	if proto == core.PSL {
+		attempts.Add(1)
+		outliveLease(t, c, params.RPCTimeout)
+	}
+	c.Metrics.End()
 	if err := c.Quiesce(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +145,13 @@ func countedOnce(t *testing.T, proto core.Protocol, backedge float64, observed b
 	if got := rep.Committed + rep.Aborted; got != uint64(attempts.Load()) {
 		t.Errorf("Report.Committed+Aborted = %d, Execute calls = %d", got, attempts.Load())
 	}
-	var reasons uint64
-	for s := 0; s < wl.Sites; s++ {
-		for _, n := range c.Engine(model.SiteID(s)).(interface{ AbortReasons() map[string]uint64 }).AbortReasons() {
-			reasons += n
-		}
+	reasons := c.AbortReasons()
+	var aborts uint64
+	for _, n := range reasons {
+		aborts += n
 	}
-	if reasons != rep.Aborted {
-		t.Errorf("Σ AbortReasons = %d, Report.Aborted = %d", reasons, rep.Aborted)
+	if aborts != rep.Aborted {
+		t.Errorf("Σ AbortReasons = %d, Report.Aborted = %d", aborts, rep.Aborted)
 	}
 	if !observed {
 		return
@@ -158,20 +164,62 @@ func countedOnce(t *testing.T, proto core.Protocol, backedge float64, observed b
 		t.Errorf("Σ repl_txn_aborted_total = %d, Report.Aborted = %d", got, rep.Aborted)
 	}
 	var commitEvents, abortEvents uint64
+	tagged := make(map[string]uint64)
 	for _, ev := range rec.Snapshot() {
 		switch ev.Kind {
 		case trace.TxnCommit:
 			commitEvents++
 		case trace.TxnAbort:
 			abortEvents++
+			tagged[ev.Phase]++
 		}
 	}
 	if commitEvents != rep.Committed || abortEvents != rep.Aborted {
 		t.Errorf("trace: %d TxnCommit, %d TxnAbort; report: %d committed, %d aborted",
 			commitEvents, abortEvents, rep.Committed, rep.Aborted)
 	}
+	// Each reason is counted once too: the banks, the registry and the
+	// trace tags agree on every one.
+	exported := make(map[string]uint64)
+	for k, v := range snap {
+		if rest, ok := strings.CutPrefix(k, `repl_txn_abort_reason_total{reason="`); ok {
+			exported[rest[:strings.IndexByte(rest, '"')]] += uint64(v)
+		}
+	}
+	for _, r := range contend.Reasons() {
+		name := r.String()
+		if exported[name] != reasons[name] || tagged[name] != reasons[name] {
+			t.Errorf("%s aborts: %d in the registry, %d tagged in the trace, %d in the banks",
+				name, exported[name], tagged[name], reasons[name])
+		}
+	}
 	if familySum(snap, "repl_fault_restarts_total") == 0 {
 		t.Error("the crashed site was never restarted")
 	}
-	t.Logf("%v: %d committed, %d aborted", proto, rep.Committed, rep.Aborted)
+	t.Logf("%v: %d committed, %d aborted %v", proto, rep.Committed, rep.Aborted, reasons)
+}
+
+// outliveLease runs one PSL reader, on the cluster gone quiet, that reads
+// a remote primary's item ten times over an edge slowed to a quarter of
+// RPCTimeout: its ten round trips outlast the read lease (twice
+// RPCTimeout), so it must abort lease_expired.
+func outliveLease(t *testing.T, c *Cluster, rpcTimeout time.Duration) {
+	t.Helper()
+	for s := model.SiteID(0); int(s) < c.Placement.NumSites; s++ {
+		for _, item := range c.Placement.ReplicasAt(s) {
+			primary := c.Placement.Primary[item]
+			ops := make([]model.Op, 10)
+			for i := range ops {
+				ops[i] = model.Op{Kind: model.OpRead, Item: item}
+			}
+			c.Transport().SetEdgeLatency(s, primary, rpcTimeout/4)
+			err := c.Engine(s).Execute(ops)
+			c.Transport().SetEdgeLatency(s, primary, c.Cfg.Latency)
+			if !errors.Is(err, lock.ErrLeaseExpired) {
+				t.Errorf("reader at s%d of item %d, primary s%d: %v, want %v", s, item, primary, err, lock.ErrLeaseExpired)
+			}
+			return
+		}
+	}
+	t.Fatal("no site holds a replica to read remotely")
 }

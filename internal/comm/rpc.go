@@ -126,15 +126,9 @@ func (r *RPC) CallRetrySpan(to model.SiteID, kind int, payload any, timeout time
 }
 
 // Reply answers a request message. The response reuses the request's kind
-// with IsResp set.
-//
-// Replying externalizes whatever state transition the request caused, so
-// on WAL-backed paths every Reply must be dominated by a group-commit
-// fsync of the records that transition wrote (docs/DURABILITY.md). The
-// waldiscipline analyzer enforces this at every call site in the
-// engines.
-//
-// repl:durable sync
+// with IsResp set. A reply that externalizes a logged transition must
+// follow that record's fsync; the engines route such replies through a
+// sink marked for the waldiscipline analyzer (docs/DURABILITY.md).
 func (r *RPC) Reply(req Message, payload any) {
 	if req.ReqID == 0 {
 		panic("comm: Reply to a non-request message")

@@ -25,11 +25,13 @@ func TestClassify(t *testing.T) {
 		{lock.ErrDeadlock, ReasonDeadlock},
 		{twopc.ErrNoVote, ReasonNoVote},
 		{wal.ErrFenced, ReasonWALFence},
+		{lock.ErrLeaseExpired, ReasonLeaseExpired},
 		// Wrapped the way the layers actually wrap: txn wraps lock,
 		// engines wrap txn. Classification must survive the chain.
 		{fmt.Errorf("txn: %w", fmt.Errorf("lock: %w", lock.ErrTimeout)), ReasonLockTimeout},
 		{fmt.Errorf("core: aborted by 2PC: %w", twopc.ErrNoVote), ReasonNoVote},
 		{fmt.Errorf("core: commit: %w", wal.ErrFenced), ReasonWALFence},
+		{fmt.Errorf("core: %w: %w", errors.New("txn: aborted"), lock.ErrLeaseExpired), ReasonLeaseExpired},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {

@@ -50,6 +50,10 @@ const (
 	// ReasonCrash is a transaction abandoned because its site was stopped
 	// mid-flight (chaos crash or shutdown), not because of any conflict.
 	ReasonCrash
+	// ReasonLeaseExpired is a PSL reader that reached its commit after the
+	// lease on its earliest remote read grant ran out (lock.ErrLeaseExpired):
+	// a primary that crashed and restarted since would no longer honour it.
+	ReasonLeaseExpired
 
 	numReasons // sentinel; keep last
 )
@@ -59,13 +63,14 @@ const (
 const NumReasons = int(numReasons)
 
 var reasonNames = [numReasons]string{
-	ReasonUnknown:     "unknown",
-	ReasonLockTimeout: "lock_timeout",
-	ReasonDeadlock:    "deadlock",
-	ReasonWound:       "wound",
-	ReasonNoVote:      "2pc_no_vote",
-	ReasonWALFence:    "wal_fence",
-	ReasonCrash:       "crash",
+	ReasonUnknown:      "unknown",
+	ReasonLockTimeout:  "lock_timeout",
+	ReasonDeadlock:     "deadlock",
+	ReasonWound:        "wound",
+	ReasonNoVote:       "2pc_no_vote",
+	ReasonWALFence:     "wal_fence",
+	ReasonCrash:        "crash",
+	ReasonLeaseExpired: "lease_expired",
 }
 
 // String returns the stable snake_case name used as the obs counter label,
@@ -122,6 +127,8 @@ func Classify(err error) AbortReason {
 		return ReasonNoVote
 	case errors.Is(err, wal.ErrFenced):
 		return ReasonWALFence
+	case errors.Is(err, lock.ErrLeaseExpired):
+		return ReasonLeaseExpired
 	default:
 		return ReasonUnknown
 	}

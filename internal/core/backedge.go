@@ -395,7 +395,7 @@ func (e *backedgeEngine) Handle(msg comm.Message) {
 		p := msg.Payload.(preparePayload)
 		e.emit(prepares, msg.From, msg.Span, 0)
 		//lint:allow waldiscipline the vote's Prepared record was appended and synced by executeHolding before the special was relayed, so the coordinator can only reach this prepare after the registration is durable
-		e.rpc.Reply(msg, prepareResp{Vote: e.table.Prepare(p.TID)})
+		e.reply(msg, prepareResp{Vote: e.table.Prepare(p.TID)})
 	case kindDecision:
 		// Decisions may take a lock-release step; keep the transport pair
 		// goroutine free.
@@ -407,7 +407,7 @@ func (e *backedgeEngine) Handle(msg comm.Message) {
 		q := msg.Payload.(inquiryPayload)
 		commit, known := e.decisions.Lookup(q.TID)
 		//lint:allow waldiscipline inquiry answers only from the durable decision log: the Decision record was appended and synced before any participant could learn the outcome and start inquiring
-		e.rpc.Reply(msg, inquiryResp{Known: known, Commit: commit})
+		e.reply(msg, inquiryResp{Known: known, Commit: commit})
 	default:
 		panic("core: BackEdge received unexpected message kind")
 	}
@@ -581,8 +581,17 @@ func (e *backedgeEngine) handleAbort(tid model.TxnID) {
 func (e *backedgeEngine) handleDecision(msg comm.Message) {
 	d := msg.Payload.(decisionPayload)
 	e.finishDecision(d.TID, d.Commit, msg.From)
-	e.rpc.Reply(msg, decisionResp{})
+	e.reply(msg, decisionResp{})
 }
+
+// reply answers a 2PC request: a prepare vote, a decision
+// acknowledgement, a decision inquiry. Each answer externalizes a logged
+// transition (the prepared registration, the decision's apply or
+// resolution, the decision log), so the record must be fsynced before the
+// reply leaves; the waldiscipline analyzer checks every call.
+//
+// repl:durable sync
+func (e *backedgeEngine) reply(msg comm.Message, payload any) { e.rpc.Reply(msg, payload) }
 
 // finishDecision resolves a prepared backedge subtransaction with the 2PC
 // outcome, whether the decision arrived from the coordinator's phase 2 or

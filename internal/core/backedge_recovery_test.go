@@ -54,7 +54,7 @@ func TestBackEdgeRecoversFromLostDecision(t *testing.T) {
 		func(tr comm.Transport) comm.Transport {
 			drop.Transport = tr
 			return drop
-		})
+		}, nil)
 
 	// s1 writes item 1, replicated at its tree ancestor s0: the eager arm
 	// runs, s0 executes the backedge subtransaction and prepares, and the
@@ -89,7 +89,7 @@ func TestBackEdgeRecoversFromLostAbortNotification(t *testing.T) {
 		func(tr comm.Transport) comm.Transport {
 			drop.Transport = tr
 			return drop
-		})
+		}, nil)
 
 	// The special never comes home, so the origin aborts after
 	// PrepareTimeout; the abort to s0 is dropped too.

@@ -129,7 +129,7 @@ func TestForced2PCNoVoteClassifiedAbort(t *testing.T) {
 		func(tr comm.Transport) comm.Transport {
 			drop.Transport = tr
 			return drop
-		})
+		}, nil)
 	if err := s.engines[1].Execute([]model.Op{w(1, 42)}); !errors.Is(err, txn.ErrAborted) {
 		t.Fatalf("want 2PC abort, got %v", err)
 	}

@@ -121,7 +121,7 @@ type Params struct {
 	OpCost time.Duration
 	// RPCTimeout bounds request/reply calls (PSL remote reads, 2PC
 	// rounds); it must exceed LockTimeout or remote lock waits are cut
-	// short.
+	// short. It also sets PSL's read lease (readLease).
 	RPCTimeout time.Duration
 	// DetectDeadlocks enables the local wait-for-graph detector as an
 	// alternative to pure timeouts.
@@ -140,6 +140,15 @@ func DefaultParams() Params {
 		RPCTimeout:     250 * time.Millisecond,
 	}
 }
+
+// readLease is how long a PSL remote read grant is honoured, counted from
+// when the reader sent the request: a reader commits only inside the lease
+// of its earliest grant, and a restarted primary grants no exclusive lock
+// for this long after boot, so no lease granted before a crash is ever
+// broken. Twice RPCTimeout leaves a reader whose one remote read took the
+// whole timeout as long again to finish, and keeps a restarted primary's
+// write fence at half a second under Table 1's settings.
+func (p Params) readLease() time.Duration { return 2 * p.RPCTimeout }
 
 // Validate checks parameter sanity.
 func (p Params) Validate() error {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/wal"
 )
 
 // testParams are Table 1 parameters scaled for test speed.
@@ -36,6 +37,8 @@ type system struct {
 	registry  *obs.Registry
 	tracer    *trace.Recorder
 	pending   sync.WaitGroup
+	shared    *SharedConfig
+	tr        comm.Transport // what the engines send on
 }
 
 // placement builds a model.Placement from primaries and replica lists.
@@ -63,12 +66,13 @@ func buildSystem(t *testing.T, proto Protocol, p *model.Placement, params Params
 // (nil selects the ID-order chain).
 func buildSystemWithTree(t *testing.T, proto Protocol, p *model.Placement, params Params, latency time.Duration, tree *graph.Tree) *system {
 	t.Helper()
-	return buildSystemFull(t, proto, p, params, latency, tree, nil)
+	return buildSystemFull(t, proto, p, params, latency, tree, nil, nil)
 }
 
 // buildSystemFull additionally lets a test interpose on the transport the
-// engines see (wrap non-nil), e.g. to drop selected messages.
-func buildSystemFull(t *testing.T, proto Protocol, p *model.Placement, params Params, latency time.Duration, tree *graph.Tree, wrap func(comm.Transport) comm.Transport) *system {
+// engines see (wrap non-nil), e.g. to drop selected messages, and give
+// sites redo logs (wals non-nil).
+func buildSystemFull(t *testing.T, proto Protocol, p *model.Placement, params Params, latency time.Duration, tree *graph.Tree, wrap func(comm.Transport) comm.Transport, wals map[model.SiteID]*wal.SiteLog) *system {
 	t.Helper()
 	g := graph.FromPlacement(p)
 	order := make([]model.SiteID, p.NumSites)
@@ -105,14 +109,16 @@ func buildSystemFull(t *testing.T, proto Protocol, p *model.Placement, params Pa
 		Obs:          s.registry,
 		Trace:        s.tracer,
 		Pending:      &s.pending,
+		WALs:         wals,
 	}
+	s.shared = shared
 	s.collector.Begin()
-	var tr comm.Transport = s.transport
+	s.tr = s.transport
 	if wrap != nil {
-		tr = wrap(s.transport)
+		s.tr = wrap(s.transport)
 	}
 	for i := 0; i < p.NumSites; i++ {
-		e, err := New(proto, shared, model.SiteID(i), tr)
+		e, err := New(proto, shared, model.SiteID(i), s.tr)
 		if err != nil {
 			t.Fatal(err)
 		}

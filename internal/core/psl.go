@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -22,6 +24,14 @@ import (
 // is shipped back with the lock grant. Updates never propagate — a remote
 // site always sees the latest value because it always reads the primary —
 // and all locks (local and remote) are released at commit.
+//
+// Remote grants are leases, not log records: a grant is honoured for
+// readLease from when the reader sent its request. The reader commits
+// only inside the lease of its earliest grant, and a primary restarted
+// from its log grants no exclusive lock until readLease after boot. A
+// crash that loses the primary's lock table therefore never lets a writer
+// under a reader that can still commit, and remote reads write nothing to
+// the log, as in the paper's baseline, which had none (docs/DURABILITY.md).
 type pslEngine struct {
 	*base
 
@@ -32,50 +42,53 @@ type pslEngine struct {
 	// the prototype's DataBlitz server.
 	reads *comm.Inbox[queuedMsg]
 
-	// released tombstones transactions whose remote locks were already
-	// released, so a lock granted to a late-racing read request is not
-	// leaked (the release and the request travel on the same FIFO edge,
-	// but the request is served asynchronously). The map grows with the
-	// number of remote transactions that ever touched this site — bounded
-	// by the run length, which matches the model's finite workloads; a
-	// production system would age entries out.
-	relMu    sync.Mutex
-	released map[model.TxnID]bool // repl:guardedby(relMu)
+	// readers holds the active remote readers: an entry is made when a
+	// reader's request is delivered, which on the FIFO edge is always
+	// before that reader's release, and goes at the release or, when a
+	// read of the released reader is still in flight, with the last such
+	// read, which undoes any grant it raced. The table is bounded by the
+	// live readers.
+	relMu   sync.Mutex
+	readers map[model.TxnID]remoteReader // repl:guardedby(relMu)
+
+	// fenceUntil is when a restarted primary may grant exclusive locks
+	// again; zero on a fresh start. Immutable after construction.
+	fenceUntil time.Time
 
 	queued depth // the read queue's
 }
 
+// remoteReader is one active remote reader's entry at a primary.
+type remoteReader struct {
+	inflight int  // its delivered read requests not yet served
+	released bool // its release arrived while a read was in flight
+}
+
+// errReaderGone answers a read whose reader already released.
+var errReaderGone = errors.New("transaction already released")
+
 func newPSL(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *pslEngine {
 	e := &pslEngine{
-		base:     newBase(cfg, PSL, id, tr),
-		reads:    comm.NewInbox[queuedMsg](inboxBound),
-		released: make(map[model.TxnID]bool),
+		base:    newBase(cfg, PSL, id, tr),
+		reads:   comm.NewInbox[queuedMsg](inboxBound),
+		readers: make(map[model.TxnID]remoteReader),
 	}
 	e.queued = e.newDepth("reads")
-	e.recover()
+	if e.wal != nil && e.wal.Incarnation() > 1 {
+		// A lease granted before the crash was stamped before it, so it
+		// ends before this fence does.
+		e.fenceUntil = leaseNow().Add(cfg.Params.readLease())
+	}
 	return e
 }
 
-// recover reinstates the remote-lock protocol state the disk knows:
-// release tombstones, and the shared locks granted to still-outstanding
-// remote readers — re-acquired on the fresh lock manager so a post-crash
-// writer cannot slip under a reader the pre-crash primary promised.
-//
-//lint:allow guardedby recovery runs inside newPSL before Start; the read server that shares the released map has not been spawned
-func (e *pslEngine) recover() {
-	if e.wal == nil {
-		return
-	}
-	rec := e.wal.Recovered()
-	for tid := range rec.Released {
-		e.released[tid] = true
-	}
-	for tid, items := range rec.RLocks {
-		for _, it := range items {
-			// Cannot fail: the manager is fresh and these are shared locks.
-			_ = e.locks.Acquire(tid, it, lock.Shared, e.cfg.Params.LockTimeout)
-		}
-	}
+// leaseNow is the lease's one clock: the reader's lease stamp and commit
+// check and the restarted primary's fence all read it. In-process every
+// site shares it; across processes the lease is sound only up to the
+// sites' clock skew, which must stay well under readLease.
+func leaseNow() time.Time {
+	//lint:allow nodeterminism a lease is wall-clock time by definition; only lease stamps, checks and the restart fence read it
+	return time.Now()
 }
 
 func (e *pslEngine) Start() { go e.readServer() }
@@ -96,6 +109,7 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 	tid := octx.TID
 	t := e.tm.Begin(tid)
 	remotes := make(map[model.SiteID]bool)
+	var leased time.Time // when the first remote read was sent
 
 	fail := func(err error, reason contend.AbortReason) error {
 		t.Abort()
@@ -104,6 +118,9 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 		return err
 	}
 
+	if !e.awaitFence(ops) {
+		return fail(fmt.Errorf("core: engine stopped: %w", txn.ErrAborted), contend.ReasonCrash)
+	}
 	for _, op := range ops {
 		e.simulateOp()
 		switch op.Kind {
@@ -114,6 +131,9 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 				}
 			} else {
 				// Replica read: shared lock + value ship from the primary.
+				if leased.IsZero() {
+					leased = leaseNow()
+				}
 				e.emit(metrics.RemoteReads, primary, octx, 0)
 				resp, err := e.rpc.CallSpan(primary, kindPSLRead, pslReadReq{TID: tid, Item: op.Item}, e.cfg.Params.RPCTimeout, octx.Fork(e.id))
 				// Even after a timeout the lock may still be granted
@@ -145,6 +165,15 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 			}
 		}
 	}
+	// Every lock is held: past this check the transaction observes nothing
+	// new, so a grant still inside its lease at the check is still honoured
+	// at the commit.
+	if !leased.IsZero() {
+		if held := leaseNow().Sub(leased); held >= e.cfg.Params.readLease() {
+			err := fmt.Errorf("%w: %w: first remote grant %v ago", txn.ErrAborted, lock.ErrLeaseExpired, held)
+			return fail(err, contend.Classify(err))
+		}
+	}
 	e.armDurable(t, wal.Record{
 		Kind: wal.KindApply, TID: tid, Role: wal.RoleOrigin,
 		Writes: t.Writes(), Span: octx,
@@ -155,6 +184,21 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 	e.emit(metrics.Committed, model.NoSite, octx, elapsed(start))
 	e.releaseRemotes(octx, remotes)
 	return nil
+}
+
+// awaitFence holds a transaction that writes until a restarted primary's
+// fence is past, before it takes any lock; false means the engine stopped
+// first.
+func (e *pslEngine) awaitFence(ops []model.Op) bool {
+	if e.fenceUntil.IsZero() || !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind == model.OpWrite }) {
+		return true
+	}
+	select {
+	case <-time.After(e.fenceUntil.Sub(leaseNow())):
+		return true
+	case <-e.stop:
+		return false
+	}
 }
 
 func (e *pslEngine) releaseRemotes(sc model.SpanContext, remotes map[model.SiteID]bool) {
@@ -181,6 +225,12 @@ func (e *pslEngine) Handle(msg comm.Message) {
 	}
 	switch msg.Kind {
 	case kindPSLRead:
+		tid := msg.Payload.(pslReadReq).TID
+		e.relMu.Lock()
+		r := e.readers[tid]
+		r.inflight++
+		e.readers[tid] = r
+		e.relMu.Unlock()
 		// Lock waits block; serve through the site's read server, off the
 		// transport goroutine. A request dropped because the site stopped
 		// is never answered; the reader's RPC times out.
@@ -189,17 +239,28 @@ func (e *pslEngine) Handle(msg comm.Message) {
 	case kindPSLRelease:
 		tid := msg.Payload.(pslReleasePayload).TID
 		e.phaseSince(metrics.PhaseTransport, msg.From, tid, msg.SentAt)
-		// The tombstone must be durable before this delivery is
-		// acknowledged (the handler returning is the ack): a release, once
-		// acked, is never retransmitted, and losing it would leak the
-		// reader's shared lock at the recovered primary forever.
-		if e.walAppendSync(wal.Record{Kind: wal.KindRUnlock, TID: tid}) != nil {
-			return // fenced mid-crash: dropped unacknowledged, retransmitted
-		}
-		go e.serveRelease(tid)
+		e.release(tid)
 	default:
 		panic("core: PSL received unexpected message kind")
 	}
+}
+
+// release ends a remote reader's stay: its locks go now, and its entry
+// with them unless one of its reads is in flight, whose retirement then
+// removes it. Nothing is logged: a release lost to a crash leaves nothing
+// behind, since the restarted primary starts with no locks at all.
+func (e *pslEngine) release(tid model.TxnID) {
+	e.relMu.Lock()
+	if r, ok := e.readers[tid]; ok {
+		if r.inflight == 0 {
+			delete(e.readers, tid)
+		} else {
+			r.released = true
+			e.readers[tid] = r
+		}
+	}
+	e.relMu.Unlock()
+	e.locks.ReleaseAll(tid)
 }
 
 // serveRead grants a shared lock on the primary copy and ships the
@@ -207,8 +268,9 @@ func (e *pslEngine) Handle(msg comm.Message) {
 func (e *pslEngine) serveRead(msg comm.Message, enq time.Time) {
 	req := msg.Payload.(pslReadReq)
 	e.phaseSince(metrics.PhaseQueueWait, msg.From, req.TID, enq)
+	defer e.retire(req.TID)
 	if e.isReleased(req.TID) {
-		e.rpc.ReplyError(msg, fmt.Errorf("transaction already released"))
+		e.rpc.ReplyError(msg, errReaderGone)
 		return
 	}
 	// Serving a remote read is real work at the primary (hash lookup, lock
@@ -223,16 +285,10 @@ func (e *pslEngine) serveRead(msg comm.Message, enq time.Time) {
 		return
 	}
 	if e.isReleased(req.TID) {
-		// The caller aborted while we waited; undo the grant.
+		// The caller gave up while we waited; undo the grant.
 		e.locks.ReleaseAll(req.TID)
-		e.rpc.ReplyError(msg, fmt.Errorf("transaction aborted during lock wait"))
+		e.rpc.ReplyError(msg, errReaderGone)
 		return
-	}
-	// The grant must be durable before the reply externalizes it, so a
-	// crashed-and-recovered primary still honors the outstanding reader.
-	if e.walAppendSync(wal.Record{Kind: wal.KindRLock, TID: req.TID, Item: req.Item}) != nil {
-		e.locks.ReleaseAll(req.TID)
-		return // fenced mid-crash: no reply; the caller times out and aborts
 	}
 	ver, err := e.store.Read(req.Item)
 	if err != nil {
@@ -243,15 +299,21 @@ func (e *pslEngine) serveRead(msg comm.Message, enq time.Time) {
 	e.rpc.Reply(msg, pslReadResp{Value: ver.Value, Version: ver.Num})
 }
 
-func (e *pslEngine) serveRelease(tid model.TxnID) {
-	e.relMu.Lock()
-	e.released[tid] = true
-	e.relMu.Unlock()
-	e.locks.ReleaseAll(tid)
-}
-
 func (e *pslEngine) isReleased(tid model.TxnID) bool {
 	e.relMu.Lock()
 	defer e.relMu.Unlock()
-	return e.released[tid]
+	return e.readers[tid].released
+}
+
+// retire counts one of tid's reads served, removing the entry of a
+// released reader with the last of them.
+func (e *pslEngine) retire(tid model.TxnID) {
+	e.relMu.Lock()
+	defer e.relMu.Unlock()
+	r := e.readers[tid]
+	if r.inflight--; r.inflight == 0 && r.released {
+		delete(e.readers, tid)
+	} else {
+		e.readers[tid] = r
+	}
 }

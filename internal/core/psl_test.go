@@ -2,12 +2,17 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/comm"
+	"repro/internal/lock"
 	"repro/internal/model"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // TestPSLRemoteReadShipsLatestValue: updates never propagate, but a
@@ -153,4 +158,149 @@ func TestPSLSerializableUnderContention(t *testing.T) {
 	if err := s.recorder.CheckSerializable(); err != nil {
 		t.Fatalf("PSL produced a non-serializable execution: %v", err)
 	}
+	// Every reader has released, so every primary has forgotten them all.
+	for site, e := range s.engines {
+		waitNoReaders(t, e.(*pslEngine), fmt.Sprintf("s%d", site))
+	}
+}
+
+// waitNoReaders polls until e's remote-reader table is empty; releases
+// are one-way messages, so the last may still be in flight.
+func waitNoReaders(t *testing.T, e *pslEngine, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		e.relMu.Lock()
+		n := len(e.readers)
+		e.relMu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s still tracks %d remote readers after every reader released", what, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPSLReleaseDuringLockWait: a reader's release arrives while its read
+// still waits for the lock at the primary. The release must not leave the
+// reader's entry behind, and the grant the read gets once the blocker goes
+// must be undone rather than leaked.
+func TestPSLReleaseDuringLockWait(t *testing.T) {
+	p := placement(t, 2, []model.SiteID{0}, [][]model.SiteID{{1}})
+	params := testParams()
+	params.LockTimeout, params.RPCTimeout = 5*time.Second, 10*time.Second
+	s := buildSystem(t, PSL, p, params, 0)
+	e0 := s.engines[0].(*pslEngine)
+	blocker := e0.tm.Begin(e0.newTxnID())
+	if err := blocker.Write(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	reader := model.TxnID{Site: 1, Seq: 99}
+	e0.Handle(comm.Message{From: 1, To: 0, Kind: kindPSLRead, ReqID: 1, Payload: pslReadReq{TID: reader, Item: 0}})
+	for deadline := time.Now().Add(5 * time.Second); len(e0.LockWaitGraph()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the read never queued for the lock")
+		}
+	}
+	e0.Handle(comm.Message{From: 1, To: 0, Kind: kindPSLRelease, Payload: pslReleasePayload{TID: reader}})
+	if !e0.isReleased(reader) {
+		t.Fatal("release with a read in flight dropped the reader's entry")
+	}
+	blocker.Abort()
+	waitNoReaders(t, e0, "s0")
+	if n := e0.locks.HeldCount(reader); n != 0 {
+		t.Fatalf("released reader still holds %d locks", n)
+	}
+	if err := s.engines[0].Execute([]model.Op{w(0, 2)}); err != nil {
+		t.Fatalf("writer after the undone grant: %v", err)
+	}
+}
+
+// heldSends is a transport interposer that parks, inside Send, every PSL
+// read request bound for one site until the test takes it from held and
+// closes its release channel. The caller's RPC timer starts only once
+// Send returns, so a parked reader is slow, not timed out.
+type heldSends struct {
+	comm.Transport
+	to   model.SiteID
+	held chan chan struct{}
+}
+
+func (h *heldSends) Send(m comm.Message) error {
+	if !m.IsResp && m.Kind == kindPSLRead && m.To == h.to {
+		release := make(chan struct{})
+		h.held <- release
+		<-release
+	}
+	return h.Transport.Send(m)
+}
+
+// TestPSLLeaseOutlivesPrimaryCrash: a reader holds a grant from primary
+// s0 when s0 crashes and restarts from its log, which forgets every lock.
+// The restarted s0 must hold off a writer of the same item until readLease
+// after its boot, and the reader, whose later read at s0 then sees that
+// writer's version, must abort lease_expired instead of committing two
+// versions of one item. Without the fence the writer commits at once;
+// without the lease check the reader commits a non-serializable history.
+func TestPSLLeaseOutlivesPrimaryCrash(t *testing.T) {
+	// Item 0: primary s0, replica s1. Item 1: primary s2, replica s1.
+	p := placement(t, 3, []model.SiteID{0, 2}, [][]model.SiteID{{1}, {1}})
+	params := testParams()
+	dir := t.TempDir()
+	openLog := func() *wal.SiteLog {
+		lg, err := wal.Open(dir, wal.Options{Site: 0, Items: p.CopiesAt(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lg
+	}
+	lg := openLog()
+	held := &heldSends{to: 2, held: make(chan chan struct{})}
+	s := buildSystemFull(t, PSL, p, params, 0, nil, func(tr comm.Transport) comm.Transport {
+		held.Transport = tr
+		return held
+	}, map[model.SiteID]*wal.SiteLog{0: lg})
+	t.Cleanup(func() { _ = s.shared.WALs[0].Close() })
+	if err := s.engines[0].Execute([]model.Op{w(0, 7)}); err != nil {
+		t.Fatal(err)
+	}
+
+	readerErr := make(chan error, 1)
+	go func() { readerErr <- s.engines[1].Execute([]model.Op{r(0), r(1), r(0)}) }()
+	release := <-held.held // the reader holds its grant on item 0 from s0
+
+	// Crash s0: its heap and lock table die, the log keeps what it synced.
+	s.engines[0].Stop()
+	lg.Fence()
+	_ = lg.Close()
+	s.shared.WALs[0] = openLog()
+	boot := time.Now()
+	e0, err := New(PSL, s.shared, 0, s.tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e0.Start()
+	s.engines[0] = e0
+
+	if err := e0.Execute([]model.Op{w(0, 99)}); err != nil {
+		t.Fatalf("writer at the restarted primary: %v", err)
+	}
+	if waited, lease := time.Since(boot), params.readLease(); waited < lease {
+		t.Fatalf("restarted primary granted an exclusive lock %v after boot, inside the %v lease", waited, lease)
+	}
+
+	close(release)
+	err = <-readerErr
+	if !errors.Is(err, lock.ErrLeaseExpired) {
+		t.Fatalf("stale reader: %v, want %v", err, lock.ErrLeaseExpired)
+	}
+	if got, want := s.engines[1].(*pslEngine).AbortReasons(), map[string]uint64{"lease_expired": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("reader site abort reasons = %v, want %v", got, want)
+	}
+	if err := s.recorder.CheckSerializable(); err != nil {
+		t.Fatal(err)
+	}
+	waitNoReaders(t, e0.(*pslEngine), "restarted s0")
 }

@@ -21,8 +21,8 @@ var defaultWaldisciplinePkgs = []string{
 //	// repl:durable sync   — calls must be dominated by a WAL Sync
 //
 // The marker goes on the DECLARATION of a durable-state mutation sink
-// (e.g. (*txn.Txn).Commit) or an externalization sink (e.g.
-// (*comm.RPC).Reply); the analyzer then checks every call site inside
+// (e.g. (*txn.Txn).Commit) or an externalization sink (e.g. BackEdge's
+// 2PC reply); the analyzer then checks every call site inside
 // the configured packages.
 var durableRe = regexp.MustCompile(`repl:durable(\s+sync)?\b`)
 

@@ -44,6 +44,12 @@ var ErrTimeout = errors.New("lock: request timed out (deadlock victim)")
 // proves that blocking this request would close a waits-for cycle.
 var ErrDeadlock = errors.New("lock: wait-for cycle detected")
 
+// ErrLeaseExpired reports a lock granted under a lease (a PSL remote read
+// grant) whose lease ran out before its holder could commit: the grantor
+// may since have crashed, forgotten the lock and granted a conflicting
+// one. The manager never returns it; the holder's engine does.
+var ErrLeaseExpired = errors.New("lock: lease expired")
+
 // Stats counts lock-manager events; read them with Manager.Stats.
 type Stats struct {
 	Acquired  uint64

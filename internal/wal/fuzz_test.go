@@ -26,7 +26,7 @@ func FuzzWALDecode(f *testing.F) {
 			Consumes: true, Forwards: true,
 			Writes: []model.WriteOp{{Item: 4, Value: -7}, {Item: 5, Value: 12}}},
 		{Kind: KindDecision, TID: model.TxnID{Site: 0, Seq: 2}, Commit: true},
-		{Kind: KindRLock, TID: model.TxnID{Site: 2, Seq: 1}, Item: 8},
+		{Kind: KindForwarded, TID: model.TxnID{Site: 2, Seq: 1}},
 		{Kind: KindPrepared, TID: model.TxnID{Site: 3, Seq: 300}, Origin: model.NoSite,
 			Span: model.SpanContext{TID: model.TxnID{Site: 3, Seq: 300}, Parent: 1 << 50, Hop: 2},
 			TS:   ts.Timestamp{Epoch: 5, Tuples: []ts.Tuple{{Site: 0, LTS: 4}, {Site: 3, LTS: 1 << 20}}}},

@@ -2,7 +2,7 @@
 //
 // Every state transition a site must survive a crash with — message
 // receipts, committed applies, propagation obligations, 2PC registrations
-// and decisions, remote read-lock grants — is appended as one framed
+// and decisions, DAG(T) epoch ticks — is appended as one framed
 // record and made durable with a group-committed fsync *before* the
 // transition is externalized (before the transport acknowledges, before a
 // reply is sent, before the cluster's pending-work accounting is
@@ -79,13 +79,13 @@ const (
 	// undecided eager start is presumed aborted; a decided-commit one
 	// whose local apply is missing is redone.
 	KindEagerStart
-	// KindRLock records a PSL primary granting a remote read lock, before
-	// the grant reply is sent; recovery re-acquires it so a post-crash
-	// writer cannot slip under a still-outstanding remote reader.
-	KindRLock
-	// KindRUnlock records a PSL remote transaction releasing its read
-	// locks (and tombstoning the TID), before the locks are dropped.
-	KindRUnlock
+	// kindRLock and kindRUnlock are retired: a PSL primary once logged
+	// each remote read-lock grant and release, and leases replaced both
+	// (docs/DURABILITY.md). Their numbers stay reserved so that later kinds
+	// keep theirs, and a log holding them still opens: the state fold
+	// skips them.
+	kindRLock
+	kindRUnlock
 	// KindEpoch records a DAG(T) source site advancing its epoch counter
 	// (TS.Epoch carries the new value), before any timestamp bearing that
 	// epoch is shipped. Epochs are compared first and cross-site
@@ -101,7 +101,7 @@ var kindNames = map[Kind]string{
 	KindConsumed: "consumed", KindForwarded: "forwarded",
 	KindPrepared: "prepared", KindResolved: "resolved",
 	KindDecision: "decision", KindEagerStart: "eagerstart",
-	KindRLock: "rlock", KindRUnlock: "runlock", KindEpoch: "epoch",
+	kindRLock: "rlock", kindRUnlock: "runlock", KindEpoch: "epoch",
 }
 
 func (k Kind) String() string {
@@ -163,9 +163,9 @@ type Record struct {
 	Consumes bool // apply doubles as the receipt-consumption marker
 	Forwards bool // apply leaves a propagation obligation behind
 
-	Commit      bool // decision outcome
-	Item        model.ItemID
-	Incarnation uint64 // boot
+	Commit      bool         // decision outcome
+	Item        model.ItemID // set by the retired rlock kind only; kept so the layout stays
+	Incarnation uint64       // boot
 }
 
 // Frame layout: u32 little-endian body length, u32 IEEE CRC of the body,

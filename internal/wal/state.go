@@ -87,11 +87,6 @@ type State struct {
 	// Eager maps dispatched-and-unresolved eager TIDs at an origin.
 	Eager map[model.TxnID]EagerEntry
 
-	// RLocks maps remote reader TIDs to the items they hold shared locks
-	// on at this primary; Released tombstones TIDs whose locks are gone.
-	RLocks   map[model.TxnID][]model.ItemID
-	Released map[model.TxnID]bool
-
 	// Last apply's DAG(T) ordering state; the site timestamp is a pure
 	// function of it (see dagt recovery).
 	LastTS   ts.Timestamp
@@ -121,8 +116,6 @@ func newState(items []model.ItemID) *State {
 		Prepared:  make(map[model.TxnID]PreparedEntry),
 		Decisions: make(map[model.TxnID]bool),
 		Eager:     make(map[model.TxnID]EagerEntry),
-		RLocks:    make(map[model.TxnID][]model.ItemID),
-		Released:  make(map[model.TxnID]bool),
 		copies:    make(map[model.ItemID]bool, len(items)),
 	}
 	for _, it := range items {
@@ -192,15 +185,9 @@ func (s *State) apply(rec *Record) {
 		}
 	case KindEagerStart:
 		s.Eager[rec.TID] = EagerEntry{Writes: rec.Writes, Span: rec.Span}
-	case KindRLock:
-		// A release that raced the grant wins: never resurrect a lock for
-		// a tombstoned transaction.
-		if !s.Released[rec.TID] {
-			s.RLocks[rec.TID] = append(s.RLocks[rec.TID], rec.Item)
-		}
-	case KindRUnlock:
-		s.Released[rec.TID] = true
-		delete(s.RLocks, rec.TID)
+	case kindRLock, kindRUnlock:
+		// Retired: a restarted PSL primary rebuilds no lock state; its
+		// write fence outlasts every lease granted before the crash.
 	case KindEpoch:
 		//lint:allow tscompare scalar epoch max over durable records, not a tuple-order comparison
 		if rec.TS.Epoch > s.MaxEpoch {
@@ -233,8 +220,6 @@ func (s *State) clone() *State {
 		Prepared:    make(map[model.TxnID]PreparedEntry, len(s.Prepared)),
 		Decisions:   make(map[model.TxnID]bool, len(s.Decisions)),
 		Eager:       make(map[model.TxnID]EagerEntry, len(s.Eager)),
-		RLocks:      make(map[model.TxnID][]model.ItemID, len(s.RLocks)),
-		Released:    make(map[model.TxnID]bool, len(s.Released)),
 		LastTS:      s.LastTS.Clone(),
 		LastLTSI:    s.LastLTSI,
 		LastRole:    s.LastRole,
@@ -256,12 +241,6 @@ func (s *State) clone() *State {
 	}
 	for k, v := range s.Eager {
 		c.Eager[k] = v
-	}
-	for k, v := range s.RLocks {
-		c.RLocks[k] = append([]model.ItemID(nil), v...)
-	}
-	for k, v := range s.Released {
-		c.Released[k] = v
 	}
 	return c
 }
@@ -304,12 +283,6 @@ func decodeState(data []byte, items []model.ItemID) (*State, bool) {
 	}
 	if s.Eager == nil {
 		s.Eager = fresh.Eager
-	}
-	if s.RLocks == nil {
-		s.RLocks = fresh.RLocks
-	}
-	if s.Released == nil {
-		s.Released = fresh.Released
 	}
 	s.copies = fresh.copies
 	return s, true

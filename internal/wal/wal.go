@@ -82,8 +82,9 @@ type SiteLog struct {
 	recovered *State
 	sinceSnap int64 // repl:guardedby(mu)
 
-	// syncFile makes a written batch durable: (*os.File).Sync, replaced
-	// only by tests that hold a flush in flight.
+	// syncFile makes a written batch, a snapshot file or a directory entry
+	// durable: (*os.File).Sync, replaced only by tests that hold a flush in
+	// flight or record the order of durable steps.
 	syncFile func(*os.File) error
 
 	appends, fsyncs, bytes, replayed, truncations, snapshots *obs.Counter
@@ -188,7 +189,7 @@ func (l *SiteLog) replay(segs, snaps []uint64) (*State, error) {
 
 // Recovered returns the frozen logical state as of Open: the store
 // image, unconsumed receipts, pending forwards, in-doubt prepared
-// entries, decisions, and lock grants the rebuilt engine starts from.
+// entries and decisions the rebuilt engine starts from.
 func (l *SiteLog) Recovered() *State { return l.recovered }
 
 // Incarnation returns this log generation's boot incarnation (1 for a
@@ -300,26 +301,36 @@ func (l *SiteLog) write(f *os.File, batch []byte) error {
 
 // snapshotLocked serializes the durable-prefix state to a snapshot file
 // covering every segment so far, rotates to a fresh segment, and deletes
-// the covered files. Failures are non-fatal: the log simply keeps its
-// longer tail. No flush may be in flight: rotation swaps the segment a
-// leader writes to.
+// the covered files. The steps are ordered to survive power loss: the
+// snapshot is written and fsynced under a temporary name, renamed into
+// place, and the directory fsynced, which makes the rename and the fresh
+// segment's entry durable, before any covered file is removed. Failures
+// are non-fatal: the log simply keeps its longer tail. No flush may be in
+// flight: rotation swaps the segment a leader writes to.
 func (l *SiteLog) snapshotLocked() {
 	data, err := encodeState(l.state)
 	if err != nil {
 		return
 	}
 	covered := l.seg
-	tmp := l.snapPath(covered) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	if err := os.Rename(tmp, l.snapPath(covered)); err != nil {
+	snap, tmp := l.snapPath(covered), l.snapPath(covered)+".tmp"
+	if err := l.writeSynced(tmp, data); err != nil {
 		os.Remove(tmp)
 		return
 	}
+	// The next segment opens before the snapshot is published: replay
+	// skips every segment a snapshot covers, so once the rename lands no
+	// record may go to the covered segment.
 	next, err := os.OpenFile(l.segPath(covered+1), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return // keep appending to the old segment; the snapshot still stands
+		os.Remove(tmp)
+		return
+	}
+	if err := os.Rename(tmp, snap); err != nil {
+		next.Close()
+		os.Remove(l.segPath(covered + 1))
+		os.Remove(tmp)
+		return
 	}
 	old := l.f
 	l.f, l.seg = next, covered+1
@@ -328,6 +339,9 @@ func (l *SiteLog) snapshotLocked() {
 	l.sinceSnap = 0
 	if l.opts.Trace != nil {
 		l.opts.Trace.Record(trace.WALSnapshot, l.opts.Site, model.NoSite, model.TxnID{}, 0)
+	}
+	if l.syncDir() != nil {
+		return // the covered files stay until a later snapshot's directory sync
 	}
 	// Truncate: everything at or before the covered segment is subsumed.
 	segs, snaps, err := scanDir(l.dir)
@@ -346,6 +360,32 @@ func (l *SiteLog) snapshotLocked() {
 			os.Remove(l.snapPath(s))
 		}
 	}
+}
+
+// writeSynced creates the file path holding data and fsyncs it.
+func (l *SiteLog) writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = l.syncFile(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir fsyncs the log directory, making the entries created, renamed
+// and removed in it so far durable.
+func (l *SiteLog) syncDir() error {
+	d, err := os.Open(l.dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // opened read-only: nothing to flush
+	return l.syncFile(d)
 }
 
 // Snapshot forces a flush and an immediate snapshot+truncation (tests

@@ -3,9 +3,12 @@ package wal
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -416,23 +419,93 @@ func TestDecisionFirstWriteWins(t *testing.T) {
 	}
 }
 
-func TestRLockReleaseRace(t *testing.T) {
-	dir := t.TempDir()
-	l := openT(t, dir, Options{})
-	tid := model.TxnID{Site: 1, Seq: 2}
-	// Release recorded before a racing grant: the grant must not
-	// resurrect the lock at recovery.
-	appendSync(t, l, Record{Kind: KindRUnlock, TID: tid})
-	appendSync(t, l, Record{Kind: KindRLock, TID: tid, Item: 3})
-	l.Close()
-	l2 := openT(t, dir, Options{})
-	defer l2.Close()
-	st := l2.Recovered()
-	if len(st.RLocks[tid]) != 0 {
-		t.Fatalf("released txn still holds %v", st.RLocks[tid])
+// TestLegacyLockRecordsOpen: testdata/legacy_rlock.hex is a segment
+// written before PSL's grants became leases — boot, an apply of item 1,
+// then a remote reader's rlock and runlock and a second reader's rlock
+// with no release. It must still open, and the retired records must fold
+// to nothing: the state equals the fold of the boot and the apply alone.
+func TestLegacyLockRecordsOpen(t *testing.T) {
+	raw, err := os.ReadFile("testdata/legacy_rlock.hex")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !st.Released[tid] {
-		t.Fatalf("tombstone lost")
+	seg, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadRecords(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []Kind
+	for _, r := range recs {
+		kinds = append(kinds, r.Kind)
+	}
+	if want := []Kind{KindBoot, KindApply, kindRLock, kindRUnlock, kindRLock}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("fixture kinds = %v, want %v", kinds, want)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	items := []model.ItemID{1}
+	l := openT(t, dir, Options{Items: items})
+	defer l.Close()
+	want := newState(items)
+	for i := range recs[:2] {
+		want.apply(&recs[i])
+	}
+	if got := l.Recovered(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want the boot and apply alone: %+v", got, want)
+	}
+	if l.Incarnation() != 2 {
+		t.Fatalf("incarnation = %d, want 2", l.Incarnation())
+	}
+}
+
+// TestSnapshotDurableBeforeTruncate records, through the syncFile seam,
+// every fsync a snapshot makes and what the directory held at that moment.
+// The snapshot must be fsynced under its temporary name while the log is
+// whole, and the directory fsynced once the snapshot and the next segment
+// are in place, both before the covered segment is removed: otherwise a
+// power loss after the truncation can leave neither snapshot nor log.
+func TestSnapshotDurableBeforeTruncate(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{SnapshotBytes: -1})
+	defer l.Close()
+	appendSync(t, l, receipt(1))
+	var steps []string
+	l.syncFile = func(f *os.File) error {
+		name := filepath.Base(f.Name())
+		if f.Name() == dir {
+			name = "dir"
+		}
+		segs, snaps, err := scanDir(dir)
+		if err != nil {
+			t.Error(err)
+		}
+		steps = append(steps, fmt.Sprintf("sync %s segs=%v snaps=%v", name, segs, snaps))
+		return f.Sync()
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	segs, snaps, err := scanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps = append(steps, fmt.Sprintf("done segs=%v snaps=%v", segs, snaps))
+	want := []string{
+		"sync snap-00000001.snap.tmp segs=[1] snaps=[]",
+		"sync dir segs=[1 2] snaps=[1]",
+		"done segs=[2] snaps=[1]",
+	}
+	if !reflect.DeepEqual(steps, want) {
+		t.Fatalf("snapshot steps:\n got %q\nwant %q", steps, want)
+	}
+	if !hasReceipt(l, 1) {
+		t.Fatal("receipt lost from the durable state")
 	}
 }
 

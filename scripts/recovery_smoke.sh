@@ -14,7 +14,7 @@ set -u -o pipefail
 
 SMOKE_DIR="${SMOKE_DIR:-$(mktemp -d /tmp/recovery-smoke.XXXXXX)}"
 mkdir -p "$SMOKE_DIR"
-PROTOS="${PROTOS:-dagt backedge}"
+PROTOS="${PROTOS:-dagt backedge psl}"
 
 echo "recovery smoke: artifacts in $SMOKE_DIR"
 

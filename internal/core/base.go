@@ -179,7 +179,10 @@ func (b *base) armDurable(t *txn.Txn, rec wal.Record) {
 	if b.wal == nil || readOnlyOrigin(&rec) {
 		return
 	}
-	t.SetDurable(func() error { return b.walAppendSync(rec) })
+	// The hook captures a copy made past the guard: capturing rec itself
+	// would move it to the heap on entry, on the no-log path too.
+	logged := rec
+	t.SetDurable(func() error { return b.walAppendSync(logged) })
 }
 
 // readOnlyOrigin reports whether rec commits a primary subtransaction with

@@ -182,23 +182,35 @@ func (k *lazyEngine) commit(t *txn.Txn, rec wal.Record, start time.Time) error {
 // propagation obligation discharged. The caller holds commitMu (or is
 // single-threaded recovery), so the forwarding order matches the site's
 // commit order. in is the causal context the forwarding work runs under.
+// Every route's writes are carved out of one block, so a commit's fan-out
+// allocates that block plus one payload per message.
 func (k *lazyEngine) propagate(in model.SpanContext, tsT ts.Timestamp, writes []model.WriteOp) {
 	if len(writes) == 0 {
 		return
 	}
+	n := 0
 	for _, r := range k.routes {
-		var local []model.WriteOp
 		for _, w := range writes {
 			if r.items[w.Item] {
-				local = append(local, w)
+				n++
 			}
 		}
-		if len(local) == 0 {
+	}
+	block := make([]model.WriteOp, 0, n)
+	for _, r := range k.routes {
+		from := len(block)
+		for _, w := range writes {
+			if r.items[w.Item] {
+				block = append(block, w)
+			}
+		}
+		if len(block) == from {
 			continue
 		}
 		if k.sent != nil {
 			k.sent(r.to)
 		}
+		local := block[from:len(block):len(block)]
 		k.ship(r.to, kindSecondary, in, secondaryPayload{TID: in.TID, TS: tsT, Writes: local})
 	}
 	k.walForwarded(in.TID)

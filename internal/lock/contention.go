@@ -99,17 +99,12 @@ func (m *Manager) WaitGraph() []WaitEdge {
 			holders = append(holders, Hold{Owner: h, Mode: hm.String()})
 		}
 		sort.Slice(holders, func(i, j int) bool { return txnLess(holders[i].Owner, holders[j].Owner) })
-		pos := 0
-		for _, w := range e.queue {
-			if w.dead {
-				continue
-			}
+		for pos, w := range e.queue {
 			out = append(out, WaitEdge{
 				Item: item, Waiter: w.owner, Mode: w.mode.String(),
 				Upgrade: w.upgrade, Pos: pos, Holders: holders,
 				AgeNS: int64(now.Sub(w.since)),
 			})
-			pos++
 		}
 	}
 	m.mu.Unlock()

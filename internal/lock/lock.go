@@ -12,6 +12,7 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,6 +61,9 @@ type Stats struct {
 	WaitTime  time.Duration
 }
 
+// waiter is one queued lock request. A request that stops waiting leaves
+// the queue at once — a granted one before it is signalled, a timed-out
+// one when it gives up — so every queued waiter is live.
 type waiter struct {
 	owner   model.TxnID
 	item    model.ItemID
@@ -67,7 +71,44 @@ type waiter struct {
 	upgrade bool
 	since   time.Time  // when the request queued (wait-age observation only)
 	granted chan error // buffered(1); nil error = granted
-	dead    bool       // timed out / cancelled; skip when granting
+	// timer times the wait out. It outlives the wait only when it is
+	// known idle — stopped before it fired, or fired and drained — and is
+	// otherwise dropped, so a reused waiter never sees a stale expiry.
+	timer *time.Timer
+}
+
+// waiters recycles waiters with their grant channel and timer: once a
+// wait returns, nothing refers to its waiter, so a granted wait allocates
+// nothing once the pool is warm.
+var waiters = sync.Pool{New: func() any { return &waiter{granted: make(chan error, 1)} }}
+
+// holdSet is one owner's locks in grant order. A transaction takes about
+// ten, so lookups scan. Sets come from holdSets and go back when their
+// owner's last lock is released: the manager keeps no set it is not
+// using, and a grant allocates nothing once the pool is warm.
+type holdSet struct{ locks []heldLock }
+
+type heldLock struct {
+	item model.ItemID
+	mode Mode
+}
+
+var holdSets = sync.Pool{New: func() any { return new(holdSet) }}
+
+// find returns the index of item in s, or -1.
+func (s *holdSet) find(item model.ItemID) int {
+	for i := range s.locks {
+		if s.locks[i].item == item {
+			return i
+		}
+	}
+	return -1
+}
+
+// putHoldSet empties s and returns it to the pool.
+func putHoldSet(s *holdSet) {
+	s.locks = s.locks[:0]
+	holdSets.Put(s)
 }
 
 type entry struct {
@@ -101,7 +142,7 @@ const (
 type Manager struct {
 	mu         sync.Mutex
 	items      map[model.ItemID]*entry
-	held       map[model.TxnID]map[model.ItemID]Mode
+	held       map[model.TxnID]*holdSet
 	waits      map[model.TxnID]model.ItemID // owner -> item it is queued on
 	vulnerable map[model.TxnID]*vulnState   // owner -> wound state
 	grace      time.Duration
@@ -122,7 +163,7 @@ type vulnState struct {
 func NewManager(detectDeadlocks bool) *Manager {
 	return &Manager{
 		items:      make(map[model.ItemID]*entry),
-		held:       make(map[model.TxnID]map[model.ItemID]Mode),
+		held:       make(map[model.TxnID]*holdSet),
 		waits:      make(map[model.TxnID]model.ItemID),
 		vulnerable: make(map[model.TxnID]*vulnState),
 		detect:     detectDeadlocks,
@@ -176,11 +217,11 @@ func (m *Manager) AcquireEx(owner model.TxnID, item model.ItemID, mode Mode, tim
 		e = &entry{holders: make(map[model.TxnID]Mode)}
 		m.items[item] = e
 	}
-	if cur, ok := e.holders[owner]; ok && (cur == Exclusive || mode == Shared) {
+	cur, upgrading := e.holders[owner]
+	if upgrading && (cur == Exclusive || mode == Shared) {
 		m.mu.Unlock()
 		return nil // already held strongly enough
 	}
-	_, upgrading := e.holders[owner]
 
 	if m.canGrant(e, owner, mode) {
 		m.grantLocked(e, owner, item, mode)
@@ -205,29 +246,38 @@ func (m *Manager) AcquireEx(owner model.TxnID, item model.ItemID, mode Mode, tim
 	wounds, woundAt := m.collectWoundsLocked(e, owner, mode, prio)
 	m.stats.Wounds += uint64(len(wounds))
 	e.stats.Wounds += uint64(len(wounds))
-	start := time.Now()
-	w := &waiter{owner: owner, item: item, mode: mode, upgrade: upgrading, since: start, granted: make(chan error, 1)}
+	w := waiters.Get().(*waiter)
+	w.owner, w.item, w.mode, w.upgrade, w.since = owner, item, mode, upgrading, time.Now()
 	if upgrading {
 		// Upgraders jump the queue: they already hold Shared, so making
 		// them wait behind queued writers guarantees deadlock.
-		e.queue = append([]*waiter{w}, e.queue...)
+		e.queue = slices.Insert(e.queue, 0, w)
 	} else {
 		e.queue = append(e.queue, w)
 	}
 	m.waits[owner] = item
 	m.stats.Waited++
 	e.stats.Waited++
-	if live := liveWaiters(e); live > e.stats.QueuePeak {
-		e.stats.QueuePeak = live
-	}
+	e.stats.QueuePeak = max(e.stats.QueuePeak, len(e.queue))
 	m.mu.Unlock()
 
 	for _, fn := range wounds {
 		fn()
 	}
+	err := m.wait(e, w, timeout, woundAt, prio)
+	waiters.Put(w)
+	return err
+}
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+// wait blocks the queued request w on e until it is granted or timeout
+// runs out, wounding the vulnerable holders in its way as their grace
+// expires (from woundAt on). On return w is out of the queue and idle.
+func (m *Manager) wait(e *entry, w *waiter, timeout time.Duration, woundAt time.Time, prio Priority) error {
+	if w.timer == nil {
+		w.timer = time.NewTimer(timeout)
+	} else {
+		w.timer.Reset(timeout)
+	}
 	for {
 		var wt *time.Timer
 		var woundTimer <-chan time.Time
@@ -240,66 +290,59 @@ func (m *Manager) AcquireEx(owner model.TxnID, item model.ItemID, mode Mode, tim
 			if wt != nil {
 				wt.Stop()
 			}
+			if !w.timer.Stop() {
+				// Expired meanwhile: its tick may still be on the way.
+				w.timer = nil
+			}
 			m.mu.Lock()
-			delete(m.waits, owner)
-			m.noteWaitLocked(e, time.Since(start))
+			m.endWaitLocked(e, w)
 			m.mu.Unlock()
 			return err
 		case <-woundTimer:
 			// Grace expired for at least one vulnerable holder; wound the
 			// ones still in the way and keep waiting.
 			m.mu.Lock()
-			wounds, woundAt = m.collectWoundsLocked(e, owner, mode, prio)
+			var wounds []func()
+			wounds, woundAt = m.collectWoundsLocked(e, w.owner, w.mode, prio)
 			m.stats.Wounds += uint64(len(wounds))
 			e.stats.Wounds += uint64(len(wounds))
 			m.mu.Unlock()
 			for _, fn := range wounds {
 				fn()
 			}
-		case <-timer.C:
+		case <-w.timer.C:
 			if wt != nil {
 				wt.Stop()
 			}
 			m.mu.Lock()
-			defer m.mu.Unlock()
+			err := ErrTimeout
 			select {
-			case err := <-w.granted:
+			case err = <-w.granted:
 				// Granted in the race window; keep the lock.
-				delete(m.waits, owner)
-				m.noteWaitLocked(e, time.Since(start))
-				return err
 			default:
+				i := slices.Index(e.queue, w)
+				e.queue = slices.Delete(e.queue, i, i+1)
+				m.stats.Timeouts++
+				e.stats.Timeouts++
+				m.sweepLocked(e)
 			}
-			w.dead = true
-			delete(m.waits, owner)
-			m.stats.Timeouts++
-			e.stats.Timeouts++
-			m.noteWaitLocked(e, time.Since(start))
-			m.sweepLocked(e)
-			return ErrTimeout
+			m.endWaitLocked(e, w)
+			m.mu.Unlock()
+			return err
 		}
 	}
 }
 
-// noteWaitLocked folds one finished wait into the manager-wide and
-// per-item accounting. Caller holds m.mu.
-func (m *Manager) noteWaitLocked(e *entry, d time.Duration) {
+// endWaitLocked forgets w's finished wait on e and folds it into the
+// manager-wide and per-item accounting. Caller holds m.mu.
+func (m *Manager) endWaitLocked(e *entry, w *waiter) {
+	delete(m.waits, w.owner)
+	d := time.Since(w.since)
 	m.stats.WaitTime += d
 	e.stats.WaitNS += int64(d)
 	if int64(d) > e.stats.MaxWaitNS {
 		e.stats.MaxWaitNS = int64(d)
 	}
-}
-
-// liveWaiters counts the non-dead queued requests on e.
-func liveWaiters(e *entry) int {
-	n := 0
-	for _, w := range e.queue {
-		if !w.dead {
-			n++
-		}
-	}
-	return n
 }
 
 // collectWoundsLocked gathers the wound callbacks of vulnerable holders
@@ -336,14 +379,8 @@ func (m *Manager) collectWoundsLocked(e *entry, owner model.TxnID, mode Mode, pr
 // respecting FIFO fairness: a Shared request does not overtake queued
 // waiters (unless it is an upgrade, which bypasses the queue).
 func (m *Manager) canGrant(e *entry, owner model.TxnID, mode Mode) bool {
-	live := 0
-	for _, w := range e.queue {
-		if !w.dead {
-			live++
-		}
-	}
 	if mode == Shared {
-		if live > 0 {
+		if len(e.queue) > 0 {
 			return false
 		}
 		for _, hm := range e.holders {
@@ -353,9 +390,9 @@ func (m *Manager) canGrant(e *entry, owner model.TxnID, mode Mode) bool {
 		}
 		return true
 	}
-	// Exclusive: must be sole holder (upgrade) or no holders, and no live
+	// Exclusive: must be sole holder (upgrade) or no holders, and no
 	// queue ahead.
-	if live > 0 {
+	if len(e.queue) > 0 {
 		return false
 	}
 	for h, hm := range e.holders {
@@ -367,24 +404,25 @@ func (m *Manager) canGrant(e *entry, owner model.TxnID, mode Mode) bool {
 }
 
 func (m *Manager) grantLocked(e *entry, owner model.TxnID, item model.ItemID, mode Mode) {
+	_, upgrade := e.holders[owner]
 	e.holders[owner] = mode
-	hm := m.held[owner]
-	if hm == nil {
-		hm = make(map[model.ItemID]Mode)
-		m.held[owner] = hm
+	hs := m.held[owner]
+	if hs == nil {
+		hs = holdSets.Get().(*holdSet)
+		m.held[owner] = hs
 	}
-	hm[item] = mode
+	if upgrade {
+		hs.locks[hs.find(item)].mode = mode
+		return
+	}
+	hs.locks = append(hs.locks, heldLock{item: item, mode: mode})
 }
 
 // sweepLocked grants as many queued waiters as compatibility allows, in
-// FIFO order, skipping dead waiters.
+// FIFO order.
 func (m *Manager) sweepLocked(e *entry) {
 	for len(e.queue) > 0 {
 		w := e.queue[0]
-		if w.dead {
-			e.queue = e.queue[1:]
-			continue
-		}
 		ok := false
 		if w.mode == Shared {
 			ok = true
@@ -404,7 +442,9 @@ func (m *Manager) sweepLocked(e *entry) {
 		if !ok {
 			return
 		}
-		e.queue = e.queue[1:]
+		// Shift rather than reslice, so the queue's array is reused
+		// instead of creeping forward into a fresh one.
+		e.queue = slices.Delete(e.queue, 0, 1)
 		m.grantLocked(e, w.owner, w.item, w.mode)
 		m.stats.Acquired++
 		e.stats.Acquired++
@@ -462,12 +502,17 @@ func (m *Manager) ReleaseAll(owner model.TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.vulnerable, owner)
-	for item := range m.held[owner] {
-		e := m.items[item]
+	hs := m.held[owner]
+	if hs == nil {
+		return
+	}
+	delete(m.held, owner)
+	for _, h := range hs.locks {
+		e := m.items[h.item]
 		delete(e.holders, owner)
 		m.sweepLocked(e)
 	}
-	delete(m.held, owner)
+	putHoldSet(hs)
 }
 
 // Release drops owner's lock on a single item (used by protocols that
@@ -475,10 +520,13 @@ func (m *Manager) ReleaseAll(owner model.TxnID) {
 func (m *Manager) Release(owner model.TxnID, item model.ItemID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if hm := m.held[owner]; hm != nil {
-		delete(hm, item)
-		if len(hm) == 0 {
+	if hs := m.held[owner]; hs != nil {
+		if i := hs.find(item); i >= 0 {
+			hs.locks = slices.Delete(hs.locks, i, i+1)
+		}
+		if len(hs.locks) == 0 {
 			delete(m.held, owner)
+			putHoldSet(hs)
 		}
 	}
 	if e := m.items[item]; e != nil {
@@ -491,15 +539,25 @@ func (m *Manager) Release(owner model.TxnID, item model.ItemID) {
 func (m *Manager) Holds(owner model.TxnID, item model.ItemID) (Mode, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mode, ok := m.held[owner][item]
-	return mode, ok
+	hs := m.held[owner]
+	if hs == nil {
+		return Shared, false
+	}
+	i := hs.find(item)
+	if i < 0 {
+		return Shared, false
+	}
+	return hs.locks[i].mode, true
 }
 
 // HeldCount returns the number of locks owner holds.
 func (m *Manager) HeldCount(owner model.TxnID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.held[owner])
+	if hs := m.held[owner]; hs != nil {
+		return len(hs.locks)
+	}
+	return 0
 }
 
 // Stats returns a snapshot of the manager's counters.

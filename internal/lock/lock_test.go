@@ -271,3 +271,33 @@ func TestNoConflictingGrantsUnderStress(t *testing.T) {
 		t.Fatalf("%d conflicting grants observed", n)
 	}
 }
+
+// TestRecycledWaiterNeverSeesAStaleTimeout: waits that time out hand
+// their waiter back for reuse; a later long wait on the same manager must
+// run its own timeout, not inherit an expiry from an earlier one.
+func TestRecycledWaiterNeverSeesAStaleTimeout(t *testing.T) {
+	m := NewManager(false)
+	a, b := tid(1), tid(2)
+	for round := 0; round < 20; round++ {
+		if err := m.Acquire(a, 1, Exclusive, wait); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Acquire(b, 1, Exclusive, time.Millisecond); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("round %d: short wait = %v, want ErrTimeout", round, err)
+		}
+		released := make(chan struct{})
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			m.ReleaseAll(a)
+			close(released)
+		}()
+		if err := m.Acquire(b, 1, Exclusive, 5*time.Second); err != nil {
+			t.Fatalf("round %d: long wait = %v, want granted", round, err)
+		}
+		<-released
+		m.ReleaseAll(b)
+	}
+	if s := m.String(); s != "" {
+		t.Fatalf("lock table not empty:\n%s", s)
+	}
+}

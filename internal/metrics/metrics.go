@@ -10,7 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,16 +164,27 @@ func (d *durStats) percentile(p float64) time.Duration { return Percentile(d.sam
 // p outside (0, 1] clamps to the extremes rather than indexing out of
 // range. ds is not modified.
 func Percentile(ds []time.Duration, p float64) time.Duration {
-	switch len(ds) {
-	case 0:
-		return 0
-	case 1:
-		return ds[0]
+	var q [1]time.Duration
+	Percentiles(ds, []float64{p}, q[:])
+	return q[0]
+}
+
+// Percentiles sets out[i] to the ps[i]-quantile of ds under Percentile's
+// rule, sorting one copy of ds for all of them; out must be as long as ps.
+// ds is not modified.
+func Percentiles(ds []time.Duration, ps []float64, out []time.Duration) {
+	s := ds
+	if len(ds) > 1 {
+		s = slices.Clone(ds)
+		slices.Sort(s)
 	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(p*float64(len(s)))) - 1
-	return s[min(max(idx, 0), len(s)-1)]
+	for i, p := range ps {
+		out[i] = 0
+		if len(s) > 0 {
+			idx := int(math.Ceil(p*float64(len(s)))) - 1
+			out[i] = s[min(max(idx, 0), len(s)-1)]
+		}
+	}
 }
 
 // NewCollector returns a collector. If trackPropagation is true it keeps a
@@ -309,6 +320,9 @@ type Report struct {
 	Phases map[string]PhaseStats `json:",omitempty"`
 }
 
+// midTail are the quantiles a report gives of each series: P50, P95, P99.
+var midTail = [...]float64{0.50, 0.95, 0.99}
+
 // Snapshot computes the report for a run over m sites. Call End first (or
 // Snapshot uses the current time).
 func (c *Collector) Snapshot(m int) Report {
@@ -336,9 +350,6 @@ func (c *Collector) Snapshot(m int) Report {
 		Committed:     n[Committed],
 		Aborted:       n[Aborted],
 		MeanResponse:  c.resp.mean(),
-		P50Response:   c.resp.percentile(0.50),
-		P95Response:   c.resp.percentile(0.95),
-		P99Response:   c.resp.percentile(0.99),
 		MaxResponse:   c.resp.max,
 		MeanPropDelay: c.prop.mean(),
 		P95PropDelay:  c.prop.percentile(0.95),
@@ -349,6 +360,9 @@ func (c *Collector) Snapshot(m int) Report {
 		Dummies:       n[Dummies],
 		Retries:       n[Retries],
 	}
+	var q [3]time.Duration
+	Percentiles(c.resp.samples, midTail[:], q[:])
+	r.P50Response, r.P95Response, r.P99Response = q[0], q[1], q[2]
 	if m > 0 {
 		r.ThroughputPerSite = float64(r.Committed) / elapsed.Seconds() / float64(m)
 	}
@@ -363,13 +377,14 @@ func (c *Collector) Snapshot(m int) Report {
 		if r.Phases == nil {
 			r.Phases = make(map[string]PhaseStats)
 		}
+		Percentiles(d.samples, midTail[:], q[:])
 		r.Phases[Phase(i).String()] = PhaseStats{
 			Count: d.count,
 			Total: d.sum,
 			Mean:  d.mean(),
-			P50:   d.percentile(0.50),
-			P95:   d.percentile(0.95),
-			P99:   d.percentile(0.99),
+			P50:   q[0],
+			P95:   q[1],
+			P99:   q[2],
 			Max:   d.max,
 		}
 	}

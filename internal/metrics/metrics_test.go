@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -204,6 +205,46 @@ func TestPercentileEdgeCases(t *testing.T) {
 	}
 	if twelve[0] != 12*time.Millisecond {
 		t.Error("Percentile reordered its input")
+	}
+}
+
+// TestPercentilesNearestRank checks the one-sort helper the reports use
+// against the nearest-rank definition, computed without sorting: the
+// smallest sample with at least ceil(p*n) samples at or below it, the
+// rank clamped to [1, n].
+func TestPercentilesNearestRank(t *testing.T) {
+	nearestRank := func(ds []time.Duration, p float64) time.Duration {
+		if len(ds) == 0 {
+			return 0
+		}
+		rank := min(max(int(math.Ceil(p*float64(len(ds)))), 1), len(ds))
+		best := time.Duration(math.MaxInt64)
+		for _, x := range ds {
+			atOrBelow := 0
+			for _, y := range ds {
+				if y <= x {
+					atOrBelow++
+				}
+			}
+			if atOrBelow >= rank && x < best {
+				best = x
+			}
+		}
+		return best
+	}
+	ps := []float64{-1, 0, 0.5, 0.95, 0.99, 1, 2}
+	for n := 0; n <= 40; n++ {
+		ds := make([]time.Duration, n)
+		for i := range ds {
+			ds[i] = time.Duration((i*7919)%13) * time.Millisecond
+		}
+		out := make([]time.Duration, len(ps))
+		Percentiles(ds, ps, out)
+		for i, p := range ps {
+			if want := nearestRank(ds, p); out[i] != want || Percentile(ds, p) != want {
+				t.Errorf("n=%d p=%v: Percentiles %v, Percentile %v, want %v", n, p, out[i], Percentile(ds, p), want)
+			}
+		}
 	}
 }
 

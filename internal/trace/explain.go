@@ -418,9 +418,9 @@ func summarize(ds []time.Duration) metrics.PhaseStats {
 		s.Max = max(s.Max, d)
 	}
 	s.Mean = s.Total / time.Duration(len(ds))
-	s.P50 = metrics.Percentile(ds, 0.50)
-	s.P95 = metrics.Percentile(ds, 0.95)
-	s.P99 = metrics.Percentile(ds, 0.99)
+	var q [3]time.Duration
+	metrics.Percentiles(ds, []float64{0.50, 0.95, 0.99}, q[:])
+	s.P50, s.P95, s.P99 = q[0], q[1], q[2]
 	return s
 }
 

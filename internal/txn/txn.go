@@ -10,6 +10,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/history"
@@ -64,18 +65,27 @@ func (t *Txn) acquire(item model.ItemID, mode lock.Mode) error {
 	return err
 }
 
+// inlineWrites is how many writes a Txn buffers without allocating: every
+// program of the paper's workload (§5.2, ten operations) fits.
+const inlineWrites = 10
+
 // Txn is one local (sub)transaction. It is not safe for concurrent use by
 // multiple goroutines; each thread owns its transaction.
 type Txn struct {
 	ID model.TxnID
 	m  *Manager
 
-	writes     map[model.ItemID]int64
-	writeOrder []model.ItemID
-	readObs    []history.ReadObs
-	prio       lock.Priority
-	finished   bool
-	durable    func() error
+	// writes is the write buffer, one entry per item in first-write order,
+	// searched linearly; it starts on inline, so a transaction of up to
+	// inlineWrites items never allocates for it.
+	writes []model.WriteOp
+	inline [inlineWrites]model.WriteOp
+	// readObs buffers read observations for the recorder, and stays empty
+	// without one.
+	readObs  []history.ReadObs
+	prio     lock.Priority
+	finished bool
+	durable  func() error
 }
 
 // SetDurable installs the write-ahead hook Commit runs before any store
@@ -90,7 +100,9 @@ func (t *Txn) SetDurable(hook func() error) { t.durable = hook }
 
 // Begin starts a transaction with the given system-wide unique id.
 func (m *Manager) Begin(id model.TxnID) *Txn {
-	return &Txn{ID: id, m: m, writes: make(map[model.ItemID]int64)}
+	t := &Txn{ID: id, m: m}
+	t.writes = t.inline[:0]
+	return t
 }
 
 // BeginSecondary starts a secondary subtransaction: its lock requests
@@ -98,7 +110,19 @@ func (m *Manager) Begin(id model.TxnID) *Txn {
 // (primaries parked on a backedge round-trip) instead of stalling behind
 // them — the paper's §2 fair victim selection.
 func (m *Manager) BeginSecondary(id model.TxnID) *Txn {
-	return &Txn{ID: id, m: m, writes: make(map[model.ItemID]int64), prio: lock.Secondary}
+	t := &Txn{ID: id, m: m, prio: lock.Secondary}
+	t.writes = t.inline[:0]
+	return t
+}
+
+// buffered returns the index of item in the write buffer, or -1.
+func (t *Txn) buffered(item model.ItemID) int {
+	for i := range t.writes {
+		if t.writes[i].Item == item {
+			return i
+		}
+	}
+	return -1
 }
 
 // Read returns the current value of item, first consulting the
@@ -119,8 +143,8 @@ func (t *Txn) ReadVersioned(item model.ItemID) (int64, uint64, bool, error) {
 	if t.finished {
 		return 0, 0, false, fmt.Errorf("txn %v: read after finish", t.ID)
 	}
-	if v, ok := t.writes[item]; ok {
-		return v, 0, false, nil
+	if i := t.buffered(item); i >= 0 {
+		return t.writes[i].Value, 0, false, nil
 	}
 	if err := t.acquire(item, lock.Shared); err != nil {
 		t.Abort()
@@ -133,7 +157,7 @@ func (t *Txn) ReadVersioned(item model.ItemID) (int64, uint64, bool, error) {
 		t.Abort()
 		return 0, 0, false, err
 	}
-	t.readObs = append(t.readObs, history.ReadObs{Site: t.m.Site, Item: item, Version: ver.Num, Reader: t.ID})
+	t.observeRead(t.m.Site, item, ver.Num)
 	return ver.Value, ver.Num, true, nil
 }
 
@@ -150,10 +174,11 @@ func (t *Txn) Write(item model.ItemID, value int64) error {
 		// classification.
 		return fmt.Errorf("%w: w[%d] at s%d: %w", ErrAborted, item, t.m.Site, err)
 	}
-	if _, ok := t.writes[item]; !ok {
-		t.writeOrder = append(t.writeOrder, item)
+	if i := t.buffered(item); i >= 0 {
+		t.writes[i].Value = value
+	} else {
+		t.writes = append(t.writes, model.WriteOp{Item: item, Value: value})
 	}
-	t.writes[item] = value
 	return nil
 }
 
@@ -184,17 +209,17 @@ func (t *Txn) Commit() error {
 		}
 	}
 	var applyStart time.Time
-	if t.m.phase != nil && len(t.writeOrder) > 0 {
+	if t.m.phase != nil && len(t.writes) > 0 {
 		applyStart = time.Now()
 	}
-	for _, item := range t.writeOrder {
-		ver, err := t.m.Store.Apply(item, t.writes[item], t.ID)
+	for _, w := range t.writes {
+		ver, err := t.m.Store.Apply(w.Item, w.Value, t.ID)
 		if err != nil {
 			// Unreachable with a correct engine: writes target local copies.
 			t.m.Locks.ReleaseAll(t.ID)
 			return err
 		}
-		t.m.Recorder.Write(t.m.Site, item, ver.Num, t.ID)
+		t.m.Recorder.Write(t.m.Site, w.Item, ver.Num, t.ID)
 	}
 	if !applyStart.IsZero() {
 		t.m.phase(metrics.PhaseApply, t.ID, applyStart)
@@ -210,7 +235,15 @@ func (t *Txn) Commit() error {
 // this transaction's behalf (PSL remote reads); like local reads it is
 // flushed to the recorder only if the transaction commits.
 func (t *Txn) ObserveRemoteRead(site model.SiteID, item model.ItemID, version uint64) {
-	t.readObs = append(t.readObs, history.ReadObs{Site: site, Item: item, Version: version, Reader: t.ID})
+	t.observeRead(site, item, version)
+}
+
+// observeRead buffers one read observation for Commit to flush, if a
+// recorder is attached to flush it to.
+func (t *Txn) observeRead(site model.SiteID, item model.ItemID, version uint64) {
+	if t.m.Recorder != nil {
+		t.readObs = append(t.readObs, history.ReadObs{Site: site, Item: item, Version: version, Reader: t.ID})
+	}
 }
 
 // Abort discards buffered writes and releases all locks. Safe to call
@@ -226,15 +259,11 @@ func (t *Txn) Abort() {
 // Finished reports whether the transaction has committed or aborted.
 func (t *Txn) Finished() bool { return t.finished }
 
-// Writes returns the buffered writes in write order, the payload of a
-// secondary subtransaction.
-func (t *Txn) Writes() []model.WriteOp {
-	out := make([]model.WriteOp, 0, len(t.writeOrder))
-	for _, item := range t.writeOrder {
-		out = append(out, model.WriteOp{Item: item, Value: t.writes[item]})
-	}
-	return out
-}
+// Writes returns the buffered writes, one per item in first-write order
+// with the last value written: the payload of a secondary subtransaction.
+// It returns the buffer itself, not a copy, so callers must not mutate it,
+// and the transaction must take no writes after the call.
+func (t *Txn) Writes() []model.WriteOp { return slices.Clip(t.writes) }
 
 // NumWrites returns the number of distinct items written.
-func (t *Txn) NumWrites() int { return len(t.writeOrder) }
+func (t *Txn) NumWrites() int { return len(t.writes) }

@@ -24,7 +24,7 @@ race:
 chaos:
 	$(GO) test -race -run 'TestChaos|TestReliable|TestBackEdgeRecovers' -count 1 ./internal/cluster ./internal/comm ./internal/core ./internal/fault
 
-# The repository's own analyzer suite (docs/STATIC_ANALYSIS.md): five
+# The repository's own analyzer suite (docs/STATIC_ANALYSIS.md): seven
 # protocol-invariant checks that go vet cannot express.
 lint:
 	$(GO) run ./cmd/repllint ./...

@@ -127,8 +127,6 @@ func main() {
 	var registry *obs.Registry
 	if *obsAddr != "" || *telAddr != "" {
 		registry = obs.NewRegistry()
-		registry.Gauge("repl_protocol_info",
-			obs.Label{Key: "protocol", Value: protocol.String()}).Set(1)
 		tcp.SetStats(obs.NewCommStats(registry))
 		if rel != nil {
 			rel.SetStats(obs.NewReliableStats(registry))
@@ -183,7 +181,6 @@ func main() {
 	type contender interface {
 		LockHeat() []lock.ItemStats
 		LockWaitGraph() []lock.WaitEdge
-		AbortReasons() map[string]uint64
 	}
 	var publisher *telemetry.Publisher
 	if *telAddr != "" {
@@ -203,7 +200,6 @@ func main() {
 				sh := []contend.SiteHeat{{Site: self, Items: engine.(contender).LockHeat()}}
 				return contend.BuildHeat(sh, heatK)
 			},
-			Aborts: func() map[string]uint64 { return engine.(contender).AbortReasons() },
 		})
 		if err != nil {
 			fatal(err)
@@ -251,8 +247,8 @@ func main() {
 	}
 	// Contention observatory wiring (docs/OBSERVABILITY.md): a node sees
 	// one site, so it dumps its local wait-for snapshot when a contention
-	// alert fires (and ships that site's heat table and abort breakdown
-	// through the publisher; the aggregator merges across processes).
+	// alert fires (and ships that site's heat table through the
+	// publisher; the aggregator merges across processes).
 	if watchdog != nil {
 		watchdog.RegisterWaitGraphs(func() []contend.SiteWaitGraph {
 			return []contend.SiteWaitGraph{{Site: self, Edges: engine.(contender).LockWaitGraph()}}

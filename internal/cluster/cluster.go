@@ -77,9 +77,6 @@ type Config struct {
 	// on top of the (possibly faulty) transport, restoring the network
 	// contract the protocols assume.
 	Reliable bool
-	// ReliableCfg tunes the sublayer when Reliable is set; the zero value
-	// uses the defaults (20 ms initial RTO).
-	ReliableCfg comm.ReliableConfig
 	// Watch, when non-nil, runs the staleness/liveness watchdog
 	// (internal/watch): engines register epoch/pending probes and queue
 	// handles, the trace recorder's live sink feeds it, and alerts land
@@ -207,7 +204,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.top = ft
 	}
 	if cfg.Reliable {
-		rel := comm.NewReliable(c.top, cfg.ReliableCfg)
+		rel := comm.NewReliable(c.top, comm.ReliableConfig{})
 		if cfg.Obs != nil {
 			rel.SetStats(obs.NewReliableStats(cfg.Obs))
 		}

@@ -69,15 +69,6 @@ func TestWritePrometheusGoldenEscaping(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "prometheus_escaping.golden", sb.String())
-
-	// The escaped page must survive its own parser.
-	parsed, err := ParsePrometheus(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("ParsePrometheus on escaped output: %v", err)
-	}
-	if got := parsed[`repl_esc_total{q="say \"hi\""}`]; got != 1 {
-		t.Errorf("quoted label parsed to %d, want 1 (have keys %v)", got, keys(parsed))
-	}
 }
 
 func TestWritePrometheusGoldenHistogramExtremes(t *testing.T) {
@@ -98,63 +89,4 @@ func TestWritePrometheusGoldenHistogramExtremes(t *testing.T) {
 	if !strings.Contains(out, `le="+Inf"} 4`) {
 		t.Errorf("+Inf bucket must be cumulative over the 4 counted observations (negatives are ignored):\n%s", out)
 	}
-}
-
-// TestParsePrometheusRoundTrip pins the contract ParsePrometheus
-// documents: parsing a registry's exposition reproduces its Snapshot.
-func TestParsePrometheusRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("repl_txn_committed_total", Label{Key: "site", Value: "0"}).Add(12)
-	r.Counter("repl_txn_committed_total", Label{Key: "site", Value: "1"}).Add(9)
-	r.Gauge("repl_queue_depth", Label{Key: "site", Value: "0"}, Label{Key: "queue", Value: "fifo"}).Set(4)
-	r.Gauge("repl_protocol_info", Label{Key: "protocol", Value: "dagwt"}).Set(1)
-	h := r.Histogram("repl_apply_seconds", Label{Key: "site", Value: "0"})
-	h.Observe(3 * time.Millisecond)
-	h.Observe(70 * time.Microsecond)
-
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParsePrometheus(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := r.Snapshot()
-	if len(parsed) != len(snap) {
-		t.Fatalf("parsed %d series, snapshot has %d\nparsed: %v\nsnapshot: %v",
-			len(parsed), len(snap), keys(parsed), keys(snap))
-	}
-	for k, want := range snap {
-		got, ok := parsed[k]
-		if !ok {
-			t.Errorf("snapshot key %q missing from parsed page", k)
-			continue
-		}
-		// formatSeconds keeps 9 decimal digits, so nanosecond sums
-		// round-trip exactly.
-		if got != want {
-			t.Errorf("series %q: parsed %d, snapshot %d", k, got, want)
-		}
-	}
-}
-
-func TestParsePrometheusRejectsGarbage(t *testing.T) {
-	for _, page := range []string{
-		"repl_x_total 5\n", // sample without # TYPE
-		"# TYPE repl_x_total counter\nrepl_x_total five\n", // non-numeric value
-		"# TYPE repl_x_total counter\nrepl_x_total\n",      // no value at all
-	} {
-		if _, err := ParsePrometheus(strings.NewReader(page)); err == nil {
-			t.Errorf("ParsePrometheus accepted %q", page)
-		}
-	}
-}
-
-func keys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

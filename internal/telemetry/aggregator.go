@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/contend"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/watch"
@@ -33,10 +34,9 @@ type procState struct {
 	gaps     uint64 // sequence discontinuities (lost frames or restarts)
 	dropped  uint64 // publisher-reported buffer-overflow drops
 	metrics  map[string]int64
-	phases   map[string]PhaseQuantiles
+	phases   map[string]metrics.PhaseStats
 	alerts   []watch.Alert
 	heat     []contend.HeatEntry
-	aborts   map[string]uint64
 	lastSeen time.Time
 }
 
@@ -67,11 +67,11 @@ type Aggregator struct {
 
 	start time.Time
 
-	ln          net.Listener // repl:guardedby(mu)
-	wg          sync.WaitGroup
-	closed      bool // repl:guardedby(mu)
-	activeConns int  // repl:guardedby(mu)
-	totalConns  int  // repl:guardedby(mu)
+	ln         net.Listener // repl:guardedby(mu)
+	wg         sync.WaitGroup
+	closed     bool                  // repl:guardedby(mu)
+	conns      map[net.Conn]struct{} // open publisher connections // repl:guardedby(mu)
+	totalConns int                   // repl:guardedby(mu)
 }
 
 // NewAggregator returns an empty aggregator.
@@ -80,6 +80,7 @@ func NewAggregator() *Aggregator {
 		procs:    make(map[string]*procState),
 		recentIn: make(map[model.TxnID]bool),
 		inflight: watch.NewInflight(),
+		conns:    make(map[net.Conn]struct{}),
 		start:    time.Now(),
 	}
 }
@@ -118,7 +119,7 @@ func (a *Aggregator) accept(ln net.Listener) {
 			c.Close()
 			return
 		}
-		a.activeConns++
+		a.conns[c] = struct{}{}
 		a.totalConns++
 		a.mu.Unlock()
 		a.wg.Add(1)
@@ -131,7 +132,7 @@ func (a *Aggregator) serve(c net.Conn) {
 	defer func() {
 		c.Close()
 		a.mu.Lock()
-		a.activeConns--
+		delete(a.conns, c)
 		a.mu.Unlock()
 	}()
 	mr := comm.NewMsgReader(c)
@@ -157,11 +158,12 @@ func (a *Aggregator) serve(c net.Conn) {
 func (a *Aggregator) ConnCounts() (active, total int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.activeConns, a.totalConns
+	return len(a.conns), a.totalConns
 }
 
-// Close stops the listener and drops all connections. Ingested state
-// remains readable.
+// Close stops the listener and drops all connections, unblocking every
+// serve goroutine's read whether or not its publisher is still
+// connected. Ingested state remains readable.
 func (a *Aggregator) Close() error {
 	a.mu.Lock()
 	if a.closed {
@@ -169,14 +171,13 @@ func (a *Aggregator) Close() error {
 		return nil
 	}
 	a.closed = true
-	ln := a.ln
-	a.mu.Unlock()
-	if ln != nil {
-		ln.Close()
+	if a.ln != nil {
+		a.ln.Close()
 	}
-	// Connections unblock because serve's reads fail once peers close;
-	// closing the listener stops new ones. Force the stragglers by
-	// waiting with the listener gone — publisher Stop closes its end.
+	for c := range a.conns {
+		c.Close()
+	}
+	a.mu.Unlock()
 	a.wg.Wait()
 	return nil
 }
@@ -211,7 +212,7 @@ func (a *Aggregator) Ingest(f Frame) {
 	a.ingestEvents(f.Events, now)
 	// The rest is the process's whole current state: replay-safe.
 	ps.protocol, ps.sites = f.Protocol, f.Sites
-	ps.phases, ps.alerts, ps.heat, ps.aborts = f.Phases, f.Alerts, f.Heat, f.Aborts
+	ps.phases, ps.alerts, ps.heat = f.Phases, f.Alerts, f.Heat
 }
 
 // ingestEvents appends span events to the merged stream and folds them

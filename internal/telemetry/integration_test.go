@@ -199,7 +199,7 @@ func TestCrossProcessFederation(t *testing.T) {
 	// cycles flushed).
 	// Ground truth mirrors what the publishers ship: the span-carrying
 	// subset of each process's recorder (span-less events — phase
-	// latencies, watchdog noise — travel as quantiles and alert frames).
+	// latencies, watchdog noise — travel as Frame.Phases and Frame.Alerts).
 	groundEvents := func() []trace.Event {
 		var evs []trace.Event
 		for _, p := range procs {

@@ -43,14 +43,12 @@ type Options struct {
 	Obs *obs.Registry
 	// Watch is the watchdog whose active alerts are shipped.
 	Watch *watch.Watchdog
-	// Report supplies the process's metrics.Report, from which the
-	// phase-latency quantiles are taken.
+	// Report supplies the process's metrics.Report, whose phase-latency
+	// summaries are shipped.
 	Report func() metrics.Report
 	// Heat supplies the process's merged per-item heat table
-	// (contend.BuildHeat over its sites); Aborts its cumulative
-	// abort-reason breakdown.
-	Heat   func() []contend.HeatEntry
-	Aborts func() map[string]uint64
+	// (contend.BuildHeat over its sites).
+	Heat func() []contend.HeatEntry
 }
 
 // pubObs holds the publisher's own health series, registered into the
@@ -116,7 +114,7 @@ func NewPublisher(o Options) (*Publisher, error) {
 // Ingest buffers one span-carrying trace event for the next cycle.
 // Install it with rec.AddSink(p.Ingest) — alongside, not instead of, the
 // watchdog's sink. Span-less events (phase latencies, watchdog alerts)
-// are skipped: phases ship as quantiles and alerts as Frame.Alerts.
+// are skipped: phases ship as Frame.Phases and alerts as Frame.Alerts.
 func (p *Publisher) Ingest(ev trace.Event) {
 	if p == nil || ev.Span == 0 {
 		return
@@ -246,23 +244,11 @@ func (p *Publisher) frame() (Frame, map[string]int64) {
 		}
 	}
 	if o.Report != nil {
-		for name, ps := range o.Report().Phases {
-			if f.Phases == nil {
-				f.Phases = make(map[string]PhaseQuantiles)
-			}
-			f.Phases[name] = PhaseQuantiles{
-				Count:  ps.Count,
-				MeanUS: us(ps.Mean), P50US: us(ps.P50), P95US: us(ps.P95),
-				P99US: us(ps.P99), MaxUS: us(ps.Max),
-			}
-		}
+		f.Phases = o.Report().Phases
 	}
 	f.Alerts = o.Watch.Active()
 	if o.Heat != nil {
 		f.Heat = o.Heat()
-	}
-	if o.Aborts != nil {
-		f.Aborts = o.Aborts()
 	}
 
 	p.mu.Lock()
@@ -277,5 +263,3 @@ func (p *Publisher) frame() (Frame, map[string]int64) {
 	p.mu.Unlock()
 	return f, cur
 }
-
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

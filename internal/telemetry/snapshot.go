@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/contend"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/watch"
@@ -77,12 +78,12 @@ type SpanRender struct {
 // ClusterSnapshot is the aggregator's point-in-time cluster view — the
 // document repltop renders (and emits verbatim with -json).
 type ClusterSnapshot struct {
-	Procs     []ProcInfo                `json:"procs"`
-	Protocols []ProtocolStat            `json:"protocols"`
-	Sites     []SiteRow                 `json:"sites"`
-	Edges     []EdgeRow                 `json:"edges,omitempty"`
-	Phases    map[string]PhaseQuantiles `json:"phases,omitempty"`
-	Alerts    []ProcAlert               `json:"alerts,omitempty"`
+	Procs     []ProcInfo                    `json:"procs"`
+	Protocols []ProtocolStat                `json:"protocols"`
+	Sites     []SiteRow                     `json:"sites"`
+	Edges     []EdgeRow                     `json:"edges,omitempty"`
+	Phases    map[string]metrics.PhaseStats `json:"phases,omitempty"`
+	Alerts    []ProcAlert                   `json:"alerts,omitempty"`
 	// MaxStalenessMS is the oldest forwarded-but-unapplied age over
 	// every edge.
 	MaxStalenessMS int64        `json:"max_staleness_ms"`
@@ -90,8 +91,9 @@ type ClusterSnapshot struct {
 	SpanProblems   int          `json:"span_problems"`
 	RecentSpans    []SpanRender `json:"recent_spans,omitempty"`
 	// HotItems is the cluster-wide contention heat table (per-proc
-	// Frame.Heat tables merged, hottest first); AbortReasons the summed
-	// abort root-cause breakdown. Part of the contention observatory
+	// Frame.Heat tables merged, hottest first); AbortReasons the
+	// repl_txn_abort_reason_total series of every announced site summed
+	// by reason, zero sums omitted. Part of the contention observatory
 	// (docs/OBSERVABILITY.md).
 	HotItems     []contend.HeatEntry `json:"hot_items,omitempty"`
 	AbortReasons map[string]uint64   `json:"abort_reasons,omitempty"`
@@ -131,7 +133,7 @@ func (a *Aggregator) Snapshot() ClusterSnapshot {
 
 	committedByProto := make(map[string]int64)
 	abortedByProto := make(map[string]int64)
-	phases := make(map[string]PhaseQuantiles)
+	phases := make(map[string]metrics.PhaseStats)
 	var heatTables [][]contend.HeatEntry
 	for _, proc := range procNames {
 		ps := a.procs[proc]
@@ -170,19 +172,28 @@ func (a *Aggregator) Snapshot() ClusterSnapshot {
 				r.RemoteReads = v
 			case "repl_queue_depth":
 				r.QueueDepth += v
+			case "repl_txn_abort_reason_total":
+				if v > 0 {
+					if snap.AbortReasons == nil {
+						snap.AbortReasons = make(map[string]uint64)
+					}
+					snap.AbortReasons[labels["reason"]] += uint64(v)
+				}
 			}
 		}
 
-		// Phase heat merges pessimistically: counts sum, quantiles take
-		// the cluster max — a hot phase anywhere shows hot.
+		// Phase heat merges pessimistically: counts and totals sum, the
+		// mean and quantiles take the cluster max — a hot phase anywhere
+		// shows hot.
 		for name, q := range ps.phases {
 			m := phases[name]
 			m.Count += q.Count
-			m.MeanUS = max(m.MeanUS, q.MeanUS)
-			m.P50US = max(m.P50US, q.P50US)
-			m.P95US = max(m.P95US, q.P95US)
-			m.P99US = max(m.P99US, q.P99US)
-			m.MaxUS = max(m.MaxUS, q.MaxUS)
+			m.Total += q.Total
+			m.Mean = max(m.Mean, q.Mean)
+			m.P50 = max(m.P50, q.P50)
+			m.P95 = max(m.P95, q.P95)
+			m.P99 = max(m.P99, q.P99)
+			m.Max = max(m.Max, q.Max)
 			phases[name] = m
 		}
 		for _, al := range ps.alerts {
@@ -190,12 +201,6 @@ func (a *Aggregator) Snapshot() ClusterSnapshot {
 		}
 		if len(ps.heat) > 0 {
 			heatTables = append(heatTables, ps.heat)
-		}
-		for reason, n := range ps.aborts {
-			if snap.AbortReasons == nil {
-				snap.AbortReasons = make(map[string]uint64)
-			}
-			snap.AbortReasons[reason] += n
 		}
 	}
 	snap.HotItems = contend.MergeHeat(heatTables, hotItemsShown)
@@ -336,8 +341,8 @@ func (s *ClusterSnapshot) Render(w io.Writer) {
 			"PHASE", "COUNT", "MEAN", "P95", "P99", "MAX")
 		for _, n := range names {
 			q := s.Phases[n]
-			fmt.Fprintf(w, "%-14s %10d %9.0fµ %9.0fµ %9.0fµ %9.0fµ\n",
-				n, q.Count, q.MeanUS, q.P95US, q.P99US, q.MaxUS)
+			fmt.Fprintf(w, "%-14s %10d %9dµ %9dµ %9dµ %9dµ\n", n, q.Count,
+				q.Mean.Microseconds(), q.P95.Microseconds(), q.P99.Microseconds(), q.Max.Microseconds())
 		}
 	}
 

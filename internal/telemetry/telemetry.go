@@ -10,8 +10,8 @@
 //
 //   - a Publisher embedded in each process, sending one Frame per
 //     publish cycle: a delta-encoded registry snapshot, span-carrying
-//     trace events, phase-latency quantiles, watchdog alerts, and
-//     contention state;
+//     trace events, phase-latency summaries, watchdog alerts, and the
+//     contention heat table;
 //   - an Aggregator merging the streams: it re-keys per-site series,
 //     stitches cross-process span trees back together (deterministic
 //     SpanID lineage means merging the raw event streams suffices —
@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/contend"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/watch"
@@ -58,17 +59,6 @@ func ChannelSpan(proc string) model.SpanContext {
 	h := fnv.New64a()
 	h.Write([]byte(proc))
 	return model.SpanContext{Parent: model.AuxSpan(model.SpanID(channelSpanSalt), h.Sum64())}
-}
-
-// PhaseQuantiles is one phase's latency summary in microseconds,
-// mirroring metrics.PhaseStats in a wire-friendly flat form.
-type PhaseQuantiles struct {
-	Count  uint64  `json:"count"`
-	MeanUS float64 `json:"mean_us"`
-	P50US  float64 `json:"p50_us"`
-	P95US  float64 `json:"p95_us"`
-	P99US  float64 `json:"p99_us"`
-	MaxUS  float64 `json:"max_us"`
 }
 
 // Frame is one publish cycle of one process. Every field but Metrics and
@@ -97,15 +87,14 @@ type Frame struct {
 	// Dropped is the cumulative count lost to publisher ring overflow.
 	Events  []trace.Event
 	Dropped uint64
-	// Phases maps metrics.Phase names to quantiles.
-	Phases map[string]PhaseQuantiles
+	// Phases is the process's metrics.Report.Phases.
+	Phases map[string]metrics.PhaseStats
 	// Alerts are the process watchdog's active alerts.
 	Alerts []watch.Alert
 	// Heat is the process's contention heat table (contend.BuildHeat over
-	// its sites); Aborts its abort root-cause breakdown, reason name →
-	// cumulative count.
-	Heat   []contend.HeatEntry
-	Aborts map[string]uint64
+	// its sites). Its abort root-cause breakdown travels in Metrics, as
+	// the repl_txn_abort_reason_total series.
+	Heat []contend.HeatEntry
 }
 
 var registerOnce sync.Once

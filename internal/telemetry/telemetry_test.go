@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/contend"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -241,5 +244,82 @@ func TestSnapshotRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSnapshotAbortReasonsFromRegistry checks the abort breakdown is read
+// from the repl_txn_abort_reason_total series frames already carry: per
+// reason, summed over the announced sites of their hosting procs, with
+// zero sums left out — the same map the engines' AbortReasons give.
+func TestSnapshotAbortReasonsFromRegistry(t *testing.T) {
+	banks := map[string]map[model.SiteID]map[contend.AbortReason]uint64{
+		"a": {0: {contend.ReasonLockTimeout: 3, contend.ReasonDeadlock: 1}},
+		"b": {1: {contend.ReasonLockTimeout: 2}, 2: {contend.ReasonWound: 4}},
+	}
+	// Each proc also gauges a site it does not host: b's site 2, and a
+	// site nobody announces.
+	strays := map[string]string{"a": "2", "b": "9"}
+	want := map[string]uint64{}
+	agg := NewAggregator()
+	for proc, sites := range banks {
+		reg := obs.NewRegistry()
+		f := Frame{Proc: proc, Seq: 1, Protocol: "dagwt"}
+		for site, counts := range sites {
+			f.Sites = append(f.Sites, site)
+			label := obs.Label{Key: "site", Value: strconv.Itoa(int(site))}
+			// Like a site's counter bank: every reason exported, most zero.
+			for _, r := range contend.Reasons() {
+				reg.Counter("repl_txn_abort_reason_total", label, obs.Label{Key: "reason", Value: r.String()}).Add(counts[r])
+				if counts[r] > 0 {
+					want[r.String()] += counts[r]
+				}
+			}
+		}
+		reg.Counter("repl_txn_abort_reason_total",
+			obs.Label{Key: "site", Value: strays[proc]}, obs.Label{Key: "reason", Value: "deadlock"}).Add(100)
+		f.Metrics = reg.Snapshot()
+		agg.Ingest(f)
+	}
+	if got := agg.Snapshot().AbortReasons; !reflect.DeepEqual(got, want) {
+		t.Fatalf("abort reasons = %v, want %v", got, want)
+	}
+}
+
+// TestAggregatorCloseWithConnectedPublisher checks Close returns while a
+// publisher still holds its connection open.
+func TestAggregatorCloseWithConnectedPublisher(t *testing.T) {
+	agg := NewAggregator()
+	addr, err := agg.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SendFrame(Frame{Proc: "idle", Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if active, _ := agg.ConnCounts(); active == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("aggregator never accepted the connection")
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		agg.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked after 2s on a connected publisher")
+	}
+	if active, total := agg.ConnCounts(); active != 0 || total != 1 {
+		t.Fatalf("conns after Close = %d active, %d total; want 0, 1", active, total)
 	}
 }

@@ -6,8 +6,8 @@
 // siblings' do, an applier queue that holds depth without draining, and
 // a BackEdge participant stuck in the prepared state awaiting a 2PC
 // decision. Alerts are exported through the live obs registry, recorded
-// as trace events, and trigger a bounded flight-recorder dump: the ring
-// of most recent trace events written as JSONL for offline replay.
+// as trace events, and trigger a bounded flight-recorder dump: the trace
+// recorder's most recent events written as JSONL for offline replay.
 //
 // A nil *Watchdog (and the nil *Progress handles it hands out) is a
 // valid no-op, costing instrumented paths one branch — the same
@@ -20,6 +20,7 @@ package watch
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,6 +45,17 @@ const lockWaitRing = 4096
 // rate this many finished transactions.
 const contentionMinSamples = 32
 
+// Contention thresholds. lockWaitP99 sits just under the paper's 50 ms
+// lock timeout: a p99 there means the tail of lock waits is being
+// resolved by the timeout, not by grants.
+const (
+	lockWaitP99  = 45 * time.Millisecond
+	abortRatePct = 50.0
+)
+
+// flightSize caps a flight dump: the recorder's newest events.
+const flightSize = 4096
+
 // Kind enumerates the alert taxonomy.
 type Kind uint8
 
@@ -65,8 +77,8 @@ const (
 	// not yet rebuilt from its write-ahead log — beyond StallDeadline.
 	RecoveryStall
 	// Contention means the cluster crossed a contention threshold: the
-	// live lock_wait p99 exceeded LockWaitP99, or the abort rate exceeded
-	// AbortRatePct. Raising it triggers a wait-for graph dump when a
+	// live lock_wait p99 exceeded 45 ms, or the abort rate exceeded 50 %.
+	// Raising it triggers a wait-for graph dump when a
 	// wait-graph probe is registered (docs/OBSERVABILITY.md, contention
 	// observatory).
 	Contention
@@ -178,21 +190,11 @@ type Options struct {
 	PendingDeadline time.Duration
 	// Tick is the evaluation period.
 	Tick time.Duration
-	// FlightSize caps the flight-recorder ring (most recent trace
-	// events); 0 takes the default, negative disables the ring.
-	FlightSize int
 	// FlightDir, when non-empty, is where alert-triggered dumps are
 	// written as JSONL; empty disables dumping.
 	FlightDir string
 	// MaxDumps caps dumps per run so a flapping alert cannot fill a disk.
 	MaxDumps int
-	// LockWaitP99 is the live lock_wait p99 (over the recent-sample ring)
-	// above which Contention fires; 0 takes the default, negative
-	// disables the check.
-	LockWaitP99 time.Duration
-	// AbortRatePct is the cumulative abort percentage above which
-	// Contention fires; 0 takes the default, negative disables the check.
-	AbortRatePct float64
 }
 
 // DefaultOptions returns deadlines suited to the in-process simulation,
@@ -203,13 +205,7 @@ func DefaultOptions() Options {
 		StallDeadline:     200 * time.Millisecond,
 		PendingDeadline:   250 * time.Millisecond,
 		Tick:              25 * time.Millisecond,
-		FlightSize:        4096,
 		MaxDumps:          3,
-		// Just under the paper's 50 ms lock timeout: a p99 here means the
-		// tail of lock waits is being resolved by the timeout, not by
-		// grants.
-		LockWaitP99:  45 * time.Millisecond,
-		AbortRatePct: 50,
 	}
 }
 
@@ -227,17 +223,8 @@ func (o Options) withDefaults() Options {
 	if o.Tick <= 0 {
 		o.Tick = d.Tick
 	}
-	if o.FlightSize == 0 {
-		o.FlightSize = d.FlightSize
-	}
 	if o.MaxDumps <= 0 {
 		o.MaxDumps = d.MaxDumps
-	}
-	if o.LockWaitP99 == 0 {
-		o.LockWaitP99 = d.LockWaitP99
-	}
-	if o.AbortRatePct == 0 {
-		o.AbortRatePct = d.AbortRatePct
 	}
 	return o
 }
@@ -284,14 +271,9 @@ type Watchdog struct {
 	// fed from the trace sink.
 	inflight *Inflight // repl:guardedby(mu)
 
-	// flight is the ring of most recent trace events.
-	flight    []trace.Event // repl:guardedby(mu)
-	flightIdx int           // repl:guardedby(mu)
-	flightN   int           // repl:guardedby(mu)
-
 	// Contention watch state: a ring of recent lock_wait durations (fed
 	// from PhaseLatency events) and the cumulative commit/abort tally,
-	// compared against LockWaitP99 / AbortRatePct each tick.
+	// compared against lockWaitP99 / abortRatePct each tick.
 	lockWaits   [lockWaitRing]time.Duration    // repl:guardedby(mu)
 	lockWaitIdx int                            // repl:guardedby(mu)
 	lockWaitN   int                            // repl:guardedby(mu)
@@ -317,9 +299,8 @@ type Watchdog struct {
 //
 //lint:allow guardedby construction is single-threaded; the tick loop and trace sink that share this state only run after Start
 func New(o Options) *Watchdog {
-	o = o.withDefaults()
 	w := &Watchdog{
-		opts:        o,
+		opts:        o.withDefaults(),
 		qs:          make(map[*Progress]queueSample),
 		epochs:      make(map[model.SiteID]func() EpochStatus),
 		epochAt:     make(map[model.SiteID]queueSample),
@@ -329,9 +310,6 @@ func New(o Options) *Watchdog {
 		active:      make(map[alertKey]*Alert),
 		raised:      make(map[Kind]int),
 		staleBySite: make(map[model.SiteID]time.Duration),
-	}
-	if o.FlightSize > 0 {
-		w.flight = make([]trace.Event, o.FlightSize)
 	}
 	return w
 }
@@ -352,7 +330,7 @@ func (w *Watchdog) SetObs(r *obs.Registry) {
 }
 
 // SetTrace installs the recorder WatchAlert/WatchClear events are
-// written to; call before Start.
+// written to and flight dumps are cut from; call before Start.
 func (w *Watchdog) SetTrace(tr *trace.Recorder) {
 	if w == nil {
 		return
@@ -423,22 +401,15 @@ func (w *Watchdog) RegisterWaitGraphs(probe func() []contend.SiteWaitGraph) {
 }
 
 // Ingest consumes one live trace event: it maintains the
-// forwarded-but-unapplied bookkeeping behind the staleness alert and
-// appends to the flight-recorder ring. Install it as the recorder's
-// sink: rec.AddSink(w.Ingest). Safe for concurrent use.
+// forwarded-but-unapplied bookkeeping behind the staleness alert and the
+// contention tallies. Install it as the recorder's sink:
+// rec.AddSink(w.Ingest). Safe for concurrent use.
 func (w *Watchdog) Ingest(ev trace.Event) {
 	if w == nil {
 		return
 	}
 	now := time.Now()
 	w.mu.Lock()
-	if w.flight != nil {
-		w.flight[w.flightIdx] = ev
-		w.flightIdx = (w.flightIdx + 1) % len(w.flight)
-		if w.flightN < len(w.flight) {
-			w.flightN++
-		}
-	}
 	w.inflight.Observe(ev, now)
 	switch ev.Kind {
 	case trace.TxnAbort:
@@ -623,27 +594,25 @@ func (w *Watchdog) tick() {
 	// Contention thresholds: the lock_wait p99 over the recent ring, and
 	// the cumulative abort rate. Site-less — the thresholds are cluster
 	// conditions; the dump that follows says where the waiting is.
-	if w.opts.LockWaitP99 > 0 && w.lockWaitN >= contentionMinSamples {
+	if w.lockWaitN >= contentionMinSamples {
 		p99 := metrics.Percentile(w.lockWaits[:w.lockWaitN], 0.99)
-		if p99 > w.opts.LockWaitP99 {
+		if p99 > lockWaitP99 {
 			k := alertKey{kind: Contention, site: model.NoSite, peer: model.NoSite, name: "lock_wait_p99"}
 			want[k] = &Alert{
 				Kind: Contention, Site: model.NoSite, Peer: model.NoSite,
 				Detail: fmt.Sprintf("lock_wait p99 %v over %d recent samples (threshold %v)",
-					p99.Round(time.Microsecond), w.lockWaitN, w.opts.LockWaitP99),
+					p99.Round(time.Microsecond), w.lockWaitN, lockWaitP99),
 			}
 		}
 	}
-	if w.opts.AbortRatePct > 0 {
-		if done := w.commits + w.aborts; done >= contentionMinSamples {
-			rate := 100 * float64(w.aborts) / float64(done)
-			if rate > w.opts.AbortRatePct {
-				k := alertKey{kind: Contention, site: model.NoSite, peer: model.NoSite, name: "abort_rate"}
-				want[k] = &Alert{
-					Kind: Contention, Site: model.NoSite, Peer: model.NoSite,
-					Detail: fmt.Sprintf("abort rate %.1f%% (%d of %d, threshold %.1f%%)",
-						rate, w.aborts, done, w.opts.AbortRatePct),
-				}
+	if done := w.commits + w.aborts; done >= contentionMinSamples {
+		rate := 100 * float64(w.aborts) / float64(done)
+		if rate > abortRatePct {
+			k := alertKey{kind: Contention, site: model.NoSite, peer: model.NoSite, name: "abort_rate"}
+			want[k] = &Alert{
+				Kind: Contention, Site: model.NoSite, Peer: model.NoSite,
+				Detail: fmt.Sprintf("abort rate %.1f%% (%d of %d, threshold %.1f%%)",
+					rate, w.aborts, done, abortRatePct),
 			}
 		}
 	}
@@ -674,101 +643,76 @@ func (w *Watchdog) tick() {
 	}
 	w.obs.active.Set(int64(len(w.active)))
 
+	// Dump slots are reserved under the lock and filled after it is
+	// released: cutting the recorder's tail sorts the whole trace, and the
+	// wait-for probe reaches into the engines' lock managers.
 	tr := w.tr
-	var dump []trace.Event
-	if len(newly) > 0 && w.opts.FlightDir != "" && len(w.dumps) < w.opts.MaxDumps && w.flightN > 0 {
-		dump = make([]trace.Event, 0, w.flightN)
-		start := 0
-		if w.flightN == len(w.flight) {
-			start = w.flightIdx
-		}
-		for i := 0; i < w.flightN; i++ {
-			dump = append(dump, w.flight[(start+i)%len(w.flight)])
-		}
-		w.dumps = append(w.dumps, "") // reserve the slot; path filled below
+	flightSlot, waitSlot := -1, -1
+	if len(newly) > 0 && tr != nil && w.opts.FlightDir != "" && len(w.dumps) < w.opts.MaxDumps {
+		flightSlot = len(w.dumps)
+		w.dumps = append(w.dumps, "")
 	}
-	dumpSlot := len(w.dumps) - 1
-
 	// A newly raised Contention alert additionally snapshots the wait-for
-	// graphs. The probe reaches into the engines' lock managers, so it
-	// runs after w.mu is released (same discipline as the trace records).
+	// graphs.
 	var waitProbe func() []contend.SiteWaitGraph
 	for _, a := range newly {
 		if a.Kind == Contention && w.waitGraphs != nil &&
 			w.opts.FlightDir != "" && len(w.waitDumps) < w.opts.MaxDumps {
 			waitProbe = w.waitGraphs
-			w.waitDumps = append(w.waitDumps, "") // reserve; path filled below
+			waitSlot = len(w.waitDumps)
+			w.waitDumps = append(w.waitDumps, "")
 			break
 		}
 	}
-	waitSlot := len(w.waitDumps) - 1
 	w.mu.Unlock()
 
-	// Outside the lock: trace events and the flight dump.
+	if flightSlot >= 0 {
+		events := tr.Snapshot()
+		events = events[max(0, len(events)-flightSize):]
+		name := fmt.Sprintf("flight-%03d-%s.jsonl", flightSlot+1, newly[0].Kind)
+		path := w.writeDump(name, func(f io.Writer) error { return trace.WriteJSONL(f, events) })
+		w.mu.Lock()
+		w.dumps[flightSlot] = path
+		w.mu.Unlock()
+	}
 	for _, a := range newly {
 		tr.Record(trace.WatchAlert, a.Site, a.Peer, a.TID, 0)
 	}
 	for _, a := range cleared {
 		tr.Record(trace.WatchClear, a.Site, a.Peer, a.TID, 0)
 	}
-	if dump != nil {
-		path := filepath.Join(w.opts.FlightDir,
-			fmt.Sprintf("flight-%03d-%s.jsonl", dumpSlot+1, newly[0].Kind))
-		if err := w.writeDump(path, dump); err != nil {
-			path = ""
-		}
-		w.mu.Lock()
-		w.dumps[dumpSlot] = path
-		if path != "" {
-			w.obs.dumps.Inc()
-		}
-		w.mu.Unlock()
-	}
 	if waitProbe != nil {
 		gs := waitProbe()
-		path := filepath.Join(w.opts.FlightDir, fmt.Sprintf("waitfor-%03d.jsonl", waitSlot+1))
-		if err := w.writeWaitDump(path, gs); err != nil {
-			path = ""
-		}
+		name := fmt.Sprintf("waitfor-%03d.jsonl", waitSlot+1)
+		path := w.writeDump(name, func(f io.Writer) error { return contend.WriteWaitGraphs(f, gs) })
 		w.mu.Lock()
 		w.waitDumps[waitSlot] = path
-		if path != "" {
-			w.obs.dumps.Inc()
-		}
 		w.mu.Unlock()
 	}
 }
 
-// writeWaitDump writes a wait-for snapshot as JSONL.
-func (w *Watchdog) writeWaitDump(path string, gs []contend.SiteWaitGraph) error {
+// writeDump writes one dump file into FlightDir and counts it. It
+// returns the file's path, or "" when the write failed.
+func (w *Watchdog) writeDump(name string, write func(io.Writer) error) string {
+	path := filepath.Join(w.opts.FlightDir, name)
 	if err := os.MkdirAll(w.opts.FlightDir, 0o755); err != nil {
-		return err
+		return ""
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return ""
 	}
-	if err := contend.WriteWaitGraphs(f, gs); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
-		return err
+		return ""
 	}
-	return f.Close()
-}
-
-// writeDump writes the flight ring as JSONL.
-func (w *Watchdog) writeDump(path string, events []trace.Event) error {
-	if err := os.MkdirAll(w.opts.FlightDir, 0o755); err != nil {
-		return err
+	if err := f.Close(); err != nil {
+		return ""
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteJSONL(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	w.mu.Lock()
+	w.obs.dumps.Inc()
+	w.mu.Unlock()
+	return path
 }
 
 // Active returns the currently-raised alerts, sorted for stable output.

@@ -3,6 +3,8 @@ package watch
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,7 +21,6 @@ func testOptions() Options {
 		StallDeadline:     5 * time.Millisecond,
 		PendingDeadline:   5 * time.Millisecond,
 		Tick:              time.Hour,
-		FlightSize:        16,
 		MaxDumps:          2,
 	}
 }
@@ -208,9 +209,11 @@ func TestStalenessFromIngestAndFlightDump(t *testing.T) {
 	}
 }
 
+// TestFlightDumpCaps checks a flight dump is the recorder's tail — its
+// newest flightSize events, newest last — and that MaxDumps caps the
+// dumps per run.
 func TestFlightDumpCaps(t *testing.T) {
 	opts := testOptions()
-	opts.FlightSize = 4
 	opts.MaxDumps = 1
 	opts.FlightDir = t.TempDir()
 	w := New(opts)
@@ -218,12 +221,13 @@ func TestFlightDumpCaps(t *testing.T) {
 	rec.AddSink(w.Ingest)
 	w.SetTrace(rec)
 
-	// Overfill the ring, then trigger two distinct alerts in two ticks.
-	for i := 0; i < 10; i++ {
+	// Record past the cap, then trigger two distinct alerts in two ticks.
+	for i := 0; i < flightSize+10; i++ {
 		tid := model.TxnID{Site: 0, Seq: uint64(i + 1)}
 		rec.RecordSpan(trace.SecondaryForwarded, 0, 1, tid, 1, model.RootSpan(tid), 0)
 	}
 	time.Sleep(10 * time.Millisecond)
+	all := rec.Snapshot()
 	w.tick()
 	p := w.Queue(2, "fifo")
 	p.Push()
@@ -247,12 +251,13 @@ func TestFlightDumpCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 4 {
-		t.Fatalf("FlightSize=4 must cap the ring, dump has %d events", len(events))
+	// Compared as sets of transactions: Snapshot orders events by
+	// timestamp, and two events may share one.
+	if got, want := seqs(events), seqs(all[len(all)-flightSize:]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dump holds %d events, want the recorder's last %d", len(got), len(want))
 	}
-	// The ring keeps the MOST RECENT events.
-	if events[len(events)-1].TID.Seq != 10 {
-		t.Fatalf("ring lost the newest event: %+v", events)
+	if last := events[len(events)-1]; last.T != all[len(all)-1].T {
+		t.Fatalf("dump ends at T=%d, want the newest event (T=%d) last", last.T, all[len(all)-1].T)
 	}
 	entries, err := os.ReadDir(filepath.Dir(dumps[0]))
 	if err != nil {
@@ -261,4 +266,13 @@ func TestFlightDumpCaps(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("dump dir should hold exactly one file, got %d", len(entries))
 	}
+}
+
+func seqs(events []trace.Event) []uint64 {
+	out := make([]uint64, len(events))
+	for i, ev := range events {
+		out[i] = ev.TID.Seq
+	}
+	slices.Sort(out)
+	return out
 }

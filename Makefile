@@ -72,9 +72,9 @@ contention-smoke:
 	./scripts/contention_smoke.sh
 
 # Freshness-observatory smoke (docs/OBSERVABILITY.md): a seeded lazy run
-# through `replbench -fresh` must yield non-empty propagation waterfalls,
-# certificate coverage of at least 95% of reads, stale certificates, and
-# byte-identical canonical freshness summaries across same-seed runs.
+# through `replbench -fresh` must yield stale certificates, and
+# replexplain must print its waterfall, certificate and delay tables
+# from the trace.
 freshness-smoke:
 	./scripts/freshness_smoke.sh
 

@@ -77,8 +77,7 @@ func main() {
 		topK       = flag.Int("topk", 16, "with -contend: heat table size")
 		waitforOut = flag.String("waitfor", "", "with -contend: write the on-demand wait-for graph snapshot as JSONL to this file (readable by replexplain)")
 
-		freshOn  = flag.Bool("fresh", false, "with -trace: report the freshness observatory's live state — replica staleness distributions and read-freshness certificates (a 'freshness' block under -json; waterfalls: replexplain; see docs/OBSERVABILITY.md)")
-		freshSum = flag.String("freshsummary", "", "with -fresh: write the canonical (same-seed byte-stable) freshness summary to this file (implies -fresh)")
+		freshOn = flag.Bool("fresh", false, "with -trace: report the freshness observatory's live state — replica staleness distributions and read-freshness certificates (a 'freshness' block under -json; waterfalls: replexplain; see docs/OBSERVABILITY.md)")
 	)
 	flag.Parse()
 
@@ -97,14 +96,13 @@ func main() {
 		}
 		wa := walOptions{Enable: *walOn || *walDir != "", Dir: *walDir}
 		co := contendOptions{Enable: *contendOn || *waitforOut != "", TopK: *topK, WaitFor: *waitforOut}
-		fr := freshOptions{Enable: *freshOn || *freshSum != "", Summary: *freshSum}
-		if err := runTraced(*traceOut, *traceProto, *seed, *traceSkew, *jsonOut, fo, wo, wa, co, fr); err != nil {
+		if err := runTraced(*traceOut, *traceProto, *seed, *traceSkew, *jsonOut, fo, wo, wa, co, *freshOn); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if *freshOn || *freshSum != "" {
-		fatal(fmt.Errorf("-fresh/-freshsummary only apply to a -trace run"))
+	if *freshOn {
+		fatal(fmt.Errorf("-fresh only applies to a -trace run"))
 	}
 	if *traceSkew != 0 {
 		fatal(fmt.Errorf("-skew only applies to a -trace run"))
@@ -250,14 +248,6 @@ type contendOptions struct {
 	WaitFor string
 }
 
-// freshOptions carries the -fresh/-freshsummary flags: the freshness
-// observatory riding on the traced run, and the canonical (same-seed
-// byte-stable) summary document the smoke gate compares.
-type freshOptions struct {
-	Enable  bool
-	Summary string
-}
-
 // runTraced runs one short Table 1 cluster with the propagation trace
 // recorder attached and writes every lifecycle event to out as JSONL.
 // With jsonReport, the run's metrics report is printed as JSON instead of
@@ -266,7 +256,7 @@ type freshOptions struct {
 // repl_fault_*, repl_reliable_*, and repl_wal_* counters; with the
 // watchdog on, a watch summary block (alert counts, max staleness,
 // flight dumps).
-func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool, fo faultOptions, wo watchOptions, wa walOptions, co contendOptions, fr freshOptions) error {
+func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool, fo faultOptions, wo watchOptions, wa walOptions, co contendOptions, freshOn bool) error {
 	protocol, err := core.ParseProtocol(protoName)
 	if err != nil {
 		return err
@@ -295,7 +285,7 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 		Trace:            rec,
 	}
 	var registry *obs.Registry
-	if fo.active() || fo.Reliable || wo.Enable || wa.Enable || co.Enable || fr.Enable {
+	if fo.active() || fo.Reliable || wo.Enable || wa.Enable || co.Enable || freshOn {
 		registry = obs.NewRegistry()
 		cfg.Obs = registry
 	}
@@ -377,34 +367,13 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 			fmt.Fprintf(os.Stderr, "replbench: wrote wait-for snapshot to %s\n", co.WaitFor)
 		}
 	}
-	var (
-		freshness *fresh.Summary
-		reads     uint64
-		coverage  float64
-	)
-	if fr.Enable {
+	var freshness *fresh.Summary
+	if freshOn {
 		// The report carries cluster totals only: a per-site row for the
 		// tree root, which reads nothing but primaries, would always show
 		// zero stale reads.
 		if freshness = c.FreshSummary(); freshness != nil {
 			freshness.Sites = nil
-		}
-		if reads = countReads(registry); reads > 0 {
-			coverage = 100 * float64(freshness.Reads()) / float64(reads)
-		}
-		if fr.Summary != "" {
-			// The canonical document deliberately excludes every count and
-			// timing: abort outcomes (and so read/apply tallies) depend on
-			// wall-clock lock timeouts, but the topology, segment schema, and
-			// certificate coverage are schedule-stable — two same-seed runs
-			// must produce byte-identical files (the freshness smoke cmps
-			// them).
-			canon := fresh.NewCanonical(protocol.String(), wl.Seed, wl.Sites,
-				!protocol.Propagates(), c.PropEdges(), coverage)
-			if err := writeFile(fr.Summary, canon.Encode); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "replbench: wrote canonical freshness summary to %s\n", fr.Summary)
 		}
 	}
 	if jsonReport {
@@ -471,9 +440,8 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 			contention.print()
 		}
 		if freshness != nil {
-			fmt.Printf("freshness: reads=%d fresh=%d stale=%d (%.1f%% stale, %.1f%% certified)  p95_read_lag=%dus  p95_apply_lag=%dus\n",
-				reads, freshness.ReadsFresh, freshness.ReadsStale,
-				freshness.StaleReadPct(), coverage,
+			fmt.Printf("freshness: reads=%d fresh=%d stale=%d (%.1f%% stale)  p95_read_lag=%dus  p95_apply_lag=%dus\n",
+				freshness.Reads(), freshness.ReadsFresh, freshness.ReadsStale, freshness.StaleReadPct(),
 				freshness.ReadTimeLagUS.P95, freshness.TimeLagUS.P95)
 		}
 		fmt.Printf("trace-derived views (aborts, critical paths, waterfalls, delays, phases, certificates): replexplain %s\n", out)
@@ -524,21 +492,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// countReads sums the repl_txn_reads_total series across sites — the
-// independently counted denominator of certificate coverage.
-func countReads(r *obs.Registry) uint64 {
-	if r == nil {
-		return 0
-	}
-	var total uint64
-	for k, v := range r.Snapshot() {
-		if strings.HasPrefix(k, "repl_txn_reads_total") && v > 0 {
-			total += uint64(v)
-		}
-	}
-	return total
 }
 
 // printStats shows how the §5.2 data-distribution scheme behaves at the

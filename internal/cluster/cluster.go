@@ -450,14 +450,6 @@ func (c *Cluster) engine(s model.SiteID) core.Engine {
 // a crash-restart cycle, the engine rebuilt from the site's WAL).
 func (c *Cluster) Engine(s model.SiteID) core.Engine { return c.engine(s) }
 
-// WAL returns site s's redo log, or nil when Config.WALDir was not set.
-// After a crash-restart cycle this is the re-opened log.
-func (c *Cluster) WAL(s model.SiteID) *wal.SiteLog {
-	c.lcMu.Lock()
-	defer c.lcMu.Unlock()
-	return c.wals[s]
-}
-
 // Transport returns the in-process transport (tests use it to skew edge
 // latencies).
 func (c *Cluster) Transport() *comm.MemTransport { return c.transport }
@@ -471,29 +463,9 @@ func (c *Cluster) Fault() *fault.Transport { return c.faultTr }
 // Config.Watch was not set.
 func (c *Cluster) Watch() *watch.Watchdog { return c.watchdog }
 
-// Fresh returns the freshness tracker (always non-nil).
-func (c *Cluster) Fresh() *fresh.Tracker { return c.fresh }
-
 // FreshSummary returns the current staleness and read-certificate
 // distributions, per site plus totals.
 func (c *Cluster) FreshSummary() *fresh.Summary { return c.fresh.Summarize() }
-
-// PropEdges returns the configured propagation edges — the tree edges
-// updates travel along — or nil for protocols that do not propagate
-// (PSL serves reads from the primary instead). Part of the canonical
-// freshness summary: topology is schedule-derived, timing is not.
-func (c *Cluster) PropEdges() []fresh.Edge {
-	if !c.Cfg.Protocol.Propagates() {
-		return nil
-	}
-	var out []fresh.Edge
-	for s := 0; s < c.Placement.NumSites; s++ {
-		for _, child := range c.Tree.Children(model.SiteID(s)) {
-			out = append(out, fresh.Edge{From: model.SiteID(s), To: child})
-		}
-	}
-	return out
-}
 
 // Start launches every engine's background workers and the watchdog.
 func (c *Cluster) Start() {

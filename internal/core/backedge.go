@@ -178,7 +178,8 @@ func (e *backedgeEngine) recover() {
 
 // redoEager re-runs a decided-commit eager origin commit whose local
 // apply was lost with the heap: log the apply first, then install the
-// writes and re-send the lazy fan-out. The participants commit their
+// writes, note each in the freshness tracker as the kernel commit does,
+// and re-send the lazy fan-out. The participants commit their
 // halves on the durable decision; this is the origin's half of that
 // atomicity, finished by recovery instead of the crashed goroutine.
 func (e *backedgeEngine) redoEager(tid model.TxnID, ee wal.EagerEntry) {
@@ -198,6 +199,7 @@ func (e *backedgeEngine) redoEager(tid model.TxnID, ee wal.EagerEntry) {
 			continue
 		}
 		e.cfg.Recorder.Write(e.id, w.Item, ver.Num, tid)
+		e.cfg.Fresh.NoteCommit(w.Item)
 	}
 	e.propagate(ee.Span, ts.Timestamp{}, ee.Writes)
 }

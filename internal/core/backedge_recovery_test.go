@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/fresh"
+	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/wal"
 )
 
 // dropFirstKind is a transport interposer that silently drops the first
@@ -114,4 +117,66 @@ func TestBackEdgeRecoversFromLostAbortNotification(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	s.waitValue(t, 0, 1, 8)
+}
+
+// TestEagerRedoNotesCommit: an origin that crashed after logging its
+// eager start and the commit decision, but before its local apply, redoes
+// the apply at recovery. The redo installs a new primary version, so the
+// freshness tracker must count it as the kernel commit would; otherwise
+// its latest stays one behind the store and a replica read one version
+// behind is certified fresh.
+func TestEagerRedoNotesCommit(t *testing.T) {
+	// Item 0: primary s1, replica s0 (a backedge under the chain s0 -> s1).
+	p := placement(t, 2, []model.SiteID{1}, [][]model.SiteID{{0}})
+	const origin, item = model.SiteID(1), model.ItemID(0)
+	dir := t.TempDir()
+	openLog := func() *wal.SiteLog {
+		lg, err := wal.Open(dir, wal.Options{Site: origin, Items: p.CopiesAt(origin)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lg
+	}
+	tid := model.TxnID{Site: origin, Seq: 1}
+	lg := openLog()
+	for _, rec := range []wal.Record{
+		{Kind: wal.KindEagerStart, TID: tid, Writes: []model.WriteOp{{Item: item, Value: 7}}, Span: model.SpanContext{TID: tid}},
+		{Kind: wal.KindDecision, TID: tid, Commit: true},
+	} {
+		if err := lg.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lg = openLog()
+
+	tree := graph.BuildChain([]model.SiteID{0, 1})
+	cfg := &SharedConfig{
+		Placement:    p,
+		Graph:        graph.FromPlacement(p),
+		Order:        []model.SiteID{0, 1},
+		Tree:         tree,
+		SubtreeItems: graph.SubtreeCopyItems(tree, p),
+		Params:       testParams(),
+		Fresh:        fresh.New(2),
+		Pending:      &sync.WaitGroup{},
+		WALs:         map[model.SiteID]*wal.SiteLog{origin: lg},
+	}
+	e := newBackEdge(cfg, origin, newCaptureTransport())
+	t.Cleanup(func() {
+		e.Stop()
+		_ = lg.Close()
+	})
+	ver, err := e.store.Read(item)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ver.Num != 1 {
+		t.Fatalf("store version after the redo = %d, want 1", ver.Num)
+	}
+	if c := cfg.Fresh.CertifyRead(origin, item, ver.Num-1); c.Versions != 1 {
+		t.Errorf("read of version %d certified %d versions behind, want 1", ver.Num-1, c.Versions)
+	}
 }

@@ -37,10 +37,8 @@ type base struct {
 	rpc   *comm.RPC
 
 	// bank is the site's counter bank, the only home of its counts
-	// (observe.go); behind is the staleness histogram, nil without a live
-	// registry.
-	bank   metrics.Bank
-	behind *obs.Histogram
+	// (observe.go).
+	bank metrics.Bank
 
 	seq atomic.Uint64
 	// seqBase offsets newTxnID by the log incarnation (incarnation<<48) so
@@ -328,21 +326,6 @@ func (b *base) runLocalOps(t *txn.Txn, ops []model.Op) error {
 // inside internal/fresh, outside the deterministic core — the engines
 // pass only item ids and version numbers.
 
-// noteCommitted mirrors a committed primary's writes into the freshness
-// tracker. Engines call it inside the commit critical section,
-// immediately after Txn.Commit installed the writes, so the tracker's
-// latest version for each item equals the storage version number this
-// commit minted.
-func (b *base) noteCommitted(writes []model.WriteOp) {
-	if b.cfg.Fresh == nil || len(writes) == 0 {
-		return
-	}
-	for _, w := range writes {
-		b.cfg.Fresh.NoteCommit(w.Item)
-	}
-	b.bank[freshCommits].Add(uint64(len(writes)))
-}
-
 // noteApplied advances the tracker's per-(item, site) applied counters
 // for a propagated update installed at this secondary, sampling the
 // replica's version and time lag. Writes without a local copy are
@@ -355,7 +338,6 @@ func (b *base) noteApplied(writes []model.WriteOp) {
 	for _, w := range writes {
 		if b.store.Has(w.Item) {
 			b.cfg.Fresh.NoteApply(b.id, w.Item)
-			b.bank[freshApplies].Inc()
 		}
 	}
 }
@@ -364,12 +346,10 @@ func (b *base) noteApplied(writes []model.WriteOp) {
 // observed the given storage version of item at this site; fromStore is
 // false for a read that observed no stored replica — one served from the
 // transaction's own write buffer, or from the primary copy itself (PSL) —
-// which is fresh by construction. The reads count bumps BEFORE the
-// tracker check, so certificate coverage (certificates ÷ reads) is a
-// measured ratio, not an identity: an engine read path that forgets to
-// certify shows up as coverage < 100%. Certificates are span-less
-// because whether a read catches the latest version races propagation
-// timing.
+// which is fresh by construction. The reads count bumps before the
+// tracker check: a process without a tracker still counts its reads.
+// Certificates are span-less because whether a read catches the latest
+// version races propagation timing.
 func (b *base) certifyRead(tid model.TxnID, item model.ItemID, version uint64, fromStore bool) {
 	b.bank[reads].Inc()
 	f := b.cfg.Fresh
@@ -385,8 +365,6 @@ func (b *base) certifyRead(tid model.TxnID, item model.ItemID, version uint64, f
 	s := readsFresh
 	if c.Stale() {
 		s = readsStale
-		b.bank[staleVersions].Add(c.Versions)
-		b.behind.Observe(c.Behind)
 	}
 	b.emit(s, model.NoSite, model.SpanContext{TID: tid}, c.Behind)
 }

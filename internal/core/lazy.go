@@ -160,7 +160,9 @@ func (k *lazyEngine) commit(t *txn.Txn, rec wal.Record, start time.Time) error {
 			// the transaction's forward events, and the freshness tracker's
 			// latest version equals the one this commit minted.
 			k.emit(metrics.Committed, model.NoSite, rec.Span, elapsed(start))
-			k.noteCommitted(rec.Writes)
+			for _, w := range rec.Writes {
+				k.cfg.Fresh.NoteCommit(w.Item)
+			}
 		}
 		if forwards {
 			k.propagate(rec.Span, rec.TS, rec.Writes)

@@ -15,22 +15,19 @@ import (
 // (metrics.Count): one per kind of lifecycle step or count an engine
 // makes.
 const (
-	begun         = metrics.NumCounts + iota // primary subtransactions started
-	enqueued                                 // propagation messages admitted to an ordering
-	forwarded                                // secondary subtransactions shipped
-	epochs                                   // DAG(T) source epoch advances
-	prepares                                 // BackEdge 2PC prepares, at origin and participants
-	decided                                  // BackEdge 2PC commits, at origin and participants
-	inquiries                                // BackEdge 2PC decision inquiries
-	undelivered                              // 2PC rounds whose logged decision failed to reach a participant
-	lateReplies                              // RPC replies that arrived after their call gave up
-	reads                                    // read operations, each owed a certificate
-	readsFresh                               // fresh read certificates
-	readsStale                               // stale read certificates
-	staleVersions                            // versions the stale reads were behind
-	freshCommits                             // writes noted committed in the freshness tracker
-	freshApplies                             // writes noted applied in the freshness tracker
-	lockGrants                               // lock manager counters, in lock.Stats order, added when the site halts
+	begun       = metrics.NumCounts + iota // primary subtransactions started
+	enqueued                               // propagation messages admitted to an ordering
+	forwarded                              // secondary subtransactions shipped
+	epochs                                 // DAG(T) source epoch advances
+	prepares                               // BackEdge 2PC prepares, at origin and participants
+	decided                                // BackEdge 2PC commits, at origin and participants
+	inquiries                              // BackEdge 2PC decision inquiries
+	undelivered                            // 2PC rounds whose logged decision failed to reach a participant
+	lateReplies                            // RPC replies that arrived after their call gave up
+	reads                                  // read operations, each owed a certificate
+	readsFresh                             // fresh read certificates
+	readsStale                             // stale read certificates
+	lockGrants                             // lock manager counters, in lock.Stats order, added when the site halts
 	lockWaits
 	lockWounds
 	lockTimeouts
@@ -73,9 +70,6 @@ var slots = func() [numSlots]slot {
 		reads:               {series: "repl_txn_reads_total"},
 		readsFresh:          {series: "repl_read_staleness_fresh_total", kind: trace.ReadCertificate, spanless: true, tag: "fresh"},
 		readsStale:          {series: "repl_read_staleness_stale_total", kind: trace.ReadCertificate, spanless: true, tag: "stale"},
-		staleVersions:       {series: "repl_read_staleness_versions_total"},
-		freshCommits:        {series: "repl_fresh_commits_total"},
-		freshApplies:        {series: "repl_fresh_applies_total"},
 		lockGrants:          {series: "repl_lock_grants_total"},
 		lockWaits:           {series: "repl_lock_waits_total"},
 		lockWounds:          {series: "repl_lock_wounds_total"},
@@ -94,8 +88,7 @@ var slots = func() [numSlots]slot {
 func abortSlot(r contend.AbortReason) metrics.Count { return abortedBy + metrics.Count(r) }
 
 // exportBank registers the site's bank slots in the live registry under
-// their series — the registry then reads the bank in place — together
-// with the staleness histogram.
+// their series; the registry then reads the bank in place.
 func (b *base) exportBank() {
 	r := b.cfg.Obs // nil-safe: without a registry every call is a no-op
 	site := obs.Label{Key: "site", Value: strconv.Itoa(int(b.id))}
@@ -107,7 +100,6 @@ func (b *base) exportBank() {
 			r.Export(&b.bank[s], row.series, site)
 		}
 	}
-	b.behind = r.Histogram("repl_read_staleness_behind", site)
 }
 
 // emit reports one lifecycle step: it bumps slot s of the site's bank

@@ -63,18 +63,11 @@ type Config struct {
 	// Seed roots every per-edge decision stream; two injectors with the
 	// same seed make the same per-edge decisions.
 	Seed int64
-	// Faults is the default per-edge fault mix (see SetEdgeFaults for
-	// overrides).
+	// Faults is the fault mix every edge draws from.
 	Faults Faults
 }
 
 type edge struct{ from, to model.SiteID }
-
-// edgeState is one directed edge's private fault stream.
-type edgeState struct {
-	rng    *rand.Rand
-	faults Faults
-}
 
 // Lifecycle hooks a crash-recovery implementation into Crash and Restart.
 // Both hooks run with the site's delivery gate write-held: no delivery is
@@ -102,8 +95,7 @@ type Transport struct {
 	cfg   Config
 
 	mu          sync.Mutex
-	edges       map[edge]*edgeState
-	overrides   map[edge]Faults
+	edges       map[edge]*rand.Rand // each directed edge's private decision stream
 	partitioned map[edge]bool
 	crashed     map[model.SiteID]bool
 	gates       map[model.SiteID]*sync.RWMutex
@@ -137,8 +129,7 @@ func New(inner comm.Transport, cfg Config) (*Transport, error) {
 	return &Transport{
 		inner:       inner,
 		cfg:         cfg,
-		edges:       make(map[edge]*edgeState),
-		overrides:   make(map[edge]Faults),
+		edges:       make(map[edge]*rand.Rand),
 		partitioned: make(map[edge]bool),
 		crashed:     make(map[model.SiteID]bool),
 		gates:       make(map[model.SiteID]*sync.RWMutex),
@@ -220,22 +211,6 @@ func traceFault(rec *trace.Recorder, k trace.Kind, m comm.Message) {
 	rec.RecordSpan(k, m.From, m.To, sc.TID, 0, model.AuxSpan(sc.Parent, faultSalt), sc.Parent)
 }
 
-// SetEdgeFaults overrides the fault mix of one directed edge; other edges
-// keep the Config default. Must be called before the edge carries traffic
-// (later calls do not affect an already-started decision stream).
-func (t *Transport) SetEdgeFaults(from, to model.SiteID, f Faults) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.overrides[edge{from, to}] = f
-	if st, ok := t.edges[edge{from, to}]; ok {
-		st.faults = f
-	}
-	return nil
-}
-
 // edgeSeed derives a per-edge RNG seed from the injector seed, splitmix-
 // style so adjacent edges get uncorrelated streams.
 func edgeSeed(seed int64, from, to model.SiteID) int64 {
@@ -245,19 +220,15 @@ func edgeSeed(seed int64, from, to model.SiteID) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// state returns the edge's decision stream, creating it on first use. The
+// rng returns the edge's decision stream, creating it on first use. The
 // caller holds t.mu.
-func (t *Transport) state(e edge) *edgeState {
-	st, ok := t.edges[e]
+func (t *Transport) rng(e edge) *rand.Rand {
+	r, ok := t.edges[e]
 	if !ok {
-		f, over := t.overrides[e]
-		if !over {
-			f = t.cfg.Faults
-		}
-		st = &edgeState{rng: rand.New(rand.NewSource(edgeSeed(t.cfg.Seed, e.from, e.to))), faults: f}
-		t.edges[e] = st
+		r = rand.New(rand.NewSource(edgeSeed(t.cfg.Seed, e.from, e.to)))
+		t.edges[e] = r
 	}
-	return st
+	return r
 }
 
 // Crash takes a site down: every message to or from it is dropped until
@@ -389,11 +360,11 @@ func (t *Transport) Send(msg comm.Message) error {
 		traceFault(rec, trace.FaultDrop, msg)
 		return nil
 	}
-	st := t.state(e)
+	r := t.rng(e)
 	// Always draw the full per-message tuple so the edge's decision stream
 	// stays aligned with the message count regardless of outcomes.
-	f := st.faults
-	uDrop, uDup, uDelay, uFrac := st.rng.Float64(), st.rng.Float64(), st.rng.Float64(), st.rng.Float64()
+	f := t.cfg.Faults
+	uDrop, uDup, uDelay, uFrac := r.Float64(), r.Float64(), r.Float64(), r.Float64()
 	rec := t.trace
 	t.mu.Unlock()
 

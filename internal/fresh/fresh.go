@@ -98,14 +98,13 @@ func (s *shard) item(id model.ItemID) *itemState {
 
 // siteStat accumulates one site's staleness and certificate
 // distributions. Bounded by construction: four fixed-size histograms and
-// a handful of counters, regardless of run length.
+// an apply counter, regardless of run length. Certificates are counted
+// by readVerLag alone: its zero bucket holds the fresh reads.
 type siteStat struct {
 	mu         sync.Mutex
 	applies    uint64
 	versionLag hist // replica version lag, sampled on apply and by the probe
 	timeLagUS  hist // replica time lag in µs, ditto
-	readsFresh uint64
-	readsStale uint64
 	readVerLag hist // versions behind at read time
 	readLagUS  hist // µs behind at read time
 }
@@ -254,8 +253,9 @@ func (t *Tracker) CertifyRead(site model.SiteID, item model.ItemID, version uint
 }
 
 // CertifyFresh certifies a read that observed the primary copy itself
-// (PSL's local and remote primary reads): zero staleness by
-// construction, counted so certificate coverage stays total.
+// (PSL's local and remote primary reads) or the reader's own write:
+// zero staleness by construction, but still one certificate, so every
+// read is counted.
 func (t *Tracker) CertifyFresh(site model.SiteID) Cert {
 	if t == nil {
 		return Cert{}
@@ -267,11 +267,6 @@ func (t *Tracker) CertifyFresh(site model.SiteID) Cert {
 func (t *Tracker) recordCert(site model.SiteID, c Cert) {
 	ss := t.site(site)
 	ss.mu.Lock()
-	if c.Stale() {
-		ss.readsStale++
-	} else {
-		ss.readsFresh++
-	}
 	ss.readVerLag.add(c.Versions)
 	ss.readLagUS.add(clampUS(c.Behind))
 	ss.mu.Unlock()

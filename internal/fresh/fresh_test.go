@@ -1,7 +1,6 @@
 package fresh
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -106,6 +105,42 @@ func TestSummaryRollsUpSitesAndRates(t *testing.T) {
 	}
 }
 
+// TestSummaryCountsCertificates: the fresh and stale counts come from the
+// read version-lag histogram, so they must equal the certificates issued,
+// per site and in the totals, whichever call issued them.
+func TestSummaryCountsCertificates(t *testing.T) {
+	tr := New(2)
+	item := model.ItemID(4)
+	for i := 0; i < 5; i++ {
+		tr.NoteCommit(item)
+	}
+	// Site 0: 2 fresh reads of the latest version, 1 CertifyFresh, 3
+	// stale reads. Site 1: 2 CertifyFresh, 1 stale read 4 versions behind.
+	tr.CertifyRead(0, item, 5)
+	tr.CertifyRead(0, item, 5)
+	tr.CertifyFresh(0)
+	for v := uint64(1); v <= 3; v++ {
+		tr.CertifyRead(0, item, v)
+	}
+	tr.CertifyFresh(1)
+	tr.CertifyFresh(1)
+	tr.CertifyRead(1, item, 1)
+
+	s := tr.Summarize()
+	want := []struct{ fresh, stale uint64 }{{3, 3}, {2, 1}}
+	if len(s.Sites) != len(want) {
+		t.Fatalf("%d site rows, want %d: %+v", len(s.Sites), len(want), s.Sites)
+	}
+	for i, w := range want {
+		if row := s.Sites[i]; row.ReadsFresh != w.fresh || row.ReadsStale != w.stale {
+			t.Errorf("site %d fresh/stale = %d/%d, want %d/%d", row.Site, row.ReadsFresh, row.ReadsStale, w.fresh, w.stale)
+		}
+	}
+	if s.ReadsFresh != 5 || s.ReadsStale != 4 || s.Reads() != 9 {
+		t.Errorf("totals fresh/stale/reads = %d/%d/%d, want 5/4/9", s.ReadsFresh, s.ReadsStale, s.Reads())
+	}
+}
+
 func TestProbeSamplesLaggingReplicas(t *testing.T) {
 	tr := New(2)
 	item := model.ItemID(5)
@@ -146,26 +181,5 @@ func TestHistPercentileBounds(t *testing.T) {
 	m.merge(&h)
 	if m.dist() != d {
 		t.Fatal("merge into empty hist changed the distribution")
-	}
-}
-
-func TestCanonicalEncodeIsByteStable(t *testing.T) {
-	edges := []Edge{{From: 2, To: 3}, {From: 0, To: 1}, {From: 1, To: 2}}
-	c := NewCanonical("DAG(WT)", 7, 4, false, edges, 100)
-	if c.Edges[0] != "s0->s1" || c.Edges[2] != "s2->s3" {
-		t.Fatalf("edges not sorted: %v", c.Edges)
-	}
-	var a, b bytes.Buffer
-	if err := c.Encode(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewCanonical("DAG(WT)", 7, 4, false, edges, 100).Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("same inputs, different bytes:\n%s\n----\n%s", a.String(), b.String())
-	}
-	if !bytes.HasSuffix(a.Bytes(), []byte("\n")) {
-		t.Fatal("canonical document must end in a newline")
 	}
 }

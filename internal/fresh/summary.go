@@ -111,8 +111,9 @@ type SiteFreshness struct {
 	Applies    uint64 `json:"applies"`
 	VersionLag Dist   `json:"version_lag"`
 	TimeLagUS  Dist   `json:"time_lag_us"`
-	// ReadsFresh/ReadsStale count read certificates; ReadVersionLag and
-	// ReadTimeLagUS distribute how far behind the primary reads were.
+	// ReadsFresh/ReadsStale count read certificates (ReadVersionLag's
+	// zero samples and the rest); ReadVersionLag and ReadTimeLagUS
+	// distribute how far behind the primary reads were.
 	ReadsFresh     uint64 `json:"reads_fresh"`
 	ReadsStale     uint64 `json:"reads_stale"`
 	ReadVersionLag Dist   `json:"read_version_lag"`
@@ -172,8 +173,8 @@ func (t *Tracker) Summarize() *Summary {
 			Applies:        ss.applies,
 			VersionLag:     ss.versionLag.dist(),
 			TimeLagUS:      ss.timeLagUS.dist(),
-			ReadsFresh:     ss.readsFresh,
-			ReadsStale:     ss.readsStale,
+			ReadsFresh:     ss.readVerLag.buckets[0],
+			ReadsStale:     ss.readVerLag.count - ss.readVerLag.buckets[0],
 			ReadVersionLag: ss.readVerLag.dist(),
 			ReadTimeLagUS:  ss.readLagUS.dist(),
 		}
@@ -182,7 +183,7 @@ func (t *Tracker) Summarize() *Summary {
 		rvl.merge(&ss.readVerLag)
 		rtl.merge(&ss.readLagUS)
 		ss.mu.Unlock()
-		if row.Applies == 0 && row.ReadsFresh == 0 && row.ReadsStale == 0 && row.VersionLag.Count == 0 {
+		if row.Applies == 0 && row.VersionLag.Count == 0 && row.ReadVersionLag.Count == 0 {
 			continue
 		}
 		out.Sites = append(out.Sites, row)

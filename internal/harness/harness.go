@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fresh"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -139,39 +138,30 @@ type Result struct {
 // RunPoint executes one cluster configuration through its full lifecycle
 // and returns the report.
 func RunPoint(cfg cluster.Config) (metrics.Report, error) {
-	rep, _, err := RunPointFresh(cfg)
-	return rep, err
-}
-
-// RunPointFresh is RunPoint plus the run's freshness summary
-// (cluster.FreshSummary), captured after the quiesce drain — so every
-// propagated update has been applied and the staleness distributions
-// cover the whole run, not a mid-flight cut.
-func RunPointFresh(cfg cluster.Config) (metrics.Report, *fresh.Summary, error) {
 	c, err := cluster.New(cfg)
 	if err != nil {
-		return metrics.Report{}, nil, err
+		return metrics.Report{}, err
 	}
 	c.Start()
 	defer c.Stop()
 	rep, err := c.Run()
 	if err != nil {
-		return rep, c.FreshSummary(), err
+		return rep, err
 	}
 	if qerr := c.Quiesce(2 * time.Minute); qerr != nil {
-		return rep, c.FreshSummary(), qerr
+		return rep, qerr
 	}
 	if cfg.Record && cfg.Protocol.Serializable() {
 		if serr := c.CheckSerializable(); serr != nil {
-			return rep, c.FreshSummary(), fmt.Errorf("harness: %v claimed serializability but: %w", cfg.Protocol, serr)
+			return rep, fmt.Errorf("harness: %v claimed serializability but: %w", cfg.Protocol, serr)
 		}
 		if cfg.Protocol.Propagates() {
 			if cerr := c.CheckConvergence(); cerr != nil {
-				return rep, c.FreshSummary(), fmt.Errorf("harness: %v replicas diverged: %w", cfg.Protocol, cerr)
+				return rep, fmt.Errorf("harness: %v replicas diverged: %w", cfg.Protocol, cerr)
 			}
 		}
 	}
-	return rep, c.FreshSummary(), nil
+	return rep, nil
 }
 
 // sweep runs protocols × xs, mutating the workload per x.

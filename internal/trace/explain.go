@@ -31,8 +31,8 @@ const PhaseExecute = "execute"
 //	lock_wait  the applier blocked in the receiver's lock manager
 //	apply      installing the writes into the receiver's storage
 //
-// The names are part of the canonical freshness summary, so they must
-// stay stable.
+// The names are part of replexplain's JSON output, so they must stay
+// stable.
 var SegmentNames = []string{"enqueue", "wire", "queue_wait", "lock_wait", "apply"}
 
 // Explanation is what a trace says about its run. Protocol display

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Freshness-observatory smoke: a seeded lazy run through
-# `replbench -fresh` must produce non-empty propagation waterfalls, a
-# freshness block certifying at least 95% of reads, and some stale
+# Freshness-observatory smoke: one seeded lazy run through
+# `replbench -fresh` must report a freshness block with some stale
 # certificates (a lazy engine under propagation latency always has
-# readers behind the primary); a second run with the same seed must emit
-# a byte-identical canonical freshness summary, and replexplain must
-# reconstruct the waterfalls from the trace alone
-# (docs/OBSERVABILITY.md, "Freshness observatory").
+# readers behind the primary), and replexplain must reconstruct the
+# waterfalls from the trace alone and print its waterfall, certificate
+# and delay tables (docs/OBSERVABILITY.md, "Freshness observatory").
+# That every read carries a certificate is checked by the Go test
+# TestEveryReadIsCertified (internal/cluster).
 #
-# Artifacts (traces, reports, canonical summaries, logs) land in
+# Artifacts (trace, report, replexplain output, log) land in
 # $SMOKE_DIR (default: a temp dir, kept on failure so CI can upload it).
 set -u -o pipefail
 
@@ -27,23 +27,17 @@ go build -o "$SMOKE_DIR/replexplain" ./cmd/replexplain || exit 1
 
 fail() {
   echo "freshness smoke FAILED: $1" >&2
-  for log in run1.log run2.log; do
-    if [ -s "$SMOKE_DIR/$log" ]; then
-      echo "--- $log (tail) ---" >&2
-      tail -20 "$SMOKE_DIR/$log" >&2
-    fi
-  done
+  if [ -s "$SMOKE_DIR/run1.log" ]; then
+    echo "--- run1.log (tail) ---" >&2
+    tail -20 "$SMOKE_DIR/run1.log" >&2
+  fi
   exit 1
 }
 
-run() { # run N -> run$N.jsonl, canon$N.json, report$N.json
-  "$SMOKE_DIR/replbench" -trace "$SMOKE_DIR/run$1.jsonl" -traceproto "$PROTO" \
-    -seed "$SEED" -fresh -freshsummary "$SMOKE_DIR/canon$1.json" -json \
-    >"$SMOKE_DIR/report$1.json" 2>"$SMOKE_DIR/run$1.log" \
-    || fail "replbench run $1 exited nonzero"
-}
-run 1
-run 2
+"$SMOKE_DIR/replbench" -trace "$SMOKE_DIR/run1.jsonl" -traceproto "$PROTO" \
+  -seed "$SEED" -fresh -json \
+  >"$SMOKE_DIR/report1.json" 2>"$SMOKE_DIR/run1.log" \
+  || fail "replbench exited nonzero"
 
 # The freshness block exists and certified stale reads: a lazy engine
 # under 150µs propagation latency always catches readers behind.
@@ -51,18 +45,6 @@ grep -q '"freshness"' "$SMOKE_DIR/report1.json" \
   || fail "no freshness block in report1.json"
 grep -q '"reads_stale": 0,' "$SMOKE_DIR/report1.json" \
   && fail "lazy run certified zero stale reads (certificates not wired?)"
-
-# Certificate coverage: >=95% of reads carry a certificate.
-coverage=$(awk '
-  match($0, /"coverage_pct": [0-9.]+/) { print substr($0, RSTART+16, RLENGTH-16); exit }
-  ' "$SMOKE_DIR/canon1.json")
-[ -n "$coverage" ] || fail "no coverage_pct in canon1.json"
-awk -v c="$coverage" 'BEGIN { exit !(c >= 95) }' \
-  || fail "certificate coverage ${coverage}% below 95%"
-
-# Byte-identical canonical freshness summaries across same-seed runs.
-cmp -s "$SMOKE_DIR/canon1.json" "$SMOKE_DIR/canon2.json" \
-  || fail "canonical freshness summaries differ between same-seed runs"
 
 # Non-empty waterfalls, twice over: the trace fold must reconstruct
 # them from the trace alone (replexplain -json), and replexplain's text
@@ -84,5 +66,7 @@ grep -q '== read-freshness certificates ==' "$SMOKE_DIR/explain1.txt" \
 grep -q '== propagation delay' "$SMOKE_DIR/explain1.txt" \
   || fail "no propagation-delay table in replexplain output"
 
-edges=$(grep -c -- '->' "$SMOKE_DIR/canon1.json")
-echo "freshness smoke OK (coverage ${coverage}%, $edges propagation edges)"
+stale=$(awk '
+  match($0, /"reads_stale": [0-9]+/) { print substr($0, RSTART+15, RLENGTH-15); exit }
+  ' "$SMOKE_DIR/report1.json")
+echo "freshness smoke OK ($stale stale certificates)"

@@ -2,10 +2,13 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/israce"
+	"repro/internal/lock"
+	"repro/internal/metrics"
 	"repro/internal/model"
 )
 
@@ -37,8 +40,9 @@ func allocConfig(t *testing.T) *SharedConfig {
 
 // TestLazyCommitAllocationBudget: without a log, a lazy commit that fans
 // out allocates one block for its routes' writes plus one payload per
-// route, on top of its Txn — on the primary path and on a relaying
-// secondary's alike.
+// route — on the primary path on top of its Txn, on a relaying
+// secondary's with a recycled one. Resubmitting a refused secondary
+// allocates nothing more.
 func TestLazyCommitAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -60,24 +64,44 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 	relay := newDAGWT(allocConfig(t), 1, discardTransport{})
 	defer relay.Stop()
 	p := secondaryPayload{TID: model.TxnID{Site: 0, Seq: 1}, Writes: writes}
+	apply := func() {
+		if !relay.apply(p, model.SpanContext{TID: p.TID}) {
+			t.Fatal("apply failed")
+		}
+	}
+	// A reader at s1 holds S(0) whenever the refused row starts; the
+	// relay's first lock request, on item 0, is refused, and the phase
+	// hook — which runs as each request returns — then lets the reader
+	// go, so the resubmission's blocking wait is granted at once.
+	reader := model.TxnID{Site: 1, Seq: 1 << 40}
+	relay.tm.SetPhaseHook(func(metrics.Phase, model.TxnID, time.Time) {
+		relay.locks.ReleaseAll(reader)
+	})
+	retries := &relay.bank[metrics.Retries]
 
 	for _, row := range []struct {
 		name string
 		run  func()
-		want float64 // the Txn, the block, a payload per route
+		want float64 // the Txn (primary only), the block, a payload per route
 	}{
 		{"primary, two routes", func() {
 			if err := primary.Execute(ops); err != nil {
 				t.Fatal(err)
 			}
 		}, 1 + 1 + 2},
-		{"relaying secondary, one route", func() {
-			if !relay.apply(p, model.SpanContext{TID: p.TID}) {
-				t.Fatal("apply failed")
+		{"relaying secondary, one route", apply, 1 + 1},
+		{"relaying secondary refused once, one route", func() {
+			if err := relay.locks.Acquire(reader, 0, lock.Shared, 0); err != nil {
+				t.Fatal(err)
 			}
-		}, 1 + 1 + 1},
+			before := retries.Value()
+			apply()
+			if retries.Value() != before+1 {
+				t.Fatalf("apply resubmitted %d times, want 1", retries.Value()-before)
+			}
+		}, 1 + 1},
 	} {
-		row.run() // warm-up: fills the lock manager's pools
+		row.run() // warm-up: fills the lock manager's and the Txn pools
 		if n := testing.AllocsPerRun(1000, row.run); n != row.want {
 			t.Errorf("%s: commit allocates %v times, want %v", row.name, n, row.want)
 		}

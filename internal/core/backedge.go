@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -475,13 +476,7 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 		// deduplicate).
 		return beExecOK
 	}
-	var local []model.WriteOp
-	for _, w := range p.Writes {
-		if e.store.Has(w.Item) {
-			local = append(local, w)
-		}
-	}
-	if len(local) == 0 {
+	if !slices.ContainsFunc(p.Writes, func(w model.WriteOp) bool { return e.store.Has(w.Item) }) {
 		// Pure relay site (no replica of any written item): nothing to
 		// execute, not a 2PC participant.
 		if e.stopping() {
@@ -489,6 +484,8 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 		}
 		return beExecOK
 	}
+	t := e.tm.BeginSecondary(p.TID)
+	wait := -1
 	for {
 		if e.stopping() {
 			return beExecStopped
@@ -496,16 +493,8 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 		if e.table.Aborted(p.TID) {
 			return beExecFailed
 		}
-		t := e.tm.BeginSecondary(p.TID)
-		ok := true
-		for _, w := range local {
-			if err := t.Write(w.Item, w.Value); err != nil {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			e.retry()
+		if err := e.lockSecondary(t, p.Writes, &wait, false); err != nil {
+			e.resubmit(t, err)
 			continue
 		}
 		// Locks held, writes buffered. Register as a live participant —

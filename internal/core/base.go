@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -448,17 +449,58 @@ func (b *base) stopping() bool {
 	}
 }
 
-// retry is the resubmission step of every subtransaction that must run
-// to completion (§2): count it, then sleep briefly so a retry storm does
-// not starve the lock holders it waits for.
-func (b *base) retry() {
+// lockSecondary takes the exclusive locks of a secondary subtransaction's
+// writes to local copies and buffers them in t, under the one-wait
+// discipline: the subtransaction blocks on at most one lock at a time, and
+// only while it holds none. *wait indexes that lock's write — the one the
+// previous attempt was refused, -1 on a first attempt — and is requested
+// first, blocking, which is also the one request that wounds a vulnerable
+// holder (DESIGN.md §4). Every other lock is a no-wait request; a refusal
+// aborts t and makes the refused write the next attempt's wait. A waiter
+// that holds nothing closes no wait-for cycle, so a secondary never
+// deadlocks with the site's clients. opCost charges the simulated CPU cost
+// per write, before its lock request. On error t holds nothing and the
+// caller resubmits.
+func (b *base) lockSecondary(t *txn.Txn, writes []model.WriteOp, wait *int, opCost bool) error {
+	if *wait >= 0 {
+		if opCost {
+			b.simulateOp()
+		}
+		if err := t.Write(writes[*wait].Item, writes[*wait].Value); err != nil {
+			return err
+		}
+	}
+	for i, w := range writes {
+		if i == *wait || !b.store.Has(w.Item) {
+			continue
+		}
+		if opCost {
+			b.simulateOp()
+		}
+		if err := t.TryWrite(w.Item, w.Value); err != nil {
+			*wait = i
+			return err
+		}
+	}
+	return nil
+}
+
+// resubmit is the resubmission step of every subtransaction that must run
+// to completion (§2): count it and restart t. A refused no-wait request
+// resubmits at once, since the next attempt blocks on the refused lock
+// anyway; after a timed-out wait or a fenced commit it first sleeps
+// briefly, so a retry storm does not starve the lock holders it waits for.
+func (b *base) resubmit(t *txn.Txn, err error) {
 	b.bank[metrics.Retries].Inc()
-	d := b.cfg.Params.LockTimeout / 10
-	if d < 100*time.Microsecond {
-		d = 100 * time.Microsecond
+	if !errors.Is(err, txn.ErrBusy) {
+		d := b.cfg.Params.LockTimeout / 10
+		if d < 100*time.Microsecond {
+			d = 100 * time.Microsecond
+		}
+		select {
+		case <-time.After(d):
+		case <-b.stop:
+		}
 	}
-	select {
-	case <-time.After(d):
-	case <-b.stop:
-	}
+	t.Restart()
 }

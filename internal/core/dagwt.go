@@ -55,7 +55,7 @@ func (e *dagwtEngine) push(q queuedMsg) {
 }
 
 // applier consumes the FIFO queue: each secondary subtransaction is
-// executed to commit (resubmitting after deadlock timeouts, §2) and
+// executed to commit (resubmitted until it commits, §2) and
 // forwarded onward before the next is looked at, preserving receipt order.
 func (e *dagwtEngine) applier() {
 	for {

@@ -253,13 +253,16 @@ func (k *lazyEngine) admit(msg comm.Message) {
 	k.enqueue(queuedMsg{msg: msg, at: k.phaseClock()})
 }
 
-// apply runs one secondary subtransaction to commit, resubmitting after
-// every lock timeout (§2), and then releases the delivery's pending
+// apply runs one secondary subtransaction to commit, resubmitting it
+// (§2) after every refused or timed-out lock request (lockSecondary) and
+// every failed commit, and then releases the delivery's pending
 // obligation. It reports false — obligation still outstanding, receipt
 // still unconsumed, both inherited by recovery — only if the engine
 // stopped or its log was fenced first. On commit the protocol's
 // after-commit step has run atomically with it.
 func (k *lazyEngine) apply(p secondaryPayload, sc model.SpanContext) bool {
+	t := k.tm.BeginSecondary(p.TID)
+	wait := -1
 	for {
 		if k.stopping() {
 			return false
@@ -269,24 +272,14 @@ func (k *lazyEngine) apply(p secondaryPayload, sc model.SpanContext) bool {
 			// consume its receipt without re-applying (exactly-once).
 			return k.consumeAndDone(p.TID)
 		}
-		t := k.tm.BeginSecondary(p.TID)
-		ok := true
-		for _, w := range p.Writes {
-			if !k.store.Has(w.Item) {
-				continue
-			}
-			k.simulateOp()
-			if err := t.Write(w.Item, w.Value); err != nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			err := k.commit(t, wal.Record{
+		err := k.lockSecondary(t, p.Writes, &wait, true)
+		if err == nil {
+			err = k.commit(t, wal.Record{
 				Kind: wal.KindApply, TID: p.TID, Role: wal.RoleSecondary,
 				Consumes: true, Writes: p.Writes, TS: p.TS, Span: sc,
 			}, time.Time{})
 			if err == nil {
+				k.tm.Recycle(t)
 				k.noteApplied(p.Writes)
 				k.emit(metrics.Secondaries, model.NoSite, sc, 0)
 				k.pendDone()
@@ -296,7 +289,7 @@ func (k *lazyEngine) apply(p secondaryPayload, sc model.SpanContext) bool {
 			// stopping() check. Otherwise unreachable — writes target local
 			// copies only.
 		}
-		k.retry()
+		k.resubmit(t, err)
 	}
 }
 

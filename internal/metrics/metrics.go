@@ -83,8 +83,8 @@ const (
 	RemoteReads
 	// Dummies counts DAG(T) dummy subtransactions sent.
 	Dummies
-	// Retries counts secondary subtransaction resubmissions after a local
-	// deadlock timeout (§2).
+	// Retries counts secondary subtransaction resubmissions (§2) after a
+	// refused or timed-out lock request, or a fenced commit.
 	Retries
 	// NumCounts is the number of slots Report sums; keep last.
 	NumCounts

@@ -10,14 +10,16 @@ import (
 )
 
 // FuzzTxnWriteBuffer drives a transaction and a map model with the same
-// operations — each input byte reads (high bit clear) or writes (high bit
-// set) one of 16 items, more than the buffer holds inline — and asserts
+// operations — each input byte reads (0x00–0x3f) or writes (0x80–0xff)
+// one of 16 items, more than the buffer holds inline, or restarts the
+// transaction (0x40–0x7f), which empties the model — and asserts
 // read-your-writes with the last value winning, Writes in first-write
 // order, and a commit that installs exactly the model's final values.
 func FuzzTxnWriteBuffer(f *testing.F) {
 	f.Add([]byte{0x80, 0x81, 0x00, 0x80, 0x01})
 	f.Add([]byte{0x80, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8a, 0x8b, 0x8c, 0x0b, 0x8a, 0x0a})
 	f.Add([]byte{})
+	f.Add([]byte{0x80, 0x81, 0x40, 0x01, 0x82, 0x41, 0x83, 0x03})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const items = 16
 		st := storage.NewStore()
@@ -32,6 +34,12 @@ func FuzzTxnWriteBuffer(f *testing.F) {
 		var order []model.ItemID
 		for i, op := range ops {
 			item := model.ItemID(op % items)
+			if op&0xc0 == 0x40 {
+				tx.Restart()
+				clear(written)
+				order = order[:0]
+				continue
+			}
 			if op&0x80 == 0 {
 				v, err := tx.Read(item)
 				if err != nil {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/history"
@@ -22,6 +23,12 @@ import (
 
 // ErrAborted wraps lock failures that force the caller to abort.
 var ErrAborted = errors.New("txn: aborted")
+
+// ErrBusy is TryWrite's refusal: the lock was not free, so the
+// transaction aborted. It is returned as is, never wrapped, so a refusal
+// allocates nothing, and it wraps no lock error: a refusal is not a lock
+// timeout.
+var ErrBusy = errors.New("txn: lock busy")
 
 // Manager coordinates transactions at one site.
 type Manager struct {
@@ -51,16 +58,16 @@ func (m *Manager) SetPhaseHook(fn func(p metrics.Phase, tid model.TxnID, start t
 	m.phase = fn
 }
 
-// acquire wraps Locks.AcquireEx with lock-wait phase attribution. The
-// clock is read only when a phase hook is installed, so the default path
-// costs one nil check.
-func (t *Txn) acquire(item model.ItemID, mode lock.Mode) error {
+// acquire wraps Locks.AcquireEx with lock-wait phase attribution; a
+// timeout of zero makes the request no-wait. The clock is read only when
+// a phase hook is installed, so the default path costs one nil check.
+func (t *Txn) acquire(item model.ItemID, mode lock.Mode, timeout time.Duration) error {
 	m := t.m
 	if m.phase == nil {
-		return m.Locks.AcquireEx(t.ID, item, mode, m.Timeout, t.prio)
+		return m.Locks.AcquireEx(t.ID, item, mode, timeout, t.prio)
 	}
 	start := time.Now()
-	err := m.Locks.AcquireEx(t.ID, item, mode, m.Timeout, t.prio)
+	err := m.Locks.AcquireEx(t.ID, item, mode, timeout, t.prio)
 	m.phase(metrics.PhaseLockWait, t.ID, start)
 	return err
 }
@@ -100,19 +107,44 @@ func (t *Txn) SetDurable(hook func() error) { t.durable = hook }
 
 // Begin starts a transaction with the given system-wide unique id.
 func (m *Manager) Begin(id model.TxnID) *Txn {
-	t := &Txn{ID: id, m: m}
-	t.writes = t.inline[:0]
+	t := new(Txn)
+	t.reset(id, m, lock.Normal)
 	return t
 }
 
-// BeginSecondary starts a secondary subtransaction: its lock requests
-// carry Secondary priority, which wounds vulnerable lock holders
+// spares holds finished secondary subtransactions handed back by Recycle,
+// so an applier that keeps up reuses one Txn instead of allocating one per
+// subtransaction.
+var spares = sync.Pool{New: func() any { return new(Txn) }}
+
+// BeginSecondary starts a secondary subtransaction: its blocking lock
+// requests carry Secondary priority, which wounds vulnerable lock holders
 // (primaries parked on a backedge round-trip) instead of stalling behind
 // them — the paper's §2 fair victim selection.
 func (m *Manager) BeginSecondary(id model.TxnID) *Txn {
-	t := &Txn{ID: id, m: m, prio: lock.Secondary}
-	t.writes = t.inline[:0]
+	t := spares.Get().(*Txn)
+	t.reset(id, m, lock.Secondary)
 	return t
+}
+
+// Recycle hands a committed or aborted secondary subtransaction back for
+// a later BeginSecondary to reuse. The caller must keep no reference to t
+// or to its Writes.
+func (m *Manager) Recycle(t *Txn) { spares.Put(t) }
+
+// Restart makes t a fresh transaction under the same id and priority,
+// aborting it first if it is still running, and reuses its buffers: the
+// resubmission of a subtransaction that must run to completion (§2)
+// allocates nothing.
+func (t *Txn) Restart() {
+	t.Abort()
+	t.reset(t.ID, t.m, t.prio)
+}
+
+// reset makes t a fresh transaction, keeping only its buffers' storage.
+func (t *Txn) reset(id model.TxnID, m *Manager, prio lock.Priority) {
+	*t = Txn{ID: id, m: m, prio: prio, readObs: t.readObs[:0]}
+	t.writes = t.inline[:0]
 }
 
 // buffered returns the index of item in the write buffer, or -1.
@@ -146,7 +178,7 @@ func (t *Txn) ReadVersioned(item model.ItemID) (int64, uint64, bool, error) {
 	if i := t.buffered(item); i >= 0 {
 		return t.writes[i].Value, 0, false, nil
 	}
-	if err := t.acquire(item, lock.Shared); err != nil {
+	if err := t.acquire(item, lock.Shared, t.m.Timeout); err != nil {
 		t.Abort()
 		// Wrap (not format) the lock error: abort classification walks the
 		// chain with errors.Is to tell a timeout from a detected deadlock.
@@ -165,11 +197,27 @@ func (t *Txn) ReadVersioned(item model.ItemID) (int64, uint64, bool, error) {
 // (upgrading a held shared lock if necessary). A lock timeout aborts the
 // transaction.
 func (t *Txn) Write(item model.ItemID, value int64) error {
+	return t.write(item, value, t.m.Timeout)
+}
+
+// TryWrite is Write with a no-wait lock request, which never waits and
+// never wounds: if the exclusive lock cannot be granted at once, the
+// transaction aborts — every lock released, every buffered write
+// discarded — and TryWrite returns ErrBusy.
+func (t *Txn) TryWrite(item model.ItemID, value int64) error {
+	return t.write(item, value, 0)
+}
+
+// write is Write with a lock timeout; zero makes the request no-wait.
+func (t *Txn) write(item model.ItemID, value int64, timeout time.Duration) error {
 	if t.finished {
 		return fmt.Errorf("txn %v: write after finish", t.ID)
 	}
-	if err := t.acquire(item, lock.Exclusive); err != nil {
+	if err := t.acquire(item, lock.Exclusive, timeout); err != nil {
 		t.Abort()
+		if timeout <= 0 {
+			return ErrBusy
+		}
 		// Wrap (not format) the lock error, as in Read, for abort
 		// classification.
 		return fmt.Errorf("%w: w[%d] at s%d: %w", ErrAborted, item, t.m.Site, err)
@@ -253,6 +301,7 @@ func (t *Txn) Abort() {
 		return
 	}
 	t.finished = true
+	t.writes = t.writes[:0]
 	t.m.Locks.ReleaseAll(t.ID)
 }
 

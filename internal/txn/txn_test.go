@@ -211,3 +211,89 @@ func TestObserveRemoteRead(t *testing.T) {
 		t.Error("remote observation lost at commit")
 	}
 }
+
+// TestTryWriteRefusalReleasesEverything: a no-wait write the lock manager
+// cannot grant aborts the transaction at once — no lock held, no write
+// buffered — with the ErrBusy sentinel, which is no lock timeout, and
+// without waiting or wounding the vulnerable holder in its way.
+func TestTryWriteRefusalReleasesEverything(t *testing.T) {
+	m := newTestManager(t, nil)
+	holder := m.Begin(txid(1))
+	if _, err := holder.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	wounded := false
+	m.Locks.SetVulnerable(holder.ID, func() { wounded = true })
+	tx := m.BeginSecondary(txid(2))
+	if err := tx.TryWrite(0, 5); err != nil {
+		t.Fatalf("free item refused: %v", err)
+	}
+	err := tx.TryWrite(1, 6)
+	if err != ErrBusy || errors.Is(err, lock.ErrTimeout) || errors.Is(err, ErrAborted) {
+		t.Fatalf("refusal = %v, want ErrBusy itself", err)
+	}
+	if n := m.Locks.HeldCount(tx.ID); n != 0 {
+		t.Errorf("refused transaction holds %d locks", n)
+	}
+	if ws := tx.Writes(); len(ws) != 0 {
+		t.Errorf("refused transaction keeps writes %v", ws)
+	}
+	if !tx.Finished() {
+		t.Error("refused transaction not finished")
+	}
+	if s := m.Locks.Stats(); wounded || s.Wounds != 0 || s.Waited != 0 || s.Timeouts != 0 {
+		t.Errorf("a no-wait request waited or wounded: wounded=%v stats=%+v", wounded, s)
+	}
+	holder.Abort()
+}
+
+// TestRestartedTxnIsFresh: a restarted transaction — after a refusal or a
+// commit — reads the store, not its old buffer, writes and commits like a
+// new one under the same id, and keeps its priority: its blocking write
+// wounds a vulnerable holder, as a secondary's must.
+func TestRestartedTxnIsFresh(t *testing.T) {
+	m := newTestManager(t, nil)
+	holder := m.Begin(txid(1))
+	if _, err := holder.Read(2); err != nil {
+		t.Fatal(err)
+	}
+	tx := m.BeginSecondary(txid(2))
+	if err := tx.TryWrite(1, 77); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.TryWrite(2, 78); err != ErrBusy {
+		t.Fatalf("want ErrBusy, got %v", err)
+	}
+	m.Locks.SetVulnerable(holder.ID, holder.Abort)
+	tx.Restart()
+	if tx.Finished() || tx.ID != txid(2) || tx.NumWrites() != 0 {
+		t.Fatalf("restart left finished=%v id=%v writes=%d", tx.Finished(), tx.ID, tx.NumWrites())
+	}
+	if v, err := tx.Read(1); err != nil || v != 10 {
+		t.Fatalf("restarted read of 1 = %d, %v; want the store's 10", v, err)
+	}
+	if err := tx.Write(2, 21); err != nil {
+		t.Fatalf("blocking write through a vulnerable holder: %v", err)
+	}
+	if s := m.Locks.Stats(); s.Wounds != 1 {
+		t.Errorf("wounds = %d, want 1", s.Wounds)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx.Restart()
+	if err := tx.Write(3, 31); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for item, want := range map[model.ItemID]int64{1: 10, 2: 21, 3: 31} {
+		if ver, _ := m.Store.Read(item); ver.Value != want {
+			t.Errorf("item %d = %d, want %d", item, ver.Value, want)
+		}
+	}
+	if n := m.Locks.HeldCount(tx.ID); n != 0 {
+		t.Errorf("%d locks survive the last commit", n)
+	}
+}

@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReliableReorder -fuzztime $(FUZZTIME) ./internal/comm
 	$(GO) test -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -fuzz FuzzInbox -fuzztime $(FUZZTIME) ./internal/comm
+	$(GO) test -fuzz FuzzReadAt -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -fuzz FuzzTxnWriteBuffer -fuzztime $(FUZZTIME) ./internal/txn
 
 # Regenerate every figure/table of the paper's evaluation (§5).

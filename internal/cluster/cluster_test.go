@@ -401,3 +401,30 @@ func TestIdleClusterHeap(t *testing.T) {
 		})
 	}
 }
+
+// TestClusterSnapshotReadersSerializable: with most transactions
+// read-only and every replica placed, DAG(WT) and DAG(T) sites serve their
+// readers from pinned install points while the appliers commit around
+// them; the recorded history stays serializable and the replicas
+// converge. Run it under -race.
+func TestClusterSnapshotReadersSerializable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	for _, proto := range []core.Protocol{core.DAGWT, core.DAGT} {
+		t.Run(proto.String(), func(t *testing.T) {
+			wl := smallWorkload()
+			wl.BackedgeProb = 0
+			wl.ReplicationProb = 1
+			wl.ReadTxnProb = 0.7
+			wl.ThreadsPerSite = 3
+			runAndCheck(t, Config{
+				Workload: wl,
+				Protocol: proto,
+				Params:   fastParams(),
+				Latency:  100 * time.Microsecond,
+				Record:   true,
+			})
+		})
+	}
+}

@@ -41,7 +41,8 @@ func allocConfig(t *testing.T) *SharedConfig {
 // TestLazyCommitAllocationBudget: without a log, a lazy commit that fans
 // out allocates one block for its routes' writes plus one payload per
 // route — on the primary path on top of its Txn, on a relaying
-// secondary's with a recycled one. Resubmitting a refused secondary
+// secondary's with a recycled one. A read-only primary allocates its Txn
+// alone, snapshot reader or not. Resubmitting a refused secondary
 // allocates nothing more.
 func TestLazyCommitAllocationBudget(t *testing.T) {
 	if israce.Enabled {
@@ -78,6 +79,12 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 		relay.locks.ReleaseAll(reader)
 	})
 	retries := &relay.bank[metrics.Retries]
+	// A read-only program costs its Txn alone, whether it reads under S
+	// locks (BackEdge) or as a snapshot reader (NaiveLazy, like DAG(WT)
+	// and DAG(T)).
+	reads := []model.Op{r(0), r(1)}
+	locking := newBackEdge(allocConfig(t), 0, discardTransport{})
+	defer locking.Stop()
 
 	for _, row := range []struct {
 		name string
@@ -89,6 +96,16 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, 1 + 1 + 2},
+		{"read-only primary, locking reader", func() {
+			if err := locking.Execute(reads); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+		{"read-only primary, snapshot reader", func() {
+			if err := primary.Execute(reads); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
 		{"relaying secondary, one route", apply, 1 + 1},
 		{"relaying secondary refused once, one route", func() {
 			if err := relay.locks.Acquire(reader, 0, lock.Shared, 0); err != nil {

@@ -291,8 +291,12 @@ func (b *base) beginOrigin() (model.SpanContext, time.Time) {
 }
 
 // runLocalOps executes a transaction program against local copies under
-// strict 2PL. On any failure the transaction has been aborted.
-func (b *base) runLocalOps(t *txn.Txn, ops []model.Op) error {
+// strict 2PL, or, when snapshot is set and the program only reads, as a
+// snapshot reader. On any failure the transaction has been aborted.
+func (b *base) runLocalOps(t *txn.Txn, ops []model.Op, snapshot bool) error {
+	if snapshot && readsOnly(ops) {
+		return b.runSnapshot(t, ops)
+	}
 	for _, op := range ops {
 		b.simulateOp()
 		switch op.Kind {
@@ -319,6 +323,42 @@ func (b *base) runLocalOps(t *txn.Txn, ops []model.Op) error {
 			return fmt.Errorf("core: unknown op kind %d", op.Kind)
 		}
 	}
+	return nil
+}
+
+// readsOnly reports whether every operation of ops is a read.
+func readsOnly(ops []model.Op) bool {
+	for _, op := range ops {
+		if op.Kind != model.OpRead {
+			return false
+		}
+	}
+	return true
+}
+
+// runSnapshot runs a read-only program without locks: it pins the site's
+// install point once and reads every item as of that point, which is the
+// state after some prefix of the site's commit order (DESIGN.md §6).
+func (b *base) runSnapshot(t *txn.Txn, ops []model.Op) error {
+	pin := b.store.Pin()
+	defer b.store.Unpin(pin)
+	for _, op := range ops {
+		b.simulateOp()
+		if err := b.readAt(t, op.Item, pin); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readAt is one snapshot read of item at pin, certified like a locking
+// read: its freshness is that of the pinned version.
+func (b *base) readAt(t *txn.Txn, item model.ItemID, pin uint64) error {
+	_, ver, err := t.ReadAt(item, pin)
+	if err != nil {
+		return fmt.Errorf("core: s%d snapshot read of item %d: %w", b.id, item, err)
+	}
+	b.certifyRead(t.ID, item, ver, true)
 	return nil
 }
 

@@ -40,6 +40,7 @@ func buildDAGWT(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Tran
 
 func newDAGWT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagwtEngine {
 	e := buildDAGWT(cfg, DAGWT, id, tr)
+	e.snapshot = true
 	e.replay()
 	return e
 }

@@ -2,14 +2,17 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/txn"
 )
 
 // This file implements a bounded-exhaustive interleaving explorer: it
@@ -89,7 +92,9 @@ type world struct {
 	engines  []Engine
 	tr       *captureTransport
 	recorder *history.Recorder
-	prims    []func() error // primary transactions, executed at most once
+	// prims are the primary transactions, each a sequence of steps run
+	// once each in order; most are a single step, Execute.
+	prims [][]func() error
 }
 
 // applyCaptured synchronously applies one captured secondary at its
@@ -104,8 +109,8 @@ func (w *world) applyCaptured(msg comm.Message) {
 	}
 }
 
-// step identifies one scheduled event: a primary index, or a message pop
-// from an edge.
+// step identifies one scheduled event: the next step of a primary, or a
+// message pop from an edge.
 type step struct {
 	primary int // -1 if this is a delivery
 	edge    capturePair
@@ -123,16 +128,17 @@ func (s step) String() string {
 func runSchedule(t *testing.T, mk func(t *testing.T) *world, schedule []step) (*world, []step) {
 	t.Helper()
 	w := mk(t)
-	done := make([]bool, len(w.prims))
+	done := make([]int, len(w.prims)) // steps run per primary
 	for _, s := range schedule {
 		if s.primary >= 0 {
-			if done[s.primary] {
-				t.Fatalf("schedule runs P%d twice", s.primary)
+			steps := w.prims[s.primary]
+			if done[s.primary] == len(steps) {
+				t.Fatalf("schedule runs P%d past its last step", s.primary)
 			}
-			done[s.primary] = true
-			if err := w.prims[s.primary](); err != nil {
-				t.Fatalf("primary %d: %v", s.primary, err)
+			if err := steps[done[s.primary]](); err != nil {
+				t.Fatalf("primary %d step %d: %v", s.primary, done[s.primary], err)
 			}
+			done[s.primary]++
 		} else {
 			msg, ok := w.tr.pop(s.edge)
 			if !ok {
@@ -143,7 +149,7 @@ func runSchedule(t *testing.T, mk func(t *testing.T) *world, schedule []step) (*
 	}
 	var next []step
 	for i, d := range done {
-		if !d {
+		if d < len(w.prims[i]) {
 			next = append(next, step{primary: i})
 		}
 	}
@@ -205,10 +211,10 @@ func example11World(proto Protocol) func(t *testing.T) *world {
 			// Deliberately NOT started: the explorer is the scheduler.
 			w.engines = append(w.engines, e)
 		}
-		w.prims = []func() error{
-			func() error { return w.engines[0].Execute([]model.Op{w1(0, 11)}) },
-			func() error { return w.engines[1].Execute([]model.Op{r(0), w1(1, 22)}) },
-			func() error { return w.engines[2].Execute([]model.Op{r(0), r(1)}) },
+		w.prims = [][]func() error{
+			{func() error { return w.engines[0].Execute([]model.Op{w1(0, 11)}) }},
+			{func() error { return w.engines[1].Execute([]model.Op{r(0), w1(1, 22)}) }},
+			{func() error { return w.engines[2].Execute([]model.Op{r(0), r(1)}) }},
 		}
 		return w
 	}
@@ -218,6 +224,93 @@ func w1(item model.ItemID, v int64) model.Op {
 	return model.Op{Kind: model.OpWrite, Item: item, Value: v}
 }
 
+// snapshotReaderWorld is Example 1.1 on DAG(WT) with T3, the read-only
+// program at s2, split into the steps runSnapshot takes, so the explorer
+// interleaves deliveries between them: begin and pin, read a, then read b
+// and commit. With mutant set, every read is made at the newest install
+// instead of the pin — a ReadAt that returns the current version.
+func snapshotReaderWorld(mutant bool) func(t *testing.T) *world {
+	mk := example11World(DAGWT)
+	return func(t *testing.T) *world {
+		w := mk(t)
+		e := w.engines[2].(*dagwtEngine)
+		var (
+			tx    *txn.Txn
+			pin   uint64
+			octx  model.SpanContext
+			start time.Time
+		)
+		read := func(item model.ItemID) error {
+			if mutant {
+				return e.readAt(tx, item, math.MaxUint64)
+			}
+			return e.readAt(tx, item, pin)
+		}
+		w.prims[2] = []func() error{
+			func() error {
+				octx, start = e.beginOrigin()
+				tx = e.tm.Begin(octx.TID)
+				pin = e.store.Pin()
+				return nil
+			},
+			func() error { return read(0) },
+			func() error {
+				err := read(1)
+				e.store.Unpin(pin)
+				if err != nil {
+					return err
+				}
+				return e.finish(tx, octx, start, tx.Writes())
+			},
+		}
+		return w
+	}
+}
+
+// checkDAGWT fails the test unless w's history is serializable and, once
+// drained, every replica of item 0 matches its primary.
+func checkDAGWT(t *testing.T, schedule []step, w *world) {
+	t.Helper()
+	if err := w.recorder.CheckSerializable(); err != nil {
+		t.Fatalf("DAG(WT) violated serializability under schedule %v: %v", schedule, err)
+	}
+	type snap interface {
+		Snapshot() map[model.ItemID]int64
+	}
+	a0 := w.engines[0].(snap).Snapshot()[0]
+	for s := 1; s < 3; s++ {
+		if got := w.engines[s].(snap).Snapshot()[0]; got != a0 {
+			t.Fatalf("item 0 diverged under %v: s0=%d s%d=%d", schedule, a0, s, got)
+		}
+	}
+}
+
+// TestExhaustiveExample11SnapshotReader: with its reads interleaved with
+// s2's applies, the snapshot reader keeps every DAG(WT) schedule
+// serializable; the same reader reading current versions instead of its
+// pin is caught by the checker in some schedule.
+func TestExhaustiveExample11SnapshotReader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive exploration")
+	}
+	n := explore(t, snapshotReaderWorld(false), func(schedule []step, w *world) {
+		checkDAGWT(t, schedule, w)
+	})
+	bad := 0
+	m := explore(t, snapshotReaderWorld(true), func(schedule []step, w *world) {
+		if w.recorder.CheckSerializable() != nil {
+			bad++
+		}
+	})
+	if n != m {
+		t.Fatalf("the mutant explored %d schedules, the snapshot reader %d", m, n)
+	}
+	if bad == 0 {
+		t.Fatalf("no schedule of %d caught a reader that ignores its pin", m)
+	}
+	t.Logf("DAG(WT) snapshot reader: %d schedules, all serializable; unpinned reads anomalous in %d", n, bad)
+}
+
 // TestExhaustiveExample11DAGWT: across EVERY schedule, DAG(WT) is
 // serializable and, once drained, converged.
 func TestExhaustiveExample11DAGWT(t *testing.T) {
@@ -225,19 +318,7 @@ func TestExhaustiveExample11DAGWT(t *testing.T) {
 		t.Skip("exhaustive exploration")
 	}
 	n := explore(t, example11World(DAGWT), func(schedule []step, w *world) {
-		if err := w.recorder.CheckSerializable(); err != nil {
-			t.Fatalf("DAG(WT) violated serializability under schedule %v: %v", schedule, err)
-		}
-		// Drained: replicas match primaries.
-		type snap interface {
-			Snapshot() map[model.ItemID]int64
-		}
-		a0 := w.engines[0].(snap).Snapshot()[0]
-		for s := 1; s < 3; s++ {
-			if got := w.engines[s].(snap).Snapshot()[0]; got != a0 {
-				t.Fatalf("item 0 diverged under %v: s0=%d s%d=%d", schedule, a0, s, got)
-			}
-		}
+		checkDAGWT(t, schedule, w)
 	})
 	// Tree routing serializes deliveries (s0->s1 strictly before s1->s2),
 	// so DAG(WT) has fewer schedules than NaiveLazy's parallel fan-out —

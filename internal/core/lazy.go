@@ -33,6 +33,11 @@ type lazyEngine struct {
 	// (DAG(WT): under tree routing an update reaches the sites below a
 	// child only through that child).
 	relay bool
+	// snapshot says a read-only program runs as a snapshot reader, with no
+	// locks (runSnapshot). BackEdge keeps strict-2PL readers: a 2PC
+	// participant installs an eager transaction at the decision, out of
+	// the FIFO order it executed in (DESIGN.md §6).
+	snapshot bool
 	// enqueue hands an admitted secondary to the protocol's ordering: a
 	// FIFO queue, per-parent timestamp queues, or a goroutine of its own.
 	enqueue func(queuedMsg)
@@ -107,7 +112,7 @@ func (k *lazyEngine) Execute(ops []model.Op) error {
 // runOrigin runs a primary subtransaction's program against the local
 // copies. On error the transaction has been aborted and accounted.
 func (k *lazyEngine) runOrigin(t *txn.Txn, ops []model.Op) error {
-	err := k.runLocalOps(t, ops)
+	err := k.runLocalOps(t, ops, k.snapshot)
 	if err != nil {
 		k.emit(abortSlot(contend.Classify(err)), model.NoSite, model.SpanContext{TID: t.ID}, 0)
 	}

@@ -4,31 +4,62 @@
 // copies placed there. The store keeps a per-copy version counter tagged
 // with the logical transaction that installed each value, which feeds the
 // serializability checker; concurrency control is the caller's job (the
-// lock manager), so the internal mutex only protects map structure.
+// lock manager), so the internal mutex only protects the store's own
+// structures.
+//
+// The store is also multiversion, for readers that take no locks. Every
+// install is a batch (a commit's writes, installed together) and bumps the
+// site's install counter; Pin names the state after the latest batch, and
+// ReadAt returns a copy's newest version at or below a pin. A copy keeps
+// a superseded version only while some active pin still reads it, so its
+// chain of old versions is never longer than the number of active pins.
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
 )
 
-// Version describes the current state of one item copy.
+// Version describes one committed state of an item copy.
 type Version struct {
 	Value  int64
 	Num    uint64      // 0 for the initial value, then 1, 2, ...
 	Writer model.TxnID // zero TxnID for the initial value
 }
 
-type copyState struct {
-	ver Version
+// stamped is a version with the install batch that made it current.
+type stamped struct {
+	Version
+	at uint64
 }
+
+type copyState struct {
+	cur stamped
+	// old holds the superseded versions an active pin still reads, oldest
+	// first.
+	old []stamped
+}
+
+// pinCount is one pinned install point and how many holders pin it.
+type pinCount struct {
+	at uint64
+	n  int
+}
+
+func byAt(p pinCount, at uint64) int { return cmp.Compare(p.at, at) }
 
 // Store holds the item copies resident at one site.
 type Store struct {
 	mu    sync.RWMutex
 	items map[model.ItemID]*copyState
+
+	installs uint64       // install batches so far; Pin's value
+	pins     []pinCount   // the active pins, ascending
+	chained  []*copyState // the copies whose old chain is not empty
 }
 
 // NewStore returns an empty store.
@@ -44,7 +75,7 @@ func (s *Store) Create(item model.ItemID, initial int64) error {
 	if _, ok := s.items[item]; ok {
 		return fmt.Errorf("storage: item %d already exists", item)
 	}
-	s.items[item] = &copyState{ver: Version{Value: initial}}
+	s.items[item] = &copyState{cur: stamped{Version: Version{Value: initial}, at: s.installs}}
 	return nil
 }
 
@@ -64,14 +95,97 @@ func (s *Store) Read(item model.ItemID) (Version, error) {
 	defer s.mu.RUnlock()
 	cs, ok := s.items[item]
 	if !ok {
-		return Version{}, fmt.Errorf("storage: no copy of item %d at this site", item)
+		return Version{}, missing(item)
 	}
-	return cs.ver, nil
+	return cs.cur.Version, nil
 }
 
-// Apply installs a new committed value for item on behalf of writer and
-// returns the new version. The caller must hold the exclusive lock on the
-// item.
+// Pin returns the site's current install point and keeps every version it
+// reads until the matching Unpin. It takes no lock on any item: ReadAt
+// at the pin sees every batch installed before Pin and none after.
+func (s *Store) Pin() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.pins); n > 0 && s.pins[n-1].at == s.installs {
+		s.pins[n-1].n++
+	} else {
+		s.pins = append(s.pins, pinCount{at: s.installs, n: 1})
+	}
+	return s.installs
+}
+
+// Unpin releases one Pin of pin and drops the versions no active pin
+// reads any more.
+func (s *Store) Unpin(pin uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := slices.BinarySearchFunc(s.pins, pin, byAt)
+	if !ok {
+		panic(fmt.Sprintf("storage: unpin of install point %d, which is not pinned", pin))
+	}
+	if s.pins[i].n--; s.pins[i].n > 0 {
+		return
+	}
+	s.pins = slices.Delete(s.pins, i, i+1)
+	kept := s.chained[:0]
+	for _, cs := range s.chained {
+		if s.trim(cs) {
+			kept = append(kept, cs)
+		}
+	}
+	clear(s.chained[len(kept):])
+	s.chained = kept
+}
+
+// trim drops cs's superseded versions that no active pin reads, and
+// reports whether any remain. A version installed at batch a and
+// superseded at batch b is read by the pins in [a, b).
+func (s *Store) trim(cs *copyState) bool {
+	n := 0
+	for i, v := range cs.old {
+		next := cs.cur.at
+		if i+1 < len(cs.old) {
+			next = cs.old[i+1].at
+		}
+		if s.pinnedIn(v.at, next) {
+			cs.old[n] = v
+			n++
+		}
+	}
+	clear(cs.old[n:])
+	cs.old = cs.old[:n]
+	return n > 0
+}
+
+// pinnedIn reports whether an active pin lies in [lo, hi).
+func (s *Store) pinnedIn(lo, hi uint64) bool {
+	i, _ := slices.BinarySearchFunc(s.pins, lo, byAt)
+	return i < len(s.pins) && s.pins[i].at < hi
+}
+
+// ReadAt returns the newest version of item installed at or below pin,
+// which must be active (between Pin and Unpin). It needs no item lock.
+func (s *Store) ReadAt(item model.ItemID, pin uint64) (Version, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	cs, ok := s.items[item]
+	if !ok {
+		return Version{}, missing(item)
+	}
+	if cs.cur.at <= pin {
+		return cs.cur.Version, nil
+	}
+	for i := len(cs.old) - 1; i >= 0; i-- {
+		if cs.old[i].at <= pin {
+			return cs.old[i].Version, nil
+		}
+	}
+	return Version{}, fmt.Errorf("storage: item %d has no version at install point %d, which is not pinned", item, pin)
+}
+
+// Apply installs a new committed value for item on behalf of writer, as a
+// batch of its own, and returns the new version. The caller must hold the
+// exclusive lock on the item.
 //
 // Apply mutates durable state, so on WAL-backed paths every direct call
 // must be dominated by an append of the redo record that describes it
@@ -84,10 +198,47 @@ func (s *Store) Apply(item model.ItemID, value int64, writer model.TxnID) (Versi
 	defer s.mu.Unlock()
 	cs, ok := s.items[item]
 	if !ok {
-		return Version{}, fmt.Errorf("storage: no copy of item %d at this site", item)
+		return Version{}, missing(item)
 	}
-	cs.ver = Version{Value: value, Num: cs.ver.Num + 1, Writer: writer}
-	return cs.ver, nil
+	s.installs++
+	s.put(cs, Version{Value: value, Num: cs.cur.Num + 1, Writer: writer})
+	return cs.cur.Version, nil
+}
+
+// ApplyAll installs one commit's writes on behalf of writer as a single
+// batch: a pin sees all of them or none. It installs nothing if any
+// write has no copy here. The caller must hold the exclusive locks on the
+// items, so Read returns the versions ApplyAll installed until it
+// releases them.
+//
+// repl:durable
+func (s *Store) ApplyAll(writes []model.WriteOp, writer model.TxnID) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, w := range writes {
+		if _, ok := s.items[w.Item]; !ok {
+			return missing(w.Item)
+		}
+	}
+	s.installs++
+	for _, w := range writes {
+		cs := s.items[w.Item]
+		s.put(cs, Version{Value: w.Value, Num: cs.cur.Num + 1, Writer: writer})
+	}
+	return nil
+}
+
+// put makes ver current in the batch s.installs, keeping the version it
+// supersedes if an active pin reads it: every pin is older than the
+// batch, so the newest pin reads it iff any does.
+func (s *Store) put(cs *copyState, ver Version) {
+	if n := len(s.pins); n > 0 && s.pins[n-1].at >= cs.cur.at {
+		if len(cs.old) == 0 {
+			s.chained = append(s.chained, cs)
+		}
+		cs.old = append(cs.old, cs.cur)
+	}
+	cs.cur = stamped{Version: ver, at: s.installs}
 }
 
 // Load installs a recovered version of item verbatim — value, version
@@ -100,9 +251,10 @@ func (s *Store) Load(item model.ItemID, ver Version) error {
 	defer s.mu.Unlock()
 	cs, ok := s.items[item]
 	if !ok {
-		return fmt.Errorf("storage: no copy of item %d at this site", item)
+		return missing(item)
 	}
-	cs.ver = ver
+	s.installs++
+	s.put(cs, ver)
 	return nil
 }
 
@@ -113,7 +265,7 @@ func (s *Store) Snapshot() map[model.ItemID]int64 {
 	defer s.mu.RUnlock()
 	out := make(map[model.ItemID]int64, len(s.items))
 	for id, cs := range s.items {
-		out[id] = cs.ver.Value
+		out[id] = cs.cur.Value
 	}
 	return out
 }
@@ -123,4 +275,8 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.items)
+}
+
+func missing(item model.ItemID) error {
+	return fmt.Errorf("storage: no copy of item %d at this site", item)
 }

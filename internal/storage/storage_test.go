@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -111,5 +112,207 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 		if v.Num != 100 || v.Value != 100 {
 			t.Errorf("item %d final = %+v", i, v)
 		}
+	}
+}
+
+// mvModel is the multiversion store's reference: it keeps every version
+// of every item with the install batch that made it current.
+type mvModel struct {
+	installs uint64
+	versions map[model.ItemID][]stamped
+	pins     []uint64 // active, with multiplicity
+}
+
+func (m *mvModel) readAt(item model.ItemID, pin uint64) Version {
+	vs := m.versions[item]
+	for i := len(vs) - 1; i >= 0; i-- {
+		if vs[i].at <= pin {
+			return vs[i].Version
+		}
+	}
+	panic("model: no version at pin")
+}
+
+// checkReadAt drives a store and the model with the operations data
+// encodes — pin, unpin, install a batch — and after each one compares
+// ReadAt at every active pin with the model, and checks that no copy
+// keeps more superseded versions than there are distinct active pins.
+func checkReadAt(t *testing.T, data []byte) {
+	t.Helper()
+	const items = 4
+	s := NewStore()
+	m := &mvModel{versions: make(map[model.ItemID][]stamped)}
+	for i := model.ItemID(0); i < items; i++ {
+		_ = s.Create(i, 0)
+		m.versions[i] = []stamped{{}}
+	}
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	for seq := uint64(1); len(data) > 0; seq++ {
+		switch op := next(); op % 3 {
+		case 0:
+			m.pins = append(m.pins, s.Pin())
+		case 1:
+			if len(m.pins) == 0 {
+				continue
+			}
+			i := int(next()) % len(m.pins)
+			s.Unpin(m.pins[i])
+			m.pins = append(m.pins[:i], m.pins[i+1:]...)
+		case 2:
+			mask := next()%(1<<items-1) + 1
+			var writes []model.WriteOp
+			for i := model.ItemID(0); i < items; i++ {
+				if mask&(1<<i) != 0 {
+					writes = append(writes, model.WriteOp{Item: i, Value: int64(seq)})
+				}
+			}
+			writer := model.TxnID{Site: 0, Seq: seq}
+			if err := s.ApplyAll(writes, writer); err != nil {
+				t.Fatal(err)
+			}
+			m.installs++
+			for _, w := range writes {
+				vs := m.versions[w.Item]
+				ver := Version{Value: w.Value, Num: vs[len(vs)-1].Num + 1, Writer: writer}
+				m.versions[w.Item] = append(vs, stamped{Version: ver, at: m.installs})
+			}
+		}
+		distinct := make(map[uint64]bool)
+		for _, p := range m.pins {
+			distinct[p] = true
+			for i := model.ItemID(0); i < items; i++ {
+				got, err := s.ReadAt(i, p)
+				if err != nil {
+					t.Fatalf("ReadAt(%d, %d): %v", i, p, err)
+				}
+				if want := m.readAt(i, p); got != want {
+					t.Fatalf("ReadAt(%d, %d) = %+v, want %+v", i, p, got, want)
+				}
+			}
+		}
+		for i := model.ItemID(0); i < items; i++ {
+			if n := len(s.items[i].old); n > len(distinct) {
+				t.Fatalf("item %d keeps %d old versions with %d active pins", i, n, len(distinct))
+			}
+			if cur, _ := s.Read(i); cur != m.readAt(i, m.installs) {
+				t.Fatalf("Read(%d) = %+v, want the newest version", i, cur)
+			}
+		}
+	}
+}
+
+// FuzzReadAt checks snapshot reads against a model that keeps every
+// version (checkReadAt).
+func FuzzReadAt(f *testing.F) {
+	f.Add([]byte{0, 2, 15, 0, 2, 1, 1, 0, 2, 3})
+	f.Add([]byte{0, 0, 2, 15, 1, 1, 2, 15, 0, 2, 4, 1, 0, 1, 0})
+	f.Fuzz(checkReadAt)
+}
+
+// TestReadAtMatchesFullHistory runs checkReadAt on seeded random
+// operation sequences, so plain `go test` explores more than the fuzz
+// corpus.
+func TestReadAtMatchesFullHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		data := make([]byte, 10+rng.Intn(200))
+		rng.Read(data)
+		checkReadAt(t, data)
+	}
+}
+
+// TestPinNeverSeesHalfABatch: concurrent snapshot readers see each
+// ApplyAll batch whole or not at all. Every batch writes one value to
+// every item, so a pin must read the same value everywhere. Run it under
+// -race.
+func TestPinNeverSeesHalfABatch(t *testing.T) {
+	const items = 8
+	s := NewStore()
+	writes := make([]model.WriteOp, items)
+	for i := range writes {
+		_ = s.Create(model.ItemID(i), 0)
+		writes[i].Item = model.ItemID(i)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				pin := s.Pin()
+				first, _ := s.ReadAt(0, pin)
+				for i := 1; i < items; i++ {
+					v, err := s.ReadAt(model.ItemID(i), pin)
+					if err != nil || v.Value != first.Value {
+						t.Errorf("pin %d: item %d = %+v (%v), item 0 = %+v", pin, i, v, err, first)
+					}
+				}
+				s.Unpin(pin)
+			}
+		}()
+	}
+	for n := 1; n <= 2000; n++ {
+		for i := range writes {
+			writes[i].Value = int64(n)
+		}
+		if err := s.ApplyAll(writes, model.TxnID{Site: 0, Seq: uint64(n)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestApplyAllWithPinAllocatesNothing: once a copy's chain has grown, an
+// install that must keep the version a pin reads, and the unpin that
+// drops it, allocate nothing.
+func TestApplyAllWithPinAllocatesNothing(t *testing.T) {
+	s := NewStore()
+	writes := []model.WriteOp{{Item: 0, Value: 1}, {Item: 1, Value: 2}}
+	for _, w := range writes {
+		_ = s.Create(w.Item, 0)
+	}
+	seq := uint64(0)
+	run := func() {
+		seq++
+		pin := s.Pin()
+		if err := s.ApplyAll(writes, model.TxnID{Site: 0, Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := s.ReadAt(0, pin); v.Num != seq-1 {
+			t.Fatalf("pinned read = %+v, want version %d", v, seq-1)
+		}
+		s.Unpin(pin)
+	}
+	run() // warm-up: grows the pin list and the chains
+	if n := testing.AllocsPerRun(1000, run); n != 0 {
+		t.Fatalf("ApplyAll under a pin allocates %v times, want 0", n)
+	}
+	if len(s.chained) != 0 || len(s.items[0].old) != 0 {
+		t.Fatalf("chains not trimmed after the last unpin: %d chained", len(s.chained))
+	}
+}
+
+func TestApplyAllIsAllOrNothing(t *testing.T) {
+	s := NewStore()
+	_ = s.Create(1, 0)
+	if err := s.ApplyAll([]model.WriteOp{{Item: 1, Value: 5}, {Item: 2, Value: 6}}, model.TxnID{Site: 0, Seq: 1}); err == nil {
+		t.Fatal("ApplyAll to a missing copy succeeded")
+	}
+	if v, _ := s.Read(1); v.Num != 0 {
+		t.Fatalf("a failed batch installed %+v", v)
 	}
 }

@@ -193,6 +193,24 @@ func (t *Txn) ReadVersioned(item model.ItemID) (int64, uint64, bool, error) {
 	return ver.Value, ver.Num, true, nil
 }
 
+// ReadAt is a snapshot read for a read-only transaction: it returns the
+// value and version number of item as of pin, an install point the caller
+// holds with Store.Pin, and takes no lock. Like a locking read it is
+// recorded for the serializability checker when t commits. A failed read
+// aborts the transaction.
+func (t *Txn) ReadAt(item model.ItemID, pin uint64) (int64, uint64, error) {
+	if t.finished {
+		return 0, 0, fmt.Errorf("txn %v: read after finish", t.ID)
+	}
+	ver, err := t.m.Store.ReadAt(item, pin)
+	if err != nil {
+		t.Abort()
+		return 0, 0, err
+	}
+	t.observeRead(t.m.Site, item, ver.Num)
+	return ver.Value, ver.Num, nil
+}
+
 // Write buffers a new value for item after taking the exclusive lock
 // (upgrading a held shared lock if necessary). A lock timeout aborts the
 // transaction.
@@ -230,7 +248,7 @@ func (t *Txn) write(item model.ItemID, value int64, timeout time.Duration) error
 	return nil
 }
 
-// Commit installs the buffered writes, flushes the read/write
+// Commit installs the buffered writes as one batch, flushes the read/write
 // observations to the recorder, and releases all locks. Callers that need
 // commit to be atomic with respect to other commits at the site (the
 // critical sections of §2 and §3.2.2) serialize calls with a site-level
@@ -260,14 +278,19 @@ func (t *Txn) Commit() error {
 	if t.m.phase != nil && len(t.writes) > 0 {
 		applyStart = time.Now()
 	}
-	for _, w := range t.writes {
-		ver, err := t.m.Store.Apply(w.Item, w.Value, t.ID)
-		if err != nil {
-			// Unreachable with a correct engine: writes target local copies.
-			t.m.Locks.ReleaseAll(t.ID)
-			return err
+	// One batch: a snapshot reader sees all of this commit or none of it.
+	if err := t.m.Store.ApplyAll(t.writes, t.ID); err != nil {
+		// Unreachable with a correct engine: writes target local copies.
+		t.m.Locks.ReleaseAll(t.ID)
+		return err
+	}
+	if t.m.Recorder != nil {
+		// The exclusive locks are still held, so Read returns the versions
+		// this commit installed.
+		for _, w := range t.writes {
+			ver, _ := t.m.Store.Read(w.Item)
+			t.m.Recorder.Write(t.m.Site, w.Item, ver.Num, t.ID)
 		}
-		t.m.Recorder.Write(t.m.Site, w.Item, ver.Num, t.ID)
 	}
 	if !applyStart.IsZero() {
 		t.m.phase(metrics.PhaseApply, t.ID, applyStart)

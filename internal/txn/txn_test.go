@@ -9,6 +9,7 @@ import (
 	"repro/internal/lock"
 	"repro/internal/model"
 	"repro/internal/storage"
+	"unsafe"
 )
 
 func newTestManager(t *testing.T, rec *history.Recorder) *Manager {
@@ -295,5 +296,54 @@ func TestRestartedTxnIsFresh(t *testing.T) {
 	}
 	if n := m.Locks.HeldCount(tx.ID); n != 0 {
 		t.Errorf("%d locks survive the last commit", n)
+	}
+}
+
+// TestSnapshotReadAtTakesNoLock: a snapshot read is granted while a
+// writer holds the item exclusively, returns the version as of its pin —
+// not the writer's, which commits after the pin — and is recorded like a
+// locking read.
+func TestSnapshotReadAtTakesNoLock(t *testing.T) {
+	rec := history.NewRecorder()
+	m := newTestManager(t, rec)
+	w := m.Begin(txid(1))
+	if err := w.Write(2, 99); err != nil {
+		t.Fatal(err)
+	}
+	pin := m.Store.Pin()
+	defer m.Store.Unpin(pin)
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	hold := m.Begin(txid(2))
+	if err := hold.Write(2, 7); err != nil {
+		t.Fatal(err)
+	}
+	defer hold.Abort()
+	r := m.Begin(txid(3))
+	v, num, err := r.ReadAt(2, pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 20 || num != 0 {
+		t.Fatalf("ReadAt = %d (version %d), want the pinned 20 (version 0)", v, num)
+	}
+	if got := m.Locks.Stats().Acquired; got != 2 {
+		t.Fatalf("%d lock grants, want the two writers' only", got)
+	}
+	if err := r.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.NumReads() != 1 {
+		t.Fatalf("recorded %d reads, want 1", rec.NumReads())
+	}
+}
+
+// TestTxnSizeUnchanged: a Txn is allocated per primary transaction, so a
+// field added to it costs every transaction; a snapshot reader's pin lives
+// in its caller's frame instead.
+func TestTxnSizeUnchanged(t *testing.T) {
+	if n := unsafe.Sizeof(Txn{}); n > 248 {
+		t.Fatalf("Txn is %d bytes, was 248", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"maps"
 
 	"repro/internal/model"
 	"repro/internal/ts"
@@ -68,8 +69,14 @@ type State struct {
 	// deterministically because commit order equals log order.
 	Items map[model.ItemID]ItemState
 
-	// Applied holds every TID whose subtransaction committed here —
+	// AppliedSet holds every TID whose subtransaction committed here —
 	// the exactly-once dedup set for replayed/duplicated deliveries.
+	AppliedSet TxnSet
+
+	// Applied is AppliedSet as a map. Only Recovered()'s image fills it;
+	// the live state leaves it nil, so snapshots carry AppliedSet alone.
+	// A snapshot written before AppliedSet existed carries only Applied,
+	// which decodeState folds into AppliedSet.
 	Applied map[model.TxnID]bool
 
 	// Receipts lists unconsumed receipts in arrival order.
@@ -111,12 +118,12 @@ type State struct {
 
 func newState(items []model.ItemID) *State {
 	s := &State{
-		Items:     make(map[model.ItemID]ItemState),
-		Applied:   make(map[model.TxnID]bool),
-		Prepared:  make(map[model.TxnID]PreparedEntry),
-		Decisions: make(map[model.TxnID]bool),
-		Eager:     make(map[model.TxnID]EagerEntry),
-		copies:    make(map[model.ItemID]bool, len(items)),
+		Items:      make(map[model.ItemID]ItemState),
+		AppliedSet: make(TxnSet),
+		Prepared:   make(map[model.TxnID]PreparedEntry),
+		Decisions:  make(map[model.TxnID]bool),
+		Eager:      make(map[model.TxnID]EagerEntry),
+		copies:     make(map[model.ItemID]bool, len(items)),
 	}
 	for _, it := range items {
 		s.copies[it] = true
@@ -143,7 +150,7 @@ func (s *State) apply(rec *Record) {
 			cur := s.Items[w.Item]
 			s.Items[w.Item] = ItemState{Value: w.Value, Num: cur.Num + 1, Writer: rec.TID}
 		}
-		s.Applied[rec.TID] = true
+		s.AppliedSet.Add(rec.TID)
 		if rec.Consumes {
 			s.consumeReceipt(rec.TID)
 		}
@@ -209,12 +216,14 @@ func (s *State) consumeReceipt(tid model.TxnID) {
 }
 
 // clone deep-copies the state so the recovered image handed to an engine
-// stays frozen while the live tracker keeps folding new records.
+// stays frozen while the live tracker keeps folding new records. The copy
+// also materialises Applied.
 func (s *State) clone() *State {
 	c := &State{
 		Incarnation: s.Incarnation,
 		Items:       make(map[model.ItemID]ItemState, len(s.Items)),
-		Applied:     make(map[model.TxnID]bool, len(s.Applied)),
+		AppliedSet:  maps.Clone(s.AppliedSet),
+		Applied:     s.AppliedSet.Map(),
 		Receipts:    append([]Receipt(nil), s.Receipts...),
 		Forwards:    append([]PendingForward(nil), s.Forwards...),
 		Prepared:    make(map[model.TxnID]PreparedEntry, len(s.Prepared)),
@@ -229,9 +238,6 @@ func (s *State) clone() *State {
 	}
 	for k, v := range s.Items {
 		c.Items[k] = v
-	}
-	for k, v := range s.Applied {
-		c.Applied[k] = v
 	}
 	for k, v := range s.Prepared {
 		c.Prepared[k] = v
@@ -272,9 +278,13 @@ func decodeState(data []byte, items []model.ItemID) (*State, bool) {
 	if s.Items == nil {
 		s.Items = fresh.Items
 	}
-	if s.Applied == nil {
-		s.Applied = fresh.Applied
+	if s.AppliedSet == nil {
+		s.AppliedSet = fresh.AppliedSet
 	}
+	for tid := range s.Applied {
+		s.AppliedSet.Add(tid)
+	}
+	s.Applied = nil
 	if s.Prepared == nil {
 		s.Prepared = fresh.Prepared
 	}

@@ -411,7 +411,7 @@ func (l *SiteLog) Snapshot() error {
 func (l *SiteLog) WasApplied(tid model.TxnID) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.state.Applied[tid]
+	return l.state.AppliedSet.Has(tid)
 }
 
 // Decision looks up a durable 2PC decision.

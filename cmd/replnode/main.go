@@ -224,8 +224,11 @@ func main() {
 	// With -waldir the node is durable: every commit is redo-logged with
 	// group commit before it is externalized, and a killed process
 	// restarted on the same directory rebuilds its store, in-doubt 2PC
-	// entries, and propagation obligations from snapshot + replay (peers
-	// retransmit whatever was never acknowledged when -reliable is on).
+	// entries, and propagation obligations from snapshot + replay. The
+	// message stream is not made whole, even with -reliable: a restarted
+	// Reliable numbers its messages from 1 again, so its peers drop and
+	// acknowledge them as duplicates, and it buffers their retransmissions
+	// as a gap (ROADMAP item 11).
 	if *walDir != "" {
 		lg, err := wal.Open(*walDir, wal.Options{
 			Site:  model.SiteID(*site),

@@ -80,11 +80,15 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 	})
 	retries := &relay.bank[metrics.Retries]
 	// A read-only program costs its Txn alone, whether it reads under S
-	// locks (BackEdge) or as a snapshot reader (NaiveLazy, like DAG(WT)
-	// and DAG(T)).
+	// locks (an engine with no snapshot policy: the paper's readers) or as
+	// a snapshot reader (NaiveLazy, like DAG(WT) and DAG(T); BackEdge,
+	// which first checks its prepared items).
 	reads := []model.Op{r(0), r(1)}
 	locking := newBackEdge(allocConfig(t), 0, discardTransport{})
 	defer locking.Stop()
+	locking.snapshot = nil
+	backedge := newBackEdge(allocConfig(t), 0, discardTransport{})
+	defer backedge.Stop()
 
 	for _, row := range []struct {
 		name string
@@ -103,6 +107,11 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 		}, 1},
 		{"read-only primary, snapshot reader", func() {
 			if err := primary.Execute(reads); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+		{"read-only primary, BackEdge snapshot reader", func() {
+			if err := backedge.Execute(reads); err != nil {
 				t.Fatal(err)
 			}
 		}, 1},

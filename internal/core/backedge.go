@@ -59,6 +59,10 @@ type backedgeEngine struct {
 	mu       sync.Mutex
 	prepared map[model.TxnID]*pendingBE   // executed backedge subtxns awaiting the decision // repl:guardedby(mu)
 	waiters  map[model.TxnID]*originState // origin-side transactions awaiting their special // repl:guardedby(mu)
+	// writing counts, per item, the registered subtransactions that write
+	// it and have not yet been settled: a read-only program reading any of
+	// these items takes S locks instead of a snapshot (pinDisjoint).
+	writing map[model.ItemID]int // repl:guardedby(mu)
 
 	// parked is the depth of the eager queue: origins parked on their
 	// backedge round trip. The watchdog does not watch it.
@@ -98,8 +102,9 @@ func newBackEdge(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *backedg
 		decisions:   twopc.NewDecisionLog(),
 		prepared:    make(map[model.TxnID]*pendingBE),
 		waiters:     make(map[model.TxnID]*originState),
+		writing:     make(map[model.ItemID]int),
 	}
-	e.special, e.enqueue = e.onSpecial, e.dispatch
+	e.special, e.enqueue, e.snapshot = e.onSpecial, e.dispatch, e.pinDisjoint
 	e.parked = e.queueGauge("eager")
 	e.recover()
 	// The watchdog's pending-2PC probe: how many executed backedge
@@ -127,8 +132,6 @@ func newBackEdge(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *backedg
 // inquiries find it; a decided-commit one whose local apply is missing
 // is redone), then the kernel's replay — unmarked forwards, then
 // unconsumed receipts through dispatch.
-//
-//lint:allow guardedby recovery runs inside newBackEdge before Start; no dispatcher or inquiry sweeper shares the prepared map yet
 func (e *backedgeEngine) recover() {
 	if e.wal == nil {
 		return
@@ -158,7 +161,10 @@ func (e *backedgeEngine) recover() {
 		}
 		_ = e.table.Begin(tid)
 		//lint:allow nodeterminism since drives the wall-clock inquiry sweep, not protocol ordering
-		e.prepared[tid] = &pendingBE{t: t, origin: pe.Origin, since: time.Now(), sc: pe.Span, writes: pe.Writes}
+		p := &pendingBE{t: t, origin: pe.Origin, since: time.Now(), sc: pe.Span, writes: pe.Writes}
+		e.mu.Lock()
+		e.register(p)
+		e.mu.Unlock()
 		// No pendAdd: the entry inherits the pending obligation its
 		// pre-crash registration took; the decision releases it.
 	}
@@ -500,12 +506,15 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 		// Locks held, writes buffered. Register as a live participant —
 		// unless an abort raced in, in which case roll back. Registration
 		// and tombstone lookup are paired under e.mu so handleAbort can
-		// never miss a registered subtransaction.
+		// never miss a registered subtransaction. Registration precedes the
+		// relay, which is where the subtransaction takes its place in this
+		// site's order.
+		//lint:allow nodeterminism since drives the wall-clock inquiry sweep, not protocol ordering
+		pe := &pendingBE{t: t, origin: p.Origin, since: time.Now(), sc: sc, writes: p.Writes}
 		e.mu.Lock()
 		err := e.table.Begin(p.TID)
 		if err == nil {
-			//lint:allow nodeterminism since drives the wall-clock inquiry sweep, not protocol ordering
-			e.prepared[p.TID] = &pendingBE{t: t, origin: p.Origin, since: time.Now(), sc: sc, writes: p.Writes}
+			e.register(pe)
 			// The subtransaction is in-flight propagation until its 2PC
 			// decision resolves it (possibly by inquiry recovery): holding
 			// a pending count here makes Quiesce wait out decision
@@ -527,10 +536,12 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 			Writes: p.Writes, Span: sc,
 		}) != nil {
 			e.mu.Lock()
-			delete(e.prepared, p.TID)
+			owned := e.take(p.TID) != nil
 			e.mu.Unlock()
 			e.table.Finish(p.TID, false)
-			t.Abort()
+			if owned {
+				e.discard(pe)
+			}
 			e.pendDone() // undo the registration's own pendAdd
 			return beExecStopped
 		}
@@ -553,11 +564,10 @@ func (e *backedgeEngine) relaySpecial(p specialPayload, sc model.SpanContext) {
 func (e *backedgeEngine) handleAbort(tid model.TxnID) {
 	e.mu.Lock()
 	e.table.Finish(tid, false)
-	p := e.prepared[tid]
-	delete(e.prepared, tid)
+	p := e.take(tid)
 	e.mu.Unlock()
 	if p != nil {
-		p.t.Abort()
+		e.discard(p)
 		// The resolution must be durable before the prepared entry's
 		// pending obligation is released; on a fence recovery restores the
 		// entry and resolves it again via inquiry (the origin logged the
@@ -591,16 +601,11 @@ func (e *backedgeEngine) reply(msg comm.Message, payload any) { e.rpc.Reply(msg,
 func (e *backedgeEngine) finishDecision(tid model.TxnID, commit bool, from model.SiteID) {
 	e.mu.Lock()
 	act := e.table.Finish(tid, commit)
-	p := e.prepared[tid]
-	delete(e.prepared, tid)
+	p := e.take(tid)
 	e.mu.Unlock()
 	if p != nil {
 		if act && commit {
-			e.armDurable(p.t, wal.Record{
-				Kind: wal.KindApply, TID: tid, Role: wal.RoleResolve,
-				Writes: p.writes, Span: p.sc,
-			})
-			if err := p.t.Commit(); err != nil {
+			if err := e.install(p); err != nil {
 				// Only reachable on a fenced redo log (crash in progress):
 				// the prepared entry and the coordinator's decision are both
 				// durable, so recovery restores the subtransaction in doubt
@@ -612,7 +617,7 @@ func (e *backedgeEngine) finishDecision(tid model.TxnID, commit bool, from model
 			e.noteApplied(p.writes)
 			e.emit(metrics.Secondaries, model.NoSite, p.sc, 0)
 		} else {
-			p.t.Abort()
+			e.discard(p)
 			// Same fence discipline as handleAbort: the resolution must hit
 			// disk before the obligation is released.
 			if e.walAppendSync(wal.Record{Kind: wal.KindResolved, TID: tid}) != nil {
@@ -622,6 +627,75 @@ func (e *backedgeEngine) finishDecision(tid model.TxnID, commit bool, from model
 		e.pendDone()
 	}
 	_ = e.table.Forget(tid)
+}
+
+// register makes p a live participant: it enters the prepared map, and
+// its items stop being readable by snapshot readers until settle releases
+// them. The caller holds e.mu.
+func (e *backedgeEngine) register(p *pendingBE) {
+	e.prepared[p.t.ID] = p
+	for _, w := range p.writes {
+		e.writing[w.Item]++
+	}
+}
+
+// take removes tid's registered subtransaction from the prepared map and
+// returns it, or nil if there is none. Whoever takes an entry settles it
+// (install or discard), exactly once. The caller holds e.mu.
+func (e *backedgeEngine) take(tid model.TxnID) *pendingBE {
+	p := e.prepared[tid]
+	delete(e.prepared, tid)
+	return p
+}
+
+// install commits a taken subtransaction with the decision's redo record,
+// then settles it. A fenced log fails the Commit with nothing installed.
+func (e *backedgeEngine) install(p *pendingBE) error {
+	e.armDurable(p.t, wal.Record{
+		Kind: wal.KindApply, TID: p.t.ID, Role: wal.RoleResolve,
+		Writes: p.writes, Span: p.sc,
+	})
+	err := p.t.Commit()
+	e.settle(p)
+	return err
+}
+
+// discard aborts a taken subtransaction, then settles it.
+func (e *backedgeEngine) discard(p *pendingBE) {
+	p.t.Abort()
+	e.settle(p)
+}
+
+// settle releases p's items to snapshot readers. It runs only once p's
+// transaction has finished, so its writes are installed (or will never
+// be): a reader that pinDisjoint admits afterwards pins at or after the
+// install and never reads a version p supersedes at this site.
+func (e *backedgeEngine) settle(p *pendingBE) {
+	e.mu.Lock()
+	for _, w := range p.writes {
+		if e.writing[w.Item]--; e.writing[w.Item] == 0 {
+			delete(e.writing, w.Item)
+		}
+	}
+	e.mu.Unlock()
+}
+
+// pinDisjoint is BackEdge's snapshot policy (lazyEngine.snapshot): a
+// read-only program pins the install point unless a registered
+// subtransaction writes one of its items, and otherwise takes S locks and
+// waits for that decision. The check and the pin are one step under e.mu,
+// which registration and settle also take, so no reader of a
+// subtransaction's items pins between its registration and its install
+// (DESIGN.md §6).
+func (e *backedgeEngine) pinDisjoint(ops []model.Op) (uint64, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, op := range ops {
+		if e.writing[op.Item] > 0 {
+			return 0, false
+		}
+	}
+	return e.store.Pin(), true
 }
 
 // inquirer is the participant side of decision recovery: it periodically

@@ -291,11 +291,13 @@ func (b *base) beginOrigin() (model.SpanContext, time.Time) {
 }
 
 // runLocalOps executes a transaction program against local copies under
-// strict 2PL, or, when snapshot is set and the program only reads, as a
-// snapshot reader. On any failure the transaction has been aborted.
-func (b *base) runLocalOps(t *txn.Txn, ops []model.Op, snapshot bool) error {
-	if snapshot && readsOnly(ops) {
-		return b.runSnapshot(t, ops)
+// strict 2PL, or, when the program only reads and snapshot grants a pin, as
+// a snapshot reader at it. On any failure the transaction has been aborted.
+func (b *base) runLocalOps(t *txn.Txn, ops []model.Op, snapshot func([]model.Op) (uint64, bool)) error {
+	if snapshot != nil && readsOnly(ops) {
+		if pin, ok := snapshot(ops); ok {
+			return b.runSnapshot(t, ops, pin)
+		}
 	}
 	for _, op := range ops {
 		b.simulateOp()
@@ -336,11 +338,15 @@ func readsOnly(ops []model.Op) bool {
 	return true
 }
 
-// runSnapshot runs a read-only program without locks: it pins the site's
-// install point once and reads every item as of that point, which is the
-// state after some prefix of the site's commit order (DESIGN.md §6).
-func (b *base) runSnapshot(t *txn.Txn, ops []model.Op) error {
-	pin := b.store.Pin()
+// pin is the snapshot policy of the engines whose install order is their
+// commit order: every read-only program is a snapshot reader at the
+// current install point.
+func (b *base) pin([]model.Op) (uint64, bool) { return b.store.Pin(), true }
+
+// runSnapshot runs a read-only program without locks: it reads every item
+// as of pin, the site's install point taken once, which is the state after
+// some prefix of the site's commit order (DESIGN.md §6), and unpins it.
+func (b *base) runSnapshot(t *txn.Txn, ops []model.Op, pin uint64) error {
 	defer b.store.Unpin(pin)
 	for _, op := range ops {
 		b.simulateOp()

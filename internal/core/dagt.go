@@ -63,7 +63,7 @@ func newDAGT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagtEngine 
 	e.qCond = sync.NewCond(&e.qMu)
 	// A child is relevant for a transaction iff it replicates one of the
 	// updated items (§3.2.2 step 3).
-	e.routes, e.enqueue, e.snapshot = replicaRoutes(cfg.Placement, id, e.children), e.hold, true
+	e.routes, e.enqueue, e.snapshot = replicaRoutes(cfg.Placement, id, e.children), e.hold, e.pin
 	e.stamp, e.sent, e.advance = e.stampTS, e.noteSent, e.advanceTS
 	for _, c := range e.children {
 		e.noteSent(c)

@@ -40,7 +40,7 @@ func buildDAGWT(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Tran
 
 func newDAGWT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagwtEngine {
 	e := buildDAGWT(cfg, DAGWT, id, tr)
-	e.snapshot = true
+	e.snapshot = e.pin
 	e.replay()
 	return e
 }

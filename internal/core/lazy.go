@@ -33,11 +33,14 @@ type lazyEngine struct {
 	// (DAG(WT): under tree routing an update reaches the sites below a
 	// child only through that child).
 	relay bool
-	// snapshot says a read-only program runs as a snapshot reader, with no
-	// locks (runSnapshot). BackEdge keeps strict-2PL readers: a 2PC
-	// participant installs an eager transaction at the decision, out of
-	// the FIFO order it executed in (DESIGN.md §6).
-	snapshot bool
+	// snapshot decides whether a read-only program runs as a snapshot
+	// reader, with no locks (runSnapshot): it returns the pinned install
+	// point to read at, or false to make the program take S locks. DAG(WT),
+	// DAG(T) and NaiveLazy pin always (base.pin). BackEdge pins only when no
+	// registered backedge subtransaction writes an item the program reads:
+	// a 2PC participant installs an eager transaction at the decision, out
+	// of the FIFO order it executed in (DESIGN.md §6).
+	snapshot func(ops []model.Op) (pin uint64, ok bool)
 	// enqueue hands an admitted secondary to the protocol's ordering: a
 	// FIFO queue, per-parent timestamp queues, or a goroutine of its own.
 	enqueue func(queuedMsg)

@@ -24,7 +24,7 @@ func newNaive(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *naiveEngin
 	for i := range all {
 		all[i] = model.SiteID(i)
 	}
-	e.routes, e.enqueue, e.snapshot = replicaRoutes(cfg.Placement, id, all), e.spawn, true
+	e.routes, e.enqueue, e.snapshot = replicaRoutes(cfg.Placement, id, all), e.spawn, e.pin
 	e.replay()
 	return e
 }

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check chaos lint bench-module cover bench telemetry-smoke recovery-smoke contention-smoke freshness-smoke fuzz experiments shapes examples clean
+.PHONY: all build vet test race check chaos lint bench-module cover bench explain-smoke recovery-smoke contention-smoke freshness-smoke fuzz experiments shapes examples clean
 
 all: check
 
@@ -38,9 +38,9 @@ bench-module:
 # The pre-merge gate: compile, static checks, full test suite, the race
 # detector, the chaos suite, the protocol-invariant lint, the nested
 # benchmark module (the benchmark gate: its smoke test runs all six
-# workloads), and the telemetry-plane, crash-recovery, contention- and
-# freshness-observatory smokes.
-check: build vet test race chaos lint bench-module telemetry-smoke recovery-smoke contention-smoke freshness-smoke
+# workloads), and the multi-process explain, crash-recovery, contention-
+# and freshness-observatory smokes.
+check: build vet test race chaos lint bench-module explain-smoke recovery-smoke contention-smoke freshness-smoke
 
 cover:
 	$(GO) test -cover ./...
@@ -49,13 +49,14 @@ cover:
 bench:
 	$(GO) test -run NONE -bench . -benchmem -benchtime 1x ./...
 
-# Cluster telemetry plane smoke (docs/OBSERVABILITY.md): two replnode
-# processes stream telemetry over TCP to one repltop aggregator, whose
-# -once -json snapshot must name both processes and their sites, carry
-# phases and hot items, report no frame gaps, and show no replica behind
-# once both nodes have drained.
-telemetry-smoke:
-	./scripts/telemetry_smoke.sh
+# Multi-process explain smoke (docs/OBSERVABILITY.md): two replnode
+# processes write -trace files, and replexplain -verify over both must
+# show both sites, phases and the protocol, hold the span invariants and
+# report no unapplied forwards once both nodes have drained; one file
+# alone must report forwards into the other node as unapplied. Each node
+# log must carry its heat table.
+explain-smoke:
+	./scripts/explain_smoke.sh
 
 # Crash-recovery smoke (docs/DURABILITY.md): traced clusters run over
 # per-site redo logs while a seeded schedule crashes a site; the -json

@@ -1,17 +1,19 @@
 // Command replexplain is the one reader of a recorded run: it explains a
 // finished run from its trace artifacts alone, no live cluster required.
-// Point it at a trace JSONL (replbench -trace, a watchdog flight
-// recording, a replnode dump, or several concatenated) and it prints
-// trace.Explain's fold: the abort root-cause taxonomy, the per-protocol
-// commit critical-path profile, the per-(protocol, edge) propagation
-// waterfalls, commit→apply delays, phase latencies and read-freshness
-// certificates. Add the wait-for JSONL a run or watchdog dump produced
-// and it renders who was blocked on whom:
+// Point it at one or more trace JSONL files (replbench -trace, a
+// watchdog flight recording, one replnode -trace per process) and it
+// prints trace.Explain's fold of their concatenated events: the abort
+// root-cause taxonomy, the per-protocol commit critical-path profile, the
+// per-(protocol, edge) propagation waterfalls, commit→apply delays, phase
+// latencies, read-freshness certificates, and the forwards no file shows
+// arriving. Add the wait-for JSONL a run or watchdog dump produced and it
+// renders who was blocked on whom:
 //
 //	replbench -trace run.jsonl -traceproto backedge -contend -waitfor wf.jsonl
 //	replexplain run.jsonl
 //	replexplain -waitfor wf.jsonl run.jsonl
 //	replexplain -json run.jsonl | jq .aborts
+//	replexplain -verify node0.jsonl node1.jsonl
 //
 // Heat lives in the lock managers, not the trace, so a post-mortem can't
 // recover it (replbench -contend reports it at run time instead).
@@ -40,11 +42,11 @@ func main() {
 		verify  = flag.Bool("verify", false, "also run span invariant checks over the trace")
 	)
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: replexplain [-waitfor wf.jsonl] [-json] [-verify] <trace.jsonl>  (use '-' for stdin)")
+	if flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: replexplain [-waitfor wf.jsonl] [-json] [-verify] <trace.jsonl>...  (use '-' for stdin)")
 		os.Exit(2)
 	}
-	events, err := readEvents(flag.Arg(0))
+	events, err := readEvents(flag.Args()...)
 	if err != nil {
 		fatal(err)
 	}
@@ -139,6 +141,13 @@ func (r *report) print(w io.Writer, nEvents int) {
 			fmt.Fprintln(w)
 		}
 	}
+	if len(r.Unapplied) > 0 {
+		fmt.Fprintln(w, "== forwarded, never applied ==")
+		fmt.Fprintf(w, "%-10s %-10s %8s\n", "protocol", "edge", "txns")
+		for _, u := range r.Unapplied {
+			fmt.Fprintf(w, "%-10s s%d->s%-4d %8d\n", u.Protocol, u.From, u.To, u.Count)
+		}
+	}
 	if len(r.Protocols) == 0 {
 		return
 	}
@@ -202,8 +211,20 @@ func dist(s metrics.PhaseStats) string {
 	return fmt.Sprintf("%8d %12s %12s %12s", s.Count, us(s.P50), us(s.P95), us(s.Max))
 }
 
-// readEvents loads a trace JSONL from a file or stdin.
-func readEvents(name string) ([]trace.Event, error) {
+// readEvents loads and concatenates trace JSONL files; "-" is stdin.
+func readEvents(names ...string) ([]trace.Event, error) {
+	var events []trace.Event
+	for _, name := range names {
+		evs, err := readFile(name)
+		if err != nil {
+			return nil, err
+		}
+		events = append(events, evs...)
+	}
+	return events, nil
+}
+
+func readFile(name string) ([]trace.Event, error) {
 	var in io.Reader = os.Stdin
 	if name != "-" {
 		f, err := os.Open(name)

@@ -9,7 +9,13 @@
 //	replnode -site 2 -peers 0=:7700,1=:7701,2=:7702 -protocol backedge
 //
 // Each node waits for its peers, runs its local client threads, drains,
-// and prints its report.
+// and prints its report and its hottest items. With -trace each node
+// also writes its events, and replexplain joins the nodes' files into one
+// explanation of the whole run:
+//
+//	replnode -site 0 ... -trace node0.jsonl
+//	replnode -site 1 ... -trace node1.jsonl
+//	replexplain node0.jsonl node1.jsonl
 package main
 
 import (
@@ -31,7 +37,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/watch"
@@ -58,8 +63,7 @@ func main() {
 		reliable = flag.Bool("reliable", false, "run the reliable-delivery sublayer over TCP (must match on every node); survives killed connections without message loss or reorder")
 		watchOn  = flag.Bool("watch", false, "run the liveness watchdog on this node: queue/epoch/pending-2PC stall alerts on /metrics (with -obs) and in the exit summary")
 		flight   = flag.String("flightdump", "", "with -watch: directory for flight-recorder JSONL dumps written when an alert fires")
-		telAddr  = flag.String("telemetry", "", "stream telemetry (metrics deltas, span events, phase latencies, alerts) to an aggregator at this address (see cmd/repltop -listen)")
-		telProc  = flag.String("telemetry-proc", "", "process name announced to the aggregator (default site<N>)")
+		traceOut = flag.String("trace", "", "write this node's trace events as JSONL to this file after the drain (join several nodes' files with replexplain)")
 		walDir   = flag.String("waldir", "", "write-ahead redo log directory for this site (docs/DURABILITY.md); restarting the process with the same directory recovers from snapshot + redo replay")
 	)
 	flag.Parse()
@@ -122,17 +126,13 @@ func main() {
 
 	// Live observability: a registry the engine and transport feed, served
 	// over HTTP for scraping and ad-hoc inspection while the node runs.
-	// The telemetry publisher streams the same registry, so -telemetry
-	// alone also brings it up (without the HTTP server).
 	var registry *obs.Registry
-	if *obsAddr != "" || *telAddr != "" {
+	if *obsAddr != "" {
 		registry = obs.NewRegistry()
 		tcp.SetStats(obs.NewCommStats(registry))
 		if rel != nil {
 			rel.SetStats(obs.NewReliableStats(registry))
 		}
-	}
-	if *obsAddr != "" {
 		ln, err := net.Listen("tcp", *obsAddr)
 		if err != nil {
 			fatal(fmt.Errorf("-obs listen: %w", err))
@@ -151,10 +151,12 @@ func main() {
 	// queues, epoch progress, and prepared-but-undecided 2PC entries.
 	// Cross-site staleness needs both ends of an edge in one event stream,
 	// so its deadline is pushed out of reach — a forward to a peer is
-	// applied in the peer's process, invisible here.
+	// applied in the peer's process, invisible here. Joining every node's
+	// -trace file with replexplain reports those forwards offline, as its
+	// "unapplied" rows.
 	var watchdog *watch.Watchdog
 	var rec *trace.Recorder
-	if *watchOn || *flight != "" || *telAddr != "" {
+	if *watchOn || *flight != "" || *traceOut != "" {
 		rec = trace.NewRecorder()
 		if rel != nil {
 			rel.SetTrace(rec)
@@ -170,43 +172,7 @@ func main() {
 		rec.AddSink(watchdog.Ingest)
 	}
 
-	// The telemetry publisher ships this node's registry deltas, span
-	// events, phase latencies, watchdog alerts and contention state to a
-	// cluster aggregator (cmd/repltop), which re-federates what the
-	// per-node watchdog above cannot see: cross-process staleness and
-	// span trees. Its contention probes read engine, built below; they
-	// first run after publisher.Start.
 	self := model.SiteID(*site)
-	var engine core.Engine
-	type contender interface {
-		LockHeat() []lock.ItemStats
-		LockWaitGraph() []lock.WaitEdge
-	}
-	var publisher *telemetry.Publisher
-	if *telAddr != "" {
-		proc := *telProc
-		if proc == "" {
-			proc = fmt.Sprintf("site%d", *site)
-		}
-		publisher, err = telemetry.NewPublisher(telemetry.Options{
-			Proc:     proc,
-			Addr:     *telAddr,
-			Protocol: protocol.String(),
-			Sites:    []model.SiteID{self},
-			Obs:      registry,
-			Watch:    watchdog,
-			Report:   func() metrics.Report { return collector.Snapshot(1) },
-			Heat: func() []contend.HeatEntry {
-				sh := []contend.SiteHeat{{Site: self, Items: engine.(contender).LockHeat()}}
-				return contend.BuildHeat(sh, heatK)
-			},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		rec.AddSink(publisher.Ingest)
-	}
-
 	shared := &core.SharedConfig{
 		Placement:    placement,
 		Graph:        top.DAG,
@@ -244,14 +210,17 @@ func main() {
 		fmt.Printf("replnode: site %d redo log in %s (incarnation %d)\n",
 			*site, *walDir, lg.Incarnation())
 	}
-	engine, err = core.New(protocol, shared, self, tr)
+	engine, err := core.New(protocol, shared, self, tr)
 	if err != nil {
 		fatal(err)
 	}
 	// Contention observatory wiring (docs/OBSERVABILITY.md): a node sees
 	// one site, so it dumps its local wait-for snapshot when a contention
-	// alert fires (and ships that site's heat table through the
-	// publisher; the aggregator merges across processes).
+	// alert fires and prints that site's heat table at exit.
+	type contender interface {
+		LockHeat() []lock.ItemStats
+		LockWaitGraph() []lock.WaitEdge
+	}
 	if watchdog != nil {
 		watchdog.RegisterWaitGraphs(func() []contend.SiteWaitGraph {
 			return []contend.SiteWaitGraph{{Site: self, Edges: engine.(contender).LockWaitGraph()}}
@@ -261,8 +230,6 @@ func main() {
 	defer engine.Stop()
 	watchdog.Start()
 	defer watchdog.Stop()
-	publisher.Start()
-	defer publisher.Stop()
 
 	fmt.Printf("replnode: site %d of %d listening on %s (%v, %d backedges in graph)\n",
 		*site, wl.Sites, tcp.Addr(), protocol, len(top.Backedges))
@@ -285,17 +252,39 @@ func main() {
 	fmt.Printf("replnode: site %d local threads done; draining %v\n", *site, *drain)
 	time.Sleep(*drain)
 	fmt.Printf("replnode: site %d report: %v\n", *site, collector.Snapshot(1))
+	fmt.Printf("replnode: site %d heat (top %d contended items):\n", *site, heatK)
+	heat := contend.BuildHeat([]contend.SiteHeat{{Site: self, Items: engine.(contender).LockHeat()}}, heatK)
+	for _, l := range contend.FormatHeat(heat) {
+		fmt.Println(l)
+	}
 	if watchdog != nil {
 		s := watchdog.Summarize()
 		fmt.Printf("replnode: site %d watch: raised=%v active=%d flight_dumps=%d\n",
 			*site, s.AlertsRaised, s.ActiveAlerts, len(s.FlightDumps))
 	}
+	if *traceOut != "" {
+		if err := writeTrace(*traceOut, rec); err != nil {
+			fatal(fmt.Errorf("-trace: %w", err))
+		}
+		fmt.Printf("replnode: site %d trace (%d events) in %s\n", *site, rec.Len(), *traceOut)
+	}
 }
 
-// heatK bounds the heat table each publish cycle ships. Wider than the
-// 10 rows repltop shows: the aggregator merges tables across processes,
-// and a too-narrow per-process cut would bias the merge.
-const heatK = 32
+// heatK bounds the heat table the exit report prints.
+const heatK = 10
+
+// writeTrace writes the recorder's events to a new JSONL file.
+func writeTrace(name string, rec *trace.Recorder) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	if err := rec.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 func parsePeers(spec string) (map[model.SiteID]string, error) {
 	if spec == "" {

@@ -7,11 +7,11 @@ import (
 
 // Message stream framing: the gob wire format TCPTransport speaks, one
 // self-delimiting gob-encoded Message after another on a byte stream.
-// Exported so other long-lived channels — the telemetry plane's
-// publisher→aggregator connections — carry the same envelope with the
-// same framing instead of inventing a second wire format. Gob streams
-// are stateful (type descriptors are sent once, on first use), so a
-// MsgWriter/MsgReader pair must live exactly as long as its connection.
+// Exported so code outside the package (the benchmark's wire-codec
+// probe) encodes and decodes exactly what TCPTransport puts on a socket.
+// Gob streams are stateful (type descriptors are sent once, on first
+// use), so a MsgWriter/MsgReader pair must live exactly as long as its
+// connection.
 
 // MsgWriter encodes Messages onto one byte stream and counts the exact
 // bytes each message put on the wire. Not safe for concurrent use; the

@@ -169,7 +169,22 @@ func TestTCPReconnectAfterKilledConnection(t *testing.T) {
 	if err := a.Send(Message{From: 0, To: 1, Payload: tcpPayload{N: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	killInbound(b)
+	// Message 0's delivery proves b accepted the connection (serve starts
+	// after accept records it), so there is a connection to kill.
+	for first := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(got)
+		mu.Unlock()
+		if n > 0 {
+			break
+		}
+		if time.Now().After(first) {
+			t.Fatal("message 0 never delivered")
+		}
+	}
+	if killInbound(b) == 0 {
+		t.Fatal("no inbound connection to kill")
+	}
 	// Keep sending: the first write(s) into the dead socket surface an
 	// error inside Send, which re-dials and re-encodes. Later messages
 	// must flow again.

@@ -91,26 +91,6 @@ func TestBuildHeatMergesRanksAndBounds(t *testing.T) {
 	}
 }
 
-func TestMergeHeatFoldsTables(t *testing.T) {
-	a := []HeatEntry{{Item: 7, Acquired: 3, Waited: 1, WaitNS: 40, MaxWaitNS: 40, QueuePeak: 1, Sites: 1}}
-	b := []HeatEntry{
-		{Item: 7, Acquired: 2, Waited: 2, WaitNS: 60, MaxWaitNS: 55, QueuePeak: 4, Sites: 2},
-		{Item: 8, Timeouts: 1, WaitNS: 10, Sites: 1},
-	}
-	merged := MergeHeat([][]HeatEntry{a, b}, 0)
-	if len(merged) != 2 || merged[0].Item != 7 {
-		t.Fatalf("merge wrong: %+v", merged)
-	}
-	got := merged[0]
-	want := HeatEntry{Item: 7, Acquired: 5, Waited: 3, WaitNS: 100, MaxWaitNS: 55, QueuePeak: 4, Sites: 3}
-	if got != want {
-		t.Errorf("folded entry = %+v, want %+v", got, want)
-	}
-	if top := MergeHeat([][]HeatEntry{a, b}, 1); len(top) != 1 {
-		t.Errorf("k=1 cut wrong: %+v", top)
-	}
-}
-
 // park blocks a goroutine acquiring item for owner and returns once the
 // request is visibly queued in the manager's wait graph.
 func park(t *testing.T, m *lock.Manager, owner model.TxnID, item model.ItemID, wantEdges int) chan error {

@@ -94,43 +94,3 @@ func BuildHeat(sites []SiteHeat, k int) []HeatEntry {
 	}
 	return out
 }
-
-// MergeHeat folds already-built heat tables (one per process) into one
-// cluster-wide top-K table, hottest first: counters and Sites sum, the
-// maxima take the max. Used by the telemetry aggregator, where each
-// process ships its own BuildHeat output.
-func MergeHeat(tables [][]HeatEntry, k int) []HeatEntry {
-	merged := make(map[model.ItemID]*HeatEntry)
-	for _, t := range tables {
-		for _, e := range t {
-			h := merged[e.Item]
-			if h == nil {
-				c := e
-				merged[e.Item] = &c
-				continue
-			}
-			h.Acquired += e.Acquired
-			h.Waited += e.Waited
-			h.Timeouts += e.Timeouts
-			h.Deadlocks += e.Deadlocks
-			h.Wounds += e.Wounds
-			h.WaitNS += e.WaitNS
-			if e.MaxWaitNS > h.MaxWaitNS {
-				h.MaxWaitNS = e.MaxWaitNS
-			}
-			if e.QueuePeak > h.QueuePeak {
-				h.QueuePeak = e.QueuePeak
-			}
-			h.Sites += e.Sites
-		}
-	}
-	out := make([]HeatEntry, 0, len(merged))
-	for _, h := range merged {
-		out = append(out, *h)
-	}
-	sort.Slice(out, func(i, j int) bool { return hotter(out[i], out[j]) })
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}

@@ -6,9 +6,9 @@
 // views (abort breakdowns and critical-path profiles of a recorded run)
 // are fields of trace.Explain.
 //
-// The package sits below the engines: core, watch, telemetry and the
-// CLIs import contend; contend imports only the leaf layers it
-// classifies (lock, twopc, wal, model).
+// The package sits below the engines: core, watch and the CLIs import
+// contend; contend imports only the leaf layers it classifies (lock,
+// twopc, wal, model).
 package contend
 
 import (

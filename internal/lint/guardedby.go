@@ -11,14 +11,13 @@ import (
 
 // defaultGuardedbyPkgs are the packages whose shared mutable state is
 // annotated: the engines, the transport's inbox, the redo log, the 2PC
-// layer, the cluster membrane, the telemetry plane and the watchdog.
+// layer, the cluster membrane and the watchdog.
 var defaultGuardedbyPkgs = []string{
 	"internal/core",
 	"internal/comm",
 	"internal/wal",
 	"internal/twopc",
 	"internal/cluster",
-	"internal/telemetry",
 	"internal/watch",
 }
 

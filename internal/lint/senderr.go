@@ -21,10 +21,6 @@ import (
 //     Transport implementation: Mem, TCP, fault.Transport, Reliable);
 //   - (*comm.RPC).Call and CallRetry;
 //   - twopc.Run, whose error is the 2PC decision-delivery failure;
-//   - SendFrame methods taking a telemetry.Frame and returning error
-//     (the telemetry plane's connection): a silently dropped frame error
-//     makes the cluster console lie — the publisher must count the
-//     failure and schedule the resync;
 //   - (*wal.SiteLog).Append and Sync, the write-ahead log's durability
 //     points: a dropped append or fsync error means the engine
 //     externalizes a transition the disk never recorded, so a crash
@@ -86,9 +82,6 @@ func watchedSendCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "RPC." + fn.Name(), true
 	case fn.Name() == "Run" && sig.Recv() == nil && fn.Pkg().Name() == "twopc":
 		return "twopc.Run", true
-	case fn.Name() == "SendFrame" && sig.Recv() != nil && sig.Params().Len() == 1 &&
-		typeFrom(sig.Params().At(0).Type(), "telemetry", "Frame"):
-		return recvTypeName(sig) + ".SendFrame", true
 	case (fn.Name() == "Append" || fn.Name() == "Sync") && sig.Recv() != nil &&
 		typeFrom(sig.Recv().Type(), "wal", "SiteLog"):
 		return "SiteLog." + fn.Name(), true

@@ -3,5 +3,5 @@ package lint
 import "testing"
 
 func TestSendErrGolden(t *testing.T) {
-	runGolden(t, NewSendErr(), "comm", "twopc", "telemetry", "wal", "senderr")
+	runGolden(t, NewSendErr(), "comm", "twopc", "wal", "senderr")
 }

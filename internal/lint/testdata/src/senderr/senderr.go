@@ -5,7 +5,6 @@ package senderr
 
 import (
 	"comm"
-	"telemetry"
 	"twopc"
 	"wal"
 )
@@ -46,20 +45,6 @@ func checkedRPC(r *comm.RPC, m comm.Message) (any, error) {
 func allowedDrop(t *comm.Transport, m comm.Message) {
 	//lint:allow senderr retransmission covers the loss
 	_ = t.Send(m)
-}
-
-func dropsFrame(s *telemetry.Conn, f telemetry.Frame) {
-	s.SendFrame(f)     // want "error from Conn.SendFrame discarded"
-	_ = s.SendFrame(f) // want "error from Conn.SendFrame assigned to _"
-}
-
-func checkedFrame(s *telemetry.Conn, f telemetry.Frame) error {
-	return s.SendFrame(f)
-}
-
-func allowedFrameDrop(s *telemetry.Conn, f telemetry.Frame) {
-	//lint:allow senderr best-effort final flush on shutdown
-	_ = s.SendFrame(f)
 }
 
 func dropsWAL(l *wal.SiteLog, rec wal.Record) {

@@ -49,6 +49,10 @@ type Explanation struct {
 	// Protocols holds each protocol's delay, phase and certificate
 	// distributions.
 	Protocols []*ProtoStats `json:"protocols,omitempty"`
+	// Unapplied is one row per (protocol, edge) that still has forwarded
+	// secondaries the trace never saw arrive. A drained run whose every
+	// process contributed its trace has none.
+	Unapplied []*UnappliedEdge `json:"unapplied,omitempty"`
 }
 
 // PathProfile is one protocol's commit critical path. A transaction
@@ -108,6 +112,18 @@ type SegmentStats struct {
 	metrics.PhaseStats
 }
 
+// UnappliedEdge counts the transactions forwarded along one (protocol,
+// edge) that have no SecondaryApplied or BackedgeCommit at the receiver
+// and no TxnAbort anywhere: watch.Inflight's rule as a set difference
+// over a finished trace, so event order does not matter.
+type UnappliedEdge struct {
+	Proto    uint8        `json:"proto"`
+	Protocol string       `json:"protocol,omitempty"`
+	From     model.SiteID `json:"from"`
+	To       model.SiteID `json:"to"`
+	Count    int          `json:"count"`
+}
+
 // ProtoStats is one protocol's commit→apply delays (each
 // SecondaryApplied against its transaction's commit), PhaseLatency
 // distributions by phase name, and read certificates: fresh and stale
@@ -133,6 +149,9 @@ func (x *Explanation) Name(name func(proto uint8) string) {
 	for _, p := range x.Protocols {
 		p.Protocol = name(p.Proto)
 	}
+	for _, u := range x.Unapplied {
+		u.Protocol = name(u.Proto)
+	}
 }
 
 type txnKey struct {
@@ -145,12 +164,19 @@ type siteKey struct {
 	site model.SiteID
 }
 
+type edge struct {
+	proto    uint8
+	from, to model.SiteID
+}
+
 // fold is Explain's index: one walk over the events fills it, and each
 // view is derived from it alone, so the result does not depend on event
 // order.
 type fold struct {
-	begin, commit             map[txnKey]int64     // earliest, at the origin
-	receipt                   map[siteKey]int64    // earliest SecondaryEnqueued at a site
+	begin, commit             map[txnKey]int64  // earliest, at the origin
+	receipt                   map[siteKey]int64 // earliest SecondaryEnqueued at a site
+	arrived                   map[siteKey]bool  // SecondaryApplied or BackedgeCommit at a site
+	aborted                   map[txnKey]bool
 	recvPhases                map[siteKey][3]int64 // queue_wait, lock_wait, apply sums at a site
 	phases, forwards, applies []Event
 	spans                     map[uint8][]Event
@@ -172,6 +198,7 @@ func Explain(events []Event) Explanation {
 	f := fold{
 		begin: make(map[txnKey]int64), commit: make(map[txnKey]int64),
 		receipt: make(map[siteKey]int64), recvPhases: make(map[siteKey][3]int64),
+		arrived: make(map[siteKey]bool), aborted: make(map[txnKey]bool),
 		spans: make(map[uint8][]Event), aborts: make(map[string]uint64),
 		protos: make(map[uint8]*protoSamples),
 	}
@@ -195,6 +222,7 @@ func Explain(events []Event) Explanation {
 				reason = "unknown"
 			}
 			f.aborts[reason]++
+			f.aborted[k] = true
 		case SecondaryEnqueued:
 			earliest(f.receipt, siteKey{k, ev.Site}, ev.T)
 		case SecondaryForwarded:
@@ -205,6 +233,9 @@ func Explain(events []Event) Explanation {
 			if !ev.TID.Zero() {
 				f.applies = append(f.applies, ev)
 			}
+			f.arrived[siteKey{k, ev.Site}] = true
+		case BackedgeCommit:
+			f.arrived[siteKey{k, ev.Site}] = true
 		case PhaseLatency:
 			f.phases = append(f.phases, ev)
 			if ev.Phase != "" {
@@ -229,7 +260,8 @@ func Explain(events []Event) Explanation {
 			}
 		}
 	}
-	return Explanation{Aborts: f.aborts, Paths: f.paths(), Waterfalls: f.waterfalls(), Protocols: f.protocols()}
+	return Explanation{Aborts: f.aborts, Paths: f.paths(), Waterfalls: f.waterfalls(), Protocols: f.protocols(),
+		Unapplied: f.unapplied()}
 }
 
 func earliest[K comparable](m map[K]int64, k K, t int64) {
@@ -341,10 +373,6 @@ func deepest(n *SpanNode) (string, int) {
 // PhaseLatency sums make up the rest. A forward with no receipt —
 // dropped, in flight, or truncated — does not join.
 func (f *fold) waterfalls() []*Waterfall {
-	type edge struct {
-		proto    uint8
-		from, to model.SiteID
-	}
 	samples := make(map[edge]*[5][]time.Duration)
 	for _, ev := range f.forwards {
 		k := txnKey{ev.Proto, ev.TID}
@@ -380,6 +408,31 @@ func (f *fold) waterfalls() []*Waterfall {
 		out = append(out, w)
 	}
 	slices.SortFunc(out, func(a, b *Waterfall) int {
+		return cmp.Or(cmp.Compare(a.Proto, b.Proto), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	return out
+}
+
+// unapplied counts, per (protocol, edge), the distinct transactions
+// forwarded along it that never arrived and were not aborted.
+func (f *fold) unapplied() []*UnappliedEdge {
+	lost := make(map[edge]map[model.TxnID]bool)
+	for _, ev := range f.forwards {
+		k := txnKey{ev.Proto, ev.TID}
+		if ev.TID.Zero() || f.arrived[siteKey{k, ev.Peer}] || f.aborted[k] {
+			continue
+		}
+		e := edge{ev.Proto, ev.Site, ev.Peer}
+		if lost[e] == nil {
+			lost[e] = make(map[model.TxnID]bool)
+		}
+		lost[e][ev.TID] = true
+	}
+	out := make([]*UnappliedEdge, 0, len(lost))
+	for e, tids := range lost {
+		out = append(out, &UnappliedEdge{Proto: e.proto, From: e.from, To: e.to, Count: len(tids)})
+	}
+	slices.SortFunc(out, func(a, b *UnappliedEdge) int {
 		return cmp.Or(cmp.Compare(a.Proto, b.Proto), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	return out

@@ -104,6 +104,21 @@ func TestExplain(t *testing.T) {
 		Event{T: 75, Kind: DummySent, Site: 0, Peer: 1, Proto: 2},
 		Event{T: 80, Kind: TxnAbort, Site: 1, TID: model.TxnID{Site: 1, Seq: 9}, Proto: 3})
 
+	// Unapplied: each relayed transaction's s2 -> s3 forward never
+	// arrived; decided arrived by 2PC decision, rolledBack aborted, and
+	// stray was forwarded twice and applied only at a site it was not
+	// forwarded to.
+	decided, rolledBack, stray := model.TxnID{Site: 1, Seq: 5}, model.TxnID{Site: 1, Seq: 6}, model.TxnID{Site: 1, Seq: 7}
+	unapplied := append(relayedTxn(1, 1, 5), relayedTxn(2, 1, 5)...)
+	unapplied = append(unapplied,
+		Event{Kind: SecondaryForwarded, Site: 1, Peer: 0, TID: decided, Proto: 1},
+		Event{Kind: BackedgeCommit, Site: 0, Peer: model.NoSite, TID: decided, Proto: 1},
+		Event{Kind: SecondaryForwarded, Site: 1, Peer: 2, TID: rolledBack, Proto: 1},
+		Event{Kind: TxnAbort, Site: 1, Peer: model.NoSite, TID: rolledBack, Proto: 1},
+		Event{Kind: SecondaryForwarded, Site: 1, Peer: 2, TID: stray, Proto: 1},
+		Event{Kind: SecondaryForwarded, Site: 1, Peer: 2, TID: stray, Proto: 1},
+		Event{Kind: SecondaryApplied, Site: 3, Peer: 2, TID: stray, Proto: 1})
+
 	cases := []struct {
 		name   string
 		events []Event
@@ -194,6 +209,20 @@ func TestExplain(t *testing.T) {
 			}
 			if x.Aborts["unknown"] != 1 || x.Aborts["lock_timeout"] != 1 {
 				t.Errorf("aborts = %v", x.Aborts)
+			}
+		}},
+		{"UnappliedSetDifference", unapplied, func(t *testing.T, x Explanation, _ []Event) {
+			x.Name(func(p uint8) string { return string('a' + p) })
+			want := []*UnappliedEdge{
+				{Proto: 1, Protocol: "b", From: 1, To: 2, Count: 1},
+				{Proto: 1, Protocol: "b", From: 2, To: 3, Count: 1},
+				{Proto: 2, Protocol: "c", From: 2, To: 3, Count: 1},
+			}
+			if got := mustJSON(t, x.Unapplied); got != mustJSON(t, want) {
+				t.Errorf("unapplied = %s, want %s", got, mustJSON(t, want))
+			}
+			if x := Explain(relayedTxn(1, 1, 5)[:10]); len(x.Unapplied) != 0 {
+				t.Errorf("every forward arrived, yet unapplied = %s", mustJSON(t, x.Unapplied))
 			}
 		}},
 		// Order independence: the fold is a function of the event multiset,

@@ -22,8 +22,7 @@ func TestSinkFanOut(t *testing.T) {
 }
 
 // TestAddSinkConcurrentWithRecording registers sinks while many
-// goroutines record — the scenario the watchdog-plus-telemetry wiring
-// creates. Run under -race this pins the copy-on-write registration as
+// goroutines record. Run under -race this pins the copy-on-write registration as
 // data-race free; the counts assert that a sink registered before any
 // traffic misses nothing.
 func TestAddSinkConcurrentWithRecording(t *testing.T) {

@@ -36,10 +36,11 @@ type siteTID struct {
 // staleness view: per edge, the secondary subtransactions forwarded along
 // it and not yet applied at its destination, stamped with the time the
 // forward was observed. The watchdog folds its own process's events into
-// one; the telemetry aggregator folds the merged streams of N processes
-// into another. Events from different streams interleave arbitrarily, so
-// an apply (or abort) observed before its forward is remembered as a
-// tombstone that cancels the forward when it arrives.
+// one. A receiver's apply can be recorded before the sender records its
+// forward, so an apply (or abort) observed first is remembered as a
+// tombstone that cancels the forward when it arrives. The offline
+// counterpart is trace.Explanation.Unapplied: the same rule as a set
+// difference over a finished trace, which needs no tombstones.
 //
 // Not safe for concurrent use: the owner guards it with its own lock.
 type Inflight struct {

@@ -745,22 +745,6 @@ func (w *Watchdog) History() []Alert {
 	return out
 }
 
-// WaitDumps returns the wait-for snapshot dump paths written so far.
-func (w *Watchdog) WaitDumps() []string {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var out []string
-	for _, p := range w.waitDumps {
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Dumps returns the flight-recorder dump paths written so far.
 func (w *Watchdog) Dumps() []string {
 	if w == nil {

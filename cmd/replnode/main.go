@@ -184,7 +184,6 @@ func main() {
 		Metrics:      collector,
 		Obs:          registry,
 		Trace:        rec,
-		Watch:        watchdog,
 	}
 
 	// With -waldir the node is durable: every commit is redo-logged with
@@ -214,14 +213,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Contention observatory wiring (docs/OBSERVABILITY.md): a node sees
-	// one site, so it dumps its local wait-for snapshot when a contention
-	// alert fires and prints that site's heat table at exit.
+	// A node sees one site: the watchdog samples its one engine's status,
+	// dumps its local wait-for snapshot when a contention alert fires
+	// (docs/OBSERVABILITY.md), and the node prints that site's heat table
+	// at exit.
 	type contender interface {
 		LockHeat() []lock.ItemStats
 		LockWaitGraph() []lock.WaitEdge
 	}
 	if watchdog != nil {
+		watchdog.SetProbe(func() []watch.Status { return []watch.Status{engine.Status()} })
 		watchdog.RegisterWaitGraphs(func() []contend.SiteWaitGraph {
 			return []contend.SiteWaitGraph{{Site: self, Edges: engine.(contender).LockWaitGraph()}}
 		})

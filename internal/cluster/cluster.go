@@ -78,9 +78,10 @@ type Config struct {
 	// contract the protocols assume.
 	Reliable bool
 	// Watch, when non-nil, runs the staleness/liveness watchdog
-	// (internal/watch): engines register epoch/pending probes and queue
-	// handles, the trace recorder's live sink feeds it, and alerts land
-	// in Obs plus optional flight-recorder dumps. Requires Trace (the
+	// (internal/watch): each tick samples every site's current engine
+	// (its Status — queue, epoch, prepared participants, or down after a
+	// crash), the trace recorder's live sink feeds it, and alerts land in
+	// Obs plus optional flight-recorder dumps. Requires Trace (the
 	// watchdog observes the event stream); New rejects Watch without it.
 	Watch *watch.Options
 	// WALDir, when non-empty, gives every site a per-site write-ahead
@@ -126,9 +127,8 @@ type Cluster struct {
 	lcMu sync.Mutex
 	wals map[model.SiteID]*wal.SiteLog // non-nil iff Cfg.WALDir was set // repl:guardedby(lcMu)
 
-	mu        sync.Mutex
-	failure   error                      // first non-abort Execute error // repl:guardedby(mu)
-	downSince map[model.SiteID]time.Time // sites torn down, awaiting restart // repl:guardedby(mu)
+	mu      sync.Mutex
+	failure error // first non-abort Execute error // repl:guardedby(mu)
 }
 
 // New builds (but does not start) a cluster.
@@ -171,7 +171,6 @@ func New(cfg Config) (*Cluster, error) {
 		Tree:      top.Tree,
 		Metrics:   metrics.NewCollector(cfg.TrackPropagation),
 		transport: comm.NewMemTransport(cfg.Latency),
-		downSince: make(map[model.SiteID]time.Time),
 	}
 	if cfg.Jitter > 0 {
 		c.transport.SetJitter(cfg.Jitter)
@@ -243,7 +242,6 @@ func New(cfg Config) (*Cluster, error) {
 		Metrics:      c.Metrics,
 		Trace:        cfg.Trace,
 		Obs:          cfg.Obs,
-		Watch:        c.watchdog,
 		Fresh:        c.fresh,
 		Pending:      &c.pending,
 	}
@@ -268,14 +266,6 @@ func New(cfg Config) (*Cluster, error) {
 				OnRestart: c.restartSite,
 			})
 		}
-		if c.watchdog != nil {
-			for s := 0; s < m; s++ {
-				site := model.SiteID(s)
-				c.watchdog.RegisterRecovery(site, func() watch.RecoveryStatus {
-					return c.recoveryStatus(site)
-				})
-			}
-		}
 	}
 
 	c.engines = make([]core.Engine, m)
@@ -287,11 +277,12 @@ func New(cfg Config) (*Cluster, error) {
 		c.engines[s] = e
 	}
 
-	// Contention observatory wiring (docs/OBSERVABILITY.md): the watchdog
-	// dumps a wait-for snapshot alongside its flight recording when a
-	// Contention alert fires. The probe fetches engines lazily, so it
-	// keeps working across crash-restart swaps.
+	// The watchdog's probes fetch engines per call, so they sample the
+	// rebuilt engine after a crash-restart swap: its liveness statuses,
+	// and the wait-for snapshot it dumps alongside its flight recording
+	// when a Contention alert fires (docs/OBSERVABILITY.md).
 	if c.watchdog != nil {
+		c.watchdog.SetProbe(c.statuses)
 		c.watchdog.RegisterWaitGraphs(c.WaitGraphs)
 	}
 	return c, nil
@@ -382,10 +373,6 @@ func (c *Cluster) openWAL(s model.SiteID) (*wal.SiteLog, error) {
 // the engine. Runs with the site's delivery gate write-held, so no
 // delivery is mid-handler — everything acknowledged is on disk.
 func (c *Cluster) crashSite(site model.SiteID) {
-	c.mu.Lock()
-	//lint:allow nodeterminism downSince only feeds the recovery-status gauge a human reads; it never orders protocol events
-	c.downSince[site] = time.Now()
-	c.mu.Unlock()
 	c.lcMu.Lock()
 	defer c.lcMu.Unlock()
 	c.wals[site].Fence()
@@ -422,20 +409,21 @@ func (c *Cluster) restartSite(site model.SiteID) {
 	c.engines[site] = eng
 	c.engMu.Unlock()
 	eng.Start()
-	c.mu.Lock()
-	delete(c.downSince, site)
-	c.mu.Unlock()
 	//lint:allow nodeterminism the recovery duration is observability payload, not protocol state
 	dur := time.Since(start)
 	c.Cfg.Trace.Add(trace.Event{Kind: trace.WALRecover, Site: site, Peer: model.NoSite,
 		Proto: uint8(c.Cfg.Protocol), Dur: int64(dur)})
 }
 
-func (c *Cluster) recoveryStatus(site model.SiteID) watch.RecoveryStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, down := c.downSince[site]
-	return watch.RecoveryStatus{Down: down, Since: t}
+// statuses reads every site's current engine for the watchdog. A site
+// torn down by a crash reports Down until its rebuilt engine is swapped
+// in.
+func (c *Cluster) statuses() []watch.Status {
+	out := make([]watch.Status, c.Placement.NumSites)
+	for s := range out {
+		out[s] = c.engine(model.SiteID(s)).Status()
+	}
+	return out
 }
 
 // engine returns site s's current engine — after a crash-restart cycle,
@@ -478,17 +466,18 @@ func (c *Cluster) Start() {
 	c.watchdog.Start()
 }
 
-// Stop shuts engines, watchdog and transport down (closing
-// the top of the transport stack closes every layer beneath it), then
-// closes the redo logs (a fenced log closes as a no-op).
+// Stop shuts the watchdog, engines and transport down (closing the top
+// of the transport stack closes every layer beneath it), then closes the
+// redo logs (a fenced log closes as a no-op). The watchdog goes first,
+// so its final evaluation sees the engines still running.
 func (c *Cluster) Stop() {
+	c.watchdog.Stop()
 	c.engMu.RLock()
 	for _, e := range c.engines {
 		e.Stop()
 	}
 	c.engMu.RUnlock()
 	c.fresh.StopProbe()
-	c.watchdog.Stop()
 	_ = c.top.Close()
 	c.lcMu.Lock()
 	for _, lg := range c.wals {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/txn"
 	"repro/internal/watch"
 )
 
@@ -219,5 +221,99 @@ func TestWatchBackEdgePendingHang(t *testing.T) {
 
 	if s := w.Summarize(); s.AlertsRaised["pending_2pc"] == 0 {
 		t.Errorf("summary lost the raised alert: %+v", s)
+	}
+}
+
+// TestWatchQueueDepthAfterCrashRestart crashes a lagging DAG(WT) replica
+// while its FIFO queue holds secondaries, restarts it from its redo log
+// and quiesces the cluster. The queue-depth series must then read zero
+// and no queue-stall alert may stay raised: the crashed incarnation's
+// queue died with it, and the rebuilt engine re-admitted and drained its
+// logged receipts.
+//
+// Layout: every item has its primary at site 0 and a replica at site 1.
+// Four writers at site 0 commit in parallel while site 1's single
+// applier pays the same per-operation cost serially, so site 1's queue
+// grows for as long as the writers run.
+func TestWatchQueueDepthAfterCrashRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("watchdog integration test")
+	}
+	const writers, perWriter, items = 4, 60, 40
+	p := model.NewPlacement(2, items)
+	for i := range p.Primary {
+		p.Primary[i] = 0
+		p.Replicas[i] = []model.SiteID{1}
+	}
+	if err := p.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	wl := smallWorkload()
+	wl.TxnsPerThread = 0
+	params := fastParams()
+	params.OpCost = time.Millisecond
+	reg := obs.NewRegistry()
+	rec := trace.NewRecorder()
+	saveChaosArtifacts(t, rec)
+	c, err := New(Config{
+		Workload:  wl,
+		Protocol:  core.DAGWT,
+		Params:    params,
+		Latency:   100 * time.Microsecond,
+		Placement: p,
+		Trace:     rec,
+		Obs:       reg,
+		Fault:     &fault.Config{Seed: 1}, // no random faults; the crash only
+		Reliable:  true,
+		WALDir:    t.TempDir(),
+		Watch: &watch.Options{
+			StallDeadline:     100 * time.Millisecond,
+			StalenessDeadline: time.Hour,
+			PendingDeadline:   time.Hour,
+			Tick:              10 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	c.Start()
+	defer c.Stop()
+
+	done := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			for i := 0; i < perWriter; i++ {
+				item := model.ItemID(w*items/writers + i%(items/writers))
+				err := c.Engine(0).Execute([]model.Op{{Kind: model.OpWrite, Item: item, Value: int64(i + 1)}})
+				if err != nil && !errors.Is(err, txn.ErrAborted) {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}(w)
+	}
+	fifo1 := `repl_queue_depth{queue="fifo",site="1"}`
+	pollFor(t, 10*time.Second, func() bool { return reg.Snapshot()[fifo1] >= 8 },
+		"site 1's FIFO queue to back up")
+	c.Fault().Crash(1)
+	time.Sleep(20 * time.Millisecond)
+	c.Fault().Restart(1)
+	for w := 0; w < writers; w++ {
+		if err := <-done; err != nil {
+			t.Fatalf("writer: %v", err)
+		}
+	}
+	if err := c.Quiesce(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := familySum(reg.Snapshot(), "repl_queue_depth"); got != 0 {
+		t.Errorf("repl_queue_depth sums to %d after quiesce, want 0", got)
+	}
+	// Give the watchdog more than StallDeadline to clear anything the
+	// quiesced cluster no longer shows.
+	time.Sleep(200 * time.Millisecond)
+	if a, ok := findAlert(c.Watch(), watch.QueueStall); ok {
+		t.Errorf("queue_stall still active after quiesce: %+v", a)
 	}
 }

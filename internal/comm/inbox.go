@@ -32,6 +32,7 @@ type Inbox[T any] struct {
 	mu         sync.Mutex
 	head, tail *segment[T] // nil until the first push // repl:guardedby(mu)
 	hi, ti     int         // next read index in head, next write index in tail // repl:guardedby(mu)
+	pops       uint64      // items popped so far // repl:guardedby(mu)
 }
 
 // NewInbox returns an empty inbox that holds at most bound items.
@@ -92,6 +93,7 @@ func (in *Inbox[T]) Pop() (T, bool) {
 	v := h.items[in.hi]
 	h.items[in.hi] = zero // a popped item must not stay reachable from here
 	in.hi++
+	in.pops++
 	switch {
 	case h == in.tail && in.hi == in.ti:
 		in.hi, in.ti = 0, 0 // drained: rewind and keep the segment
@@ -125,6 +127,16 @@ func (in *Inbox[T]) Next(stop <-chan struct{}) (T, bool) {
 			return zero, false
 		}
 	}
+}
+
+// Len returns the number of items queued or being queued.
+func (in *Inbox[T]) Len() int { return len(in.slots) }
+
+// Pops returns the number of items popped so far.
+func (in *Inbox[T]) Pops() uint64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.pops
 }
 
 func (in *Inbox[T]) emptyLocked() bool {

@@ -27,7 +27,8 @@ func (in *Inbox[T]) segments() int {
 
 // FuzzInbox drives an inbox and a slice model with the same operations —
 // each input byte pushes (even) or pops (odd) — and asserts FIFO order,
-// the bound, and the empty result against the model. The bound is a few
+// the bound, the empty result, and the Len and Pops readings against the
+// model. The bound is a few
 // segments, so the ops cross segment boundaries, recycle segments and
 // rewind a drained one.
 func FuzzInbox(f *testing.F) {
@@ -38,8 +39,11 @@ func FuzzInbox(f *testing.F) {
 		const bound = 3*segSize + 5
 		in := NewInbox[int](bound)
 		var model []int
-		next := 0
+		next, pops := 0, uint64(0)
 		for i, op := range ops {
+			if in.Len() != len(model) || in.Pops() != pops {
+				t.Fatalf("op %d: Len, Pops = %d, %d; want %d, %d", i, in.Len(), in.Pops(), len(model), pops)
+			}
 			if op%2 == 0 {
 				ok := in.Push(next, closed)
 				if want := len(model) < bound; ok != want {
@@ -62,6 +66,7 @@ func FuzzInbox(f *testing.F) {
 				t.Fatalf("op %d: Pop = %d, %v; want %d, true", i, v, ok, model[0])
 			}
 			model = model[1:]
+			pops++
 		}
 		for _, want := range model {
 			if v, ok := in.Pop(); !ok || v != want {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/contend"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/ts"
 	"repro/internal/twopc"
 	"repro/internal/txn"
@@ -63,10 +62,6 @@ type backedgeEngine struct {
 	// it and have not yet been settled: a read-only program reading any of
 	// these items takes S locks instead of a snapshot (pinDisjoint).
 	writing map[model.ItemID]int // repl:guardedby(mu)
-
-	// parked is the depth of the eager queue: origins parked on their
-	// backedge round trip. The watchdog does not watch it.
-	parked *obs.Gauge
 }
 
 // pendingBE is a participant-side executed backedge subtransaction
@@ -105,23 +100,25 @@ func newBackEdge(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *backedg
 		writing:     make(map[model.ItemID]int),
 	}
 	e.special, e.enqueue, e.snapshot = e.onSpecial, e.dispatch, e.pinDisjoint
-	e.parked = e.queueGauge("eager")
 	e.recover()
-	// The watchdog's pending-2PC probe: how many executed backedge
-	// subtransactions sit holding locks awaiting a decision, and the
-	// oldest one (a hung decision shows up as its age climbing).
-	cfg.Watch.RegisterPending(id, func() watch.PendingStatus {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		st := watch.PendingStatus{Count: len(e.prepared)}
-		for tid, p := range e.prepared {
-			if st.OldestSince.IsZero() || p.since.Before(st.OldestSince) {
-				st.Oldest, st.OldestSince = tid, p.since
-			}
-		}
-		return st
-	})
 	return e
+}
+
+// Status adds the eager arm to the DAG(WT) status: how many executed
+// backedge subtransactions sit holding locks awaiting a decision, the
+// oldest of them (a hung decision shows up as its age climbing), and the
+// parked origins.
+func (e *backedgeEngine) Status() watch.Status {
+	st := e.dagwtEngine.Status()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st.Prepared, st.Parked = len(e.prepared), len(e.waiters)
+	for tid, p := range e.prepared {
+		if st.OldestSince.IsZero() || p.since.Before(st.OldestSince) {
+			st.Oldest, st.OldestSince = tid, p.since
+		}
+	}
+	return st
 }
 
 // recover rebuilds the BackEdge protocol state the disk knows, in
@@ -270,14 +267,12 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 	e.mu.Lock()
 	e.waiters[tid] = st
 	e.mu.Unlock()
-	e.parked.Inc()
 	defer close(st.done)
 	// unpark ends the round trip, on every path out of it.
 	unpark := func() {
 		e.mu.Lock()
 		delete(e.waiters, tid)
 		e.mu.Unlock()
-		e.parked.Dec()
 	}
 
 	// While parked on the round-trip this transaction is the designated

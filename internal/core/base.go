@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -99,11 +97,6 @@ func newBase(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transpo
 		stop:    make(chan struct{}),
 	}
 	b.exportBank()
-	// Every site exports all four queue depths, whichever queues its
-	// engine has.
-	for _, q := range []string{"fifo", "ts", "eager", "reads"} {
-		b.queueGauge(q)
-	}
 	b.rpc.SetLateHook(func(model.SiteID, int) { b.bank[lateReplies].Inc() })
 	if cfg.Metrics != nil || cfg.Trace != nil {
 		b.tm.SetPhaseHook(func(p metrics.Phase, tid model.TxnID, start time.Time) {
@@ -114,6 +107,10 @@ func newBase(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transpo
 }
 
 func (b *base) Site() model.SiteID { return b.id }
+
+// Status reads the site's state for the watchdog: whether the engine is
+// stopped. Engines with a queue or protocol state of their own extend it.
+func (b *base) Status() watch.Status { return watch.Status{Site: b.id, Down: b.stopping()} }
 
 // Snapshot exposes the site's store contents for convergence checks on a
 // quiesced cluster.
@@ -433,36 +430,6 @@ func (b *base) send(msg comm.Message) {
 type queuedMsg struct {
 	msg comm.Message
 	at  time.Time
-}
-
-// depth is one engine queue's length as its two observers see it: the
-// repl_queue_depth gauge and the watchdog's queue handle. Every enqueue
-// reports to both through push, every dequeue through pop.
-type depth struct {
-	gauge *obs.Gauge
-	prog  *watch.Progress
-}
-
-func (d depth) push() {
-	d.gauge.Inc()
-	d.prog.Push()
-}
-
-func (d depth) pop() {
-	d.gauge.Dec()
-	d.prog.Pop()
-}
-
-// newDepth returns the depth handles of this site's queue q.
-func (b *base) newDepth(q string) depth {
-	return depth{gauge: b.queueGauge(q), prog: b.cfg.Watch.Queue(b.id, q)}
-}
-
-// queueGauge returns the live depth gauge of this site's queue q, nil
-// without a registry.
-func (b *base) queueGauge(q string) *obs.Gauge {
-	return b.cfg.Obs.Gauge("repl_queue_depth",
-		obs.Label{Key: "site", Value: strconv.Itoa(int(b.id))}, obs.Label{Key: "queue", Value: q})
 }
 
 // inboxBound bounds a site's secondary queue (DAG(WT), BackEdge) and its

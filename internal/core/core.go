@@ -171,7 +171,9 @@ func (p Params) Validate() error {
 }
 
 // SharedConfig is the cluster-wide state every engine sees: the placement,
-// the copy graph and its derived structures, and the run-wide sinks.
+// the copy graph and its derived structures, and the run-wide sinks. The
+// watchdog is not among them: it samples each engine's Status through a
+// probe its owner installs, so engines register nothing with it.
 type SharedConfig struct {
 	Placement *model.Placement
 	Graph     *graph.CopyGraph
@@ -194,12 +196,10 @@ type SharedConfig struct {
 	// Trace receives per-transaction propagation lifecycle events; nil
 	// disables tracing (engines then pay one branch per event site).
 	Trace *trace.Recorder
-	// Obs is the live metrics registry (counters, queue-depth gauges);
-	// nil disables it — engines keep nil handles, which are no-ops.
+	// Obs is the live metrics registry; nil disables it. Engines export
+	// their counter banks and queue depths into it as reads of their own
+	// state, and each rebuilt engine's export replaces its predecessor's.
 	Obs *obs.Registry
-	// Watch is the staleness/liveness watchdog; nil disables it — engines
-	// then hold nil progress handles and register no probes, all no-ops.
-	Watch *watch.Watchdog
 	// Fresh is the freshness observatory tracker (docs/OBSERVABILITY.md):
 	// engines note primary commits and secondary applies into it and
 	// certify every read against it. Nil disables the observatory —
@@ -236,6 +236,10 @@ type Engine interface {
 	// was logged before it was queued, and the next engine built on that
 	// log re-admits the unconsumed ones. Without a WAL they are dropped.
 	Stop()
+	// Status reads the engine's liveness state for the watchdog: whether
+	// it is stopped, its queue's depth and pops, and its protocol's own
+	// progress (DAG(T) epochs, BackEdge prepared participants).
+	Status() watch.Status
 }
 
 // New constructs the engine for proto at site id over tr. The transport
@@ -259,6 +263,7 @@ func New(proto Protocol, cfg *SharedConfig, id model.SiteID, tr comm.Transport) 
 	default:
 		return nil, fmt.Errorf("core: unknown protocol %v", proto)
 	}
+	exportQueues(cfg.Obs, e)
 	tr.Register(id, e.Handle)
 	return e, nil
 }

@@ -38,7 +38,7 @@ type dagtEngine struct {
 	qMu    sync.Mutex
 	qCond  *sync.Cond
 	queues map[model.SiteID][]tsItem // repl:guardedby(qMu)
-	held   depth
+	pops   uint64                    // items popped from the queues // repl:guardedby(qMu)
 }
 
 // tsItem is one queued secondary subtransaction with the causal context
@@ -49,7 +49,7 @@ type tsItem struct {
 	at time.Time
 }
 
-//lint:allow guardedby construction is single-threaded; the scheduler, tickers, and watchdog callback that share these fields only start in Start, after newDAGT returns
+//lint:allow guardedby construction is single-threaded; the scheduler and tickers that share these fields only start in Start, after newDAGT returns, and Status reads them under their locks
 func newDAGT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagtEngine {
 	e := &dagtEngine{
 		lazyEngine: newLazy(cfg, DAGT, id, tr),
@@ -59,7 +59,6 @@ func newDAGT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagtEngine 
 		lastSent:   make(map[model.SiteID]time.Time),
 		queues:     make(map[model.SiteID][]tsItem),
 	}
-	e.held = e.newDepth("ts")
 	e.qCond = sync.NewCond(&e.qMu)
 	// A child is relevant for a transaction iff it replicates one of the
 	// updated items (§3.2.2 step 3).
@@ -72,28 +71,32 @@ func newDAGT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagtEngine 
 		e.queues[par] = nil
 	}
 	e.recoverWAL()
-	// The watchdog's DAG(T) liveness probe: the site's current epoch plus
-	// any parent whose empty queue is blocking the timestamp scheduler
-	// while a sibling queue has work (the §3.3 stall the dummy mechanism
-	// exists to prevent).
-	cfg.Watch.RegisterEpoch(id, func() watch.EpochStatus {
-		e.tsMu.Lock()
-		st := watch.EpochStatus{Epoch: e.siteTS.Epoch}
-		e.tsMu.Unlock()
-		e.qMu.Lock()
-		var empty []model.SiteID
-		for _, par := range e.parents {
-			if len(e.queues[par]) == 0 {
-				empty = append(empty, par)
-			}
-		}
-		e.qMu.Unlock()
-		if len(empty) < len(e.parents) {
-			st.Blocked = empty
-		}
-		return st
-	})
 	return e
+}
+
+// Status adds the timestamp-hold queues, the site's epoch, and any parent
+// whose empty queue blocks the timestamp scheduler while a sibling queue
+// has work (the §3.3 stall the dummy mechanism exists to prevent).
+func (e *dagtEngine) Status() watch.Status {
+	st := e.lazyEngine.Status()
+	e.tsMu.Lock()
+	st.Epoch = e.siteTS.Epoch
+	e.tsMu.Unlock()
+	e.qMu.Lock()
+	st.Queue, st.Pops = "ts", e.pops
+	var empty []model.SiteID
+	for _, par := range e.parents {
+		n := len(e.queues[par])
+		st.Depth += n
+		if n == 0 {
+			empty = append(empty, par)
+		}
+	}
+	e.qMu.Unlock()
+	if len(empty) < len(e.parents) {
+		st.Blocked = empty
+	}
+	return st
 }
 
 func (e *dagtEngine) Start() {
@@ -273,7 +276,6 @@ func (e *dagtEngine) Handle(msg comm.Message) {
 
 // hold appends an admitted secondary (or a dummy) to its parent's queue.
 func (e *dagtEngine) hold(q queuedMsg) {
-	e.held.push()
 	e.qMu.Lock()
 	e.queues[q.msg.From] = append(e.queues[q.msg.From],
 		tsItem{p: q.msg.Payload.(secondaryPayload), sc: q.msg.Span, at: q.at})
@@ -309,7 +311,7 @@ func (e *dagtEngine) nextSecondary() (tsItem, bool) {
 			it := q[0]
 			q[0] = tsItem{} // the backing array must not pin a popped item
 			e.queues[minP] = q[1:]
-			e.held.pop()
+			e.pops++
 			if !it.p.Dummy {
 				e.phaseSince(metrics.PhaseQueueWait, minP, it.p.TID, it.at)
 			}

@@ -4,6 +4,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/watch"
 )
 
 // dagwtEngine implements the DAG(WT) protocol (§2) as a policy over the
@@ -17,7 +18,6 @@ import (
 type dagwtEngine struct {
 	lazyEngine
 	queue *comm.Inbox[queuedMsg] // bounded by inboxBound
-	fifo  depth
 
 	// special takes the queued messages that are not plain secondaries.
 	// Nil under DAG(WT), which admits nothing else; BackEdge, which embeds
@@ -33,7 +33,6 @@ func buildDAGWT(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Tran
 		lazyEngine: newLazy(cfg, proto, id, tr),
 		queue:      comm.NewInbox[queuedMsg](inboxBound),
 	}
-	e.fifo = e.newDepth("fifo")
 	e.routes, e.relay, e.enqueue = treeRoutes(cfg, id), true, e.push
 	return e
 }
@@ -47,11 +46,17 @@ func newDAGWT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagwtEngin
 
 func (e *dagwtEngine) Start() { go e.applier() }
 
+// Status adds the FIFO queue's depth and pops to the kernel's status.
+func (e *dagwtEngine) Status() watch.Status {
+	st := e.lazyEngine.Status()
+	st.Queue, st.Depth, st.Pops = "fifo", e.queue.Len(), e.queue.Pops()
+	return st
+}
+
 // push appends an admitted message to the FIFO queue, blocking while the
 // queue is full. If the engine stops first the message is not queued; its
 // receipt and pending obligation pass to recovery, as a queued one's do.
 func (e *dagwtEngine) push(q queuedMsg) {
-	e.fifo.push()
 	e.queue.Push(q, e.stop)
 }
 
@@ -64,7 +69,6 @@ func (e *dagwtEngine) applier() {
 		if !ok {
 			return
 		}
-		e.fifo.pop()
 		e.phaseSince(metrics.PhaseQueueWait, q.msg.From, q.msg.Span.TID, q.at)
 		if q.msg.Kind != kindSecondary {
 			e.special(q.msg)

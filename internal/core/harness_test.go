@@ -123,6 +123,11 @@ func buildSystemFull(t *testing.T, proto Protocol, p *model.Placement, params Pa
 			t.Fatal(err)
 		}
 		s.engines = append(s.engines, e)
+	}
+	// Start only once every site's handler is registered: a started DAG(T)
+	// source sends dummies within a DummyPeriod, which can beat the
+	// construction of the sites after it.
+	for _, e := range s.engines {
 		e.Start()
 	}
 	t.Cleanup(func() {

@@ -102,6 +102,28 @@ func (b *base) exportBank() {
 	}
 }
 
+// exportQueues registers the site's four repl_queue_depth series as reads
+// of e's Status at scrape time, replacing an earlier incarnation's: the
+// engine's own queue reads its depth, "eager" reads BackEdge's parked
+// origins, and the rest read zero, as does every series of a stopped
+// engine, whose queue died with it.
+func exportQueues(r *obs.Registry, e Engine) {
+	site := obs.Label{Key: "site", Value: strconv.Itoa(int(e.Site()))}
+	for _, q := range [...]string{"fifo", "ts", "eager", "reads"} {
+		r.ExportGauge(func() int64 {
+			switch st := e.Status(); {
+			case st.Down:
+				return 0
+			case q == st.Queue:
+				return int64(st.Depth)
+			case q == "eager":
+				return int64(st.Parked)
+			}
+			return 0
+		}, "repl_queue_depth", site, obs.Label{Key: "queue", Value: q})
+	}
+}
+
 // emit reports one lifecycle step: it bumps slot s of the site's bank
 // and, when tracing, records the slot's event, under this site's span
 // within sc unless the event is span-less. d is the step's duration: a

@@ -5,15 +5,12 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/obs"
 )
 
-// TestDAGTQueueGaugeDrains pins the enqueue/pop balance of the DAG(T)
-// timestamp-hold queue gauge: every Handle increments repl_queue_depth
-// {queue="ts"} and every nextSecondary pop must decrement it, so after
-// propagation quiesces the gauge returns to zero. (The pop-side decrement
-// was missing — the gauge read as an ever-growing backlog — and the
-// obscomplete analyzer caught it; this test keeps it fixed.)
+// TestDAGTQueueGaugeDrains pins the DAG(T) timestamp-hold queue's
+// repl_queue_depth{queue="ts"} series to the queues themselves: the
+// registry reads their length at every scrape, so after propagation
+// quiesces the series returns to zero.
 func TestDAGTQueueGaugeDrains(t *testing.T) {
 	p := placement(t, 2,
 		[]model.SiteID{0},
@@ -31,18 +28,17 @@ func TestDAGTQueueGaugeDrains(t *testing.T) {
 	if got := s.collector.Snapshot(2).Secondaries; got == 0 {
 		t.Fatal("no secondaries applied; the queue gauge was never exercised")
 	}
-	// Dummies keep arriving while the system idles, so the gauge can be
+	// Dummies keep arriving while the system idles, so the series can be
 	// transiently positive; with a single parent every arrival is popped
 	// promptly, so it must keep returning to zero.
-	g := s.registry.Gauge("repl_queue_depth",
-		obs.Label{Key: "site", Value: "1"},
-		obs.Label{Key: "queue", Value: "ts"})
+	const key = `repl_queue_depth{queue="ts",site="1"}`
+	var depth int64
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if g.Value() == 0 {
+		if depth = s.registry.Snapshot()[key]; depth == 0 {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("ts queue gauge never drained back to zero (stuck at %d): enqueues are not balanced by pops", g.Value())
+	t.Fatalf("ts queue series never drained back to zero (stuck at %d)", depth)
 }

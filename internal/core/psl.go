@@ -15,6 +15,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/txn"
 	"repro/internal/wal"
+	"repro/internal/watch"
 )
 
 // pslEngine implements the lazy primary-site-locking baseline of §5.1 (a
@@ -54,8 +55,6 @@ type pslEngine struct {
 	// fenceUntil is when a restarted primary may grant exclusive locks
 	// again; zero on a fresh start. Immutable after construction.
 	fenceUntil time.Time
-
-	queued depth // the read queue's
 }
 
 // remoteReader is one active remote reader's entry at a primary.
@@ -73,7 +72,6 @@ func newPSL(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *pslEngine {
 		reads:   comm.NewInbox[queuedMsg](inboxBound),
 		readers: make(map[model.TxnID]remoteReader),
 	}
-	e.queued = e.newDepth("reads")
 	if e.wal != nil && e.wal.Incarnation() > 1 {
 		// A lease granted before the crash was stamped before it, so it
 		// ends before this fence does.
@@ -93,13 +91,19 @@ func leaseNow() time.Time {
 
 func (e *pslEngine) Start() { go e.readServer() }
 
+// Status adds the read queue's depth and pops to the base status.
+func (e *pslEngine) Status() watch.Status {
+	st := e.base.Status()
+	st.Queue, st.Depth, st.Pops = "reads", e.reads.Len(), e.reads.Pops()
+	return st
+}
+
 func (e *pslEngine) readServer() {
 	for {
 		q, ok := e.reads.Next(e.stop)
 		if !ok {
 			return
 		}
-		e.queued.pop()
 		e.serveRead(q.msg, q.at)
 	}
 }
@@ -234,7 +238,6 @@ func (e *pslEngine) Handle(msg comm.Message) {
 		// Lock waits block; serve through the site's read server, off the
 		// transport goroutine. A request dropped because the site stopped
 		// is never answered; the reader's RPC times out.
-		e.queued.push()
 		e.reads.Push(queuedMsg{msg: msg, at: e.phaseClock()}, e.stop)
 	case kindPSLRelease:
 		tid := msg.Payload.(pslReleasePayload).TID

@@ -9,21 +9,10 @@ import (
 )
 
 // obsField is one registered metric handle: a struct field of type
-// *obs.Counter, *obs.Gauge, *obs.Histogram or *watch.Progress.
+// *obs.Counter, *obs.Gauge or *obs.Histogram.
 type obsField struct {
 	name string
-	kind string // Counter, Gauge, Histogram, Progress
 	pos  token.Pos
-}
-
-// obsUpdate summarizes how one handle field is mutated across the
-// program.
-type obsUpdate struct {
-	any      bool // some updating method is called
-	gaugeInc bool
-	gaugeDec bool // Dec, Set or Add
-	push     bool // Progress.Push
-	pop      bool // Progress.Pop
 }
 
 // NewObsComplete returns the obscomplete analyzer, which keeps the
@@ -39,14 +28,6 @@ type obsUpdate struct {
 //     be updated somewhere — a handle that is registered but never
 //     Inc/Add/Observe'd exports a permanently-zero series that
 //     masquerades as "nothing happened";
-//   - every *obs.Gauge field that is ever Inc'd must also be Dec'd (or
-//     Set/Add'd) somewhere — a level gauge that only rises, like a queue
-//     depth counting arrivals but not departures, reads as an
-//     ever-growing backlog;
-//   - every *watch.Progress field (a queue-liveness handle from the
-//     watchdog) must have both Push and Pop call sites — a half-wired
-//     handle either trips the queue-stall detector permanently (Push
-//     without Pop) or drives the depth negative (Pop without Push);
 //   - every exported latency-attribution phase (constant of type Phase in
 //     a package named "metrics") must be used by at least one package
 //     outside metrics — a phase registered in the breakdown schema that
@@ -65,17 +46,8 @@ func NewObsComplete() *Analyzer {
 	var phases []kindConst
 	phaseUsed := make(map[string]bool) // phase const name -> used outside metrics
 	fields := make(map[string]*obsField)
-	updates := make(map[string]*obsUpdate)
+	updated := make(map[string]bool) // field key -> some updating method is called
 	var fieldOrder []string
-
-	update := func(key string) *obsUpdate {
-		u, ok := updates[key]
-		if !ok {
-			u = &obsUpdate{}
-			updates[key] = u
-		}
-		return u
-	}
 
 	a := &Analyzer{
 		Name: "obscomplete",
@@ -106,16 +78,16 @@ func NewObsComplete() *Analyzer {
 						}
 					}
 					if v, ok := info.Defs[n].(*types.Var); ok && v.IsField() {
-						if kind := obsHandleKind(v.Type()); kind != "" {
+						if isObsHandle(v.Type()) {
 							key := obsFieldKey(pass.Pkg.Path, v)
 							if _, seen := fields[key]; !seen {
-								fields[key] = &obsField{name: pass.Pkg.Types.Name() + "." + fieldOwner(info, n) + v.Name(), kind: kind, pos: n.Pos()}
+								fields[key] = &obsField{name: pass.Pkg.Types.Name() + "." + fieldOwner(info, n) + v.Name(), pos: n.Pos()}
 								fieldOrder = append(fieldOrder, key)
 							}
 						}
 					}
 				case *ast.SelectorExpr:
-					recordObsUpdate(pass.Pkg.Path, info, n, update)
+					recordObsUpdate(info, n, updated)
 				}
 				return true
 			})
@@ -135,19 +107,8 @@ func NewObsComplete() *Analyzer {
 		}
 		sort.Strings(fieldOrder)
 		for _, key := range fieldOrder {
-			f := fields[key]
-			u := updates[key]
-			switch {
-			case (u == nil || !u.any) && f.kind == "Progress":
-				report(f.pos, fmt.Sprintf("queue handle %s is registered but never pushed or popped: the watchdog monitors a queue that does not exist", f.name))
-			case u == nil || !u.any:
+			if f := fields[key]; !updated[key] {
 				report(f.pos, fmt.Sprintf("obs handle %s is registered but never updated: it exports a permanently-zero series", f.name))
-			case f.kind == "Gauge" && u.gaugeInc && !u.gaugeDec:
-				report(f.pos, fmt.Sprintf("gauge %s only ever increments: a level series needs a matching Dec/Set or it reads as an ever-growing backlog", f.name))
-			case f.kind == "Progress" && u.push && !u.pop:
-				report(f.pos, fmt.Sprintf("queue handle %s is pushed but never popped: its depth only rises and the watchdog will report a permanent stall", f.name))
-			case f.kind == "Progress" && u.pop && !u.push:
-				report(f.pos, fmt.Sprintf("queue handle %s is popped but never pushed: its depth goes negative and stall detection is meaningless", f.name))
 			}
 		}
 		return nil
@@ -163,38 +124,26 @@ func isMetricsPhaseConst(c *types.Const) bool {
 	return c.Pkg() != nil && c.Pkg().Name() == "metrics" && typeFrom(c.Type(), "metrics", "Phase")
 }
 
-// obsHandleKind classifies a field type as a pointer to an obs handle or
-// a watchdog queue-liveness handle. Arrays and slices of *obs.* handle
-// pointers (a handle bank indexed by a label enum, like the per-reason
-// abort counters) classify as their element: a bank nobody ever indexes
-// into is as dead as a single unused handle. Progress collections are
-// deliberately excluded — a []*watch.Progress is the watchdog's own
-// monitor-side registry, which reads depths and never pushes.
-func obsHandleKind(t types.Type) string {
+// isObsHandle reports whether a field type is a pointer to an obs
+// handle. Arrays and slices of them (a handle bank indexed by a label
+// enum, like the per-reason abort counters) count as their element: a
+// bank nobody ever indexes into is as dead as a single unused handle.
+func isObsHandle(t types.Type) bool {
 	switch seq := t.(type) {
 	case *types.Array:
-		if k := obsHandleKind(seq.Elem()); k != "Progress" {
-			return k
-		}
-		return ""
+		return isObsHandle(seq.Elem())
 	case *types.Slice:
-		if k := obsHandleKind(seq.Elem()); k != "Progress" {
-			return k
-		}
-		return ""
+		return isObsHandle(seq.Elem())
 	}
 	if _, isPtr := t.(*types.Pointer); !isPtr {
-		return ""
+		return false
 	}
 	for _, k := range []string{"Counter", "Gauge", "Histogram"} {
 		if typeFrom(t, "obs", k) {
-			return k
+			return true
 		}
 	}
-	if typeFrom(t, "watch", "Progress") {
-		return "Progress"
-	}
-	return ""
+	return false
 }
 
 // fieldOwner names the struct type a field identifier belongs to, for
@@ -208,9 +157,9 @@ func fieldOwner(info *types.Info, name *ast.Ident) string {
 
 // recordObsUpdate marks handle mutations of the form x.field.Method()
 // and, for handle banks, x.field[i].Method().
-func recordObsUpdate(pkgPath string, info *types.Info, sel *ast.SelectorExpr, update func(string) *obsUpdate) {
+func recordObsUpdate(info *types.Info, sel *ast.SelectorExpr, updated map[string]bool) {
 	switch sel.Sel.Name {
-	case "Inc", "Add", "Dec", "Set", "Observe", "Push", "Pop":
+	case "Inc", "Add", "Set", "Observe":
 	default:
 		return
 	}
@@ -223,21 +172,10 @@ func recordObsUpdate(pkgPath string, info *types.Info, sel *ast.SelectorExpr, up
 		return
 	}
 	obj, ok := info.Uses[inner.Sel].(*types.Var)
-	if !ok || !obj.IsField() || obj.Pkg() == nil || obsHandleKind(obj.Type()) == "" {
+	if !ok || !obj.IsField() || obj.Pkg() == nil || !isObsHandle(obj.Type()) {
 		return
 	}
-	u := update(obsFieldKey(obj.Pkg().Path(), obj))
-	u.any = true
-	switch sel.Sel.Name {
-	case "Inc":
-		u.gaugeInc = true
-	case "Dec", "Set", "Add":
-		u.gaugeDec = true
-	case "Push":
-		u.push = true
-	case "Pop":
-		u.pop = true
-	}
+	updated[obsFieldKey(obj.Pkg().Path(), obj)] = true
 }
 
 // obsFieldKey identifies a field across Defs and Uses by its declaration

@@ -3,5 +3,5 @@ package lint
 import "testing"
 
 func TestObsCompleteGolden(t *testing.T) {
-	runGolden(t, NewObsComplete(), "trace", "obs", "watch", "metrics", "engine")
+	runGolden(t, NewObsComplete(), "trace", "obs", "metrics", "engine")
 }

@@ -1,26 +1,24 @@
 // Package engine exercises the obscomplete analyzer from the consumer
-// side: handles that are updated, one that never is, a gauge that only
-// rises, and the trace kinds it records.
+// side: handles that are updated, ones that never are, and the trace
+// kinds it records.
 package engine
 
 import (
 	"metrics"
 	"obs"
 	"trace"
-	"watch"
 )
 
 type siteObs struct {
 	committed *obs.Counter
 	orphans   *obs.Counter // want "obs handle .*orphans is registered but never updated"
-	depth     *obs.Gauge   // want "gauge .*depth only ever increments"
 	inflight  *obs.Gauge
 	// Handle banks: arrays/slices of handles indexed by a label enum.
 	// Indexed updates count; a bank nobody indexes into is dead.
 	reasons  [3]*obs.Counter
 	perSite  []*obs.Histogram
 	deadBank [3]*obs.Counter // want "obs handle .*deadBank is registered but never updated"
-	latency   *obs.Histogram
+	latency  *obs.Histogram
 	// Freshness observatory handles: the read-staleness certificate
 	// counters and behind-histogram (repl_read_staleness_*) and the
 	// commit/apply mirrors (repl_fresh_*); one left unwired to prove the
@@ -32,12 +30,6 @@ type siteObs struct {
 	freshOrphan  *obs.Counter // want "obs handle .*freshOrphan is registered but never updated"
 	//lint:allow obscomplete wired up by the next engine
 	reserved *obs.Counter
-	fifo     *watch.Progress
-	leaky    *watch.Progress // want "queue handle .*leaky is pushed but never popped"
-	phantom  *watch.Progress // want "queue handle .*phantom is popped but never pushed"
-	ghost    *watch.Progress // want "queue handle .*ghost is registered but never pushed or popped"
-	//lint:allow obscomplete drained by a sibling engine in a later PR
-	parked *watch.Progress
 }
 
 type engine struct {
@@ -56,13 +48,6 @@ func (e *engine) run() {
 	e.o.freshCommits.Add(2)
 	e.o.reasons[1].Inc()
 	e.o.perSite[0].Observe(2)
-	e.o.depth.Inc()
-	e.o.inflight.Inc()
-	e.o.inflight.Dec()
+	e.o.inflight.Set(2)
 	e.o.latency.Observe(1)
-	e.o.fifo.Push()
-	e.o.fifo.Pop()
-	e.o.leaky.Push()
-	e.o.phantom.Pop()
-	_ = e.o.fifo.Depth()
 }

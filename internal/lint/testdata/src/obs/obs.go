@@ -9,8 +9,6 @@ func (c *Counter) Add(n float64) {}
 
 type Gauge struct{}
 
-func (g *Gauge) Inc()          {}
-func (g *Gauge) Dec()          {}
 func (g *Gauge) Set(v float64) {}
 
 type Histogram struct{}

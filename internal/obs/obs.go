@@ -14,6 +14,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -50,21 +51,11 @@ func (c *Counter) Value() uint64 {
 	return c.n.Load()
 }
 
-// Gauge is an atomic instantaneous value. A nil *Gauge is a valid no-op.
-type Gauge struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (g *Gauge) Inc() {
-	if g != nil {
-		g.v.Add(1)
-	}
-}
-
-// Dec subtracts one.
-func (g *Gauge) Dec() {
-	if g != nil {
-		g.v.Add(-1)
-	}
+// Gauge is an atomic instantaneous value, or a read of a level kept
+// elsewhere (ExportGauge). A nil *Gauge is a valid no-op.
+type Gauge struct {
+	v    atomic.Int64
+	read func() int64 // non-nil for an exported gauge: Value calls it
 }
 
 // Add adds d (negative to subtract).
@@ -83,8 +74,11 @@ func (g *Gauge) Set(v int64) {
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
-	if g == nil {
+	switch {
+	case g == nil:
 		return 0
+	case g.read != nil:
+		return g.read()
 	}
 	return g.v.Load()
 }
@@ -238,6 +232,21 @@ func (r *Registry) Gauge(family string, labels ...Label) *Gauge {
 	return g
 }
 
+// ExportGauge registers read as the series' gauge, replacing any gauge
+// registered there before. Every scrape calls it, outside the registry's
+// lock, so a level that lives elsewhere (an engine's queue) is read in
+// place instead of being counted beside it, and a rebuilt owner's
+// registration retires the old one's.
+func (r *Registry) ExportGauge(read func() int64, family string, labels ...Label) {
+	if r == nil {
+		return
+	}
+	s := makeSeries(family, labels)
+	r.mu.Lock()
+	r.gauges[s] = &Gauge{read: read}
+	r.mu.Unlock()
+}
+
 // Histogram returns the histogram for the series, creating it if needed.
 func (r *Registry) Histogram(family string, labels ...Label) *Histogram {
 	if r == nil {
@@ -266,10 +275,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for s, c := range r.counters {
 		counters[s] = c.Value()
 	}
-	gauges := make(map[series]int64, len(r.gauges))
-	for s, g := range r.gauges {
-		gauges[s] = g.Value()
-	}
+	gaugeHandles := maps.Clone(r.gauges)
 	type histSnap struct {
 		counts [numBuckets + 1]uint64
 		sum    int64
@@ -285,6 +291,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		hists[s] = snap
 	}
 	r.mu.Unlock()
+	gauges := make(map[series]int64, len(gaugeHandles))
+	for s, g := range gaugeHandles {
+		gauges[s] = g.Value()
+	}
 
 	var b strings.Builder
 	writeFamily := func(kind string, all []series, emit func(series)) {
@@ -369,17 +379,18 @@ func (r *Registry) Snapshot() map[string]int64 {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make(map[string]int64, len(r.counters)+len(r.gauges)+2*len(r.histograms))
 	for s, c := range r.counters {
 		out[s.String()] = int64(c.Value())
 	}
-	for s, g := range r.gauges {
-		out[s.String()] = g.Value()
-	}
 	for s, h := range r.histograms {
 		out[s.String()+":count"] = int64(h.Count())
 		out[s.String()+":sum_ns"] = int64(h.Sum())
+	}
+	gauges := maps.Clone(r.gauges)
+	r.mu.Unlock()
+	for s, g := range gauges {
+		out[s.String()] = g.Value()
 	}
 	return out
 }

@@ -19,8 +19,7 @@ func TestNilRegistryAndHandlesAreNoops(t *testing.T) {
 	}
 	c.Inc()
 	c.Add(5)
-	g.Inc()
-	g.Dec()
+	g.Add(1)
 	g.Set(9)
 	h.Observe(time.Second)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -42,8 +41,7 @@ func TestNilHandlesNeverAllocate(t *testing.T) {
 	var h *Histogram
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		g.Inc()
-		g.Dec()
+		g.Add(1)
 		h.Observe(time.Millisecond)
 	})
 	if allocs != 0 {
@@ -60,8 +58,8 @@ func TestLiveHandlesNeverAllocate(t *testing.T) {
 	h := r.Histogram("h_seconds")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		g.Inc()
-		g.Dec()
+		g.Add(1)
+		g.Add(-1)
 		h.Observe(123 * time.Microsecond)
 	})
 	if allocs != 0 {
@@ -114,6 +112,35 @@ func TestWritePrometheus(t *testing.T) {
 	// bucket from 256µs up.
 	if !strings.Contains(out, `le="0.000256"} 1`) {
 		t.Errorf("cumulative bucket missing:\n%s", out)
+	}
+}
+
+// TestExportGaugeReadsAtScrape checks an exported gauge is its owner's
+// read, taken at every scrape, and that a later export of the same series
+// replaces the earlier one.
+func TestExportGaugeReadsAtScrape(t *testing.T) {
+	r := NewRegistry()
+	key := `repl_queue_depth{queue="fifo",site="1"}`
+	old := int64(176)
+	r.ExportGauge(func() int64 { return old }, "repl_queue_depth", Label{"site", "1"}, Label{"queue", "fifo"})
+	if got := r.Snapshot()[key]; got != 176 {
+		t.Fatalf("exported gauge = %d, want 176", got)
+	}
+	old = 3
+	if got := r.Snapshot()[key]; got != 3 {
+		t.Fatalf("exported gauge = %d after the level moved, want 3", got)
+	}
+	fresh := int64(0)
+	r.ExportGauge(func() int64 { return fresh }, "repl_queue_depth", Label{"queue", "fifo"}, Label{"site", "1"})
+	if got := r.Snapshot()[key]; got != 0 {
+		t.Fatalf("re-exported gauge = %d, want the new owner's 0", got)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := key + " 0\n"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("exposition misses %q:\n%s", want, sb.String())
 	}
 }
 
@@ -172,7 +199,7 @@ func TestConcurrentRegistryUse(t *testing.T) {
 			c := r.Counter("c_total", Label{"site", "0"})
 			for i := 0; i < 200; i++ {
 				c.Inc()
-				r.Gauge("g", Label{"i", "x"}).Inc()
+				r.Gauge("g", Label{"i", "x"}).Add(1)
 				cs.CommSent(0, 1, 100)
 				cs.CommLatency(0, 1, time.Duration(g+1)*time.Microsecond)
 			}

@@ -46,9 +46,12 @@ type Coordinator struct {
 // participant learns it. A participant stuck in the prepared state after
 // losing the phase-2 message (network fault, coordinator crash between
 // the decision and its delivery) resolves by asking the coordinator,
-// which answers from this log. The in-process heap stands in for the
-// coordinator's disk: a crashed site keeps its log across restart, which
-// is exactly the durability classic 2PC requires of the decision record.
+// which answers from this log, and classic 2PC requires the log to
+// survive a coordinator crash. Over a write-ahead log it does through the
+// sink (SetSink): a restarted site builds a fresh DecisionLog and seeds
+// it with the decisions the redo log recovered (Seed). Without a
+// write-ahead log a crash wipes no state, so the in-heap map itself
+// survives the outage and stands in for the disk.
 //
 // Entries are retained for the life of the log: the coordinator can never
 // know that no participant will inquire again, and a missing entry must

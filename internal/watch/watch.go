@@ -1,6 +1,6 @@
 // Package watch is the staleness/liveness watchdog: an online monitor
-// fed by the trace recorder's live sink and by probes the engines
-// register, detecting the conditions a quiesced-run report can only
+// fed by the trace recorder's live sink and by one probe of the sites'
+// current engines, detecting the conditions a quiesced-run report can only
 // confirm after the fact — a replica falling behind (unapplied commits
 // aging out), a DAG(T) site whose epoch stops advancing while its
 // siblings' do, an applier queue that holds depth without draining, and
@@ -9,13 +9,11 @@
 // as trace events, and trigger a bounded flight-recorder dump: the trace
 // recorder's most recent events written as JSONL for offline replay.
 //
-// A nil *Watchdog (and the nil *Progress handles it hands out) is a
-// valid no-op, costing instrumented paths one branch — the same
-// discipline as the nil trace recorder and nil obs registry. The
-// package deliberately sits outside the deterministic-replay lint scope
-// (internal/core, internal/fault, internal/ts): it observes wall-clock
-// liveness, so it reads wall clocks freely and never feeds back into
-// protocol decisions.
+// A nil *Watchdog is a valid no-op — the same discipline as the nil
+// trace recorder and nil obs registry. The package deliberately sits
+// outside the deterministic-replay lint scope (internal/core,
+// internal/fault, internal/ts): it observes wall-clock liveness, so it
+// reads wall clocks freely and never feeds back into protocol decisions.
 package watch
 
 import (
@@ -25,7 +23,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/contend"
@@ -119,63 +116,33 @@ type Alert struct {
 	Cleared time.Time `json:"cleared,omitempty"`
 }
 
-// EpochStatus is a DAG(T) engine's answer to the epoch probe: its
-// current epoch and the copy-graph parents it is currently blocked on
-// (a parent whose timestamp-hold queue is empty while a sibling's is
-// not — the §3.2.2 merge cannot advance past the silent edge).
-type EpochStatus struct {
+// Status is one site's engine state as the watchdog samples it. The
+// engine reads it from its own queue and protocol state at every call,
+// so it describes whichever incarnation of the site is current.
+type Status struct {
+	Site model.SiteID
+	// Down reports a stopped engine: crashed and not yet rebuilt from its
+	// write-ahead log, or shut down.
+	Down bool
+	// Queue names the engine's ordering queue ("fifo", "ts", "reads"), or
+	// is empty when it has none; Depth is the queue's length and Pops the
+	// number of items it has released.
+	Queue string
+	Depth int
+	Pops  uint64
+	// Epoch is a DAG(T) site's epoch, and Blocked the copy-graph parents
+	// whose empty queue holds up the §3.2.2 timestamp merge while a
+	// sibling's queue has work. Both are zero under the other protocols.
 	Epoch   uint64
 	Blocked []model.SiteID
-}
-
-// PendingStatus is a BackEdge engine's answer to the pending-2PC probe:
-// how many subtransactions sit prepared awaiting a decision, and the
-// oldest of them.
-type PendingStatus struct {
-	Count       int
+	// Prepared counts BackEdge participants holding locks awaiting a 2PC
+	// decision; Oldest is the longest-waiting of them, registered at
+	// OldestSince. Parked counts origins parked on their backedge round
+	// trip (the "eager" queue), which the watchdog does not watch.
+	Prepared    int
 	Oldest      model.TxnID
 	OldestSince time.Time
-}
-
-// RecoveryStatus is a cluster's answer to the crash-recovery probe for
-// one site: whether it is currently down (crashed, not yet rebuilt from
-// its write-ahead log) and since when.
-type RecoveryStatus struct {
-	Down  bool
-	Since time.Time
-}
-
-// Progress is a queue's liveness handle: engines Push on enqueue and
-// Pop on dequeue; the watchdog flags depth held without pops. A nil
-// *Progress is a valid no-op.
-type Progress struct {
-	site  model.SiteID
-	name  string
-	depth atomic.Int64
-	pops  atomic.Uint64
-}
-
-// Push notes one element entering the queue.
-func (p *Progress) Push() {
-	if p != nil {
-		p.depth.Add(1)
-	}
-}
-
-// Pop notes one element leaving the queue.
-func (p *Progress) Pop() {
-	if p != nil {
-		p.depth.Add(-1)
-		p.pops.Add(1)
-	}
-}
-
-// Depth returns the current queue depth.
-func (p *Progress) Depth() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.depth.Load()
+	Parked      int
 }
 
 // Options tune the watchdog. Zero fields take the defaults.
@@ -244,28 +211,30 @@ type alertKey struct {
 	name string
 }
 
-// queueSample is the watchdog's per-queue memory between ticks.
-type queueSample struct {
-	pops  uint64
-	since time.Time
+// siteSample is the watchdog's memory of one site between ticks: the
+// queue's pop count and since when it has held depth without popping,
+// the epoch and since when it has not moved, and since when the site has
+// been down (zero while it is up).
+type siteSample struct {
+	pops       uint64
+	popsSince  time.Time
+	epoch      uint64
+	epochSince time.Time
+	down       time.Time
 }
 
 // Watchdog is the monitor. Construct with New, wire with SetObs /
-// SetTrace / the engine-side Register* and Queue calls, feed with
-// Ingest (typically via trace.Recorder.AddSink), then Start.
+// SetTrace / SetProbe, feed with Ingest (typically via
+// trace.Recorder.AddSink), then Start.
 type Watchdog struct {
 	opts Options
 
-	mu       sync.Mutex
-	reg      *obs.Registry                          // repl:guardedby(mu)
-	tr       *trace.Recorder                        // repl:guardedby(mu)
-	obs      watchObs                               // repl:guardedby(mu)
-	queues   []*Progress                            // repl:guardedby(mu)
-	qs       map[*Progress]queueSample              // repl:guardedby(mu)
-	epochs   map[model.SiteID]func() EpochStatus    // repl:guardedby(mu)
-	epochAt  map[model.SiteID]queueSample           // pops field reused as the epoch // repl:guardedby(mu)
-	pending  map[model.SiteID]func() PendingStatus  // repl:guardedby(mu)
-	recovery map[model.SiteID]func() RecoveryStatus // repl:guardedby(mu)
+	mu    sync.Mutex
+	reg   *obs.Registry               // repl:guardedby(mu)
+	tr    *trace.Recorder             // repl:guardedby(mu)
+	obs   watchObs                    // repl:guardedby(mu)
+	probe func() []Status             // repl:guardedby(mu)
+	sites map[model.SiteID]siteSample // repl:guardedby(mu)
 
 	// inflight tracks forwarded-but-unapplied secondary subtransactions,
 	// fed from the trace sink.
@@ -301,11 +270,7 @@ type Watchdog struct {
 func New(o Options) *Watchdog {
 	w := &Watchdog{
 		opts:        o.withDefaults(),
-		qs:          make(map[*Progress]queueSample),
-		epochs:      make(map[model.SiteID]func() EpochStatus),
-		epochAt:     make(map[model.SiteID]queueSample),
-		pending:     make(map[model.SiteID]func() PendingStatus),
-		recovery:    make(map[model.SiteID]func() RecoveryStatus),
+		sites:       make(map[model.SiteID]siteSample),
 		inflight:    NewInflight(),
 		active:      make(map[alertKey]*Alert),
 		raised:      make(map[Kind]int),
@@ -340,49 +305,18 @@ func (w *Watchdog) SetTrace(tr *trace.Recorder) {
 	w.mu.Unlock()
 }
 
-// Queue returns a liveness handle for the named queue at site; the
-// watchdog flags it when it holds depth without popping. On a nil
-// watchdog the returned handle is nil (and therefore a no-op).
-func (w *Watchdog) Queue(site model.SiteID, name string) *Progress {
+// SetProbe installs the probe every tick samples: the status of each
+// site's current engine (Status), down sites included. Its owner
+// supplies it — a cluster reads every site, a node its one engine — so a
+// crashed site's dead engine is never sampled. The watchdog calls it
+// outside its own lock: engines record trace events into Ingest while
+// holding the locks the probe takes. Call before Start.
+func (w *Watchdog) SetProbe(probe func() []Status) {
 	if w == nil {
-		return nil
-	}
-	p := &Progress{site: site, name: name}
-	w.mu.Lock()
-	w.queues = append(w.queues, p)
-	w.mu.Unlock()
-	return p
-}
-
-// RegisterEpoch installs a DAG(T) site's epoch probe.
-func (w *Watchdog) RegisterEpoch(site model.SiteID, probe func() EpochStatus) {
-	if w == nil || probe == nil {
 		return
 	}
 	w.mu.Lock()
-	w.epochs[site] = probe
-	w.mu.Unlock()
-}
-
-// RegisterPending installs a BackEdge site's pending-2PC probe.
-func (w *Watchdog) RegisterPending(site model.SiteID, probe func() PendingStatus) {
-	if w == nil || probe == nil {
-		return
-	}
-	w.mu.Lock()
-	w.pending[site] = probe
-	w.mu.Unlock()
-}
-
-// RegisterRecovery installs a site's crash-recovery probe: the watchdog
-// flags a site that stays down past StallDeadline — a recovery that hung
-// replaying its log, or a crash the harness forgot to restart.
-func (w *Watchdog) RegisterRecovery(site model.SiteID, probe func() RecoveryStatus) {
-	if w == nil || probe == nil {
-		return
-	}
-	w.mu.Lock()
-	w.recovery[site] = probe
+	w.probe = probe
 	w.mu.Unlock()
 }
 
@@ -471,6 +405,13 @@ func (w *Watchdog) loop() {
 // records trace events and writes dumps after releasing it: the
 // recorder's sink is w.Ingest, so recording under w.mu would deadlock.
 func (w *Watchdog) tick() {
+	w.mu.Lock()
+	probe := w.probe
+	w.mu.Unlock()
+	var sts []Status
+	if probe != nil {
+		sts = probe()
+	}
 	now := time.Now()
 	w.mu.Lock()
 	want := make(map[alertKey]*Alert)
@@ -511,84 +452,17 @@ func (w *Watchdog) tick() {
 		}
 	}
 
-	// Epoch progress: a site is stalled when its epoch has not moved
-	// for StallDeadline while the cluster-wide maximum has —
+	// Per-site liveness. A site is epoch-stalled when its epoch has not
+	// moved for StallDeadline while the cluster-wide maximum has —
 	// distinguishing a partitioned edge from a globally idle cluster.
 	var maxEpoch uint64
-	stats := make(map[model.SiteID]EpochStatus, len(w.epochs))
-	for site, probe := range w.epochs {
-		st := probe()
-		stats[site] = st
-		if st.Epoch > maxEpoch {
+	for _, st := range sts {
+		if !st.Down && st.Epoch > maxEpoch {
 			maxEpoch = st.Epoch
 		}
-		s, ok := w.epochAt[site]
-		if !ok || s.pops != st.Epoch {
-			w.epochAt[site] = queueSample{pops: st.Epoch, since: now}
-		}
 	}
-	for site, st := range stats {
-		s := w.epochAt[site]
-		if st.Epoch >= maxEpoch || now.Sub(s.since) <= w.opts.StallDeadline {
-			continue
-		}
-		peer := model.NoSite
-		if len(st.Blocked) > 0 {
-			peer = st.Blocked[0]
-		}
-		k := alertKey{kind: EpochStall, site: site, peer: peer}
-		want[k] = &Alert{
-			Kind: EpochStall, Site: site, Peer: peer, Age: now.Sub(s.since),
-			Detail: fmt.Sprintf("epoch %d, cluster max %d, blocked on %v", st.Epoch, maxEpoch, st.Blocked),
-		}
-	}
-
-	// Queue progress: depth held with no pops for StallDeadline.
-	for _, p := range w.queues {
-		depth, pops := p.depth.Load(), p.pops.Load()
-		s, ok := w.qs[p]
-		if !ok || s.pops != pops || depth == 0 {
-			w.qs[p] = queueSample{pops: pops, since: now}
-			continue
-		}
-		if age := now.Sub(s.since); age > w.opts.StallDeadline {
-			k := alertKey{kind: QueueStall, site: p.site, peer: model.NoSite, name: p.name}
-			want[k] = &Alert{
-				Kind: QueueStall, Site: p.site, Peer: model.NoSite, Age: age,
-				Detail: fmt.Sprintf("queue %q depth %d undrained", p.name, depth),
-			}
-		}
-	}
-
-	// Pending 2PC participants.
-	for site, probe := range w.pending {
-		st := probe()
-		if st.Count == 0 || st.OldestSince.IsZero() {
-			continue
-		}
-		age := now.Sub(st.OldestSince)
-		if age > w.opts.PendingDeadline {
-			k := alertKey{kind: PendingTwoPC, site: site, peer: st.Oldest.Site}
-			want[k] = &Alert{
-				Kind: PendingTwoPC, Site: site, Peer: st.Oldest.Site, TID: st.Oldest, Age: age,
-				Detail: fmt.Sprintf("%d prepared, oldest %v", st.Count, st.Oldest),
-			}
-		}
-	}
-
-	// Crashed sites that have stayed down suspiciously long.
-	for site, probe := range w.recovery {
-		st := probe()
-		if !st.Down || st.Since.IsZero() {
-			continue
-		}
-		if age := now.Sub(st.Since); age > w.opts.StallDeadline {
-			k := alertKey{kind: RecoveryStall, site: site, peer: model.NoSite}
-			want[k] = &Alert{
-				Kind: RecoveryStall, Site: site, Peer: model.NoSite, Age: age,
-				Detail: fmt.Sprintf("site down %v without completing recovery", age.Round(time.Millisecond)),
-			}
-		}
+	for _, st := range sts {
+		w.checkSiteLocked(st, now, maxEpoch, want)
 	}
 
 	// Contention thresholds: the lock_wait p99 over the recent ring, and
@@ -688,6 +562,64 @@ func (w *Watchdog) tick() {
 		w.mu.Lock()
 		w.waitDumps[waitSlot] = path
 		w.mu.Unlock()
+	}
+}
+
+// checkSiteLocked samples one site's status into want: a site down past
+// StallDeadline (a recovery that hung replaying its log, or a crash
+// nobody restarted), a queue that held depth without a pop, an epoch
+// left behind, and the oldest prepared 2PC participant. A down site's
+// samples are forgotten, so its rebuilt engine is judged afresh.
+func (w *Watchdog) checkSiteLocked(st Status, now time.Time, maxEpoch uint64, want map[alertKey]*Alert) {
+	s, ok := w.sites[st.Site]
+	if st.Down {
+		if !ok || s.down.IsZero() {
+			s = siteSample{down: now}
+		}
+		w.sites[st.Site] = siteSample{down: s.down}
+		if age := now.Sub(s.down); age > w.opts.StallDeadline {
+			k := alertKey{kind: RecoveryStall, site: st.Site, peer: model.NoSite}
+			want[k] = &Alert{
+				Kind: RecoveryStall, Site: st.Site, Peer: model.NoSite, Age: age,
+				Detail: fmt.Sprintf("site down %v without completing recovery", age.Round(time.Millisecond)),
+			}
+		}
+		return
+	}
+	if !ok || !s.down.IsZero() {
+		s = siteSample{pops: st.Pops, popsSince: now, epoch: st.Epoch, epochSince: now}
+	}
+	if s.pops != st.Pops || st.Depth == 0 {
+		s.pops, s.popsSince = st.Pops, now
+	} else if age := now.Sub(s.popsSince); age > w.opts.StallDeadline {
+		k := alertKey{kind: QueueStall, site: st.Site, peer: model.NoSite, name: st.Queue}
+		want[k] = &Alert{
+			Kind: QueueStall, Site: st.Site, Peer: model.NoSite, Age: age,
+			Detail: fmt.Sprintf("queue %q depth %d undrained", st.Queue, st.Depth),
+		}
+	}
+	if s.epoch != st.Epoch {
+		s.epoch, s.epochSince = st.Epoch, now
+	} else if age := now.Sub(s.epochSince); st.Epoch < maxEpoch && age > w.opts.StallDeadline {
+		peer := model.NoSite
+		if len(st.Blocked) > 0 {
+			peer = st.Blocked[0]
+		}
+		k := alertKey{kind: EpochStall, site: st.Site, peer: peer}
+		want[k] = &Alert{
+			Kind: EpochStall, Site: st.Site, Peer: peer, Age: age,
+			Detail: fmt.Sprintf("epoch %d, cluster max %d, blocked on %v", st.Epoch, maxEpoch, st.Blocked),
+		}
+	}
+	w.sites[st.Site] = s
+	if st.Prepared > 0 && !st.OldestSince.IsZero() {
+		if age := now.Sub(st.OldestSince); age > w.opts.PendingDeadline {
+			k := alertKey{kind: PendingTwoPC, site: st.Site, peer: st.Oldest.Site}
+			want[k] = &Alert{
+				Kind: PendingTwoPC, Site: st.Site, Peer: st.Oldest.Site, TID: st.Oldest, Age: age,
+				Detail: fmt.Sprintf("%d prepared, oldest %v", st.Prepared, st.Oldest),
+			}
+		}
 	}
 }
 

@@ -13,6 +13,12 @@ import (
 	"repro/internal/trace"
 )
 
+// probeOf returns a probe reporting *sts, so a test moves the sites'
+// state between ticks by assigning to it.
+func probeOf(sts *[]Status) func() []Status {
+	return func() []Status { return *sts }
+}
+
 // testOptions returns deadlines short enough that tests can cross them
 // with small sleeps. Tick is irrelevant: tests call tick() directly.
 func testOptions() Options {
@@ -30,8 +36,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	w.SetObs(obs.NewRegistry())
 	w.SetTrace(trace.NewRecorder())
 	w.Ingest(trace.Event{})
-	w.RegisterEpoch(0, func() EpochStatus { return EpochStatus{} })
-	w.RegisterPending(0, func() PendingStatus { return PendingStatus{} })
+	w.SetProbe(func() []Status { return []Status{{Queue: "fifo", Depth: 1}} })
 	w.Start()
 	w.Stop()
 	if got := w.Active(); got != nil {
@@ -40,21 +45,12 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if s := w.Summarize(); s.ActiveAlerts != 0 {
 		t.Fatalf("nil watchdog Summarize = %+v", s)
 	}
-	p := w.Queue(1, "fifo")
-	if p != nil {
-		t.Fatal("nil watchdog must hand out nil Progress")
-	}
-	p.Push()
-	p.Pop()
-	if p.Depth() != 0 {
-		t.Fatal("nil Progress must be a no-op")
-	}
 }
 
 func TestQueueStallRaisesAndClears(t *testing.T) {
 	w := New(testOptions())
-	p := w.Queue(3, "fifo")
-	p.Push()
+	sts := []Status{{Site: 3, Queue: "fifo", Depth: 1}}
+	w.SetProbe(probeOf(&sts))
 	w.tick() // samples the queue
 	time.Sleep(10 * time.Millisecond)
 	w.tick()
@@ -62,7 +58,7 @@ func TestQueueStallRaisesAndClears(t *testing.T) {
 	if len(active) != 1 || active[0].Kind != QueueStall || active[0].Site != 3 {
 		t.Fatalf("want one QueueStall at site 3, got %v", active)
 	}
-	p.Pop()
+	sts = []Status{{Site: 3, Queue: "fifo", Depth: 0, Pops: 1}}
 	w.tick()
 	if got := w.Active(); len(got) != 0 {
 		t.Fatalf("alert should clear after the queue drains, got %v", got)
@@ -76,10 +72,12 @@ func TestQueueStallRaisesAndClears(t *testing.T) {
 func TestEpochStallNeedsClusterProgress(t *testing.T) {
 	w := New(testOptions())
 	stuck, moving := uint64(7), uint64(7)
-	w.RegisterEpoch(2, func() EpochStatus {
-		return EpochStatus{Epoch: stuck, Blocked: []model.SiteID{0}}
+	w.SetProbe(func() []Status {
+		return []Status{
+			{Site: 1, Epoch: moving},
+			{Site: 2, Epoch: stuck, Blocked: []model.SiteID{0}},
+		}
 	})
-	w.RegisterEpoch(1, func() EpochStatus { return EpochStatus{Epoch: moving} })
 
 	// Whole cluster quiet: no site is ahead, so nothing is stalled.
 	w.tick()
@@ -112,8 +110,8 @@ func TestEpochStallNeedsClusterProgress(t *testing.T) {
 func TestPendingTwoPCAlert(t *testing.T) {
 	w := New(testOptions())
 	tid := model.TxnID{Site: 2, Seq: 5}
-	st := PendingStatus{Count: 1, Oldest: tid, OldestSince: time.Now()}
-	w.RegisterPending(0, func() PendingStatus { return st })
+	sts := []Status{{Site: 0, Prepared: 1, Oldest: tid, OldestSince: time.Now()}}
+	w.SetProbe(probeOf(&sts))
 	w.tick()
 	if got := w.Active(); len(got) != 0 {
 		t.Fatalf("fresh prepared entry must not alert, got %v", got)
@@ -124,7 +122,7 @@ func TestPendingTwoPCAlert(t *testing.T) {
 	if len(active) != 1 || active[0].Kind != PendingTwoPC || active[0].Site != 0 || active[0].TID != tid {
 		t.Fatalf("want PendingTwoPC{site 0, %v}, got %v", tid, active)
 	}
-	st = PendingStatus{}
+	sts = []Status{{Site: 0}}
 	w.tick()
 	if got := w.Active(); len(got) != 0 {
 		t.Fatalf("alert should clear once the decision lands, got %v", got)
@@ -229,8 +227,7 @@ func TestFlightDumpCaps(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	all := rec.Snapshot()
 	w.tick()
-	p := w.Queue(2, "fifo")
-	p.Push()
+	w.SetProbe(func() []Status { return []Status{{Site: 2, Queue: "fifo", Depth: 1}} })
 	w.tick()
 	time.Sleep(10 * time.Millisecond)
 	w.tick()
@@ -275,4 +272,31 @@ func seqs(events []trace.Event) []uint64 {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// TestRecoveryStallAndDeadSamples checks a site reported down past
+// StallDeadline raises RecoveryStall, which clears once the site is back,
+// and that the down incarnation's queue is forgotten: the rebuilt
+// engine's queue, at the same depth and pop count, is judged afresh.
+func TestRecoveryStallAndDeadSamples(t *testing.T) {
+	w := New(testOptions())
+	sts := []Status{{Site: 1, Queue: "fifo", Depth: 4}}
+	w.SetProbe(probeOf(&sts))
+	w.tick()
+	sts = []Status{{Site: 1, Down: true}}
+	w.tick()
+	if got := w.Active(); len(got) != 0 {
+		t.Fatalf("a site just gone down must not alert, got %v", got)
+	}
+	time.Sleep(10 * time.Millisecond)
+	w.tick()
+	active := w.Active()
+	if len(active) != 1 || active[0].Kind != RecoveryStall || active[0].Site != 1 {
+		t.Fatalf("want one RecoveryStall at site 1, got %v", active)
+	}
+	sts = []Status{{Site: 1, Queue: "fifo", Depth: 4}}
+	w.tick()
+	if got := w.Active(); len(got) != 0 {
+		t.Fatalf("a rebuilt site must clear the alert and start its queue afresh, got %v", got)
+	}
 }

@@ -23,8 +23,8 @@ import (
 // JSONL files together, as `replexplain a.jsonl b.jsonl` does. The
 // concatenation must pass the span invariants, rebuild span trees that
 // cross the process boundary, and leave no forward unapplied once the
-// cluster drains. With process b's apply events dropped, Unapplied must
-// name exactly the edges into b's sites, with every transaction
+// cluster drains. With process b's consumption events dropped, Unapplied
+// must name exactly the edges into b's sites, with every transaction
 // forwarded along them.
 func TestCrossProcessTraces(t *testing.T) {
 	if testing.Short() {
@@ -152,13 +152,13 @@ func TestCrossProcessTraces(t *testing.T) {
 		t.Fatal("no span tree crossed the process boundary; the join is untested")
 	}
 
-	// Drop process b's applies: every transaction forwarded into b's sites
-	// now reads as unapplied, and nothing else does.
+	// Drop process b's consumptions: every transaction forwarded into b's
+	// sites now reads as unapplied, and nothing else does.
 	type edge struct{ from, to model.SiteID }
 	want := make(map[edge]map[model.TxnID]bool)
 	var dropped []trace.Event
 	for _, ev := range events {
-		if inB(ev.Site) && ev.Kind == trace.SecondaryApplied {
+		if inB(ev.Site) && ev.Kind == trace.SecondaryConsumed {
 			continue
 		}
 		dropped = append(dropped, ev)

@@ -142,7 +142,7 @@ func (r *report) print(w io.Writer, nEvents int) {
 		}
 	}
 	if len(r.Unapplied) > 0 {
-		fmt.Fprintln(w, "== forwarded, never applied ==")
+		fmt.Fprintln(w, "== forwarded, never consumed ==")
 		fmt.Fprintf(w, "%-10s %-10s %8s\n", "protocol", "edge", "txns")
 		for _, u := range r.Unapplied {
 			fmt.Fprintf(w, "%-10s s%d->s%-4d %8d\n", u.Protocol, u.From, u.To, u.Count)

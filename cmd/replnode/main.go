@@ -150,10 +150,10 @@ func main() {
 	// The watchdog on a node watches what the node can see: its own
 	// queues, epoch progress, and prepared-but-undecided 2PC entries.
 	// Cross-site staleness needs both ends of an edge in one event stream,
-	// so its deadline is pushed out of reach — a forward to a peer is
-	// applied in the peer's process, invisible here. Joining every node's
-	// -trace file with replexplain reports those forwards offline, as its
-	// "unapplied" rows.
+	// and the probe reports this one site, so the watchdog folds no
+	// forward: a forward to a peer is consumed in the peer's process,
+	// invisible here. Joining every node's -trace file with replexplain
+	// reports those forwards offline, as its "unapplied" rows.
 	var watchdog *watch.Watchdog
 	var rec *trace.Recorder
 	if *watchOn || *flight != "" || *traceOut != "" {
@@ -163,10 +163,7 @@ func main() {
 		}
 	}
 	if *watchOn || *flight != "" {
-		watchdog = watch.New(watch.Options{
-			StalenessDeadline: 24 * time.Hour,
-			FlightDir:         *flight,
-		})
+		watchdog = watch.New(watch.Options{FlightDir: *flight})
 		watchdog.SetObs(registry)
 		watchdog.SetTrace(rec)
 		rec.AddSink(watchdog.Ingest)

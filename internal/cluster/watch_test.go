@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -315,5 +317,94 @@ func TestWatchQueueDepthAfterCrashRestart(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	if a, ok := findAlert(c.Watch(), watch.QueueStall); ok {
 		t.Errorf("queue_stall still active after quiesce: %+v", a)
+	}
+}
+
+// TestWatchSettlesEveryForward runs each propagating protocol to
+// quiescence on the chain with the watchdog on, and checks that no
+// forward is left open: the trace explains no unapplied forward, and no
+// StaleReplica alert survives the watchdog's final tick. The BackEdge
+// runs cover the special's relay hops through sites that hold no copy
+// and its homecoming; the WAL DAG(WT) run under a generated crash
+// schedule covers re-forwards that the receiver deduplicates.
+func TestWatchSettlesEveryForward(t *testing.T) {
+	if testing.Short() {
+		t.Skip("watchdog integration test")
+	}
+	type run struct {
+		proto core.Protocol
+		seed  int64
+		crash bool
+	}
+	var runs []run
+	for _, proto := range []core.Protocol{core.DAGWT, core.DAGT, core.NaiveLazy, core.BackEdge} {
+		for seed := int64(1); seed <= 4; seed++ {
+			runs = append(runs, run{proto: proto, seed: seed})
+		}
+	}
+	runs = append(runs, run{proto: core.DAGWT, seed: 1, crash: true})
+	for _, r := range runs {
+		name := fmt.Sprintf("%v/seed%d", r.proto, r.seed)
+		if r.crash {
+			name += "/wal-crash"
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			wl := smallWorkload()
+			wl.Sites, wl.Seed = 8, r.seed
+			if r.proto == core.BackEdge || r.proto == core.NaiveLazy {
+				wl.BackedgeProb = 0.3
+			} else {
+				wl.BackedgeProb = 0 // DAG(WT) and DAG(T) need a DAG copy graph
+			}
+			rec := trace.NewRecorder()
+			saveChaosArtifacts(t, rec)
+			cfg := Config{
+				Workload: wl,
+				Protocol: r.proto,
+				Params:   fastParams(),
+				Latency:  100 * time.Microsecond,
+				Trace:    rec,
+				Watch:    &watch.Options{StalenessDeadline: 50 * time.Millisecond, Tick: 5 * time.Millisecond},
+			}
+			if r.crash {
+				// Long enough that the crash lands mid-run.
+				cfg.Workload.TxnsPerThread = 400
+				cfg.WALDir = t.TempDir()
+				cfg.Fault = &fault.Config{Seed: r.seed} // the schedule only
+				cfg.Reliable = true
+			}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			c.Start()
+			stop := sync.OnceFunc(c.Stop)
+			defer stop()
+			var player sync.WaitGroup
+			if r.crash {
+				player.Add(1)
+				go func() {
+					defer player.Done()
+					c.Fault().Play(fault.Generate(r.seed, wl.Sites, 400*time.Millisecond))
+				}()
+			}
+			if _, err := c.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			player.Wait()
+			if err := c.Quiesce(60 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			stop() // the watchdog's final tick sees the drained cluster
+			if u := trace.Explain(rec.Snapshot()).Unapplied; len(u) != 0 {
+				for _, e := range u {
+					t.Errorf("unapplied s%d->s%d x%d", e.From, e.To, e.Count)
+				}
+			}
+			if a, ok := findAlert(c.Watch(), watch.StaleReplica); ok {
+				t.Errorf("stale_replica still active after quiesce: %+v", a)
+			}
+		})
 	}
 }

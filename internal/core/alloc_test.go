@@ -66,7 +66,7 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 	defer relay.Stop()
 	p := secondaryPayload{TID: model.TxnID{Site: 0, Seq: 1}, Writes: writes}
 	apply := func() {
-		if !relay.apply(p, model.SpanContext{TID: p.TID}) {
+		if !relay.apply(0, p, model.SpanContext{TID: p.TID}) {
 			t.Fatal("apply failed")
 		}
 	}

@@ -423,7 +423,7 @@ func (e *backedgeEngine) Handle(msg comm.Message) {
 // secondaries and specials take the inherited FIFO queue.
 func (e *backedgeEngine) dispatch(q queuedMsg) {
 	if q.msg.Kind == kindBackedgeExec {
-		go e.execBackedge(q.msg.Payload.(specialPayload), q.msg.Span)
+		go e.execBackedge(q.msg)
 		return
 	}
 	e.push(q)
@@ -444,13 +444,14 @@ const (
 // site: execute holding locks, then relay the special down the tree. The
 // delivery's pending obligation is released only once its consumption is
 // durable; a stopped/fenced execution leaves it to recovery.
-func (e *backedgeEngine) execBackedge(p specialPayload, sc model.SpanContext) {
+func (e *backedgeEngine) execBackedge(msg comm.Message) {
+	p, sc := msg.Payload.(specialPayload), msg.Span
 	switch e.executeHolding(p, sc) {
 	case beExecOK:
 		e.relaySpecial(p, sc)
-		e.consumeAndDone(p.TID)
+		e.consumeAndDone(msg.From, sc)
 	case beExecFailed:
-		e.consumeAndDone(p.TID)
+		e.consumeAndDone(msg.From, sc)
 	case beExecStopped:
 		// Receipt stays unconsumed; recovery re-processes it.
 	}
@@ -768,27 +769,27 @@ func (e *backedgeEngine) inquireStuck() {
 // subtransaction has reached the head of the FIFO queue, behind every
 // earlier secondary.
 func (e *backedgeEngine) onSpecial(msg comm.Message) {
-	p := msg.Payload.(specialPayload)
-	if p.Origin == e.id {
-		e.specialHome(p)
+	if msg.Payload.(specialPayload).Origin == e.id {
+		e.specialHome(msg)
 	} else {
 		// Intermediate (possibly backedge) site: execute holding locks if
 		// we replicate any written item, then relay.
-		e.execBackedge(p, msg.Span)
+		e.execBackedge(msg)
 	}
 }
 
 // specialHome hands the arrived special to the waiting origin transaction
 // and blocks until that transaction resolves, so later queue entries
 // commit after it — the FIFO commit order of §2 spans the eager commit.
-func (e *backedgeEngine) specialHome(p specialPayload) {
+func (e *backedgeEngine) specialHome(msg comm.Message) {
+	p := msg.Payload.(specialPayload)
 	e.mu.Lock()
 	st := e.waiters[p.TID]
 	// Remove the waiter on first arrival: a crash-recovery duplicate of
 	// the special must not close(arrived) twice.
 	delete(e.waiters, p.TID)
 	e.mu.Unlock()
-	if !e.consumeAndDone(p.TID) {
+	if !e.consumeAndDone(msg.From, msg.Span) {
 		return // fenced: receipt unconsumed, recovery inherits the obligation
 	}
 	if st == nil {

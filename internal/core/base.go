@@ -229,19 +229,28 @@ func (b *base) wasApplied(tid model.TxnID) bool {
 	return b.wal != nil && b.wal.WasApplied(tid)
 }
 
-// consumeAndDone durably marks one receipt of tid consumed without an
-// apply (a deduplicated duplicate, a failed execution, a special come
-// home) and then releases its pending obligation. pendDone strictly
-// follows durability: on false the marker was lost to a fence, the
-// receipt stays unconsumed, and the obligation is deliberately left
-// outstanding for recovery, which re-processes the receipt and releases
-// it then.
-func (b *base) consumeAndDone(tid model.TxnID) bool {
-	if b.walAppendSync(wal.Record{Kind: wal.KindConsumed, TID: tid}) != nil {
+// consumeAndDone durably marks one receipt of sc's transaction from
+// sender consumed without an apply (a deduplicated duplicate, a
+// backedge execution or pure relay, a special come home) and then
+// releases it. The release strictly follows durability: on false the
+// marker was lost to a fence, the receipt stays unconsumed, and the
+// obligation is deliberately left outstanding for recovery, which
+// re-processes the receipt and releases it then.
+func (b *base) consumeAndDone(from model.SiteID, sc model.SpanContext) bool {
+	if b.walAppendSync(wal.Record{Kind: wal.KindConsumed, TID: sc.TID}) != nil {
 		return false
 	}
-	b.pendDone()
+	b.release(from, sc)
 	return true
+}
+
+// release reports one receipt from sender consumed — the
+// SecondaryConsumed event that settles the sender's forward
+// (trace.Open) — and releases the delivery's pending obligation. Every
+// receipt's obligation is released here and nowhere else.
+func (b *base) release(from model.SiteID, sc model.SpanContext) {
+	b.emit(consumed, from, sc, 0)
+	b.pendDone()
 }
 
 // walForwarded marks an apply's propagation obligation discharged.

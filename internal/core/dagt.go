@@ -285,12 +285,12 @@ func (e *dagtEngine) hold(q queuedMsg) {
 
 // nextSecondary blocks until every parent queue is non-empty (or the
 // engine stops) and pops the head with the minimum timestamp (§3.2.3).
-func (e *dagtEngine) nextSecondary() (tsItem, bool) {
+func (e *dagtEngine) nextSecondary() (tsItem, model.SiteID, bool) {
 	e.qMu.Lock()
 	defer e.qMu.Unlock()
 	for {
 		if e.stopping() {
-			return tsItem{}, false
+			return tsItem{}, model.NoSite, false
 		}
 		ready := true
 		var minP model.SiteID
@@ -315,7 +315,7 @@ func (e *dagtEngine) nextSecondary() (tsItem, bool) {
 			if !it.p.Dummy {
 				e.phaseSince(metrics.PhaseQueueWait, minP, it.p.TID, it.at)
 			}
-			return it, true
+			return it, minP, true
 		}
 		e.qCond.Wait()
 	}
@@ -326,7 +326,7 @@ func (e *dagtEngine) nextSecondary() (tsItem, bool) {
 // site epoch follows the subtransaction's epoch (§3.2.3, §3.3).
 func (e *dagtEngine) scheduler() {
 	for {
-		it, ok := e.nextSecondary()
+		it, from, ok := e.nextSecondary()
 		if !ok {
 			return
 		}
@@ -334,7 +334,7 @@ func (e *dagtEngine) scheduler() {
 			e.advanceTS(it.p.TS)
 			continue
 		}
-		if !e.apply(it.p, it.sc) {
+		if !e.apply(from, it.p, it.sc) {
 			return
 		}
 	}

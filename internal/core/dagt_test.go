@@ -175,7 +175,7 @@ func TestDAGTSchedulerPicksGlobalMinimumExhaustive(t *testing.T) {
 		// global order exactly.
 		pops := 0
 		for len(e.queues[0]) > 0 && len(e.queues[1]) > 0 {
-			got, ok := e.nextSecondary()
+			got, _, ok := e.nextSecondary()
 			if !ok {
 				t.Fatal("scheduler stopped unexpectedly")
 			}

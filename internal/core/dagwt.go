@@ -72,7 +72,7 @@ func (e *dagwtEngine) applier() {
 		e.phaseSince(metrics.PhaseQueueWait, q.msg.From, q.msg.Span.TID, q.at)
 		if q.msg.Kind != kindSecondary {
 			e.special(q.msg)
-		} else if !e.apply(q.msg.Payload.(secondaryPayload), q.msg.Span) {
+		} else if !e.apply(q.msg.From, q.msg.Payload.(secondaryPayload), q.msg.Span) {
 			return // stopped mid-retry
 		}
 	}

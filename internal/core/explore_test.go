@@ -102,9 +102,9 @@ type world struct {
 // shares.
 func (w *world) applyCaptured(msg comm.Message) {
 	e := w.engines[msg.To].(interface {
-		apply(secondaryPayload, model.SpanContext) bool
+		apply(model.SiteID, secondaryPayload, model.SpanContext) bool
 	})
-	if !e.apply(msg.Payload.(secondaryPayload), msg.Span) {
+	if !e.apply(msg.From, msg.Payload.(secondaryPayload), msg.Span) {
 		panic("explorer: apply refused")
 	}
 }

@@ -268,7 +268,7 @@ func (k *lazyEngine) admit(msg comm.Message) {
 // still unconsumed, both inherited by recovery — only if the engine
 // stopped or its log was fenced first. On commit the protocol's
 // after-commit step has run atomically with it.
-func (k *lazyEngine) apply(p secondaryPayload, sc model.SpanContext) bool {
+func (k *lazyEngine) apply(from model.SiteID, p secondaryPayload, sc model.SpanContext) bool {
 	t := k.tm.BeginSecondary(p.TID)
 	wait := -1
 	for {
@@ -278,7 +278,7 @@ func (k *lazyEngine) apply(p secondaryPayload, sc model.SpanContext) bool {
 		if k.wasApplied(p.TID) {
 			// A crash-recovery re-forward duplicated this delivery:
 			// consume its receipt without re-applying (exactly-once).
-			return k.consumeAndDone(p.TID)
+			return k.consumeAndDone(from, sc)
 		}
 		err := k.lockSecondary(t, p.Writes, &wait, true)
 		if err == nil {
@@ -290,7 +290,7 @@ func (k *lazyEngine) apply(p secondaryPayload, sc model.SpanContext) bool {
 				k.tm.Recycle(t)
 				k.noteApplied(p.Writes)
 				k.emit(metrics.Secondaries, model.NoSite, sc, 0)
-				k.pendDone()
+				k.release(from, sc)
 				return true
 			}
 			// A fenced redo log (crash in progress): loop back to the

@@ -147,7 +147,7 @@ func TestLazyKernelContract(t *testing.T) {
 			r := newKernelRig(t, row.build)
 			for i := 0; i < 2; i++ {
 				r.deliver(t, msg)
-				if !r.kernel.apply(p, sc) {
+				if !r.kernel.apply(msg.From, p, sc) {
 					t.Fatalf("delivery %d: apply refused", i)
 				}
 			}
@@ -169,7 +169,7 @@ func TestLazyKernelContract(t *testing.T) {
 			defer blocker.Abort()
 			r.deliver(t, msg)
 			applied := make(chan bool, 1)
-			go func() { applied <- r.kernel.apply(p, sc) }()
+			go func() { applied <- r.kernel.apply(msg.From, p, sc) }()
 			waitFor(t, func() bool { return r.retries() > 0 }, "a resubmission")
 			r.engine.Stop()
 			if <-applied {
@@ -189,7 +189,7 @@ func TestLazyKernelContract(t *testing.T) {
 			r.deliver(t, msg)
 			r.log.Fence()
 			applied := make(chan bool, 1)
-			go func() { applied <- r.kernel.apply(p, sc) }()
+			go func() { applied <- r.kernel.apply(msg.From, p, sc) }()
 			// Every commit now fails on the fence; the loop must keep coming
 			// back to its stop check rather than give up or spin past it.
 			waitFor(t, func() bool { return r.retries() >= 2 }, "two failed commits")

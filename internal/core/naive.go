@@ -35,5 +35,5 @@ func (e *naiveEngine) Start() {}
 // other — precisely the indiscriminate behaviour that loses
 // serializability.
 func (e *naiveEngine) spawn(q queuedMsg) {
-	go e.apply(q.msg.Payload.(secondaryPayload), q.msg.Span)
+	go e.apply(q.msg.From, q.msg.Payload.(secondaryPayload), q.msg.Span)
 }

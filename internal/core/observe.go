@@ -18,6 +18,7 @@ const (
 	begun       = metrics.NumCounts + iota // primary subtransactions started
 	enqueued                               // propagation messages admitted to an ordering
 	forwarded                              // secondary subtransactions shipped
+	consumed                               // receipts consumed, each settling one forward
 	epochs                                 // DAG(T) source epoch advances
 	prepares                               // BackEdge 2PC prepares, at origin and participants
 	decided                                // BackEdge 2PC commits, at origin and participants
@@ -61,6 +62,7 @@ var slots = func() [numSlots]slot {
 		begun:               {kind: trace.TxnBegin},
 		enqueued:            {kind: trace.SecondaryEnqueued},
 		forwarded:           {series: "repl_secondary_forwarded_total", kind: trace.SecondaryForwarded},
+		consumed:            {kind: trace.SecondaryConsumed},
 		epochs:              {series: "repl_epoch_advances_total", kind: trace.EpochAdvance, spanless: true},
 		prepares:            {series: "repl_backedge_prepares_total", kind: trace.BackedgePrepare},
 		decided:             {series: "repl_backedge_commits_total", kind: trace.BackedgeCommit},

@@ -49,9 +49,9 @@ type Explanation struct {
 	// Protocols holds each protocol's delay, phase and certificate
 	// distributions.
 	Protocols []*ProtoStats `json:"protocols,omitempty"`
-	// Unapplied is one row per (protocol, edge) that still has forwarded
-	// secondaries the trace never saw arrive. A drained run whose every
-	// process contributed its trace has none.
+	// Unapplied is one row per (protocol, edge) that still has open
+	// forwards: forwarded, and never consumed by the receiver (Open). A
+	// drained run whose every process contributed its trace has none.
 	Unapplied []*UnappliedEdge `json:"unapplied,omitempty"`
 }
 
@@ -112,10 +112,9 @@ type SegmentStats struct {
 	metrics.PhaseStats
 }
 
-// UnappliedEdge counts the transactions forwarded along one (protocol,
-// edge) that have no SecondaryApplied or BackedgeCommit at the receiver
-// and no TxnAbort anywhere: watch.Inflight's rule as a set difference
-// over a finished trace, so event order does not matter.
+// UnappliedEdge counts the transactions whose forward along one
+// (protocol, edge) is open: forwarded more often than the receiver
+// consumed it. The watchdog's staleness alert reads the same fold live.
 type UnappliedEdge struct {
 	Proto    uint8        `json:"proto"`
 	Protocol string       `json:"protocol,omitempty"`
@@ -175,8 +174,7 @@ type edge struct {
 type fold struct {
 	begin, commit             map[txnKey]int64  // earliest, at the origin
 	receipt                   map[siteKey]int64 // earliest SecondaryEnqueued at a site
-	arrived                   map[siteKey]bool  // SecondaryApplied or BackedgeCommit at a site
-	aborted                   map[txnKey]bool
+	open                      *Open
 	recvPhases                map[siteKey][3]int64 // queue_wait, lock_wait, apply sums at a site
 	phases, forwards, applies []Event
 	spans                     map[uint8][]Event
@@ -198,12 +196,12 @@ func Explain(events []Event) Explanation {
 	f := fold{
 		begin: make(map[txnKey]int64), commit: make(map[txnKey]int64),
 		receipt: make(map[siteKey]int64), recvPhases: make(map[siteKey][3]int64),
-		arrived: make(map[siteKey]bool), aborted: make(map[txnKey]bool),
-		spans: make(map[uint8][]Event), aborts: make(map[string]uint64),
+		open: NewOpen(), spans: make(map[uint8][]Event), aborts: make(map[string]uint64),
 		protos: make(map[uint8]*protoSamples),
 	}
 	for _, ev := range events {
 		k := txnKey{ev.Proto, ev.TID}
+		f.open.Observe(ev, ev.T)
 		if ev.Span != 0 && !ev.TID.Zero() {
 			f.spans[ev.Proto] = append(f.spans[ev.Proto], ev)
 		}
@@ -222,7 +220,6 @@ func Explain(events []Event) Explanation {
 				reason = "unknown"
 			}
 			f.aborts[reason]++
-			f.aborted[k] = true
 		case SecondaryEnqueued:
 			earliest(f.receipt, siteKey{k, ev.Site}, ev.T)
 		case SecondaryForwarded:
@@ -233,9 +230,6 @@ func Explain(events []Event) Explanation {
 			if !ev.TID.Zero() {
 				f.applies = append(f.applies, ev)
 			}
-			f.arrived[siteKey{k, ev.Site}] = true
-		case BackedgeCommit:
-			f.arrived[siteKey{k, ev.Site}] = true
 		case PhaseLatency:
 			f.phases = append(f.phases, ev)
 			if ev.Phase != "" {
@@ -413,24 +407,13 @@ func (f *fold) waterfalls() []*Waterfall {
 	return out
 }
 
-// unapplied counts, per (protocol, edge), the distinct transactions
-// forwarded along it that never arrived and were not aborted.
+// unapplied counts the open hops per (protocol, edge).
 func (f *fold) unapplied() []*UnappliedEdge {
-	lost := make(map[edge]map[model.TxnID]bool)
-	for _, ev := range f.forwards {
-		k := txnKey{ev.Proto, ev.TID}
-		if ev.TID.Zero() || f.arrived[siteKey{k, ev.Peer}] || f.aborted[k] {
-			continue
-		}
-		e := edge{ev.Proto, ev.Site, ev.Peer}
-		if lost[e] == nil {
-			lost[e] = make(map[model.TxnID]bool)
-		}
-		lost[e][ev.TID] = true
-	}
-	out := make([]*UnappliedEdge, 0, len(lost))
-	for e, tids := range lost {
-		out = append(out, &UnappliedEdge{Proto: e.proto, From: e.from, To: e.to, Count: len(tids)})
+	open := make(map[edge]int)
+	f.open.Each(func(h Hop, _ int64) { open[edge{h.Proto, h.From, h.To}]++ })
+	out := make([]*UnappliedEdge, 0, len(open))
+	for e, n := range open {
+		out = append(out, &UnappliedEdge{Proto: e.proto, From: e.from, To: e.to, Count: n})
 	}
 	slices.SortFunc(out, func(a, b *UnappliedEdge) int {
 		return cmp.Or(cmp.Compare(a.Proto, b.Proto), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))

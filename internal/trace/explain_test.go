@@ -28,7 +28,7 @@ func phaseEv(tid model.TxnID, proto uint8, at int64, phase string, site model.Si
 // -> s2, with a forward s2 -> s3 that never arrived. Times are in µs:
 // commit at 0, forward at 100, receipt at s1 at 150 with qw/30/10 µs of
 // queue_wait/lock_wait/apply there, relay forward at 400, receipt at s2
-// at 500.
+// at 500. Each apply consumes its receipt.
 func relayedTxn(proto uint8, seq uint64, qw int64) []Event {
 	id := model.TxnID{Site: 0, Seq: seq}
 	ev := func(t int64, k Kind, site, peer model.SiteID) Event {
@@ -41,10 +41,12 @@ func relayedTxn(proto uint8, seq uint64, qw int64) []Event {
 		phaseEv(id, proto, 0, "queue_wait", 1, qw*us),
 		phaseEv(id, proto, 0, "lock_wait", 1, 20*us),
 		phaseEv(id, proto, 0, "apply", 1, 10*us),
-		ev(210, SecondaryApplied, 1, 0),
+		ev(210, SecondaryApplied, 1, model.NoSite),
+		ev(210, SecondaryConsumed, 1, 0),
 		ev(400, SecondaryForwarded, 1, 2),
 		ev(500, SecondaryEnqueued, 2, 1),
-		ev(520, SecondaryApplied, 2, 1),
+		ev(520, SecondaryApplied, 2, model.NoSite),
+		ev(520, SecondaryConsumed, 2, 1),
 		ev(600, SecondaryForwarded, 2, 3),
 	}
 }
@@ -104,20 +106,27 @@ func TestExplain(t *testing.T) {
 		Event{T: 75, Kind: DummySent, Site: 0, Peer: 1, Proto: 2},
 		Event{T: 80, Kind: TxnAbort, Site: 1, TID: model.TxnID{Site: 1, Seq: 9}, Proto: 3})
 
-	// Unapplied: each relayed transaction's s2 -> s3 forward never
-	// arrived; decided arrived by 2PC decision, rolledBack aborted, and
-	// stray was forwarded twice and applied only at a site it was not
-	// forwarded to.
-	decided, rolledBack, stray := model.TxnID{Site: 1, Seq: 5}, model.TxnID{Site: 1, Seq: 6}, model.TxnID{Site: 1, Seq: 7}
+	// Unapplied: forwards minus consumptions. Each relayed transaction's
+	// s2 -> s3 forward was never consumed. Of the eager subtransactions
+	// shipped s1 -> s0, decided was consumed and rolledBack consumed
+	// before its abort; lost was aborted unconsumed, and an abort settles
+	// nothing. stray was forwarded twice and consumed only at a site it
+	// was not forwarded to; applied was applied but never consumed.
+	decided, rolledBack, lost := model.TxnID{Site: 1, Seq: 5}, model.TxnID{Site: 1, Seq: 6}, model.TxnID{Site: 1, Seq: 8}
+	stray, applied := model.TxnID{Site: 1, Seq: 7}, model.TxnID{Site: 1, Seq: 9}
+	at := func(k Kind, site, peer model.SiteID, tid model.TxnID) Event {
+		return Event{Kind: k, Site: site, Peer: peer, TID: tid, Proto: 1}
+	}
 	unapplied := append(relayedTxn(1, 1, 5), relayedTxn(2, 1, 5)...)
 	unapplied = append(unapplied,
-		Event{Kind: SecondaryForwarded, Site: 1, Peer: 0, TID: decided, Proto: 1},
-		Event{Kind: BackedgeCommit, Site: 0, Peer: model.NoSite, TID: decided, Proto: 1},
-		Event{Kind: SecondaryForwarded, Site: 1, Peer: 2, TID: rolledBack, Proto: 1},
-		Event{Kind: TxnAbort, Site: 1, Peer: model.NoSite, TID: rolledBack, Proto: 1},
-		Event{Kind: SecondaryForwarded, Site: 1, Peer: 2, TID: stray, Proto: 1},
-		Event{Kind: SecondaryForwarded, Site: 1, Peer: 2, TID: stray, Proto: 1},
-		Event{Kind: SecondaryApplied, Site: 3, Peer: 2, TID: stray, Proto: 1})
+		at(SecondaryForwarded, 1, 0, decided), at(SecondaryConsumed, 0, 1, decided),
+		at(BackedgeCommit, 0, model.NoSite, decided),
+		at(SecondaryForwarded, 1, 0, rolledBack), at(SecondaryConsumed, 0, 1, rolledBack),
+		at(TxnAbort, 1, model.NoSite, rolledBack),
+		at(SecondaryForwarded, 1, 0, lost), at(TxnAbort, 1, model.NoSite, lost),
+		at(SecondaryForwarded, 1, 2, stray), at(SecondaryForwarded, 1, 2, stray),
+		at(SecondaryConsumed, 3, 2, stray),
+		at(SecondaryForwarded, 1, 2, applied), at(SecondaryApplied, 2, model.NoSite, applied))
 
 	cases := []struct {
 		name   string
@@ -214,14 +223,15 @@ func TestExplain(t *testing.T) {
 		{"UnappliedSetDifference", unapplied, func(t *testing.T, x Explanation, _ []Event) {
 			x.Name(func(p uint8) string { return string('a' + p) })
 			want := []*UnappliedEdge{
-				{Proto: 1, Protocol: "b", From: 1, To: 2, Count: 1},
+				{Proto: 1, Protocol: "b", From: 1, To: 0, Count: 1},
+				{Proto: 1, Protocol: "b", From: 1, To: 2, Count: 2},
 				{Proto: 1, Protocol: "b", From: 2, To: 3, Count: 1},
 				{Proto: 2, Protocol: "c", From: 2, To: 3, Count: 1},
 			}
 			if got := mustJSON(t, x.Unapplied); got != mustJSON(t, want) {
 				t.Errorf("unapplied = %s, want %s", got, mustJSON(t, want))
 			}
-			if x := Explain(relayedTxn(1, 1, 5)[:10]); len(x.Unapplied) != 0 {
+			if x := Explain(relayedTxn(1, 1, 5)[:12]); len(x.Unapplied) != 0 {
 				t.Errorf("every forward arrived, yet unapplied = %s", mustJSON(t, x.Unapplied))
 			}
 		}},

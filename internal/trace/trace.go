@@ -1,13 +1,14 @@
 // Package trace records structured per-transaction lifecycle events as
 // they flow through the propagation protocols: primary begin/commit/abort,
-// secondary subtransactions enqueued, applied and forwarded site-to-site,
-// DAG(T) dummies and epoch advances, BackEdge 2PC rounds, and PSL remote
-// reads. Each event is tagged with the site, the logical transaction id,
-// the protocol, and a monotonic timestamp, so a run's full propagation
-// behaviour — the subject of the paper's Figures 5–9 — can be replayed
-// offline: see BuildSpanTrees for per-transaction propagation trees and
-// Explain for the one fold every offline view (aborts, critical paths,
-// waterfalls, commit-to-replica delays) comes from.
+// secondary subtransactions enqueued, applied, forwarded and consumed
+// site-to-site, DAG(T) dummies and epoch advances, BackEdge 2PC rounds,
+// and PSL remote reads. Each event is tagged with the site, the logical
+// transaction id, the protocol, and a monotonic timestamp, so a run's
+// full propagation behaviour — the subject of the paper's Figures 5–9 —
+// can be replayed offline: see BuildSpanTrees for per-transaction
+// propagation trees and Explain for the one fold every offline view
+// (aborts, critical paths, waterfalls, commit-to-replica delays) comes
+// from.
 //
 // The recorder is lock-sharded by site so concurrent engines rarely
 // contend, and a nil *Recorder is a true no-op: disabled tracing costs the
@@ -110,6 +111,12 @@ const (
 	// PhaseLatency, because the fresh/stale outcome races propagation
 	// timing and must never perturb byte-stable span-tree structure.
 	ReadCertificate
+	// SecondaryConsumed marks Site consuming one receipt of a
+	// subtransaction Peer forwarded to it — applied, executed holding
+	// locks and relayed, passed through, come home, or deduplicated — at
+	// the point the receipt's pending obligation is released. It settles
+	// one SecondaryForwarded on the Peer→Site edge (Open).
+	SecondaryConsumed
 
 	kindEnd
 )
@@ -142,6 +149,7 @@ var kindNames = [kindEnd]string{
 	WALSnapshot:        "WALSnapshot",
 	WALRecover:         "WALRecover",
 	ReadCertificate:    "ReadCertificate",
+	SecondaryConsumed:  "SecondaryConsumed",
 }
 
 func (k Kind) String() string {

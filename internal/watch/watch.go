@@ -1,7 +1,7 @@
 // Package watch is the staleness/liveness watchdog: an online monitor
 // fed by the trace recorder's live sink and by one probe of the sites'
 // current engines, detecting the conditions a quiesced-run report can only
-// confirm after the fact — a replica falling behind (unapplied commits
+// confirm after the fact — a replica falling behind (unconsumed forwards
 // aging out), a DAG(T) site whose epoch stops advancing while its
 // siblings' do, an applier queue that holds depth without draining, and
 // a BackEdge participant stuck in the prepared state awaiting a 2PC
@@ -57,8 +57,8 @@ const flightSize = 4096
 type Kind uint8
 
 const (
-	// StaleReplica means a forwarded secondary subtransaction has stayed
-	// unapplied at its destination beyond StalenessDeadline.
+	// StaleReplica means a forward has stayed open — not consumed by its
+	// destination (trace.Open) — beyond StalenessDeadline.
 	StaleReplica Kind = iota + 1
 	// EpochStall means a DAG(T) site's epoch stopped advancing beyond
 	// StallDeadline while the cluster-wide maximum kept moving.
@@ -147,8 +147,8 @@ type Status struct {
 
 // Options tune the watchdog. Zero fields take the defaults.
 type Options struct {
-	// StalenessDeadline is the maximum age of a forwarded-but-unapplied
-	// secondary subtransaction before StaleReplica fires.
+	// StalenessDeadline is the maximum age of an open forward before
+	// StaleReplica fires.
 	StalenessDeadline time.Duration
 	// StallDeadline bounds epoch and queue quiet periods.
 	StallDeadline time.Duration
@@ -228,6 +228,9 @@ type siteSample struct {
 // trace.Recorder.AddSink), then Start.
 type Watchdog struct {
 	opts Options
+	// epoch is the zero of the stamps open holds: monotonic nanoseconds
+	// since New.
+	epoch time.Time
 
 	mu    sync.Mutex
 	reg   *obs.Registry               // repl:guardedby(mu)
@@ -236,9 +239,14 @@ type Watchdog struct {
 	probe func() []Status             // repl:guardedby(mu)
 	sites map[model.SiteID]siteSample // repl:guardedby(mu)
 
-	// inflight tracks forwarded-but-unapplied secondary subtransactions,
-	// fed from the trace sink.
-	inflight *Inflight // repl:guardedby(mu)
+	// open is the forwarded-but-unconsumed fold behind the staleness
+	// alert, fed from the trace sink with the hops between two local
+	// sites: the sites the probe reports. edges remembers every edge
+	// that has held an open forward at a tick, so its in-flight gauge
+	// falls back to zero once it drains.
+	open  *trace.Open                  // repl:guardedby(mu)
+	local map[model.SiteID]bool        // repl:guardedby(mu)
+	edges map[[2]model.SiteID]struct{} // repl:guardedby(mu)
 
 	// Contention watch state: a ring of recent lock_wait durations (fed
 	// from PhaseLatency events) and the cumulative commit/abort tally,
@@ -270,8 +278,11 @@ type Watchdog struct {
 func New(o Options) *Watchdog {
 	w := &Watchdog{
 		opts:        o.withDefaults(),
+		epoch:       time.Now(),
 		sites:       make(map[model.SiteID]siteSample),
-		inflight:    NewInflight(),
+		open:        trace.NewOpen(),
+		local:       make(map[model.SiteID]bool),
+		edges:       make(map[[2]model.SiteID]struct{}),
 		active:      make(map[alertKey]*Alert),
 		raised:      make(map[Kind]int),
 		staleBySite: make(map[model.SiteID]time.Duration),
@@ -308,15 +319,22 @@ func (w *Watchdog) SetTrace(tr *trace.Recorder) {
 // SetProbe installs the probe every tick samples: the status of each
 // site's current engine (Status), down sites included. Its owner
 // supplies it — a cluster reads every site, a node its one engine — so a
-// crashed site's dead engine is never sampled. The watchdog calls it
-// outside its own lock: engines record trace events into Ingest while
-// holding the locks the probe takes. Call before Start.
+// crashed site's dead engine is never sampled. The sites it reports now
+// are the local ones: the staleness alert folds only forwards between
+// two of them, since a forward into another process is consumed where
+// this watchdog cannot see it. The watchdog calls the probe outside its
+// own lock: engines record trace events into Ingest while holding the
+// locks the probe takes. Call before Start and before traffic flows.
 func (w *Watchdog) SetProbe(probe func() []Status) {
 	if w == nil {
 		return
 	}
+	local := make(map[model.SiteID]bool)
+	for _, st := range probe() {
+		local[st.Site] = true
+	}
 	w.mu.Lock()
-	w.probe = probe
+	w.probe, w.local = probe, local
 	w.mu.Unlock()
 }
 
@@ -334,9 +352,9 @@ func (w *Watchdog) RegisterWaitGraphs(probe func() []contend.SiteWaitGraph) {
 	w.mu.Unlock()
 }
 
-// Ingest consumes one live trace event: it maintains the
-// forwarded-but-unapplied bookkeeping behind the staleness alert and the
-// contention tallies. Install it as the recorder's sink:
+// Ingest consumes one live trace event: it folds the forwards and
+// consumptions between local sites behind the staleness alert, and keeps
+// the contention tallies. Install it as the recorder's sink:
 // rec.AddSink(w.Ingest). Safe for concurrent use.
 func (w *Watchdog) Ingest(ev trace.Event) {
 	if w == nil {
@@ -344,7 +362,9 @@ func (w *Watchdog) Ingest(ev trace.Event) {
 	}
 	now := time.Now()
 	w.mu.Lock()
-	w.inflight.Observe(ev, now)
+	if w.local[ev.Site] && w.local[ev.Peer] {
+		w.open.Observe(ev, int64(now.Sub(w.epoch)))
+	}
 	switch ev.Kind {
 	case trace.TxnAbort:
 		w.aborts++
@@ -416,39 +436,56 @@ func (w *Watchdog) tick() {
 	w.mu.Lock()
 	want := make(map[alertKey]*Alert)
 
-	// Staleness: oldest forwarded-but-unapplied secondary per replica.
-	// A drained replica reports N == 0 and age 0, resetting its gauges.
-	for site, p := range w.inflight.Sites() {
+	// Staleness: per local replica, its open forwards and the oldest of
+	// them. A drained replica reports 0 and age 0, resetting its gauges.
+	type backlog struct {
+		n      int
+		oldest trace.Hop
+		since  int64
+	}
+	into := make(map[model.SiteID]backlog)
+	along := make(map[[2]model.SiteID]int64)
+	w.open.Each(func(h trace.Hop, since int64) {
+		along[[2]model.SiteID{h.From, h.To}]++
+		b := into[h.To]
+		if b.n++; b.n == 1 || since < b.since {
+			b.oldest, b.since = h, since
+		}
+		into[h.To] = b
+	})
+	for e := range along {
+		w.edges[e] = struct{}{}
+	}
+	for site := range w.local {
+		b := into[site]
 		var age time.Duration
-		if p.N > 0 {
-			age = now.Sub(p.Since)
+		if b.n > 0 {
+			age = now.Sub(w.epoch.Add(time.Duration(b.since)))
 		}
-		if age > w.maxStale {
-			w.maxStale = age
-		}
+		w.maxStale = max(w.maxStale, age)
 		if age > w.staleBySite[site] {
 			w.staleBySite[site] = age
 		}
-		if p.N > 0 && age > w.opts.StalenessDeadline {
-			k := alertKey{kind: StaleReplica, site: site, peer: p.From}
+		if b.n > 0 && age > w.opts.StalenessDeadline {
+			k := alertKey{kind: StaleReplica, site: site, peer: b.oldest.From}
 			want[k] = &Alert{
-				Kind: StaleReplica, Site: site, Peer: p.From, TID: p.TID, Age: age,
-				Detail: fmt.Sprintf("%d unapplied, oldest %v", p.N, p.TID),
+				Kind: StaleReplica, Site: site, Peer: b.oldest.From, TID: b.oldest.TID, Age: age,
+				Detail: fmt.Sprintf("%d forwards unconsumed, oldest %v", b.n, b.oldest.TID),
 			}
 		}
 		if w.reg != nil {
 			lag := obs.Label{Key: "site", Value: fmt.Sprint(site)}
-			w.reg.Gauge("repl_watch_version_lag", lag).Set(int64(p.N))
+			w.reg.Gauge("repl_watch_version_lag", lag).Set(int64(b.n))
 			w.reg.Gauge("repl_watch_oldest_unapplied_ms", lag).Set(age.Milliseconds())
 		}
 	}
 
-	// Per-edge in-flight depth, derived from the same bookkeeping.
+	// Per-edge in-flight depth, from the same fold.
 	if w.reg != nil {
-		for e, p := range w.inflight.Edges() {
+		for e := range w.edges {
 			w.reg.Gauge("repl_watch_edge_inflight",
-				obs.Label{Key: "from", Value: fmt.Sprint(e.From)},
-				obs.Label{Key: "to", Value: fmt.Sprint(e.To)}).Set(int64(p.N))
+				obs.Label{Key: "from", Value: fmt.Sprint(e[0])},
+				obs.Label{Key: "to", Value: fmt.Sprint(e[1])}).Set(along[e])
 		}
 	}
 

@@ -138,6 +138,7 @@ func TestStalenessFromIngestAndFlightDump(t *testing.T) {
 	rec := trace.NewRecorder()
 	rec.AddSink(w.Ingest)
 	w.SetTrace(rec)
+	w.SetProbe(func() []Status { return []Status{{Site: 0}, {Site: 1}} })
 
 	tid := model.TxnID{Site: 0, Seq: 1}
 	octx := model.SpanContext{TID: tid}
@@ -177,9 +178,9 @@ func TestStalenessFromIngestAndFlightDump(t *testing.T) {
 		t.Error("no WatchAlert trace event recorded")
 	}
 
-	// The applied event clears the bookkeeping and the alert; the clear
-	// is also traced.
-	rec.RecordSpan(trace.SecondaryApplied, 1, model.NoSite, tid, 1, octx.Fork(0).SpanAt(1), octx.SpanAt(0))
+	// The receiver's consumption settles the forward and clears the
+	// alert; the clear is also traced.
+	rec.RecordSpan(trace.SecondaryConsumed, 1, 0, tid, 1, octx.Fork(0).SpanAt(1), octx.SpanAt(0))
 	w.tick()
 	if got := w.Active(); len(got) != 0 {
 		t.Fatalf("alert should clear after apply, got %v", got)
@@ -207,6 +208,53 @@ func TestStalenessFromIngestAndFlightDump(t *testing.T) {
 	}
 }
 
+// TestStalenessOldestAcrossEdges checks the per-replica view of the
+// open-forward fold: a replica fed by two edges is stale on behalf of its
+// oldest open forward across both, the alert moves to the other edge once
+// that forward is consumed, a drained edge's gauge falls back to zero, and
+// a forward into a site the probe does not report is not folded.
+func TestStalenessOldestAcrossEdges(t *testing.T) {
+	w := New(testOptions())
+	reg := obs.NewRegistry()
+	w.SetObs(reg)
+	w.SetProbe(func() []Status { return []Status{{Site: 0}, {Site: 1}, {Site: 2}} })
+	tid := func(seq uint64) model.TxnID { return model.TxnID{Site: 0, Seq: seq} }
+	hop := func(k trace.Kind, site, peer model.SiteID, seq uint64) {
+		w.Ingest(trace.Event{Kind: k, Site: site, Peer: peer, TID: tid(seq), Proto: 1})
+	}
+	hop(trace.SecondaryForwarded, 0, 2, 1)
+	time.Sleep(time.Millisecond)
+	hop(trace.SecondaryForwarded, 1, 2, 2)
+	hop(trace.SecondaryForwarded, 1, 2, 3)
+	hop(trace.SecondaryForwarded, 2, 9, 4) // site 9 is remote
+	time.Sleep(10 * time.Millisecond)
+	w.tick()
+	active := w.Active()
+	if len(active) != 1 || active[0].Site != 2 || active[0].Peer != 0 || active[0].TID != tid(1) {
+		t.Fatalf("want StaleReplica{site 2, peer 0, %v}, got %v", tid(1), active)
+	}
+	hop(trace.SecondaryConsumed, 2, 0, 1)
+	w.tick()
+	active = w.Active()
+	if len(active) != 1 || active[0].Peer != 1 || active[0].TID != tid(2) {
+		t.Fatalf("after the oldest drains: want StaleReplica{site 2, peer 1, %v}, got %v", tid(2), active)
+	}
+	snap := reg.Snapshot()
+	for series, want := range map[string]int64{
+		`repl_watch_version_lag{site="2"}`:          2,
+		`repl_watch_edge_inflight{from="0",to="2"}`: 0,
+		`repl_watch_edge_inflight{from="1",to="2"}`: 2,
+		`repl_watch_version_lag{site="0"}`:          0,
+	} {
+		if got, ok := snap[series]; !ok || got != want {
+			t.Errorf("%s = %d (present %v), want %d", series, got, ok, want)
+		}
+	}
+	if _, ok := snap[`repl_watch_edge_inflight{from="2",to="9"}`]; ok {
+		t.Error("a forward to a remote site was folded")
+	}
+}
+
 // TestFlightDumpCaps checks a flight dump is the recorder's tail — its
 // newest flightSize events, newest last — and that MaxDumps caps the
 // dumps per run.
@@ -218,6 +266,8 @@ func TestFlightDumpCaps(t *testing.T) {
 	rec := trace.NewRecorder()
 	rec.AddSink(w.Ingest)
 	w.SetTrace(rec)
+	sts := []Status{{Site: 0}, {Site: 1}, {Site: 2, Queue: "fifo"}}
+	w.SetProbe(probeOf(&sts))
 
 	// Record past the cap, then trigger two distinct alerts in two ticks.
 	for i := 0; i < flightSize+10; i++ {
@@ -227,7 +277,7 @@ func TestFlightDumpCaps(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	all := rec.Snapshot()
 	w.tick()
-	w.SetProbe(func() []Status { return []Status{{Site: 2, Queue: "fifo", Depth: 1}} })
+	sts[2].Depth = 1
 	w.tick()
 	time.Sleep(10 * time.Millisecond)
 	w.tick()

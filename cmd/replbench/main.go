@@ -59,8 +59,8 @@ func main() {
 		traceSkew  = flag.Float64("skew", 0, "with -trace: Zipf item-access skew (0 = the paper's uniform draw, >1 = Zipf s concentrating traffic on a hot set; pairs with -contend)")
 		jsonOut    = flag.Bool("json", false, "with -trace: print the run's metrics report as JSON; with -exp: print every point as a JSON array instead of tables")
 
-		faultDrop  = flag.Float64("faultdrop", 0, "with -trace: per-message drop probability injected under the engines")
-		faultDup   = flag.Float64("faultdup", 0, "with -trace: per-message duplication probability")
+		faultDrop  = flag.Float64("faultdrop", 0, "with -trace: per-message drop probability injected under the engines (needs -reliable)")
+		faultDup   = flag.Float64("faultdup", 0, "with -trace: per-message duplication probability (needs -reliable)")
 		faultDelay = flag.Float64("faultdelay", 0, "with -trace: per-message extra-delay probability (0.5ms-3ms holds)")
 		faultSeed  = flag.Int64("faultseed", 1, "seed rooting the fault injector's per-edge decision streams and the -chaossched schedule")
 		reliable   = flag.Bool("reliable", false, "with -trace: wrap the network in the reliable-delivery sublayer (required when faults drop messages)")
@@ -260,9 +260,6 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 	protocol, err := core.ParseProtocol(protoName)
 	if err != nil {
 		return err
-	}
-	if fo.Drop > 0 && !fo.Reliable {
-		return fmt.Errorf("-faultdrop without -reliable: the engines assume reliable FIFO delivery and would stall on the first lost message")
 	}
 	wl := workload.Default()
 	wl.TxnsPerThread = 100 // a traced run is a sample, not a benchmark

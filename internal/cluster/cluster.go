@@ -68,10 +68,10 @@ type Config struct {
 	Obs *obs.Registry
 	// Fault, when non-nil, interposes a fault-injection layer over the
 	// in-process transport: seeded random drops/duplications/delays plus
-	// scripted partitions and site crashes (see internal/fault). Unless the
-	// faults are pure delays, combine with Reliable — the engines assume
-	// the §1.1 reliable-FIFO network, and a dropped message otherwise
-	// stalls quiescing forever.
+	// scripted partitions and site crashes (see internal/fault). New
+	// rejects random drops or duplicates without Reliable: the engines
+	// assume the §1.1 network, which delivers every message exactly once.
+	// A message a partition drops is lost for good without Reliable too.
 	Fault *fault.Config
 	// Reliable runs the exactly-once FIFO delivery sublayer (comm.Reliable)
 	// on top of the (possibly faulty) transport, restoring the network
@@ -114,7 +114,6 @@ type Cluster struct {
 	top       comm.Transport   // the layer engines actually send through
 	watchdog  *watch.Watchdog  // non-nil iff Cfg.Watch was set
 	shared    *core.SharedConfig
-	pending   sync.WaitGroup
 
 	// engMu guards engines: restartSite swaps in a rebuilt engine while
 	// client threads fetch theirs per transaction.
@@ -137,6 +136,9 @@ type Cluster struct {
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
+	}
+	if f := cfg.Fault; f != nil && (f.Faults.Drop > 0 || f.Faults.Duplicate > 0) && !cfg.Reliable {
+		return nil, fmt.Errorf("cluster: fault drops and duplicates need Reliable: the engines assume exactly-once delivery (§1.1)")
 	}
 	placement := cfg.Placement
 	if placement == nil {
@@ -243,7 +245,6 @@ func New(cfg Config) (*Cluster, error) {
 		Trace:        cfg.Trace,
 		Obs:          cfg.Obs,
 		Fresh:        c.fresh,
-		Pending:      &c.pending,
 	}
 	c.shared = shared
 
@@ -415,9 +416,9 @@ func (c *Cluster) restartSite(site model.SiteID) {
 		Proto: uint8(c.Cfg.Protocol), Dur: int64(dur)})
 }
 
-// statuses reads every site's current engine for the watchdog. A site
-// torn down by a crash reports Down until its rebuilt engine is swapped
-// in.
+// statuses reads every site's current engine, for the watchdog and for
+// Quiesce. A site torn down by a crash reports Down until its rebuilt
+// engine is swapped in.
 func (c *Cluster) statuses() []watch.Status {
 	out := make([]watch.Status, c.Placement.NumSites)
 	for s := range out {
@@ -544,19 +545,26 @@ func (c *Cluster) fail(err error) {
 	c.mu.Unlock()
 }
 
-// Quiesce waits until every in-flight propagation message has been fully
-// consumed, or the timeout expires.
+// quiescePoll is how often Quiesce re-reads the sites.
+const quiescePoll = time.Millisecond
+
+// Quiesce waits, once the client threads have returned, until no
+// propagation is in flight — core.Quiescent over two successive reads of
+// every site's current engine — or the timeout expires. It polls on the
+// caller's goroutine, so a call that times out leaves nothing behind.
 func (c *Cluster) Quiesce(timeout time.Duration) error {
-	done := make(chan struct{})
-	go func() {
-		c.pending.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-time.After(timeout):
-		return fmt.Errorf("cluster: propagation did not quiesce within %v", timeout)
+	//lint:allow nodeterminism the deadline only bounds the wait; what the run did is fixed before Quiesce is called
+	deadline := time.Now().Add(timeout)
+	for {
+		first := c.statuses()
+		if core.Quiescent(first, c.statuses()) {
+			return nil
+		}
+		//lint:allow nodeterminism same bound: the clock decides when to give up, not what quiescence is
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster: propagation did not quiesce within %v", timeout)
+		}
+		time.Sleep(quiescePoll)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -142,11 +143,23 @@ func TestClusterWithJitterStaysCorrect(t *testing.T) {
 	})
 }
 
+// TestClusterQuiesceTimeout holds one real forward open behind a
+// partition: Quiesce must time out while it is open, and return once the
+// heal lets the reliable sublayer's retransmission deliver it.
 func TestClusterQuiesceTimeout(t *testing.T) {
+	// Item 0: primary s0, replica s1, the one edge of the chain.
+	p := model.NewPlacement(2, 1)
+	p.Primary = []model.SiteID{0}
+	p.Replicas = [][]model.SiteID{{1}}
+	if err := p.Finish(); err != nil {
+		t.Fatal(err)
+	}
 	wl := smallWorkload()
 	wl.TxnsPerThread = 0
-	wl.BackedgeProb = 0
-	c, err := New(Config{Workload: wl, Protocol: core.DAGWT, Params: fastParams()})
+	c, err := New(Config{
+		Workload: wl, Protocol: core.DAGWT, Params: fastParams(), Placement: p,
+		Fault: &fault.Config{Seed: 1}, Reliable: true, // partitions only
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +169,58 @@ func TestClusterQuiesceTimeout(t *testing.T) {
 	if err := c.Quiesce(time.Second); err != nil {
 		t.Fatalf("quiesce on idle cluster: %v", err)
 	}
-	// Simulate a stuck message.
-	c.pending.Add(1)
-	err = c.Quiesce(50 * time.Millisecond)
-	if err == nil {
-		t.Fatal("expected quiesce timeout")
+	c.Fault().Partition(0, 1)
+	if err := c.Engine(0).Execute([]model.Op{{Kind: model.OpWrite, Item: 0, Value: 7}}); err != nil {
+		t.Fatal(err)
 	}
-	c.pending.Done()
+	if err := c.Quiesce(50 * time.Millisecond); err == nil {
+		t.Fatal("quiesced with the forward to s1 cut off")
+	}
+	c.Fault().Heal(0, 1)
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatalf("quiesce after the heal: %v", err)
+	}
+	if err := c.CheckConvergence(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterFaultContract: New enforces the engines' exactly-once
+// delivery assumption, so random drops or duplicates need Reliable, and
+// delays alone do not.
+func TestClusterFaultContract(t *testing.T) {
+	rows := []struct {
+		name     string
+		faults   *fault.Faults
+		reliable bool
+		ok       bool
+	}{
+		{"drop", &fault.Faults{Drop: 0.05}, false, false},
+		{"duplicate", &fault.Faults{Duplicate: 0.05}, false, false},
+		{"drop over Reliable", &fault.Faults{Drop: 0.05}, true, true},
+		{"duplicate over Reliable", &fault.Faults{Duplicate: 0.05}, true, true},
+		{"delay only", &fault.Faults{Delay: 0.5, DelayMin: time.Millisecond, DelayMax: 2 * time.Millisecond}, false, true},
+		{"no faults", &fault.Faults{}, false, true},
+		{"no fault layer", nil, false, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			wl := smallWorkload()
+			wl.TxnsPerThread = 0
+			wl.BackedgeProb = 0
+			cfg := Config{Workload: wl, Protocol: core.DAGWT, Params: fastParams(), Reliable: row.reliable}
+			if row.faults != nil {
+				cfg.Fault = &fault.Config{Seed: 1, Faults: *row.faults}
+			}
+			c, err := New(cfg)
+			if (err == nil) != row.ok {
+				t.Fatalf("New: %v, want accepted = %v", err, row.ok)
+			}
+			if c != nil {
+				c.Stop()
+			}
+		})
+	}
 }
 
 func TestClusterConvergenceUndefinedForPSL(t *testing.T) {

@@ -62,6 +62,9 @@ type backedgeEngine struct {
 	// it and have not yet been settled: a read-only program reading any of
 	// these items takes S locks instead of a snapshot (pinDisjoint).
 	writing map[model.ItemID]int // repl:guardedby(mu)
+	// unsettled counts the registered subtransactions not yet settled:
+	// the prepared ones plus those taken whose decision is still landing.
+	unsettled int // repl:guardedby(mu)
 }
 
 // pendingBE is a participant-side executed backedge subtransaction
@@ -106,13 +109,15 @@ func newBackEdge(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *backedg
 
 // Status adds the eager arm to the DAG(WT) status: how many executed
 // backedge subtransactions sit holding locks awaiting a decision, the
-// oldest of them (a hung decision shows up as its age climbing), and the
-// parked origins.
+// oldest of them (a hung decision shows up as its age climbing), how
+// many are registered and not yet settled, and the parked origins. The
+// unsettled count is read after the kernel's consumed count, as
+// Quiescent requires.
 func (e *backedgeEngine) Status() watch.Status {
 	st := e.dagwtEngine.Status()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st.Prepared, st.Parked = len(e.prepared), len(e.waiters)
+	st.Prepared, st.Parked, st.Unsettled = len(e.prepared), len(e.waiters), e.unsettled
 	for tid, p := range e.prepared {
 		if st.OldestSince.IsZero() || p.since.Before(st.OldestSince) {
 			st.Oldest, st.OldestSince = tid, p.since
@@ -124,7 +129,7 @@ func (e *backedgeEngine) Status() watch.Status {
 // recover rebuilds the BackEdge protocol state the disk knows, in
 // dependency order: durable decisions first (inquiries answer from
 // them), then in-doubt prepared entries (re-executed holding locks,
-// inheriting their pending obligations), then eager dispatches (an
+// unsettled until a decision resolves them), then eager dispatches (an
 // undecided one is presumed aborted — made durable so participant
 // inquiries find it; a decided-commit one whose local apply is missing
 // is redone), then the kernel's replay — unmarked forwards, then
@@ -162,8 +167,6 @@ func (e *backedgeEngine) recover() {
 		e.mu.Lock()
 		e.register(p)
 		e.mu.Unlock()
-		// No pendAdd: the entry inherits the pending obligation its
-		// pre-crash registration took; the decision releases it.
 	}
 	for tid, ee := range rec.Eager {
 		commit, known := rec.Decisions[tid]
@@ -442,8 +445,8 @@ const (
 
 // execBackedge runs a backedge subtransaction at the farthest ancestor
 // site: execute holding locks, then relay the special down the tree. The
-// delivery's pending obligation is released only once its consumption is
-// durable; a stopped/fenced execution leaves it to recovery.
+// receipt is released only once its consumption is durable; a
+// stopped/fenced execution leaves it to recovery.
 func (e *backedgeEngine) execBackedge(msg comm.Message) {
 	p, sc := msg.Payload.(specialPayload), msg.Span
 	switch e.executeHolding(p, sc) {
@@ -511,11 +514,6 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 		err := e.table.Begin(p.TID)
 		if err == nil {
 			e.register(pe)
-			// The subtransaction is in-flight propagation until its 2PC
-			// decision resolves it (possibly by inquiry recovery): holding
-			// a pending count here makes Quiesce wait out decision
-			// delivery instead of sampling replicas mid-recovery.
-			e.pendAdd(1)
 		}
 		e.mu.Unlock()
 		if err != nil {
@@ -538,7 +536,6 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 			if owned {
 				e.discard(pe)
 			}
-			e.pendDone() // undo the registration's own pendAdd
 			return beExecStopped
 		}
 		return beExecOK
@@ -564,13 +561,6 @@ func (e *backedgeEngine) handleAbort(tid model.TxnID) {
 	e.mu.Unlock()
 	if p != nil {
 		e.discard(p)
-		// The resolution must be durable before the prepared entry's
-		// pending obligation is released; on a fence recovery restores the
-		// entry and resolves it again via inquiry (the origin logged the
-		// abort before sending this notification).
-		if e.walAppendSync(wal.Record{Kind: wal.KindResolved, TID: tid}) == nil {
-			e.pendDone()
-		}
 	}
 }
 
@@ -601,35 +591,20 @@ func (e *backedgeEngine) finishDecision(tid model.TxnID, commit bool, from model
 	e.mu.Unlock()
 	if p != nil {
 		if act && commit {
-			if err := e.install(p); err != nil {
-				// Only reachable on a fenced redo log (crash in progress):
-				// the prepared entry and the coordinator's decision are both
-				// durable, so recovery restores the subtransaction in doubt
-				// and resolves it again by inquiry. No pendDone — the
-				// obligation passes to the restored entry.
-				return
-			}
-			e.emit(decided, from, p.sc, 0)
-			e.noteApplied(p.writes)
-			e.emit(metrics.Secondaries, model.NoSite, p.sc, 0)
+			e.install(p, from)
 		} else {
 			e.discard(p)
-			// Same fence discipline as handleAbort: the resolution must hit
-			// disk before the obligation is released.
-			if e.walAppendSync(wal.Record{Kind: wal.KindResolved, TID: tid}) != nil {
-				return
-			}
 		}
-		e.pendDone()
 	}
 	_ = e.table.Forget(tid)
 }
 
-// register makes p a live participant: it enters the prepared map, and
-// its items stop being readable by snapshot readers until settle releases
-// them. The caller holds e.mu.
+// register makes p a live participant: it enters the prepared map and
+// counts as unsettled, and its items stop being readable by snapshot
+// readers until settle releases them. The caller holds e.mu.
 func (e *backedgeEngine) register(p *pendingBE) {
 	e.prepared[p.t.ID] = p
+	e.unsettled++
 	for _, w := range p.writes {
 		e.writing[w.Item]++
 	}
@@ -645,29 +620,43 @@ func (e *backedgeEngine) take(tid model.TxnID) *pendingBE {
 }
 
 // install commits a taken subtransaction with the decision's redo record,
-// then settles it. A fenced log fails the Commit with nothing installed.
-func (e *backedgeEngine) install(p *pendingBE) error {
+// reports the commit decided by coordinator from, then settles it. A
+// fenced log (crash in progress) fails the Commit with nothing
+// installed: the prepared entry and the coordinator's decision are both
+// durable, so recovery restores the subtransaction in doubt and resolves
+// it again by inquiry.
+func (e *backedgeEngine) install(p *pendingBE, from model.SiteID) {
 	e.armDurable(p.t, wal.Record{
 		Kind: wal.KindApply, TID: p.t.ID, Role: wal.RoleResolve,
 		Writes: p.writes, Span: p.sc,
 	})
-	err := p.t.Commit()
+	if p.t.Commit() == nil {
+		e.emit(decided, from, p.sc, 0)
+		e.noteApplied(p.writes)
+		e.emit(metrics.Secondaries, model.NoSite, p.sc, 0)
+	}
 	e.settle(p)
-	return err
 }
 
-// discard aborts a taken subtransaction, then settles it.
+// discard aborts and settles a taken subtransaction, then logs its
+// resolution. On a fenced log recovery restores the entry and resolves
+// it again by inquiry: the coordinator logs every abort before a
+// participant can learn it.
 func (e *backedgeEngine) discard(p *pendingBE) {
 	p.t.Abort()
 	e.settle(p)
+	_ = e.walAppendSync(wal.Record{Kind: wal.KindResolved, TID: p.t.ID})
 }
 
-// settle releases p's items to snapshot readers. It runs only once p's
-// transaction has finished, so its writes are installed (or will never
-// be): a reader that pinDisjoint admits afterwards pins at or after the
-// install and never reads a version p supersedes at this site.
+// settle ends a registered subtransaction: it stops counting p as
+// unsettled and releases p's items to snapshot readers. It
+// runs only once p's transaction has finished, so its writes are
+// installed (or will never be): a reader that pinDisjoint admits
+// afterwards pins at or after the install and never reads a version p
+// supersedes at this site.
 func (e *backedgeEngine) settle(p *pendingBE) {
 	e.mu.Lock()
+	e.unsettled--
 	for _, w := range p.writes {
 		if e.writing[w.Item]--; e.writing[w.Item] == 0 {
 			delete(e.writing, w.Item)
@@ -790,7 +779,7 @@ func (e *backedgeEngine) specialHome(msg comm.Message) {
 	delete(e.waiters, p.TID)
 	e.mu.Unlock()
 	if !e.consumeAndDone(msg.From, msg.Span) {
-		return // fenced: receipt unconsumed, recovery inherits the obligation
+		return // fenced: receipt unconsumed, left to recovery
 	}
 	if st == nil {
 		return // origin already aborted (PrepareTimeout), or duplicate

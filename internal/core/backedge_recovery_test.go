@@ -18,14 +18,14 @@ import (
 type dropFirstKind struct {
 	comm.Transport
 
-	mu      sync.Mutex
-	pending map[int]bool // kind -> not yet dropped
+	mu    sync.Mutex
+	armed map[int]bool // kind -> not yet dropped
 }
 
 func dropKinds(kinds ...int) *dropFirstKind {
-	d := &dropFirstKind{pending: make(map[int]bool)}
+	d := &dropFirstKind{armed: make(map[int]bool)}
 	for _, k := range kinds {
-		d.pending[k] = true
+		d.armed[k] = true
 	}
 	return d
 }
@@ -33,9 +33,9 @@ func dropKinds(kinds ...int) *dropFirstKind {
 func (d *dropFirstKind) Send(m comm.Message) error {
 	if !m.IsResp {
 		d.mu.Lock()
-		hit := d.pending[m.Kind]
+		hit := d.armed[m.Kind]
 		if hit {
-			d.pending[m.Kind] = false
+			d.armed[m.Kind] = false
 		}
 		d.mu.Unlock()
 		if hit {
@@ -161,7 +161,6 @@ func TestEagerRedoNotesCommit(t *testing.T) {
 		SubtreeItems: graph.SubtreeCopyItems(tree, p),
 		Params:       testParams(),
 		Fresh:        fresh.New(2),
-		Pending:      &sync.WaitGroup{},
 		WALs:         map[model.SiteID]*wal.SiteLog{origin: lg},
 	}
 	e := newBackEdge(cfg, origin, newCaptureTransport())

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/txn"
 )
@@ -258,5 +259,74 @@ func TestBackEdgeConcurrentMixedWorkload(t *testing.T) {
 				t.Errorf("item %d: primary=%d replica s%d=%d", item, want, rep, got)
 			}
 		}
+	}
+}
+
+// TestBackEdgeUnsettledUntilSettle: Status counts a participant as
+// unsettled from its registration until settle, on the commit path and
+// the abort path, including the window after the decision takes it from
+// the prepared map and before its install or discard lands.
+func TestBackEdgeUnsettledUntilSettle(t *testing.T) {
+	p := example41Placement(t) // item 1: primary s1, replica s0
+	tree := graph.BuildChain([]model.SiteID{0, 1})
+	cfg := &SharedConfig{
+		Placement:    p,
+		Graph:        graph.FromPlacement(p),
+		Order:        []model.SiteID{0, 1},
+		Tree:         tree,
+		SubtreeItems: graph.SubtreeCopyItems(tree, p),
+		Params:       testParams(),
+	}
+	e := newBackEdge(cfg, 0, newCaptureTransport())
+	t.Cleanup(e.Stop)
+	want := func(step string, prepared, unsettled int) {
+		t.Helper()
+		if st := e.Status(); st.Prepared != prepared || st.Unsettled != unsettled {
+			t.Fatalf("%s: prepared %d, unsettled %d; want %d, %d", step, st.Prepared, st.Unsettled, prepared, unsettled)
+		}
+	}
+	seq := uint64(0)
+	register := func() model.TxnID {
+		t.Helper()
+		seq++
+		tid := model.TxnID{Site: 1, Seq: seq}
+		sp := specialPayload{TID: tid, Origin: 1, Writes: []model.WriteOp{{Item: 1, Value: int64(seq)}}}
+		if got := e.executeHolding(sp, model.SpanContext{TID: tid}); got != beExecOK {
+			t.Fatalf("executeHolding = %v, want beExecOK", got)
+		}
+		want("registered", 1, 1)
+		return tid
+	}
+	for _, commit := range []bool{true, false} {
+		name := map[bool]string{true: "commit", false: "abort"}[commit]
+		t.Run(name, func(t *testing.T) {
+			// The decision's steps one at a time: taken, then settled.
+			tid := register()
+			e.mu.Lock()
+			e.table.Finish(tid, commit)
+			pe := e.take(tid)
+			e.mu.Unlock()
+			want("taken", 0, 1)
+			if commit {
+				e.install(pe, 1)
+			} else {
+				e.discard(pe)
+			}
+			want("settled", 0, 0)
+
+			// The same through the entry points.
+			tid = register()
+			if commit {
+				e.finishDecision(tid, true, 1)
+			} else {
+				e.handleAbort(tid)
+			}
+			want("decided", 0, 0)
+		})
+	}
+	// The commit run installed values 1 and 2; the abort run's 3 and 4
+	// were discarded.
+	if got := e.Snapshot()[1]; got != 2 {
+		t.Errorf("replica of item 1 = %d, want 2", got)
 	}
 }

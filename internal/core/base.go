@@ -108,9 +108,15 @@ func newBase(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transpo
 
 func (b *base) Site() model.SiteID { return b.id }
 
-// Status reads the site's state for the watchdog: whether the engine is
-// stopped. Engines with a queue or protocol state of their own extend it.
-func (b *base) Status() watch.Status { return watch.Status{Site: b.id, Down: b.stopping()} }
+// Status reads the site's state: whether the engine is stopped, and its
+// bank's forward and consumption counts. Engines with a queue or protocol
+// state of their own extend it, reading that state after the consumed
+// count, as Quiescent requires.
+func (b *base) Status() watch.Status {
+	st := watch.Status{Site: b.id, Consumed: b.bank[consumed].Value()}
+	st.Forwarded, st.Down = b.bank[forwarded].Value(), b.stopping()
+	return st
+}
 
 // Snapshot exposes the site's store contents for convergence checks on a
 // quiesced cluster.
@@ -233,9 +239,9 @@ func (b *base) wasApplied(tid model.TxnID) bool {
 // sender consumed without an apply (a deduplicated duplicate, a
 // backedge execution or pure relay, a special come home) and then
 // releases it. The release strictly follows durability: on false the
-// marker was lost to a fence, the receipt stays unconsumed, and the
-// obligation is deliberately left outstanding for recovery, which
-// re-processes the receipt and releases it then.
+// marker was lost to a fence, the receipt stays unconsumed and its
+// forward open, and recovery re-processes the receipt and releases it
+// then.
 func (b *base) consumeAndDone(from model.SiteID, sc model.SpanContext) bool {
 	if b.walAppendSync(wal.Record{Kind: wal.KindConsumed, TID: sc.TID}) != nil {
 		return false
@@ -244,13 +250,12 @@ func (b *base) consumeAndDone(from model.SiteID, sc model.SpanContext) bool {
 	return true
 }
 
-// release reports one receipt from sender consumed — the
-// SecondaryConsumed event that settles the sender's forward
-// (trace.Open) — and releases the delivery's pending obligation. Every
-// receipt's obligation is released here and nowhere else.
+// release reports one receipt from sender consumed: the bank's consumed
+// count that Quiescent sums, and the SecondaryConsumed event that settles
+// the sender's forward (trace.Open). Every receipt is released here and
+// nowhere else.
 func (b *base) release(from model.SiteID, sc model.SpanContext) {
 	b.emit(consumed, from, sc, 0)
-	b.pendDone()
 }
 
 // walForwarded marks an apply's propagation obligation discharged.
@@ -447,19 +452,6 @@ type queuedMsg struct {
 // block in turn once that transport edge fills. The queue's memory follows
 // its content, not this number (comm.Inbox).
 const inboxBound = 1 << 16
-
-// pendAdd/pendDone track in-flight propagation for cluster quiescing.
-func (b *base) pendAdd(n int) {
-	if b.cfg.Pending != nil {
-		b.cfg.Pending.Add(n)
-	}
-}
-
-func (b *base) pendDone() {
-	if b.cfg.Pending != nil {
-		b.cfg.Pending.Done()
-	}
-}
 
 // stopping reports whether Stop was called.
 func (b *base) stopping() bool {

@@ -18,7 +18,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -171,9 +170,10 @@ func (p Params) Validate() error {
 }
 
 // SharedConfig is the cluster-wide state every engine sees: the placement,
-// the copy graph and its derived structures, and the run-wide sinks. The
-// watchdog is not among them: it samples each engine's Status through a
-// probe its owner installs, so engines register nothing with it.
+// the copy graph and its derived structures, and the run-wide sinks. No
+// field tracks what is in flight: the watchdog and quiescing both read
+// each engine's own state through its Status, so engines register
+// nothing with either.
 type SharedConfig struct {
 	Placement *model.Placement
 	Graph     *graph.CopyGraph
@@ -206,9 +206,6 @@ type SharedConfig struct {
 	// certificates, staleness distributions, and their metrics all become
 	// one-branch no-ops.
 	Fresh *fresh.Tracker
-	// Pending tracks in-flight real (non-dummy) propagation messages so
-	// the cluster can quiesce; nil disables tracking.
-	Pending *sync.WaitGroup
 	// WALs maps each site to its write-ahead redo log. Nil (or a missing
 	// entry) runs the site without durability: crashes are then purely
 	// in-memory. With a log present the engine recovers its store image,
@@ -236,10 +233,48 @@ type Engine interface {
 	// was logged before it was queued, and the next engine built on that
 	// log re-admits the unconsumed ones. Without a WAL they are dropped.
 	Stop()
-	// Status reads the engine's liveness state for the watchdog: whether
-	// it is stopped, its queue's depth and pops, and its protocol's own
-	// progress (DAG(T) epochs, BackEdge prepared participants).
+	// Status reads the engine's own state, for the watchdog and for
+	// Quiescent: whether it is stopped, its queue's depth and pops, its
+	// protocol's own progress (DAG(T) epochs, BackEdge prepared and
+	// unsettled participants), and its bank's forward and consumption
+	// counts.
 	Status() watch.Status
+}
+
+// Quiescent reports whether a run whose clients have all returned has no
+// propagation left in flight, judged from two successive reads of every
+// site's Status, first and second (site-indexed, equal length): no site
+// is down and no BackEdge participant unsettled in either read, and the
+// receipts consumed in the first read sum to the forwards counted in the
+// second.
+//
+// Why two reads make one instant: let F(t) and C(t) be the true sums of
+// forwards and consumptions at time t, and t any instant between the
+// reads. Both counts only grow, so Σ first.Consumed <= C(t) and
+// F(t) <= Σ second.Forwarded; and every consumption settles a distinct
+// earlier forward, so C(t) <= F(t). Equal read sums therefore force
+// C(t) = F(t): at t no forward was open. Nothing open means nothing left
+// to forward, because a forward is always counted before the consumption
+// that causes it: an applier forwards inside its commit and releases the
+// receipt after it, and a relay ships before it consumes. The one other
+// source of work is a BackEdge participant awaiting its decision. It
+// registers before its own receipt is consumed, and Status reads the
+// unsettled count after the consumed count. So a participant unsettled
+// at t either shows in the first read, or registered after that read's
+// consumed count and was consumed after it too, yet before t: the first
+// read's sum then falls short of C(t), and the sums differ. A down site
+// is not quiescent either: its recovery may re-forward.
+func Quiescent(first, second []watch.Status) bool {
+	var consumed, forwarded uint64
+	for i := range first {
+		a, b := &first[i], &second[i]
+		if a.Down || b.Down || a.Unsettled > 0 || b.Unsettled > 0 {
+			return false
+		}
+		consumed += a.Consumed
+		forwarded += b.Forwarded
+	}
+	return consumed == forwarded
 }
 
 // New constructs the engine for proto at site id over tr. The transport

@@ -55,7 +55,7 @@ func (e *dagwtEngine) Status() watch.Status {
 
 // push appends an admitted message to the FIFO queue, blocking while the
 // queue is full. If the engine stops first the message is not queued; its
-// receipt and pending obligation pass to recovery, as a queued one's do.
+// receipt passes to recovery, as a queued one's does.
 func (e *dagwtEngine) push(q queuedMsg) {
 	e.queue.Push(q, e.stop)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/wal"
+	"repro/internal/watch"
 )
 
 // testParams are Table 1 parameters scaled for test speed.
@@ -36,7 +36,6 @@ type system struct {
 	collector *metrics.Collector
 	registry  *obs.Registry
 	tracer    *trace.Recorder
-	pending   sync.WaitGroup
 	shared    *SharedConfig
 	tr        comm.Transport // what the engines send on
 }
@@ -108,7 +107,6 @@ func buildSystemFull(t *testing.T, proto Protocol, p *model.Placement, params Pa
 		Metrics:      s.collector,
 		Obs:          s.registry,
 		Trace:        s.tracer,
-		Pending:      &s.pending,
 		WALs:         wals,
 	}
 	s.shared = shared
@@ -139,18 +137,29 @@ func buildSystemFull(t *testing.T, proto Protocol, p *model.Placement, params Pa
 	return s
 }
 
-// quiesce waits for all in-flight propagation.
+// statuses reads every site's engine.
+func (s *system) statuses() []watch.Status {
+	out := make([]watch.Status, len(s.engines))
+	for i, e := range s.engines {
+		out[i] = e.Status()
+	}
+	return out
+}
+
+// quiesce waits, as the cluster's Quiesce does, until Quiescent holds
+// over two successive reads of every site.
 func (s *system) quiesce(t *testing.T) {
 	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		s.pending.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("propagation did not quiesce")
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		first := s.statuses()
+		if Quiescent(first, s.statuses()) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("propagation did not quiesce: %+v", first)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

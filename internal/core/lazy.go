@@ -226,12 +226,10 @@ func (k *lazyEngine) propagate(in model.SpanContext, tsT ts.Timestamp, writes []
 	k.walForwarded(in.TID)
 }
 
-// ship is the fan-out body: one pending obligation (released by the
-// receiver once the delivery is durably consumed), one forwarded step
-// under in, and one message carrying in's fork, which makes the hop a
-// child span.
+// ship is the fan-out body: one forwarded step under in, counted before
+// the message exists (the receiver's consumption settles it), and one
+// message carrying in's fork, which makes the hop a child span.
 func (k *lazyEngine) ship(to model.SiteID, kind int, in model.SpanContext, payload any) {
-	k.pendAdd(1)
 	k.emit(forwarded, to, in, 0)
 	k.send(comm.Message{From: k.id, To: to, Kind: kind, Span: in.Fork(k.id), Payload: payload})
 }
@@ -263,11 +261,11 @@ func (k *lazyEngine) admit(msg comm.Message) {
 
 // apply runs one secondary subtransaction to commit, resubmitting it
 // (§2) after every refused or timed-out lock request (lockSecondary) and
-// every failed commit, and then releases the delivery's pending
-// obligation. It reports false — obligation still outstanding, receipt
-// still unconsumed, both inherited by recovery — only if the engine
-// stopped or its log was fenced first. On commit the protocol's
-// after-commit step has run atomically with it.
+// every failed commit, and then releases the delivery's receipt. It
+// reports false — receipt still unconsumed, left to recovery — only if
+// the engine stopped or its log was fenced first. On commit the
+// protocol's after-commit step, forwards included, has run atomically
+// with it, so those forwards are counted before the release.
 func (k *lazyEngine) apply(from model.SiteID, p secondaryPayload, sc model.SpanContext) bool {
 	t := k.tm.BeginSecondary(p.TID)
 	wait := -1
@@ -304,9 +302,7 @@ func (k *lazyEngine) apply(from model.SiteID, p secondaryPayload, sc model.SpanC
 // replay rebuilds the engine's in-flight work from the redo log: applies
 // whose forwarding was not marked done are re-sent (receivers
 // deduplicate), and unconsumed receipts are re-admitted in log order,
-// which is per-sender arrival order. Re-forwards take fresh pending
-// obligations; re-admitted receipts inherit the ones their original
-// deliveries left unreleased, so no pendAdd here.
+// which is per-sender arrival order.
 func (k *lazyEngine) replay() {
 	if k.wal == nil {
 		return

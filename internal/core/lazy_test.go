@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -12,13 +11,14 @@ import (
 	"repro/internal/model"
 	"repro/internal/ts"
 	"repro/internal/wal"
+	"repro/internal/watch"
 )
 
 // kernelRig is one unstarted propagating engine at the replica site s1 of
 // a two-site placement (item 0: primary s0, replica s1), over a capture
 // transport and a real redo log, with the test playing the sender: it
-// takes the pending obligations a sender would and delivers by calling
-// the kernel directly.
+// counts the forwards a sender would and delivers by calling the kernel
+// directly.
 type kernelRig struct {
 	engine   Engine
 	kernel   *lazyEngine
@@ -27,7 +27,7 @@ type kernelRig struct {
 	items    []model.ItemID
 	recorder *history.Recorder
 	metrics  *metrics.Collector
-	pending  sync.WaitGroup
+	sent     uint64 // forwards delivered to the replica
 }
 
 func newKernelRig(t *testing.T, build func(*SharedConfig, model.SiteID, comm.Transport) (Engine, *lazyEngine)) *kernelRig {
@@ -51,7 +51,6 @@ func newKernelRig(t *testing.T, build func(*SharedConfig, model.SiteID, comm.Tra
 		Params:       testParams(),
 		Recorder:     r.recorder,
 		Metrics:      r.metrics,
-		Pending:      &r.pending,
 		WALs:         map[model.SiteID]*wal.SiteLog{1: r.log},
 	}
 	r.engine, r.kernel = build(cfg, 1, newCaptureTransport())
@@ -71,12 +70,12 @@ func (r *kernelRig) open(t *testing.T) *wal.SiteLog {
 	return lg
 }
 
-// deliver takes the sender's pending obligation and makes the receipt
-// durable, as the kernel's admission would, without handing the message to
-// the protocol's ordering: the test applies it itself.
+// deliver counts the sender's forward and makes the receipt durable, as
+// the kernel's admission would, without handing the message to the
+// protocol's ordering: the test applies it itself.
 func (r *kernelRig) deliver(t *testing.T, msg comm.Message) {
 	t.Helper()
-	r.pending.Add(1)
+	r.sent++
 	if !r.kernel.logReceipt(msg) {
 		t.Fatal("receipt not logged")
 	}
@@ -93,19 +92,28 @@ func (r *kernelRig) unconsumed(t *testing.T) []wal.Receipt {
 	return r.log.Recovered().Receipts
 }
 
-// settled fails the test unless every pending obligation taken so far has
-// been released. (One release too many panics the WaitGroup instead.)
+// statuses is the two-site view Quiescent judges: the test as the
+// sender, which forwarded every delivery, and the replica engine.
+func (r *kernelRig) statuses() []watch.Status {
+	return []watch.Status{{Site: 0, Forwarded: r.sent}, r.engine.Status()}
+}
+
+// settled fails the test unless Quiescent holds: the replica released
+// exactly as many receipts as were delivered, one too many failing it as
+// surely as one too few.
 func (r *kernelRig) settled(t *testing.T) {
 	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		r.pending.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("a pending obligation was never released")
+	if first := r.statuses(); !Quiescent(first, r.statuses()) {
+		t.Fatalf("not quiescent: %d forwards sent, replica %+v", r.sent, first[1])
+	}
+}
+
+// unreleased fails the test if the stopped replica released the receipt
+// of its one delivery.
+func (r *kernelRig) unreleased(t *testing.T) {
+	t.Helper()
+	if st := r.engine.Status(); st.Consumed != 0 {
+		t.Fatalf("stopped apply released its receipt: %+v", st)
 	}
 }
 
@@ -113,8 +121,8 @@ func (r *kernelRig) retries() uint64 { return r.metrics.Snapshot(2).Retries }
 
 // TestLazyKernelContract holds every propagating engine to the kernel's
 // delivery contract: exactly-once application under duplicated delivery,
-// and a receipt (with its pending obligation) that survives, unconsumed,
-// any exit the engine takes before the consumption is durable.
+// and a receipt that survives, unconsumed and unreleased, any exit the
+// engine takes before the consumption is durable.
 func TestLazyKernelContract(t *testing.T) {
 	tid := model.TxnID{Site: 0, Seq: 1}
 	sc := model.SpanContext{TID: tid}.Fork(0)
@@ -175,10 +183,7 @@ func TestLazyKernelContract(t *testing.T) {
 			if <-applied {
 				t.Fatal("apply reported success through a held lock")
 			}
-			// The obligation is still ours to release: had apply released
-			// it, this Done would drive the counter negative and panic.
-			r.pending.Done()
-			r.settled(t)
+			r.unreleased(t)
 			if got := r.unconsumed(t); len(got) != 1 || got[0].TID != tid {
 				t.Errorf("receipts for recovery = %v, want the one for %v", got, tid)
 			}
@@ -202,8 +207,7 @@ func TestLazyKernelContract(t *testing.T) {
 			if <-applied {
 				t.Fatal("apply reported success over a fenced log")
 			}
-			r.pending.Done()
-			r.settled(t)
+			r.unreleased(t)
 			if h := r.recorder.WriteHistory(1, 0); len(h) != 0 {
 				t.Errorf("store written without a durable redo record: %v", h)
 			}

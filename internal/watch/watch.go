@@ -116,9 +116,10 @@ type Alert struct {
 	Cleared time.Time `json:"cleared,omitempty"`
 }
 
-// Status is one site's engine state as the watchdog samples it. The
-// engine reads it from its own queue and protocol state at every call,
-// so it describes whichever incarnation of the site is current.
+// Status is one site's engine state as the watchdog and core.Quiescent
+// sample it. The engine reads it from its own queue, protocol state and
+// counter bank at every call, so it describes whichever incarnation of
+// the site is current.
 type Status struct {
 	Site model.SiteID
 	// Down reports a stopped engine: crashed and not yet rebuilt from its
@@ -143,6 +144,18 @@ type Status struct {
 	Oldest      model.TxnID
 	OldestSince time.Time
 	Parked      int
+	// Unsettled counts BackEdge participants from their registration
+	// until they are settled: the Prepared ones plus any whose decision
+	// is still being installed or discarded.
+	Unsettled int
+	// Forwarded and Consumed are the site's cumulative counts of
+	// propagation messages shipped and of receipts consumed, each settling
+	// one shipped message, read from its counter bank (which a run's
+	// metrics collector keeps across the site's incarnations). Summed over
+	// all sites they are equal exactly when no forward is open
+	// (core.Quiescent).
+	Forwarded uint64
+	Consumed  uint64
 }
 
 // Options tune the watchdog. Zero fields take the defaults.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -44,7 +43,7 @@ func TestCrossProcessTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := cluster.DeriveTopology(graph.FromPlacement(placement), cluster.Config{Protocol: core.DAGWT})
+	topo, err := core.NewTopology(core.DAGWT, placement, core.DefaultParams(), core.Shape{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,24 +64,14 @@ func TestCrossProcessTraces(t *testing.T) {
 	engines := make(map[model.SiteID]core.Engine)
 	for p, sites := range procs {
 		recs[p] = trace.NewRecorder()
-		shared := &core.SharedConfig{
-			Placement:    placement,
-			Graph:        top.DAG,
-			Order:        top.Order,
-			Tree:         top.Tree,
-			SubtreeItems: graph.SubtreeCopyItems(top.Tree, placement),
-			Backedges:    top.BackSet,
-			Params:       core.DefaultParams(),
-			Metrics:      metrics.NewCollector(false),
-			Trace:        recs[p],
-		}
+		sinks := core.Sinks{Metrics: metrics.NewCollector(false), Trace: recs[p]}
 		for _, s := range sites {
 			tr, err := comm.NewTCPTransport(s, addrs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer tr.Close()
-			e, err := core.New(core.DAGWT, shared, s, tr)
+			e, _, err := cluster.OpenSite(core.DAGWT, topo, s, "", sinks, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +81,7 @@ func TestCrossProcessTraces(t *testing.T) {
 		}
 	}
 	for s, e := range engines {
-		gen := workload.NewTxnGen(wl, placement, s, wl.Seed+int64(s)*1000+7)
+		gen := workload.NewTxnGen(wl, placement, s, wl.ClientSeed(s, 0))
 		for range wl.TxnsPerThread {
 			_ = e.Execute(gen.Next())
 		}

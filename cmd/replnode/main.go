@@ -32,13 +32,11 @@ import (
 	"repro/internal/comm"
 	"repro/internal/contend"
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/wal"
 	"repro/internal/watch"
 	"repro/internal/workload"
 )
@@ -64,7 +62,7 @@ func main() {
 		watchOn  = flag.Bool("watch", false, "run the liveness watchdog on this node: queue/epoch/pending-2PC stall alerts on /metrics (with -obs) and in the exit summary")
 		flight   = flag.String("flightdump", "", "with -watch: directory for flight-recorder JSONL dumps written when an alert fires")
 		traceOut = flag.String("trace", "", "write this node's trace events as JSONL to this file after the drain (join several nodes' files with replexplain)")
-		walDir   = flag.String("waldir", "", "write-ahead redo log directory for this site (docs/DURABILITY.md); restarting the process with the same directory recovers from snapshot + redo replay")
+		walDir   = flag.String("waldir", "", "write-ahead redo log directory (docs/DURABILITY.md); this site's log lives in its site-NN subdirectory, and restarting the process with the same directory recovers from snapshot + redo replay")
 	)
 	flag.Parse()
 
@@ -96,7 +94,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	top, err := cluster.DeriveTopology(graph.FromPlacement(placement), cluster.Config{Protocol: protocol})
+	params := core.DefaultParams()
+	params.OpCost = *opCost
+	topo, err := core.NewTopology(protocol, placement, params, core.Shape{})
 	if err != nil {
 		fatal(err) // DAG(WT)/DAG(T) over a cyclic placement: set -b 0
 	}
@@ -121,8 +121,6 @@ func main() {
 	defer tr.Close()
 
 	collector := metrics.NewCollector(false)
-	params := core.DefaultParams()
-	params.OpCost = *opCost
 
 	// Live observability: a registry the engine and transport feed, served
 	// over HTTP for scraping and ad-hoc inspection while the node runs.
@@ -169,20 +167,6 @@ func main() {
 		rec.AddSink(watchdog.Ingest)
 	}
 
-	self := model.SiteID(*site)
-	shared := &core.SharedConfig{
-		Placement:    placement,
-		Graph:        top.DAG,
-		Order:        top.Order,
-		Tree:         top.Tree,
-		SubtreeItems: graph.SubtreeCopyItems(top.Tree, placement),
-		Backedges:    top.BackSet,
-		Params:       params,
-		Metrics:      collector,
-		Obs:          registry,
-		Trace:        rec,
-	}
-
 	// With -waldir the node is durable: every commit is redo-logged with
 	// group commit before it is externalized, and a killed process
 	// restarted on the same directory rebuilds its store, in-doubt 2PC
@@ -191,24 +175,16 @@ func main() {
 	// Reliable numbers its messages from 1 again, so its peers drop and
 	// acknowledge them as duplicates, and it buffers their retransmissions
 	// as a gap (ROADMAP item 11).
-	if *walDir != "" {
-		lg, err := wal.Open(*walDir, wal.Options{
-			Site:  model.SiteID(*site),
-			Items: placement.CopiesAt(model.SiteID(*site)),
-			Obs:   registry,
-			Trace: rec,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer lg.Close()
-		shared.WALs = map[model.SiteID]*wal.SiteLog{model.SiteID(*site): lg}
-		fmt.Printf("replnode: site %d redo log in %s (incarnation %d)\n",
-			*site, *walDir, lg.Incarnation())
-	}
-	engine, err := core.New(protocol, shared, self, tr)
+	self := model.SiteID(*site)
+	sinks := core.Sinks{Metrics: collector, Obs: registry, Trace: rec}
+	engine, lg, err := cluster.OpenSite(protocol, topo, self, *walDir, sinks, tr)
 	if err != nil {
 		fatal(err)
+	}
+	if lg != nil {
+		defer lg.Close()
+		fmt.Printf("replnode: site %d redo log in %s (incarnation %d)\n",
+			*site, *walDir, lg.Incarnation())
 	}
 	// A node sees one site: the watchdog samples its one engine's status,
 	// dumps its local wait-for snapshot when a contention alert fires
@@ -230,7 +206,7 @@ func main() {
 	defer watchdog.Stop()
 
 	fmt.Printf("replnode: site %d of %d listening on %s (%v, %d backedges in graph)\n",
-		*site, wl.Sites, tcp.Addr(), protocol, len(top.Backedges))
+		*site, wl.Sites, tcp.Addr(), protocol, len(topo.Backedges))
 	waitForPeers(addrs, model.SiteID(*site))
 
 	collector.Begin()
@@ -239,7 +215,7 @@ func main() {
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
-			gen := workload.NewTxnGen(wl, placement, model.SiteID(*site), wl.Seed+int64(*site)*1000+int64(th)+7)
+			gen := workload.NewTxnGen(wl, placement, self, wl.ClientSeed(self, th))
 			for i := 0; i < wl.TxnsPerThread; i++ {
 				_ = engine.Execute(gen.Next()) // aborts are counted in the report
 			}

@@ -1,9 +1,9 @@
 // Package cluster assembles a complete replicated database: it generates
-// (or accepts) a data placement, derives the copy graph, the backedge set
-// and the propagation tree, instantiates one protocol engine per site over
-// an in-process transport, runs the client threads of §5.2, and exposes
-// the correctness checks (global serializability, replica convergence)
-// and the §5.3 performance report.
+// (or accepts) a data placement, derives its core.Topology, builds one site
+// per site ID over an in-process transport (OpenSite, which one-site
+// processes use too), runs the client threads of §5.2, and exposes the
+// correctness checks (global serializability, replica convergence) and
+// the §5.3 performance report.
 package cluster
 
 import (
@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fresh"
-	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/lock"
 	"repro/internal/metrics"
@@ -100,43 +99,43 @@ type Config struct {
 
 // Cluster is a running replicated database over m in-process sites.
 type Cluster struct {
-	Cfg       Config
-	Placement *model.Placement
-	Graph     *graph.CopyGraph
-	Backedges []graph.Edge
-	Tree      *graph.Tree
-	Recorder  *history.Recorder
-	Metrics   *metrics.Collector
+	Cfg Config
+	// Topology is the run's propagation structure, shared by every site:
+	// its Placement, Backedges, DAG and Tree read as the cluster's own.
+	*core.Topology
+	Recorder *history.Recorder
+	Metrics  *metrics.Collector
 
 	transport *comm.MemTransport
 	fresh     *fresh.Tracker   // always non-nil: bounded state, one sharded-lock sample per commit/apply/read
 	faultTr   *fault.Transport // non-nil iff Cfg.Fault was set
 	top       comm.Transport   // the layer engines actually send through
 	watchdog  *watch.Watchdog  // non-nil iff Cfg.Watch was set
-	shared    *core.SharedConfig
 
-	// engMu guards engines: restartSite swaps in a rebuilt engine while
-	// client threads fetch theirs per transaction.
-	engMu   sync.RWMutex
-	engines []core.Engine // repl:guardedby(engMu)
+	// engMu guards sites: restartSite swaps in a rebuilt site while client
+	// threads fetch their engine per transaction.
+	engMu sync.RWMutex
+	sites []site // repl:guardedby(engMu)
 
-	// lcMu serializes crash/restart lifecycle transitions and guards the
-	// wals map they rewrite (the fault layer already excludes deliveries
-	// per site; this excludes concurrent transitions of different sites).
+	// lcMu orders a site's rebuild with Stop's closing of the logs, so no
+	// rebuilt log is left open.
 	lcMu sync.Mutex
-	wals map[model.SiteID]*wal.SiteLog // non-nil iff Cfg.WALDir was set // repl:guardedby(lcMu)
 
 	mu      sync.Mutex
 	failure error // first non-abort Execute error // repl:guardedby(mu)
 }
 
+// site is one running site: its engine and the redo log it was built on
+// (nil without Config.WALDir). A crash-restart replaces the whole value.
+type site struct {
+	engine core.Engine
+	log    *wal.SiteLog
+}
+
 // New builds (but does not start) a cluster.
 //
-//lint:allow guardedby construction is single-threaded; the fault hooks and client threads that contend for engines and wals only run after New returns and Start spawns the sites
+//lint:allow guardedby construction is single-threaded; the fault hooks and client threads that contend for sites only run after New returns and Start spawns the sites
 func New(cfg Config) (*Cluster, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
 	if f := cfg.Fault; f != nil && (f.Faults.Drop > 0 || f.Faults.Duplicate > 0) && !cfg.Reliable {
 		return nil, fmt.Errorf("cluster: fault drops and duplicates need Reliable: the engines assume exactly-once delivery (§1.1)")
 	}
@@ -155,22 +154,15 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	g := graph.FromPlacement(placement)
-	m := placement.NumSites
-	if cfg.MinimizeBackedges {
-		cfg.GeneralTree = true // the chain is meaningful only for ID order
-	}
-	top, err := DeriveTopology(g, cfg)
+	topo, err := core.NewTopology(cfg.Protocol, placement, cfg.Params,
+		core.Shape{GeneralTree: cfg.GeneralTree, MinimizeBackedges: cfg.MinimizeBackedges})
 	if err != nil {
 		return nil, err
 	}
 
 	c := &Cluster{
 		Cfg:       cfg,
-		Placement: placement,
-		Graph:     g,
-		Backedges: top.Backedges,
-		Tree:      top.Tree,
+		Topology:  topo,
 		Metrics:   metrics.NewCollector(cfg.TrackPropagation),
 		transport: comm.NewMemTransport(cfg.Latency),
 	}
@@ -230,52 +222,25 @@ func New(cfg Config) (*Cluster, error) {
 	// items×replicas and its hot-path cost is one sharded-lock sample, so
 	// every run — including benchmark/ workloads — gets staleness
 	// distributions and read certificates without extra configuration.
-	c.fresh = fresh.New(m)
+	c.fresh = fresh.New(placement.NumSites)
 
-	shared := &core.SharedConfig{
-		Placement:    placement,
-		Graph:        top.DAG, // engines see the DAG; backedges are handled eagerly
-		Order:        top.Order,
-		Tree:         top.Tree,
-		SubtreeItems: graph.SubtreeCopyItems(top.Tree, placement),
-		Backedges:    top.BackSet,
-		Params:       cfg.Params,
-		Recorder:     c.Recorder,
-		Metrics:      c.Metrics,
-		Trace:        cfg.Trace,
-		Obs:          cfg.Obs,
-		Fresh:        c.fresh,
-	}
-	c.shared = shared
-
-	if cfg.WALDir != "" {
-		c.wals = make(map[model.SiteID]*wal.SiteLog, m)
-		for s := 0; s < m; s++ {
-			lg, err := c.openWAL(model.SiteID(s))
-			if err != nil {
-				return nil, err
-			}
-			c.wals[model.SiteID(s)] = lg
-		}
-		shared.WALs = c.wals
-		if c.faultTr != nil {
-			// Honest crashes: tear the site down (fence + halt) and
-			// rebuild it from its log on restart. Both hooks run with the
-			// site's delivery gate write-held.
-			c.faultTr.SetLifecycle(fault.Lifecycle{
-				OnCrash:   c.crashSite,
-				OnRestart: c.restartSite,
-			})
-		}
+	if cfg.WALDir != "" && c.faultTr != nil {
+		// Honest crashes: tear the site down (fence + halt) and rebuild it
+		// from its log on restart. Both hooks run with the site's delivery
+		// gate write-held.
+		c.faultTr.SetLifecycle(fault.Lifecycle{
+			OnCrash:   c.crashSite,
+			OnRestart: c.restartSite,
+		})
 	}
 
-	c.engines = make([]core.Engine, m)
-	for s := 0; s < m; s++ {
-		e, err := core.New(cfg.Protocol, shared, model.SiteID(s), c.top)
+	c.sites = make([]site, placement.NumSites)
+	for s := range c.sites {
+		e, lg, err := c.openSite(model.SiteID(s))
 		if err != nil {
 			return nil, err
 		}
-		c.engines[s] = e
+		c.sites[s] = site{e, lg}
 	}
 
 	// The watchdog's probes fetch engines per call, so they sample the
@@ -289,130 +254,73 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Topology is the propagation structure a copy graph implies for one
-// protocol (§3–§4): the total order over sites, the backedge set B, the
-// DAG that remains without B, and the propagation tree over it.
-type Topology struct {
-	Order     []model.SiteID
-	Backedges []graph.Edge
-	BackSet   map[graph.Edge]bool
-	DAG       *graph.CopyGraph
-	Tree      *graph.Tree
+// OpenSite builds site id's engine for proto over topo and tr. With a
+// non-empty walDir it first opens the site's redo log under
+// walDir/site-NN, recovering whatever an earlier incarnation left there,
+// and returns it beside the engine: the caller closes it once the engine
+// has stopped. Without walDir the log is nil and the site runs without
+// durability. The cluster builds and rebuilds every site here, and a
+// process that runs one site builds its own.
+func OpenSite(proto core.Protocol, topo *core.Topology, id model.SiteID, walDir string, sinks core.Sinks, tr comm.Transport) (core.Engine, *wal.SiteLog, error) {
+	s := core.Site{ID: id, Sinks: sinks}
+	if walDir != "" {
+		lg, err := wal.Open(filepath.Join(walDir, fmt.Sprintf("site-%02d", id)), wal.Options{
+			Site: id, Items: topo.Placement.CopiesAt(id), Obs: sinks.Obs, Trace: sinks.Trace,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		s.Log = lg
+	}
+	e, err := core.New(proto, topo, s, tr)
+	if err != nil && s.Log != nil {
+		_ = s.Log.Close()
+	}
+	return e, s.Log, err
 }
 
-// DeriveTopology derives cfg.Protocol's topology over g, honouring
-// cfg.GeneralTree and cfg.MinimizeBackedges, and checks what the
-// protocols assume of it. Every deployment — the in-process cluster and
-// one replnode per site — derives it here, so all sites agree.
-func DeriveTopology(g *graph.CopyGraph, cfg Config) (Topology, error) {
-	// The total order over sites is the ID order (the workload generator
-	// lays data out with respect to it); edges pointing backwards in it
-	// form the backedge set B, and removing them yields the DAG. With
-	// MinimizeBackedges, B instead comes from the §4.2 weighted
-	// feedback-arc-set heuristic, which cuts fewer (and lighter) edges.
-	t := Topology{Order: make([]model.SiteID, g.N)}
-	for i := range t.Order {
-		t.Order[i] = model.SiteID(i)
-	}
-	if cfg.MinimizeBackedges {
-		t.Backedges = graph.MinWeightBackedges(g)
-	} else {
-		t.Backedges = graph.OrderBackedges(g, t.Order)
-	}
-	t.DAG = g.Without(t.Backedges)
-	if !t.DAG.IsDAG() {
-		return t, fmt.Errorf("cluster: internal error: graph minus backedges is not a DAG")
-	}
-	switch cfg.Protocol {
-	case core.DAGWT, core.DAGT:
-		if len(t.Backedges) > 0 {
-			return t, fmt.Errorf("cluster: %v needs a DAG copy graph but the placement induces %d backedges; use BackEdge or a backedge probability of 0",
-				cfg.Protocol, len(t.Backedges))
-		}
-	}
-
-	if cfg.GeneralTree || cfg.MinimizeBackedges {
-		var err error
-		if t.Tree, err = graph.BuildTree(t.DAG); err != nil {
-			return t, err
-		}
-	} else {
-		t.Tree = graph.BuildChain(t.Order)
-	}
-	if e := graph.CheckAncestorProperty(t.DAG, t.Tree); e != nil {
-		return t, fmt.Errorf("cluster: propagation tree violates the ancestor property on edge %v", *e)
-	}
-	// BackEdge routing additionally requires every backedge target to be a
-	// tree ancestor of the origin (guaranteed for minimal backedge sets,
-	// §4.1; always true for the chain).
-	if cfg.Protocol == core.BackEdge {
-		for _, e := range t.Backedges {
-			if !t.Tree.IsAncestor(e.To, e.From) {
-				return t, fmt.Errorf("cluster: backedge %v target is not a tree ancestor of its origin", e)
-			}
-		}
-	}
-	t.BackSet = make(map[graph.Edge]bool, len(t.Backedges))
-	for _, e := range t.Backedges {
-		t.BackSet[e] = true
-	}
-	return t, nil
-}
-
-// openWAL opens (or re-opens, after a crash) site s's redo log.
-func (c *Cluster) openWAL(s model.SiteID) (*wal.SiteLog, error) {
-	return wal.Open(filepath.Join(c.Cfg.WALDir, fmt.Sprintf("site-%02d", s)), wal.Options{
-		Site:  s,
-		Items: c.Placement.CopiesAt(s),
-		Obs:   c.Cfg.Obs,
-		Trace: c.Cfg.Trace,
-	})
+// openSite builds (or, after a crash, rebuilds) site id of this cluster.
+func (c *Cluster) openSite(id model.SiteID) (core.Engine, *wal.SiteLog, error) {
+	sinks := core.Sinks{Recorder: c.Recorder, Metrics: c.Metrics, Trace: c.Cfg.Trace, Obs: c.Cfg.Obs, Fresh: c.fresh}
+	return OpenSite(c.Cfg.Protocol, c.Topology, id, c.Cfg.WALDir, sinks, c.top)
 }
 
 // crashSite is the fault layer's OnCrash hook: fence the redo log (un-
 // fsynced appends are honestly lost, every later append fails) and halt
 // the engine. Runs with the site's delivery gate write-held, so no
 // delivery is mid-handler — everything acknowledged is on disk.
-func (c *Cluster) crashSite(site model.SiteID) {
-	c.lcMu.Lock()
-	defer c.lcMu.Unlock()
-	c.wals[site].Fence()
-	c.engine(site).Stop()
+func (c *Cluster) crashSite(id model.SiteID) {
+	s := c.site(id)
+	s.log.Fence()
+	s.engine.Stop()
 }
 
-// restartSite is the fault layer's OnRestart hook: re-open the site's
-// log (recovery replays snapshot + redo records into a fresh state), and
-// build a fresh engine over it — the constructor preloads the store,
-// restores in-doubt 2PC participants, re-forwards unmarked propagation
-// obligations, and re-enqueues unconsumed receipts. Registering the new
-// engine replaces the dead one's handler; the reliable sublayer's ARQ
-// state survives, so retransmissions of everything unacknowledged flow
-// into the rebuilt site.
-func (c *Cluster) restartSite(site model.SiteID) {
+// restartSite is the fault layer's OnRestart hook: close the crashed
+// site's log and build a new site from it — reopening the log replays
+// snapshot + redo records into a fresh state, and the engine constructor
+// preloads the store, restores in-doubt 2PC participants, re-forwards
+// unmarked propagation obligations, and re-enqueues unconsumed receipts.
+// Registering the new engine replaces the dead one's handler; the
+// reliable sublayer's ARQ state survives, so retransmissions of
+// everything unacknowledged flow into the rebuilt site.
+func (c *Cluster) restartSite(id model.SiteID) {
 	//lint:allow nodeterminism start only times the recovery for the WALRecover trace duration; replay does not consume it
 	start := time.Now()
 	c.lcMu.Lock()
-	_ = c.wals[site].Close() // fenced: flushes nothing, releases the files
-	lg, err := c.openWAL(site)
+	defer c.lcMu.Unlock()
+	_ = c.site(id).log.Close() // fenced: flushes nothing, releases the files
+	eng, lg, err := c.openSite(id)
 	if err != nil {
-		c.lcMu.Unlock()
-		c.fail(fmt.Errorf("cluster: reopening WAL of s%d: %w", site, err))
-		return
-	}
-	c.wals[site] = lg
-	eng, err := core.New(c.Cfg.Protocol, c.shared, site, c.top)
-	c.lcMu.Unlock()
-	if err != nil {
-		c.fail(fmt.Errorf("cluster: rebuilding s%d: %w", site, err))
+		c.fail(fmt.Errorf("cluster: rebuilding s%d: %w", id, err))
 		return
 	}
 	c.engMu.Lock()
-	c.engines[site] = eng
+	c.sites[id] = site{eng, lg}
 	c.engMu.Unlock()
 	eng.Start()
 	//lint:allow nodeterminism the recovery duration is observability payload, not protocol state
 	dur := time.Since(start)
-	c.Cfg.Trace.Add(trace.Event{Kind: trace.WALRecover, Site: site, Peer: model.NoSite,
+	c.Cfg.Trace.Add(trace.Event{Kind: trace.WALRecover, Site: id, Peer: model.NoSite,
 		Proto: uint8(c.Cfg.Protocol), Dur: int64(dur)})
 }
 
@@ -427,13 +335,16 @@ func (c *Cluster) statuses() []watch.Status {
 	return out
 }
 
-// engine returns site s's current engine — after a crash-restart cycle,
-// the rebuilt one.
-func (c *Cluster) engine(s model.SiteID) core.Engine {
+// site returns site s as it currently runs — after a crash-restart
+// cycle, the rebuilt one.
+func (c *Cluster) site(s model.SiteID) site {
 	c.engMu.RLock()
 	defer c.engMu.RUnlock()
-	return c.engines[s]
+	return c.sites[s]
 }
+
+// engine returns site s's current engine.
+func (c *Cluster) engine(s model.SiteID) core.Engine { return c.site(s).engine }
 
 // Engine returns the protocol engine of site s (the current one — after
 // a crash-restart cycle, the engine rebuilt from the site's WAL).
@@ -459,8 +370,8 @@ func (c *Cluster) FreshSummary() *fresh.Summary { return c.fresh.Summarize() }
 // Start launches every engine's background workers and the watchdog.
 func (c *Cluster) Start() {
 	c.engMu.RLock()
-	for _, e := range c.engines {
-		e.Start()
+	for _, s := range c.sites {
+		s.engine.Start()
 	}
 	c.engMu.RUnlock()
 	c.fresh.StartProbe(0)
@@ -474,16 +385,20 @@ func (c *Cluster) Start() {
 func (c *Cluster) Stop() {
 	c.watchdog.Stop()
 	c.engMu.RLock()
-	for _, e := range c.engines {
-		e.Stop()
+	for _, s := range c.sites {
+		s.engine.Stop()
 	}
 	c.engMu.RUnlock()
 	c.fresh.StopProbe()
 	_ = c.top.Close()
 	c.lcMu.Lock()
-	for _, lg := range c.wals {
-		_ = lg.Close()
+	c.engMu.RLock()
+	for _, s := range c.sites {
+		if s.log != nil {
+			_ = s.log.Close()
+		}
 	}
+	c.engMu.RUnlock()
 	c.lcMu.Unlock()
 }
 
@@ -498,7 +413,7 @@ func (c *Cluster) Run() (metrics.Report, error) {
 	for s := 0; s < wl.Sites; s++ {
 		for th := 0; th < wl.ThreadsPerSite; th++ {
 			wg.Add(1)
-			seed := wl.Seed + int64(s)*1000 + int64(th) + 7
+			seed := wl.ClientSeed(model.SiteID(s), th)
 			go func(site model.SiteID, seed int64) {
 				defer wg.Done()
 				gen := workload.NewTxnGen(wl, c.Placement, site, seed)
@@ -584,12 +499,9 @@ func (c *Cluster) CheckConvergence() error {
 	if !c.Cfg.Protocol.Propagates() {
 		return fmt.Errorf("cluster: %v does not propagate updates; convergence is undefined", c.Cfg.Protocol)
 	}
-	// Read the site count under engMu: restartSite swaps rebuilt engines
-	// into the slice concurrently. The count itself never changes, and
-	// storeSnapshot re-locks per site to fetch whatever engine is current.
-	c.engMu.RLock()
-	n := len(c.engines)
-	c.engMu.RUnlock()
+	// The site count never changes, and storeSnapshot locks per site to
+	// fetch whatever engine is current.
+	n := c.Placement.NumSites
 	snaps := make([]map[model.ItemID]int64, n)
 	for s := 0; s < n; s++ {
 		snaps[s] = c.storeSnapshot(model.SiteID(s))
@@ -617,10 +529,7 @@ type contender interface {
 
 // contenders visits every site's current engine in site order.
 func (c *Cluster) contenders(visit func(model.SiteID, contender)) {
-	c.engMu.RLock()
-	n := len(c.engines)
-	c.engMu.RUnlock()
-	for s := 0; s < n; s++ {
+	for s := 0; s < c.Placement.NumSites; s++ {
 		visit(model.SiteID(s), c.engine(model.SiteID(s)).(contender))
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -298,11 +299,7 @@ func TestClusterMinimizeBackedges(t *testing.T) {
 	// The §4.2 heuristic must never cut MORE weight than the naive
 	// ID-order split.
 	w := func(c *Cluster) int {
-		total := 0
-		for _, e := range c.Backedges {
-			total += c.Graph.Weight(e)
-		}
-		return total
+		return graph.TotalWeight(graph.FromPlacement(c.Placement), c.Backedges)
 	}
 	if w(minimized) > w(ordered) {
 		t.Errorf("FAS heuristic cut weight %d, ID order only %d", w(minimized), w(ordered))
@@ -343,7 +340,7 @@ func TestClusterAccessors(t *testing.T) {
 	if c.Transport() == nil {
 		t.Error("Transport accessor broken")
 	}
-	if c.Tree == nil || c.Graph == nil || c.Placement == nil {
+	if c.Tree == nil || c.DAG == nil || c.Placement == nil {
 		t.Error("derived structures not exposed")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/graph"
 	"repro/internal/israce"
 	"repro/internal/lock"
 	"repro/internal/metrics"
@@ -20,22 +19,16 @@ func (discardTransport) Send(comm.Message) error             { return nil }
 func (discardTransport) Register(model.SiteID, comm.Handler) {}
 func (discardTransport) Close() error                        { return nil }
 
-// allocConfig is a no-log, unobserved configuration over the chain
-// s0 → s1 → s2, where s0 is the primary of items 0 and 1, s1 replicates
-// both and s2 replicates item 1.
-func allocConfig(t *testing.T) *SharedConfig {
-	t.Helper()
-	p := placement(t, 3, []model.SiteID{0, 0}, [][]model.SiteID{{1}, {1, 2}})
-	order := []model.SiteID{0, 1, 2}
-	tree := graph.BuildChain(order)
-	return &SharedConfig{
-		Placement:    p,
-		Graph:        graph.FromPlacement(p),
-		Order:        order,
-		Tree:         tree,
-		SubtreeItems: graph.SubtreeCopyItems(tree, p),
-		Params:       testParams(),
-	}
+// allocPlacement lays out the chain s0 → s1 → s2: s0 is the primary of
+// items 0 and 1, s1 replicates both and s2 replicates item 1.
+func allocPlacement(t *testing.T) *model.Placement {
+	return placement(t, 3, []model.SiteID{0, 0}, [][]model.SiteID{{1}, {1, 2}})
+}
+
+// allocTopology is proto's topology over allocPlacement with testParams.
+// Its engines run with no log and no sinks (Site{ID: id}).
+func allocTopology(t *testing.T, proto Protocol) *Topology {
+	return topology(t, proto, allocPlacement(t), testParams(), Shape{})
 }
 
 // TestLazyCommitAllocationBudget: without a log, a lazy commit that fans
@@ -51,7 +44,7 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 	writes := []model.WriteOp{{Item: 0, Value: 1}, {Item: 1, Value: 2}}
 
 	// NaiveLazy routes s0's writes straight to both replica sites.
-	primary := newNaive(allocConfig(t), 0, discardTransport{})
+	primary := newNaive(allocTopology(t, NaiveLazy), Site{ID: 0}, discardTransport{})
 	defer primary.Stop()
 	if len(primary.routes) != 2 {
 		t.Fatalf("s0 has %d routes, want 2", len(primary.routes))
@@ -62,7 +55,7 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 		{Kind: model.OpWrite, Item: writes[1].Item, Value: writes[1].Value},
 	}
 	// DAG(WT)'s s1 applies both writes and relays item 1 to its child s2.
-	relay := newDAGWT(allocConfig(t), 1, discardTransport{})
+	relay := newDAGWT(allocTopology(t, DAGWT), Site{ID: 1}, discardTransport{})
 	defer relay.Stop()
 	p := secondaryPayload{TID: model.TxnID{Site: 0, Seq: 1}, Writes: writes}
 	apply := func() {
@@ -84,10 +77,10 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 	// a snapshot reader (NaiveLazy, like DAG(WT) and DAG(T); BackEdge,
 	// which first checks its prepared items).
 	reads := []model.Op{r(0), r(1)}
-	locking := newBackEdge(allocConfig(t), 0, discardTransport{})
+	locking := newBackEdge(allocTopology(t, BackEdge), Site{ID: 0}, discardTransport{})
 	defer locking.Stop()
 	locking.snapshot = nil
-	backedge := newBackEdge(allocConfig(t), 0, discardTransport{})
+	backedge := newBackEdge(allocTopology(t, BackEdge), Site{ID: 0}, discardTransport{})
 	defer backedge.Stop()
 
 	for _, row := range []struct {

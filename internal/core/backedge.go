@@ -93,9 +93,9 @@ type originState struct {
 	done    chan struct{}
 }
 
-func newBackEdge(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *backedgeEngine {
+func newBackEdge(topo *Topology, site Site, tr comm.Transport) *backedgeEngine {
 	e := &backedgeEngine{
-		dagwtEngine: buildDAGWT(cfg, BackEdge, id, tr),
+		dagwtEngine: buildDAGWT(topo, BackEdge, site, tr),
 		table:       twopc.NewTable(),
 		decisions:   twopc.NewDecisionLog(),
 		prepared:    make(map[model.TxnID]*pendingBE),
@@ -205,8 +205,8 @@ func (e *backedgeEngine) redoEager(tid model.TxnID, ee wal.EagerEntry) {
 		if err != nil {
 			continue
 		}
-		e.cfg.Recorder.Write(e.id, w.Item, ver.Num, tid)
-		e.cfg.Fresh.NoteCommit(w.Item)
+		e.sinks.Recorder.Write(e.id, w.Item, ver.Num, tid)
+		e.sinks.Fresh.NoteCommit(w.Item)
 	}
 	e.propagate(ee.Span, ts.Timestamp{}, ee.Writes)
 }
@@ -223,14 +223,14 @@ func (e *backedgeEngine) backedgeTargets(writes []model.WriteOp) []model.SiteID 
 	seen := make(map[model.SiteID]bool)
 	var out []model.SiteID
 	for _, w := range writes {
-		for _, r := range e.cfg.Placement.ReplicaSites(w.Item) {
-			if !seen[r] && e.cfg.Tree.IsAncestor(r, e.id) {
+		for _, r := range e.topo.Placement.ReplicaSites(w.Item) {
+			if !seen[r] && e.topo.Tree.IsAncestor(r, e.id) {
 				seen[r] = true
 				out = append(out, r)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return e.cfg.Tree.Depth(out[i]) < e.cfg.Tree.Depth(out[j]) })
+	sort.Slice(out, func(i, j int) bool { return e.topo.Tree.Depth(out[i]) < e.topo.Tree.Depth(out[j]) })
 	return out
 }
 
@@ -307,7 +307,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 		return fmt.Errorf("core: %v aborted %s: %w", tid, why, txn.ErrAborted)
 	}
 
-	timer := time.NewTimer(e.cfg.Params.PrepareTimeout)
+	timer := time.NewTimer(e.topo.Params.PrepareTimeout)
 	defer timer.Stop()
 	select {
 	case <-st.arrived:
@@ -334,7 +334,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 	committed, runErr := twopc.Run(tid, targets, twopc.Coordinator{
 		Prepare: func(p model.SiteID, id model.TxnID, sc model.SpanContext) (bool, error) {
 			voteStart := e.phaseClock()
-			resp, err := e.rpc.CallSpan(p, kindPrepare, preparePayload{TID: id}, e.cfg.Params.RPCTimeout, sc)
+			resp, err := e.rpc.CallSpan(p, kindPrepare, preparePayload{TID: id}, e.topo.Params.RPCTimeout, sc)
 			e.phaseSince(metrics.PhaseVote, p, id, voteStart)
 			if err != nil {
 				return false, err
@@ -343,7 +343,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 		},
 		Decide: func(p model.SiteID, id model.TxnID, commit bool, sc model.SpanContext) error {
 			decStart := e.phaseClock()
-			_, err := e.rpc.CallSpan(p, kindDecision, decisionPayload{TID: id, Commit: commit}, e.cfg.Params.RPCTimeout, sc)
+			_, err := e.rpc.CallSpan(p, kindDecision, decisionPayload{TID: id, Commit: commit}, e.topo.Params.RPCTimeout, sc)
 			e.phaseSince(metrics.PhaseDecision, p, id, decStart)
 			return err
 		},
@@ -369,8 +369,8 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 }
 
 // abortBackedges tombstones the transaction at every backedge site so
-// executed subtransactions roll back and late-arriving specials are
-// skipped.
+// executed subtransactions roll back and late-arriving specials relay
+// without executing.
 func (e *backedgeEngine) abortBackedges(sc model.SpanContext, targets []model.SiteID) {
 	out := sc.Fork(e.id)
 	for _, p := range targets {
@@ -438,8 +438,8 @@ func (e *backedgeEngine) dispatch(q queuedMsg) {
 type beExec int
 
 const (
-	beExecOK      beExec = iota // executed (or pure relay): relay + consume
-	beExecFailed                // aborted/duplicate: consume, no relay
+	beExecOK      beExec = iota // executed, pure relay, or aborted: relay + consume
+	beExecFailed                // duplicate: consume, no relay
 	beExecStopped               // stopping/fenced: recovery inherits the receipt
 )
 
@@ -462,9 +462,10 @@ func (e *backedgeEngine) execBackedge(msg comm.Message) {
 
 // executeHolding acquires this site's locks for the subtransaction's
 // local writes, buffering them until the 2PC decision. On beExecOK the
-// caller relays onward; on beExecFailed the transaction was aborted
-// (tombstoned) or already resolved and the subtransaction holds nothing;
-// on beExecStopped nothing is held and nothing may be consumed.
+// caller relays onward, and the subtransaction holds its locks unless the
+// origin had aborted it (see skipAborted); on beExecFailed it was already
+// resolved and holds nothing; on beExecStopped nothing is held and
+// nothing may be consumed.
 func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) beExec {
 	if e.wasApplied(p.TID) {
 		// A crash-recovery re-send duplicated this delivery and the
@@ -496,7 +497,7 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 			return beExecStopped
 		}
 		if e.table.Aborted(p.TID) {
-			return beExecFailed
+			return e.skipAborted(p.TID)
 		}
 		if err := e.lockSecondary(t, p.Writes, &wait, false); err != nil {
 			e.resubmit(t, err)
@@ -518,6 +519,9 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 		e.mu.Unlock()
 		if err != nil {
 			t.Abort()
+			if e.table.Aborted(p.TID) {
+				return e.skipAborted(p.TID)
+			}
 			return beExecFailed
 		}
 		// The prepared state must be durable before the relay (and later
@@ -542,11 +546,22 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 	}
 }
 
+// skipAborted ends the delivery of a subtransaction whose origin aborted
+// it before it could register here. That delivery was the last thing the
+// abort's tombstone guarded at this site, so the tombstone goes; and the
+// special still travels on like a pure relay, so every later backedge
+// site on its path consumes its own delivery and drops its own tombstone.
+// The origin consumes a special that no transaction waits for.
+func (e *backedgeEngine) skipAborted(tid model.TxnID) beExec {
+	_ = e.table.Forget(tid)
+	return beExecOK
+}
+
 // relaySpecial forwards the special secondary subtransaction one hop down
 // the tree toward the origin, atomically with respect to local commits so
 // downstream sites see a consistent order.
 func (e *backedgeEngine) relaySpecial(p specialPayload, sc model.SpanContext) {
-	next := e.cfg.Tree.NextHopDown(e.id, p.Origin)
+	next := e.topo.Tree.NextHopDown(e.id, p.Origin)
 	e.commitMu.Lock()
 	e.ship(next, kindSpecial, sc, p)
 	e.commitMu.Unlock()
@@ -554,6 +569,9 @@ func (e *backedgeEngine) relaySpecial(p specialPayload, sc model.SpanContext) {
 
 // handleAbort processes the origin's global-deadlock abort: mark the
 // transaction aborted and roll back its executed subtransaction if any.
+// A registered subtransaction has had its delivery, so its tombstone is
+// forgotten with it; otherwise the tombstone stays until the delivery
+// meets it in executeHolding.
 func (e *backedgeEngine) handleAbort(tid model.TxnID) {
 	e.mu.Lock()
 	e.table.Finish(tid, false)
@@ -561,6 +579,7 @@ func (e *backedgeEngine) handleAbort(tid model.TxnID) {
 	e.mu.Unlock()
 	if p != nil {
 		e.discard(p)
+		_ = e.table.Forget(tid)
 	}
 }
 
@@ -690,7 +709,7 @@ func (e *backedgeEngine) pinDisjoint(ops []model.Op) (uint64, bool) {
 // Prepared means locks held, so a stuck participant blocks every
 // conflicting transaction at this site until this loop resolves it.
 func (e *backedgeEngine) inquirer() {
-	interval := e.cfg.Params.PrepareTimeout / 2
+	interval := e.topo.Params.PrepareTimeout / 2
 	if interval < 5*time.Millisecond {
 		interval = 5 * time.Millisecond
 	}
@@ -717,7 +736,7 @@ func (e *backedgeEngine) inquirer() {
 // coordinator is crashed, until a restart brings its log back online.
 func (e *backedgeEngine) inquireStuck() {
 	//lint:allow nodeterminism the inquiry sweep is wall-clock-driven recovery by design
-	cutoff := time.Now().Add(-e.cfg.Params.PrepareTimeout)
+	cutoff := time.Now().Add(-e.topo.Params.PrepareTimeout)
 	type stuck struct {
 		tid    model.TxnID
 		origin model.SiteID
@@ -744,7 +763,7 @@ func (e *backedgeEngine) inquireStuck() {
 			return
 		}
 		e.emit(inquiries, s.origin, s.sc, 0)
-		resp, err := e.rpc.CallRetrySpan(s.origin, kindInquiry, inquiryPayload{TID: s.tid}, e.cfg.Params.RPCTimeout, 2, s.sc.Fork(e.id))
+		resp, err := e.rpc.CallRetrySpan(s.origin, kindInquiry, inquiryPayload{TID: s.tid}, e.topo.Params.RPCTimeout, 2, s.sc.Fork(e.id))
 		if err != nil {
 			continue // coordinator unreachable; the next sweep retries
 		}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/fresh"
-	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/wal"
 )
@@ -53,7 +52,7 @@ func (d *dropFirstKind) Send(m comm.Message) error {
 func TestBackEdgeRecoversFromLostDecision(t *testing.T) {
 	p := example41Placement(t)
 	drop := dropKinds(kindDecision)
-	s := buildSystemFull(t, BackEdge, p, testParams(), 0, nil,
+	s := buildSystemFull(t, BackEdge, p, testParams(), 0, Shape{},
 		func(tr comm.Transport) comm.Transport {
 			drop.Transport = tr
 			return drop
@@ -88,7 +87,7 @@ func TestBackEdgeRecoversFromLostAbortNotification(t *testing.T) {
 	drop := dropKinds(kindSpecial, kindBackedgeAbort)
 	params := testParams()
 	params.PrepareTimeout = 60 * time.Millisecond
-	s := buildSystemFull(t, BackEdge, p, params, 0, nil,
+	s := buildSystemFull(t, BackEdge, p, params, 0, Shape{},
 		func(tr comm.Transport) comm.Transport {
 			drop.Transport = tr
 			return drop
@@ -152,18 +151,9 @@ func TestEagerRedoNotesCommit(t *testing.T) {
 	}
 	lg = openLog()
 
-	tree := graph.BuildChain([]model.SiteID{0, 1})
-	cfg := &SharedConfig{
-		Placement:    p,
-		Graph:        graph.FromPlacement(p),
-		Order:        []model.SiteID{0, 1},
-		Tree:         tree,
-		SubtreeItems: graph.SubtreeCopyItems(tree, p),
-		Params:       testParams(),
-		Fresh:        fresh.New(2),
-		WALs:         map[model.SiteID]*wal.SiteLog{origin: lg},
-	}
-	e := newBackEdge(cfg, origin, newCaptureTransport())
+	tracker := fresh.New(2)
+	site := Site{ID: origin, Log: lg, Sinks: Sinks{Fresh: tracker}}
+	e := newBackEdge(topology(t, BackEdge, p, testParams(), Shape{}), site, newCaptureTransport())
 	t.Cleanup(func() {
 		e.Stop()
 		_ = lg.Close()
@@ -175,7 +165,7 @@ func TestEagerRedoNotesCommit(t *testing.T) {
 	if ver.Num != 1 {
 		t.Fatalf("store version after the redo = %d, want 1", ver.Num)
 	}
-	if c := cfg.Fresh.CertifyRead(origin, item, ver.Num-1); c.Versions != 1 {
+	if c := tracker.CertifyRead(origin, item, ver.Num-1); c.Versions != 1 {
 		t.Errorf("read of version %d certified %d versions behind, want 1", ver.Num-1, c.Versions)
 	}
 }

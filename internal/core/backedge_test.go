@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/txn"
 )
@@ -113,6 +112,38 @@ func TestBackEdgeGlobalDeadlockAborts(t *testing.T) {
 	}
 	if got := s.value(t, 0, 0); got != 10 {
 		t.Errorf("recovery write not propagated: %d", got)
+	}
+}
+
+// TestBackEdgeForgetsAbortTombstones: an eager abort tombstones the
+// transaction at every backedge site, and each tombstone goes once the
+// delivery it guards has been consumed there. On the chain s0 → s1 → s2,
+// item 0's primary s2 has replicas at s0 and s1, so a write at s2 runs
+// the eager arm through both. s0 is blocked, so every such transaction
+// aborts before s0 executes it, and s1's special can only come relayed
+// through s0 after the abort.
+func TestBackEdgeForgetsAbortTombstones(t *testing.T) {
+	p := placement(t, 3, []model.SiteID{2}, [][]model.SiteID{{0, 1}})
+	params := testParams()
+	params.PrepareTimeout = 40 * time.Millisecond
+	s := buildSystem(t, BackEdge, p, params, 0)
+
+	e0 := s.engines[0].(*backedgeEngine)
+	blocker := e0.tm.Begin(e0.newTxnID())
+	if err := blocker.Write(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 5 {
+		if err := s.engines[2].Execute([]model.Op{w(0, int64(10+i))}); !errors.Is(err, txn.ErrAborted) {
+			t.Fatalf("eager transaction %d: %v, want an abort", i, err)
+		}
+	}
+	blocker.Abort()
+	s.quiesce(t)
+	for i, e := range s.engines {
+		if n := e.(*backedgeEngine).table.Len(); n != 0 {
+			t.Errorf("s%d holds %d 2PC table entries after quiescing, want 0", i, n)
+		}
 	}
 }
 
@@ -265,19 +296,11 @@ func TestBackEdgeConcurrentMixedWorkload(t *testing.T) {
 // TestBackEdgeUnsettledUntilSettle: Status counts a participant as
 // unsettled from its registration until settle, on the commit path and
 // the abort path, including the window after the decision takes it from
-// the prepared map and before its install or discard lands.
+// the prepared map and before its install or discard lands. Through the
+// entry points, the decision also leaves no 2PC table entry behind.
 func TestBackEdgeUnsettledUntilSettle(t *testing.T) {
 	p := example41Placement(t) // item 1: primary s1, replica s0
-	tree := graph.BuildChain([]model.SiteID{0, 1})
-	cfg := &SharedConfig{
-		Placement:    p,
-		Graph:        graph.FromPlacement(p),
-		Order:        []model.SiteID{0, 1},
-		Tree:         tree,
-		SubtreeItems: graph.SubtreeCopyItems(tree, p),
-		Params:       testParams(),
-	}
-	e := newBackEdge(cfg, 0, newCaptureTransport())
+	e := newBackEdge(topology(t, BackEdge, p, testParams(), Shape{}), Site{ID: 0}, newCaptureTransport())
 	t.Cleanup(e.Stop)
 	want := func(step string, prepared, unsettled int) {
 		t.Helper()
@@ -322,6 +345,9 @@ func TestBackEdgeUnsettledUntilSettle(t *testing.T) {
 				e.handleAbort(tid)
 			}
 			want("decided", 0, 0)
+			if _, known := e.table.State(tid); known {
+				t.Errorf("%v stays in the 2PC table after its decision", tid)
+			}
 		})
 	}
 	// The commit run installed values 1 and 2; the abort run's 3 and 4

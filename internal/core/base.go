@@ -25,7 +25,8 @@ import (
 // commit mutex that makes commit-and-forward atomic (the critical sections
 // of §2 and §3.2.2).
 type base struct {
-	cfg   *SharedConfig
+	topo  *Topology
+	sinks Sinks
 	id    model.SiteID
 	proto Protocol
 
@@ -56,18 +57,15 @@ type base struct {
 	stopOnce sync.Once
 }
 
-func newBase(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transport) *base {
+func newBase(topo *Topology, proto Protocol, site Site, tr comm.Transport) *base {
+	id, lg := site.ID, site.Log
 	st := storage.NewStore()
-	for _, item := range cfg.Placement.CopiesAt(id) {
+	for _, item := range topo.Placement.CopiesAt(id) {
 		if err := st.Create(item, 0); err != nil {
 			panic(fmt.Sprintf("core: duplicate copy at s%d: %v", id, err))
 		}
 	}
-	var lg *wal.SiteLog
 	var seqBase uint64
-	if cfg.WALs != nil {
-		lg = cfg.WALs[id]
-	}
 	if lg != nil {
 		// Rebuild the store image the disk knows — Load installs the
 		// replayed version verbatim — and carve out a fresh TxnID range for
@@ -80,25 +78,26 @@ func newBase(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transpo
 		}
 		seqBase = lg.Incarnation() << 48
 	}
-	lm := lock.NewManager(cfg.Params.DetectDeadlocks)
-	lm.SetWoundGrace(cfg.Params.WoundGrace)
+	lm := lock.NewManager(topo.Params.DetectDeadlocks)
+	lm.SetWoundGrace(topo.Params.WoundGrace)
 	b := &base{
-		cfg:     cfg,
+		topo:    topo,
+		sinks:   site.Sinks,
 		id:      id,
 		proto:   proto,
 		store:   st,
 		locks:   lm,
-		tm:      txn.NewManager(id, st, lm, cfg.Params.LockTimeout, cfg.Recorder),
+		tm:      txn.NewManager(id, st, lm, topo.Params.LockTimeout, site.Recorder),
 		tr:      tr,
 		rpc:     comm.NewRPC(id, tr),
-		bank:    cfg.Metrics.Bank(id, int(numSlots)),
+		bank:    site.Metrics.Bank(id, int(numSlots)),
 		seqBase: seqBase,
 		wal:     lg,
 		stop:    make(chan struct{}),
 	}
 	b.exportBank()
 	b.rpc.SetLateHook(func(model.SiteID, int) { b.bank[lateReplies].Inc() })
-	if cfg.Metrics != nil || cfg.Trace != nil {
+	if site.Metrics != nil || site.Trace != nil {
 		b.tm.SetPhaseHook(func(p metrics.Phase, tid model.TxnID, start time.Time) {
 			b.phaseSince(p, model.NoSite, tid, start)
 		})
@@ -276,7 +275,7 @@ func (b *base) walForwarded(tid model.TxnID) {
 // spinning both hits the target precisely and models what the prototype's
 // CPUs actually did — execute, time-shared among the site's threads.
 func (b *base) simulateOp() {
-	c := b.cfg.Params.OpCost
+	c := b.topo.Params.OpCost
 	if c <= 0 {
 		return
 	}
@@ -324,7 +323,7 @@ func (b *base) runLocalOps(t *txn.Txn, ops []model.Op, snapshot func([]model.Op)
 			}
 			b.certifyRead(t.ID, op.Item, ver, fromStore)
 		case model.OpWrite:
-			if !b.cfg.Placement.IsPrimary(b.id, op.Item) {
+			if !b.topo.Placement.IsPrimary(b.id, op.Item) {
 				t.Abort()
 				return fmt.Errorf("core: s%d is not the primary of item %d", b.id, op.Item)
 			}
@@ -390,12 +389,12 @@ func (b *base) readAt(t *txn.Txn, item model.ItemID, pin uint64) error {
 // skipped, mirroring the appliers' own store.Has filter, so the applied
 // counter only advances for versions this site actually installed.
 func (b *base) noteApplied(writes []model.WriteOp) {
-	if b.cfg.Fresh == nil {
+	if b.sinks.Fresh == nil {
 		return
 	}
 	for _, w := range writes {
 		if b.store.Has(w.Item) {
-			b.cfg.Fresh.NoteApply(b.id, w.Item)
+			b.sinks.Fresh.NoteApply(b.id, w.Item)
 		}
 	}
 }
@@ -410,7 +409,7 @@ func (b *base) noteApplied(writes []model.WriteOp) {
 // version races propagation timing.
 func (b *base) certifyRead(tid model.TxnID, item model.ItemID, version uint64, fromStore bool) {
 	b.bank[reads].Inc()
-	f := b.cfg.Fresh
+	f := b.sinks.Fresh
 	if f == nil {
 		return
 	}
@@ -507,7 +506,7 @@ func (b *base) lockSecondary(t *txn.Txn, writes []model.WriteOp, wait *int, opCo
 func (b *base) resubmit(t *txn.Txn, err error) {
 	b.bank[metrics.Retries].Inc()
 	if !errors.Is(err, txn.ErrBusy) {
-		d := b.cfg.Params.LockTimeout / 10
+		d := b.topo.Params.LockTimeout / 10
 		if d < 100*time.Microsecond {
 			d = 100 * time.Microsecond
 		}

@@ -125,7 +125,7 @@ func TestForcedWoundClassifiedAbort(t *testing.T) {
 func TestForced2PCNoVoteClassifiedAbort(t *testing.T) {
 	p := example41Placement(t)
 	drop := dropKinds(kindPrepare)
-	s := buildSystemFull(t, BackEdge, p, testParams(), 0, nil,
+	s := buildSystemFull(t, BackEdge, p, testParams(), 0, Shape{},
 		func(tr comm.Transport) comm.Transport {
 			drop.Transport = tr
 			return drop

@@ -169,50 +169,127 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// SharedConfig is the cluster-wide state every engine sees: the placement,
-// the copy graph and its derived structures, and the run-wide sinks. No
-// field tracks what is in flight: the watchdog and quiescing both read
-// each engine's own state through its Status, so engines register
-// nothing with either.
-type SharedConfig struct {
-	Placement *model.Placement
-	Graph     *graph.CopyGraph
-	// Order is the total order over sites consistent with the DAG (after
-	// backedge removal); Order[i] is the i-th site. Timestamp site fields
-	// are positions in this order.
-	Order []model.SiteID
-	// Tree routes DAG(WT)/BackEdge propagation and must satisfy the §2
-	// ancestor property for the DAG edges of Graph.
-	Tree *graph.Tree
-	// SubtreeItems[s] is the set of items with a copy at s or any tree
-	// descendant of s (drives DAG(WT) relevance).
-	SubtreeItems []map[model.ItemID]bool
-	// Backedges is the removed edge set B (§4); empty for pure-DAG runs.
-	Backedges map[graph.Edge]bool
+// Shape chooses how NewTopology cuts the copy graph's cycles and lays out
+// the propagation tree. The zero Shape is the prototype's (§5.1): the
+// backedges are the edges pointing backwards in site-ID order, and the
+// tree is the ID-order chain.
+type Shape struct {
+	// GeneralTree builds the bushy tree over the DAG instead of the chain.
+	GeneralTree bool
+	// MinimizeBackedges cuts the §4.2 weighted feedback-arc-set heuristic's
+	// backedges instead of the ID-order ones, so fewer (and lighter) item
+	// updates propagate eagerly. The chain follows the ID order, so this
+	// implies GeneralTree.
+	MinimizeBackedges bool
+}
 
-	Params   Params
-	Recorder *history.Recorder  // nil disables serializability recording
-	Metrics  *metrics.Collector // nil disables measurement
-	// Trace receives per-transaction propagation lifecycle events; nil
-	// disables tracing (engines then pay one branch per event site).
+// Topology is the propagation structure every site of a run shares,
+// derived once from the placement by NewTopology and never changed after:
+// the placement, the backedge set B and the DAG that remains without it,
+// the propagation tree over that DAG, and the protocol parameters. Beyond
+// it, sites share only the run's Sinks and the transport.
+type Topology struct {
+	Placement *model.Placement
+	// Backedges is the removed edge set B (§4); empty for pure-DAG runs.
+	Backedges []graph.Edge
+	// DAG is the copy graph without B. DAG(T) propagates along its edges.
+	DAG *graph.CopyGraph
+	// Tree routes DAG(WT) and BackEdge propagation. It satisfies the §2
+	// ancestor property for DAG's edges, and for BackEdge every backedge
+	// target is a tree ancestor of its origin (§4.1).
+	Tree   *graph.Tree
+	Params Params
+	// subtree[s] is the set of items with a copy at s or at any tree
+	// descendant of s: what DAG(WT) forwards to s (treeRoutes).
+	subtree []map[model.ItemID]bool
+}
+
+// NewTopology derives proto's topology over placement p, shaped by shape,
+// and checks what proto assumes of it: DAG(WT) and DAG(T) need an acyclic
+// copy graph, and BackEdge routes each backedge through a tree ancestor.
+// Every deployment — the in-process cluster and one process per site —
+// derives it here from the same inputs, so all sites agree.
+func NewTopology(proto Protocol, p *model.Placement, params Params, shape Shape) (*Topology, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	g := graph.FromPlacement(p)
+	// The total order over sites is the ID order (the workload generator
+	// lays data out with respect to it).
+	order := make([]model.SiteID, p.NumSites)
+	for i := range order {
+		order[i] = model.SiteID(i)
+	}
+	var backs []graph.Edge
+	if shape.MinimizeBackedges {
+		backs = graph.MinWeightBackedges(g)
+	} else {
+		backs = graph.OrderBackedges(g, order)
+	}
+	dag := g.Without(backs)
+	if !dag.IsDAG() {
+		return nil, fmt.Errorf("core: internal error: graph minus backedges is not a DAG")
+	}
+	if (proto == DAGWT || proto == DAGT) && len(backs) > 0 {
+		return nil, fmt.Errorf("core: %v needs a DAG copy graph but the placement induces %d backedges; use BackEdge or a backedge probability of 0",
+			proto, len(backs))
+	}
+	var tree *graph.Tree
+	if shape.GeneralTree || shape.MinimizeBackedges {
+		var err error
+		if tree, err = graph.BuildTree(dag); err != nil {
+			return nil, err
+		}
+	} else {
+		tree = graph.BuildChain(order)
+	}
+	if e := graph.CheckAncestorProperty(dag, tree); e != nil {
+		return nil, fmt.Errorf("core: propagation tree violates the ancestor property on edge %v", *e)
+	}
+	if proto == BackEdge {
+		for _, e := range backs {
+			if !tree.IsAncestor(e.To, e.From) {
+				return nil, fmt.Errorf("core: backedge %v target is not a tree ancestor of its origin", e)
+			}
+		}
+	}
+	return &Topology{
+		Placement: p, Backedges: backs, DAG: dag, Tree: tree, Params: params,
+		subtree: graph.SubtreeCopyItems(tree, p),
+	}, nil
+}
+
+// Sinks are a run's observers, shared by its sites; each nil one is
+// disabled.
+type Sinks struct {
+	Recorder *history.Recorder  // serializability recording
+	Metrics  *metrics.Collector // measurement
+	// Trace receives per-transaction propagation lifecycle events
+	// (engines pay one branch per event site when it is nil).
 	Trace *trace.Recorder
-	// Obs is the live metrics registry; nil disables it. Engines export
-	// their counter banks and queue depths into it as reads of their own
-	// state, and each rebuilt engine's export replaces its predecessor's.
+	// Obs is the live metrics registry. Engines export their counter
+	// banks and queue depths into it as reads of their own state, and
+	// each rebuilt engine's export replaces its predecessor's.
 	Obs *obs.Registry
 	// Fresh is the freshness observatory tracker (docs/OBSERVABILITY.md):
 	// engines note primary commits and secondary applies into it and
-	// certify every read against it. Nil disables the observatory —
-	// certificates, staleness distributions, and their metrics all become
-	// one-branch no-ops.
+	// certify every read against it. It stays one in-process oracle for
+	// the run, because certifying a replica read needs the primary's
+	// version at that moment.
 	Fresh *fresh.Tracker
-	// WALs maps each site to its write-ahead redo log. Nil (or a missing
-	// entry) runs the site without durability: crashes are then purely
-	// in-memory. With a log present the engine recovers its store image,
-	// unconsumed receipts, pending forwards, and 2PC state from it at
-	// construction, and follows the log-then-externalize discipline at
-	// runtime (docs/DURABILITY.md).
-	WALs map[model.SiteID]*wal.SiteLog
+}
+
+// Site is what one site brings to its engine besides the Topology: its
+// identity, its own redo log, and the run's sinks.
+type Site struct {
+	ID model.SiteID
+	// Log is the site's write-ahead redo log; nil runs the site without
+	// durability, so crashes are purely in-memory. With a log the engine
+	// recovers its store image, unconsumed receipts, pending forwards and
+	// 2PC state from it at construction, and follows the
+	// log-then-externalize discipline at runtime (docs/DURABILITY.md).
+	Log *wal.SiteLog
+	Sinks
 }
 
 // Engine is one site's protocol instance.
@@ -277,29 +354,27 @@ func Quiescent(first, second []watch.Status) bool {
 	return consumed == forwarded
 }
 
-// New constructs the engine for proto at site id over tr. The transport
-// handler is registered automatically.
-func New(proto Protocol, cfg *SharedConfig, id model.SiteID, tr comm.Transport) (Engine, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
+// New constructs proto's engine for site over tr; topo must come from
+// NewTopology for the same protocol. The transport handler is registered
+// automatically.
+func New(proto Protocol, topo *Topology, site Site, tr comm.Transport) (Engine, error) {
 	var e Engine
 	switch proto {
 	case PSL:
-		e = newPSL(cfg, id, tr)
+		e = newPSL(topo, site, tr)
 	case DAGWT:
-		e = newDAGWT(cfg, id, tr)
+		e = newDAGWT(topo, site, tr)
 	case DAGT:
-		e = newDAGT(cfg, id, tr)
+		e = newDAGT(topo, site, tr)
 	case BackEdge:
-		e = newBackEdge(cfg, id, tr)
+		e = newBackEdge(topo, site, tr)
 	case NaiveLazy:
-		e = newNaive(cfg, id, tr)
+		e = newNaive(topo, site, tr)
 	default:
 		return nil, fmt.Errorf("core: unknown protocol %v", proto)
 	}
-	exportQueues(cfg.Obs, e)
-	tr.Register(id, e.Handle)
+	exportQueues(site.Obs, e)
+	tr.Register(site.ID, e.Handle)
 	return e, nil
 }
 

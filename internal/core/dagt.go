@@ -50,19 +50,19 @@ type tsItem struct {
 }
 
 //lint:allow guardedby construction is single-threaded; the scheduler and tickers that share these fields only start in Start, after newDAGT returns, and Status reads them under their locks
-func newDAGT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagtEngine {
+func newDAGT(topo *Topology, site Site, tr comm.Transport) *dagtEngine {
 	e := &dagtEngine{
-		lazyEngine: newLazy(cfg, DAGT, id, tr),
-		parents:    cfg.Graph.Parents(id),
-		children:   cfg.Graph.Children(id),
-		siteTS:     ts.New(id),
+		lazyEngine: newLazy(topo, DAGT, site, tr),
+		parents:    topo.DAG.Parents(site.ID),
+		children:   topo.DAG.Children(site.ID),
+		siteTS:     ts.New(site.ID),
 		lastSent:   make(map[model.SiteID]time.Time),
 		queues:     make(map[model.SiteID][]tsItem),
 	}
 	e.qCond = sync.NewCond(&e.qMu)
 	// A child is relevant for a transaction iff it replicates one of the
 	// updated items (§3.2.2 step 3).
-	e.routes, e.enqueue, e.snapshot = replicaRoutes(cfg.Placement, id, e.children), e.hold, e.pin
+	e.routes, e.enqueue, e.snapshot = replicaRoutes(topo.Placement, site.ID, e.children), e.hold, e.pin
 	e.stamp, e.sent, e.advance = e.stampTS, e.noteSent, e.advanceTS
 	for _, c := range e.children {
 		e.noteSent(c)
@@ -187,7 +187,7 @@ func (e *dagtEngine) noteSent(c model.SiteID) {
 // edge that has been silent for DummyPeriod, pushing the site timestamp
 // (and with it, epoch advances) forward so children never stall (§3.3).
 func (e *dagtEngine) dummyTicker() {
-	t := time.NewTicker(e.cfg.Params.DummyPeriod / 2)
+	t := time.NewTicker(e.topo.Params.DummyPeriod / 2)
 	defer t.Stop()
 	for {
 		select {
@@ -207,7 +207,7 @@ func (e *dagtEngine) dummyTicker() {
 		var idle []model.SiteID
 		e.tsMu.Lock()
 		for _, c := range e.children {
-			if now.Sub(e.lastSent[c]) >= e.cfg.Params.DummyPeriod {
+			if now.Sub(e.lastSent[c]) >= e.topo.Params.DummyPeriod {
 				idle = append(idle, c)
 				e.lastSent[c] = now
 			}
@@ -235,7 +235,7 @@ func (e *dagtEngine) dummyTicker() {
 // (§3.3); the new epoch reaches descendants through the timestamps of
 // subsequent (real or dummy) secondary subtransactions.
 func (e *dagtEngine) epochTicker() {
-	t := time.NewTicker(e.cfg.Params.EpochPeriod)
+	t := time.NewTicker(e.topo.Params.EpochPeriod)
 	defer t.Stop()
 	for {
 		select {

@@ -151,9 +151,9 @@ func TestDAGTSchedulerPicksGlobalMinimumExhaustive(t *testing.T) {
 	sorted := append([]ts.Timestamp(nil), all...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
 
-	shared := base.engines[2].(*dagtEngine).cfg
+	s2 := base.engines[2].(*dagtEngine)
 	for mask := 0; mask < 1<<len(all); mask++ {
-		e := newDAGT(shared, 2, comm.NewMemTransport(0))
+		e := newDAGT(s2.topo, Site{ID: 2, Sinks: s2.sinks}, comm.NewMemTransport(0))
 		// Distribute: bit set -> parent 0's queue, else parent 1's. Each
 		// queue must stay internally sorted (per-sender FIFO), so feed
 		// each queue its subsequence in sorted order.

@@ -3,13 +3,12 @@ package core
 import (
 	"repro/internal/comm"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/watch"
 )
 
 // dagwtEngine implements the DAG(WT) protocol (§2) as a policy over the
-// lazy kernel. Routing: updates travel only along the edges of the tree
-// cfg.Tree, and a committed secondary is relayed onward. Ordering: every
+// lazy kernel. Routing: updates travel only along the edges of the
+// Topology's tree, and a committed secondary is relayed onward. Ordering: every
 // site has (at most) one tree parent, so a single FIFO queue holds the
 // incoming secondary subtransactions, which one applier commits and
 // forwards in receipt order. The kernel's commit mutex makes "commit,
@@ -28,17 +27,17 @@ type dagwtEngine struct {
 
 // buildDAGWT constructs the engine without replaying its redo log, so
 // BackEdge can restore its eager state first.
-func buildDAGWT(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transport) *dagwtEngine {
+func buildDAGWT(topo *Topology, proto Protocol, site Site, tr comm.Transport) *dagwtEngine {
 	e := &dagwtEngine{
-		lazyEngine: newLazy(cfg, proto, id, tr),
+		lazyEngine: newLazy(topo, proto, site, tr),
 		queue:      comm.NewInbox[queuedMsg](inboxBound),
 	}
-	e.routes, e.relay, e.enqueue = treeRoutes(cfg, id), true, e.push
+	e.routes, e.relay, e.enqueue = treeRoutes(topo, site.ID), true, e.push
 	return e
 }
 
-func newDAGWT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagwtEngine {
-	e := buildDAGWT(cfg, DAGWT, id, tr)
+func newDAGWT(topo *Topology, site Site, tr comm.Transport) *dagwtEngine {
+	e := buildDAGWT(topo, DAGWT, site, tr)
 	e.snapshot = e.pin
 	e.replay()
 	return e

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/txn"
 )
@@ -40,15 +39,10 @@ func TestDAGWTSkipsIrrelevantSubtrees(t *testing.T) {
 	p := placement(t, 3,
 		[]model.SiteID{0, 0},
 		[][]model.SiteID{{1}, {2}})
-	g := graph.FromPlacement(p)
-	tree, err := graph.BuildTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Parent(1) != 0 || tree.Parent(2) != 0 {
+	s := buildSystemFull(t, DAGWT, p, testParams(), 0, Shape{GeneralTree: true}, nil, nil)
+	if tree := s.topo.Tree; tree.Parent(1) != 0 || tree.Parent(2) != 0 {
 		t.Fatalf("expected bushy tree, got parents %v %v", tree.Parent(1), tree.Parent(2))
 	}
-	s := buildSystemWithTree(t, DAGWT, p, testParams(), 0, tree)
 	if err := s.engines[0].Execute([]model.Op{w(0, 3)}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -186,25 +185,13 @@ func explore(t *testing.T, mk func(t *testing.T) *world, check func(schedule []s
 func example11World(proto Protocol) func(t *testing.T) *world {
 	return func(t *testing.T) *world {
 		t.Helper()
-		p := example11Placement(t)
-		g := graph.FromPlacement(p)
-		order := []model.SiteID{0, 1, 2}
-		tree := graph.BuildChain(order)
+		topo := topology(t, proto, example11Placement(t), testParams(), Shape{})
 		tr := newCaptureTransport()
 		rec := history.NewRecorder()
-		shared := &SharedConfig{
-			Placement:    p,
-			Graph:        g,
-			Order:        order,
-			Tree:         tree,
-			SubtreeItems: graph.SubtreeCopyItems(tree, p),
-			Params:       testParams(),
-			Recorder:     rec,
-			Metrics:      metrics.NewCollector(false),
-		}
+		sinks := Sinks{Recorder: rec, Metrics: metrics.NewCollector(false)}
 		w := &world{tr: tr, recorder: rec}
 		for i := 0; i < 3; i++ {
-			e, err := New(proto, shared, model.SiteID(i), tr)
+			e, err := New(proto, topo, Site{ID: model.SiteID(i), Sinks: sinks}, tr)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -30,14 +29,25 @@ func testParams() Params {
 // system is a hand-assembled mini-cluster for driving engines directly.
 type system struct {
 	placement *model.Placement
+	topo      *Topology
 	engines   []Engine
 	transport *comm.MemTransport
 	recorder  *history.Recorder
 	collector *metrics.Collector
 	registry  *obs.Registry
 	tracer    *trace.Recorder
-	shared    *SharedConfig
 	tr        comm.Transport // what the engines send on
+}
+
+// topology derives proto's topology over p with params, failing the test
+// on error.
+func topology(t *testing.T, proto Protocol, p *model.Placement, params Params, shape Shape) *Topology {
+	t.Helper()
+	topo, err := NewTopology(proto, p, params, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
 }
 
 // placement builds a model.Placement from primaries and replica lists.
@@ -58,65 +68,31 @@ func placement(t *testing.T, sites int, primary []model.SiteID, replicas [][]mod
 // (ID-order chain, order backedges) but under test control.
 func buildSystem(t *testing.T, proto Protocol, p *model.Placement, params Params, latency time.Duration) *system {
 	t.Helper()
-	return buildSystemWithTree(t, proto, p, params, latency, nil)
+	return buildSystemFull(t, proto, p, params, latency, Shape{}, nil, nil)
 }
 
-// buildSystemWithTree is buildSystem with an explicit propagation tree
-// (nil selects the ID-order chain).
-func buildSystemWithTree(t *testing.T, proto Protocol, p *model.Placement, params Params, latency time.Duration, tree *graph.Tree) *system {
+// buildSystemFull additionally shapes the topology, lets a test interpose
+// on the transport the engines see (wrap non-nil), e.g. to drop selected
+// messages, and gives sites redo logs (logs[s] for site s).
+func buildSystemFull(t *testing.T, proto Protocol, p *model.Placement, params Params, latency time.Duration, shape Shape, wrap func(comm.Transport) comm.Transport, logs map[model.SiteID]*wal.SiteLog) *system {
 	t.Helper()
-	return buildSystemFull(t, proto, p, params, latency, tree, nil, nil)
-}
-
-// buildSystemFull additionally lets a test interpose on the transport the
-// engines see (wrap non-nil), e.g. to drop selected messages, and give
-// sites redo logs (wals non-nil).
-func buildSystemFull(t *testing.T, proto Protocol, p *model.Placement, params Params, latency time.Duration, tree *graph.Tree, wrap func(comm.Transport) comm.Transport, wals map[model.SiteID]*wal.SiteLog) *system {
-	t.Helper()
-	g := graph.FromPlacement(p)
-	order := make([]model.SiteID, p.NumSites)
-	for i := range order {
-		order[i] = model.SiteID(i)
-	}
-	backs := graph.OrderBackedges(g, order)
-	gdag := g.Without(backs)
-	if tree == nil {
-		tree = graph.BuildChain(order)
-	}
-	backSet := make(map[graph.Edge]bool)
-	for _, e := range backs {
-		backSet[e] = true
-	}
 	s := &system{
 		placement: p,
+		topo:      topology(t, proto, p, params, shape),
 		transport: comm.NewMemTransport(latency),
 		recorder:  history.NewRecorder(),
 		collector: metrics.NewCollector(true),
 		registry:  obs.NewRegistry(),
 		tracer:    trace.NewRecorder(),
 	}
-	shared := &SharedConfig{
-		Placement:    p,
-		Graph:        gdag,
-		Order:        order,
-		Tree:         tree,
-		SubtreeItems: graph.SubtreeCopyItems(tree, p),
-		Backedges:    backSet,
-		Params:       params,
-		Recorder:     s.recorder,
-		Metrics:      s.collector,
-		Obs:          s.registry,
-		Trace:        s.tracer,
-		WALs:         wals,
-	}
-	s.shared = shared
 	s.collector.Begin()
 	s.tr = s.transport
 	if wrap != nil {
 		s.tr = wrap(s.transport)
 	}
 	for i := 0; i < p.NumSites; i++ {
-		e, err := New(proto, shared, model.SiteID(i), s.tr)
+		id := model.SiteID(i)
+		e, err := New(proto, s.topo, s.site(id, logs[id]), s.tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,6 +111,14 @@ func buildSystemFull(t *testing.T, proto Protocol, p *model.Placement, params Pa
 		_ = s.transport.Close()
 	})
 	return s
+}
+
+// site is the per-site input of site id over lg (nil for no log), with
+// the system's sinks.
+func (s *system) site(id model.SiteID, lg *wal.SiteLog) Site {
+	return Site{ID: id, Log: lg, Sinks: Sinks{
+		Recorder: s.recorder, Metrics: s.collector, Obs: s.registry, Trace: s.tracer,
+	}}
 }
 
 // statuses reads every site's engine.

@@ -66,10 +66,10 @@ type route struct {
 // edges. A child is relevant iff it or one of its tree descendants holds a
 // copy of an updated item, and it receives exactly the writes its subtree
 // can use.
-func treeRoutes(cfg *SharedConfig, id model.SiteID) []route {
+func treeRoutes(topo *Topology, id model.SiteID) []route {
 	var out []route
-	for _, c := range cfg.Tree.Children(id) {
-		out = append(out, route{to: c, items: cfg.SubtreeItems[c]})
+	for _, c := range topo.Tree.Children(id) {
+		out = append(out, route{to: c, items: topo.subtree[c]})
 	}
 	return out
 }
@@ -97,8 +97,8 @@ func replicaRoutes(p *model.Placement, id model.SiteID, sites []model.SiteID) []
 	return out
 }
 
-func newLazy(cfg *SharedConfig, proto Protocol, id model.SiteID, tr comm.Transport) lazyEngine {
-	return lazyEngine{base: newBase(cfg, proto, id, tr)}
+func newLazy(topo *Topology, proto Protocol, site Site, tr comm.Transport) lazyEngine {
+	return lazyEngine{base: newBase(topo, proto, site, tr)}
 }
 
 // Execute runs a primary subtransaction: purely local execution under
@@ -169,7 +169,7 @@ func (k *lazyEngine) commit(t *txn.Txn, rec wal.Record, start time.Time) error {
 			// latest version equals the one this commit minted.
 			k.emit(metrics.Committed, model.NoSite, rec.Span, elapsed(start))
 			for _, w := range rec.Writes {
-				k.cfg.Fresh.NoteCommit(w.Item)
+				k.sinks.Fresh.NoteCommit(w.Item)
 			}
 		}
 		if forwards {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -30,11 +29,9 @@ type kernelRig struct {
 	sent     uint64 // forwards delivered to the replica
 }
 
-func newKernelRig(t *testing.T, build func(*SharedConfig, model.SiteID, comm.Transport) (Engine, *lazyEngine)) *kernelRig {
+func newKernelRig(t *testing.T, proto Protocol, build func(*Topology, Site, comm.Transport) (Engine, *lazyEngine)) *kernelRig {
 	t.Helper()
 	p := placement(t, 2, []model.SiteID{0}, [][]model.SiteID{{1}})
-	order := []model.SiteID{0, 1}
-	tree := graph.BuildChain(order)
 	r := &kernelRig{
 		dir:      t.TempDir(),
 		items:    p.CopiesAt(1),
@@ -42,18 +39,8 @@ func newKernelRig(t *testing.T, build func(*SharedConfig, model.SiteID, comm.Tra
 		metrics:  metrics.NewCollector(false),
 	}
 	r.log = r.open(t)
-	cfg := &SharedConfig{
-		Placement:    p,
-		Graph:        graph.FromPlacement(p),
-		Order:        order,
-		Tree:         tree,
-		SubtreeItems: graph.SubtreeCopyItems(tree, p),
-		Params:       testParams(),
-		Recorder:     r.recorder,
-		Metrics:      r.metrics,
-		WALs:         map[model.SiteID]*wal.SiteLog{1: r.log},
-	}
-	r.engine, r.kernel = build(cfg, 1, newCaptureTransport())
+	site := Site{ID: 1, Log: r.log, Sinks: Sinks{Recorder: r.recorder, Metrics: r.metrics}}
+	r.engine, r.kernel = build(topology(t, proto, p, testParams(), Shape{}), site, newCaptureTransport())
 	t.Cleanup(func() {
 		r.engine.Stop()
 		_ = r.log.Close()
@@ -130,29 +117,29 @@ func TestLazyKernelContract(t *testing.T) {
 	msg := comm.Message{From: 0, To: 1, Kind: kindSecondary, Span: sc, Payload: p}
 
 	rows := []struct {
-		name  string
-		build func(*SharedConfig, model.SiteID, comm.Transport) (Engine, *lazyEngine)
+		proto Protocol
+		build func(*Topology, Site, comm.Transport) (Engine, *lazyEngine)
 	}{
-		{"DAG(WT)", func(c *SharedConfig, id model.SiteID, tr comm.Transport) (Engine, *lazyEngine) {
-			e := newDAGWT(c, id, tr)
+		{DAGWT, func(topo *Topology, s Site, tr comm.Transport) (Engine, *lazyEngine) {
+			e := newDAGWT(topo, s, tr)
 			return e, &e.lazyEngine
 		}},
-		{"DAG(T)", func(c *SharedConfig, id model.SiteID, tr comm.Transport) (Engine, *lazyEngine) {
-			e := newDAGT(c, id, tr)
+		{DAGT, func(topo *Topology, s Site, tr comm.Transport) (Engine, *lazyEngine) {
+			e := newDAGT(topo, s, tr)
 			return e, &e.lazyEngine
 		}},
-		{"NaiveLazy", func(c *SharedConfig, id model.SiteID, tr comm.Transport) (Engine, *lazyEngine) {
-			e := newNaive(c, id, tr)
+		{NaiveLazy, func(topo *Topology, s Site, tr comm.Transport) (Engine, *lazyEngine) {
+			e := newNaive(topo, s, tr)
 			return e, &e.lazyEngine
 		}},
-		{"BackEdge", func(c *SharedConfig, id model.SiteID, tr comm.Transport) (Engine, *lazyEngine) {
-			e := newBackEdge(c, id, tr)
+		{BackEdge, func(topo *Topology, s Site, tr comm.Transport) (Engine, *lazyEngine) {
+			e := newBackEdge(topo, s, tr)
 			return e, &e.lazyEngine
 		}},
 	}
 	for _, row := range rows {
-		t.Run(row.name+"/duplicate", func(t *testing.T) {
-			r := newKernelRig(t, row.build)
+		t.Run(row.proto.String()+"/duplicate", func(t *testing.T) {
+			r := newKernelRig(t, row.proto, row.build)
 			for i := 0; i < 2; i++ {
 				r.deliver(t, msg)
 				if !r.kernel.apply(msg.From, p, sc) {
@@ -168,8 +155,8 @@ func TestLazyKernelContract(t *testing.T) {
 			}
 		})
 
-		t.Run(row.name+"/stop-mid-retry", func(t *testing.T) {
-			r := newKernelRig(t, row.build)
+		t.Run(row.proto.String()+"/stop-mid-retry", func(t *testing.T) {
+			r := newKernelRig(t, row.proto, row.build)
 			blocker := r.kernel.tm.Begin(r.kernel.newTxnID())
 			if _, err := blocker.Read(0); err != nil { // S lock on the replica
 				t.Fatal(err)
@@ -189,8 +176,8 @@ func TestLazyKernelContract(t *testing.T) {
 			}
 		})
 
-		t.Run(row.name+"/fenced-commit", func(t *testing.T) {
-			r := newKernelRig(t, row.build)
+		t.Run(row.proto.String()+"/fenced-commit", func(t *testing.T) {
+			r := newKernelRig(t, row.proto, row.build)
 			r.deliver(t, msg)
 			r.log.Fence()
 			applied := make(chan bool, 1)

@@ -18,13 +18,13 @@ type naiveEngine struct {
 	lazyEngine
 }
 
-func newNaive(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *naiveEngine {
-	e := &naiveEngine{lazyEngine: newLazy(cfg, NaiveLazy, id, tr)}
-	all := make([]model.SiteID, cfg.Placement.NumSites)
+func newNaive(topo *Topology, site Site, tr comm.Transport) *naiveEngine {
+	e := &naiveEngine{lazyEngine: newLazy(topo, NaiveLazy, site, tr)}
+	all := make([]model.SiteID, topo.Placement.NumSites)
 	for i := range all {
 		all[i] = model.SiteID(i)
 	}
-	e.routes, e.enqueue, e.snapshot = replicaRoutes(cfg.Placement, id, all), e.spawn, e.pin
+	e.routes, e.enqueue, e.snapshot = replicaRoutes(topo.Placement, site.ID, all), e.spawn, e.pin
 	e.replay()
 	return e
 }

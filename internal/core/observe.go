@@ -92,7 +92,7 @@ func abortSlot(r contend.AbortReason) metrics.Count { return abortedBy + metrics
 // exportBank registers the site's bank slots in the live registry under
 // their series; the registry then reads the bank in place.
 func (b *base) exportBank() {
-	r := b.cfg.Obs // nil-safe: without a registry every call is a no-op
+	r := b.sinks.Obs // nil-safe: without a registry every call is a no-op
 	site := obs.Label{Key: "site", Value: strconv.Itoa(int(b.id))}
 	for s, row := range slots {
 		switch {
@@ -134,14 +134,14 @@ func (b *base) emit(s metrics.Count, peer model.SiteID, sc model.SpanContext, d 
 	b.bank[s].Inc()
 	switch {
 	case s == metrics.Committed:
-		b.cfg.Metrics.TxnCommitted(sc.TID, d)
+		b.sinks.Metrics.TxnCommitted(sc.TID, d)
 	case s == metrics.Secondaries:
-		b.cfg.Metrics.SecondaryApplied(sc.TID)
+		b.sinks.Metrics.SecondaryApplied(sc.TID)
 	case s >= abortedBy:
 		b.bank[metrics.Aborted].Inc()
 	}
 	row := &slots[s]
-	if b.cfg.Trace == nil || row.kind == 0 {
+	if b.sinks.Trace == nil || row.kind == 0 {
 		return
 	}
 	ev := trace.Event{Kind: row.kind, Site: b.id, Peer: peer, TID: sc.TID, Proto: uint8(b.proto), Phase: row.tag}
@@ -150,7 +150,7 @@ func (b *base) emit(s metrics.Count, peer model.SiteID, sc model.SpanContext, d 
 	} else {
 		ev.Span, ev.Parent = sc.SpanAt(b.id), sc.Parent
 	}
-	b.cfg.Trace.Add(ev)
+	b.sinks.Trace.Add(ev)
 }
 
 // AbortReasons returns the site's cumulative abort root-cause breakdown,
@@ -174,7 +174,7 @@ func (b *base) AbortReasons() map[string]uint64 {
 // (a metrics collector or a trace recorder), and the zero time otherwise,
 // keeping disabled hot paths clock-free.
 func (b *base) phaseClock() time.Time {
-	if b.cfg.Metrics == nil && b.cfg.Trace == nil {
+	if b.sinks.Metrics == nil && b.sinks.Trace == nil {
 		return time.Time{}
 	}
 	//lint:allow nodeterminism latency observation only; the measured duration never branches protocol logic
@@ -197,9 +197,9 @@ func (b *base) phaseSince(p metrics.Phase, peer model.SiteID, tid model.TxnID, s
 		return
 	}
 	d := elapsed(start)
-	b.cfg.Metrics.PhaseSample(p, d)
-	if b.cfg.Trace != nil {
-		b.cfg.Trace.Add(trace.Event{Kind: trace.PhaseLatency, Site: b.id, Peer: peer, TID: tid,
+	b.sinks.Metrics.PhaseSample(p, d)
+	if b.sinks.Trace != nil {
+		b.sinks.Trace.Add(trace.Event{Kind: trace.PhaseLatency, Site: b.id, Peer: peer, TID: tid,
 			Proto: uint8(b.proto), Phase: p.String(), Dur: int64(d)})
 	}
 }

@@ -66,16 +66,16 @@ type remoteReader struct {
 // errReaderGone answers a read whose reader already released.
 var errReaderGone = errors.New("transaction already released")
 
-func newPSL(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *pslEngine {
+func newPSL(topo *Topology, site Site, tr comm.Transport) *pslEngine {
 	e := &pslEngine{
-		base:    newBase(cfg, PSL, id, tr),
+		base:    newBase(topo, PSL, site, tr),
 		reads:   comm.NewInbox[queuedMsg](inboxBound),
 		readers: make(map[model.TxnID]remoteReader),
 	}
 	if e.wal != nil && e.wal.Incarnation() > 1 {
 		// A lease granted before the crash was stamped before it, so it
 		// ends before this fence does.
-		e.fenceUntil = leaseNow().Add(cfg.Params.readLease())
+		e.fenceUntil = leaseNow().Add(topo.Params.readLease())
 	}
 	return e
 }
@@ -129,7 +129,7 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 		e.simulateOp()
 		switch op.Kind {
 		case model.OpRead:
-			if primary := e.cfg.Placement.Primary[op.Item]; primary == e.id {
+			if primary := e.topo.Placement.Primary[op.Item]; primary == e.id {
 				if _, err := t.Read(op.Item); err != nil {
 					return fail(err, contend.Classify(err))
 				}
@@ -139,7 +139,7 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 					leased = leaseNow()
 				}
 				e.emit(metrics.RemoteReads, primary, octx, 0)
-				resp, err := e.rpc.CallSpan(primary, kindPSLRead, pslReadReq{TID: tid, Item: op.Item}, e.cfg.Params.RPCTimeout, octx.Fork(e.id))
+				resp, err := e.rpc.CallSpan(primary, kindPSLRead, pslReadReq{TID: tid, Item: op.Item}, e.topo.Params.RPCTimeout, octx.Fork(e.id))
 				// Even after a timeout the lock may still be granted
 				// remotely; the release cancels or undoes it.
 				remotes[primary] = true
@@ -158,7 +158,7 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 			// latest version, whatever the local replica's lag.
 			e.certifyRead(tid, op.Item, 0, false)
 		case model.OpWrite:
-			if !e.cfg.Placement.IsPrimary(e.id, op.Item) {
+			if !e.topo.Placement.IsPrimary(e.id, op.Item) {
 				// Workload misconfiguration, not contention; no reason fits
 				// and none should: a nonzero unknown count points here.
 				return fail(fmt.Errorf("core: s%d is not the primary of item %d", e.id, op.Item),
@@ -173,7 +173,7 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 	// new, so a grant still inside its lease at the check is still honoured
 	// at the commit.
 	if !leased.IsZero() {
-		if held := leaseNow().Sub(leased); held >= e.cfg.Params.readLease() {
+		if held := leaseNow().Sub(leased); held >= e.topo.Params.readLease() {
 			err := fmt.Errorf("%w: %w: first remote grant %v ago", txn.ErrAborted, lock.ErrLeaseExpired, held)
 			return fail(err, contend.Classify(err))
 		}
@@ -281,7 +281,7 @@ func (e *pslEngine) serveRead(msg comm.Message, enq time.Time) {
 	// operation, like the reader's own operations do.
 	e.simulateOp()
 	lockStart := e.phaseClock()
-	err := e.locks.Acquire(req.TID, req.Item, lock.Shared, e.cfg.Params.LockTimeout)
+	err := e.locks.Acquire(req.TID, req.Item, lock.Shared, e.topo.Params.LockTimeout)
 	e.phaseSince(metrics.PhaseLockWait, msg.From, req.TID, lockStart)
 	if err != nil {
 		e.rpc.ReplyError(msg, err)

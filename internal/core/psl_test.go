@@ -258,11 +258,11 @@ func TestPSLLeaseOutlivesPrimaryCrash(t *testing.T) {
 	}
 	lg := openLog()
 	held := &heldSends{to: 2, held: make(chan chan struct{})}
-	s := buildSystemFull(t, PSL, p, params, 0, nil, func(tr comm.Transport) comm.Transport {
+	s := buildSystemFull(t, PSL, p, params, 0, Shape{}, func(tr comm.Transport) comm.Transport {
 		held.Transport = tr
 		return held
 	}, map[model.SiteID]*wal.SiteLog{0: lg})
-	t.Cleanup(func() { _ = s.shared.WALs[0].Close() })
+	t.Cleanup(func() { _ = lg.Close() })
 	if err := s.engines[0].Execute([]model.Op{w(0, 7)}); err != nil {
 		t.Fatal(err)
 	}
@@ -275,9 +275,9 @@ func TestPSLLeaseOutlivesPrimaryCrash(t *testing.T) {
 	s.engines[0].Stop()
 	lg.Fence()
 	_ = lg.Close()
-	s.shared.WALs[0] = openLog()
+	lg = openLog()
 	boot := time.Now()
-	e0, err := New(PSL, s.shared, 0, s.tr)
+	e0, err := New(PSL, s.topo, s.site(0, lg), s.tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestReadOnlyLockingByProtocol(t *testing.T) {
 	}{
 		{DAGWT, false}, {DAGT, false}, {NaiveLazy, false}, {PSL, true},
 	} {
-		e, err := New(tc.proto, allocConfig(t), 0, discardTransport{})
+		e, err := New(tc.proto, allocTopology(t, tc.proto), Site{ID: 0}, discardTransport{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestReadOnlyLockingByProtocol(t *testing.T) {
 			t.Error("a reader of a prepared item took no locks")
 		}
 		want := "read  s1 item0 v1 by " + reader.ID.String()
-		if got := e.cfg.Recorder.Involving(reader.ID); !slices.Contains(got, want) {
+		if got := e.sinks.Recorder.Involving(reader.ID); !slices.Contains(got, want) {
 			t.Errorf("reader observations %q, want %q (the decided version)", got, want)
 		}
 	})
@@ -131,11 +131,11 @@ func TestBackEdgeReleasesItemsAfterInstall(t *testing.T) {
 // restored from the redo log closes its items to snapshot readers exactly
 // as a freshly executed one does, until its decision installs it.
 func TestBackEdgeRecoveredPreparedBlocksSnapshot(t *testing.T) {
-	cfg := allocConfig(t)
+	topo := allocTopology(t, BackEdge)
 	const site = model.SiteID(1)
 	dir := t.TempDir()
 	openLog := func() *wal.SiteLog {
-		lg, err := wal.Open(dir, wal.Options{Site: site, Items: cfg.Placement.CopiesAt(site)})
+		lg, err := wal.Open(dir, wal.Options{Site: site, Items: topo.Placement.CopiesAt(site)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,8 +153,7 @@ func TestBackEdgeRecoveredPreparedBlocksSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg = openLog()
-	cfg.WALs = map[model.SiteID]*wal.SiteLog{site: lg}
-	e := newBackEdge(cfg, site, discardTransport{})
+	e := newBackEdge(topo, Site{ID: site, Log: lg}, discardTransport{})
 	t.Cleanup(func() {
 		e.Stop()
 		_ = lg.Close()
@@ -173,17 +172,17 @@ func TestBackEdgeRecoveredPreparedBlocksSnapshot(t *testing.T) {
 	}
 }
 
-// preparedBackEdge builds BackEdge site s1 of allocConfig, recording
+// preparedBackEdge builds BackEdge site s1 of allocPlacement, recording
 // reads and writes, and executes there a backedge subtransaction from s2
 // writing item 0 = 7, registered and awaiting its 2PC decision. Lock waits
 // last as long as a test can take, so a reader blocked on the
 // subtransaction outlasts any scheduling delay before the decision.
 func preparedBackEdge(t *testing.T) (*backedgeEngine, model.TxnID) {
 	t.Helper()
-	cfg := allocConfig(t)
-	cfg.Recorder = history.NewRecorder()
-	cfg.Params.LockTimeout, cfg.Params.RPCTimeout = time.Minute, 2*time.Minute
-	e := newBackEdge(cfg, 1, discardTransport{})
+	params := testParams()
+	params.LockTimeout, params.RPCTimeout = time.Minute, 2*time.Minute
+	topo := topology(t, BackEdge, allocPlacement(t), params, Shape{})
+	e := newBackEdge(topo, Site{ID: 1, Sinks: Sinks{Recorder: history.NewRecorder()}}, discardTransport{})
 	t.Cleanup(e.Stop)
 	tid := model.TxnID{Site: 2, Seq: 1}
 	sp := specialPayload{TID: tid, Origin: 2, Writes: []model.WriteOp{{Item: 0, Value: 7}}}

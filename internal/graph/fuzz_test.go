@@ -23,7 +23,10 @@ func decodeGraph(data []byte) *CopyGraph {
 // FuzzBackedgeComputation checks on arbitrary graphs that both backedge
 // algorithms produce feedback arc sets whose removal yields a DAG, that
 // the DFS set is minimal, and that tree construction over the resulting
-// DAG preserves the §2 ancestor property.
+// DAG preserves the §2 ancestor property. For the DFS set and for the
+// minimum-weight set under the tree over what it leaves (the pair a
+// minimized-backedge deployment runs), every backedge target is a tree
+// ancestor of its origin, as BackEdge routing needs (§4.1).
 func FuzzBackedgeComputation(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 1, 2, 2, 0})
 	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 1, 3})
@@ -40,8 +43,21 @@ func FuzzBackedgeComputation(f *testing.F) {
 		}
 
 		mw := MinWeightBackedges(g)
-		if !g.Without(mw).IsDAG() {
+		mwDAG := g.Without(mw)
+		if !mwDAG.IsDAG() {
 			t.Fatalf("greedy FAS backedges %v leave a cycle", mw)
+		}
+		mwTree, err := BuildTree(mwDAG)
+		if err != nil {
+			t.Fatalf("BuildTree without the greedy FAS backedges: %v", err)
+		}
+		if e := CheckAncestorProperty(mwDAG, mwTree); e != nil {
+			t.Fatalf("ancestor property violated on %v without the greedy FAS backedges", *e)
+		}
+		for _, e := range mw {
+			if !mwTree.IsAncestor(e.To, e.From) {
+				t.Fatalf("greedy FAS backedge %v target not a tree ancestor", e)
+			}
 		}
 
 		tree, err := BuildTree(gdag)

@@ -286,6 +286,13 @@ func (t *Table) Aborted(tid model.TxnID) bool {
 	return ok && s == StateAborted
 }
 
+// Len returns how many transactions the table holds, live or terminal.
+func (t *Table) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
+}
+
 // Forget drops a terminal tid from the table (bounding memory in long
 // runs). Forgetting a live transaction is an error.
 func (t *Table) Forget(tid model.TxnID) error {

@@ -154,8 +154,15 @@ type TxnGen struct {
 	readZipf, primZipf *rand.Zipf // nil when Skew == 0
 }
 
+// ClientSeed is the seed of the generator of client thread thread at
+// site: distinct for every (site, thread) pair of a run, and the same in
+// every deployment of the run, in-process or one process per site.
+func (c Config) ClientSeed(site model.SiteID, thread int) int64 {
+	return c.Seed + int64(site)*1000 + int64(thread) + 7
+}
+
 // NewTxnGen returns a generator for a thread at the given site. Distinct
-// (site, thread) pairs should use distinct seeds.
+// (site, thread) pairs should use distinct seeds (ClientSeed).
 func NewTxnGen(cfg Config, p *model.Placement, site model.SiteID, seed int64) *TxnGen {
 	g := &TxnGen{
 		cfg:   cfg,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -45,7 +46,6 @@ import (
 type backedgeEngine struct {
 	*dagwtEngine
 
-	table *twopc.Table
 	// decisions is this site's coordinator-side stable decision record:
 	// every 2PC outcome (and every unilateral pre-2PC abort) for
 	// transactions originating here, written before participants learn it.
@@ -54,35 +54,57 @@ type backedgeEngine struct {
 	// atomic commitment, completed with the recovery path classic 2PC
 	// requires once sites can actually crash).
 	decisions *twopc.DecisionLog
+	// inbox holds the participant loop's events in arrival order: abort
+	// notifications, phase-2 decisions and inquiry answers.
+	inbox *comm.Inbox[resolution]
 
-	mu       sync.Mutex
-	prepared map[model.TxnID]*pendingBE   // executed backedge subtxns awaiting the decision // repl:guardedby(mu)
-	waiters  map[model.TxnID]*originState // origin-side transactions awaiting their special // repl:guardedby(mu)
-	// writing counts, per item, the registered subtransactions that write
-	// it and have not yet been settled: a read-only program reading any of
-	// these items takes S locks instead of a snapshot (pinDisjoint).
-	writing map[model.ItemID]int // repl:guardedby(mu)
-	// unsettled counts the registered subtransactions not yet settled:
-	// the prepared ones plus those taken whose decision is still landing.
-	unsettled int // repl:guardedby(mu)
+	mu sync.Mutex
+	// parts holds one record per eager subtransaction this site takes
+	// part in, from its execution (or the abort that pre-empts it) until
+	// it is forgotten.
+	parts   map[model.TxnID]*participant // repl:guardedby(mu)
+	waiters map[model.TxnID]*originState // origin-side transactions awaiting their special // repl:guardedby(mu)
 }
 
-// pendingBE is a participant-side executed backedge subtransaction
-// holding its locks until the 2PC decision: the live transaction, the
-// coordinator to ask if the decision goes missing, and when it was
-// registered (to know when waiting has gone on suspiciously long).
-type pendingBE struct {
+// participant is this site's record of one eager subtransaction: its
+// state, moved only by twopc.Next (executed → prepared → committed |
+// aborted → forgotten), and when the record was made, to know when
+// waiting has gone on suspiciously long. Once executed it holds the live
+// transaction with its locks, and the coordinator to ask if the decision
+// goes missing. A tombstone — aborted before it executed — holds none of
+// these.
+type participant struct {
+	state  twopc.State
+	since  time.Time
 	t      *txn.Txn
 	origin model.SiteID
-	since  time.Time
 	// sc is the causal context the subtransaction executed under; the
 	// decision events are attributed to it no matter which path (phase 2
 	// or inquiry recovery) delivers the outcome.
 	sc model.SpanContext
-	// writes is the full payload write set, kept so the commit-decision
-	// redo record carries what recovery needs to replay it.
+	// writes is the full payload write set: the commit-decision redo
+	// record carries it, and while the record exists a read-only program
+	// reading any of its items takes S locks instead of a snapshot
+	// (pinDisjoint).
 	writes []model.WriteOp
 }
+
+// awaiting reports whether p holds its locks awaiting a decision.
+func (p *participant) awaiting() bool {
+	return p.t != nil && (p.state == twopc.StateWorking || p.state == twopc.StatePrepared)
+}
+
+// resolution is one event for the participant loop: the origin's abort
+// or a phase-2 decision, both with the message that carried it, or an
+// inquiry answer, with only the coordinator in From.
+type resolution struct {
+	msg comm.Message
+	tid model.TxnID
+	ev  twopc.Event
+}
+
+// decision maps a 2PC outcome (commit or not) to its participant event.
+var decision = map[bool]twopc.Event{true: twopc.Commit, false: twopc.Rollback}
 
 // originState synchronizes the origin's Execute goroutine with the FIFO
 // applier: the applier signals arrival of the special and then blocks
@@ -96,34 +118,73 @@ type originState struct {
 func newBackEdge(topo *Topology, site Site, tr comm.Transport) *backedgeEngine {
 	e := &backedgeEngine{
 		dagwtEngine: buildDAGWT(topo, BackEdge, site, tr),
-		table:       twopc.NewTable(),
 		decisions:   twopc.NewDecisionLog(),
-		prepared:    make(map[model.TxnID]*pendingBE),
+		inbox:       comm.NewInbox[resolution](inboxBound),
+		parts:       make(map[model.TxnID]*participant),
 		waiters:     make(map[model.TxnID]*originState),
-		writing:     make(map[model.ItemID]int),
 	}
 	e.special, e.enqueue, e.snapshot = e.onSpecial, e.dispatch, e.pinDisjoint
 	e.recover()
 	return e
 }
 
-// Status adds the eager arm to the DAG(WT) status: how many executed
-// backedge subtransactions sit holding locks awaiting a decision, the
-// oldest of them (a hung decision shows up as its age climbing), how
-// many are registered and not yet settled, and the parked origins. The
-// unsettled count is read after the kernel's consumed count, as
-// Quiescent requires.
+// Status adds the eager arm to the DAG(WT) status, read from the
+// participant records after the kernel's consumed count, as Quiescent
+// requires: the participants holding locks awaiting a decision, the
+// oldest of them (a hung decision shows up as its age climbing), the
+// unsettled ones (those plus any whose decision is being installed or
+// discarded), and the parked origins. A tombstone counts in none of them.
 func (e *backedgeEngine) Status() watch.Status {
 	st := e.dagwtEngine.Status()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st.Prepared, st.Parked, st.Unsettled = len(e.prepared), len(e.waiters), e.unsettled
-	for tid, p := range e.prepared {
-		if st.OldestSince.IsZero() || p.since.Before(st.OldestSince) {
-			st.Oldest, st.OldestSince = tid, p.since
+	st.Parked = len(e.waiters)
+	for tid, p := range e.parts {
+		if p.t != nil {
+			st.Unsettled++
+		}
+		if p.awaiting() {
+			st.Prepared++
+			if st.OldestSince.IsZero() || p.since.Before(st.OldestSince) {
+				st.Oldest, st.OldestSince = tid, p.since
+			}
 		}
 	}
 	return st
+}
+
+// step moves tid's record by ev, making it on its first event and
+// deleting it once forgotten, and returns the record and whether the move
+// was legal. The caller holds e.mu.
+func (e *backedgeEngine) step(tid model.TxnID, ev twopc.Event) (*participant, bool) {
+	p := e.parts[tid]
+	var s twopc.State // StateNone
+	if p != nil {
+		s = p.state
+	}
+	next, ok := twopc.Next(s, ev)
+	switch {
+	case !ok:
+	case next == twopc.StateNone:
+		delete(e.parts, tid)
+	case p == nil:
+		//lint:allow nodeterminism since drives the wall-clock inquiry sweep, not protocol ordering
+		p = &participant{state: next, since: time.Now()}
+		e.parts[tid] = p
+	default:
+		p.state = next
+	}
+	return p, ok
+}
+
+// enroll moves tid's record by executed: t, holding the locks of its
+// local writes, becomes a live participant. The caller holds e.mu.
+func (e *backedgeEngine) enroll(t *txn.Txn, sp specialPayload, sc model.SpanContext) bool {
+	p, ok := e.step(sp.TID, twopc.Execute)
+	if ok {
+		p.t, p.origin, p.sc, p.writes = t, sp.Origin, sc, sp.Writes
+	}
+	return ok
 }
 
 // recover rebuilds the BackEdge protocol state the disk knows, in
@@ -146,26 +207,12 @@ func (e *backedgeEngine) recover() {
 		e.decisions.Seed(tid, commit)
 	}
 	for tid, pe := range rec.Prepared {
-		t := e.tm.BeginSecondary(tid)
-		held := true
-		for _, w := range pe.Writes {
-			if !e.store.Has(w.Item) {
-				continue
-			}
-			if err := t.Write(w.Item, w.Value); err != nil {
-				held = false // unreachable: the lock manager is fresh
-				break
-			}
+		t, wait := e.tm.BeginSecondary(tid), -1
+		if e.lockSecondary(t, pe.Writes, &wait, false) != nil {
+			continue // unreachable: the lock manager is fresh
 		}
-		if !held {
-			t.Abort()
-			continue
-		}
-		_ = e.table.Begin(tid)
-		//lint:allow nodeterminism since drives the wall-clock inquiry sweep, not protocol ordering
-		p := &pendingBE{t: t, origin: pe.Origin, since: time.Now(), sc: pe.Span, writes: pe.Writes}
 		e.mu.Lock()
-		e.register(p)
+		e.enroll(t, specialPayload{TID: tid, Origin: pe.Origin, Writes: pe.Writes}, pe.Span)
 		e.mu.Unlock()
 	}
 	for tid, ee := range rec.Eager {
@@ -214,6 +261,7 @@ func (e *backedgeEngine) redoEager(tid model.TxnID, ee wal.EagerEntry) {
 func (e *backedgeEngine) Start() {
 	e.dagwtEngine.Start()
 	go e.inquirer()
+	go e.participants()
 }
 
 // backedgeTargets returns the replica sites of the written items that are
@@ -397,16 +445,18 @@ func (e *backedgeEngine) Handle(msg comm.Message) {
 		e.phaseSince(metrics.PhaseTransport, msg.From, msg.Span.TID, msg.SentAt)
 		e.dispatch(queuedMsg{msg: msg})
 	case kindBackedgeAbort:
-		go e.handleAbort(msg.Payload.(abortPayload).TID)
+		e.post(resolution{msg: msg, tid: msg.Payload.(abortPayload).TID, ev: twopc.Abort})
 	case kindPrepare:
 		p := msg.Payload.(preparePayload)
 		e.emit(prepares, msg.From, msg.Span, 0)
+		e.mu.Lock()
+		_, vote := e.step(p.TID, twopc.Vote)
+		e.mu.Unlock()
 		//lint:allow waldiscipline the vote's Prepared record was appended and synced by executeHolding before the special was relayed, so the coordinator can only reach this prepare after the registration is durable
-		e.reply(msg, prepareResp{Vote: e.table.Prepare(p.TID)})
+		e.reply(msg, prepareResp{Vote: vote})
 	case kindDecision:
-		// Decisions may take a lock-release step; keep the transport pair
-		// goroutine free.
-		go e.handleDecision(msg)
+		d := msg.Payload.(decisionPayload)
+		e.post(resolution{msg: msg, tid: d.TID, ev: decision[d.Commit]})
 	case kindInquiry:
 		// Coordinator side of decision recovery: answer from the stable
 		// decision log. Unknown means "not decided yet" — the participant
@@ -422,8 +472,10 @@ func (e *backedgeEngine) Handle(msg comm.Message) {
 
 // dispatch is BackEdge's ordering of a durably received message, fresh or
 // replayed. A backedge execution runs immediately and concurrently (§4.1
-// step 1: sent "directly ... to be executed"), on a goroutine of its own;
-// secondaries and specials take the inherited FIFO queue.
+// step 1: sent "directly ... to be executed"), on a goroutine of its own:
+// it may wait on a lock for up to PrepareTimeout, and no other
+// transaction's execution or decision waits behind it. Secondaries and
+// specials take the inherited FIFO queue.
 func (e *backedgeEngine) dispatch(q queuedMsg) {
 	if q.msg.Kind == kindBackedgeExec {
 		go e.execBackedge(q.msg)
@@ -449,23 +501,24 @@ const (
 // stopped/fenced execution leaves it to recovery.
 func (e *backedgeEngine) execBackedge(msg comm.Message) {
 	p, sc := msg.Payload.(specialPayload), msg.Span
-	switch e.executeHolding(p, sc) {
-	case beExecOK:
+	res := e.executeHolding(p, sc)
+	if res == beExecOK {
 		e.relaySpecial(p, sc)
+	}
+	if res != beExecStopped { // a stopped one's receipt stays unconsumed, to recovery
 		e.consumeAndDone(msg.From, sc)
-	case beExecFailed:
-		e.consumeAndDone(msg.From, sc)
-	case beExecStopped:
-		// Receipt stays unconsumed; recovery re-processes it.
 	}
 }
 
 // executeHolding acquires this site's locks for the subtransaction's
 // local writes, buffering them until the 2PC decision. On beExecOK the
 // caller relays onward, and the subtransaction holds its locks unless the
-// origin had aborted it (see skipAborted); on beExecFailed it was already
-// resolved and holds nothing; on beExecStopped nothing is held and
-// nothing may be consumed.
+// origin had aborted it first; on beExecFailed it was already resolved
+// and holds nothing; on beExecStopped nothing is held and nothing may be
+// consumed. A delivery that meets its tombstone forgets it and travels
+// on like a pure relay, so every later backedge site on its path consumes
+// its own delivery and drops its own tombstone; the origin consumes a
+// special that no transaction waits for.
 func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) beExec {
 	if e.wasApplied(p.TID) {
 		// A crash-recovery re-send duplicated this delivery and the
@@ -474,7 +527,8 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 		return beExecFailed
 	}
 	e.mu.Lock()
-	_, restored := e.prepared[p.TID]
+	rec := e.parts[p.TID]
+	restored := rec != nil && rec.t != nil
 	e.mu.Unlock()
 	if restored {
 		// Recovery restored the prepared entry from disk; relay again so
@@ -490,71 +544,53 @@ func (e *backedgeEngine) executeHolding(p specialPayload, sc model.SpanContext) 
 		}
 		return beExecOK
 	}
-	t := e.tm.BeginSecondary(p.TID)
-	wait := -1
+	t, wait := e.tm.BeginSecondary(p.TID), -1
 	for {
 		if e.stopping() {
 			return beExecStopped
 		}
-		if e.table.Aborted(p.TID) {
-			return e.skipAborted(p.TID)
-		}
-		if err := e.lockSecondary(t, p.Writes, &wait, false); err != nil {
-			e.resubmit(t, err)
-			continue
-		}
-		// Locks held, writes buffered. Register as a live participant —
-		// unless an abort raced in, in which case roll back. Registration
-		// and tombstone lookup are paired under e.mu so handleAbort can
-		// never miss a registered subtransaction. Registration precedes the
-		// relay, which is where the subtransaction takes its place in this
-		// site's order.
-		//lint:allow nodeterminism since drives the wall-clock inquiry sweep, not protocol ordering
-		pe := &pendingBE{t: t, origin: p.Origin, since: time.Now(), sc: sc, writes: p.Writes}
+		// Each attempt ends in one step on the record under e.mu. With its
+		// locks held and writes buffered the subtransaction enrols as a
+		// live participant, unless an abort came first; an abort can
+		// therefore never miss an enrolled subtransaction. A tombstone (a
+		// record with no transaction: the origin aborted first) ends a
+		// blocked attempt too, and is forgotten, since this delivery was
+		// the last thing it guarded. Enrolment precedes the relay, which is
+		// where the subtransaction takes its place in this site's order.
+		err := e.lockSecondary(t, p.Writes, &wait, false)
 		e.mu.Lock()
-		err := e.table.Begin(p.TID)
-		if err == nil {
-			e.register(pe)
+		enrolled := err == nil && e.enroll(t, p, sc)
+		rec = e.parts[p.TID]
+		skip := !enrolled && rec != nil && rec.t == nil
+		if skip {
+			e.step(p.TID, twopc.Forget)
 		}
 		e.mu.Unlock()
-		if err != nil {
+		switch {
+		case skip:
 			t.Abort()
-			if e.table.Aborted(p.TID) {
-				return e.skipAborted(p.TID)
-			}
+			return beExecOK
+		case err != nil:
+			e.resubmit(t, err)
+			continue
+		case !enrolled:
+			t.Abort()
 			return beExecFailed
 		}
 		// The prepared state must be durable before the relay (and later
 		// the YES vote) can externalize it: a recovered participant has to
 		// find the entry, re-execute it, and resolve it by inquiry. On a
-		// fence, undo the registration entirely — nothing reached disk, so
-		// recovery re-processes the still-unconsumed receipt from scratch.
+		// fence, roll the record back and forget it — nothing reached disk,
+		// so recovery re-processes the still-unconsumed receipt from scratch.
 		if e.walAppendSync(wal.Record{
 			Kind: wal.KindPrepared, TID: p.TID, Origin: p.Origin,
 			Writes: p.Writes, Span: sc,
 		}) != nil {
-			e.mu.Lock()
-			owned := e.take(p.TID) != nil
-			e.mu.Unlock()
-			e.table.Finish(p.TID, false)
-			if owned {
-				e.discard(pe)
-			}
+			e.decide(p.TID, twopc.Rollback, model.NoSite)
 			return beExecStopped
 		}
 		return beExecOK
 	}
-}
-
-// skipAborted ends the delivery of a subtransaction whose origin aborted
-// it before it could register here. That delivery was the last thing the
-// abort's tombstone guarded at this site, so the tombstone goes; and the
-// special still travels on like a pure relay, so every later backedge
-// site on its path consumes its own delivery and drops its own tombstone.
-// The origin consumes a special that no transaction waits for.
-func (e *backedgeEngine) skipAborted(tid model.TxnID) beExec {
-	_ = e.table.Forget(tid)
-	return beExecOK
 }
 
 // relaySpecial forwards the special secondary subtransaction one hop down
@@ -567,27 +603,30 @@ func (e *backedgeEngine) relaySpecial(p specialPayload, sc model.SpanContext) {
 	e.commitMu.Unlock()
 }
 
-// handleAbort processes the origin's global-deadlock abort: mark the
-// transaction aborted and roll back its executed subtransaction if any.
-// A registered subtransaction has had its delivery, so its tombstone is
-// forgotten with it; otherwise the tombstone stays until the delivery
-// meets it in executeHolding.
-func (e *backedgeEngine) handleAbort(tid model.TxnID) {
-	e.mu.Lock()
-	e.table.Finish(tid, false)
-	p := e.take(tid)
-	e.mu.Unlock()
-	if p != nil {
-		e.discard(p)
-		_ = e.table.Forget(tid)
+// participants is the participant loop: it applies every abort,
+// decision and inquiry answer in the order they arrived, one at a time.
+func (e *backedgeEngine) participants() {
+	for {
+		r, ok := e.inbox.Next(e.stop)
+		if !ok {
+			return
+		}
+		e.resolve(r)
 	}
 }
 
-// handleDecision applies the 2PC outcome to the prepared subtransaction.
-func (e *backedgeEngine) handleDecision(msg comm.Message) {
-	d := msg.Payload.(decisionPayload)
-	e.finishDecision(d.TID, d.Commit, msg.From)
-	e.reply(msg, decisionResp{})
+// post queues one resolution for the participant loop. If the engine
+// stops first it is dropped: a decision then goes unacknowledged, and
+// recovery resolves the participant by inquiry.
+func (e *backedgeEngine) post(r resolution) { e.inbox.Push(r, e.stop) }
+
+// resolve is one step of the participant loop: apply the event to its
+// record, then acknowledge a decision.
+func (e *backedgeEngine) resolve(r resolution) {
+	e.decide(r.tid, r.ev, r.msg.From)
+	if r.msg.Kind == kindDecision {
+		e.reply(r.msg, decisionResp{})
+	}
 }
 
 // reply answers a 2PC request: a prepare vote, a decision
@@ -599,52 +638,31 @@ func (e *backedgeEngine) handleDecision(msg comm.Message) {
 // repl:durable sync
 func (e *backedgeEngine) reply(msg comm.Message, payload any) { e.rpc.Reply(msg, payload) }
 
-// finishDecision resolves a prepared backedge subtransaction with the 2PC
-// outcome, whether the decision arrived from the coordinator's phase 2 or
-// from a recovery inquiry; the two paths can race and the second is a
-// no-op (the state table is the arbiter).
-func (e *backedgeEngine) finishDecision(tid model.TxnID, commit bool, from model.SiteID) {
+// decide moves tid's record by ev — an abort, a commit or a rollback —
+// and, if that ended a live participant, installs or discards it, with
+// from the site the outcome came from. A refused event changes nothing:
+// a duplicate (phase 2 and an inquiry both deliver the outcome), or a
+// decision for a subtransaction this site has already forgotten.
+func (e *backedgeEngine) decide(tid model.TxnID, ev twopc.Event, from model.SiteID) {
 	e.mu.Lock()
-	act := e.table.Finish(tid, commit)
-	p := e.take(tid)
+	p, legal := e.step(tid, ev)
 	e.mu.Unlock()
-	if p != nil {
-		if act && commit {
-			e.install(p, from)
-		} else {
-			e.discard(p)
-		}
-	}
-	_ = e.table.Forget(tid)
-}
-
-// register makes p a live participant: it enters the prepared map and
-// counts as unsettled, and its items stop being readable by snapshot
-// readers until settle releases them. The caller holds e.mu.
-func (e *backedgeEngine) register(p *pendingBE) {
-	e.prepared[p.t.ID] = p
-	e.unsettled++
-	for _, w := range p.writes {
-		e.writing[w.Item]++
+	switch {
+	case !legal || p.t == nil:
+	case ev == twopc.Commit:
+		e.install(p, from)
+	default:
+		e.discard(p)
 	}
 }
 
-// take removes tid's registered subtransaction from the prepared map and
-// returns it, or nil if there is none. Whoever takes an entry settles it
-// (install or discard), exactly once. The caller holds e.mu.
-func (e *backedgeEngine) take(tid model.TxnID) *pendingBE {
-	p := e.prepared[tid]
-	delete(e.prepared, tid)
-	return p
-}
-
-// install commits a taken subtransaction with the decision's redo record,
-// reports the commit decided by coordinator from, then settles it. A
-// fenced log (crash in progress) fails the Commit with nothing
+// install commits a decided subtransaction with the decision's redo
+// record, reports the commit decided by coordinator from, then settles
+// it. A fenced log (crash in progress) fails the Commit with nothing
 // installed: the prepared entry and the coordinator's decision are both
 // durable, so recovery restores the subtransaction in doubt and resolves
 // it again by inquiry.
-func (e *backedgeEngine) install(p *pendingBE, from model.SiteID) {
+func (e *backedgeEngine) install(p *participant, from model.SiteID) {
 	e.armDurable(p.t, wal.Record{
 		Kind: wal.KindApply, TID: p.t.ID, Role: wal.RoleResolve,
 		Writes: p.writes, Span: p.sc,
@@ -654,49 +672,47 @@ func (e *backedgeEngine) install(p *pendingBE, from model.SiteID) {
 		e.noteApplied(p.writes)
 		e.emit(metrics.Secondaries, model.NoSite, p.sc, 0)
 	}
-	e.settle(p)
+	e.settle(p.t.ID)
 }
 
-// discard aborts and settles a taken subtransaction, then logs its
+// discard aborts and settles a decided subtransaction, then logs its
 // resolution. On a fenced log recovery restores the entry and resolves
 // it again by inquiry: the coordinator logs every abort before a
 // participant can learn it.
-func (e *backedgeEngine) discard(p *pendingBE) {
+func (e *backedgeEngine) discard(p *participant) {
 	p.t.Abort()
-	e.settle(p)
+	e.settle(p.t.ID)
 	_ = e.walAppendSync(wal.Record{Kind: wal.KindResolved, TID: p.t.ID})
 }
 
-// settle ends a registered subtransaction: it stops counting p as
-// unsettled and releases p's items to snapshot readers. It
-// runs only once p's transaction has finished, so its writes are
-// installed (or will never be): a reader that pinDisjoint admits
-// afterwards pins at or after the install and never reads a version p
-// supersedes at this site.
-func (e *backedgeEngine) settle(p *pendingBE) {
+// settle forgets a decided participant's record. It runs only once the
+// transaction has finished, so its writes are installed (or will never
+// be): a reader that pinDisjoint admits afterwards pins at or after the
+// install and never reads a version the subtransaction supersedes at
+// this site.
+func (e *backedgeEngine) settle(tid model.TxnID) {
 	e.mu.Lock()
-	e.unsettled--
-	for _, w := range p.writes {
-		if e.writing[w.Item]--; e.writing[w.Item] == 0 {
-			delete(e.writing, w.Item)
-		}
-	}
+	e.step(tid, twopc.Forget)
 	e.mu.Unlock()
 }
 
 // pinDisjoint is BackEdge's snapshot policy (lazyEngine.snapshot): a
-// read-only program pins the install point unless a registered
-// subtransaction writes one of its items, and otherwise takes S locks and
-// waits for that decision. The check and the pin are one step under e.mu,
-// which registration and settle also take, so no reader of a
-// subtransaction's items pins between its registration and its install
-// (DESIGN.md §6).
+// read-only program pins the install point unless an executed
+// participant's record, not yet forgotten, writes one of its items, and
+// otherwise takes S locks and waits for that decision. The check and the
+// pin are one step under e.mu, which enrolment and settle also take, so
+// no reader of a subtransaction's items pins between its execution and
+// its install (DESIGN.md §6).
 func (e *backedgeEngine) pinDisjoint(ops []model.Op) (uint64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, op := range ops {
-		if e.writing[op.Item] > 0 {
-			return 0, false
+	for _, p := range e.parts {
+		for _, w := range p.writes {
+			for _, op := range ops {
+				if op.Item == w.Item {
+					return 0, false
+				}
+			}
 		}
 	}
 	return e.store.Pin(), true
@@ -709,11 +725,7 @@ func (e *backedgeEngine) pinDisjoint(ops []model.Op) (uint64, bool) {
 // Prepared means locks held, so a stuck participant blocks every
 // conflicting transaction at this site until this loop resolves it.
 func (e *backedgeEngine) inquirer() {
-	interval := e.topo.Params.PrepareTimeout / 2
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(max(e.topo.Params.PrepareTimeout/2, 5*time.Millisecond))
 	defer tick.Stop()
 	for {
 		select {
@@ -721,56 +733,62 @@ func (e *backedgeEngine) inquirer() {
 			return
 		case <-tick.C:
 		}
-		e.inquireStuck()
+		//lint:allow nodeterminism the inquiry sweep is wall-clock-driven recovery by design
+		e.inquireStuck(time.Now().Add(-e.topo.Params.PrepareTimeout))
 	}
 }
 
-// inquireStuck sends one decision inquiry per overdue registered
-// subtransaction (every prepared-map entry holds locks: working ones
-// whose prepare or abort notification was lost, prepared ones whose
-// decision was lost). Inquiring about a working subtransaction is safe:
-// its vote is still outstanding, so the only decision the coordinator can
-// have logged is an abort. The inquiry is idempotent (the coordinator
-// only reads its log), so it retries through the RPC layer and tolerates
-// asking again on the next sweep — including the whole time the
-// coordinator is crashed, until a restart brings its log back online.
-func (e *backedgeEngine) inquireStuck() {
-	//lint:allow nodeterminism the inquiry sweep is wall-clock-driven recovery by design
-	cutoff := time.Now().Add(-e.topo.Params.PrepareTimeout)
-	type stuck struct {
-		tid    model.TxnID
-		origin model.SiteID
-		sc     model.SpanContext
-	}
-	var overdue []stuck
-	e.mu.Lock()
-	for tid, p := range e.prepared {
-		if p.since.Before(cutoff) {
-			overdue = append(overdue, stuck{tid, p.origin, p.sc})
-		}
-	}
-	e.mu.Unlock()
-	// Inquire in TxnID order so retransmission traffic is replayable.
-	sort.Slice(overdue, func(i, j int) bool {
-		a, b := overdue[i].tid, overdue[j].tid
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		return a.Seq < b.Seq
-	})
-	for _, s := range overdue {
+// inquireStuck sends one decision inquiry per overdue participant and
+// posts each known answer to the participant loop. Every overdue
+// participant holds locks: working ones whose prepare or abort
+// notification was lost, prepared ones whose decision was lost.
+// Inquiring about a working subtransaction is safe: its vote is still
+// outstanding, so the only decision the coordinator can have logged is
+// an abort. The inquiry is idempotent (the coordinator only reads its
+// log), so it retries through the RPC layer and tolerates asking again on
+// the next sweep — including the whole time the coordinator is crashed,
+// until a restart brings its log back online.
+func (e *backedgeEngine) inquireStuck(cutoff time.Time) {
+	for _, p := range e.overdue(cutoff) {
 		if e.stopping() {
 			return
 		}
-		e.emit(inquiries, s.origin, s.sc, 0)
-		resp, err := e.rpc.CallRetrySpan(s.origin, kindInquiry, inquiryPayload{TID: s.tid}, e.topo.Params.RPCTimeout, 2, s.sc.Fork(e.id))
+		e.emit(inquiries, p.origin, p.sc, 0)
+		resp, err := e.rpc.CallRetrySpan(p.origin, kindInquiry, inquiryPayload{TID: p.t.ID}, e.topo.Params.RPCTimeout, 2, p.sc.Fork(e.id))
 		if err != nil {
 			continue // coordinator unreachable; the next sweep retries
 		}
 		if r := resp.(inquiryResp); r.Known {
-			e.finishDecision(s.tid, r.Commit, s.origin)
+			e.post(resolution{msg: comm.Message{From: p.origin}, tid: p.t.ID, ev: decision[r.Commit]})
 		}
 	}
+}
+
+// overdue returns the participants made before cutoff that still await
+// their decision, in TxnID order so retransmission traffic is replayable,
+// and forgets the tombstones made before it. A tombstone only spares a
+// late delivery from executing and holding its locks until an inquiry
+// resolves it. A delivery that comes after its tombstone went does just
+// that (the origin logged the abort before announcing it); and the
+// tombstone of an abort that arrived after an inquiry had resolved the
+// participant guards a delivery that already came.
+func (e *backedgeEngine) overdue(cutoff time.Time) []*participant {
+	var out []*participant
+	e.mu.Lock()
+	for tid, p := range e.parts {
+		switch {
+		case !p.since.Before(cutoff):
+		case p.t == nil:
+			e.step(tid, twopc.Forget)
+		case p.awaiting():
+			out = append(out, p)
+		}
+	}
+	e.mu.Unlock()
+	slices.SortFunc(out, func(a, b *participant) int {
+		return cmp.Or(cmp.Compare(a.t.ID.Site, b.t.ID.Site), cmp.Compare(a.t.ID.Seq, b.t.ID.Seq))
+	})
+	return out
 }
 
 // onSpecial is the inherited applier's dispatch hook: a special

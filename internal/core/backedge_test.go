@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/txn"
 )
@@ -141,8 +142,8 @@ func TestBackEdgeForgetsAbortTombstones(t *testing.T) {
 	blocker.Abort()
 	s.quiesce(t)
 	for i, e := range s.engines {
-		if n := e.(*backedgeEngine).table.Len(); n != 0 {
-			t.Errorf("s%d holds %d 2PC table entries after quiescing, want 0", i, n)
+		if n := records(e.(*backedgeEngine)); n != 0 {
+			t.Errorf("s%d holds %d participant records after quiescing, want 0", i, n)
 		}
 	}
 }
@@ -295,9 +296,10 @@ func TestBackEdgeConcurrentMixedWorkload(t *testing.T) {
 
 // TestBackEdgeUnsettledUntilSettle: Status counts a participant as
 // unsettled from its registration until settle, on the commit path and
-// the abort path, including the window after the decision takes it from
-// the prepared map and before its install or discard lands. Through the
-// entry points, the decision also leaves no 2PC table entry behind.
+// the abort path, including the window after the decision has moved its
+// record to a terminal state and before its install or discard lands.
+// Through the entry points — the message handler and the participant
+// loop — the decision also leaves no record behind.
 func TestBackEdgeUnsettledUntilSettle(t *testing.T) {
 	p := example41Placement(t) // item 1: primary s1, replica s0
 	e := newBackEdge(topology(t, BackEdge, p, testParams(), Shape{}), Site{ID: 0}, newCaptureTransport())
@@ -323,11 +325,10 @@ func TestBackEdgeUnsettledUntilSettle(t *testing.T) {
 	for _, commit := range []bool{true, false} {
 		name := map[bool]string{true: "commit", false: "abort"}[commit]
 		t.Run(name, func(t *testing.T) {
-			// The decision's steps one at a time: taken, then settled.
+			// The decision's steps one at a time: decided, then settled.
 			tid := register()
 			e.mu.Lock()
-			e.table.Finish(tid, commit)
-			pe := e.take(tid)
+			pe, _ := e.step(tid, decision[commit])
 			e.mu.Unlock()
 			want("taken", 0, 1)
 			if commit {
@@ -337,16 +338,18 @@ func TestBackEdgeUnsettledUntilSettle(t *testing.T) {
 			}
 			want("settled", 0, 0)
 
-			// The same through the entry points.
+			// The same through the entry points: a phase-2 commit, or the
+			// origin's abort.
 			tid = register()
+			msg := comm.Message{From: 1, To: 0, Kind: kindBackedgeAbort, Payload: abortPayload{TID: tid}}
 			if commit {
-				e.finishDecision(tid, true, 1)
-			} else {
-				e.handleAbort(tid)
+				msg.Kind, msg.ReqID, msg.Payload = kindDecision, 1, decisionPayload{TID: tid, Commit: true}
 			}
+			e.Handle(msg)
+			drainParticipants(e)
 			want("decided", 0, 0)
-			if _, known := e.table.State(tid); known {
-				t.Errorf("%v stays in the 2PC table after its decision", tid)
+			if n := records(e); n != 0 {
+				t.Errorf("%v leaves %d participant records after its decision", tid, n)
 			}
 		})
 	}
@@ -354,5 +357,22 @@ func TestBackEdgeUnsettledUntilSettle(t *testing.T) {
 	// were discarded.
 	if got := e.Snapshot()[1]; got != 2 {
 		t.Errorf("replica of item 1 = %d, want 2", got)
+	}
+}
+
+// records returns how many participant records e holds, live, terminal or
+// tombstones.
+func records(e *backedgeEngine) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.parts)
+}
+
+// drainParticipants runs the participant loop's steps on e's queued
+// resolutions until none is left, on the calling goroutine: the tests'
+// engines are not started, so no loop runs of its own.
+func drainParticipants(e *backedgeEngine) {
+	for r, ok := e.inbox.Pop(); ok; r, ok = e.inbox.Pop() {
+		e.resolve(r)
 	}
 }

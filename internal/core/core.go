@@ -334,10 +334,10 @@ type Engine interface {
 // to forward, because a forward is always counted before the consumption
 // that causes it: an applier forwards inside its commit and releases the
 // receipt after it, and a relay ships before it consumes. The one other
-// source of work is a BackEdge participant awaiting its decision. It
-// registers before its own receipt is consumed, and Status reads the
-// unsettled count after the consumed count. So a participant unsettled
-// at t either shows in the first read, or registered after that read's
+// source of work is a BackEdge participant awaiting its decision. Its
+// record is made before its own receipt is consumed, and Status reads the
+// unsettled records after the consumed count. So a participant unsettled
+// at t either shows in the first read, or was made after that read's
 // consumed count and was consumed after it too, yet before t: the first
 // read's sum then falls short of C(t), and the sums differ. A down site
 // is not quiescent either: its recovery may re-forward.

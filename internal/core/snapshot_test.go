@@ -8,6 +8,7 @@ import (
 	"repro/internal/history"
 	"repro/internal/lock"
 	"repro/internal/model"
+	"repro/internal/twopc"
 	"repro/internal/wal"
 )
 
@@ -69,7 +70,7 @@ func TestReadOnlyLockingByProtocol(t *testing.T) {
 			done <- err
 		}()
 		waitForLockWaiter(t, e, reader.ID)
-		e.finishDecision(tid, true, 2)
+		e.decide(tid, twopc.Commit, 2)
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestReadOnlyLockingByProtocol(t *testing.T) {
 func TestBackEdgeReleasesItemsAfterInstall(t *testing.T) {
 	e, tid := preparedBackEdge(t)
 	e.mu.Lock()
-	p := e.prepared[tid]
+	p := e.parts[tid]
 	e.mu.Unlock()
 	probed := false
 	// Without a log the decision arms no redo hook, so this one runs in
@@ -113,7 +114,7 @@ func TestBackEdgeReleasesItemsAfterInstall(t *testing.T) {
 		}
 		return nil
 	})
-	e.finishDecision(tid, true, 2)
+	e.decide(tid, twopc.Commit, 2)
 	if !probed {
 		t.Fatal("the decision's Commit never ran the probe")
 	}
@@ -161,7 +162,7 @@ func TestBackEdgeRecoveredPreparedBlocksSnapshot(t *testing.T) {
 	if _, ok := e.pinDisjoint([]model.Op{r(0)}); ok {
 		t.Fatal("a recovered prepared item was open to snapshot readers")
 	}
-	e.finishDecision(tid, true, 2)
+	e.decide(tid, twopc.Commit, 2)
 	pin, ok := e.pinDisjoint([]model.Op{r(0)})
 	if !ok {
 		t.Fatal("a decided recovered item stays closed to snapshot readers")

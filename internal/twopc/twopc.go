@@ -7,8 +7,9 @@
 // unless they were aborted in the meantime.
 //
 // The package is transport-agnostic: the engine supplies Prepare/Decide
-// callbacks that speak its RPC layer. A participant-side state table
-// enforces the legal transitions and is shared by tests.
+// callbacks that speak its RPC layer. The participant side is one state
+// machine per transaction: Next holds its legal transitions, and the
+// BackEdge engine's participant records and Table both move by it.
 package twopc
 
 import (
@@ -187,32 +188,78 @@ func Run(tid model.TxnID, participants []model.SiteID, c Coordinator, sc model.S
 type State int
 
 const (
-	// StateWorking means the subtransaction is executing (locks being
-	// acquired, writes buffered).
-	StateWorking State = iota
+	// StateNone, the zero State, is the state of a transaction with no
+	// record: never seen, or forgotten.
+	StateNone State = iota
+	// StateWorking means the subtransaction has executed, holding its
+	// locks, and has not voted yet.
+	StateWorking
 	// StatePrepared means the participant voted yes and awaits a decision.
 	StatePrepared
 	// StateCommitted is terminal.
 	StateCommitted
-	// StateAborted is terminal.
+	// StateAborted is terminal. Entered before the subtransaction ever
+	// executed, it is a tombstone: the execution, when it comes, is refused.
 	StateAborted
 )
 
 func (s State) String() string {
-	switch s {
-	case StateWorking:
-		return "working"
-	case StatePrepared:
-		return "prepared"
-	case StateCommitted:
-		return "committed"
-	default:
-		return "aborted"
-	}
+	return [...]string{"none", "working", "prepared", "committed", "aborted"}[s]
 }
 
-// Table tracks participant-side transaction states and validates
-// transitions. All methods are safe for concurrent use.
+// Event is one input to a participant's state machine.
+type Event int
+
+const (
+	// Execute: the subtransaction executed, holding its locks.
+	Execute Event = iota
+	// Vote: the coordinator asks for the participant's vote.
+	Vote
+	// Abort: the origin aborted the transaction before 2PC began. It
+	// tombstones a transaction not yet executed here.
+	Abort
+	// Commit: the decision is commit, from phase 2 or an inquiry answer.
+	Commit
+	// Rollback: the decision is abort, from phase 2 or an inquiry answer.
+	Rollback
+	// Forget: the participant has settled; its record goes.
+	Forget
+)
+
+func (ev Event) String() string {
+	return [...]string{"execute", "vote", "abort", "commit", "rollback", "forget"}[ev]
+}
+
+// refused marks an illegal move in the transition table.
+const refused State = -1
+
+// transitions is the participant's transition table, the one place its
+// legal moves are written: transitions[s][ev] is the state ev moves s to,
+// or refused, which changes nothing. A decision (Commit, Rollback) acts
+// only on a live record, and a terminal state absorbs every event but
+// Forget: a transaction resolves once, by whichever resolution arrives
+// first. Commit is legal from working because a participant restored
+// from its redo log lost its vote with its heap.
+var transitions = [...][Forget + 1]State{
+	// Execute, Vote, Abort, Commit, Rollback, Forget
+	StateNone:      {StateWorking, refused, StateAborted, refused, refused, refused},
+	StateWorking:   {refused, StatePrepared, StateAborted, StateCommitted, StateAborted, refused},
+	StatePrepared:  {refused, refused, StateAborted, StateCommitted, StateAborted, refused},
+	StateCommitted: {refused, refused, refused, refused, refused, StateNone},
+	StateAborted:   {refused, refused, refused, refused, refused, StateNone},
+}
+
+// Next returns the state ev moves s to, and whether the move is legal. A
+// refused event leaves s as it is.
+func Next(s State, ev Event) (State, bool) {
+	if next := transitions[s][ev]; next != refused {
+		return next, true
+	}
+	return s, false
+}
+
+// Table tracks participant-side transaction states, moving each by Next.
+// All methods are safe for concurrent use.
 type Table struct {
 	mu sync.Mutex
 	m  map[model.TxnID]State // repl:guardedby(mu)
@@ -223,14 +270,26 @@ func NewTable() *Table {
 	return &Table{m: make(map[model.TxnID]State)}
 }
 
-// Begin registers tid as working. Registering a known tid is an error.
-func (t *Table) Begin(tid model.TxnID) error {
+// apply moves tid by ev and reports whether the move was legal.
+func (t *Table) apply(tid model.TxnID, ev Event) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s, ok := t.m[tid]; ok {
-		return fmt.Errorf("twopc: %v already %v", tid, s)
+	next, ok := Next(t.m[tid], ev)
+	switch {
+	case !ok:
+	case next == StateNone:
+		delete(t.m, tid)
+	default:
+		t.m[tid] = next
 	}
-	t.m[tid] = StateWorking
+	return ok
+}
+
+// Begin registers tid as working. Registering a known tid is an error.
+func (t *Table) Begin(tid model.TxnID) error {
+	if !t.apply(tid, Execute) {
+		return fmt.Errorf("twopc: %v already known", tid)
+	}
 	return nil
 }
 
@@ -239,37 +298,16 @@ func (t *Table) Begin(tid model.TxnID) error {
 // registered at all, which after a participant crash means its execution
 // was wiped with the heap — the vote is no. Voting yes for an unknown
 // tid would promise an installation this site cannot deliver.
-func (t *Table) Prepare(tid model.TxnID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.m[tid]
-	if !ok {
-		return false
-	}
-	switch s {
-	case StateWorking:
-		t.m[tid] = StatePrepared
-		return true
-	default:
-		return false
-	}
-}
+func (t *Table) Prepare(tid model.TxnID) bool { return t.apply(tid, Vote) }
 
-// Finish moves tid to its terminal state and reports whether the caller
-// should act (install or roll back); a second Finish is a no-op.
+// Finish applies the decision (commit) or the origin's abort (!commit) to
+// tid and reports whether the caller should act (install or roll back); a
+// second Finish is a no-op.
 func (t *Table) Finish(tid model.TxnID, commit bool) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := t.m[tid]
-	if s == StateCommitted || s == StateAborted {
-		return false
-	}
 	if commit {
-		t.m[tid] = StateCommitted
-	} else {
-		t.m[tid] = StateAborted
+		return t.apply(tid, Commit)
 	}
-	return true
+	return t.apply(tid, Abort)
 }
 
 // State returns tid's current state and whether it is known.
@@ -286,23 +324,11 @@ func (t *Table) Aborted(tid model.TxnID) bool {
 	return ok && s == StateAborted
 }
 
-// Len returns how many transactions the table holds, live or terminal.
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
-}
-
 // Forget drops a terminal tid from the table (bounding memory in long
 // runs). Forgetting a live transaction is an error.
 func (t *Table) Forget(tid model.TxnID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch t.m[tid] {
-	case StateCommitted, StateAborted:
-		delete(t.m, tid)
-		return nil
-	default:
-		return fmt.Errorf("twopc: cannot forget live %v", tid)
+	if !t.apply(tid, Forget) {
+		return fmt.Errorf("twopc: cannot forget %v: not terminal", tid)
 	}
+	return nil
 }

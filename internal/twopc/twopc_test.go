@@ -180,6 +180,57 @@ func TestTableForgetLiveRejected(t *testing.T) {
 	}
 }
 
+// TestNextEveryPair: the transition function on every (state, event)
+// pair, legal or refused. A refused event leaves the state as it is.
+func TestNextEveryPair(t *testing.T) {
+	const refused = State(-1)
+	for _, c := range []struct {
+		s    State
+		ev   Event
+		want State
+	}{
+		{StateNone, Execute, StateWorking},
+		{StateNone, Vote, refused},
+		{StateNone, Abort, StateAborted},
+		{StateNone, Commit, refused},
+		{StateNone, Rollback, refused},
+		{StateNone, Forget, refused},
+		{StateWorking, Execute, refused},
+		{StateWorking, Vote, StatePrepared},
+		{StateWorking, Abort, StateAborted},
+		{StateWorking, Commit, StateCommitted},
+		{StateWorking, Rollback, StateAborted},
+		{StateWorking, Forget, refused},
+		{StatePrepared, Execute, refused},
+		{StatePrepared, Vote, refused},
+		{StatePrepared, Abort, StateAborted},
+		{StatePrepared, Commit, StateCommitted},
+		{StatePrepared, Rollback, StateAborted},
+		{StatePrepared, Forget, refused},
+		{StateCommitted, Execute, refused},
+		{StateCommitted, Vote, refused},
+		{StateCommitted, Abort, refused},
+		{StateCommitted, Commit, refused},
+		{StateCommitted, Rollback, refused},
+		{StateCommitted, Forget, StateNone},
+		{StateAborted, Execute, refused},
+		{StateAborted, Vote, refused},
+		{StateAborted, Abort, refused},
+		{StateAborted, Commit, refused},
+		{StateAborted, Rollback, refused},
+		{StateAborted, Forget, StateNone},
+	} {
+		next, ok := Next(c.s, c.ev)
+		if c.want == refused {
+			if ok || next != c.s {
+				t.Errorf("Next(%v, %v) = %v, %v; want refused", c.s, c.ev, next, ok)
+			}
+		} else if !ok || next != c.want {
+			t.Errorf("Next(%v, %v) = %v, %v; want %v", c.s, c.ev, next, ok, c.want)
+		}
+	}
+}
+
 func TestStateString(t *testing.T) {
 	for s, want := range map[State]string{
 		StateWorking: "working", StatePrepared: "prepared",

@@ -136,17 +136,19 @@ type Status struct {
 	// sibling's queue has work. Both are zero under the other protocols.
 	Epoch   uint64
 	Blocked []model.SiteID
-	// Prepared counts BackEdge participants holding locks awaiting a 2PC
-	// decision; Oldest is the longest-waiting of them, registered at
+	// Prepared counts the BackEdge participant records in the executed or
+	// prepared state: subtransactions holding their locks awaiting a 2PC
+	// decision. Oldest is the longest-waiting of them, its record made at
 	// OldestSince. Parked counts origins parked on their backedge round
 	// trip (the "eager" queue), which the watchdog does not watch.
 	Prepared    int
 	Oldest      model.TxnID
 	OldestSince time.Time
 	Parked      int
-	// Unsettled counts BackEdge participants from their registration
-	// until they are settled: the Prepared ones plus any whose decision
-	// is still being installed or discarded.
+	// Unsettled counts the BackEdge participant records that hold a
+	// transaction, from its execution until the record is forgotten: the
+	// Prepared ones plus those committed or aborted whose install or
+	// discard is still landing. An abort tombstone counts in neither.
 	Unsettled int
 	// Forwarded and Consumed are the site's cumulative counts of
 	// propagation messages shipped and of receipts consumed, each settling

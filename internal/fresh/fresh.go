@@ -24,6 +24,17 @@
 // order — so version lag is a subtraction away and no storage reads are
 // needed on any hot path.
 //
+// What each call costs. A fresh certificate — a CertifyRead that
+// observed the latest version, or a CertifyFresh — is a few atomic loads
+// and one atomic add to the site's fresh counter: no lock and no clock
+// read, so the reads a lazy protocol serves locally do not serialize on
+// the tracker. A stale certificate takes the item's shard lock and one
+// clock read to look up the missed commit's stamp. NoteCommit and
+// NoteApply take the item's shard lock and one clock read each. The
+// fresh counters are folded into bucket 0 of the read histograms when a
+// Summary is built, so every Summary reads exactly as if each fresh
+// certificate had been sampled into them.
+//
 // All wall-clock reads live in this package, outside the deterministic
 // core (the engines pass only item ids and version numbers), and a nil
 // *Tracker is a valid no-op costing one branch, matching the repo's
@@ -32,6 +43,7 @@ package fresh
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -53,17 +65,23 @@ type stamp struct {
 	at  time.Time
 }
 
-// itemState is one item's freshness bookkeeping.
+// itemState is one item's freshness bookkeeping. Only latest is read
+// without the shard lock; the ring and applied are read and written
+// under it.
 type itemState struct {
-	latest  uint64 // primary commits seen (mirrors the primary version counter)
+	// latest counts the primary commits seen (it mirrors the primary
+	// version counter). Writers store it under the shard lock, after the
+	// ring entry it names.
+	latest  atomic.Uint64
 	ring    [ringSize]stamp
 	applied map[model.SiteID]uint64 // per-site propagated-apply counter
 }
 
 // stampAt returns the commit time of version num, or the oldest retained
-// stamp as a lower bound when num has been evicted from the ring.
+// stamp as a lower bound when num has been evicted from the ring. The
+// caller holds the shard lock.
 func (st *itemState) stampAt(num uint64) (time.Time, bool) {
-	if num == 0 || num > st.latest {
+	if num == 0 || num > st.latest.Load() {
 		return time.Time{}, false
 	}
 	if s := st.ring[num%ringSize]; s.num == num {
@@ -82,25 +100,45 @@ func (st *itemState) stampAt(num uint64) (time.Time, bool) {
 	return oldest.at, true
 }
 
+// shard holds a slice of the item table. items is immutable once
+// published: inserting an item publishes a copy under mu, so a fresh
+// certificate finds its item with one atomic load and no lock.
 type shard struct {
 	mu    sync.Mutex
-	items map[model.ItemID]*itemState
+	items atomic.Pointer[map[model.ItemID]*itemState]
 }
 
-func (s *shard) item(id model.ItemID) *itemState {
-	st := s.items[id]
-	if st == nil {
-		st = &itemState{applied: make(map[model.SiteID]uint64)}
-		s.items[id] = st
+// lookup returns item's state, or nil if the shard has not seen it.
+func (s *shard) lookup(id model.ItemID) *itemState {
+	if m := s.items.Load(); m != nil {
+		return (*m)[id]
 	}
+	return nil
+}
+
+// item returns id's state, inserting it if absent; the caller holds mu.
+func (s *shard) item(id model.ItemID) *itemState {
+	if st := s.lookup(id); st != nil {
+		return st
+	}
+	st := &itemState{applied: make(map[model.SiteID]uint64)}
+	m := map[model.ItemID]*itemState{id: st}
+	if old := s.items.Load(); old != nil {
+		for k, v := range *old {
+			m[k] = v
+		}
+	}
+	s.items.Store(&m)
 	return st
 }
 
 // siteStat accumulates one site's staleness and certificate
 // distributions. Bounded by construction: four fixed-size histograms and
-// an apply counter, regardless of run length. Certificates are counted
-// by readVerLag alone: its zero bucket holds the fresh reads.
+// two counters, regardless of run length. Stale certificates are sampled
+// into the read histograms; fresh ones only bump fresh, which Summarize
+// adds to the histograms' zero buckets.
 type siteStat struct {
+	fresh      atomic.Uint64 // fresh certificates, not in the read histograms
 	mu         sync.Mutex
 	applies    uint64
 	versionLag hist // replica version lag, sampled on apply and by the probe
@@ -128,8 +166,9 @@ func (c Cert) Stale() bool { return c.Versions > 0 }
 type Tracker struct {
 	shards [shardCount]shard
 
-	siteMu sync.RWMutex
-	sites  []*siteStat // indexed by SiteID, grown on demand
+	// sites is indexed by SiteID and grown on demand by publishing a
+	// longer copy; a published table is never changed.
+	sites atomic.Pointer[[]*siteStat]
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -139,16 +178,31 @@ type Tracker struct {
 // it are still accepted and grow the table).
 func New(sites int) *Tracker {
 	t := &Tracker{}
-	t.siteMu.Lock()
-	t.grow(sites)
-	t.siteMu.Unlock()
+	t.table(sites)
 	return t
 }
 
-// grow extends the site table to n entries; caller holds siteMu.
-func (t *Tracker) grow(n int) {
-	for len(t.sites) < n {
-		t.sites = append(t.sites, &siteStat{})
+// table returns the site table, first growing it to at least n entries
+// if it is shorter. Concurrent growers race to publish; a loser retries
+// on the winner's table, so every published entry is kept.
+func (t *Tracker) table(n int) []*siteStat {
+	for {
+		old := t.sites.Load()
+		var cur []*siteStat
+		if old != nil {
+			cur = *old
+		}
+		if len(cur) >= n {
+			return cur
+		}
+		grown := make([]*siteStat, n)
+		copy(grown, cur)
+		for i := len(cur); i < n; i++ {
+			grown[i] = &siteStat{}
+		}
+		if t.sites.CompareAndSwap(old, &grown) {
+			return grown
+		}
 	}
 }
 
@@ -156,29 +210,12 @@ func (t *Tracker) site(id model.SiteID) *siteStat {
 	if id < 0 {
 		id = 0
 	}
-	t.siteMu.RLock()
-	if int(id) < len(t.sites) {
-		s := t.sites[id]
-		t.siteMu.RUnlock()
-		return s
-	}
-	t.siteMu.RUnlock()
-	t.siteMu.Lock()
-	t.grow(int(id) + 1)
-	s := t.sites[id]
-	t.siteMu.Unlock()
-	return s
+	return t.table(int(id) + 1)[id]
 }
 
-// lock returns item's shard with its mutex held and the item table
-// allocated; the caller unlocks.
-func (t *Tracker) lock(item model.ItemID) *shard {
-	s := &t.shards[uint(item)%shardCount]
-	s.mu.Lock()
-	if s.items == nil {
-		s.items = make(map[model.ItemID]*itemState)
-	}
-	return s
+// shard returns item's shard.
+func (t *Tracker) shard(item model.ItemID) *shard {
+	return &t.shards[uint(item)%shardCount]
 }
 
 // NoteCommit records one primary commit of item: the engines call it
@@ -190,10 +227,12 @@ func (t *Tracker) NoteCommit(item model.ItemID) {
 		return
 	}
 	now := time.Now()
-	s := t.lock(item)
+	s := t.shard(item)
+	s.mu.Lock()
 	st := s.item(item)
-	st.latest++
-	st.ring[st.latest%ringSize] = stamp{num: st.latest, at: now}
+	n := st.latest.Load() + 1
+	st.ring[n%ringSize] = stamp{num: n, at: now}
+	st.latest.Store(n)
 	s.mu.Unlock()
 }
 
@@ -207,13 +246,14 @@ func (t *Tracker) NoteApply(site model.SiteID, item model.ItemID) {
 		return
 	}
 	now := time.Now()
-	s := t.lock(item)
+	s := t.shard(item)
+	s.mu.Lock()
 	st := s.item(item)
 	ap := st.applied[site] + 1
 	st.applied[site] = ap
 	lag := uint64(0)
-	if st.latest > ap {
-		lag = st.latest - ap
+	if latest := st.latest.Load(); latest > ap {
+		lag = latest - ap
 	}
 	var behind time.Duration
 	if at, ok := st.stampAt(ap); ok {
@@ -233,22 +273,31 @@ func (t *Tracker) NoteApply(site model.SiteID, item model.ItemID) {
 // storage version number: the certificate says how many primary commits
 // the value missed and for how long the oldest of them had been
 // committed. The sample also feeds the site's read-staleness
-// distributions.
+// distributions. A read of the latest version takes no lock and reads no
+// clock; only a stale one does.
 func (t *Tracker) CertifyRead(site model.SiteID, item model.ItemID, version uint64) Cert {
 	if t == nil {
 		return Cert{}
 	}
+	s := t.shard(item)
+	st := s.lookup(item)
+	if st == nil || st.latest.Load() <= version {
+		return t.CertifyFresh(site)
+	}
+	// Stale: latest only grows, so it still exceeds version under the lock.
 	now := time.Now()
-	var c Cert
-	s := t.lock(item)
-	if st := s.items[item]; st != nil && st.latest > version {
-		c.Versions = st.latest - version
-		if at, ok := st.stampAt(version + 1); ok {
-			c.Behind = now.Sub(at)
-		}
+	s.mu.Lock()
+	c := Cert{Versions: st.latest.Load() - version}
+	if at, ok := st.stampAt(version + 1); ok {
+		c.Behind = now.Sub(at)
 	}
 	s.mu.Unlock()
-	t.recordCert(site, c)
+
+	ss := t.site(site)
+	ss.mu.Lock()
+	ss.readVerLag.add(c.Versions)
+	ss.readLagUS.add(clampUS(c.Behind))
+	ss.mu.Unlock()
 	return c
 }
 
@@ -260,16 +309,8 @@ func (t *Tracker) CertifyFresh(site model.SiteID) Cert {
 	if t == nil {
 		return Cert{}
 	}
-	t.recordCert(site, Cert{})
+	t.site(site).fresh.Add(1)
 	return Cert{}
-}
-
-func (t *Tracker) recordCert(site model.SiteID, c Cert) {
-	ss := t.site(site)
-	ss.mu.Lock()
-	ss.readVerLag.add(c.Versions)
-	ss.readLagUS.add(clampUS(c.Behind))
-	ss.mu.Unlock()
 }
 
 // StartProbe launches the periodic staleness probe: every interval it
@@ -326,12 +367,17 @@ func (t *Tracker) probe() {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		for _, st := range s.items {
+		var items map[model.ItemID]*itemState
+		if m := s.items.Load(); m != nil {
+			items = *m
+		}
+		for _, st := range items {
+			latest := st.latest.Load()
 			for site, ap := range st.applied {
-				if st.latest <= ap {
+				if latest <= ap {
 					continue
 				}
-				ps := probeSample{site: site, lag: st.latest - ap}
+				ps := probeSample{site: site, lag: latest - ap}
 				if at, ok := st.stampAt(ap + 1); ok {
 					ps.behind = now.Sub(at)
 				}

@@ -1,6 +1,8 @@
 package fresh
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -181,5 +183,204 @@ func TestHistPercentileBounds(t *testing.T) {
 	m.merge(&h)
 	if m.dist() != d {
 		t.Fatal("merge into empty hist changed the distribution")
+	}
+}
+
+// TestFreshCertificateTakesNoLock: while another goroutine holds the
+// item's shard lock and the site's stat lock, a certificate for the
+// latest version and a CertifyFresh both return; a stale certificate
+// waits for the locks.
+func TestFreshCertificateTakesNoLock(t *testing.T) {
+	tr := New(2)
+	item := model.ItemID(6)
+	tr.NoteCommit(item)
+	tr.NoteCommit(item)
+	s, ss := &tr.shards[uint(item)%shardCount], tr.site(1)
+	s.mu.Lock()
+	ss.mu.Lock()
+
+	returns := func(what string, certify func() Cert) {
+		t.Helper()
+		done := make(chan Cert)
+		go func() { done <- certify() }()
+		select {
+		case c := <-done:
+			if c.Stale() {
+				t.Fatalf("%s: certified stale: %+v", what, c)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s blocked on a held lock", what)
+		}
+	}
+	returns("CertifyRead of the latest version", func() Cert { return tr.CertifyRead(1, item, 2) })
+	returns("CertifyFresh", func() Cert { return tr.CertifyFresh(1) })
+
+	stale := make(chan Cert, 1)
+	go func() { stale <- tr.CertifyRead(1, item, 1) }()
+	select {
+	case c := <-stale:
+		t.Fatalf("stale CertifyRead returned %+v while the locks were held", c)
+	case <-time.After(20 * time.Millisecond):
+	}
+	ss.mu.Unlock()
+	s.mu.Unlock()
+	if c := <-stale; c.Versions != 1 {
+		t.Fatalf("stale CertifyRead: Versions=%d, want 1", c.Versions)
+	}
+	if sum := tr.Summarize(); sum.ReadsFresh != 2 || sum.ReadsStale != 1 {
+		t.Fatalf("fresh/stale = %d/%d, want 2/1", sum.ReadsFresh, sum.ReadsStale)
+	}
+}
+
+// TestCertificatesConservedUnderConcurrency: certifiers on several sites
+// race writers calling NoteCommit and NoteApply on the same items. Every
+// certificate lands in the summary exactly once, fresh or stale as
+// issued, and the two read distributions count the same samples — also
+// in summaries taken mid-run.
+func TestCertificatesConservedUnderConcurrency(t *testing.T) {
+	const (
+		sites   = 4
+		items   = 8
+		commits = 200 // per item, by the writers
+		rounds  = 300 // per certifier
+	)
+	tr := New(sites)
+	for i := 0; i < items; i++ {
+		tr.NoteCommit(model.ItemID(i))
+	}
+	// A read of version 0 is stale from the start; one of version
+	// 1+commits can never be behind. So each certificate's kind is known.
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < commits/2; n++ {
+				for i := 0; i < items; i++ {
+					tr.NoteCommit(model.ItemID(i))
+					tr.NoteApply(model.SiteID(1+(w+i)%(sites-1)), model.ItemID(i))
+				}
+			}
+		}(w)
+	}
+	for site := 0; site < sites; site++ {
+		wg.Add(1)
+		go func(site model.SiteID) {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				item := model.ItemID(n % items)
+				tr.CertifyRead(site, item, 1+commits)
+				tr.CertifyRead(site, item, 0)
+				tr.CertifyFresh(site)
+			}
+		}(model.SiteID(site))
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, row := range tr.Summarize().Sites {
+				if row.ReadVersionLag.Count != row.ReadTimeLagUS.Count {
+					t.Errorf("mid-run site %d: read lag counts %d versions vs %d times",
+						row.Site, row.ReadVersionLag.Count, row.ReadTimeLagUS.Count)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-stopped
+
+	s := tr.Summarize()
+	if len(s.Sites) != sites {
+		t.Fatalf("%d site rows, want %d", len(s.Sites), sites)
+	}
+	for _, row := range s.Sites {
+		if row.ReadsFresh != 2*rounds || row.ReadsStale != rounds {
+			t.Errorf("site %d fresh/stale = %d/%d, want %d/%d", row.Site, row.ReadsFresh, row.ReadsStale, 2*rounds, rounds)
+		}
+		if row.ReadVersionLag.Count != 3*rounds || row.ReadTimeLagUS.Count != 3*rounds {
+			t.Errorf("site %d read lag counts %d versions, %d times; want %d each",
+				row.Site, row.ReadVersionLag.Count, row.ReadTimeLagUS.Count, 3*rounds)
+		}
+	}
+	if s.ReadsFresh != sites*2*rounds || s.ReadsStale != sites*rounds {
+		t.Errorf("totals fresh/stale = %d/%d, want %d/%d", s.ReadsFresh, s.ReadsStale, sites*2*rounds, sites*rounds)
+	}
+	if s.ReadVersionLag.Count != s.ReadTimeLagUS.Count || s.ReadVersionLag.Count != s.Reads() {
+		t.Errorf("totals: read lag counts %d versions, %d times, %d reads",
+			s.ReadVersionLag.Count, s.ReadTimeLagUS.Count, s.Reads())
+	}
+	if s.Applies != items*commits {
+		t.Errorf("Applies=%d, want %d", s.Applies, items*commits)
+	}
+}
+
+// TestFreshSummaryGolden: a fixed sequence of calls summarizes to the
+// values a tracker that sampled every certificate into the read
+// histograms produces.
+// Time lags depend on the clock, so only their sample counts, and the
+// read time-lag medians (zero whenever half the reads are fresh), are
+// compared.
+func TestFreshSummaryGolden(t *testing.T) {
+	tr := New(3)
+	for i := 0; i < 3; i++ {
+		tr.NoteCommit(1)
+	}
+	tr.NoteCommit(2)
+	tr.NoteCommit(2)
+	tr.NoteApply(1, 1)
+	tr.NoteApply(1, 1)
+	tr.NoteApply(2, 2)
+	tr.NoteApply(2, 1)
+	tr.CertifyRead(0, 1, 3)
+	tr.CertifyRead(0, 1, 3)
+	tr.CertifyRead(0, 2, 2)
+	tr.CertifyFresh(0)
+	tr.CertifyRead(1, 1, 2)
+	tr.CertifyRead(1, 1, 0)
+	tr.CertifyRead(1, 9, 0) // never committed: fresh
+	tr.CertifyFresh(1)
+	tr.CertifyRead(2, 2, 1)
+	tr.CertifyFresh(2)
+	tr.CertifyFresh(2)
+	tr.CertifyFresh(4) // beyond New's size; site 3 stays silent
+
+	got := tr.Summarize()
+	clockless := func(d *Dist) { *d = Dist{Count: d.Count, P50: d.P50} }
+	for i := range got.Sites {
+		got.Sites[i].TimeLagUS = Dist{Count: got.Sites[i].TimeLagUS.Count}
+		clockless(&got.Sites[i].ReadTimeLagUS)
+	}
+	got.TimeLagUS = Dist{Count: got.TimeLagUS.Count}
+	clockless(&got.ReadTimeLagUS)
+
+	zeros := func(n uint64) Dist { return Dist{Count: n} }
+	lag := Dist{Count: 2, Mean: 1.5, P50: 1, P95: 2, P99: 2, Max: 2}
+	want := &Summary{
+		Sites: []SiteFreshness{
+			{Site: 0, ReadsFresh: 4, ReadVersionLag: zeros(4), ReadTimeLagUS: zeros(4)},
+			{Site: 1, Applies: 2, VersionLag: lag, TimeLagUS: zeros(2), ReadsFresh: 2, ReadsStale: 2,
+				ReadVersionLag: Dist{Count: 4, Mean: 1, P95: 3, P99: 3, Max: 3}, ReadTimeLagUS: zeros(4)},
+			{Site: 2, Applies: 2, VersionLag: lag, TimeLagUS: zeros(2), ReadsFresh: 2, ReadsStale: 1,
+				ReadVersionLag: Dist{Count: 3, Mean: 1.0 / 3, P95: 1, P99: 1, Max: 1}, ReadTimeLagUS: zeros(3)},
+			{Site: 4, ReadsFresh: 1, ReadVersionLag: zeros(1), ReadTimeLagUS: zeros(1)},
+		},
+		Applies:        4,
+		VersionLag:     Dist{Count: 4, Mean: 1.5, P50: 1, P95: 2, P99: 2, Max: 2},
+		TimeLagUS:      zeros(4),
+		ReadsFresh:     9,
+		ReadsStale:     3,
+		ReadVersionLag: Dist{Count: 12, Mean: 5.0 / 12, P95: 3, P99: 3, Max: 3},
+		ReadTimeLagUS:  zeros(12),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("summary\n got %+v\nwant %+v", got, want)
 	}
 }

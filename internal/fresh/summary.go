@@ -38,6 +38,12 @@ func (h *hist) add(v uint64) {
 	h.buckets[b]++
 }
 
+// addZeros records n samples of zero.
+func (h *hist) addZeros(n uint64) {
+	h.count += n
+	h.buckets[0] += n
+}
+
 // merge folds o into h bucket-wise.
 func (h *hist) merge(o *hist) {
 	h.count += o.count
@@ -154,34 +160,37 @@ func (s *Summary) StaleReadPct() float64 {
 	return 0
 }
 
-// Summarize rolls the tracker's current state into a Summary. Sites that
-// recorded nothing are omitted; rows come out sorted by site id.
+// Summarize rolls the tracker's current state into a Summary, leaving
+// the tracker unchanged. Each site's fresh certificates are added to the
+// zero buckets of copies of its read histograms, as if each had been
+// sampled there. Sites that recorded nothing are omitted; rows come out
+// sorted by site id.
 func (t *Tracker) Summarize() *Summary {
 	if t == nil {
 		return nil
 	}
-	t.siteMu.RLock()
-	sites := append([]*siteStat(nil), t.sites...)
-	t.siteMu.RUnlock()
-
 	out := &Summary{}
 	var vl, tl, rvl, rtl hist
-	for id, ss := range sites {
+	for id, ss := range t.table(0) {
+		fresh := ss.fresh.Load()
 		ss.mu.Lock()
+		readVerLag, readLagUS := ss.readVerLag, ss.readLagUS
+		readVerLag.addZeros(fresh)
+		readLagUS.addZeros(fresh)
 		row := SiteFreshness{
 			Site:           model.SiteID(id),
 			Applies:        ss.applies,
 			VersionLag:     ss.versionLag.dist(),
 			TimeLagUS:      ss.timeLagUS.dist(),
-			ReadsFresh:     ss.readVerLag.buckets[0],
-			ReadsStale:     ss.readVerLag.count - ss.readVerLag.buckets[0],
-			ReadVersionLag: ss.readVerLag.dist(),
-			ReadTimeLagUS:  ss.readLagUS.dist(),
+			ReadsFresh:     readVerLag.buckets[0],
+			ReadsStale:     readVerLag.count - readVerLag.buckets[0],
+			ReadVersionLag: readVerLag.dist(),
+			ReadTimeLagUS:  readLagUS.dist(),
 		}
 		vl.merge(&ss.versionLag)
 		tl.merge(&ss.timeLagUS)
-		rvl.merge(&ss.readVerLag)
-		rtl.merge(&ss.readLagUS)
+		rvl.merge(&readVerLag)
+		rtl.merge(&readLagUS)
 		ss.mu.Unlock()
 		if row.Applies == 0 && row.VersionLag.Count == 0 && row.ReadVersionLag.Count == 0 {
 			continue

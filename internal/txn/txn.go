@@ -279,10 +279,14 @@ func (t *Txn) Commit() error {
 		applyStart = time.Now()
 	}
 	// One batch: a snapshot reader sees all of this commit or none of it.
-	if err := t.m.Store.ApplyAll(t.writes, t.ID); err != nil {
-		// Unreachable with a correct engine: writes target local copies.
-		t.m.Locks.ReleaseAll(t.ID)
-		return err
+	// A commit that wrote nothing installs no batch and leaves the store
+	// unlocked.
+	if len(t.writes) > 0 {
+		if err := t.m.Store.ApplyAll(t.writes, t.ID); err != nil {
+			// Unreachable with a correct engine: writes target local copies.
+			t.m.Locks.ReleaseAll(t.ID)
+			return err
+		}
 	}
 	if t.m.Recorder != nil {
 		// The exclusive locks are still held, so Read returns the versions

@@ -299,6 +299,27 @@ func TestRestartedTxnIsFresh(t *testing.T) {
 	}
 }
 
+// TestReadOnlyCommitInstallsNoBatch: a commit with no buffered writes
+// leaves the store's install point where it was, so a later pin shares
+// the earlier one's.
+func TestReadOnlyCommitInstallsNoBatch(t *testing.T) {
+	m := newTestManager(t, nil)
+	before := m.Store.Pin()
+	m.Store.Unpin(before)
+	tx := m.Begin(txid(1))
+	if _, err := tx.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after := m.Store.Pin()
+	m.Store.Unpin(after)
+	if after != before {
+		t.Fatalf("install point %d after a read-only commit, want %d", after, before)
+	}
+}
+
 // TestSnapshotReadAtTakesNoLock: a snapshot read is granted while a
 // writer holds the item exclusively, returns the version as of its pin —
 // not the writer's, which commits after the pin — and is recorded like a

@@ -107,7 +107,7 @@ type Cluster struct {
 	Metrics  *metrics.Collector
 
 	transport *comm.MemTransport
-	fresh     *fresh.Tracker   // always non-nil: bounded state, one sharded-lock sample per commit, apply and stale read
+	fresh     *fresh.Tracker   // always non-nil, fed by every site's txn manager: one sharded-lock sample per install and stale read
 	faultTr   *fault.Transport // non-nil iff Cfg.Fault was set
 	top       comm.Transport   // the layer engines actually send through
 	watchdog  *watch.Watchdog  // non-nil iff Cfg.Watch was set

@@ -180,3 +180,63 @@ func TestEveryReadIsCertified(t *testing.T) {
 		})
 	}
 }
+
+// TestTrackerMirrorsPrimaryVersions checks the tracker's one invariant
+// against the serializability recorder, which observes installs
+// independently: after a quiesced run, every written item's primary
+// version — the number of versions its primary installed — certifies
+// fresh at the primary, and the version before it exactly one behind. A
+// primary commit the tracker misses, or counts twice, fails here.
+func TestTrackerMirrorsPrimaryVersions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	for _, pc := range []struct {
+		proto    core.Protocol
+		backedge float64
+	}{
+		{core.PSL, 0.2},
+		{core.DAGWT, 0},
+		{core.DAGT, 0},
+		{core.BackEdge, 0.2},
+		{core.NaiveLazy, 0},
+	} {
+		pc := pc
+		t.Run(pc.proto.String(), func(t *testing.T) {
+			t.Parallel()
+			wl := smallWorkload()
+			wl.BackedgeProb = pc.backedge
+			c, err := New(Config{Workload: wl, Protocol: pc.proto, Params: fastParams(), Latency: 100 * time.Microsecond, Record: true})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			c.Start()
+			defer c.Stop()
+			if _, err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Quiesce(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			written := 0
+			for i := 0; i < wl.Items; i++ {
+				item := model.ItemID(i)
+				primary := c.Placement.Primary[item]
+				v := uint64(len(c.Recorder.WriteHistory(primary, item)))
+				if v == 0 {
+					continue
+				}
+				written++
+				if got := c.fresh.CertifyRead(primary, item, v); got.Stale() {
+					t.Errorf("item %d: primary version %d certified %d behind, want fresh", item, v, got.Versions)
+				}
+				if got := c.fresh.CertifyRead(primary, item, v-1); got.Versions != 1 {
+					t.Errorf("item %d: version %d certified %d behind, want 1", item, v-1, got.Versions)
+				}
+			}
+			if written == 0 {
+				t.Fatal("the run wrote nothing")
+			}
+		})
+	}
+}

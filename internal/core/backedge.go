@@ -231,29 +231,27 @@ func (e *backedgeEngine) recover() {
 }
 
 // redoEager re-runs a decided-commit eager origin commit whose local
-// apply was lost with the heap: log the apply first, then install the
-// writes, note each in the freshness tracker as the kernel commit does,
-// and re-send the lazy fan-out. The participants commit their
+// apply was lost with the heap: commit the writes as a primary
+// transaction under the original id, logging the apply first like every
+// install, and re-send the lazy fan-out. The participants commit their
 // halves on the durable decision; this is the origin's half of that
 // atomicity, finished by recovery instead of the crashed goroutine.
 func (e *backedgeEngine) redoEager(tid model.TxnID, ee wal.EagerEntry) {
-	rec := wal.Record{
-		Kind: wal.KindApply, TID: tid, Role: wal.RoleOrigin,
-		Writes: ee.Writes, Forwards: len(ee.Writes) > 0, Span: ee.Span,
-	}
-	if e.walAppendSync(rec) != nil {
-		return
-	}
+	t := e.tm.Begin(tid)
 	for _, w := range ee.Writes {
 		if !e.store.Has(w.Item) {
 			continue
 		}
-		ver, err := e.store.Apply(w.Item, w.Value, tid)
-		if err != nil {
-			continue
+		if t.Write(w.Item, w.Value) != nil {
+			return // unreachable: no other transaction holds a primary item yet
 		}
-		e.sinks.Recorder.Write(e.id, w.Item, ver.Num, tid)
-		e.sinks.Fresh.NoteCommit(w.Item)
+	}
+	e.armDurable(t, wal.Record{
+		Kind: wal.KindApply, TID: tid, Role: wal.RoleOrigin,
+		Writes: ee.Writes, Forwards: len(ee.Writes) > 0, Span: ee.Span,
+	})
+	if t.Commit() != nil {
+		return
 	}
 	e.propagate(ee.Span, ts.Timestamp{}, ee.Writes)
 }
@@ -669,7 +667,6 @@ func (e *backedgeEngine) install(p *participant, from model.SiteID) {
 	})
 	if p.t.Commit() == nil {
 		e.emit(decided, from, p.sc, 0)
-		e.noteApplied(p.writes)
 		e.emit(metrics.Secondaries, model.NoSite, p.sc, 0)
 	}
 	e.settle(p.t.ID)

@@ -80,6 +80,10 @@ func newBase(topo *Topology, proto Protocol, site Site, tr comm.Transport) *base
 	}
 	lm := lock.NewManager(topo.Params.DetectDeadlocks)
 	lm.SetWoundGrace(topo.Params.WoundGrace)
+	// The transaction manager is the site's one observation point: it
+	// records and certifies every read and notes every install.
+	tm := txn.NewManager(id, st, lm, topo.Params.LockTimeout, site.Recorder)
+	tm.Fresh = site.Fresh
 	b := &base{
 		topo:    topo,
 		sinks:   site.Sinks,
@@ -87,7 +91,7 @@ func newBase(topo *Topology, proto Protocol, site Site, tr comm.Transport) *base
 		proto:   proto,
 		store:   st,
 		locks:   lm,
-		tm:      txn.NewManager(id, st, lm, topo.Params.LockTimeout, site.Recorder),
+		tm:      tm,
 		tr:      tr,
 		rpc:     comm.NewRPC(id, tr),
 		bank:    site.Metrics.Bank(id, int(numSlots)),
@@ -317,11 +321,11 @@ func (b *base) runLocalOps(t *txn.Txn, ops []model.Op, snapshot func([]model.Op)
 				t.Abort()
 				return fmt.Errorf("core: s%d has no copy of item %d to read", b.id, op.Item)
 			}
-			_, ver, fromStore, err := t.ReadVersioned(op.Item)
+			_, c, err := t.ReadCertified(op.Item)
 			if err != nil {
 				return err
 			}
-			b.certifyRead(t.ID, op.Item, ver, fromStore)
+			b.certifyRead(t.ID, c)
 		case model.OpWrite:
 			if !b.topo.Placement.IsPrimary(b.id, op.Item) {
 				t.Abort()
@@ -367,57 +371,27 @@ func (b *base) runSnapshot(t *txn.Txn, ops []model.Op, pin uint64) error {
 	return nil
 }
 
-// readAt is one snapshot read of item at pin, certified like a locking
-// read: its freshness is that of the pinned version.
+// readAt is one snapshot read of item at pin, reported like a locking
+// read.
 func (b *base) readAt(t *txn.Txn, item model.ItemID, pin uint64) error {
-	_, ver, err := t.ReadAt(item, pin)
+	_, c, err := t.ReadAt(item, pin)
 	if err != nil {
 		return fmt.Errorf("core: s%d snapshot read of item %d: %w", b.id, item, err)
 	}
-	b.certifyRead(t.ID, item, ver, true)
+	b.certifyRead(t.ID, c)
 	return nil
 }
 
-// Freshness observatory hooks (docs/OBSERVABILITY.md). They keep every
-// disabled hot path down to one nil check; the wall-clock reads live
-// inside internal/fresh, outside the deterministic core — the engines
-// pass only item ids and version numbers.
-
-// noteApplied advances the tracker's per-(item, site) applied counters
-// for a propagated update installed at this secondary, sampling the
-// replica's version and time lag. Writes without a local copy are
-// skipped, mirroring the appliers' own store.Has filter, so the applied
-// counter only advances for versions this site actually installed.
-func (b *base) noteApplied(writes []model.WriteOp) {
-	if b.sinks.Fresh == nil {
-		return
-	}
-	for _, w := range writes {
-		if b.store.Has(w.Item) {
-			b.sinks.Fresh.NoteApply(b.id, w.Item)
-		}
-	}
-}
-
-// certifyRead issues the read-freshness certificate for a read that
-// observed the given storage version of item at this site; fromStore is
-// false for a read that observed no stored replica — one served from the
-// transaction's own write buffer, or from the primary copy itself (PSL) —
-// which is fresh by construction. The reads count bumps before the
-// tracker check: a process without a tracker still counts its reads.
+// certifyRead reports one read of transaction tid and the certificate
+// the transaction manager issued for it (docs/OBSERVABILITY.md). The
+// reads count bumps first: a site without a tracker still counts its
+// reads, but its zero Cert certifies nothing and is not reported.
 // Certificates are span-less because whether a read catches the latest
 // version races propagation timing.
-func (b *base) certifyRead(tid model.TxnID, item model.ItemID, version uint64, fromStore bool) {
+func (b *base) certifyRead(tid model.TxnID, c fresh.Cert) {
 	b.bank[reads].Inc()
-	f := b.sinks.Fresh
-	if f == nil {
+	if b.tm.Fresh == nil {
 		return
-	}
-	var c fresh.Cert
-	if fromStore {
-		c = f.CertifyRead(b.id, item, version)
-	} else {
-		c = f.CertifyFresh(b.id)
 	}
 	s := readsFresh
 	if c.Stale() {

@@ -271,11 +271,13 @@ type Sinks struct {
 	// banks and queue depths into it as reads of their own state, and
 	// each rebuilt engine's export replaces its predecessor's.
 	Obs *obs.Registry
-	// Fresh is the freshness observatory tracker (docs/OBSERVABILITY.md):
-	// engines note primary commits and secondary applies into it and
-	// certify every read against it. It stays one in-process oracle for
-	// the run, because certifying a replica read needs the primary's
-	// version at that moment.
+	// Fresh is the freshness observatory tracker (docs/OBSERVABILITY.md).
+	// Each site's transaction manager feeds it, beside Recorder: it notes
+	// every primary commit and secondary apply and certifies every read
+	// as it is made; the engines only count and report the certificates.
+	// It stays one in-process oracle for the run, because certifying a
+	// replica read needs the primary's version at that moment. Without
+	// it reads are counted but not certified.
 	Fresh *fresh.Tracker
 }
 

@@ -165,12 +165,8 @@ func (k *lazyEngine) commit(t *txn.Txn, rec wal.Record, start time.Time) error {
 	if err == nil {
 		if primary {
 			// Inside the critical section, so the event is ordered before
-			// the transaction's forward events, and the freshness tracker's
-			// latest version equals the one this commit minted.
+			// the transaction's forward events.
 			k.emit(metrics.Committed, model.NoSite, rec.Span, elapsed(start))
-			for _, w := range rec.Writes {
-				k.sinks.Fresh.NoteCommit(w.Item)
-			}
 		}
 		if forwards {
 			k.propagate(rec.Span, rec.TS, rec.Writes)
@@ -286,7 +282,6 @@ func (k *lazyEngine) apply(from model.SiteID, p secondaryPayload, sc model.SpanC
 			}, time.Time{})
 			if err == nil {
 				k.tm.Recycle(t)
-				k.noteApplied(p.Writes)
 				k.emit(metrics.Secondaries, model.NoSite, sc, 0)
 				k.release(from, sc)
 				return true

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // TestDAGTQueueGaugeDrains pins the DAG(T) timestamp-hold queue's
@@ -41,4 +43,49 @@ func TestDAGTQueueGaugeDrains(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("ts queue series never drained back to zero (stuck at %d)", depth)
+}
+
+// TestNoTrackerCountsReadsOnly: a site built without a freshness tracker,
+// as a TCP node is, still counts every read in repl_txn_reads_total, but
+// its reads' zero certificates are no certificates: no ReadCertificate
+// event and nothing in the repl_read_staleness_* series.
+func TestNoTrackerCountsReadsOnly(t *testing.T) {
+	for _, proto := range []Protocol{DAGWT, PSL} {
+		t.Run(proto.String(), func(t *testing.T) {
+			s := buildSystem(t, proto, example11Placement(t), testParams(), time.Millisecond)
+			for _, run := range []struct {
+				site model.SiteID
+				ops  []model.Op
+			}{
+				{0, []model.Op{w(0, 1), r(0)}}, // an own-write read
+				{1, []model.Op{r(1), w(1, 2)}}, // a locking read
+				{2, []model.Op{r(0), r(1)}},    // a snapshot read, or remote under PSL
+			} {
+				if err := s.engines[run.site].Execute(run.ops); err != nil {
+					t.Fatalf("s%d: %v", run.site, err)
+				}
+			}
+			s.quiesce(t)
+			var reads, certs int64
+			for key, n := range s.registry.Snapshot() {
+				switch {
+				case strings.HasPrefix(key, "repl_txn_reads_total{"):
+					reads += n
+				case strings.HasPrefix(key, "repl_read_staleness_"):
+					certs += n
+				}
+			}
+			if reads != 4 {
+				t.Errorf("repl_txn_reads_total = %d, want 4", reads)
+			}
+			if certs != 0 {
+				t.Errorf("repl_read_staleness_* sum to %d without a tracker, want 0", certs)
+			}
+			for _, ev := range s.tracer.Snapshot() {
+				if ev.Kind == trace.ReadCertificate {
+					t.Fatalf("ReadCertificate event without a tracker: %+v", ev)
+				}
+			}
+		})
+	}
 }

@@ -15,10 +15,12 @@
 // The offline instrument, per-hop propagation waterfalls joined from a
 // recorded trace, is a field of trace.Explain.
 //
-// The Tracker mirrors the primary version counter of every item: each
-// primary commit calls NoteCommit once per written item inside the
-// engine's commit critical section, so the tracker's "latest" for an
-// item equals the storage version number the commit installed. Secondary
+// The Tracker mirrors the primary version counter of every item. Its one
+// feeder is each site's transaction manager (internal/txn), which
+// observes every read and install at the site: a primary commit calls
+// NoteCommit once per written item while its exclusive locks are held,
+// so the tracker's "latest" for an item equals the storage version number
+// the commit installed before any reader can see that version. Secondary
 // applies advance a per-(item, site) applied counter the same way —
 // propagated updates apply exactly once per site, in primary-commit
 // order — so version lag is a subtraction away and no storage reads are
@@ -36,7 +38,8 @@
 // certificate had been sampled into them.
 //
 // All wall-clock reads live in this package, outside the deterministic
-// core (the engines pass only item ids and version numbers), and a nil
+// core (the transaction manager passes only item ids and version
+// numbers), and a nil
 // *Tracker is a valid no-op costing one branch, matching the repo's
 // nil-handle discipline for trace.Recorder and obs handles.
 package fresh
@@ -218,10 +221,10 @@ func (t *Tracker) shard(item model.ItemID) *shard {
 	return &t.shards[uint(item)%shardCount]
 }
 
-// NoteCommit records one primary commit of item: the engines call it
-// once per written item inside the commit critical section, immediately
-// after the storage apply, so the tracker's latest version mirrors the
-// primary's version counter.
+// NoteCommit records one primary commit of item: the transaction
+// manager calls it once per written item immediately after the storage
+// apply, before the commit's locks are released, so the tracker's latest
+// version mirrors the primary's version counter.
 func (t *Tracker) NoteCommit(item model.ItemID) {
 	if t == nil {
 		return
@@ -301,10 +304,10 @@ func (t *Tracker) CertifyRead(site model.SiteID, item model.ItemID, version uint
 	return c
 }
 
-// CertifyFresh certifies a read that observed the primary copy itself
-// (PSL's local and remote primary reads) or the reader's own write:
-// zero staleness by construction, but still one certificate, so every
-// read is counted.
+// CertifyFresh certifies a read that observed no stored version — one
+// served from the reader's own write buffer — or, from CertifyRead, one
+// that observed the latest: zero staleness by construction, but still
+// one certificate, so every read is counted.
 func (t *Tracker) CertifyFresh(site model.SiteID) Cert {
 	if t == nil {
 		return Cert{}

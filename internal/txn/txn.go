@@ -5,6 +5,11 @@
 // buffered writes. Locks are held until commit or abort and then released
 // in one step, which makes the local serialization order equal the local
 // commit order — the property all four protocols build on.
+//
+// The manager is also the site's one observation point: every read it
+// serves is certified against the freshness tracker (internal/fresh) when
+// it is made, and every install a commit makes is noted in the tracker and
+// the serializability recorder while its exclusive locks are still held.
 package txn
 
 import (
@@ -14,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fresh"
 	"repro/internal/history"
 	"repro/internal/lock"
 	"repro/internal/metrics"
@@ -37,6 +43,7 @@ type Manager struct {
 	Locks    *lock.Manager
 	Timeout  time.Duration     // lock-wait timeout (the paper's 50 ms)
 	Recorder *history.Recorder // nil disables observation recording
+	Fresh    *fresh.Tracker    // nil disables read certificates and install notes
 
 	phase func(p metrics.Phase, tid model.TxnID, start time.Time) // nil disables phase attribution
 }
@@ -161,54 +168,52 @@ func (t *Txn) buffered(item model.ItemID) int {
 // transaction's own write buffer, otherwise taking a shared lock and
 // reading the store. A lock timeout aborts the transaction.
 func (t *Txn) Read(item model.ItemID) (int64, error) {
-	v, _, _, err := t.ReadVersioned(item)
+	v, _, err := t.ReadCertified(item)
 	return v, err
 }
 
-// ReadVersioned is Read plus freshness provenance: it additionally
-// returns the storage version number the value came from and whether the
-// read hit the store at all (false for a value served from the
-// transaction's own write buffer, whose version is meaningless until
-// commit). The version feeds read-freshness certificates
-// (internal/fresh) without a second store access.
-func (t *Txn) ReadVersioned(item model.ItemID) (int64, uint64, bool, error) {
+// ReadCertified is Read plus the read's freshness certificate, taken as
+// the read is made: a value served from the transaction's own write
+// buffer is fresh by construction, and a store read is certified by the
+// version it observed. A read that fails certifies nothing. Without a
+// tracker the certificate is the zero Cert.
+func (t *Txn) ReadCertified(item model.ItemID) (int64, fresh.Cert, error) {
 	if t.finished {
-		return 0, 0, false, fmt.Errorf("txn %v: read after finish", t.ID)
+		return 0, fresh.Cert{}, fmt.Errorf("txn %v: read after finish", t.ID)
 	}
 	if i := t.buffered(item); i >= 0 {
-		return t.writes[i].Value, 0, false, nil
+		return t.writes[i].Value, t.m.Fresh.CertifyFresh(t.m.Site), nil
 	}
 	if err := t.acquire(item, lock.Shared, t.m.Timeout); err != nil {
 		t.Abort()
 		// Wrap (not format) the lock error: abort classification walks the
 		// chain with errors.Is to tell a timeout from a detected deadlock.
-		return 0, 0, false, fmt.Errorf("%w: r[%d] at s%d: %w", ErrAborted, item, t.m.Site, err)
+		return 0, fresh.Cert{}, fmt.Errorf("%w: r[%d] at s%d: %w", ErrAborted, item, t.m.Site, err)
 	}
 	ver, err := t.m.Store.Read(item)
 	if err != nil {
 		t.Abort()
-		return 0, 0, false, err
+		return 0, fresh.Cert{}, err
 	}
-	t.observeRead(t.m.Site, item, ver.Num)
-	return ver.Value, ver.Num, true, nil
+	return ver.Value, t.observeRead(t.m.Site, item, ver.Num), nil
 }
 
 // ReadAt is a snapshot read for a read-only transaction: it returns the
-// value and version number of item as of pin, an install point the caller
-// holds with Store.Pin, and takes no lock. Like a locking read it is
-// recorded for the serializability checker when t commits. A failed read
-// aborts the transaction.
-func (t *Txn) ReadAt(item model.ItemID, pin uint64) (int64, uint64, error) {
+// value of item as of pin, an install point the caller holds with
+// Store.Pin, and takes no lock. Like a locking read it is certified at
+// once and recorded for the serializability checker when t commits; its
+// freshness is that of the pinned version. A failed read aborts the
+// transaction and certifies nothing.
+func (t *Txn) ReadAt(item model.ItemID, pin uint64) (int64, fresh.Cert, error) {
 	if t.finished {
-		return 0, 0, fmt.Errorf("txn %v: read after finish", t.ID)
+		return 0, fresh.Cert{}, fmt.Errorf("txn %v: read after finish", t.ID)
 	}
 	ver, err := t.m.Store.ReadAt(item, pin)
 	if err != nil {
 		t.Abort()
-		return 0, 0, err
+		return 0, fresh.Cert{}, err
 	}
-	t.observeRead(t.m.Site, item, ver.Num)
-	return ver.Value, ver.Num, nil
+	return ver.Value, t.observeRead(t.m.Site, item, ver.Num), nil
 }
 
 // Write buffers a new value for item after taking the exclusive lock
@@ -248,7 +253,9 @@ func (t *Txn) write(item model.ItemID, value int64, timeout time.Duration) error
 	return nil
 }
 
-// Commit installs the buffered writes as one batch, flushes the read/write
+// Commit installs the buffered writes as one batch, notes each install in
+// the freshness tracker — a primary commit for a Begin transaction, a
+// propagated apply for a BeginSecondary one — flushes the read/write
 // observations to the recorder, and releases all locks. Callers that need
 // commit to be atomic with respect to other commits at the site (the
 // critical sections of §2 and §3.2.2) serialize calls with a site-level
@@ -288,12 +295,18 @@ func (t *Txn) Commit() error {
 			return err
 		}
 	}
-	if t.m.Recorder != nil {
-		// The exclusive locks are still held, so Read returns the versions
-		// this commit installed.
-		for _, w := range t.writes {
+	// The exclusive locks are still held, so Read returns the versions
+	// this commit installed, and no reader can see one before the tracker
+	// has counted it.
+	for _, w := range t.writes {
+		if t.m.Recorder != nil {
 			ver, _ := t.m.Store.Read(w.Item)
 			t.m.Recorder.Write(t.m.Site, w.Item, ver.Num, t.ID)
+		}
+		if t.prio == lock.Secondary {
+			t.m.Fresh.NoteApply(t.m.Site, w.Item)
+		} else {
+			t.m.Fresh.NoteCommit(w.Item)
 		}
 	}
 	if !applyStart.IsZero() {
@@ -306,19 +319,24 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// ObserveRemoteRead buffers a read observation made at another site on
-// this transaction's behalf (PSL remote reads); like local reads it is
-// flushed to the recorder only if the transaction commits.
-func (t *Txn) ObserveRemoteRead(site model.SiteID, item model.ItemID, version uint64) {
-	t.observeRead(site, item, version)
+// ObserveRemoteRead observes a read made at another site on this
+// transaction's behalf (PSL remote reads) that returned the given version
+// of item, shipped by site under its shared lock. It is certified now and,
+// like local reads, flushed to the recorder only if the transaction
+// commits.
+func (t *Txn) ObserveRemoteRead(site model.SiteID, item model.ItemID, version uint64) fresh.Cert {
+	return t.observeRead(site, item, version)
 }
 
-// observeRead buffers one read observation for Commit to flush, if a
-// recorder is attached to flush it to.
-func (t *Txn) observeRead(site model.SiteID, item model.ItemID, version uint64) {
+// observeRead observes one read of item that returned version at site:
+// it buffers the observation for Commit to flush, if a recorder is
+// attached to flush it to, and returns the read's certificate, issued to
+// this transaction's site.
+func (t *Txn) observeRead(site model.SiteID, item model.ItemID, version uint64) fresh.Cert {
 	if t.m.Recorder != nil {
 		t.readObs = append(t.readObs, history.ReadObs{Site: site, Item: item, Version: version, Reader: t.ID})
 	}
+	return t.m.Fresh.CertifyRead(t.m.Site, item, version)
 }
 
 // Abort discards buffered writes and releases all locks. Safe to call

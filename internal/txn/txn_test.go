@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fresh"
 	"repro/internal/history"
 	"repro/internal/lock"
 	"repro/internal/model"
@@ -321,12 +322,13 @@ func TestReadOnlyCommitInstallsNoBatch(t *testing.T) {
 }
 
 // TestSnapshotReadAtTakesNoLock: a snapshot read is granted while a
-// writer holds the item exclusively, returns the version as of its pin —
-// not the writer's, which commits after the pin — and is recorded like a
-// locking read.
+// writer holds the item exclusively, returns the value as of its pin —
+// not the writer's, which commits after the pin, so the read is certified
+// exactly one version behind — and is recorded like a locking read.
 func TestSnapshotReadAtTakesNoLock(t *testing.T) {
 	rec := history.NewRecorder()
 	m := newTestManager(t, rec)
+	m.Fresh = fresh.New(1)
 	w := m.Begin(txid(1))
 	if err := w.Write(2, 99); err != nil {
 		t.Fatal(err)
@@ -342,12 +344,12 @@ func TestSnapshotReadAtTakesNoLock(t *testing.T) {
 	}
 	defer hold.Abort()
 	r := m.Begin(txid(3))
-	v, num, err := r.ReadAt(2, pin)
+	v, c, err := r.ReadAt(2, pin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 20 || num != 0 {
-		t.Fatalf("ReadAt = %d (version %d), want the pinned 20 (version 0)", v, num)
+	if v != 20 || c.Versions != 1 {
+		t.Fatalf("ReadAt = %d (%d versions behind), want the pinned 20 (1 behind)", v, c.Versions)
 	}
 	if got := m.Locks.Stats().Acquired; got != 2 {
 		t.Fatalf("%d lock grants, want the two writers' only", got)
@@ -357,6 +359,89 @@ func TestSnapshotReadAtTakesNoLock(t *testing.T) {
 	}
 	if rec.NumReads() != 1 {
 		t.Fatalf("recorded %d reads, want 1", rec.NumReads())
+	}
+}
+
+// TestCommitNotesInstalls: a Begin transaction's commit counts one
+// primary commit per written item in the tracker, and a BeginSecondary
+// one counts one propagated apply per item at the site, leaving the
+// primary count alone.
+func TestCommitNotesInstalls(t *testing.T) {
+	m := newTestManager(t, nil)
+	m.Fresh = fresh.New(1)
+	tx := m.Begin(txid(1))
+	if err := tx.Write(1, 11); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if c := m.Fresh.CertifyRead(0, 1, 0); c.Versions != 1 {
+		t.Errorf("version 0 after a primary commit: %d behind, want 1", c.Versions)
+	}
+	if sum := m.Fresh.Summarize(); sum.Applies != 0 {
+		t.Errorf("a primary commit noted %d applies", sum.Applies)
+	}
+
+	sec := m.BeginSecondary(txid(2))
+	if err := sec.Write(2, 22); err != nil {
+		t.Fatal(err)
+	}
+	if err := sec.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if c := m.Fresh.CertifyRead(0, 2, 0); c.Stale() {
+		t.Errorf("a secondary apply counted as a primary commit: %d behind", c.Versions)
+	}
+	if sum := m.Fresh.Summarize(); sum.Applies != 1 {
+		t.Errorf("secondary commit noted %d applies, want 1", sum.Applies)
+	}
+}
+
+// TestReadCertificates: a read of the transaction's own write is
+// certified fresh even when the store's copy is behind the tracker, a
+// store read is certified by the version it observed, and a read that
+// fails certifies nothing.
+func TestReadCertificates(t *testing.T) {
+	m := newTestManager(t, nil)
+	m.Fresh = fresh.New(1)
+	m.Fresh.NoteCommit(1) // the tracker knows a version the store lacks
+
+	tx := m.Begin(txid(1))
+	if err := tx.Write(1, 77); err != nil {
+		t.Fatal(err)
+	}
+	if _, c, err := tx.ReadCertified(1); err != nil || c.Stale() {
+		t.Fatalf("own-write read: %+v, %v; want fresh", c, err)
+	}
+	if sum := m.Fresh.Summarize(); sum.ReadsFresh != 1 || sum.ReadsStale != 0 {
+		t.Fatalf("own-write read certified %d fresh, %d stale; want 1, 0", sum.ReadsFresh, sum.ReadsStale)
+	}
+	tx.Abort()
+
+	r := m.Begin(txid(2))
+	if _, c, err := r.ReadCertified(1); err != nil || c.Versions != 1 {
+		t.Fatalf("store read: %+v, %v; want 1 version behind", c, err)
+	}
+	r.Abort()
+
+	holder := m.Begin(txid(3))
+	if err := holder.Write(2, 5); err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Abort()
+	m.Timeout = time.Millisecond
+	before := m.Fresh.Summarize().Reads()
+	if _, _, err := m.Begin(txid(4)).ReadCertified(2); !errors.Is(err, ErrAborted) {
+		t.Fatalf("read of a held item = %v, want an abort", err)
+	}
+	pin := m.Store.Pin()
+	defer m.Store.Unpin(pin)
+	if _, _, err := m.Begin(txid(5)).ReadAt(99, pin); err == nil {
+		t.Fatal("snapshot read of a missing item succeeded")
+	}
+	if after := m.Fresh.Summarize().Reads(); after != before {
+		t.Errorf("failed reads issued %d certificates", after-before)
 	}
 }
 

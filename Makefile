@@ -74,8 +74,7 @@ contention-smoke:
 
 # Freshness-observatory smoke (docs/OBSERVABILITY.md): a seeded lazy run
 # through `replbench -fresh` must yield stale certificates, and
-# replexplain must print its waterfall, certificate and delay tables
-# from the trace.
+# replexplain must print its waterfall and delay tables from the trace.
 freshness-smoke:
 	./scripts/freshness_smoke.sh
 

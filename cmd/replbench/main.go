@@ -77,7 +77,7 @@ func main() {
 		topK       = flag.Int("topk", 16, "with -contend: heat table size")
 		waitforOut = flag.String("waitfor", "", "with -contend: write the on-demand wait-for graph snapshot as JSONL to this file (readable by replexplain)")
 
-		freshOn = flag.Bool("fresh", false, "with -trace: report the freshness observatory's live state — replica staleness distributions and read-freshness certificates (a 'freshness' block under -json; waterfalls: replexplain; see docs/OBSERVABILITY.md)")
+		freshOn = flag.Bool("fresh", false, "with -trace: report the freshness observatory's live state — replica staleness distributions and read-freshness certificates, which no trace carries (a 'freshness' block under -json; waterfalls: replexplain; see docs/OBSERVABILITY.md)")
 	)
 	flag.Parse()
 
@@ -441,7 +441,7 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 				freshness.Reads(), freshness.ReadsFresh, freshness.ReadsStale, freshness.StaleReadPct(),
 				freshness.ReadTimeLagUS.P95, freshness.TimeLagUS.P95)
 		}
-		fmt.Printf("trace-derived views (aborts, critical paths, waterfalls, delays, phases, certificates): replexplain %s\n", out)
+		fmt.Printf("trace-derived views (aborts, critical paths, waterfalls, delays, phases): replexplain %s\n", out)
 	}
 	return nil
 }

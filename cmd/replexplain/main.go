@@ -5,9 +5,9 @@
 // prints trace.Explain's fold of their concatenated events: the abort
 // root-cause taxonomy, the per-protocol commit critical-path profile, the
 // per-(protocol, edge) propagation waterfalls, commit→apply delays, phase
-// latencies, read-freshness certificates, and the forwards no file shows
-// arriving. Add the wait-for JSONL a run or watchdog dump produced and it
-// renders who was blocked on whom:
+// latencies, and the forwards no file shows arriving. Add the wait-for
+// JSONL a run or watchdog dump produced and it renders who was blocked on
+// whom:
 //
 //	replbench -trace run.jsonl -traceproto backedge -contend -waitfor wf.jsonl
 //	replexplain run.jsonl
@@ -167,12 +167,6 @@ func (r *report) print(w io.Writer, nEvents int) {
 		for _, n := range names {
 			fmt.Fprintf(w, "%-10s %-14s %s\n", p.Protocol, n, dist(p.Phases[n]))
 		}
-	}
-	fmt.Fprintln(w, "== read-freshness certificates ==")
-	fmt.Fprintf(w, "%-10s %8s %8s %8s %12s %12s\n", "protocol", "reads", "fresh", "stale", "p95 behind", "max behind")
-	for _, p := range r.Protocols {
-		fmt.Fprintf(w, "%-10s %8d %8d %8d %12s %12s\n", p.Protocol, p.ReadsFresh+p.ReadsStale, p.ReadsFresh,
-			p.ReadsStale, us(p.StaleBehind.P95), us(p.StaleBehind.Max))
 	}
 }
 

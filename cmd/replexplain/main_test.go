@@ -98,7 +98,7 @@ func TestExplainGolden(t *testing.T) {
 	r.print(&text, len(events))
 	for _, want := range []string{
 		"(4 total, 1 unclassified)", "\nlease_expired  1\n", "== commit critical paths ==", "chain s0 -> s1 -> s2 x2",
-		"== propagation waterfalls", "== propagation delay", "== phase latency ==", "== read-freshness certificates ==",
+		"== propagation waterfalls", "== propagation delay", "== phase latency ==",
 	} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text report lacks %q:\n%s", want, text.String())

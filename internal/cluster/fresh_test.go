@@ -8,16 +8,12 @@ import (
 	"repro/internal/fresh"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// freshPoint runs one small seeded cluster with the trace recorder and
-// registry attached and returns the three freshness surfaces the
-// observatory must keep in agreement: the ReadCertificate trace tags,
-// the repl_read_staleness_* registry counters, and the cluster's
-// FreshSummary.
-func freshPoint(t *testing.T, proto core.Protocol, seed int64) (freshTags, staleTags int64, snap map[string]int64, sum *fresh.Summary) {
+// freshPoint runs one small seeded cluster and returns its
+// FreshSummary, the one surface read certificates land on.
+func freshPoint(t *testing.T, proto core.Protocol, seed int64) *fresh.Summary {
 	t.Helper()
 	wl := workload.Default()
 	wl.TxnsPerThread = 40
@@ -27,16 +23,12 @@ func freshPoint(t *testing.T, proto core.Protocol, seed int64) (freshTags, stale
 	}
 	params := core.DefaultParams()
 	params.OpCost = 20 * time.Microsecond
-	rec := trace.NewRecorder()
-	registry := obs.NewRegistry()
 	c, err := New(Config{
 		Workload:         wl,
 		Protocol:         proto,
 		Params:           params,
 		Latency:          time.Millisecond,
 		TrackPropagation: true,
-		Trace:            rec,
-		Obs:              registry,
 	})
 	if err != nil {
 		t.Fatalf("New(%v): %v", proto, err)
@@ -49,71 +41,37 @@ func freshPoint(t *testing.T, proto core.Protocol, seed int64) (freshTags, stale
 	if err := c.Quiesce(time.Minute); err != nil {
 		t.Fatalf("Quiesce(%v): %v", proto, err)
 	}
-	for _, ev := range rec.Snapshot() {
-		if ev.Kind != trace.ReadCertificate {
-			continue
-		}
-		if ev.Phase == "stale" {
-			staleTags++
-		} else {
-			freshTags++
-		}
-	}
-	return freshTags, staleTags, registry.Snapshot(), c.FreshSummary()
+	return c.FreshSummary()
 }
 
 // TestEagerVsLazyReadStaleness is the observatory's ground-truth check,
 // one seed, two engines: PSL reads observe the primary copy by
-// construction, so every surface must report zero read staleness; DAG(WT)
-// reads observe replicas that lag the primary, so under the same seed
-// every surface must report some — and all three surfaces must agree
-// with each other exactly.
+// construction, so the summary must report zero read staleness; DAG(WT)
+// reads observe replicas that lag the primary, so under the same seed it
+// must report some.
 func TestEagerVsLazyReadStaleness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	const seed = 7
 
-	freshTags, staleTags, snap, sum := freshPoint(t, core.PSL, seed)
-	if freshTags == 0 {
-		t.Fatal("PSL: no fresh read certificates in the trace")
-	}
-	if staleTags != 0 {
-		t.Errorf("PSL: %d stale certificates in trace, want 0 (reads observe the primary)", staleTags)
-	}
-	if got := familySum(snap, "repl_read_staleness_stale_total"); got != 0 {
-		t.Errorf("PSL: repl_read_staleness_stale_total = %d, want 0", got)
-	}
-	if got := familySum(snap, "repl_read_staleness_fresh_total"); got == 0 {
-		t.Error("PSL: repl_read_staleness_fresh_total is 0; certificates not wired")
-	}
+	sum := freshPoint(t, core.PSL, seed)
 	if sum == nil {
 		t.Fatal("PSL: no freshness summary")
+	}
+	if sum.ReadsFresh == 0 {
+		t.Error("PSL: no fresh read certificates; certificates not wired")
 	}
 	if sum.StaleReadPct() != 0 || sum.ReadsStale != 0 {
 		t.Errorf("PSL: summary reports staleness: %+v", sum)
 	}
 
-	freshTags, staleTags, snap, sum = freshPoint(t, core.DAGWT, seed)
-	if staleTags == 0 {
-		t.Fatal("DAG(WT): no stale read certificates in trace under 1ms propagation latency")
-	}
-	staleCtr := familySum(snap, "repl_read_staleness_stale_total")
-	if staleCtr == 0 {
-		t.Error("DAG(WT): repl_read_staleness_stale_total is 0")
-	}
+	sum = freshPoint(t, core.DAGWT, seed)
 	if sum == nil {
 		t.Fatal("DAG(WT): no freshness summary")
 	}
 	if sum.StaleReadPct() == 0 || sum.ReadsStale == 0 {
-		t.Errorf("DAG(WT): summary reports zero staleness: %+v", sum)
-	}
-	// The three surfaces count the same certificates.
-	if staleTags != staleCtr || staleCtr != int64(sum.ReadsStale) {
-		t.Errorf("stale counts disagree: trace=%d obs=%d summary=%d", staleTags, staleCtr, sum.ReadsStale)
-	}
-	if freshCtr := familySum(snap, "repl_read_staleness_fresh_total"); freshTags != freshCtr || freshCtr != int64(sum.ReadsFresh) {
-		t.Errorf("fresh counts disagree: trace=%d obs=%d summary=%d", freshTags, freshCtr, sum.ReadsFresh)
+		t.Errorf("DAG(WT): no stale read certificates under 1ms propagation latency: %+v", sum)
 	}
 	if sum.Applies == 0 || sum.VersionLag.P95 == 0 {
 		t.Errorf("DAG(WT): replica staleness distribution empty: %+v", sum)
@@ -126,7 +84,8 @@ func TestEagerVsLazyReadStaleness(t *testing.T) {
 // commits, and the tracker must hold exactly one certificate per read
 // operation those programs contain. The expected count comes from the
 // programs, not from any counter the certifying call bumps, so a read
-// path that skips its certificate fails here.
+// path that skips its certificate fails here. The engines' own read
+// count, repl_txn_reads_total, must match the programs too.
 func TestEveryReadIsCertified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -146,7 +105,8 @@ func TestEveryReadIsCertified(t *testing.T) {
 			t.Parallel()
 			wl := smallWorkload()
 			wl.BackedgeProb = pc.backedge
-			c, err := New(Config{Workload: wl, Protocol: pc.proto, Params: fastParams(), Latency: 100 * time.Microsecond})
+			registry := obs.NewRegistry()
+			c, err := New(Config{Workload: wl, Protocol: pc.proto, Params: fastParams(), Latency: 100 * time.Microsecond, Obs: registry})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -176,6 +136,9 @@ func TestEveryReadIsCertified(t *testing.T) {
 			}
 			if got := c.FreshSummary().Reads(); got != reads {
 				t.Errorf("%d read certificates, want one per read op: %d", got, reads)
+			}
+			if got := familySum(registry.Snapshot(), "repl_txn_reads_total"); got != int64(reads) {
+				t.Errorf("repl_txn_reads_total = %d, want one per read op: %d", got, reads)
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/fresh"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -321,11 +320,10 @@ func (b *base) runLocalOps(t *txn.Txn, ops []model.Op, snapshot func([]model.Op)
 				t.Abort()
 				return fmt.Errorf("core: s%d has no copy of item %d to read", b.id, op.Item)
 			}
-			_, c, err := t.ReadCertified(op.Item)
-			if err != nil {
+			if _, err := t.Read(op.Item); err != nil {
 				return err
 			}
-			b.certifyRead(t.ID, c)
+			b.bank[reads].Inc()
 		case model.OpWrite:
 			if !b.topo.Placement.IsPrimary(b.id, op.Item) {
 				t.Abort()
@@ -371,33 +369,14 @@ func (b *base) runSnapshot(t *txn.Txn, ops []model.Op, pin uint64) error {
 	return nil
 }
 
-// readAt is one snapshot read of item at pin, reported like a locking
+// readAt is one snapshot read of item at pin, counted like a locking
 // read.
 func (b *base) readAt(t *txn.Txn, item model.ItemID, pin uint64) error {
-	_, c, err := t.ReadAt(item, pin)
-	if err != nil {
+	if _, err := t.ReadAt(item, pin); err != nil {
 		return fmt.Errorf("core: s%d snapshot read of item %d: %w", b.id, item, err)
 	}
-	b.certifyRead(t.ID, c)
-	return nil
-}
-
-// certifyRead reports one read of transaction tid and the certificate
-// the transaction manager issued for it (docs/OBSERVABILITY.md). The
-// reads count bumps first: a site without a tracker still counts its
-// reads, but its zero Cert certifies nothing and is not reported.
-// Certificates are span-less because whether a read catches the latest
-// version races propagation timing.
-func (b *base) certifyRead(tid model.TxnID, c fresh.Cert) {
 	b.bank[reads].Inc()
-	if b.tm.Fresh == nil {
-		return
-	}
-	s := readsFresh
-	if c.Stale() {
-		s = readsStale
-	}
-	b.emit(s, model.NoSite, model.SpanContext{TID: tid}, c.Behind)
+	return nil
 }
 
 // send transmits a message and counts it. One-way protocol traffic is

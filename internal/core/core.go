@@ -274,10 +274,11 @@ type Sinks struct {
 	// Fresh is the freshness observatory tracker (docs/OBSERVABILITY.md).
 	// Each site's transaction manager feeds it, beside Recorder: it notes
 	// every primary commit and secondary apply and certifies every read
-	// as it is made; the engines only count and report the certificates.
-	// It stays one in-process oracle for the run, because certifying a
-	// replica read needs the primary's version at that moment. Without
-	// it reads are counted but not certified.
+	// as it is made, and is the only place a certificate is counted; the
+	// engines count reads, certified or not. It stays one in-process
+	// oracle for the run, because certifying a replica read needs the
+	// primary's version at that moment. Without it reads are counted but
+	// not certified.
 	Fresh *fresh.Tracker
 }
 

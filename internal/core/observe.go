@@ -25,9 +25,7 @@ const (
 	inquiries                              // BackEdge 2PC decision inquiries
 	undelivered                            // 2PC rounds whose logged decision failed to reach a participant
 	lateReplies                            // RPC replies that arrived after their call gave up
-	reads                                  // read operations, each owed a certificate
-	readsFresh                             // fresh read certificates
-	readsStale                             // stale read certificates
+	reads                                  // read operations
 	lockGrants                             // lock manager counters, in lock.Stats order, added when the site halts
 	lockWaits
 	lockWounds
@@ -40,9 +38,9 @@ const (
 
 // slot says what one bank slot means: the series a registry exports it
 // under, labelled with the site ("" keeps it unexported), and the trace
-// event emit records with it (zero for none). Events that carry a
-// wall-clock payload are span-less, so timing never perturbs span-tree
-// structure; tag fills the event's Phase field.
+// event emit records with it (zero for none). Span-less events belong to
+// no transaction's span tree and are recorded without span context; tag
+// fills the event's Phase field.
 type slot struct {
 	series   string
 	kind     trace.Kind
@@ -70,8 +68,6 @@ var slots = func() [numSlots]slot {
 		undelivered:         {series: "repl_backedge_decision_errors_total"},
 		lateReplies:         {series: "repl_rpc_late_responses_total"},
 		reads:               {series: "repl_txn_reads_total"},
-		readsFresh:          {series: "repl_read_staleness_fresh_total", kind: trace.ReadCertificate, spanless: true, tag: "fresh"},
-		readsStale:          {series: "repl_read_staleness_stale_total", kind: trace.ReadCertificate, spanless: true, tag: "stale"},
 		lockGrants:          {series: "repl_lock_grants_total"},
 		lockWaits:           {series: "repl_lock_waits_total"},
 		lockWounds:          {series: "repl_lock_wounds_total"},
@@ -128,8 +124,8 @@ func exportQueues(r *obs.Registry, e Engine) {
 
 // emit reports one lifecycle step: it bumps slot s of the site's bank
 // and, when tracing, records the slot's event, under this site's span
-// within sc unless the event is span-less. d is the step's duration: a
-// commit's response time, a certificate's time behind the primary.
+// within sc unless the event is span-less. d is a commit's response time,
+// fed to the run collector; every other step passes 0.
 func (b *base) emit(s metrics.Count, peer model.SiteID, sc model.SpanContext, d time.Duration) {
 	b.bank[s].Inc()
 	switch {
@@ -145,9 +141,7 @@ func (b *base) emit(s metrics.Count, peer model.SiteID, sc model.SpanContext, d 
 		return
 	}
 	ev := trace.Event{Kind: row.kind, Site: b.id, Peer: peer, TID: sc.TID, Proto: uint8(b.proto), Phase: row.tag}
-	if row.spanless {
-		ev.Dur = int64(d)
-	} else {
+	if !row.spanless {
 		ev.Span, ev.Parent = sc.SpanAt(b.id), sc.Parent
 	}
 	b.sinks.Trace.Add(ev)

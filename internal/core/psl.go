@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/contend"
-	"repro/internal/fresh"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -130,13 +129,10 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 		e.simulateOp()
 		switch op.Kind {
 		case model.OpRead:
-			var c fresh.Cert
 			if primary := e.topo.Placement.Primary[op.Item]; primary == e.id {
-				_, cert, err := t.ReadCertified(op.Item)
-				if err != nil {
+				if _, err := t.Read(op.Item); err != nil {
 					return fail(err, contend.Classify(err))
 				}
-				c = cert
 			} else {
 				// Replica read: shared lock + value ship from the primary.
 				if leased.IsZero() {
@@ -156,11 +152,9 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 					return fail(fmt.Errorf("%w: remote r[%d] at s%d: %v", txn.ErrAborted, op.Item, primary, err),
 						contend.ReasonLockTimeout)
 				}
-				c = t.ObserveRemoteRead(primary, op.Item, resp.(pslReadResp).Version)
+				t.ObserveRemoteRead(primary, op.Item, resp.(pslReadResp).Version)
 			}
-			// Either way the read observed the primary copy under a shared
-			// lock, so the certificate measures it latest.
-			e.certifyRead(tid, c)
+			e.bank[reads].Inc()
 		case model.OpWrite:
 			if !e.topo.Placement.IsPrimary(e.id, op.Item) {
 				// Workload misconfiguration, not contention; no reason fits

@@ -71,6 +71,10 @@ func TestPSLRemoteReaderBlocksWriter(t *testing.T) {
 	p := placement(t, 2, []model.SiteID{0}, [][]model.SiteID{{1}})
 	params := testParams()
 	params.OpCost = 40 * time.Millisecond // reader holds its locks a while
+	// The reader's read lease is 2*RPCTimeout. This test checks the
+	// writer, not the lease, so the lease must outlast the reader's ~80 ms
+	// even on a loaded machine.
+	params.RPCTimeout = time.Second
 	s := buildSystem(t, PSL, p, params, time.Millisecond)
 
 	var wg sync.WaitGroup

@@ -11,7 +11,7 @@ import (
 )
 
 // The trace fold (docs/OBSERVABILITY.md): every offline view of a run —
-// why a transaction was slow, a read stale, a transaction aborted — is
+// why a transaction was slow, an update late, a transaction aborted — is
 // one field of the Explanation that Explain derives from the event
 // stream alone. Every join is keyed by (protocol, TID), so concatenated
 // traces of different protocols never mix, and every distribution is a
@@ -46,8 +46,7 @@ type Explanation struct {
 	Paths []*PathProfile `json:"critical_paths,omitempty"`
 	// Waterfalls is one propagation waterfall per (protocol, edge).
 	Waterfalls []*Waterfall `json:"waterfalls,omitempty"`
-	// Protocols holds each protocol's delay, phase and certificate
-	// distributions.
+	// Protocols holds each protocol's delay and phase distributions.
 	Protocols []*ProtoStats `json:"protocols,omitempty"`
 	// Unapplied is one row per (protocol, edge) that still has open
 	// forwards: forwarded, and never consumed by the receiver (Open). A
@@ -124,17 +123,13 @@ type UnappliedEdge struct {
 }
 
 // ProtoStats is one protocol's commit→apply delays (each
-// SecondaryApplied against its transaction's commit), PhaseLatency
-// distributions by phase name, and read certificates: fresh and stale
-// counts and how far behind the primary the stale reads were.
+// SecondaryApplied against its transaction's commit) and PhaseLatency
+// distributions by phase name.
 type ProtoStats struct {
-	Proto       uint8                         `json:"proto"`
-	Protocol    string                        `json:"protocol,omitempty"`
-	PropDelay   metrics.PhaseStats            `json:"prop_delay"`
-	Phases      map[string]metrics.PhaseStats `json:"phases,omitempty"`
-	ReadsFresh  uint64                        `json:"reads_fresh"`
-	ReadsStale  uint64                        `json:"reads_stale"`
-	StaleBehind metrics.PhaseStats            `json:"stale_behind"`
+	Proto     uint8                         `json:"proto"`
+	Protocol  string                        `json:"protocol,omitempty"`
+	PropDelay metrics.PhaseStats            `json:"prop_delay"`
+	Phases    map[string]metrics.PhaseStats `json:"phases,omitempty"`
 }
 
 // Name fills every Protocol display field from name.
@@ -185,8 +180,6 @@ type fold struct {
 type protoSamples struct {
 	delays []time.Duration
 	phases map[string][]time.Duration
-	fresh  uint64
-	behind []time.Duration // stale reads only
 }
 
 // Explain folds a trace — a live recorder's snapshot, a replbench -trace
@@ -244,13 +237,6 @@ func Explain(events []Event) Explanation {
 					sums[i] += ev.Dur
 					f.recvPhases[sk] = sums
 				}
-			}
-		case ReadCertificate:
-			p := f.proto(ev.Proto)
-			if ev.Phase == "stale" {
-				p.behind = append(p.behind, time.Duration(ev.Dur))
-			} else {
-				p.fresh++
 			}
 		}
 	}
@@ -432,8 +418,7 @@ func (f *fold) protocols() []*ProtoStats {
 	}
 	out := make([]*ProtoStats, 0, len(f.protos))
 	for proto, s := range f.protos {
-		p := &ProtoStats{Proto: proto, PropDelay: summarize(s.delays), Phases: make(map[string]metrics.PhaseStats),
-			ReadsFresh: s.fresh, ReadsStale: uint64(len(s.behind)), StaleBehind: summarize(s.behind)}
+		p := &ProtoStats{Proto: proto, PropDelay: summarize(s.delays), Phases: make(map[string]metrics.PhaseStats)}
 		for name, ds := range s.phases {
 			p.Phases[name] = summarize(ds)
 		}

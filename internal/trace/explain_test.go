@@ -94,15 +94,13 @@ func TestExplain(t *testing.T) {
 		Event{T: 2010, Kind: TxnAbort, Site: 0, TID: aborted, Proto: 1, Phase: "lock_timeout"},
 		phaseEv(a, 1, 5000, "apply", 2, 999))
 
-	// Two protocols, delays, phases, certificates, a relay and an abort.
+	// Two protocols, delays, phases, a relay and an abort.
 	var multi []Event
 	multi = append(multi, attribution...)
 	multi = append(multi, relayedTxn(2, 7, 30)...)
 	multi = append(multi, committedTxn(model.TxnID{Site: 1, Seq: 1}, 3, 50, 200,
 		phaseEv(model.TxnID{Site: 1, Seq: 1}, 3, 80, "transport", 2, 90))...)
 	multi = append(multi,
-		Event{T: 60, Kind: ReadCertificate, Site: 1, Proto: 2, Phase: "fresh"},
-		Event{T: 70, Kind: ReadCertificate, Site: 2, Proto: 2, Phase: "stale", Dur: 40},
 		Event{T: 75, Kind: DummySent, Site: 0, Peer: 1, Proto: 2},
 		Event{T: 80, Kind: TxnAbort, Site: 1, TID: model.TxnID{Site: 1, Seq: 9}, Proto: 3})
 
@@ -204,17 +202,13 @@ func TestExplain(t *testing.T) {
 				t.Errorf("cross-protocol contamination: %+v", p)
 			}
 		}},
-		{"PhasesAndCertificates", multi, func(t *testing.T, x Explanation, _ []Event) {
+		{"Phases", multi, func(t *testing.T, x Explanation, _ []Event) {
 			p := protoStats(x, 1)
 			if lw := p.Phases["lock_wait"]; lw.Count != 2 || lw.Total != 120 || lw.P50 != 40 || lw.P95 != 80 {
 				t.Errorf("proto 1 lock_wait = %+v, want 2 samples 40/80", lw)
 			}
 			if _, ok := p.Phases["transport"]; ok {
 				t.Error("proto 3's transport phase counted under proto 1")
-			}
-			c := protoStats(x, 2)
-			if c.ReadsFresh != 1 || c.ReadsStale != 1 || c.StaleBehind.Max != 40 {
-				t.Errorf("proto 2 certificates = %d fresh / %d stale, behind %+v", c.ReadsFresh, c.ReadsStale, c.StaleBehind)
 			}
 			if x.Aborts["unknown"] != 1 || x.Aborts["lock_timeout"] != 1 {
 				t.Errorf("aborts = %v", x.Aborts)

@@ -105,12 +105,6 @@ const (
 	// replay, and engine rebuild from its WAL directory; Event.Dur holds
 	// the recovery latency in nanoseconds.
 	WALRecover
-	// ReadCertificate marks a read-freshness certificate at Site: the
-	// Phase tag says "fresh" or "stale" and Event.Dur holds how long (ns)
-	// behind the primary the observed value was. Recorded span-less, like
-	// PhaseLatency, because the fresh/stale outcome races propagation
-	// timing and must never perturb byte-stable span-tree structure.
-	ReadCertificate
 	// SecondaryConsumed marks Site consuming one receipt of a
 	// subtransaction Peer forwarded to it — applied, executed holding
 	// locks and relayed, passed through, come home, or deduplicated — at
@@ -148,7 +142,6 @@ var kindNames = [kindEnd]string{
 	PhaseLatency:       "PhaseLatency",
 	WALSnapshot:        "WALSnapshot",
 	WALRecover:         "WALRecover",
-	ReadCertificate:    "ReadCertificate",
 	SecondaryConsumed:  "SecondaryConsumed",
 }
 
@@ -191,9 +184,8 @@ type Event struct {
 	Proto  uint8        `json:"proto"`
 	// Phase and Dur carry latency attribution for PhaseLatency events:
 	// the metrics.Phase name and the segment's duration in nanoseconds.
-	// Phase also tags TxnAbort with its root cause and ReadCertificate
-	// with "fresh"/"stale"; Dur also holds WALRecover's recovery latency
-	// and a certificate's time behind.
+	// Phase also tags TxnAbort with its root cause; Dur also holds
+	// WALRecover's recovery latency.
 	Phase string `json:"phase,omitempty"`
 	Dur   int64  `json:"dur,omitempty"`
 }
@@ -287,9 +279,9 @@ func (r *Recorder) AddSink(fn func(Event)) {
 
 // Add stamps ev.T with the time since the recorder was created, appends
 // the event to its site's shard and hands it to every sink. The caller
-// fills every other field. Events that carry wall-clock payloads (a Dur,
-// a fresh/stale tag) are recorded span-less, so that timing never
-// perturbs span-tree structure. A nil recorder drops the event.
+// fills every other field. Events that carry wall-clock payloads (a Dur)
+// are recorded span-less, so that timing never perturbs span-tree
+// structure. A nil recorder drops the event.
 func (r *Recorder) Add(ev Event) {
 	if r == nil {
 		return

@@ -166,36 +166,31 @@ func (t *Txn) buffered(item model.ItemID) int {
 
 // Read returns the current value of item, first consulting the
 // transaction's own write buffer, otherwise taking a shared lock and
-// reading the store. A lock timeout aborts the transaction.
+// reading the store. A lock timeout aborts the transaction. The read is
+// certified as it is made: a value served from the transaction's own
+// write buffer is fresh by construction, and a store read is certified by
+// the version it observed. A read that fails certifies nothing.
 func (t *Txn) Read(item model.ItemID) (int64, error) {
-	v, _, err := t.ReadCertified(item)
-	return v, err
-}
-
-// ReadCertified is Read plus the read's freshness certificate, taken as
-// the read is made: a value served from the transaction's own write
-// buffer is fresh by construction, and a store read is certified by the
-// version it observed. A read that fails certifies nothing. Without a
-// tracker the certificate is the zero Cert.
-func (t *Txn) ReadCertified(item model.ItemID) (int64, fresh.Cert, error) {
 	if t.finished {
-		return 0, fresh.Cert{}, fmt.Errorf("txn %v: read after finish", t.ID)
+		return 0, fmt.Errorf("txn %v: read after finish", t.ID)
 	}
 	if i := t.buffered(item); i >= 0 {
-		return t.writes[i].Value, t.m.Fresh.CertifyFresh(t.m.Site), nil
+		t.m.Fresh.CertifyFresh(t.m.Site)
+		return t.writes[i].Value, nil
 	}
 	if err := t.acquire(item, lock.Shared, t.m.Timeout); err != nil {
 		t.Abort()
 		// Wrap (not format) the lock error: abort classification walks the
 		// chain with errors.Is to tell a timeout from a detected deadlock.
-		return 0, fresh.Cert{}, fmt.Errorf("%w: r[%d] at s%d: %w", ErrAborted, item, t.m.Site, err)
+		return 0, fmt.Errorf("%w: r[%d] at s%d: %w", ErrAborted, item, t.m.Site, err)
 	}
 	ver, err := t.m.Store.Read(item)
 	if err != nil {
 		t.Abort()
-		return 0, fresh.Cert{}, err
+		return 0, err
 	}
-	return ver.Value, t.observeRead(t.m.Site, item, ver.Num), nil
+	t.observeRead(t.m.Site, item, ver.Num)
+	return ver.Value, nil
 }
 
 // ReadAt is a snapshot read for a read-only transaction: it returns the
@@ -204,16 +199,17 @@ func (t *Txn) ReadCertified(item model.ItemID) (int64, fresh.Cert, error) {
 // once and recorded for the serializability checker when t commits; its
 // freshness is that of the pinned version. A failed read aborts the
 // transaction and certifies nothing.
-func (t *Txn) ReadAt(item model.ItemID, pin uint64) (int64, fresh.Cert, error) {
+func (t *Txn) ReadAt(item model.ItemID, pin uint64) (int64, error) {
 	if t.finished {
-		return 0, fresh.Cert{}, fmt.Errorf("txn %v: read after finish", t.ID)
+		return 0, fmt.Errorf("txn %v: read after finish", t.ID)
 	}
 	ver, err := t.m.Store.ReadAt(item, pin)
 	if err != nil {
 		t.Abort()
-		return 0, fresh.Cert{}, err
+		return 0, err
 	}
-	return ver.Value, t.observeRead(t.m.Site, item, ver.Num), nil
+	t.observeRead(t.m.Site, item, ver.Num)
+	return ver.Value, nil
 }
 
 // Write buffers a new value for item after taking the exclusive lock
@@ -324,19 +320,19 @@ func (t *Txn) Commit() error {
 // of item, shipped by site under its shared lock. It is certified now and,
 // like local reads, flushed to the recorder only if the transaction
 // commits.
-func (t *Txn) ObserveRemoteRead(site model.SiteID, item model.ItemID, version uint64) fresh.Cert {
-	return t.observeRead(site, item, version)
+func (t *Txn) ObserveRemoteRead(site model.SiteID, item model.ItemID, version uint64) {
+	t.observeRead(site, item, version)
 }
 
 // observeRead observes one read of item that returned version at site:
 // it buffers the observation for Commit to flush, if a recorder is
-// attached to flush it to, and returns the read's certificate, issued to
-// this transaction's site.
-func (t *Txn) observeRead(site model.SiteID, item model.ItemID, version uint64) fresh.Cert {
+// attached to flush it to, and certifies the read for this transaction's
+// site.
+func (t *Txn) observeRead(site model.SiteID, item model.ItemID, version uint64) {
 	if t.m.Recorder != nil {
 		t.readObs = append(t.readObs, history.ReadObs{Site: site, Item: item, Version: version, Reader: t.ID})
 	}
-	return t.m.Fresh.CertifyRead(t.m.Site, item, version)
+	t.m.Fresh.CertifyRead(t.m.Site, item, version)
 }
 
 // Abort discards buffered writes and releases all locks. Safe to call

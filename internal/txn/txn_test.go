@@ -344,12 +344,13 @@ func TestSnapshotReadAtTakesNoLock(t *testing.T) {
 	}
 	defer hold.Abort()
 	r := m.Begin(txid(3))
-	v, c, err := r.ReadAt(2, pin)
+	v, err := r.ReadAt(2, pin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 20 || c.Versions != 1 {
-		t.Fatalf("ReadAt = %d (%d versions behind), want the pinned 20 (1 behind)", v, c.Versions)
+	if sum := m.Fresh.Summarize(); v != 20 || sum.ReadsStale != 1 || sum.ReadVersionLag.Max != 1 {
+		t.Fatalf("ReadAt = %d (%d stale, %d versions behind), want the pinned 20 (1 stale, 1 behind)",
+			v, sum.ReadsStale, sum.ReadVersionLag.Max)
 	}
 	if got := m.Locks.Stats().Acquired; got != 2 {
 		t.Fatalf("%d lock grants, want the two writers' only", got)
@@ -398,11 +399,11 @@ func TestCommitNotesInstalls(t *testing.T) {
 	}
 }
 
-// TestReadCertificates: a read of the transaction's own write is
+// TestReadsAreCertified: a read of the transaction's own write is
 // certified fresh even when the store's copy is behind the tracker, a
 // store read is certified by the version it observed, and a read that
 // fails certifies nothing.
-func TestReadCertificates(t *testing.T) {
+func TestReadsAreCertified(t *testing.T) {
 	m := newTestManager(t, nil)
 	m.Fresh = fresh.New(1)
 	m.Fresh.NoteCommit(1) // the tracker knows a version the store lacks
@@ -411,8 +412,8 @@ func TestReadCertificates(t *testing.T) {
 	if err := tx.Write(1, 77); err != nil {
 		t.Fatal(err)
 	}
-	if _, c, err := tx.ReadCertified(1); err != nil || c.Stale() {
-		t.Fatalf("own-write read: %+v, %v; want fresh", c, err)
+	if _, err := tx.Read(1); err != nil {
+		t.Fatal(err)
 	}
 	if sum := m.Fresh.Summarize(); sum.ReadsFresh != 1 || sum.ReadsStale != 0 {
 		t.Fatalf("own-write read certified %d fresh, %d stale; want 1, 0", sum.ReadsFresh, sum.ReadsStale)
@@ -420,8 +421,11 @@ func TestReadCertificates(t *testing.T) {
 	tx.Abort()
 
 	r := m.Begin(txid(2))
-	if _, c, err := r.ReadCertified(1); err != nil || c.Versions != 1 {
-		t.Fatalf("store read: %+v, %v; want 1 version behind", c, err)
+	if _, err := r.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	if sum := m.Fresh.Summarize(); sum.ReadsStale != 1 || sum.ReadVersionLag.Max != 1 {
+		t.Fatalf("store read certified %d stale, %d versions behind; want 1, 1", sum.ReadsStale, sum.ReadVersionLag.Max)
 	}
 	r.Abort()
 
@@ -432,12 +436,12 @@ func TestReadCertificates(t *testing.T) {
 	defer holder.Abort()
 	m.Timeout = time.Millisecond
 	before := m.Fresh.Summarize().Reads()
-	if _, _, err := m.Begin(txid(4)).ReadCertified(2); !errors.Is(err, ErrAborted) {
+	if _, err := m.Begin(txid(4)).Read(2); !errors.Is(err, ErrAborted) {
 		t.Fatalf("read of a held item = %v, want an abort", err)
 	}
 	pin := m.Store.Pin()
 	defer m.Store.Unpin(pin)
-	if _, _, err := m.Begin(txid(5)).ReadAt(99, pin); err == nil {
+	if _, err := m.Begin(txid(5)).ReadAt(99, pin); err == nil {
 		t.Fatal("snapshot read of a missing item succeeded")
 	}
 	if after := m.Fresh.Summarize().Reads(); after != before {

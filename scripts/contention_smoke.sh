@@ -8,10 +8,15 @@
 # the same seed must emit a byte-identical wait-for snapshot.
 #
 # Artifacts (traces, wait-for dumps, reports, logs) land in $SMOKE_DIR
-# (default: a temp dir, kept on failure so CI can upload it).
+# (default: a temp dir, removed on success and kept on failure; a given
+# SMOKE_DIR is always kept, so CI can upload it).
 set -u -o pipefail
 
-SMOKE_DIR="${SMOKE_DIR:-$(mktemp -d /tmp/contention-smoke.XXXXXX)}"
+own_dir= # set when this script made SMOKE_DIR, which it then removes on success
+if [ -z "${SMOKE_DIR:-}" ]; then
+  SMOKE_DIR=$(mktemp -d /tmp/contention-smoke.XXXXXX)
+  own_dir=1
+fi
 mkdir -p "$SMOKE_DIR"
 
 # The hotspot: Zipf s=1.5 concentrates the Table 1 traffic on a hot
@@ -87,3 +92,4 @@ awk -v c="$coverage" 'BEGIN { exit !(c >= 95 && c <= 105) }' \
   || fail "critical-path coverage $coverage% outside [95%,105%]"
 
 echo "contention smoke OK (coverage ${coverage}%, $(wc -c <"$SMOKE_DIR/wf1.jsonl") bytes of wait-for snapshot)"
+[ -z "$own_dir" ] || rm -rf "$SMOKE_DIR"

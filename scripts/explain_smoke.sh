@@ -11,10 +11,15 @@
 # (docs/OBSERVABILITY.md, "Multi-process runs").
 #
 # Artifacts (traces, replexplain output, node logs) land in $SMOKE_DIR
-# (default: a temp dir, kept on failure so CI can upload it).
+# (default: a temp dir, removed on success and kept on failure; a given
+# SMOKE_DIR is always kept, so CI can upload it).
 set -u -o pipefail
 
-SMOKE_DIR="${SMOKE_DIR:-$(mktemp -d /tmp/explain-smoke.XXXXXX)}"
+own_dir= # set when this script made SMOKE_DIR, which it then removes on success
+if [ -z "${SMOKE_DIR:-}" ]; then
+  SMOKE_DIR=$(mktemp -d /tmp/explain-smoke.XXXXXX)
+  own_dir=1
+fi
 mkdir -p "$SMOKE_DIR"
 
 # Fixed uncommon ports so failures are reproducible; override if taken.
@@ -92,3 +97,4 @@ cleanup
 trap - EXIT
 n=$(awk '/"count":/ { gsub(/[^0-9]/, ""); s += $0 } END { print s + 0 }' "$SMOKE_DIR/unapplied0.json")
 echo "explain smoke OK ($(cat "$SMOKE_DIR"/node*.jsonl | wc -l) events joined; $n forwards unapplied in node0.jsonl alone)"
+[ -z "$own_dir" ] || rm -rf "$SMOKE_DIR"

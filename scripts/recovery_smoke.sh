@@ -8,11 +8,15 @@
 # and a nonzero number of records replayed by recovery.
 #
 # Artifacts (per-protocol JSON reports, traces, the redo logs themselves)
-# land in $SMOKE_DIR (default: a temp dir, kept on failure so CI can
-# upload it).
+# land in $SMOKE_DIR (default: a temp dir, removed on success and kept
+# on failure; a given SMOKE_DIR is always kept, so CI can upload it).
 set -u -o pipefail
 
-SMOKE_DIR="${SMOKE_DIR:-$(mktemp -d /tmp/recovery-smoke.XXXXXX)}"
+own_dir= # set when this script made SMOKE_DIR, which it then removes on success
+if [ -z "${SMOKE_DIR:-}" ]; then
+  SMOKE_DIR=$(mktemp -d /tmp/recovery-smoke.XXXXXX)
+  own_dir=1
+fi
 mkdir -p "$SMOKE_DIR"
 PROTOS="${PROTOS:-dagt backedge psl}"
 
@@ -58,3 +62,4 @@ for proto in $PROTOS; do
 done
 
 echo "recovery smoke OK"
+[ -z "$own_dir" ] || rm -rf "$SMOKE_DIR"

@@ -73,9 +73,9 @@ func main() {
 		watchOn   = flag.Bool("watch", false, "with -trace: run the staleness/liveness watchdog during the run and report its summary (a 'watch' block under -json)")
 		flightDir = flag.String("flightdump", "", "with -trace: directory for the watchdog's flight-recorder JSONL dumps on alert (implies -watch)")
 
-		contendOn  = flag.Bool("contend", false, "with -trace: report the contention observatory's live state — top-K item heat, abort root-cause breakdown, final wait-for snapshot (a 'contention' block under -json; critical paths: replexplain; see docs/OBSERVABILITY.md)")
+		contendOn  = flag.Bool("contend", false, "with -trace: report the contention observatory's live state — top-K item heat, abort root-cause breakdown, live wait-for snapshot (a 'contention' block under -json; critical paths: replexplain; see docs/OBSERVABILITY.md)")
 		topK       = flag.Int("topk", 16, "with -contend: heat table size")
-		waitforOut = flag.String("waitfor", "", "with -contend: write the on-demand wait-for graph snapshot as JSONL to this file (readable by replexplain)")
+		waitforOut = flag.String("waitfor", "", "with -contend: write the wait-for graph snapshot, taken while the load's waits are live, as JSONL to this file (readable by replexplain)")
 
 		freshOn = flag.Bool("fresh", false, "with -trace: report the freshness observatory's live state — replica staleness distributions and read-freshness certificates, which no trace carries (a 'freshness' block under -json; waterfalls: replexplain; see docs/OBSERVABILITY.md)")
 	)
@@ -326,18 +326,41 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 			c.Fault().Play(sched)
 		}()
 	}
+	// The wait-for snapshot is taken while the load runs, when the
+	// hotspot's waits are live: the first non-empty one of a 1 ms poll.
+	// Once the load has finished nothing waits, so only a run in which no
+	// poll saw a waiter falls back to an end-of-load snapshot.
+	var waitGraphs []contend.SiteWaitGraph
+	endSampling := func() {}
+	if co.Enable {
+		done, seen := make(chan struct{}), make(chan []contend.SiteWaitGraph, 1)
+		go func() {
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-done:
+					seen <- c.WaitGraphs()
+					return
+				case <-tick.C:
+					if g := c.WaitGraphs(); !contend.EmptyWaitGraphs(g) {
+						seen <- g
+						return
+					}
+				}
+			}
+		}()
+		endSampling = func() {
+			close(done)
+			waitGraphs = <-seen
+		}
+	}
 	report, err := c.Run()
+	endSampling()
 	if err != nil {
 		return err
 	}
 	player.Wait()
-	// The on-demand wait-for snapshot is taken the moment the client load
-	// finishes — before the quiesce drain, while secondary appliers can
-	// still be parked on locks.
-	var waitGraphs []contend.SiteWaitGraph
-	if co.Enable {
-		waitGraphs = c.WaitGraphs()
-	}
 	if err := c.Quiesce(time.Minute); err != nil {
 		return err
 	}
@@ -448,7 +471,8 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 
 // contentionState is the -contend block: the contention observatory's
 // live state, which no trace carries — the lock managers' heat, the
-// end-of-load wait-for snapshot, and the engines' abort counters.
+// wait-for snapshot taken during the load, and the engines' abort
+// counters.
 type contentionState struct {
 	Heat       []contend.HeatEntry     `json:"heat"`
 	WaitGraphs []contend.SiteWaitGraph `json:"wait_for,omitempty"`
@@ -467,7 +491,7 @@ func (s *contentionState) print() {
 		printLines(contend.FormatAborts(s.Aborts))
 	}
 	if !contend.EmptyWaitGraphs(s.WaitGraphs) {
-		fmt.Println("== contention: final wait-for snapshot ==")
+		fmt.Println("== contention: wait-for snapshot ==")
 		printLines(contend.FormatWaitGraphs(s.WaitGraphs))
 	}
 }

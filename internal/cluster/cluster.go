@@ -10,7 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -112,13 +114,13 @@ type Cluster struct {
 	top       comm.Transport   // the layer engines actually send through
 	watchdog  *watch.Watchdog  // non-nil iff Cfg.Watch was set
 
-	// engMu guards sites: restartSite swaps in a rebuilt site while client
-	// threads fetch their engine per transaction.
-	engMu sync.RWMutex
-	sites []site // repl:guardedby(engMu)
+	// sites is the site table, never changed in place: client threads
+	// fetch their engine from it per transaction without a lock, and
+	// restartSite swaps in a copy that holds the rebuilt site.
+	sites atomic.Pointer[[]site]
 
 	// lcMu orders a site's rebuild with Stop's closing of the logs, so no
-	// rebuilt log is left open.
+	// rebuilt log is left open; restartSite swaps the site table under it.
 	lcMu sync.Mutex
 
 	mu      sync.Mutex
@@ -133,8 +135,6 @@ type site struct {
 }
 
 // New builds (but does not start) a cluster.
-//
-//lint:allow guardedby construction is single-threaded; the fault hooks and client threads that contend for sites only run after New returns and Start spawns the sites
 func New(cfg Config) (*Cluster, error) {
 	if f := cfg.Fault; f != nil && (f.Faults.Drop > 0 || f.Faults.Duplicate > 0) && !cfg.Reliable {
 		return nil, fmt.Errorf("cluster: fault drops and duplicates need Reliable: the engines assume exactly-once delivery (§1.1)")
@@ -234,14 +234,15 @@ func New(cfg Config) (*Cluster, error) {
 		})
 	}
 
-	c.sites = make([]site, placement.NumSites)
-	for s := range c.sites {
+	sites := make([]site, placement.NumSites)
+	for s := range sites {
 		e, lg, err := c.openSite(model.SiteID(s))
 		if err != nil {
 			return nil, err
 		}
-		c.sites[s] = site{e, lg}
+		sites[s] = site{e, lg}
 	}
+	c.sites.Store(&sites)
 
 	// The watchdog's probes fetch engines per call, so they sample the
 	// rebuilt engine after a crash-restart swap: its liveness statuses,
@@ -314,9 +315,9 @@ func (c *Cluster) restartSite(id model.SiteID) {
 		c.fail(fmt.Errorf("cluster: rebuilding s%d: %w", id, err))
 		return
 	}
-	c.engMu.Lock()
-	c.sites[id] = site{eng, lg}
-	c.engMu.Unlock()
+	sites := slices.Clone(*c.sites.Load())
+	sites[id] = site{eng, lg}
+	c.sites.Store(&sites)
 	eng.Start()
 	//lint:allow nodeterminism the recovery duration is observability payload, not protocol state
 	dur := time.Since(start)
@@ -337,11 +338,7 @@ func (c *Cluster) statuses() []watch.Status {
 
 // site returns site s as it currently runs — after a crash-restart
 // cycle, the rebuilt one.
-func (c *Cluster) site(s model.SiteID) site {
-	c.engMu.RLock()
-	defer c.engMu.RUnlock()
-	return c.sites[s]
-}
+func (c *Cluster) site(s model.SiteID) site { return (*c.sites.Load())[s] }
 
 // engine returns site s's current engine.
 func (c *Cluster) engine(s model.SiteID) core.Engine { return c.site(s).engine }
@@ -369,11 +366,9 @@ func (c *Cluster) FreshSummary() *fresh.Summary { return c.fresh.Summarize() }
 
 // Start launches every engine's background workers and the watchdog.
 func (c *Cluster) Start() {
-	c.engMu.RLock()
-	for _, s := range c.sites {
+	for _, s := range *c.sites.Load() {
 		s.engine.Start()
 	}
-	c.engMu.RUnlock()
 	c.fresh.StartProbe(0)
 	c.watchdog.Start()
 }
@@ -384,21 +379,17 @@ func (c *Cluster) Start() {
 // so its final evaluation sees the engines still running.
 func (c *Cluster) Stop() {
 	c.watchdog.Stop()
-	c.engMu.RLock()
-	for _, s := range c.sites {
+	for _, s := range *c.sites.Load() {
 		s.engine.Stop()
 	}
-	c.engMu.RUnlock()
 	c.fresh.StopProbe()
 	_ = c.top.Close()
 	c.lcMu.Lock()
-	c.engMu.RLock()
-	for _, s := range c.sites {
+	for _, s := range *c.sites.Load() {
 		if s.log != nil {
 			_ = s.log.Close()
 		}
 	}
-	c.engMu.RUnlock()
 	c.lcMu.Unlock()
 }
 

@@ -73,9 +73,10 @@ func (r *RPC) CallSpan(to model.SiteID, kind int, payload any, timeout time.Dura
 		r.mu.Lock()
 		delete(r.pending, id)
 		r.mu.Unlock()
-		// Race window: HandleResponse may have fetched ch before the delete
-		// and buffered the response after the timer fired. Drain so the
-		// response is accounted for rather than silently vanishing.
+		// HandleResponse sends into ch only while holding r.mu, so after
+		// the delete nothing more arrives: a response it buffered after the
+		// timer fired is here now. Drain it so it is counted late rather
+		// than silently vanishing.
 		select {
 		case resp := <-ch:
 			r.noteLate(resp.From, resp.Kind)
@@ -152,17 +153,22 @@ func (r *RPC) ReplyError(req Message, err error) {
 // dropped and reported through the late hook; so are extra responses to a
 // request that was already answered (possible when a retried idempotent
 // call draws two replies).
+//
+// The send happens under r.mu, so it cannot fall between the caller's
+// removal of its entry and its drain of the channel; the channel holds
+// one response and the send never blocks.
 func (r *RPC) HandleResponse(msg Message) {
+	delivered := false
 	r.mu.Lock()
-	ch := r.pending[msg.ReqID]
-	r.mu.Unlock()
-	if ch == nil {
-		r.noteLate(msg.From, msg.Kind)
-		return
+	if ch := r.pending[msg.ReqID]; ch != nil {
+		select {
+		case ch <- msg:
+			delivered = true
+		default:
+		}
 	}
-	select {
-	case ch <- msg:
-	default:
+	r.mu.Unlock()
+	if !delivered {
 		r.noteLate(msg.From, msg.Kind)
 	}
 }

@@ -35,8 +35,8 @@ func allocTopology(t *testing.T, proto Protocol) *Topology {
 // out allocates one block for its routes' writes plus one payload per
 // route — on the primary path on top of its Txn, on a relaying
 // secondary's with a recycled one. A read-only primary allocates its Txn
-// alone, snapshot reader or not. Resubmitting a refused secondary
-// allocates nothing more.
+// alone, except a lazy snapshot reader, which recycles it and allocates
+// nothing. Resubmitting a refused secondary allocates nothing more.
 func TestLazyCommitAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -72,10 +72,11 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 		relay.locks.ReleaseAll(reader)
 	})
 	retries := &relay.bank[metrics.Retries]
-	// A read-only program costs its Txn alone, whether it reads under S
-	// locks (an engine with no snapshot policy: the paper's readers) or as
-	// a snapshot reader (NaiveLazy, like DAG(WT) and DAG(T); BackEdge,
-	// which first checks its prepared items).
+	// A read-only program costs its Txn alone when it reads under S locks
+	// (an engine with no snapshot policy: the paper's readers) or as a
+	// BackEdge snapshot reader, which first checks its prepared items. A
+	// snapshot reader at a lazy site (NaiveLazy, like DAG(WT) and DAG(T))
+	// costs nothing: its committed Txn goes back to the pool.
 	reads := []model.Op{r(0), r(1)}
 	locking := newBackEdge(allocTopology(t, BackEdge), Site{ID: 0}, discardTransport{})
 	defer locking.Stop()
@@ -102,7 +103,7 @@ func TestLazyCommitAllocationBudget(t *testing.T) {
 			if err := primary.Execute(reads); err != nil {
 				t.Fatal(err)
 			}
-		}, 1},
+		}, 0},
 		{"read-only primary, BackEdge snapshot reader", func() {
 			if err := backedge.Execute(reads); err != nil {
 				t.Fatal(err)

@@ -36,8 +36,10 @@ type base struct {
 	rpc   *comm.RPC
 
 	// bank is the site's counter bank, the only home of its counts
-	// (observe.go).
-	bank metrics.Bank
+	// (observe.go); shard buffers its response times for the run
+	// collector.
+	bank  metrics.Bank
+	shard *metrics.Shard
 
 	seq atomic.Uint64
 	// seqBase offsets newTxnID by the log incarnation (incarnation<<48) so
@@ -94,6 +96,7 @@ func newBase(topo *Topology, proto Protocol, site Site, tr comm.Transport) *base
 		tr:      tr,
 		rpc:     comm.NewRPC(id, tr),
 		bank:    site.Metrics.Bank(id, int(numSlots)),
+		shard:   site.Metrics.Shard(id),
 		seqBase: seqBase,
 		wal:     lg,
 		stop:    make(chan struct{}),
@@ -292,9 +295,8 @@ func (b *base) simulateOp() {
 
 // beginOrigin is the prologue of every primary subtransaction: stamp the
 // start, mint the tid, and record TxnBegin on the root span. The caller
-// opens the local transaction itself (tm.Begin(octx.TID)): returned from
-// here the Txn would escape its caller's frame, one heap allocation per
-// transaction.
+// opens the local transaction itself (tm.Begin(octx.TID)), and may
+// recycle it once nothing references it.
 func (b *base) beginOrigin() (model.SpanContext, time.Time) {
 	//lint:allow nodeterminism commit-latency stamp for metrics; never branches protocol logic
 	start := time.Now()
@@ -358,24 +360,25 @@ func (b *base) pin([]model.Op) (uint64, bool) { return b.store.Pin(), true }
 // runSnapshot runs a read-only program without locks: it reads every item
 // as of pin, the site's install point taken once, which is the state after
 // some prefix of the site's commit order (DESIGN.md §6), and unpins it.
+// Its successful reads are counted once, when it ends.
 func (b *base) runSnapshot(t *txn.Txn, ops []model.Op, pin uint64) error {
 	defer b.store.Unpin(pin)
-	for _, op := range ops {
+	for i, op := range ops {
 		b.simulateOp()
 		if err := b.readAt(t, op.Item, pin); err != nil {
+			b.bank[reads].Add(uint64(i))
 			return err
 		}
 	}
+	b.bank[reads].Add(uint64(len(ops)))
 	return nil
 }
 
-// readAt is one snapshot read of item at pin, counted like a locking
-// read.
+// readAt is one snapshot read of item at pin.
 func (b *base) readAt(t *txn.Txn, item model.ItemID, pin uint64) error {
 	if _, err := t.ReadAt(item, pin); err != nil {
 		return fmt.Errorf("core: s%d snapshot read of item %d: %w", b.id, item, err)
 	}
-	b.bank[reads].Inc()
 	return nil
 }
 

@@ -109,7 +109,13 @@ func (k *lazyEngine) Execute(ops []model.Op) error {
 	if err := k.runOrigin(t, ops); err != nil {
 		return err
 	}
-	return k.finish(t, octx, start, t.Writes())
+	err := k.finish(t, octx, start, t.Writes())
+	if err == nil && t.NumWrites() == 0 {
+		// A committed read-only primary forwarded nothing and logged
+		// nothing, so nothing references t any more.
+		k.tm.Recycle(t)
+	}
+	return err
 }
 
 // runOrigin runs a primary subtransaction's program against the local

@@ -125,12 +125,13 @@ func exportQueues(r *obs.Registry, e Engine) {
 // emit reports one lifecycle step: it bumps slot s of the site's bank
 // and, when tracing, records the slot's event, under this site's span
 // within sc unless the event is span-less. d is a commit's response time,
-// fed to the run collector; every other step passes 0.
+// fed to the run collector through the site's shard; every other step
+// passes 0.
 func (b *base) emit(s metrics.Count, peer model.SiteID, sc model.SpanContext, d time.Duration) {
 	b.bank[s].Inc()
 	switch {
 	case s == metrics.Committed:
-		b.sinks.Metrics.TxnCommitted(sc.TID, d)
+		b.shard.TxnCommitted(sc.TID, d)
 	case s == metrics.Secondaries:
 		b.sinks.Metrics.SecondaryApplied(sc.TID)
 	case s >= abortedBy:

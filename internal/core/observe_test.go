@@ -44,6 +44,30 @@ func TestDAGTQueueGaugeDrains(t *testing.T) {
 	t.Fatalf("ts queue series never drained back to zero (stuck at %d)", depth)
 }
 
+// TestFailedSnapshotCountsItsReads: a snapshot reader counts its reads
+// once, when the program ends, and one that fails mid-program counts only
+// the reads that succeeded. At s0, which holds item 0 but not item 1, the
+// third read fails.
+func TestFailedSnapshotCountsItsReads(t *testing.T) {
+	s := buildSystem(t, DAGWT, example11Placement(t), testParams(), time.Millisecond)
+	if err := s.engines[0].Execute([]model.Op{r(0), r(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.engines[0].Execute([]model.Op{r(0), r(0), r(1), r(0)}); err == nil {
+		t.Fatal("a snapshot read of an item s0 does not hold succeeded")
+	}
+	s.quiesce(t)
+	var reads int64
+	for key, n := range s.registry.Snapshot() {
+		if strings.HasPrefix(key, "repl_txn_reads_total{") {
+			reads += n
+		}
+	}
+	if reads != 4 {
+		t.Errorf("repl_txn_reads_total = %d, want 4: two programs' successful reads", reads)
+	}
+}
+
 // TestNoTrackerCountsReadsOnly: a site built without a freshness tracker,
 // as a TCP node is, still counts every read in repl_txn_reads_total.
 func TestNoTrackerCountsReadsOnly(t *testing.T) {

@@ -3,10 +3,13 @@
 // times (§5.3.4), and update-propagation delay (§5.3.4), plus message
 // counters used to explain the PSL-vs-BackEdge communication trade-off.
 // Counts live in one bank per site (Bank); the collector sums them and
-// keeps only durations itself.
+// keeps only durations itself. Response times arrive through one buffer
+// per site (Shard), which folds them into the run-wide series a batch at
+// a time.
 package metrics
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -105,6 +108,7 @@ type Collector struct {
 
 	mu       sync.Mutex
 	banks    map[model.SiteID]Bank
+	shards   map[model.SiteID]*Shard
 	resp     durStats
 	prop     durStats
 	phases   [numPhases]durStats
@@ -191,7 +195,7 @@ func Percentiles(ds []time.Duration, ps []float64, out []time.Duration) {
 // per-transaction commit-time map so replica applications can be turned
 // into propagation-delay samples (E7).
 func NewCollector(trackPropagation bool) *Collector {
-	c := &Collector{banks: make(map[model.SiteID]Bank)}
+	c := &Collector{banks: make(map[model.SiteID]Bank), shards: make(map[model.SiteID]*Shard)}
 	if trackPropagation {
 		c.commitAt = make(map[model.TxnID]time.Time)
 	}
@@ -213,6 +217,65 @@ func (c *Collector) Bank(site model.SiteID, n int) Bank {
 		c.banks[site] = make(Bank, n)
 	}
 	return c.banks[site]
+}
+
+// Shard returns site's response-time buffer, creating it on first use;
+// like Bank, every later call for the site returns the same one. A nil
+// collector returns a nil shard, which records nothing.
+func (c *Collector) Shard(site model.SiteID) *Shard {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.shards[site] == nil {
+		c.shards[site] = &Shard{c: c, site: site, buf: make([]time.Duration, 0, shardBatch)}
+	}
+	return c.shards[site]
+}
+
+// Shard buffers one site's response-time samples, so the clients of a
+// site take the run-wide mutex once per batch instead of once per commit.
+// A full batch is folded into the collector's one reservoir in arrival
+// order, and Snapshot folds every partial one first, so a report counts
+// every sample whichever path it took. A nil *Shard is a valid no-op
+// sink.
+type Shard struct {
+	c    *Collector
+	site model.SiteID
+
+	// mu is taken before Collector.mu, never after it.
+	mu  sync.Mutex
+	buf []time.Duration // the pending samples, at most shardBatch
+}
+
+// shardBatch is how many samples a shard buffers before it folds them.
+const shardBatch = 64
+
+// TxnCommitted records a committed primary subtransaction's response
+// time in the shard and, when tracking propagation, its commit time in
+// the collector, as Collector.TxnCommitted does.
+func (s *Shard) TxnCommitted(tid model.TxnID, resp time.Duration) {
+	if s == nil {
+		return
+	}
+	s.c.noteCommit(tid)
+	s.mu.Lock()
+	if s.buf = append(s.buf, resp); len(s.buf) == shardBatch {
+		s.fold()
+	}
+	s.mu.Unlock()
+}
+
+// fold adds the buffered samples to the collector's response series and
+// empties the buffer. The caller holds s.mu.
+func (s *Shard) fold() {
+	s.c.mu.Lock()
+	for _, v := range s.buf {
+		s.c.resp.add(v)
+	}
+	s.c.mu.Unlock()
+	s.buf = s.buf[:0]
 }
 
 // Begin marks the start of the measured interval.
@@ -239,9 +302,17 @@ func (c *Collector) TxnCommitted(tid model.TxnID, resp time.Duration) {
 	}
 	c.mu.Lock()
 	c.resp.add(resp)
-	if c.commitAt != nil {
-		c.commitAt[tid] = time.Now()
+	c.mu.Unlock()
+	c.noteCommit(tid)
+}
+
+// noteCommit records tid's commit time when tracking propagation.
+func (c *Collector) noteCommit(tid model.TxnID) {
+	if c.commitAt == nil {
+		return
 	}
+	c.mu.Lock()
+	c.commitAt[tid] = time.Now()
 	c.mu.Unlock()
 }
 
@@ -337,6 +408,7 @@ func (c *Collector) Snapshot(m int) Report {
 	if elapsed <= 0 {
 		elapsed = time.Nanosecond
 	}
+	c.foldShards()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n [NumCounts]uint64
@@ -389,6 +461,23 @@ func (c *Collector) Snapshot(m int) Report {
 		}
 	}
 	return r
+}
+
+// foldShards folds every shard's partial batch, in site order. It takes
+// each shard's mutex and then the collector's, the one order both take.
+func (c *Collector) foldShards() {
+	c.mu.Lock()
+	shards := make([]*Shard, 0, len(c.shards))
+	for _, s := range c.shards {
+		shards = append(shards, s)
+	}
+	c.mu.Unlock()
+	slices.SortFunc(shards, func(a, b *Shard) int { return cmp.Compare(a.site, b.site) })
+	for _, s := range shards {
+		s.mu.Lock()
+		s.fold()
+		s.mu.Unlock()
+	}
 }
 
 // JSON renders the report as machine-readable JSON (durations in

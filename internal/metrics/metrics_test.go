@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -383,4 +384,82 @@ func TestReservoirPercentilesCoverWholeRun(t *testing.T) {
 	if a != b {
 		t.Errorf("same input, different percentiles: %+v vs %+v", a, b)
 	}
+}
+
+// TestShardBatchesIntoOneReservoir records the same response times
+// through per-site shards, from concurrent clients, and directly into a
+// second collector: under the reservoir budget both must report the same
+// count, sum, max and percentiles. Each site's sample count leaves a
+// partial batch, which a mid-run Snapshot and the final one must fold
+// exactly once. Run it under -race.
+func TestShardBatchesIntoOneReservoir(t *testing.T) {
+	const (
+		sites   = 3
+		clients = 2                  // per site
+		each    = 5*shardBatch/2 + 7 // per client: full batches and a partial one
+		total   = sites * clients * each
+	)
+	if total >= maxSamples {
+		t.Fatalf("%d samples exceed the reservoir budget", total)
+	}
+	resp := func(site, client, i int) time.Duration {
+		return time.Duration((site*clients+client)*each+i+1) * time.Microsecond
+	}
+	direct, sharded := NewCollector(true), NewCollector(true)
+	for s := 0; s < sites; s++ {
+		for cl := 0; cl < clients; cl++ {
+			for i := 0; i < each; i++ {
+				direct.TxnCommitted(model.TxnID{Site: model.SiteID(s), Seq: uint64(cl*each + i + 1)}, resp(s, cl, i))
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < sites; s++ {
+		sh := sharded.Shard(model.SiteID(s))
+		if sh != sharded.Shard(model.SiteID(s)) {
+			t.Fatal("Shard returned two shards for one site")
+		}
+		for cl := 0; cl < clients; cl++ {
+			wg.Add(1)
+			go func(s, cl int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					sh.TxnCommitted(model.TxnID{Site: model.SiteID(s), Seq: uint64(cl*each + i + 1)}, resp(s, cl, i))
+					if i == each/2 {
+						sharded.Snapshot(sites) // folds partial batches mid-run
+					}
+				}
+			}(s, cl)
+		}
+	}
+	wg.Wait()
+	want, got := direct.Snapshot(sites), sharded.Snapshot(sites)
+	if got.MeanResponse != want.MeanResponse || got.MaxResponse != want.MaxResponse ||
+		got.P50Response != want.P50Response || got.P95Response != want.P95Response || got.P99Response != want.P99Response {
+		t.Errorf("sharded report %v, direct %v", got, want)
+	}
+	d, sd := &direct.resp, &sharded.resp
+	if sd.count != total || sd.count != d.count || sd.sum != d.sum || sd.max != d.max {
+		t.Errorf("sharded count/sum/max = %d/%v/%v, direct %d/%v/%v, want count %d",
+			sd.count, sd.sum, sd.max, d.count, d.sum, d.max, total)
+	}
+	a, b := slices.Clone(d.samples), slices.Clone(sd.samples)
+	slices.Sort(a)
+	slices.Sort(b)
+	if !slices.Equal(a, b) {
+		t.Error("sharded and direct reservoirs hold different samples")
+	}
+	for q := 0.05; q <= 1; q += 0.05 {
+		if x, y := Percentile(a, q), Percentile(b, q); x != y {
+			t.Errorf("p%.0f: sharded %v, direct %v", 100*q, y, x)
+		}
+	}
+	// Commit times stay on the run-wide path: a propagation sample needs
+	// the commit the shard recorded.
+	sharded.SecondaryApplied(model.TxnID{Site: 0, Seq: 1})
+	if r := sharded.Snapshot(sites); r.MaxPropDelay == 0 {
+		t.Error("a commit recorded through a shard gave no propagation sample")
+	}
+	var none *Collector
+	none.Shard(0).TxnCommitted(model.TxnID{Site: 0, Seq: 1}, time.Second) // a nil shard records nothing
 }

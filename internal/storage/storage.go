@@ -4,8 +4,7 @@
 // copies placed there. The store keeps a per-copy version counter tagged
 // with the logical transaction that installed each value, which feeds the
 // serializability checker; concurrency control is the caller's job (the
-// lock manager), so the internal mutex only protects the store's own
-// structures.
+// lock manager), so the store's mutex only protects its own structures.
 //
 // The store is also multiversion, for readers that take no locks. Every
 // install is a batch (a commit's writes, installed together) and bumps the
@@ -13,13 +12,35 @@
 // ReadAt returns a copy's newest version at or below a pin. A copy keeps
 // a superseded version only while some active pin still reads it, so its
 // chain of old versions is never longer than the number of active pins.
+//
+// Reading a copy's current version takes no lock. Read, Has and the fast
+// path of ReadAt — the copy's current version is at or below the pin —
+// look the item up in an index that is published once and never changed
+// in place, then load the version from atomic fields under a sequence
+// word. Installers write those fields only while holding the mutex: the
+// word goes odd, the fields are stored, the word goes even again, and a
+// reader that sees the same even word before and after its loads holds
+// one whole version. Pin, Unpin, every install and the chains of
+// superseded versions keep the mutex.
+//
+// That keeps every batch atomic for a pinned reader. Pin takes the mutex,
+// so it runs between batches: every batch at or below the pin was wholly
+// installed before it, and every batch above it is newer than the pin.
+// The current version a reader loads carries the batch that installed it.
+// If that batch is at or below the pin, no newer version of the copy
+// exists, so it is the newest one at or below the pin. Otherwise the
+// reader falls back to the chain under the mutex, where the install that
+// superseded the version the pin reads kept it.
 package storage
 
 import (
 	"cmp"
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/model"
 )
@@ -37,11 +58,53 @@ type stamped struct {
 	at uint64
 }
 
+// copyState is one copy. Its current version is the atomic fields, which
+// only an installer holding Store.mu writes, under seq (see the package
+// comment).
 type copyState struct {
-	cur stamped
+	seq   atomic.Uint64 // odd while an installer writes the fields below
+	value atomic.Int64
+	num   atomic.Uint64
+	wsite atomic.Int64  // the writer's site
+	wseq  atomic.Uint64 // the writer's sequence number
+	at    atomic.Uint64 // the install batch that made the version current
 	// old holds the superseded versions an active pin still reads, oldest
-	// first.
+	// first. Guarded by Store.mu.
 	old []stamped
+}
+
+// cur returns the copy's current version and its batch, without a lock.
+func (cs *copyState) cur() stamped {
+	for {
+		s := cs.seq.Load()
+		if s&1 == 1 {
+			runtime.Gosched() // an installer is mid-write, for a few stores
+			continue
+		}
+		v := stamped{
+			Version: Version{
+				Value:  cs.value.Load(),
+				Num:    cs.num.Load(),
+				Writer: model.TxnID{Site: model.SiteID(cs.wsite.Load()), Seq: cs.wseq.Load()},
+			},
+			at: cs.at.Load(),
+		}
+		if cs.seq.Load() == s {
+			return v
+		}
+	}
+}
+
+// set makes v the copy's current version. The caller holds Store.mu, so
+// set is the only writer.
+func (cs *copyState) set(v stamped) {
+	cs.seq.Add(1)
+	cs.value.Store(v.Value)
+	cs.num.Store(v.Num)
+	cs.wsite.Store(int64(v.Writer.Site))
+	cs.wseq.Store(v.Writer.Seq)
+	cs.at.Store(v.at)
+	cs.seq.Add(1)
 }
 
 // pinCount is one pinned install point and how many holders pin it.
@@ -52,10 +115,17 @@ type pinCount struct {
 
 func byAt(p pinCount, at uint64) int { return cmp.Compare(p.at, at) }
 
+// index maps an item to its copy.
+type index map[model.ItemID]*copyState
+
 // Store holds the item copies resident at one site.
 type Store struct {
-	mu    sync.RWMutex
-	items map[model.ItemID]*copyState
+	mu sync.Mutex
+	// items is the item index. Create adds to it, under mu, until the
+	// first lock-free lookup publishes it in published; from then on it
+	// is never changed in place, and a later Create adds to a copy.
+	items     index
+	published atomic.Pointer[index]
 
 	installs uint64       // install batches so far; Pin's value
 	pins     []pinCount   // the active pins, ascending
@@ -64,7 +134,7 @@ type Store struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{items: make(map[model.ItemID]*copyState)}
+	return &Store{items: make(index)}
 }
 
 // Create installs item with its initial value (version 0). Creating an
@@ -75,29 +145,46 @@ func (s *Store) Create(item model.ItemID, initial int64) error {
 	if _, ok := s.items[item]; ok {
 		return fmt.Errorf("storage: item %d already exists", item)
 	}
-	s.items[item] = &copyState{cur: stamped{Version: Version{Value: initial}, at: s.installs}}
+	if s.published.Load() != nil {
+		// Lock-free readers may be reading the published index.
+		s.items = maps.Clone(s.items)
+		s.published.Store(nil)
+	}
+	cs := new(copyState)
+	cs.value.Store(initial)
+	cs.at.Store(s.installs)
+	s.items[item] = cs
 	return nil
 }
 
-// Has reports whether a copy of item resides here.
-func (s *Store) Has(item model.ItemID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.items[item]
-	return ok
+// lookup returns item's copy, or nil, without a lock once the index is
+// published; the first lookup after a Create publishes it.
+func (s *Store) lookup(item model.ItemID) *copyState {
+	idx := s.published.Load()
+	if idx == nil {
+		s.mu.Lock()
+		if idx = s.published.Load(); idx == nil {
+			m := s.items
+			idx = &m
+			s.published.Store(idx)
+		}
+		s.mu.Unlock()
+	}
+	return (*idx)[item]
 }
 
-// Read returns the current version of item. The caller must hold at least
-// a shared lock on the item (the store mutex only protects its own
-// structures, not transactional isolation).
+// Has reports whether a copy of item resides here.
+func (s *Store) Has(item model.ItemID) bool { return s.lookup(item) != nil }
+
+// Read returns the current version of item, without a lock. The caller
+// must hold at least a shared lock on the item: the store guarantees one
+// whole version, not transactional isolation.
 func (s *Store) Read(item model.ItemID) (Version, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cs, ok := s.items[item]
-	if !ok {
+	cs := s.lookup(item)
+	if cs == nil {
 		return Version{}, missing(item)
 	}
-	return cs.cur.Version, nil
+	return cs.cur().Version, nil
 }
 
 // Pin returns the site's current install point and keeps every version it
@@ -143,7 +230,7 @@ func (s *Store) Unpin(pin uint64) {
 func (s *Store) trim(cs *copyState) bool {
 	n := 0
 	for i, v := range cs.old {
-		next := cs.cur.at
+		next := cs.at.Load()
 		if i+1 < len(cs.old) {
 			next = cs.old[i+1].at
 		}
@@ -164,17 +251,19 @@ func (s *Store) pinnedIn(lo, hi uint64) bool {
 }
 
 // ReadAt returns the newest version of item installed at or below pin,
-// which must be active (between Pin and Unpin). It needs no item lock.
+// which must be active (between Pin and Unpin). It needs no item lock,
+// and takes the store mutex only when the copy's current version is
+// newer than the pin.
 func (s *Store) ReadAt(item model.ItemID, pin uint64) (Version, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cs, ok := s.items[item]
-	if !ok {
+	cs := s.lookup(item)
+	if cs == nil {
 		return Version{}, missing(item)
 	}
-	if cs.cur.at <= pin {
-		return cs.cur.Version, nil
+	if cur := cs.cur(); cur.at <= pin {
+		return cur.Version, nil
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i := len(cs.old) - 1; i >= 0; i-- {
 		if cs.old[i].at <= pin {
 			return cs.old[i].Version, nil
@@ -201,8 +290,9 @@ func (s *Store) Apply(item model.ItemID, value int64, writer model.TxnID) (Versi
 		return Version{}, missing(item)
 	}
 	s.installs++
-	s.put(cs, Version{Value: value, Num: cs.cur.Num + 1, Writer: writer})
-	return cs.cur.Version, nil
+	ver := Version{Value: value, Num: cs.num.Load() + 1, Writer: writer}
+	s.put(cs, ver)
+	return ver, nil
 }
 
 // ApplyAll installs one commit's writes on behalf of writer as a single
@@ -223,7 +313,7 @@ func (s *Store) ApplyAll(writes []model.WriteOp, writer model.TxnID) error {
 	s.installs++
 	for _, w := range writes {
 		cs := s.items[w.Item]
-		s.put(cs, Version{Value: w.Value, Num: cs.cur.Num + 1, Writer: writer})
+		s.put(cs, Version{Value: w.Value, Num: cs.num.Load() + 1, Writer: writer})
 	}
 	return nil
 }
@@ -232,13 +322,13 @@ func (s *Store) ApplyAll(writes []model.WriteOp, writer model.TxnID) error {
 // supersedes if an active pin reads it: every pin is older than the
 // batch, so the newest pin reads it iff any does.
 func (s *Store) put(cs *copyState, ver Version) {
-	if n := len(s.pins); n > 0 && s.pins[n-1].at >= cs.cur.at {
+	if n := len(s.pins); n > 0 && s.pins[n-1].at >= cs.at.Load() {
 		if len(cs.old) == 0 {
 			s.chained = append(s.chained, cs)
 		}
-		cs.old = append(cs.old, cs.cur)
+		cs.old = append(cs.old, cs.cur())
 	}
-	cs.cur = stamped{Version: ver, at: s.installs}
+	cs.set(stamped{Version: ver, at: s.installs})
 }
 
 // Load installs a recovered version of item verbatim — value, version
@@ -261,19 +351,19 @@ func (s *Store) Load(item model.ItemID, ver Version) error {
 // Snapshot returns the current value of every copy. Only meaningful when
 // the site is quiesced.
 func (s *Store) Snapshot() map[model.ItemID]int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make(map[model.ItemID]int64, len(s.items))
 	for id, cs := range s.items {
-		out[id] = cs.cur.Value
+		out[id] = cs.value.Load()
 	}
 	return out
 }
 
 // Len returns the number of copies stored here.
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return len(s.items)
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
@@ -315,4 +316,106 @@ func TestApplyAllIsAllOrNothing(t *testing.T) {
 	if v, _ := s.Read(1); v.Num != 0 {
 		t.Fatalf("a failed batch installed %+v", v)
 	}
+}
+
+// TestSnapshotReadsSeeWholeBatches races lock-free readers against
+// installers. Snapshot readers pin, read every item and unpin in a loop
+// while ApplyAll batches write one counter value to all of them: every
+// pin must see one value across the items, and ReadAt at an active pin
+// must never fail. Meanwhile Read runs against Apply on an item of its
+// own, whose every install writes a value equal to its version number: a
+// Read whose Value and Num came from different installs is torn. The
+// installers run until every reader has made minRounds rounds. Run it
+// under -race.
+func TestSnapshotReadsSeeWholeBatches(t *testing.T) {
+	const (
+		items     = 6
+		minRounds = 5000
+		solo      = model.ItemID(items) // Apply's item, outside the batches
+	)
+	s := NewStore()
+	writes := make([]model.WriteOp, items)
+	for i := range writes {
+		_ = s.Create(model.ItemID(i), 0)
+		writes[i].Item = model.ItemID(i)
+	}
+	_ = s.Create(solo, 0)
+	snapshot := func() bool {
+		pin := s.Pin()
+		defer s.Unpin(pin)
+		var first Version
+		for i := 0; i < items; i++ {
+			v, err := s.ReadAt(model.ItemID(i), pin)
+			if err != nil {
+				t.Errorf("ReadAt(%d, %d) at an active pin: %v", i, pin, err)
+				return false
+			}
+			if i == 0 {
+				first = v
+			} else if v != first {
+				t.Errorf("pin %d: item %d = %+v, item 0 = %+v", pin, i, v, first)
+				return false
+			}
+		}
+		return true
+	}
+	current := func() bool {
+		v, err := s.Read(solo)
+		if err != nil || v.Value != int64(v.Num) || v.Writer.Seq != v.Num {
+			t.Errorf("Read(%d) = %+v (%v): a torn version", solo, v, err)
+			return false
+		}
+		return true
+	}
+	bodies := []func() bool{snapshot, snapshot, current}
+	var slow atomic.Int32 // readers short of minRounds
+	slow.Store(int32(len(bodies)))
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for _, body := range bodies {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for n := 1; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if !body() {
+					slow.Store(0)
+					return
+				}
+				if n == minRounds {
+					slow.Add(-1)
+				}
+			}
+		}()
+	}
+	var installers sync.WaitGroup
+	installers.Add(2)
+	go func() {
+		defer installers.Done()
+		for n := 1; slow.Load() > 0; n++ {
+			if _, err := s.Apply(solo, int64(n), model.TxnID{Site: 1, Seq: uint64(n)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer installers.Done()
+		for n := 1; slow.Load() > 0; n++ {
+			for i := range writes {
+				writes[i].Value = int64(n)
+			}
+			if err := s.ApplyAll(writes, model.TxnID{Site: 0, Seq: uint64(n)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	installers.Wait()
+	close(done)
+	readers.Wait()
 }

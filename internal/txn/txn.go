@@ -70,6 +70,7 @@ func (m *Manager) SetPhaseHook(fn func(p metrics.Phase, tid model.TxnID, start t
 // a phase hook is installed, so the default path costs one nil check.
 func (t *Txn) acquire(item model.ItemID, mode lock.Mode, timeout time.Duration) error {
 	m := t.m
+	t.locked = true
 	if m.phase == nil {
 		return m.Locks.AcquireEx(t.ID, item, mode, timeout, t.prio)
 	}
@@ -99,7 +100,11 @@ type Txn struct {
 	readObs  []history.ReadObs
 	prio     lock.Priority
 	finished bool
-	durable  func() error
+	// locked is set once t asks the lock manager for a lock; a
+	// transaction that never did (a snapshot reader) finishes without
+	// taking the lock manager's mutex.
+	locked  bool
+	durable func() error
 }
 
 // SetDurable installs the write-ahead hook Commit runs before any store
@@ -114,14 +119,15 @@ func (t *Txn) SetDurable(hook func() error) { t.durable = hook }
 
 // Begin starts a transaction with the given system-wide unique id.
 func (m *Manager) Begin(id model.TxnID) *Txn {
-	t := new(Txn)
+	t := spares.Get().(*Txn)
 	t.reset(id, m, lock.Normal)
 	return t
 }
 
-// spares holds finished secondary subtransactions handed back by Recycle,
-// so an applier that keeps up reuses one Txn instead of allocating one per
-// subtransaction.
+// spares holds finished transactions handed back by Recycle — secondary
+// subtransactions and read-only primaries — so an applier that keeps up,
+// or a client running read-only programs, reuses one Txn instead of
+// allocating one per transaction.
 var spares = sync.Pool{New: func() any { return new(Txn) }}
 
 // BeginSecondary starts a secondary subtransaction: its blocking lock
@@ -134,9 +140,9 @@ func (m *Manager) BeginSecondary(id model.TxnID) *Txn {
 	return t
 }
 
-// Recycle hands a committed or aborted secondary subtransaction back for
-// a later BeginSecondary to reuse. The caller must keep no reference to t
-// or to its Writes.
+// Recycle hands a committed or aborted transaction back for a later
+// Begin or BeginSecondary to reuse. The caller must keep no reference to
+// t or to its Writes.
 func (m *Manager) Recycle(t *Txn) { spares.Put(t) }
 
 // Restart makes t a fresh transaction under the same id and priority,
@@ -273,7 +279,7 @@ func (t *Txn) Commit() error {
 		// effect of this commit can be observed (or externalized by the
 		// caller under its commit critical section).
 		if err := t.durable(); err != nil {
-			t.m.Locks.ReleaseAll(t.ID)
+			t.release()
 			return fmt.Errorf("txn %v: %w: %w", t.ID, ErrAborted, err)
 		}
 	}
@@ -287,7 +293,7 @@ func (t *Txn) Commit() error {
 	if len(t.writes) > 0 {
 		if err := t.m.Store.ApplyAll(t.writes, t.ID); err != nil {
 			// Unreachable with a correct engine: writes target local copies.
-			t.m.Locks.ReleaseAll(t.ID)
+			t.release()
 			return err
 		}
 	}
@@ -311,8 +317,15 @@ func (t *Txn) Commit() error {
 	for _, ro := range t.readObs {
 		t.m.Recorder.Read(ro.Site, ro.Item, ro.Version, ro.Reader)
 	}
-	t.m.Locks.ReleaseAll(t.ID)
+	t.release()
 	return nil
+}
+
+// release releases all of t's locks, if it asked for any.
+func (t *Txn) release() {
+	if t.locked {
+		t.m.Locks.ReleaseAll(t.ID)
+	}
 }
 
 // ObserveRemoteRead observes a read made at another site on this
@@ -343,7 +356,7 @@ func (t *Txn) Abort() {
 	}
 	t.finished = true
 	t.writes = t.writes[:0]
-	t.m.Locks.ReleaseAll(t.ID)
+	t.release()
 }
 
 // Finished reports whether the transaction has committed or aborted.

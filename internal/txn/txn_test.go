@@ -363,6 +363,36 @@ func TestSnapshotReadAtTakesNoLock(t *testing.T) {
 	}
 }
 
+// TestLocklessCommitSkipsLockManager: a transaction that asked the lock
+// manager for no lock — a snapshot reader — commits and aborts without
+// reaching it. The manager has no lock manager at all, so a ReleaseAll
+// would panic.
+func TestLocklessCommitSkipsLockManager(t *testing.T) {
+	rec := history.NewRecorder()
+	m := newTestManager(t, rec)
+	m.Locks = nil
+	pin := m.Store.Pin()
+	defer m.Store.Unpin(pin)
+	r := m.Begin(txid(1))
+	if v, err := r.ReadAt(3, pin); err != nil || v != 30 {
+		t.Fatalf("ReadAt = %d, %v", v, err)
+	}
+	if err := r.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.NumReads() != 1 {
+		t.Fatalf("recorded %d reads, want 1", rec.NumReads())
+	}
+	a := m.Begin(txid(2))
+	if _, err := a.ReadAt(4, pin); err != nil {
+		t.Fatal(err)
+	}
+	a.Abort()
+	if _, err := m.Begin(txid(3)).ReadAt(99, pin); err == nil {
+		t.Fatal("ReadAt of a missing item succeeded")
+	}
+}
+
 // TestCommitNotesInstalls: a Begin transaction's commit counts one
 // primary commit per written item in the tracker, and a BeginSecondary
 // one counts one propagated apply per item at the site, leaving the

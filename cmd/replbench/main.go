@@ -66,8 +66,7 @@ func main() {
 		reliable   = flag.Bool("reliable", false, "with -trace: wrap the network in the reliable-delivery sublayer (required when faults drop messages)")
 		chaosSched = flag.Bool("chaossched", false, "with -trace: play a seeded partition-and-heal plus crash-and-restart schedule during the run (implies -reliable semantics; see docs/FAULTS.md)")
 
-		walOn  = flag.Bool("wal", false, "with -trace: run every site over a per-site write-ahead redo log (docs/DURABILITY.md); with -chaossched the scheduled crash is honest — the site loses its heap and restarts from its log")
-		walDir = flag.String("waldir", "", "with -trace: like -wal, but keep the per-site redo logs under this directory (implies -wal)")
+		walDir = flag.String("waldir", "", "with -trace: run every site over a write-ahead redo log kept under this directory (docs/DURABILITY.md); runs with a fault flag, -reliable or -chaossched always log, to a temporary directory without it, and a crashed site restarts from its log")
 
 		spansOut  = flag.String("spans", "", "with -trace: also write the run as Chrome/Perfetto trace-event JSON to this file (open at ui.perfetto.dev; see docs/OBSERVABILITY.md)")
 		watchOn   = flag.Bool("watch", false, "with -trace: run the staleness/liveness watchdog during the run and report its summary (a 'watch' block under -json)")
@@ -94,9 +93,8 @@ func main() {
 		wo := watchOptions{
 			Enable: *watchOn || *flightDir != "", FlightDir: *flightDir, Spans: *spansOut,
 		}
-		wa := walOptions{Enable: *walOn || *walDir != "", Dir: *walDir}
 		co := contendOptions{Enable: *contendOn || *waitforOut != "", TopK: *topK, WaitFor: *waitforOut}
-		if err := runTraced(*traceOut, *traceProto, *seed, *traceSkew, *jsonOut, fo, wo, wa, co, *freshOn); err != nil {
+		if err := runTraced(*traceOut, *traceProto, *seed, *traceSkew, *jsonOut, fo, wo, *walDir, co, *freshOn); err != nil {
 			fatal(err)
 		}
 		return
@@ -113,8 +111,8 @@ func main() {
 	if *contendOn || *waitforOut != "" {
 		fatal(fmt.Errorf("-contend/-waitfor only apply to a -trace run"))
 	}
-	if *walOn || *walDir != "" {
-		fatal(fmt.Errorf("-wal/-waldir only apply to a -trace run"))
+	if *walDir != "" {
+		fatal(fmt.Errorf("-waldir only applies to a -trace run"))
 	}
 
 	if *list || *exp == "" {
@@ -233,13 +231,6 @@ type watchOptions struct {
 	Spans     string
 }
 
-// walOptions carries the -wal/-waldir flags: per-site redo logs under
-// the traced cluster, so a -chaossched crash is honest.
-type walOptions struct {
-	Enable bool
-	Dir    string
-}
-
 // contendOptions carries the -contend/-topk/-waitfor flags: the
 // contention observatory riding on the traced run.
 type contendOptions struct {
@@ -255,8 +246,9 @@ type contendOptions struct {
 // fault injection or the WAL is on, the JSON also carries the
 // repl_fault_*, repl_reliable_*, and repl_wal_* counters; with the
 // watchdog on, a watch summary block (alert counts, max staleness,
-// flight dumps).
-func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool, fo faultOptions, wo watchOptions, wa walOptions, co contendOptions, freshOn bool) error {
+// flight dumps). The sites log under walDir; a fault layer, which can
+// crash a site, logs to a temporary directory when walDir is empty.
+func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool, fo faultOptions, wo watchOptions, walDir string, co contendOptions, freshOn bool) error {
 	protocol, err := core.ParseProtocol(protoName)
 	if err != nil {
 		return err
@@ -281,24 +273,24 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 		TrackPropagation: true,
 		Trace:            rec,
 	}
+	faulty := fo.active() || fo.Reliable
 	var registry *obs.Registry
-	if fo.active() || fo.Reliable || wo.Enable || wa.Enable || co.Enable || freshOn {
+	if faulty || wo.Enable || walDir != "" || co.Enable || freshOn {
 		registry = obs.NewRegistry()
 		cfg.Obs = registry
 	}
-	if wa.Enable {
-		dir := wa.Dir
-		if dir == "" {
-			var err error
-			if dir, err = os.MkdirTemp("", "replbench-wal-"); err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
+	if faulty && walDir == "" {
+		var err error
+		if walDir, err = os.MkdirTemp("", "replbench-wal-"); err != nil {
+			return err
 		}
-		cfg.WALDir = dir
-		fmt.Fprintf(os.Stderr, "replbench: per-site redo logs in %s\n", dir)
+		defer os.RemoveAll(walDir)
 	}
-	if fo.active() || fo.Reliable {
+	if walDir != "" {
+		cfg.WALDir = walDir
+		fmt.Fprintf(os.Stderr, "replbench: per-site redo logs in %s\n", walDir)
+	}
+	if faulty {
 		cfg.Fault = &fault.Config{Seed: fo.Seed, Faults: fault.Faults{
 			Drop: fo.Drop, Duplicate: fo.Dup, Delay: fo.Delay,
 			DelayMin: 500 * time.Microsecond, DelayMax: 3 * time.Millisecond,
@@ -447,7 +439,7 @@ func runTraced(out, protoName string, seed int64, skew float64, jsonReport bool,
 				}
 			}
 			fmt.Printf("faults: dropped=%d retransmits=%d\n", dropped, retrans)
-			if wa.Enable {
+			if walDir != "" {
 				fmt.Printf("wal: appends=%d replayed=%d\n", appends, replayed)
 			}
 		}

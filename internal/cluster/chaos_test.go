@@ -8,7 +8,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // chaosSeed fixes every random choice in the chaos runs: the fault
@@ -27,19 +30,22 @@ func chaosFaults() fault.Faults {
 	}
 }
 
-// runChaos drives one protocol through a full workload on the
-// engine → Reliable → fault → MemTransport stack while a seeded schedule
-// cuts a partition (and heals it) and crashes a site (and restarts it).
-// Every site runs over a write-ahead redo log, so the crash is honest:
-// the site's heap dies with it and the restart rebuilds the engine from
-// its WAL directory (snapshot + redo replay + decision inquiry). The
-// reliable sublayer must make the protocol oblivious: zero
+// runChaos drives one protocol through wl on the
+// engine → Reliable → fault → MemTransport stack while a seeded schedule,
+// spread over window, cuts a partition (and heals it) and crashes a site
+// (and restarts it). Every site runs over a write-ahead redo log, so the
+// crash is honest: the site's heap dies with it and the restart rebuilds
+// the engine from its WAL directory (snapshot + redo replay + decision
+// inquiry). The reliable sublayer must make the protocol oblivious: zero
 // serializability violations and, for propagating protocols, full replica
-// convergence after quiescing.
-func runChaos(t *testing.T, proto core.Protocol, backedgeProb float64) {
+// convergence after quiescing. A non-nil rec traces the run, is saved as
+// an artifact if the test fails, and must show every crashed site's
+// recovery; runChaos returns its events once the cluster has quiesced.
+func runChaos(t *testing.T, proto core.Protocol, wl workload.Config, window time.Duration, rec *trace.Recorder) []trace.Event {
 	t.Helper()
-	wl := smallWorkload()
-	wl.BackedgeProb = backedgeProb
+	if rec != nil {
+		saveChaosArtifacts(t, rec)
+	}
 	reg := obs.NewRegistry()
 	c, err := New(Config{
 		Workload: wl,
@@ -47,6 +53,7 @@ func runChaos(t *testing.T, proto core.Protocol, backedgeProb float64) {
 		Params:   fastParams(),
 		Latency:  100 * time.Microsecond,
 		Record:   true,
+		Trace:    rec,
 		Obs:      reg,
 		Fault:    &fault.Config{Seed: chaosSeed, Faults: chaosFaults()},
 		Reliable: true,
@@ -61,9 +68,8 @@ func runChaos(t *testing.T, proto core.Protocol, backedgeProb float64) {
 	// One partition-and-heal plus one crash-and-restart, deterministically
 	// placed inside the run window; the same seed must reproduce the same
 	// schedule byte-for-byte.
-	span := 1500 * time.Millisecond
-	sched := fault.Generate(chaosSeed, wl.Sites, span)
-	if again := fault.Generate(chaosSeed, wl.Sites, span); again.String() != sched.String() {
+	sched := fault.Generate(chaosSeed, wl.Sites, window)
+	if again := fault.Generate(chaosSeed, wl.Sites, window); again.String() != sched.String() {
 		t.Fatalf("schedule not reproducible:\n%s\nvs\n%s", sched, again)
 	}
 	var player sync.WaitGroup
@@ -139,6 +145,21 @@ func runChaos(t *testing.T, proto core.Protocol, backedgeProb float64) {
 		proto, rep, sum("repl_fault_dropped_total"),
 		sum("repl_reliable_retransmits_total"), sum("repl_reliable_dup_dropped_total"),
 		sum("repl_wal_appends_total"), sum("repl_wal_replayed_total"))
+
+	// Every site the schedule crashed was rebuilt from its log.
+	events := rec.Snapshot()
+	recovered := make(map[model.SiteID]bool)
+	for _, ev := range events {
+		if ev.Kind == trace.WALRecover {
+			recovered[ev.Site] = true
+		}
+	}
+	for _, ev := range events {
+		if ev.Kind == trace.SiteCrash && !recovered[ev.Site] {
+			t.Errorf("s%d crashed but left no WALRecover event", ev.Site)
+		}
+	}
+	return events
 }
 
 // TestChaosAllProtocols is the acceptance gate: all five engines survive
@@ -163,7 +184,9 @@ func TestChaosAllProtocols(t *testing.T) {
 		pc := pc
 		t.Run(pc.proto.String(), func(t *testing.T) {
 			t.Parallel()
-			runChaos(t, pc.proto, pc.backedge)
+			wl := smallWorkload()
+			wl.BackedgeProb = pc.backedge
+			runChaos(t, pc.proto, wl, 1500*time.Millisecond, nil)
 		})
 	}
 }

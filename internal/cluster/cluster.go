@@ -73,6 +73,8 @@ type Config struct {
 	// rejects random drops or duplicates without Reliable: the engines
 	// assume the §1.1 network, which delivers every message exactly once.
 	// A message a partition drops is lost for good without Reliable too.
+	// New also rejects Fault without WALDir: a site that can crash needs a
+	// disk to recover from, so every crash loses the site's heap.
 	Fault *fault.Config
 	// Reliable runs the exactly-once FIFO delivery sublayer (comm.Reliable)
 	// on top of the (possibly faulty) transport, restoring the network
@@ -88,11 +90,9 @@ type Config struct {
 	// WALDir, when non-empty, gives every site a per-site write-ahead
 	// redo log under WALDir/site-NN (internal/wal): commits become
 	// log-then-mutate, and — when Fault is also set — site crashes tear
-	// the engine down for real (fence the log, wipe the heap) and
-	// restarts rebuild it from disk: snapshot load, redo replay, and
-	// decision inquiry for in-doubt 2PC participants. Empty keeps the
-	// legacy in-memory fail-recover mode, where a crashed site's state
-	// survives the outage untouched.
+	// the engine down (fence the log, wipe the heap) and restarts rebuild
+	// it from disk: snapshot load, redo replay, and decision inquiry for
+	// in-doubt 2PC participants.
 	WALDir string
 	// Deprecated: WALFlushInterval is ignored; the log's group commit
 	// needs no window (see wal.SiteLog.Sync).
@@ -139,6 +139,12 @@ func New(cfg Config) (*Cluster, error) {
 	if f := cfg.Fault; f != nil && (f.Faults.Drop > 0 || f.Faults.Duplicate > 0) && !cfg.Reliable {
 		return nil, fmt.Errorf("cluster: fault drops and duplicates need Reliable: the engines assume exactly-once delivery (§1.1)")
 	}
+	if cfg.Fault != nil && cfg.WALDir == "" {
+		return nil, fmt.Errorf("cluster: Fault needs WALDir: a crashed site recovers from its redo log")
+	}
+	if cfg.Watch != nil && cfg.Trace == nil {
+		return nil, fmt.Errorf("cluster: Watch requires Trace (the watchdog feeds on the live event stream)")
+	}
 	placement := cfg.Placement
 	if placement == nil {
 		var err error
@@ -183,7 +189,10 @@ func New(cfg Config) (*Cluster, error) {
 	// engines — engine → Reliable → fault → MemTransport.
 	c.top = c.transport
 	if cfg.Fault != nil {
-		ft, err := fault.New(c.top, *cfg.Fault)
+		// Crashes tear the site down (fence + halt) and restarts rebuild
+		// it from its log. Both hooks run with the site's delivery gate
+		// write-held.
+		ft, err := fault.New(c.top, *cfg.Fault, fault.Lifecycle{OnCrash: c.crashSite, OnRestart: c.restartSite})
 		if err != nil {
 			return nil, err
 		}
@@ -208,9 +217,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	if cfg.Watch != nil {
-		if cfg.Trace == nil {
-			return nil, fmt.Errorf("cluster: Watch requires Trace (the watchdog feeds on the live event stream)")
-		}
 		c.watchdog = watch.New(*cfg.Watch)
 		c.watchdog.SetObs(cfg.Obs)
 		c.watchdog.SetTrace(cfg.Trace)
@@ -224,20 +230,12 @@ func New(cfg Config) (*Cluster, error) {
 	// distributions and read certificates without extra configuration.
 	c.fresh = fresh.New(placement.NumSites)
 
-	if cfg.WALDir != "" && c.faultTr != nil {
-		// Honest crashes: tear the site down (fence + halt) and rebuild it
-		// from its log on restart. Both hooks run with the site's delivery
-		// gate write-held.
-		c.faultTr.SetLifecycle(fault.Lifecycle{
-			OnCrash:   c.crashSite,
-			OnRestart: c.restartSite,
-		})
-	}
-
 	sites := make([]site, placement.NumSites)
 	for s := range sites {
 		e, lg, err := c.openSite(model.SiteID(s))
 		if err != nil {
+			closeLogs(sites[:s])
+			_ = c.top.Close()
 			return nil, err
 		}
 		sites[s] = site{e, lg}
@@ -301,9 +299,10 @@ func (c *Cluster) crashSite(id model.SiteID) {
 // snapshot + redo records into a fresh state, and the engine constructor
 // preloads the store, restores in-doubt 2PC participants, re-forwards
 // unmarked propagation obligations, and re-enqueues unconsumed receipts.
-// Registering the new engine replaces the dead one's handler; the
-// reliable sublayer's ARQ state survives, so retransmissions of
-// everything unacknowledged flow into the rebuilt site.
+// Registering the new engine replaces the dead one's handler. The
+// cluster's one reliable sublayer is the only protocol state a restart
+// keeps: its ARQ sessions survive, so retransmissions of everything
+// unacknowledged flow into the rebuilt site.
 func (c *Cluster) restartSite(id model.SiteID) {
 	//lint:allow nodeterminism start only times the recovery for the WALRecover trace duration; replay does not consume it
 	start := time.Now()
@@ -385,12 +384,17 @@ func (c *Cluster) Stop() {
 	c.fresh.StopProbe()
 	_ = c.top.Close()
 	c.lcMu.Lock()
-	for _, s := range *c.sites.Load() {
+	closeLogs(*c.sites.Load())
+	c.lcMu.Unlock()
+}
+
+// closeLogs closes the redo logs of sites.
+func closeLogs(sites []site) {
+	for _, s := range sites {
 		if s.log != nil {
 			_ = s.log.Close()
 		}
 	}
-	c.lcMu.Unlock()
 }
 
 // Run drives the §5.2 client threads to completion and returns the

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -160,6 +162,7 @@ func TestClusterQuiesceTimeout(t *testing.T) {
 	c, err := New(Config{
 		Workload: wl, Protocol: core.DAGWT, Params: fastParams(), Placement: p,
 		Fault: &fault.Config{Seed: 1}, Reliable: true, // partitions only
+		WALDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,21 +191,25 @@ func TestClusterQuiesceTimeout(t *testing.T) {
 
 // TestClusterFaultContract: New enforces the engines' exactly-once
 // delivery assumption, so random drops or duplicates need Reliable, and
-// delays alone do not.
+// delays alone do not; and a fault layer, which can crash a site, needs
+// a redo log per site, whatever its fault mix.
 func TestClusterFaultContract(t *testing.T) {
 	rows := []struct {
 		name     string
 		faults   *fault.Faults
 		reliable bool
+		noWAL    bool
 		ok       bool
 	}{
-		{"drop", &fault.Faults{Drop: 0.05}, false, false},
-		{"duplicate", &fault.Faults{Duplicate: 0.05}, false, false},
-		{"drop over Reliable", &fault.Faults{Drop: 0.05}, true, true},
-		{"duplicate over Reliable", &fault.Faults{Duplicate: 0.05}, true, true},
-		{"delay only", &fault.Faults{Delay: 0.5, DelayMin: time.Millisecond, DelayMax: 2 * time.Millisecond}, false, true},
-		{"no faults", &fault.Faults{}, false, true},
-		{"no fault layer", nil, false, true},
+		{"drop", &fault.Faults{Drop: 0.05}, false, false, false},
+		{"duplicate", &fault.Faults{Duplicate: 0.05}, false, false, false},
+		{"drop over Reliable", &fault.Faults{Drop: 0.05}, true, false, true},
+		{"duplicate over Reliable", &fault.Faults{Duplicate: 0.05}, true, false, true},
+		{"delay only", &fault.Faults{Delay: 0.5, DelayMin: time.Millisecond, DelayMax: 2 * time.Millisecond}, false, false, true},
+		{"no faults", &fault.Faults{}, false, false, true},
+		{"no fault layer", nil, false, false, true},
+		{"drop over Reliable without WALDir", &fault.Faults{Drop: 0.05}, true, true, false},
+		{"no faults without WALDir", &fault.Faults{}, false, true, false},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -210,6 +217,9 @@ func TestClusterFaultContract(t *testing.T) {
 			wl.TxnsPerThread = 0
 			wl.BackedgeProb = 0
 			cfg := Config{Workload: wl, Protocol: core.DAGWT, Params: fastParams(), Reliable: row.reliable}
+			if !row.noWAL {
+				cfg.WALDir = t.TempDir()
+			}
 			if row.faults != nil {
 				cfg.Fault = &fault.Config{Seed: 1, Faults: *row.faults}
 			}
@@ -222,6 +232,43 @@ func TestClusterFaultContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClusterNewClosesLogsOnFailure: when a later site's log cannot be
+// opened, New closes the logs it already opened and the transport stack
+// it built (the reliable sublayer's retransmitter included).
+func TestClusterNewClosesLogsOnFailure(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count open descriptors")
+	}
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+	// A regular file where site 3's log directory should be.
+	if err := os.WriteFile(filepath.Join(dir, "site-03"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wl := smallWorkload()
+	wl.TxnsPerThread = 0
+	wl.BackedgeProb = 0
+	fds, goroutines := openFDs(), runtime.NumGoroutine()
+	if _, err := New(Config{
+		Workload: wl, Protocol: core.DAGWT, Params: fastParams(),
+		Fault: &fault.Config{Seed: 1}, Reliable: true, WALDir: dir,
+	}); err == nil {
+		t.Fatal("New opened a log over a regular file")
+	}
+	if after := openFDs(); after != fds {
+		t.Fatalf("open descriptors %d before the failed New, %d after", fds, after)
+	}
+	// A goroutine that exits on Close may still be on its way out.
+	pollFor(t, time.Second, func() bool { return runtime.NumGoroutine() <= goroutines },
+		"the goroutines the failed New started to exit")
 }
 
 func TestClusterConvergenceUndefinedForPSL(t *testing.T) {

@@ -6,12 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -69,59 +67,16 @@ func flightDirFor(t *testing.T) string {
 // same-seed runs produce identical writes per transaction and therefore
 // identical span-tree structures for every transaction committed in
 // both.
-func spanWorkload() workload.Config {
+func spanWorkload(backedgeProb float64) workload.Config {
 	wl := smallWorkload()
 	wl.ThreadsPerSite = 1
 	wl.TxnsPerThread = 30
+	wl.BackedgeProb = backedgeProb
 	return wl
 }
 
-// runChaosTraced is runChaos with span collection: full chaos stack
-// (drops, duplicates, delays, a partition-and-heal, a crash-and-restart
-// over engine → Reliable → fault → MemTransport), returning the traced
-// event stream after the cluster quiesced.
-func runChaosTraced(t *testing.T, proto core.Protocol, backedgeProb float64) []trace.Event {
-	t.Helper()
-	wl := spanWorkload()
-	wl.BackedgeProb = backedgeProb
-	rec := trace.NewRecorder()
-	saveChaosArtifacts(t, rec)
-	c, err := New(Config{
-		Workload: wl,
-		Protocol: proto,
-		Params:   fastParams(),
-		Latency:  100 * time.Microsecond,
-		Trace:    rec,
-		Fault:    &fault.Config{Seed: chaosSeed, Faults: chaosFaults()},
-		Reliable: true,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	c.Start()
-	defer c.Stop()
-
-	sched := fault.Generate(chaosSeed, wl.Sites, 800*time.Millisecond)
-	var player sync.WaitGroup
-	player.Add(1)
-	go func() {
-		defer player.Done()
-		c.Fault().Play(sched)
-	}()
-
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatalf("Run under chaos: %v", err)
-	}
-	if rep.Committed == 0 {
-		t.Fatalf("no transactions committed under chaos: %+v", rep)
-	}
-	player.Wait()
-	if err := c.Quiesce(120 * time.Second); err != nil {
-		t.Fatalf("Quiesce under chaos: %v", err)
-	}
-	return rec.Snapshot()
-}
+// spanChaosWindow is how long the span tests' fault schedule runs.
+const spanChaosWindow = 800 * time.Millisecond
 
 // structures returns the Structure rendering per transaction that
 // committed (has a TxnCommit event) in the stream.
@@ -142,8 +97,9 @@ func structures(events []trace.Event) map[model.TxnID]string {
 }
 
 // TestChaosSpanIntegrity runs the propagating protocols under the same
-// seeded chaos as TestChaosAllProtocols and asserts causal-span
-// integrity: every span-carrying event — secondary applies and relays,
+// seeded chaos as TestChaosAllProtocols — the crashed site rebuilt from
+// its redo log, which runChaos checks by its WALRecover event — and
+// asserts causal-span integrity: every span-carrying event — secondary applies and relays,
 // retransmissions, acks, 2PC votes and decisions, fault attributions —
 // resolves through recorded parents to the originating transaction's
 // primary span, and the Perfetto export is valid JSON with monotone
@@ -164,7 +120,7 @@ func TestChaosSpanIntegrity(t *testing.T) {
 		pc := pc
 		t.Run(pc.proto.String(), func(t *testing.T) {
 			t.Parallel()
-			events := runChaosTraced(t, pc.proto, pc.backedge)
+			events := runChaos(t, pc.proto, spanWorkload(pc.backedge), spanChaosWindow, trace.NewRecorder())
 
 			if problems := trace.VerifySpans(events); len(problems) != 0 {
 				max := len(problems)
@@ -269,8 +225,8 @@ func TestChaosSpanStructureStable(t *testing.T) {
 		pc := pc
 		t.Run(pc.proto.String(), func(t *testing.T) {
 			t.Parallel()
-			a := structures(runChaosTraced(t, pc.proto, pc.backedge))
-			b := structures(runChaosTraced(t, pc.proto, pc.backedge))
+			a := structures(runChaos(t, pc.proto, spanWorkload(pc.backedge), spanChaosWindow, trace.NewRecorder()))
+			b := structures(runChaos(t, pc.proto, spanWorkload(pc.backedge), spanChaosWindow, trace.NewRecorder()))
 			both := 0
 			for tid, sa := range a {
 				sb, ok := b[tid]

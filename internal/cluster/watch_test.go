@@ -75,6 +75,7 @@ func TestWatchDAGTEpochStall(t *testing.T) {
 		Obs:       obs.NewRegistry(),
 		Fault:     &fault.Config{Seed: 1}, // no random faults; partitions only
 		Reliable:  true,
+		WALDir:    t.TempDir(),
 		Watch: &watch.Options{
 			StallDeadline:     100 * time.Millisecond,
 			StalenessDeadline: time.Hour, // isolate the epoch alert
@@ -165,6 +166,7 @@ func TestWatchBackEdgePendingHang(t *testing.T) {
 		Obs:       reg,
 		Fault:     &fault.Config{Seed: 1},
 		Reliable:  true,
+		WALDir:    t.TempDir(),
 		Watch: &watch.Options{
 			PendingDeadline:   300 * time.Millisecond,
 			StalenessDeadline: time.Hour,

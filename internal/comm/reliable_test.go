@@ -44,7 +44,7 @@ func (c *collector) waitLen(t *testing.T, n int, timeout time.Duration) {
 func reliableOverFaults(t *testing.T, f fault.Faults, seed int64) (*comm.Reliable, *fault.Transport, *obs.Registry) {
 	t.Helper()
 	mem := comm.NewMemTransport(0)
-	ft, err := fault.New(mem, fault.Config{Seed: seed, Faults: f})
+	ft, err := fault.New(mem, fault.Config{Seed: seed, Faults: f}, fault.Lifecycle{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,7 +287,7 @@ type Sinks struct {
 type Site struct {
 	ID model.SiteID
 	// Log is the site's write-ahead redo log; nil runs the site without
-	// durability, so crashes are purely in-memory. With a log the engine
+	// durability, and such a site is never crashed. With a log the engine
 	// recovers its store image, unconsumed receipts, pending forwards and
 	// 2PC state from it at construction, and follows the
 	// log-then-externalize discipline at runtime (docs/DURABILITY.md).

@@ -72,10 +72,8 @@ type edge struct{ from, to model.SiteID }
 // Lifecycle hooks a crash-recovery implementation into Crash and Restart.
 // Both hooks run with the site's delivery gate write-held: no delivery is
 // in flight at the site while they run, and none starts until they
-// return. With no Lifecycle installed the injector keeps its legacy
-// in-memory fail-recover mode — the site's heap state survives the
-// outage untouched — which fast tests opt into by simply not wiring a
-// WAL.
+// return. A nil hook does nothing: at the transport level a crash only
+// cuts the site off the network.
 type Lifecycle struct {
 	// OnCrash finalizes the dying site: fence its write-ahead log (un-
 	// fsynced appends are honestly lost) and halt its engine. Everything
@@ -93,13 +91,13 @@ type Lifecycle struct {
 type Transport struct {
 	inner comm.Transport
 	cfg   Config
+	lc    Lifecycle
 
 	mu          sync.Mutex
 	edges       map[edge]*rand.Rand // each directed edge's private decision stream
 	partitioned map[edge]bool
 	crashed     map[model.SiteID]bool
 	gates       map[model.SiteID]*sync.RWMutex
-	lifecycle   Lifecycle
 	closed      bool
 
 	trace *trace.Recorder
@@ -121,27 +119,21 @@ type counters struct {
 	heals         *obs.Counter
 }
 
-// New wraps inner in a fault injector.
-func New(inner comm.Transport, cfg Config) (*Transport, error) {
+// New wraps inner in a fault injector whose Crash and Restart run lc's
+// hooks.
+func New(inner comm.Transport, cfg Config, lc Lifecycle) (*Transport, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}
 	return &Transport{
 		inner:       inner,
 		cfg:         cfg,
+		lc:          lc,
 		edges:       make(map[edge]*rand.Rand),
 		partitioned: make(map[edge]bool),
 		crashed:     make(map[model.SiteID]bool),
 		gates:       make(map[model.SiteID]*sync.RWMutex),
 	}, nil
-}
-
-// SetLifecycle installs the crash-recovery hooks (see Lifecycle). Call
-// before traffic starts.
-func (t *Transport) SetLifecycle(lc Lifecycle) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.lifecycle = lc
 }
 
 // gate returns site's delivery gate, creating it on first use. Every
@@ -237,23 +229,19 @@ func (t *Transport) rng(e edge) *rand.Rand {
 // write-ahead fsync, so the reliable sublayer's "acknowledged" always
 // means "durable") — then marks the site down and runs the Lifecycle
 // OnCrash hook, which fences the site's log and halts its engine:
-// volatile state is wiped with the process. Without a Lifecycle the
-// legacy in-memory mode applies instead: the heap stands in for the
-// disk and the site's state survives the outage untouched. The SiteCrash
-// trace event marks the instant the site stops receiving, before any
-// recovery work.
+// volatile state is wiped with the process. The SiteCrash trace event
+// marks the instant the site stops receiving, before any recovery work.
 func (t *Transport) Crash(site model.SiteID) {
 	g := t.gate(site)
 	g.Lock()
 	t.mu.Lock()
 	t.crashed[site] = true
 	rec := t.trace
-	lc := t.lifecycle
 	t.mu.Unlock()
 	t.ctr.crashes.Inc()
 	rec.Record(trace.SiteCrash, site, model.NoSite, model.TxnID{}, 0)
-	if lc.OnCrash != nil {
-		lc.OnCrash(site)
+	if t.lc.OnCrash != nil {
+		t.lc.OnCrash(site)
 	}
 	g.Unlock()
 }
@@ -269,11 +257,8 @@ func (t *Transport) Crash(site model.SiteID) {
 func (t *Transport) Restart(site model.SiteID) {
 	g := t.gate(site)
 	g.Lock()
-	t.mu.Lock()
-	lc := t.lifecycle
-	t.mu.Unlock()
-	if lc.OnRestart != nil {
-		lc.OnRestart(site)
+	if t.lc.OnRestart != nil {
+		t.lc.OnRestart(site)
 	}
 	t.mu.Lock()
 	delete(t.crashed, site)
@@ -328,8 +313,7 @@ func (t *Transport) Register(site model.SiteID, h comm.Handler) {
 		rec := t.trace
 		t.mu.Unlock()
 		if down {
-			t.ctr.dropCrash.Inc()
-			traceFault(rec, trace.FaultDrop, m)
+			t.drop(rec, true, m)
 			return
 		}
 		h(m)
@@ -346,18 +330,10 @@ func (t *Transport) Send(msg comm.Message) error {
 		t.mu.Unlock()
 		return comm.ErrClosed
 	}
-	if t.crashed[msg.From] || t.crashed[msg.To] {
+	if down, cut := t.blocked(e); down || cut {
 		rec := t.trace
 		t.mu.Unlock()
-		t.ctr.dropCrash.Inc()
-		traceFault(rec, trace.FaultDrop, msg)
-		return nil
-	}
-	if t.partitioned[e] {
-		rec := t.trace
-		t.mu.Unlock()
-		t.ctr.dropPartition.Inc()
-		traceFault(rec, trace.FaultDrop, msg)
+		t.drop(rec, down, msg)
 		return nil
 	}
 	r := t.rng(e)
@@ -399,13 +375,16 @@ func (t *Transport) Send(msg comm.Message) error {
 		time.AfterFunc(d, func() {
 			defer t.wg.Done()
 			t.mu.Lock()
-			blocked := t.closed || t.crashed[msg.From] || t.crashed[msg.To] || t.partitioned[e]
+			down, cut := t.blocked(e)
+			closed, rec := t.closed, t.trace
 			t.mu.Unlock()
-			if blocked {
-				// The edge went down while the message was in the air.
-				if !t.Closed() {
-					t.ctr.dropPartition.Inc()
-				}
+			if closed {
+				return
+			}
+			if down || cut {
+				// An endpoint crashed or the edge was cut while the
+				// message was in the air.
+				t.drop(rec, down, msg)
 				return
 			}
 			//lint:allow senderr delayed delivery has no caller left to inform; injected loss is counted separately
@@ -414,6 +393,23 @@ func (t *Transport) Send(msg comm.Message) error {
 		return nil
 	}
 	return t.inner.Send(msg)
+}
+
+// blocked reports whether an endpoint of e is down and whether e is cut.
+// The caller holds t.mu.
+func (t *Transport) blocked(e edge) (down, cut bool) {
+	return t.crashed[e.from] || t.crashed[e.to], t.partitioned[e]
+}
+
+// drop counts and traces msg, dropped because an endpoint of its edge is
+// down or, if none is, because the edge is cut.
+func (t *Transport) drop(rec *trace.Recorder, down bool, msg comm.Message) {
+	if down {
+		t.ctr.dropCrash.Inc()
+	} else {
+		t.ctr.dropPartition.Inc()
+	}
+	traceFault(rec, trace.FaultDrop, msg)
 }
 
 // Closed reports whether Close was called.

@@ -8,12 +8,13 @@ import (
 	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 func newFaulty(t *testing.T, cfg Config) (*Transport, *comm.MemTransport) {
 	t.Helper()
 	mem := comm.NewMemTransport(0)
-	ft, err := New(mem, cfg)
+	ft, err := New(mem, cfg, Lifecycle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestPartitionAndHeal(t *testing.T) {
 
 func TestCrashDropsBothDirectionsAndInFlight(t *testing.T) {
 	mem := comm.NewMemTransport(50 * time.Millisecond)
-	ft, err := New(mem, Config{Seed: 1})
+	ft, err := New(mem, Config{Seed: 1}, Lifecycle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +179,54 @@ func TestDelayHoldsMessage(t *testing.T) {
 	}
 	if reg.Snapshot()["repl_fault_delayed_total"] != 1 {
 		t.Errorf("delayed counter = %d, want 1", reg.Snapshot()["repl_fault_delayed_total"])
+	}
+}
+
+// TestDelayedDropReason: a held message whose endpoint crashes, or whose
+// edge is cut, before its delay ends is dropped under that reason and
+// traced as a FaultDrop, like a drop at send.
+func TestDelayedDropReason(t *testing.T) {
+	for _, row := range []struct {
+		reason string
+		block  func(*Transport)
+	}{
+		{"crash", func(ft *Transport) { ft.Crash(1) }},
+		{"partition", func(ft *Transport) { ft.Partition(0, 1) }},
+	} {
+		t.Run(row.reason, func(t *testing.T) {
+			reg, rec := obs.NewRegistry(), trace.NewRecorder()
+			ft, _ := newFaulty(t, Config{Seed: 1, Faults: Faults{Delay: 1, DelayMin: 40 * time.Millisecond, DelayMax: 40 * time.Millisecond}})
+			ft.SetObs(reg)
+			ft.SetTrace(rec)
+			read := collect(ft, 1)
+			_ = ft.Send(comm.Message{From: 0, To: 1, Kind: 1})
+			row.block(ft)
+			drops := func() (n int) {
+				for _, ev := range rec.Snapshot() {
+					if ev.Kind == trace.FaultDrop {
+						n++
+					}
+				}
+				return n
+			}
+			waitFor(t, func() bool { return drops() > 0 })
+			snap := reg.Snapshot()
+			for _, reason := range []string{"crash", "partition"} {
+				want := int64(0)
+				if reason == row.reason {
+					want = 1
+				}
+				if got := snap[`repl_fault_dropped_total{reason="`+reason+`"}`]; got != want {
+					t.Errorf("reason=%q drops = %d, want %d", reason, got, want)
+				}
+			}
+			if n := drops(); n != 1 {
+				t.Errorf("FaultDrop events = %d, want 1", n)
+			}
+			if n := len(read()); n != 0 {
+				t.Errorf("blocked site received %d messages", n)
+			}
+		})
 	}
 }
 

@@ -48,11 +48,10 @@ type Coordinator struct {
 // losing the phase-2 message (network fault, coordinator crash between
 // the decision and its delivery) resolves by asking the coordinator,
 // which answers from this log, and classic 2PC requires the log to
-// survive a coordinator crash. Over a write-ahead log it does through the
-// sink (SetSink): a restarted site builds a fresh DecisionLog and seeds
-// it with the decisions the redo log recovered (Seed). Without a
-// write-ahead log a crash wipes no state, so the in-heap map itself
-// survives the outage and stands in for the disk.
+// survive a coordinator crash. It does through the sink (SetSink): a
+// restarted site builds a fresh DecisionLog and seeds it with the
+// decisions the redo log recovered (Seed). A site without a write-ahead
+// log never crashes.
 //
 // Entries are retained for the life of the log: the coordinator can never
 // know that no participant will inquire again, and a missing entry must
@@ -71,8 +70,8 @@ func NewDecisionLog() *DecisionLog {
 // SetSink installs the persistence hook Record drives: typically a
 // closure appending the decision to the site's write-ahead log and
 // waiting for the group commit. With a sink installed, the in-memory map
-// caches what the sink made durable; without one the map itself is the
-// log (the pre-WAL in-process stand-in).
+// caches what the sink made durable; without one (a site with no
+// write-ahead log) the map is all there is.
 func (l *DecisionLog) SetSink(sink func(tid model.TxnID, commit bool) error) {
 	if l == nil {
 		return

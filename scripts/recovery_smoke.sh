@@ -41,7 +41,7 @@ sum_counter() {
 for proto in $PROTOS; do
   "$SMOKE_DIR/replbench" \
     -trace "$SMOKE_DIR/$proto.jsonl" -traceproto "$proto" -json \
-    -wal -waldir "$SMOKE_DIR/wal-$proto" \
+    -waldir "$SMOKE_DIR/wal-$proto" \
     -faultdrop 0.05 -faultdup 0.02 -faultdelay 0.05 -reliable -chaossched \
     >"$SMOKE_DIR/$proto.json" 2>"$SMOKE_DIR/$proto.err" \
     || fail "$proto" "replbench exited with status $?"

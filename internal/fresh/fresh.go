@@ -30,9 +30,14 @@
 // observed the latest version, or a CertifyFresh — is a few atomic loads
 // and one atomic add to the site's fresh counter: no lock and no clock
 // read, so the reads a lazy protocol serves locally do not serialize on
-// the tracker. A stale certificate takes the item's shard lock and one
-// clock read to look up the missed commit's stamp. NoteCommit and
-// NoteApply take the item's shard lock and one clock read each. The
+// the tracker. A transaction certifies with CertifyReadUncounted, whose
+// fresh certificate is only the loads: it counts its fresh reads itself
+// and adds them with one AddFresh when it commits or aborts, so a
+// program's reads write nothing the site's readers share, and a Summary
+// taken mid-run omits the fresh reads of programs still in flight. A
+// stale certificate takes the item's shard lock and one clock read to
+// look up the missed commit's stamp, and is recorded at once. NoteCommit
+// and NoteApply take the item's shard lock and one clock read each. The
 // fresh counters are folded into bucket 0 of the read histograms when a
 // Summary is built, so every Summary reads exactly as if each fresh
 // certificate had been sampled into them.
@@ -279,13 +284,27 @@ func (t *Tracker) NoteApply(site model.SiteID, item model.ItemID) {
 // distributions. A read of the latest version takes no lock and reads no
 // clock; only a stale one does.
 func (t *Tracker) CertifyRead(site model.SiteID, item model.ItemID, version uint64) Cert {
+	c := t.CertifyReadUncounted(site, item, version)
+	if !c.Stale() {
+		t.CertifyFresh(site)
+	}
+	return c
+}
+
+// CertifyReadUncounted is CertifyRead for a caller that counts fresh
+// certificates itself: a stale certificate is recorded as CertifyRead
+// records it, but a fresh one is only returned, and the caller must add
+// it to the site's count with AddFresh. A transaction counts its fresh
+// reads this way and adds them once, when it ends, so its reads write
+// nothing a site's other readers share.
+func (t *Tracker) CertifyReadUncounted(site model.SiteID, item model.ItemID, version uint64) Cert {
 	if t == nil {
 		return Cert{}
 	}
 	s := t.shard(item)
 	st := s.lookup(item)
 	if st == nil || st.latest.Load() <= version {
-		return t.CertifyFresh(site)
+		return Cert{}
 	}
 	// Stale: latest only grows, so it still exceeds version under the lock.
 	now := time.Now()
@@ -309,11 +328,17 @@ func (t *Tracker) CertifyRead(site model.SiteID, item model.ItemID, version uint
 // that observed the latest: zero staleness by construction, but still
 // one certificate, so every read is counted.
 func (t *Tracker) CertifyFresh(site model.SiteID) Cert {
-	if t == nil {
-		return Cert{}
-	}
-	t.site(site).fresh.Add(1)
+	t.AddFresh(site, 1)
 	return Cert{}
+}
+
+// AddFresh counts n fresh certificates at site, issued earlier by
+// CertifyReadUncounted or for reads served from a write buffer.
+func (t *Tracker) AddFresh(site model.SiteID, n uint32) {
+	if t == nil || n == 0 {
+		return
+	}
+	t.site(site).fresh.Add(uint64(n))
 }
 
 // StartProbe launches the periodic staleness probe: every interval it

@@ -20,17 +20,30 @@
 // word. Installers write those fields only while holding the mutex: the
 // word goes odd, the fields are stored, the word goes even again, and a
 // reader that sees the same even word before and after its loads holds
-// one whole version. Pin, Unpin, every install and the chains of
-// superseded versions keep the mutex.
+// one whole version.
 //
-// That keeps every batch atomic for a pinned reader. Pin takes the mutex,
-// so it runs between batches: every batch at or below the pin was wholly
-// installed before it, and every batch above it is newer than the pin.
-// The current version a reader loads carries the batch that installed it.
-// If that batch is at or below the pin, no newer version of the copy
-// exists, so it is the newest one at or below the pin. Otherwise the
-// reader falls back to the chain under the mutex, where the install that
-// superseded the version the pin reads kept it.
+// Pin and Unpin take no lock either. The pins of the current install
+// point live in one atomic pin word, (install point, active count), and
+// each of them is one compare-and-swap on it. Every install closes the
+// word under the mutex before its first store, moves any pins the word
+// counts into the mutex-guarded list of retired pins, and reopens the
+// word at the new install point with no pins. Pin spins while the word
+// is closed, as readers spin on an odd sequence word. Only an Unpin of a
+// retired install point, or one that finds the word closed, takes the
+// mutex, which also trims the chains of superseded versions; the installs
+// and those chains keep it.
+//
+// That keeps every batch atomic for a pinned reader. A pin succeeds only
+// on an open word, so it falls between two installs: every batch at or
+// below the pin was wholly installed before the word reopened at it, and
+// every batch above it is newer than the pin. The install after a pin
+// closes the word after the pin's swap, so it counts the pin and keeps
+// the versions it supersedes (DESIGN.md §6). The current version a reader
+// loads carries the batch that installed it. If that batch is at or below
+// the pin, no newer version of the copy exists, so it is the newest one
+// at or below the pin. Otherwise the reader falls back to the chain under
+// the mutex, where the install that superseded the version the pin reads
+// kept it.
 package storage
 
 import (
@@ -107,6 +120,20 @@ func (cs *copyState) set(v stamped) {
 	cs.seq.Add(1)
 }
 
+// The pin word packs the current install point, the number of active
+// pins of it, and a closed bit an installer sets while it moves those
+// pins to Store.pins.
+const (
+	pinClosed    = 1
+	pinOne       = 1 << 1                 // one pin, in the count field
+	pinCountMask = (1<<16 - 1) << 1       // up to 65 535 pins of one point
+	pinAtShift   = 17                     // the install point's low bit
+	maxInstalls  = 1<<(64-pinAtShift) - 1 // install points the word can hold
+)
+
+// pinWordAt returns the open pin word of install point at with no pins.
+func pinWordAt(at uint64) uint64 { return at << pinAtShift }
+
 // pinCount is one pinned install point and how many holders pin it.
 type pinCount struct {
 	at uint64
@@ -127,9 +154,13 @@ type Store struct {
 	items     index
 	published atomic.Pointer[index]
 
-	installs uint64       // install batches so far; Pin's value
-	pins     []pinCount   // the active pins, ascending
-	chained  []*copyState // the copies whose old chain is not empty
+	installs uint64 // install batches so far
+	// pin is the pin word: the install point installs, the active pins
+	// of it, and the closed bit (see the package comment). Only an
+	// installer holding mu closes it or moves it to a new point.
+	pin     atomic.Uint64
+	pins    []pinCount   // the active pins of retired install points, ascending
+	chained []*copyState // the copies whose old chain is not empty
 }
 
 // NewStore returns an empty store.
@@ -188,24 +219,33 @@ func (s *Store) Read(item model.ItemID) (Version, error) {
 }
 
 // Pin returns the site's current install point and keeps every version it
-// reads until the matching Unpin. It takes no lock on any item: ReadAt
-// at the pin sees every batch installed before Pin and none after.
+// reads until the matching Unpin. It takes no lock: ReadAt at the pin sees
+// every batch installed before Pin and none after.
 func (s *Store) Pin() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.pins); n > 0 && s.pins[n-1].at == s.installs {
-		s.pins[n-1].n++
-	} else {
-		s.pins = append(s.pins, pinCount{at: s.installs, n: 1})
+	for {
+		w := s.pin.Load()
+		if w&pinClosed != 0 || w&pinCountMask == pinCountMask {
+			runtime.Gosched() // an install is moving the pins, or the count is full
+			continue
+		}
+		if s.pin.CompareAndSwap(w, w+pinOne) {
+			return w >> pinAtShift
+		}
 	}
-	return s.installs
 }
 
-// Unpin releases one Pin of pin and drops the versions no active pin
-// reads any more.
+// Unpin releases one Pin of pin. A pin of the current install point is
+// dropped from the pin word without a lock; one an install has since
+// retired takes the mutex and drops the versions no active pin reads any
+// more.
 func (s *Store) Unpin(pin uint64) {
+	if s.unpinCurrent(pin) {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The word is closed only while an install holds mu, and that install
+	// retired every pin the word counted, so this pin is in s.pins.
 	i, ok := slices.BinarySearchFunc(s.pins, pin, byAt)
 	if !ok {
 		panic(fmt.Sprintf("storage: unpin of install point %d, which is not pinned", pin))
@@ -222,6 +262,20 @@ func (s *Store) Unpin(pin uint64) {
 	}
 	clear(s.chained[len(kept):])
 	s.chained = kept
+}
+
+// unpinCurrent drops one pin of pin from the pin word, if the word is open
+// at pin and counts it, and reports whether it did.
+func (s *Store) unpinCurrent(pin uint64) bool {
+	for {
+		w := s.pin.Load()
+		if w&pinClosed != 0 || w>>pinAtShift != pin || w&pinCountMask == 0 {
+			return false
+		}
+		if s.pin.CompareAndSwap(w, w-pinOne) {
+			return true
+		}
+	}
 }
 
 // trim drops cs's superseded versions that no active pin reads, and
@@ -244,7 +298,8 @@ func (s *Store) trim(cs *copyState) bool {
 	return n > 0
 }
 
-// pinnedIn reports whether an active pin lies in [lo, hi).
+// pinnedIn reports whether an active pin of a retired install point lies
+// in [lo, hi). The caller holds mu.
 func (s *Store) pinnedIn(lo, hi uint64) bool {
 	i, _ := slices.BinarySearchFunc(s.pins, lo, byAt)
 	return i < len(s.pins) && s.pins[i].at < hi
@@ -289,9 +344,10 @@ func (s *Store) Apply(item model.ItemID, value int64, writer model.TxnID) (Versi
 	if !ok {
 		return Version{}, missing(item)
 	}
-	s.installs++
+	s.beginInstall()
 	ver := Version{Value: value, Num: cs.num.Load() + 1, Writer: writer}
 	s.put(cs, ver)
+	s.endInstall()
 	return ver, nil
 }
 
@@ -310,13 +366,36 @@ func (s *Store) ApplyAll(writes []model.WriteOp, writer model.TxnID) error {
 			return missing(w.Item)
 		}
 	}
-	s.installs++
+	s.beginInstall()
 	for _, w := range writes {
 		cs := s.items[w.Item]
 		s.put(cs, Version{Value: w.Value, Num: cs.num.Load() + 1, Writer: writer})
 	}
+	s.endInstall()
 	return nil
 }
+
+// beginInstall opens the next install batch. It closes the pin word, so
+// no Pin or lock-free Unpin succeeds until endInstall, and retires the
+// pins the word counted into s.pins, where put finds them. The caller
+// holds mu.
+func (s *Store) beginInstall() {
+	if s.installs == maxInstalls {
+		panic(fmt.Sprintf("storage: %d install batches, more than the pin word holds", s.installs))
+	}
+	w := s.pin.Load()
+	for !s.pin.CompareAndSwap(w, w|pinClosed) {
+		w = s.pin.Load()
+	}
+	if n := int(w&pinCountMask) / pinOne; n > 0 {
+		s.pins = append(s.pins, pinCount{at: s.installs, n: n})
+	}
+	s.installs++
+}
+
+// endInstall reopens the pin word at the batch beginInstall opened, with
+// no pins. The caller holds mu.
+func (s *Store) endInstall() { s.pin.Store(pinWordAt(s.installs)) }
 
 // put makes ver current in the batch s.installs, keeping the version it
 // supersedes if an active pin reads it: every pin is older than the
@@ -343,8 +422,9 @@ func (s *Store) Load(item model.ItemID, ver Version) error {
 	if !ok {
 		return missing(item)
 	}
-	s.installs++
+	s.beginInstall()
 	s.put(cs, ver)
+	s.endInstall()
 	return nil
 }
 

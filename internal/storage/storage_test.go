@@ -419,3 +419,187 @@ func TestSnapshotReadsSeeWholeBatches(t *testing.T) {
 	close(done)
 	readers.Wait()
 }
+
+// TestPinWordSeesWholeBatches races lock-free pins against installs on
+// several stores. Each store has three pinning goroutines and one
+// installer whose ApplyAll batches write one counter value to every item
+// and whose Apply installs a value of its own to a further item. A pinner
+// sometimes takes a second pin while holding the first, so pins of points
+// an install has retired are released beside pins of the current one.
+// Every pin must read one value across the batch items, never older than
+// an earlier pin of the same goroutine; after the last Unpin no pin and no
+// superseded version may remain. Run it under -race.
+func TestPinWordSeesWholeBatches(t *testing.T) {
+	const (
+		stores    = 3
+		pinners   = 3
+		items     = 4
+		minRounds = 2000
+		solo      = model.ItemID(items) // Apply's item, outside the batches
+	)
+	var wg sync.WaitGroup
+	for st := 0; st < stores; st++ {
+		s := NewStore()
+		for i := 0; i <= items; i++ {
+			_ = s.Create(model.ItemID(i), 0)
+		}
+		var slow atomic.Int32 // pinners short of minRounds
+		slow.Store(pinners)
+		read := func(pin uint64) (int64, bool) {
+			first, err := s.ReadAt(0, pin)
+			for i := 1; i < items && err == nil; i++ {
+				var v Version
+				if v, err = s.ReadAt(model.ItemID(i), pin); err == nil && v != first {
+					t.Errorf("pin %d: item %d = %+v, item 0 = %+v", pin, i, v, first)
+					return 0, false
+				}
+			}
+			if err != nil {
+				t.Errorf("ReadAt at active pin %d: %v", pin, err)
+				return 0, false
+			}
+			return first.Value, true
+		}
+		for p := 0; p < pinners; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				defer slow.Add(-1)
+				var last int64 // the newest batch an earlier pin read
+				for n := 1; n <= minRounds; n++ {
+					pin := s.Pin()
+					v, ok := read(pin)
+					if ok && v < last {
+						t.Errorf("pin %d read batch %d after an earlier pin read %d", pin, v, last)
+						ok = false
+					}
+					if ok && n%(p+2) == 0 {
+						// A second, newer pin; an install in between
+						// retires the first, which is released after it.
+						inner := s.Pin()
+						var w int64
+						if w, ok = read(inner); ok && w < v {
+							t.Errorf("pin %d read batch %d after pin %d read %d", inner, w, pin, v)
+							ok = false
+						}
+						s.Unpin(inner)
+						v = max(v, w)
+					}
+					s.Unpin(pin)
+					if !ok {
+						return
+					}
+					last = v
+				}
+			}(p)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			writes := make([]model.WriteOp, items)
+			for i := range writes {
+				writes[i].Item = model.ItemID(i)
+			}
+			for n := 1; slow.Load() > 0; n++ {
+				for i := range writes {
+					writes[i].Value = int64(n)
+				}
+				if err := s.ApplyAll(writes, model.TxnID{Site: 0, Seq: uint64(n)}); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := s.Apply(solo, int64(n), model.TxnID{Site: 1, Seq: uint64(n)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			// Every pinner has unpinned: nothing may be left pinned or kept.
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if w := s.pin.Load(); w&(pinCountMask|pinClosed) != 0 || w>>pinAtShift != s.installs {
+				t.Errorf("pin word %#x after the last unpin, want open at %d with no pins", w, s.installs)
+			}
+			if len(s.pins) != 0 || len(s.chained) != 0 {
+				t.Errorf("after the last unpin: %d retired pins, %d chained copies", len(s.pins), len(s.chained))
+			}
+			for id, cs := range s.items {
+				if len(cs.old) != 0 {
+					t.Errorf("item %d keeps %d superseded versions after the last unpin", id, len(cs.old))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// pinSink keeps the benchmarked reads live.
+var pinSink atomic.Int64
+
+// BenchmarkSnapshotPinParallel prices a snapshot reader's pin: nine
+// stores, as in a default cluster, each with three reader goroutines
+// that pin, read one item and unpin. One op is one such round by any
+// reader. With an installer, one more goroutine commits two-item batches
+// to the stores in turn, so pins are retired and chains kept and trimmed.
+func BenchmarkSnapshotPinParallel(b *testing.B) {
+	const (
+		stores  = 9
+		readers = 3 // per store
+		items   = 16
+	)
+	for _, installer := range []bool{false, true} {
+		name := "readers"
+		if installer {
+			name = "readers+installer"
+		}
+		b.Run(name, func(b *testing.B) {
+			ss := make([]*Store, stores)
+			for i := range ss {
+				ss[i] = NewStore()
+				for it := 0; it < items; it++ {
+					_ = ss[i].Create(model.ItemID(it), 0)
+				}
+			}
+			var (
+				next    atomic.Int64 // rounds handed out
+				stop    = make(chan struct{})
+				running sync.WaitGroup
+				install sync.WaitGroup
+			)
+			if installer {
+				install.Add(1)
+				go func() {
+					defer install.Done()
+					writes := []model.WriteOp{{Item: 0}, {Item: 1}}
+					for n := 1; ; n++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						writes[0].Value, writes[1].Value = int64(n), int64(n)
+						_ = ss[n%stores].ApplyAll(writes, model.TxnID{Seq: uint64(n)})
+					}
+				}()
+			}
+			b.ResetTimer()
+			for g := 0; g < stores*readers; g++ {
+				running.Add(1)
+				go func(s *Store) {
+					defer running.Done()
+					var sum int64
+					for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+						pin := s.Pin()
+						v, _ := s.ReadAt(model.ItemID(i%items), pin)
+						s.Unpin(pin)
+						sum += v.Value
+					}
+					pinSink.Add(sum)
+				}(ss[g%stores])
+			}
+			running.Wait()
+			b.StopTimer()
+			close(stop)
+			install.Wait()
+		})
+	}
+}

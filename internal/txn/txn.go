@@ -10,6 +10,8 @@
 // serves is certified against the freshness tracker (internal/fresh) when
 // it is made, and every install a commit makes is noted in the tracker and
 // the serializability recorder while its exclusive locks are still held.
+// A transaction counts its fresh certificates itself and adds them to the
+// tracker once, when it commits or aborts; a stale one is recorded at once.
 package txn
 
 import (
@@ -103,7 +105,10 @@ type Txn struct {
 	// locked is set once t asks the lock manager for a lock; a
 	// transaction that never did (a snapshot reader) finishes without
 	// taking the lock manager's mutex.
-	locked  bool
+	locked bool
+	// fresh counts t's fresh read certificates not yet added to the
+	// tracker; release adds them.
+	fresh   uint32
 	durable func() error
 }
 
@@ -175,13 +180,14 @@ func (t *Txn) buffered(item model.ItemID) int {
 // reading the store. A lock timeout aborts the transaction. The read is
 // certified as it is made: a value served from the transaction's own
 // write buffer is fresh by construction, and a store read is certified by
-// the version it observed. A read that fails certifies nothing.
+// the version it observed. A read that fails certifies nothing. A fresh
+// certificate is counted in the tracker when t commits or aborts.
 func (t *Txn) Read(item model.ItemID) (int64, error) {
 	if t.finished {
 		return 0, fmt.Errorf("txn %v: read after finish", t.ID)
 	}
 	if i := t.buffered(item); i >= 0 {
-		t.m.Fresh.CertifyFresh(t.m.Site)
+		t.fresh++
 		return t.writes[i].Value, nil
 	}
 	if err := t.acquire(item, lock.Shared, t.m.Timeout); err != nil {
@@ -321,8 +327,11 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// release releases all of t's locks, if it asked for any.
+// release adds t's fresh certificates to the tracker and releases all of
+// t's locks, if it asked for any.
 func (t *Txn) release() {
+	t.m.Fresh.AddFresh(t.m.Site, t.fresh)
+	t.fresh = 0
 	if t.locked {
 		t.m.Locks.ReleaseAll(t.ID)
 	}
@@ -340,12 +349,14 @@ func (t *Txn) ObserveRemoteRead(site model.SiteID, item model.ItemID, version ui
 // observeRead observes one read of item that returned version at site:
 // it buffers the observation for Commit to flush, if a recorder is
 // attached to flush it to, and certifies the read for this transaction's
-// site.
+// site: a stale certificate is recorded now, a fresh one counted in t.
 func (t *Txn) observeRead(site model.SiteID, item model.ItemID, version uint64) {
 	if t.m.Recorder != nil {
 		t.readObs = append(t.readObs, history.ReadObs{Site: site, Item: item, Version: version, Reader: t.ID})
 	}
-	t.m.Fresh.CertifyRead(t.m.Site, item, version)
+	if !t.m.Fresh.CertifyReadUncounted(t.m.Site, item, version).Stale() {
+		t.fresh++
+	}
 }
 
 // Abort discards buffered writes and releases all locks. Safe to call

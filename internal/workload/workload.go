@@ -150,6 +150,7 @@ type TxnGen struct {
 	rng   *rand.Rand
 	reads []model.ItemID // items readable at the site
 	prims []model.ItemID // items writable at the site
+	ops   []model.Op     // the program Next returns, refilled by every call
 
 	readZipf, primZipf *rand.Zipf // nil when Skew == 0
 }
@@ -169,6 +170,7 @@ func NewTxnGen(cfg Config, p *model.Placement, site model.SiteID, seed int64) *T
 		rng:   rand.New(rand.NewSource(seed)),
 		reads: p.CopiesAt(site),
 		prims: p.PrimariesAt(site),
+		ops:   make([]model.Op, 0, cfg.OpsPerTxn),
 	}
 	if cfg.Skew > 1 {
 		if len(g.reads) > 0 {
@@ -195,10 +197,13 @@ func (g *TxnGen) pickWrite() model.ItemID {
 	return g.prims[g.rng.Intn(len(g.prims))]
 }
 
-// Next generates one transaction program.
+// Next generates one transaction program into a buffer the generator
+// owns, so it allocates nothing. The returned slice is valid until the
+// next call: a caller executes (or resubmits) the program before asking
+// for the next one, and nothing may keep it past that.
 func (g *TxnGen) Next() []model.Op {
 	readOnly := g.rng.Float64() < g.cfg.ReadTxnProb
-	ops := make([]model.Op, 0, g.cfg.OpsPerTxn)
+	ops := g.ops[:0]
 	for i := 0; i < g.cfg.OpsPerTxn; i++ {
 		isRead := readOnly || g.rng.Float64() < g.cfg.ReadOpProb
 		if !isRead && len(g.prims) == 0 {
@@ -210,5 +215,6 @@ func (g *TxnGen) Next() []model.Op {
 			ops = append(ops, model.Op{Kind: model.OpWrite, Item: g.pickWrite(), Value: g.rng.Int63()})
 		}
 	}
+	g.ops = ops
 	return ops
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/graph"
@@ -304,6 +306,80 @@ func TestTxnGenSiteWithoutPrimariesFallsBackToReads(t *testing.T) {
 			if op.Kind != model.OpRead {
 				t.Fatal("site without primaries generated a write")
 			}
+		}
+	}
+}
+
+// TestProgramSequenceUnchanged: the generator draws every program exactly
+// as it always has, so a seed names the same run before and after a change
+// to how programs are built. The hashes cover the first 10 000 programs of
+// three clients under the default, a read-only and a Zipf configuration,
+// and were taken before Next reused its buffer.
+func TestProgramSequenceUnchanged(t *testing.T) {
+	readOnly := Default()
+	readOnly.ReadTxnProb = 1
+	zipf := Default()
+	zipf.Skew = 1.5
+	configs := map[string]Config{"default": Default(), "readonly": readOnly, "zipf": zipf}
+	for _, want := range []struct {
+		config string
+		seed   int64
+		site   model.SiteID
+		thread int
+		hash   uint64
+	}{
+		{"default", 1, 0, 0, 0x8b42e09877a0fdb1},
+		{"default", 1, 4, 2, 0x65b368e8b5a3ddf6},
+		{"default", 7741, 8, 1, 0xe2517451732ada63},
+		{"readonly", 1, 0, 0, 0xf3d918fa10547f9c},
+		{"readonly", 1, 4, 2, 0xa59356e97cf5af39},
+		{"readonly", 7741, 8, 1, 0x9f08de8608efc6ce},
+		{"zipf", 1, 0, 0, 0x6ec94e64ca10c5b4},
+		{"zipf", 1, 4, 2, 0x55578442003cc625},
+		{"zipf", 7741, 8, 1, 0x53bfeae9bb4f325a},
+	} {
+		cfg := configs[want.config]
+		cfg.Seed = want.seed
+		p, err := cfg.GeneratePlacement()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewTxnGen(cfg, p, want.site, cfg.ClientSeed(want.site, want.thread))
+		h := fnv.New64a()
+		var word [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(word[:], v)
+			h.Write(word[:])
+		}
+		for i := 0; i < 10_000; i++ {
+			ops := g.Next()
+			put(uint64(len(ops)))
+			for _, op := range ops {
+				put(uint64(op.Kind))
+				put(uint64(op.Item))
+				put(uint64(op.Value))
+			}
+		}
+		if got := h.Sum64(); got != want.hash {
+			t.Errorf("%s seed %d s%d thread %d: programs hash to %#x, want %#x",
+				want.config, want.seed, want.site, want.thread, got, want.hash)
+		}
+	}
+}
+
+// TestNextAllocatesNothing: Next refills the generator's own buffer, so a
+// client allocates nothing per program, uniform or Zipf.
+func TestNextAllocatesNothing(t *testing.T) {
+	for _, skew := range []float64{0, 1.5} {
+		c := Default()
+		c.Skew = skew
+		p, err := c.GeneratePlacement()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewTxnGen(c, p, 0, c.ClientSeed(0, 0))
+		if n := testing.AllocsPerRun(1000, func() { g.Next() }); n != 0 {
+			t.Errorf("skew %v: Next allocates %v times per program, want 0", skew, n)
 		}
 	}
 }
